@@ -9,16 +9,20 @@ slow loop that aggregates per-node telemetry each epoch to attribute
 culprits whose damage spans nodes -- the DAGOR / Autothrottle bi-level
 shape (per-node fast loop + global slow loop).
 
-Entry points:
+Entry points (both on the one epoch runtime, :mod:`repro.cluster.epoch`;
+a failing shard worker raises :class:`ShardError`):
 
 * :func:`run_fleet` -- run a :class:`FleetSpec` to completion (serial or
   sharded across processes with byte-identical results).
+* :func:`run_dag` -- the same for a service-DAG mesh
+  (:class:`~repro.workloads.dag.DagSpec`).
 * :func:`demo_fleet` -- the standard cross-node-culprit scenario spec.
 """
 
 from .coordinator import CoordinatorDecision, GlobalCoordinator
 from .directives import CLUSTER_OPS, Directive, priority_of
 from .balancer import LoadBalancer
+from .epoch import ShardError
 from .fleet import Fleet, FleetResult, run_fleet
 from .mesh import DagResult, Mesh, ServiceNode, ServiceStatus, run_dag
 from .node import ClusterNode, NodeStatus
@@ -48,6 +52,7 @@ __all__ = [
     "Mesh",
     "ServiceNode",
     "ServiceStatus",
+    "ShardError",
     "LeastOutstanding",
     "LoadBalancer",
     "NodeSpec",

@@ -15,16 +15,13 @@ seed, status history) -- identical under serial and sharded execution.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..sim.rng import Rng
 from .directives import priority_of
 from .node import Arrival, NodeStatus
 from .routing import NodeView, RoutingPolicy, make_policy
 from .spec import FleetSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 def build_arrivals(spec: FleetSpec) -> List[Tuple[float, str, dict, str]]:

@@ -1,4 +1,4 @@
-"""The fleet: epoch loop, shard workers, and the run result.
+"""The fleet: LB + GlobalCoordinator as the per-epoch planner.
 
 Execution model (the key to serial==sharded byte parity): within an
 epoch every node advances independently -- the balancer pre-assigns the
@@ -7,31 +7,31 @@ issued at epoch ``k`` are delivered at the start of epoch ``k + 1``.
 Cross-node coupling therefore happens only at epoch boundaries, through
 picklable values (arrival tuples, :class:`NodeStatus`,
 :class:`Directive`), so a node's trajectory is a pure function of the
-spec and the boundary inputs.  The sharded path runs the *same*
-``ClusterNode.advance`` code in persistent fork-started workers (one
-round-trip per epoch per shard); shard count comes from the campaign
-worker-pool settings (``repro.campaign.settings`` / ``REPRO_JOBS``).
+spec and the boundary inputs.  The loop, the shard workers and the
+serial-or-sharded rule are :mod:`repro.cluster.epoch`'s; this module is
+the fleet's planner (:class:`_FleetPlanner`) and its result.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import multiprocessing
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.metrics import percentile
 from .balancer import LoadBalancer
 from .coordinator import GlobalCoordinator
 from .directives import QUARANTINE, Directive
-from .node import ClusterNode, NodeStatus
+from .epoch import EpochResult, LocalRun, p99_text, run_epochs
+from .node import Arrival, ClusterNode, NodeStatus
 from .spec import FleetSpec
 
 
 @dataclass
-class FleetResult:
+class FleetResult(EpochResult):
     """Everything a fleet run produces (JSON-able, deterministic)."""
+
+    _rounded = ("victim_p99", "goodput", "wrong_culprit_rate")
+    _reports = "node_reports"
 
     spec_mode: str
     policy: str
@@ -54,34 +54,13 @@ class FleetResult:
     node_reports: List[Dict[str, Any]] = field(default_factory=list)
     epochs: int = 0
 
-    def to_dict(self) -> Dict[str, Any]:
-        out = dict(self.__dict__)
-        out["victim_p99"] = (
-            None if self.victim_p99 != self.victim_p99
-            else round(self.victim_p99, 9)
-        )
-        out["goodput"] = round(self.goodput, 9)
-        out["wrong_culprit_rate"] = round(self.wrong_culprit_rate, 9)
-        for report in out["node_reports"]:
-            for key in ("throughput", "p99_latency"):
-                report[key] = round(report[key], 9)
-        return out
-
-    def digest(self) -> str:
-        """Canonical content hash (parity / determinism tests)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
-
     def render(self) -> str:
         """Operator-facing text report."""
-        p99 = (
-            "n/a" if self.victim_p99 != self.victim_p99
-            else f"{self.victim_p99 * 1000:.1f}ms"
-        )
         lines = [
             f"fleet: {self.n_nodes} nodes, policy={self.policy}, "
             f"mode={self.spec_mode}, {self.epochs} epochs",
-            f"victim p99 {p99} | goodput {self.goodput:.1f}/s | "
+            f"victim p99 {p99_text(self.victim_p99)} | "
+            f"goodput {self.goodput:.1f}/s | "
             f"cancels {self.cancels_total} "
             f"(wrong {self.wrong_cancels}, "
             f"rate {self.wrong_culprit_rate:.2f})",
@@ -92,200 +71,102 @@ class FleetResult:
             f"{'local':>6} {'directive':>10}",
         ]
         for report in self.node_reports:
-            p99_node = report["p99_latency"]
-            p99_text = (
-                "n/a" if p99_node != p99_node else f"{p99_node * 1000:.1f}ms"
-            )
             lines.append(
                 f"{report['node']:<10} {report['backend']:<9} "
-                f"{report['throughput']:>7.1f} {p99_text:>9} "
+                f"{report['throughput']:>7.1f} "
+                f"{p99_text(report['p99_latency']):>9} "
                 f"{report['local_cancels']:>6} "
                 f"{report['directive_cancels']:>10}"
             )
         return "\n".join(lines)
 
 
-class Fleet:
-    """Builds and drives one fleet run (serial path)."""
+class _FleetPlanner:
+    """The fleet's slow loop: route arrivals in, fold statuses back."""
 
     def __init__(self, spec: FleetSpec) -> None:
         self.spec = spec
+        self.node_names = [node.name for node in spec.nodes]
         self.balancer = LoadBalancer(spec)
         self.coordinator = GlobalCoordinator(spec)
-        self.nodes = [
-            ClusterNode(spec, node_spec, index)
-            for index, node_spec in enumerate(spec.nodes)
-        ]
+        self.statuses_by_epoch: List[List[NodeStatus]] = []
+        #: Cancel directives issued last epoch, delivered this one.
+        self.pending: List[Directive] = []
 
-    def run(self) -> FleetResult:
-        return _drive(self.spec, self.balancer, self.coordinator,
-                      self._advance_serial, self._finish_serial)
+    def make_node(self, spec: FleetSpec, index: int) -> ClusterNode:
+        return ClusterNode(spec, spec.nodes[index], index)
 
-    def _advance_serial(self, epoch, t_end, plan, directives):
-        return [
-            node.advance(epoch, t_end, plan.get(node.index, []), directives)
-            for node in self.nodes
-        ]
+    def plan(
+        self, epoch: int, t_end: float
+    ) -> Dict[int, Tuple[List[Arrival], List[Directive]]]:
+        return {
+            index: (arrivals, self.pending)
+            for index, arrivals in self.balancer.assign(t_end).items()
+        }
 
-    def _finish_serial(self):
-        return [node.finish() for node in self.nodes]
-
-
-def _drive(spec, balancer, coordinator, advance_all, finish_all):
-    """The epoch loop shared by serial and sharded execution."""
-    statuses_by_epoch: List[List[NodeStatus]] = []
-    pending: List[Directive] = []
-    for epoch in range(spec.epoch_count()):
-        t_end = spec.epoch_end(epoch)
-        plan = balancer.assign(t_end)
-        statuses = advance_all(epoch, t_end, plan, pending)
-        statuses_by_epoch.append(statuses)
-        balancer.update(statuses)
-        issued = coordinator.observe(epoch, t_end, statuses)
-        pending = []
-        if spec.mode == "coordinated":
+    def fold(
+        self, epoch: int, t_end: float, statuses: List[NodeStatus]
+    ) -> None:
+        self.statuses_by_epoch.append(statuses)
+        self.balancer.update(statuses)
+        issued = self.coordinator.observe(epoch, t_end, statuses)
+        self.pending = []
+        if self.spec.mode == "coordinated":
             for directive in issued:
                 if directive.kind == QUARANTINE:
-                    balancer.quarantine(directive.op)
+                    self.balancer.quarantine(directive.op)
                 else:
-                    pending.append(directive)
-    reports = finish_all()
-    return _summarize(spec, balancer, coordinator, statuses_by_epoch, reports)
+                    self.pending.append(directive)
+
+    def summarize(self, reports: List[Dict[str, Any]]) -> FleetResult:
+        spec = self.spec
+        result = FleetResult(
+            spec_mode=spec.mode,
+            policy=spec.policy,
+            n_nodes=len(spec.nodes),
+            duration=spec.duration,
+            epochs=len(self.statuses_by_epoch),
+            lb=self.balancer.stats(),
+            node_reports=reports,
+            # directives, quarantined, decisions, health_events
+            **self.coordinator.stats(),
+        )
+        latencies: List[float] = []
+        good = 0.0
+        for statuses in self.statuses_by_epoch:
+            for status in statuses:
+                if status.t <= spec.warmup:
+                    continue
+                latencies.extend(status.victim_latencies)
+                good += status.goodput_window * spec.epoch
+        effective = max(spec.duration - spec.warmup, 1e-9)
+        if latencies:
+            result.victim_p99 = percentile(latencies, 99)
+        result.goodput = good / effective
+        expected = set(spec.expected_culprits)
+        cancelled_ops: List[str] = []
+        for report in reports:
+            cancelled_ops.extend(report["local_cancelled_ops"])
+            cancelled_ops.extend(report["directive_cancelled_ops"])
+        result.cancels_total = len(cancelled_ops)
+        result.wrong_cancels = sum(
+            1 for op in cancelled_ops if op not in expected
+        )
+        result.wrong_culprit_rate = (
+            result.wrong_cancels / result.cancels_total
+            if result.cancels_total
+            else 0.0
+        )
+        return result
 
 
-def _summarize(spec, balancer, coordinator, statuses_by_epoch, reports):
-    result = FleetResult(
-        spec_mode=spec.mode,
-        policy=spec.policy,
-        n_nodes=len(spec.nodes),
-        duration=spec.duration,
-        epochs=len(statuses_by_epoch),
-    )
-    latencies: List[float] = []
-    good = 0.0
-    for statuses in statuses_by_epoch:
-        for status in statuses:
-            if status.t <= spec.warmup:
-                continue
-            latencies.extend(status.victim_latencies)
-            good += status.goodput_window * spec.epoch
-    effective = max(spec.duration - spec.warmup, 1e-9)
-    if latencies:
-        result.victim_p99 = percentile(latencies, 99)
-    result.goodput = good / effective
-    expected = set(spec.expected_culprits)
-    cancelled_ops: List[str] = []
-    for report in reports:
-        cancelled_ops.extend(report["local_cancelled_ops"])
-        cancelled_ops.extend(report["directive_cancelled_ops"])
-    result.cancels_total = len(cancelled_ops)
-    result.wrong_cancels = sum(
-        1 for op in cancelled_ops if op not in expected
-    )
-    result.wrong_culprit_rate = (
-        result.wrong_cancels / result.cancels_total
-        if result.cancels_total
-        else 0.0
-    )
-    result.directives = [d.to_dict() for d in coordinator.directives]
-    result.quarantined = list(coordinator.quarantined)
-    result.decisions = [d.to_dict() for d in coordinator.decisions]
-    result.health_events = [
-        e.to_dict() for e in coordinator.monitor.events
-    ]
-    result.lb = balancer.stats()
-    result.node_reports = reports
-    return result
+class Fleet(LocalRun):
+    """Builds and drives one fleet run in this process (serial path)."""
 
-
-# ----------------------------------------------------------------------
-# Sharded execution (campaign worker pool)
-# ----------------------------------------------------------------------
-
-def _shard_worker(spec_dict, indices, conn):  # pragma: no cover - subprocess
-    """Persistent shard process: owns a subset of the fleet's nodes."""
-    spec = FleetSpec.from_dict(spec_dict)
-    nodes = {
-        index: ClusterNode(spec, spec.nodes[index], index)
-        for index in indices
-    }
-    try:
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "advance":
-                _, epoch, t_end, inputs = message
-                statuses = {}
-                for index, (arrivals, directives) in inputs.items():
-                    statuses[index] = nodes[index].advance(
-                        epoch, t_end, arrivals, directives
-                    )
-                conn.send(statuses)
-            elif kind == "finish":
-                conn.send(
-                    {index: node.finish() for index, node in nodes.items()}
-                )
-            else:
-                break
-    finally:
-        conn.close()
-
-
-class _ShardPool:
-    """Fork-started shard processes driven over pipes."""
-
-    def __init__(self, spec: FleetSpec, shards: int) -> None:
-        ctx = multiprocessing.get_context("fork")
-        n = len(spec.nodes)
-        self.assignments = [
-            [index for index in range(n) if index % shards == s]
-            for s in range(shards)
-        ]
-        self.pipes = []
-        self.procs = []
-        spec_dict = spec.to_dict()
-        for indices in self.assignments:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker, args=(spec_dict, indices, child)
-            )
-            proc.daemon = True
-            proc.start()
-            child.close()
-            self.pipes.append(parent)
-            self.procs.append(proc)
-
-    def advance_all(self, epoch, t_end, plan, directives):
-        for pipe, indices in zip(self.pipes, self.assignments):
-            inputs = {
-                index: (plan.get(index, []), directives)
-                for index in indices
-            }
-            pipe.send(("advance", epoch, t_end, inputs))
-        merged: Dict[int, NodeStatus] = {}
-        for pipe in self.pipes:
-            merged.update(pipe.recv())
-        return [merged[index] for index in sorted(merged)]
-
-    def finish_all(self):
-        for pipe in self.pipes:
-            pipe.send(("finish",))
-        merged: Dict[int, Dict[str, Any]] = {}
-        for pipe in self.pipes:
-            merged.update(pipe.recv())
-        return [merged[index] for index in sorted(merged)]
-
-    def close(self):
-        for pipe in self.pipes:
-            try:
-                pipe.send(("stop",))
-                pipe.close()
-            except OSError:
-                pass
-        for proc in self.procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
+    def __init__(self, spec: FleetSpec) -> None:
+        super().__init__(_FleetPlanner(spec))
+        self.balancer = self.planner.balancer
+        self.coordinator = self.planner.coordinator
 
 
 def run_fleet(spec: FleetSpec, jobs: Optional[int] = None) -> FleetResult:
@@ -294,21 +175,7 @@ def run_fleet(spec: FleetSpec, jobs: Optional[int] = None) -> FleetResult:
     ``jobs`` defaults to the campaign worker-pool settings
     (:func:`repro.campaign.settings` overlays / ``REPRO_JOBS``); node
     simulations are sharded round-robin across ``min(jobs, nodes)``
-    persistent fork-started workers.  Platforms without the fork start
-    method fall back to serial execution.
+    persistent fork-started workers, or run serially where
+    :func:`repro.cluster.epoch.shard_count` says so.
     """
-    from ..campaign import current_settings
-
-    resolved = current_settings(jobs=jobs)
-    shards = min(resolved.jobs, len(spec.nodes))
-    if shards <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return Fleet(spec).run()
-    balancer = LoadBalancer(spec)
-    coordinator = GlobalCoordinator(spec)
-    pool = _ShardPool(spec, shards)
-    try:
-        return _drive(
-            spec, balancer, coordinator, pool.advance_all, pool.finish_all
-        )
-    finally:
-        pool.close()
+    return run_epochs(_FleetPlanner(spec), jobs)

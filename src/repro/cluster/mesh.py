@@ -1,15 +1,16 @@
 """Microservice-mesh execution: DAG requests over epoch-synced services.
 
-Runs a :class:`~repro.workloads.dag.DagSpec`: every service is a full
-app-node simulation (:class:`ServiceNode`, the same stack as a fleet
-:class:`~repro.cluster.node.ClusterNode`), and the mesh drives them
-with the cluster tier's epoch discipline -- RPC shards produced by a
-parent stage in epoch ``k`` dispatch at the start of epoch ``k + 1``,
-per-edge FIFO queues enforce the edge concurrency limits, and an
-AND-join completes a stage only when all shards of all incoming edges
-finished.  Cross-service coupling therefore crosses process boundaries
-only as picklable values (shard tuples, :class:`ServiceStatus`,
-directive tuples), which is what makes serial and sharded mesh runs
+Runs a :class:`~repro.workloads.dag.DagSpec` on the epoch runtime
+(:mod:`repro.cluster.epoch`): every service is a :class:`ServiceNode`
+(an :class:`~repro.cluster.epoch.EpochNode`, the same stack as a fleet
+node), and the per-epoch planner (:class:`_MeshDriver`) is the RPC-edge
+router plus the Autothrottle tower -- RPC shards produced by a parent
+stage in epoch ``k`` dispatch at the start of epoch ``k + 1``, per-edge
+FIFO queues enforce the edge concurrency limits, and an AND-join
+completes a stage only when all shards of all incoming edges finished.
+Cross-service coupling therefore crosses process boundaries only as
+picklable values (shard tuples, :class:`ServiceStatus`, directive
+tuples), which is what makes serial and sharded mesh runs
 byte-identical.
 
 A request's **critical-path latency** is the DAG-longest sum of its
@@ -33,26 +34,19 @@ Controller modes (every service mounts the same controller):
 
 from __future__ import annotations
 
-import hashlib
-import json
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..apps.base import Operation
-from ..apps.mysql import MySQL, MySQLConfig
-from ..apps.postgres import PostgreSQL, PostgresConfig
 from ..baselines.autothrottle import Autothrottle, AutothrottleTower
 from ..baselines.dagor import Dagor, compound_priority
 from ..core.atropos import Atropos
 from ..core.config import AtroposConfig
 from ..core.controller import NullController
 from ..sim.environment import Environment
-from ..sim.metrics import MetricsCollector, Summary, percentile
-from ..sim.rng import Rng
+from ..sim.metrics import percentile
 from ..telemetry.health import HealthMonitor, default_health_rules
 from ..workloads.dag import DagSpec, ServiceSpec, build_arrivals
-from ..workloads.driver import Driver
+from .epoch import EpochNode, EpochResult, LocalRun, p99_text, run_epochs
 
 #: Shard tuple crossing the mesh -> node boundary (picklable):
 #: ``(time, key, op, params, client_id)``.
@@ -85,8 +79,10 @@ class ServiceStatus:
     target: float = 0.0
 
 
-class ServiceNode:
+class ServiceNode(EpochNode):
     """One mesh service, advanced epoch by epoch."""
+
+    kind = "service"
 
     def __init__(
         self,
@@ -95,143 +91,63 @@ class ServiceNode:
         index: int,
         controller: str,
     ) -> None:
-        self.spec = spec
         self.service = service
-        self.index = index
-        self.name = service.name
-        self.backend = service.backend
         self.mode = controller
-        self.env = Environment()
-        rng = Rng(spec.seed).fork(f"dag:{self.name}")
-        self.controller = self._make_controller(controller, spec)
-        if service.backend == "mysql":
-            self.app = MySQL(
-                self.env,
-                self.controller,
-                rng,
-                MySQLConfig(
-                    tables=spec.tables,
-                    pages_per_light_op=spec.mysql_pages_per_light_op,
-                    miss_penalty=spec.mysql_miss_penalty,
-                ),
-            )
-        else:
-            self.app = PostgreSQL(
-                self.env,
-                self.controller,
-                rng,
-                PostgresConfig(tables=spec.tables),
-            )
-        self._register_dag_ops()
-        self.controller.bind(self.app)
-        if controller != "none":
-            self.controller.start()
-        self.collector = MetricsCollector()
-        self.driver = Driver(
-            self.env, self.app, self.controller, self.collector
+        super().__init__(
+            spec,
+            service.name,
+            service.backend,
+            index,
+            rng_label=f"dag:{service.name}",
+            make_controller=self._make_controller,
+            start=controller != "none",
+            measured=spec.duration + spec.drain - spec.warmup,
         )
-        self._record_idx = 0
-        self._offered_last = 0
 
-    def _make_controller(self, controller: str, spec: DagSpec):
-        if controller == "atropos":
+    def _make_controller(self, env: Environment):
+        spec = self.spec
+        if self.mode == "atropos":
             return Atropos(
-                self.env,
+                env,
                 AtroposConfig(
                     slo_latency=spec.slo_latency,
                     cancellation_enabled=True,
                 ),
             )
-        if controller == "dagor":
+        if self.mode == "dagor":
             return Dagor(
-                self.env,
+                env,
                 slo_latency=spec.slo_latency,
                 user_levels=spec.dagor_user_levels,
             )
-        if controller == "autothrottle":
-            return Autothrottle(self.env, slo_latency=spec.slo_latency)
-        return NullController(self.env)
-
-    def _register_dag_ops(self) -> None:
-        app = self.app
-        spec = self.spec
-        if self.backend == "mysql":
-
-            def point(task, table=0):
-                yield from app.point_select(task, table=table)
-
-            def write(task, table=0):
-                yield from app.row_update(task, table=table)
-
-            def scan(task, rows=0.0):
-                yield from app.scan(task, table=0, rows=rows)
-
-        else:
-
-            def point(task, table=0):
-                yield from app.select(task, table=table)
-
-            def write(task, table=0):
-                yield from app.update(task, table=table)
-
-            def scan(task, rows=0.0):
-                yield from app.vacuum(
-                    task, total_bytes=rows * spec.pg_bytes_per_row
-                )
-
-        app.register_handler("point", point)
-        app.register_handler("write", write)
-        app.register_handler("scan", scan)
+        if self.mode == "autothrottle":
+            return Autothrottle(env, slo_latency=spec.slo_latency)
+        return NullController(env)
 
     # ------------------------------------------------------------------
-    # Epoch advance
+    # Epoch hooks
     # ------------------------------------------------------------------
-    def advance(
-        self,
-        epoch: int,
-        t_end: float,
-        shards: List[Shard],
-        directives: List[Tuple[str, float]],
-    ) -> ServiceStatus:
-        """Run this service's environment to ``t_end`` and snapshot it."""
+    def _deliver(self, directives: List[Tuple[str, float]]) -> None:
         for kind, value in directives:
             if kind == "target" and hasattr(self.controller, "set_target"):
                 self.controller.set_target(value)
+
+    def _submit(self, shards: List[Shard]) -> None:
+        """One ``run_arrivals`` per shard, keyed ``client|key``."""
         for t, key, op, params, client in shards:
             self.driver.run_arrivals(
                 [(t, self._make_op(op, params))],
                 client_id=f"{client}|{key}",
             )
-        self.env.run(until=t_end)
-        return self._status(epoch, t_end)
 
-    def _make_op(self, op: str, params: Dict[str, Any]):
-        def factory(op=op, params=params):
-            return Operation(op, dict(params))
-
-        return factory
-
-    def _status(self, epoch: int, t_end: float) -> ServiceStatus:
-        records = self.collector.records
-        window = records[self._record_idx:]
-        self._record_idx = len(records)
-        offered_total = self.collector.offered
-        offered_window = offered_total - self._offered_last
-        self._offered_last = offered_total
-        status = ServiceStatus(
-            service=self.name,
-            backend=self.backend,
-            epoch=epoch,
-            t=t_end,
-            outstanding=self.driver.inflight,
-            offered_window=offered_window,
-        )
+    def _status(self, window: List, **common: Any) -> ServiceStatus:
+        status = ServiceStatus(service=self.name, **common)
         completed_latencies: List[float] = []
         for record in window:
             key = record.client_id.rsplit("|", 1)[1]
             finish = (
                 record.finish_time if record.finish_time is not None
-                else t_end
+                else status.t
             )
             latency = max(0.0, finish - record.arrival_time)
             status.shard_results.append(
@@ -249,25 +165,9 @@ class ServiceNode:
             status.target = controller.target
         return status
 
-    # ------------------------------------------------------------------
-    # Final report
-    # ------------------------------------------------------------------
-    def finish(self) -> Dict[str, Any]:
-        """Per-service end-of-run report (picklable)."""
-        spec = self.spec
-        effective = spec.duration + spec.drain - spec.warmup
-        summary = Summary.from_collector(
-            self.collector.trimmed(spec.warmup), effective
-        )
+    def _report_extra(self) -> Dict[str, Any]:
         controller = self.controller
         return {
-            "service": self.name,
-            "backend": self.backend,
-            "throughput": summary.throughput,
-            "p99_latency": summary.p99_latency,
-            "completed": summary.completed,
-            "cancelled": summary.cancelled,
-            "dropped": summary.dropped,
             "cancels": int(controller.cancels_issued),
             "rejections": int(getattr(controller, "rejections", 0)),
             "resize_moves": int(getattr(controller, "resize_moves", 0)),
@@ -276,8 +176,11 @@ class ServiceNode:
 
 
 @dataclass
-class DagResult:
+class DagResult(EpochResult):
     """Everything one mesh run produces (JSON-able, deterministic)."""
+
+    _rounded = ("victim_p99", "victim_p50", "victim_mean", "goodput")
+    _reports = "service_reports"
 
     controller: str
     n_services: int
@@ -299,35 +202,20 @@ class DagResult:
     service_reports: List[Dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
-        out = dict(self.__dict__)
-        for key in ("victim_p99", "victim_p50", "victim_mean"):
-            value = getattr(self, key)
-            out[key] = None if value != value else round(value, 9)
-        out["goodput"] = round(self.goodput, 9)
+        out = super().to_dict()
         out["classes"] = {
             name: dict(sorted(counts.items()))
             for name, counts in sorted(self.classes.items())
         }
-        for report in out["service_reports"]:
-            for key in ("throughput", "p99_latency"):
-                report[key] = round(report[key], 9)
         return out
-
-    def digest(self) -> str:
-        """Canonical content hash (parity / determinism tests)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def render(self) -> str:
         """Operator-facing text report."""
-        p99 = (
-            "n/a" if self.victim_p99 != self.victim_p99
-            else f"{self.victim_p99 * 1000:.1f}ms"
-        )
         lines = [
             f"mesh: {self.n_services} services / {self.n_edges} edges, "
             f"controller={self.controller}, {self.epochs} epochs",
-            f"victim p99 {p99} | goodput {self.goodput:.1f}/s | "
+            f"victim p99 {p99_text(self.victim_p99)} | "
+            f"goodput {self.goodput:.1f}/s | "
             f"upstream sheds {self.shed_upstream} | "
             f"cancelled shards {self.cancelled_shards}",
             "",
@@ -335,11 +223,10 @@ class DagResult:
             f"{'cancel':>7} {'reject':>7} {'resize':>7}",
         ]
         for report in self.service_reports:
-            p99_s = report["p99_latency"]
-            p99_text = "n/a" if p99_s != p99_s else f"{p99_s * 1000:.1f}ms"
             lines.append(
                 f"{report['service']:<10} {report['backend']:<9} "
-                f"{report['throughput']:>7.1f} {p99_text:>9} "
+                f"{report['throughput']:>7.1f} "
+                f"{p99_text(report['p99_latency']):>9} "
                 f"{report['cancels']:>7} {report['rejections']:>7} "
                 f"{report['resize_moves']:>7}"
             )
@@ -389,11 +276,12 @@ class _RequestState:
 
 
 class _MeshDriver:
-    """The epoch loop shared by serial and sharded execution."""
+    """The mesh's slow loop: RPC-edge router + Autothrottle tower."""
 
     def __init__(self, spec: DagSpec, controller: str) -> None:
         self.spec = spec
         self.controller = controller
+        self.node_names = [service.name for service in spec.services]
         self.arrivals = build_arrivals(spec)
         self.requests: Dict[int, _RequestState] = {}
         self.classes = {c.name: c for c in spec.classes}
@@ -440,11 +328,21 @@ class _MeshDriver:
         self.cancelled_shards = 0
         #: (arrival, cp_latency) of completed victim requests.
         self.victim_done: List[Tuple[float, float]] = []
+        #: Victim critical paths since the tower last ran (its e2e input).
         self._window_victim_cp: List[float] = []
+        #: Tower targets decided by the last ``fold``, by service index.
+        self._directives: Dict[int, List[Tuple[str, float]]] = {}
         self._arrival_idx = 0
 
+    def make_node(self, spec: DagSpec, index: int) -> ServiceNode:
+        return ServiceNode(
+            spec, spec.services[index], index, self.controller
+        )
+
     # -- per-epoch plan ------------------------------------------------
-    def plan(self, epoch: int, t_end: float) -> Dict[int, List[Shard]]:
+    def plan(
+        self, epoch: int, t_end: float
+    ) -> Dict[int, Tuple[List[Shard], List[Tuple[str, float]]]]:
         spec = self.spec
         t_start = spec.epoch_end(epoch - 1) if epoch > 0 else 0.0
         submissions: Dict[int, List[Shard]] = {
@@ -503,7 +401,10 @@ class _MeshDriver:
                 self._params(op, self.classes[cls_name], rid, 0),
                 client,
             ))
-        return submissions
+        return {
+            index: (shards, self._directives.get(index, []))
+            for index, shards in submissions.items()
+        }
 
     def _params(self, op, cls, rid: int, k: int) -> Dict[str, Any]:
         if op == "scan":
@@ -566,7 +467,8 @@ class _MeshDriver:
                 self.counts[req.cls_name]["completed"] += 1
                 if req.victim:
                     self.victim_done.append((req.arrival, cp))
-                    self._window_victim_cp.append(cp)
+                    if self.tower is not None:
+                        self._window_victim_cp.append(cp)
         fleet_p99 = (
             percentile(window_victim_shards, 99)
             if window_victim_shards else float("nan")
@@ -587,13 +489,13 @@ class _MeshDriver:
             },
             window_cancelled_ops,
         )
+        self._directives = self._tower_directives(epoch, t_end, statuses)
 
     # -- tower slow loop ----------------------------------------------
-    def tower_directives(
+    def _tower_directives(
         self, epoch: int, t_end: float, statuses: List[ServiceStatus]
     ) -> Dict[int, List[Tuple[str, float]]]:
         if self.tower is None or (epoch + 1) % self.tower_epochs != 0:
-            self._maybe_clear_window(epoch)
             return {}
         cp_p99 = (
             percentile(self._window_victim_cp, 99)
@@ -612,12 +514,6 @@ class _MeshDriver:
             self.spec.service_index(name): [("target", target)]
             for name, target in sorted(targets.items())
         }
-
-    def _maybe_clear_window(self, epoch: int) -> None:
-        # Victim-cp window only feeds the tower; bound its growth for
-        # the controllers that never read it.
-        if self.tower is None and len(self._window_victim_cp) > 10000:
-            self._window_victim_cp = []
 
     # -- final result --------------------------------------------------
     def summarize(self, reports: List[Dict[str, Any]]) -> DagResult:
@@ -655,138 +551,12 @@ class _MeshDriver:
         return result
 
 
-def _drive(spec, controller, advance_all, finish_all) -> DagResult:
-    driver = _MeshDriver(spec, controller)
-    directives: Dict[int, List[Tuple[str, float]]] = {}
-    for epoch in range(spec.epoch_count()):
-        t_end = spec.epoch_end(epoch)
-        plan = driver.plan(epoch, t_end)
-        statuses = advance_all(epoch, t_end, plan, directives)
-        driver.fold(epoch, t_end, statuses)
-        directives = driver.tower_directives(epoch, t_end, statuses)
-    return driver.summarize(finish_all())
-
-
-class Mesh:
-    """Builds and drives one mesh run (serial path)."""
+class Mesh(LocalRun):
+    """Builds and drives one mesh run in this process (serial path)."""
 
     def __init__(self, spec: DagSpec, controller: str) -> None:
-        self.spec = spec
+        super().__init__(_MeshDriver(spec, controller))
         self.controller = controller
-        self.nodes = [
-            ServiceNode(spec, service, index, controller)
-            for index, service in enumerate(spec.services)
-        ]
-
-    def run(self) -> DagResult:
-        return _drive(
-            self.spec, self.controller,
-            self._advance_serial, self._finish_serial,
-        )
-
-    def _advance_serial(self, epoch, t_end, plan, directives):
-        return [
-            node.advance(
-                epoch, t_end,
-                plan.get(node.index, []),
-                directives.get(node.index, []),
-            )
-            for node in self.nodes
-        ]
-
-    def _finish_serial(self):
-        return [node.finish() for node in self.nodes]
-
-
-# ----------------------------------------------------------------------
-# Sharded execution (campaign worker pool)
-# ----------------------------------------------------------------------
-
-def _shard_worker(spec_dict, controller, indices, conn):  # pragma: no cover
-    """Persistent shard process: owns a subset of the mesh's services."""
-    spec = DagSpec.from_dict(spec_dict)
-    nodes = {
-        index: ServiceNode(spec, spec.services[index], index, controller)
-        for index in indices
-    }
-    try:
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "advance":
-                _, epoch, t_end, inputs = message
-                statuses = {}
-                for index, (shards, directives) in inputs.items():
-                    statuses[index] = nodes[index].advance(
-                        epoch, t_end, shards, directives
-                    )
-                conn.send(statuses)
-            elif kind == "finish":
-                conn.send(
-                    {index: node.finish() for index, node in nodes.items()}
-                )
-            else:
-                break
-    finally:
-        conn.close()
-
-
-class _MeshShardPool:
-    """Fork-started shard processes driven over pipes."""
-
-    def __init__(self, spec: DagSpec, controller: str, shards: int) -> None:
-        ctx = multiprocessing.get_context("fork")
-        n = len(spec.services)
-        self.assignments = [
-            [index for index in range(n) if index % shards == s]
-            for s in range(shards)
-        ]
-        self.pipes = []
-        self.procs = []
-        spec_dict = spec.to_dict()
-        for indices in self.assignments:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(spec_dict, controller, indices, child),
-            )
-            proc.daemon = True
-            proc.start()
-            child.close()
-            self.pipes.append(parent)
-            self.procs.append(proc)
-
-    def advance_all(self, epoch, t_end, plan, directives):
-        for pipe, indices in zip(self.pipes, self.assignments):
-            inputs = {
-                index: (plan.get(index, []), directives.get(index, []))
-                for index in indices
-            }
-            pipe.send(("advance", epoch, t_end, inputs))
-        merged: Dict[int, ServiceStatus] = {}
-        for pipe in self.pipes:
-            merged.update(pipe.recv())
-        return [merged[index] for index in sorted(merged)]
-
-    def finish_all(self):
-        for pipe in self.pipes:
-            pipe.send(("finish",))
-        merged: Dict[int, Dict[str, Any]] = {}
-        for pipe in self.pipes:
-            merged.update(pipe.recv())
-        return [merged[index] for index in sorted(merged)]
-
-    def close(self):
-        for pipe in self.pipes:
-            try:
-                pipe.send(("stop",))
-                pipe.close()
-            except OSError:
-                pass
-        for proc in self.procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
 
 
 def run_dag(
@@ -799,22 +569,8 @@ def run_dag(
     ``jobs`` defaults to the campaign worker-pool settings
     (:func:`repro.campaign.settings` overlays / ``REPRO_JOBS``);
     service simulations shard round-robin across ``min(jobs, services)``
-    persistent fork-started workers.  Platforms without fork -- and
-    daemonized campaign pool workers, which may not fork again -- fall
-    back to serial execution (identical bytes either way).
+    persistent fork-started workers, or run serially where
+    :func:`repro.cluster.epoch.shard_count` says so (identical bytes
+    either way).
     """
-    from ..campaign import current_settings
-
-    resolved = current_settings(jobs=jobs)
-    shards = min(resolved.jobs, len(spec.services))
-    if (
-        shards <= 1
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return Mesh(spec, controller).run()
-    pool = _MeshShardPool(spec, controller, shards)
-    try:
-        return _drive(spec, controller, pool.advance_all, pool.finish_all)
-    finally:
-        pool.close()
+    return run_epochs(_MeshDriver(spec, controller), jobs)

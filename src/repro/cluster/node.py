@@ -1,18 +1,13 @@
-"""One fleet node: its own sim environment, app, driver, and pipeline.
+"""One fleet node: what a :class:`ClusterNode` adds to an epoch node.
 
-A :class:`ClusterNode` wraps a complete single-node simulation (exactly
-the stack :func:`repro.experiments.harness.run_simulation` assembles)
-behind an epoch-synchronized ``advance`` API: the fleet hands it the
-epoch's routed arrivals and any coordinator directives, the node runs
-its environment to the epoch end, and returns a JSON-able
-:class:`NodeStatus` snapshot.  Because a node never touches another
-node's state mid-epoch, the same ``advance`` calls produce byte-identical
-results whether nodes live in one process or are sharded across workers.
-
-Cluster ops (``point``/``write``/``heavy_report``/``fanout_scan``) are
-registered as *alias handlers* that dispatch to the backend's native
-handlers, so request records, candidate evidence, and cancel signals all
-carry the cluster-level op names the coordinator aggregates by.
+The single-node stack, the ``advance`` / ``finish`` protocol and the
+``point``/``write``/scan alias handlers are
+:class:`~repro.cluster.epoch.EpochNode`'s.  A fleet node adds the
+fleet's side of the boundary: routed arrival tuples in, coordinator
+directives in, a JSON-able :class:`NodeStatus` out -- window counts,
+victim latencies, the candidate/blame evidence the coordinator
+aggregates by op (alias names ``point``/``write``/``heavy_report``/
+``fanout_scan``), and the DAGOR ``admit_priority`` feedback.
 
 Directive delivery reuses :mod:`repro.core.distributed`: each cancel
 directive builds a :class:`~repro.core.distributed.TaskTree` over the
@@ -25,26 +20,18 @@ delivered (``already-cancelling``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from ..apps.mysql import MySQL, MySQLConfig
-from ..apps.postgres import PostgreSQL, PostgresConfig
-from ..apps.base import Operation
 from ..core.atropos import Atropos
 from ..core.config import AtroposConfig
 from ..core.distributed import Node as DistNode
 from ..core.distributed import TaskTree
 from ..core.task import CancellableTask
 from ..core.types import CancelSignal
-from ..sim.environment import Environment
-from ..sim.metrics import MetricsCollector, percentile
-from ..sim.rng import Rng
-from ..workloads.driver import Driver
+from ..sim.metrics import percentile
 from .directives import CANCEL, Directive
+from .epoch import EpochNode
 from .spec import FleetSpec, NodeSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 #: Arrival tuple crossing the LB -> node boundary (picklable).
 #: ``(time, op, params, client_id)``.
@@ -97,48 +84,27 @@ class NodeStatus:
         return out
 
 
-class ClusterNode:
+class ClusterNode(EpochNode):
     """One app node, advanced epoch by epoch."""
 
     def __init__(
         self, spec: FleetSpec, node_spec: NodeSpec, index: int
     ) -> None:
-        self.spec = spec
         self.node_spec = node_spec
-        self.index = index
-        self.name = node_spec.name
-        self.backend = node_spec.backend
-        self.env = Environment()
-        rng = Rng(spec.seed).fork(f"cluster:{self.name}")
         config = AtroposConfig(
             slo_latency=spec.slo_latency,
             cancellation_enabled=(spec.mode == "local"),
         )
-        self.controller = Atropos(self.env, config)
-        if node_spec.backend == "mysql":
-            self.app = MySQL(
-                self.env,
-                self.controller,
-                rng,
-                MySQLConfig(
-                    tables=spec.tables,
-                    pages_per_light_op=spec.mysql_pages_per_light_op,
-                    miss_penalty=spec.mysql_miss_penalty,
-                ),
-            )
-        else:
-            self.app = PostgreSQL(
-                self.env,
-                self.controller,
-                rng,
-                PostgresConfig(tables=spec.tables),
-            )
-        self._register_cluster_ops()
-        self.controller.bind(self.app)
-        if spec.mode != "none":
-            self.controller.start()
-        self.collector = MetricsCollector()
-        self.driver = Driver(self.env, self.app, self.controller, self.collector)
+        super().__init__(
+            spec,
+            node_spec.name,
+            node_spec.backend,
+            index,
+            rng_label=f"cluster:{node_spec.name}",
+            make_controller=lambda env: Atropos(env, config),
+            start=spec.mode != "none",
+            measured=spec.duration - spec.warmup,
+        )
         #: Reachability handle for the coordinator's failure model.
         self.dist_node = DistNode(self.name)
         #: Directives awaiting delivery (node was partitioned).
@@ -148,25 +114,17 @@ class ClusterNode:
         #: Ops those directive cancels targeted, in delivery order.
         self.directive_cancelled_ops: List[str] = []
         self._directive_seq = 0
-        # Window bookkeeping for status diffs.
-        self._record_idx = 0
-        self._offered_last = 0
         self._cancel_log_idx = 0
         self._directive_cancels_last = 0
 
-    # ------------------------------------------------------------------
-    # Cluster-op alias handlers
-    # ------------------------------------------------------------------
-    def _register_cluster_ops(self) -> None:
+    def _alias_ops(self):
+        """The shared aliases with the scan named ``fanout_scan``, plus
+        the fleet-only ``heavy_report`` decoy."""
         app = self.app
         spec = self.spec
+        ops = super()._alias_ops()
+        ops["fanout_scan"] = ops.pop("scan")
         if self.backend == "mysql":
-
-            def point(task, table=0):
-                yield from app.point_select(task, table=table)
-
-            def write(task, table=0):
-                yield from app.row_update(task, table=table)
 
             def heavy_report(task):
                 yield from app.report_query(
@@ -175,41 +133,19 @@ class ClusterNode:
                     duration=spec.report_duration,
                 )
 
-            def fanout_scan(task, rows=0.0):
-                yield from app.scan(task, table=0, rows=rows)
-
         else:
-
-            def point(task, table=0):
-                yield from app.select(task, table=table)
-
-            def write(task, table=0):
-                yield from app.update(task, table=table)
 
             def heavy_report(task):
                 yield from app.bulk_update(task, table=0, rows=spec.report_rows)
 
-            def fanout_scan(task, rows=0.0):
-                yield from app.vacuum(
-                    task, total_bytes=rows * spec.pg_bytes_per_row
-                )
-
-        app.register_handler("point", point)
-        app.register_handler("write", write)
-        app.register_handler("heavy_report", heavy_report)
-        app.register_handler("fanout_scan", fanout_scan)
+        ops["heavy_report"] = heavy_report
+        return ops
 
     # ------------------------------------------------------------------
-    # Epoch advance
+    # Epoch hooks
     # ------------------------------------------------------------------
-    def advance(
-        self,
-        epoch: int,
-        t_end: float,
-        arrivals: List[Arrival],
-        directives: List[Directive],
-    ) -> NodeStatus:
-        """Run this node's environment to ``t_end`` and snapshot it."""
+    def _deliver(self, directives: List[Directive]) -> None:
+        """Schedule due directives (ahead of the epoch's arrivals)."""
         self._apply_partition_schedule(self.env.now)
         if directives:
             self.pending_directives.extend(directives)
@@ -218,22 +154,16 @@ class ClusterNode:
             self.pending_directives = []
             for directive in due:
                 self.env.process(self._apply_directive(directive))
-        if arrivals:
-            by_client: Dict[str, List] = {}
-            for t, op, params, client in arrivals:
-                by_client.setdefault(client, []).append(
-                    (t, self._make_op(op, params))
-                )
-            for client, entries in by_client.items():
-                self.driver.run_arrivals(entries, client_id=client)
-        self.env.run(until=t_end)
-        return self._status(epoch, t_end)
 
-    def _make_op(self, op: str, params: Dict[str, Any]):
-        def factory(op=op, params=params):
-            return Operation(op, dict(params))
-
-        return factory
+    def _submit(self, arrivals: List[Arrival]) -> None:
+        """One ``run_arrivals`` per client, in first-seen order."""
+        by_client: Dict[str, List] = {}
+        for t, op, params, client in arrivals:
+            by_client.setdefault(client, []).append(
+                (t, self._make_op(op, params))
+            )
+        for client, entries in by_client.items():
+            self.driver.run_arrivals(entries, client_id=client)
 
     def _apply_partition_schedule(self, now: float) -> None:
         partitioned = any(
@@ -288,22 +218,9 @@ class ClusterNode:
     # ------------------------------------------------------------------
     # Status snapshot
     # ------------------------------------------------------------------
-    def _status(self, epoch: int, t_end: float) -> NodeStatus:
+    def _status(self, window: List, **common: Any) -> NodeStatus:
         spec = self.spec
-        records = self.collector.records
-        window = records[self._record_idx:]
-        self._record_idx = len(records)
-        offered_total = self.collector.offered
-        offered_window = offered_total - self._offered_last
-        self._offered_last = offered_total
-        status = NodeStatus(
-            node=self.name,
-            backend=self.backend,
-            epoch=epoch,
-            t=t_end,
-            outstanding=self.driver.inflight,
-            offered_window=offered_window,
-        )
+        status = NodeStatus(node=self.name, **common)
         window_len = max(spec.epoch, 1e-9)
         good = 0
         for record in window:
@@ -328,7 +245,7 @@ class ClusterNode:
         status.local_cancelled_ops = [
             entry.op_name
             for entry in log[self._cancel_log_idx:]
-            if getattr(entry, "delivered", True)
+            if entry.delivered
         ]
         self._cancel_log_idx = len(log)
         status.directive_cancels_window = (
@@ -385,29 +302,12 @@ class ClusterNode:
     # ------------------------------------------------------------------
     # Final report
     # ------------------------------------------------------------------
-    def finish(self) -> Dict[str, Any]:
-        """Per-node end-of-run report (picklable)."""
-        from ..sim.metrics import Summary
-
-        spec = self.spec
-        effective = spec.duration - spec.warmup
-        summary = Summary.from_collector(
-            self.collector.trimmed(spec.warmup), effective
-        )
+    def _report_extra(self) -> Dict[str, Any]:
         log = self.controller.cancellation.log
         return {
-            "node": self.name,
-            "backend": self.backend,
-            "throughput": summary.throughput,
-            "p99_latency": summary.p99_latency,
-            "completed": summary.completed,
-            "cancelled": summary.cancelled,
-            "dropped": summary.dropped,
             "local_cancels": int(self.controller.cancels_issued),
             "local_cancelled_ops": [
-                entry.op_name
-                for entry in log
-                if getattr(entry, "delivered", True)
+                entry.op_name for entry in log if entry.delivered
             ],
             "directive_cancels": int(self.directive_cancels),
             "directive_cancelled_ops": list(self.directive_cancelled_ops),
