@@ -13,8 +13,6 @@ Usage::
     python -m repro case c5 [--system atropos] [--seed N]
     python -m repro trace fig3 --out trace.json [--util util.csv]
     python -m repro report fig2 [--out report.html] [--live]
-    python -m repro bench [--quick] [--out FILE] [--case NAME]
-    python -m repro bench --quick --baseline BENCH_7.json [--max-regression R]
     python -m repro cluster [--mode compare|none|local|coordinated]
     python -m repro cluster --nodes 3 --mode coordinated --digest [--jobs N]
     python -m repro dag [--controller compare|none|atropos|dagor|autothrottle]
@@ -453,62 +451,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import json
-
-    from .bench import (
-        check_regression,
-        get_bench_case,
-        run_bench,
-        write_report,
-    )
-
-    cases = None
-    if args.case:
-        try:
-            cases = [get_bench_case(name) for name in args.case]
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-
-    def progress(result):
-        print(
-            f"  {result.name:<18} {result.events_per_sec:>12,.0f} ev/s "
-            f"({result.events:,} events in {result.wall_s:.3f}s)",
-            file=sys.stderr, flush=True,
-        )
-
-    mode = "quick" if args.quick else "full"
-    print(f"repro bench: running {mode} mix...", file=sys.stderr)
-    report = run_bench(
-        quick=args.quick, repeats=args.repeats, cases=cases, progress=progress
-    )
-    print(report.format())
-
-    if args.out:
-        baseline = None
-        if args.embed_baseline:
-            with open(args.embed_baseline) as handle:
-                baseline = json.load(handle)
-        write_report(report, args.out, baseline=baseline)
-        print(f"bench report written to {args.out}", file=sys.stderr)
-
-    if args.baseline:
-        failures = check_regression(
-            report, args.baseline, max_regression=args.max_regression
-        )
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"regression check vs {args.baseline} passed "
-            f"(tolerance {args.max_regression:.0%})",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def cmd_cluster(args) -> int:
     from .cluster import demo_fleet, run_fleet
 
@@ -911,41 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_campaign_flags(f_matrix)
     f_matrix.set_defaults(func=cmd_faults)
-
-    p_bench = sub.add_parser(
-        "bench", help="kernel microbenchmark: events/sec on the standard mix"
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="reduced scales (CI smoke); default is the full mix",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="timing repeats per case; best wall time wins (default 3)",
-    )
-    p_bench.add_argument(
-        "--case", nargs="+", default=None, metavar="NAME",
-        help="run only these cases (default: the whole standard mix)",
-    )
-    p_bench.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the report JSON here (e.g. BENCH_7.json)",
-    )
-    p_bench.add_argument(
-        "--embed-baseline", default=None, metavar="FILE",
-        help="embed this prior report as the baseline (adds speedup "
-        "ratios) when writing --out",
-    )
-    p_bench.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="fail if calibration-normalized mix events/sec regresses "
-        "vs this checked-in report",
-    )
-    p_bench.add_argument(
-        "--max-regression", type=float, default=0.2, metavar="R",
-        help="allowed fractional regression for --baseline (default 0.2)",
-    )
-    p_bench.set_defaults(func=cmd_bench)
 
     p_cluster = sub.add_parser(
         "cluster",

@@ -2,7 +2,7 @@
 
 Each experiment returns one or more :class:`ExperimentTable` objects
 holding exactly the rows/series the corresponding paper figure or table
-reports; ``format()`` renders them for the bench harness and the
+reports; ``format()`` renders them for the CLI report and the
 EXPERIMENTS.md record.
 """
 

@@ -7,8 +7,7 @@ p99/goodput/cancel-rate series, health-event counts, decision-audit
 mixes), check any later tree against it with statistically honest
 tests, and render a self-contained HTML diff.
 
-Layers (see :mod:`repro.regress.stats` for the shared gate that
-``repro bench`` also consumes):
+Layers (see :mod:`repro.regress.stats` for the drift tests):
 
 * :mod:`repro.regress.baseline` -- the checked-in JSON snapshot format.
 * :mod:`repro.regress.capture` -- run the registered regress targets

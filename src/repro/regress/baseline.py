@@ -11,7 +11,7 @@ families) the result content digest.
 The JSON form is canonical -- keys sorted, floats pre-rounded to nine
 decimals by the producers -- so a capture of an unchanged tree is
 byte-identical across interpreters and hash seeds, and the file can be
-checked in (``REGRESS_BASELINE.json``) like the bench anchors.
+checked in (``REGRESS_BASELINE.json``).
 """
 
 from __future__ import annotations

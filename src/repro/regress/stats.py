@@ -1,14 +1,9 @@
-"""Shared drift statistics for ``repro bench`` and ``repro regress``.
+"""Drift statistics for ``repro regress``.
 
-Three test families, all deterministic (fixed-seed resampling, no wall
-clock), all conservative by construction -- a regression gate that
+Two test families, both deterministic (fixed-seed resampling, no wall
+clock), both conservative by construction -- a regression gate that
 flakes on noise trains people to ignore it:
 
-* :func:`two_sided_regressed` -- the bench gate: a throughput mix
-  counts as regressed only when **both** the raw and the
-  calibration-normalized events/sec fall below their floors.  Extracted
-  here so ``repro.bench`` and ``repro.regress`` can never disagree on
-  what "regression" means.
 * :func:`paired_series_drift` -- per-window paired deltas with a
   two-sided percentile-bootstrap confidence interval on the mean delta;
   drift requires the CI to exclude zero *and* the relative change to
@@ -34,33 +29,6 @@ REL_TOL = 0.05
 COUNT_Z_CRIT = 3.0
 #: Count changes below this absolute size never drift (tiny-count noise).
 COUNT_MIN_ABS = 3
-
-
-# ----------------------------------------------------------------------
-# The bench two-sided gate
-# ----------------------------------------------------------------------
-def two_sided_regressed(
-    current_raw: float,
-    current_norm: float,
-    baseline_raw: float,
-    baseline_norm: float,
-    max_regression: float,
-) -> bool:
-    """True when BOTH raw and normalized throughput fall below floor.
-
-    Rationale (shared by the bench gate and any regress throughput
-    check): on the same machine raw throughput is the stable signal
-    (normalization can *add* noise when background load hits the
-    calibration loop and the cases unequally), while on a
-    different-speed host only the normalized number is meaningful -- so
-    a real engine regression trips both, but host variance alone rarely
-    trips either.
-    """
-    tolerance = 1.0 - max_regression
-    return (
-        current_norm < baseline_norm * tolerance
-        and current_raw < baseline_raw * tolerance
-    )
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,7 @@ class Environment:
 
     @property
     def events_scheduled(self) -> int:
-        """Total events scheduled so far (the bench throughput counter)."""
+        """Total events scheduled so far (``perf/`` reads it as ``sim.events``)."""
         return self._eid
 
     @property

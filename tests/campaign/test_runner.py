@@ -61,9 +61,11 @@ class TestExecute:
 
     def test_outcomes_in_spec_order(self, tmp_path):
         specs = [_spec(seed=0), _spec(seed=1)]
+        reset_session_stats()
         outcomes = execute(specs, cache_dir=tmp_path)
         assert [o.spec for o in outcomes] == specs
         assert all(not o.cache_hit for o in outcomes)
+        assert session_stats().misses == len(specs)
 
     def test_duplicate_specs_run_once(self, tmp_path):
         reset_session_stats()

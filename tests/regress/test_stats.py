@@ -1,4 +1,4 @@
-"""Tests for the shared drift statistics (`repro.regress.stats`)."""
+"""Tests for the drift statistics (`repro.regress.stats`)."""
 
 import math
 
@@ -7,23 +7,7 @@ from repro.regress.stats import (
     count_drift,
     paired_series_drift,
     scalar_drift,
-    two_sided_regressed,
 )
-
-
-class TestTwoSidedGate:
-    def test_not_regressed_when_both_above_floor(self):
-        assert not two_sided_regressed(100.0, 100.0, 100.0, 100.0, 0.1)
-
-    def test_regressed_only_when_both_fall(self):
-        assert two_sided_regressed(80.0, 80.0, 100.0, 100.0, 0.1)
-        # Raw fell but normalized held: host variance, not a regression.
-        assert not two_sided_regressed(80.0, 100.0, 100.0, 100.0, 0.1)
-        # Normalized fell but raw held: calibration noise.
-        assert not two_sided_regressed(100.0, 80.0, 100.0, 100.0, 0.1)
-
-    def test_floor_is_exclusive(self):
-        assert not two_sided_regressed(90.0, 90.0, 100.0, 100.0, 0.1)
 
 
 class TestBootstrapCI:

@@ -163,3 +163,36 @@ def test_yielding_non_event_fails_process():
     env.process(bad(env))
     with pytest.raises(RuntimeError, match="not an Event"):
         env.run()
+
+
+def _scheduled_counts(tracer=None):
+    """``events_scheduled`` after each step of one small fixed schedule."""
+    env = Environment(tracer=tracer)
+
+    def proc(env):
+        yield env.timeout(2.0)
+
+    counts = [env.events_scheduled]
+    env.timeout(1.0)
+    counts.append(env.events_scheduled)
+    env.process(proc(env))
+    counts.append(env.events_scheduled)
+    added = env.schedule_batch((at, env.event()) for at in (3.0, 4.0, 5.0))
+    counts.append(env.events_scheduled)
+    env.run()
+    counts.append(env.events_scheduled)
+    return added, counts
+
+
+def test_events_scheduled_counts_every_scheduling_path():
+    added, counts = _scheduled_counts()
+    # One per timeout, one per process start, one per batch entry; the
+    # run then adds the process's own timeout and its completion event.
+    assert added == 3
+    assert counts == [0, 1, 2, 5, 7]
+
+
+def test_events_scheduled_unaffected_by_tracing():
+    from repro.obs import Tracer
+
+    assert _scheduled_counts(Tracer()) == _scheduled_counts()

@@ -131,11 +131,11 @@ class TestRepoDocs:
         ).read_text()
         assert "PERFORMANCE.md" in architecture
 
-    def test_bench_snapshot_exists_and_documented(self):
-        for name in ("BENCH_6.json", "BENCH_7.json"):
-            assert (REPO_ROOT / name).exists(), name
-        performance = (REPO_ROOT / "docs" / "PERFORMANCE.md").read_text()
-        assert "BENCH_7.json" in performance
+    def test_speed_instrument_documented(self):
+        for doc in ("docs/PERFORMANCE.md", "README.md"):
+            text = (REPO_ROOT / doc).read_text()
+            assert "perf/run.py" in text, doc
+            assert "BENCHMARK.json" in text, doc
 
     def test_regress_baseline_anchor_checked_in_and_documented(self):
         anchor = REPO_ROOT / "REGRESS_BASELINE.json"

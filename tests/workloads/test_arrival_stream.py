@@ -1,7 +1,7 @@
 """Pre-generated arrival streams must be draw-identical to the
 generator source.
 
-``Driver.run_arrivals`` + :func:`poisson_arrival_stream` is the bench /
+``Driver.run_arrivals`` + :func:`poisson_arrival_stream` is the
 fast-path way to offer an open-loop load; it may never change *what*
 arrives relative to :class:`OpenLoopSource` at the same seed, only how
 the arrivals are scheduled.

@@ -44,6 +44,7 @@ DEFAULT_TARGETS = [
 #: nobody documents is an anchor nobody regenerates correctly).
 REQUIRED_ANCHORS = [
     "REGRESS_BASELINE.json",
+    "BENCHMARK.json",
 ]
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
