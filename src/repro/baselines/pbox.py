@@ -17,10 +17,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..core.config import AtroposConfig
-from ..core.controller import BaseController
 from ..core.estimator import Estimator
 from ..core.pipeline import ActionPolicy, ControlPipeline, SignalSource
-from ..core.runtime import RuntimeManager
+from ..core.runtime import RuntimeManager, TracingController
 from ..core.task import CancellableTask
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,7 +55,7 @@ class PenaltyAction(ActionPolicy):
         self.controller._maybe_penalize()
 
 
-class PBox(BaseController):
+class PBox(TracingController):
     """Interference detection + penalty throttling (no drops)."""
 
     name = "pbox"
@@ -76,15 +75,16 @@ class PBox(BaseController):
                 penalized task.
             penalty_duration: how long a penalty sticks before expiring.
         """
-        super().__init__(env)
-        self.config = AtroposConfig(
-            slo_latency=slo_latency,
-            detection_period=detection_period,
-            contention_threshold=contention_threshold,
-        )
         # pBox traces the same per-task usage signals (its "observation
         # points"); we reuse the runtime/estimator machinery.
-        self.runtime = RuntimeManager(env, self.config)
+        super().__init__(
+            env,
+            AtroposConfig(
+                slo_latency=slo_latency,
+                detection_period=detection_period,
+                contention_threshold=contention_threshold,
+            ),
+        )
         self.estimator = Estimator(env, self.runtime, self.config)
         self.penalty_delay = penalty_delay
         self.penalty_duration = penalty_duration
@@ -98,36 +98,9 @@ class PBox(BaseController):
             action=PenaltyAction(self),
         )
 
-    # ------------------------------------------------------------------
-    # Tracing (delegated to the runtime manager)
-    # ------------------------------------------------------------------
-    def create_cancel(self, *args, **kwargs) -> CancellableTask:
-        task = super().create_cancel(*args, **kwargs)
-        self.runtime.task_started(task)
-        return task
-
     def free_cancel(self, task: CancellableTask) -> None:
-        if id(task) in self.tasks:
-            self.runtime.task_finished(task)
         self._penalized.pop(id(task), None)
         super().free_cancel(task)
-
-    def get_resource(self, task, resource, amount: float = 1.0) -> None:
-        self.runtime.record_get(task, resource, amount)
-
-    def free_resource(self, task, resource, amount: float = 1.0) -> None:
-        self.runtime.record_free(task, resource, amount)
-
-    def slow_by_resource(
-        self, task, resource, delay: float, events: float = 1.0
-    ) -> None:
-        self.runtime.record_slow_by(task, resource, delay, events)
-
-    def begin_wait(self, task, resource) -> None:
-        self.runtime.record_wait_start(task, resource)
-
-    def end_wait(self, task, resource) -> float:
-        return self.runtime.record_wait_end(task, resource)
 
     # ------------------------------------------------------------------
     # Penalty mechanism

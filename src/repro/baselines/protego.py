@@ -17,7 +17,7 @@ it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict
 
 from ..core.controller import BaseController
 from ..core.pipeline import ActionPolicy, ControlPipeline, SignalSource
@@ -43,18 +43,18 @@ class BlockingDelaySource(SignalSource):
     def sample(self, now: float, signals: Dict[str, Any]) -> None:
         c = self.controller
         victims = []
-        for (task_id, resource), start in list(c._open_waits.items()):
+        for task_id, waits in c._open_waits.items():
             task = c.tasks.get(task_id)
             if task is None or not task.alive:
                 continue
             if task.kind is TaskKind.BACKGROUND:
                 continue
             if c.blocking_delay(task) > c.drop_threshold:
-                victims.append((task, resource))
+                victims.extend((task, resource) for resource in waits)
         signals["blocked_victims"] = victims
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
-        return {"open_waits": len(self.controller._open_waits)}
+        return {"open_waits": self.controller.open_wait_count()}
 
 
 class VictimDropAction(ActionPolicy):
@@ -104,8 +104,10 @@ class Protego(BaseController):
         self.monitor_period = monitor_period
         #: (task-id) -> accumulated closed blocking delay.
         self._closed_wait: Dict[int, float] = {}
-        #: (task-id, resource) -> open wait start time.
-        self._open_waits: Dict[Tuple[int, ResourceHandle], float] = {}
+        #: task-id -> {resource: open wait start time}.  Only tasks that
+        #: are waiting right now have an entry, so the outer order is
+        #: wait-start order; the inner order is the task's own.
+        self._open_waits: Dict[int, Dict[ResourceHandle, float]] = {}
         self.drops_issued = 0
         self.pipeline = ControlPipeline(
             env,
@@ -127,7 +129,7 @@ class Protego(BaseController):
         self, task: CancellableTask, resource: ResourceHandle
     ) -> None:
         if self._waitable(resource):
-            self._open_waits[(id(task), resource)] = self.env.now
+            self._open_waits.setdefault(id(task), {})[resource] = self.env.now
 
     def slow_by_resource(
         self,
@@ -146,9 +148,12 @@ class Protego(BaseController):
     def end_wait(
         self, task: CancellableTask, resource: ResourceHandle
     ) -> float:
-        start = self._open_waits.pop((id(task), resource), None)
+        waits = self._open_waits.get(id(task))
+        start = waits.pop(resource, None) if waits is not None else None
         if start is None:
             return 0.0
+        if not waits:
+            del self._open_waits[id(task)]
         duration = self.env.now - start
         self._closed_wait[id(task)] = (
             self._closed_wait.get(id(task), 0.0) + duration
@@ -158,17 +163,19 @@ class Protego(BaseController):
     def blocking_delay(self, task: CancellableTask) -> float:
         """Total blocking delay so far (closed + in-progress waits)."""
         total = self._closed_wait.get(id(task), 0.0)
-        now = self.env.now
-        for (task_id, _res), start in self._open_waits.items():
-            if task_id == id(task):
+        waits = self._open_waits.get(id(task))
+        if waits is not None:
+            now = self.env.now
+            for start in waits.values():
                 total += now - start
         return total
 
+    def open_wait_count(self) -> int:
+        return sum(len(waits) for waits in self._open_waits.values())
+
     def free_cancel(self, task: CancellableTask) -> None:
         self._closed_wait.pop(id(task), None)
-        stale = [k for k in self._open_waits if k[0] == id(task)]
-        for k in stale:
-            del self._open_waits[k]
+        self._open_waits.pop(id(task), None)
         super().free_cancel(task)
 
     # ------------------------------------------------------------------
@@ -191,6 +198,6 @@ class Protego(BaseController):
         snap = super().telemetry_snapshot()
         snap["drops"] = {
             "issued": self.drops_issued,
-            "open_waits": len(self._open_waits),
+            "open_waits": self.open_wait_count(),
         }
         return snap

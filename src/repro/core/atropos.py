@@ -38,9 +38,9 @@ from .pipeline import (
     SignalSource,
 )
 from .policy import CancellationPolicy, MultiObjectivePolicy
-from .runtime import RuntimeManager
+from .runtime import TracingController
 from .task import CancellableTask, CancelInitiator
-from .types import ResourceHandle
+from .types import TaskKind
 
 #: Backward-compatible alias: the historical action-stage class name.
 CancellationAction = CancelLever
@@ -93,7 +93,7 @@ class DetectorSignalSource(SignalSource):
         return self.controller.detector.telemetry_snapshot()
 
 
-class Atropos(BaseController):
+class Atropos(TracingController):
     """Targeted-task-cancellation overload controller."""
 
     name = "atropos"
@@ -114,9 +114,7 @@ class Atropos(BaseController):
                 Typically a :class:`~repro.baselines.Seda`-style admission
                 controller.  When None, regular overload is only counted.
         """
-        super().__init__(env)
-        self.config = config or AtroposConfig()
-        self.runtime = RuntimeManager(env, self.config)
+        super().__init__(env, config or AtroposConfig())
         self.detector = OverloadDetector(env, self.config)
         self.estimator = Estimator(env, self.runtime, self.config)
         self.policy = policy or MultiObjectivePolicy(
@@ -182,54 +180,9 @@ class Atropos(BaseController):
                 )
         return sources
 
-    # ------------------------------------------------------------------
-    # BaseController overrides: task lifecycle
-    # ------------------------------------------------------------------
-    def create_cancel(self, *args, **kwargs) -> CancellableTask:
-        task = super().create_cancel(*args, **kwargs)
-        self.runtime.task_started(task)
-        return task
-
-    def free_cancel(self, task: CancellableTask) -> None:
-        if id(task) in self.tasks:
-            self.runtime.task_finished(task)
-        super().free_cancel(task)
-
     def set_cancel_action(self, initiator: CancelInitiator) -> None:
         super().set_cancel_action(initiator)
         self.cancellation.set_initiator(initiator)
-
-    # ------------------------------------------------------------------
-    # BaseController overrides: tracing
-    # ------------------------------------------------------------------
-    def get_resource(
-        self, task: CancellableTask, resource: ResourceHandle, amount: float = 1.0
-    ) -> None:
-        self.runtime.record_get(task, resource, amount)
-
-    def free_resource(
-        self, task: CancellableTask, resource: ResourceHandle, amount: float = 1.0
-    ) -> None:
-        self.runtime.record_free(task, resource, amount)
-
-    def slow_by_resource(
-        self,
-        task: CancellableTask,
-        resource: ResourceHandle,
-        delay: float,
-        events: float = 1.0,
-    ) -> None:
-        self.runtime.record_slow_by(task, resource, delay, events)
-
-    def begin_wait(
-        self, task: CancellableTask, resource: ResourceHandle
-    ) -> None:
-        self.runtime.record_wait_start(task, resource)
-
-    def end_wait(
-        self, task: CancellableTask, resource: ResourceHandle
-    ) -> float:
-        return self.runtime.record_wait_end(task, resource)
 
     def tracing_cost(self, n_events: int = 1) -> float:
         return n_events * self.runtime.event_cost()
@@ -294,8 +247,6 @@ class Atropos(BaseController):
         Background tasks are excluded: they have no SLO and may legally
         run for a long time.
         """
-        from .types import TaskKind
-
         ages = [
             t.age
             for t in self.tasks.values()

@@ -24,11 +24,11 @@ harder to corrupt than per-task attribution.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .config import AtroposConfig
-from .ledger import UsageStats
 from .progress import future_gain_multiplier
 from .runtime import RuntimeManager
 from .task import CancellableTask
@@ -152,12 +152,7 @@ class Estimator:
 
     def _open_hold_time(self, resource: ResourceHandle) -> float:
         """Sum of in-progress hold durations on ``resource``."""
-        ledger = self.runtime.ledger
-        now = self.env.now
-        total = 0.0
-        for task_key in ledger.tasks_touching(resource):
-            total += ledger.current_hold(task_key, resource, now)
-        return total
+        return self.runtime.ledger.open_hold_time(resource, self.env.now)
 
     def _open_wait_time(self, resource: ResourceHandle) -> float:
         """Sum of in-progress wait durations on ``resource``."""
@@ -193,35 +188,25 @@ class Estimator:
         self, task: CancellableTask, resource: ResourceHandle
     ) -> float:
         """Future usage of ``resource`` freed by cancelling ``task``."""
-        ledger = self.runtime.ledger
-        stats = ledger.task_total(id(task), resource)
-        multiplier = future_gain_multiplier(task.progress())
-        if resource.rtype is ResourceType.MEMORY:
-            current = stats.held  # pages currently held
-        elif resource.rtype in (ResourceType.LOCK, ResourceType.QUEUE):
-            # Current holding time (open interval), per the paper's lock
-            # example: "held a table lock for 1s at 40% progress -> 1.5s".
-            current = ledger.current_hold(id(task), resource, self.env.now)
-            if current <= 0.0:
-                current = stats.hold_time
-        elif resource.rtype is ResourceType.CPU:
-            current = stats.acquired  # CPU-seconds consumed
-        else:  # IO
-            current = stats.acquired  # bytes transferred
-        return current * multiplier
+        return self.current_usage(task, resource) * future_gain_multiplier(
+            task.progress()
+        )
 
     def current_usage(
         self, task: CancellableTask, resource: ResourceHandle
     ) -> float:
         """Gain without the future scaling (the Fig 13 ablation baseline)."""
-        ledger = self.runtime.ledger
-        stats = ledger.task_total(id(task), resource)
+        record = self.runtime.ledger.record(id(task), resource)
+        if record is None:
+            return 0.0
         if resource.rtype is ResourceType.MEMORY:
-            return stats.held
+            return record.total().held  # pages currently held
         if resource.rtype in (ResourceType.LOCK, ResourceType.QUEUE):
-            current = ledger.current_hold(id(task), resource, self.env.now)
-            return current if current > 0 else stats.hold_time
-        return stats.acquired
+            # Current holding time (open interval), per the paper's lock
+            # example: "held a table lock for 1s at 40% progress -> 1.5s".
+            current = record.current_hold(self.env.now)
+            return current if current > 0 else record.hold_time
+        return record.acquired  # CPU-seconds consumed / IO bytes moved
 
     # ------------------------------------------------------------------
     # Full assessment
@@ -248,11 +233,15 @@ class Estimator:
         task_reports = []
         for task in tasks:
             report = TaskReport(task=task, progress=task.progress())
+            # One progress reading per task; x1.0 is the current-usage
+            # (Fig 13 ablation) gain, exactly.
+            multiplier = (
+                future_gain_multiplier(report.progress)
+                if use_future_gain
+                else 1.0
+            )
             for resource in resources:
-                if use_future_gain:
-                    gain = self.resource_gain(task, resource)
-                else:
-                    gain = self.current_usage(task, resource)
+                gain = self.current_usage(task, resource) * multiplier
                 if self.gain_tap is not None:
                     gain = self.gain_tap(self.env.now, gain)
                 if gain > 0.0:
@@ -280,13 +269,11 @@ class Estimator:
           are not SLO-comparable; use the max/median skew of positive
           gains (one or two gainers are concentrated by construction).
         """
-        import statistics
-
         resource = resource_report.resource
         gains = [
-            tr.gain(resource)
-            for tr in task_reports
-            if tr.gain(resource) > 0.0
+            gain
+            for gain in [tr.gain(resource) for tr in task_reports]
+            if gain > 0.0
         ]
         if not gains:
             resource_report.gain_skew = 0.0

@@ -31,11 +31,10 @@ class CancellationPolicy:
         raise NotImplementedError
 
 
-def dominates(a: TaskReport, b: TaskReport, resources: List[ResourceHandle]) -> bool:
-    """True if ``a`` dominates ``b``: >= on every resource, > on one."""
+def _vector_dominates(a: List[float], b: List[float]) -> bool:
+    """Pareto dominance on gain vectors: >= everywhere, > somewhere."""
     strictly_better = False
-    for resource in resources:
-        ga, gb = a.gain(resource), b.gain(resource)
+    for ga, gb in zip(a, b):
         if ga < gb:
             return False
         if ga > gb:
@@ -43,22 +42,34 @@ def dominates(a: TaskReport, b: TaskReport, resources: List[ResourceHandle]) -> 
     return strictly_better
 
 
+def _gain_vector(
+    report: TaskReport, resources: List[ResourceHandle]
+) -> List[float]:
+    return [report.gain(resource) for resource in resources]
+
+
+def dominates(a: TaskReport, b: TaskReport, resources: List[ResourceHandle]) -> bool:
+    """True if ``a`` dominates ``b``: >= on every resource, > on one."""
+    return _vector_dominates(
+        _gain_vector(a, resources), _gain_vector(b, resources)
+    )
+
+
 def non_dominated_set(
     candidates: List[TaskReport], resources: List[ResourceHandle]
 ) -> List[TaskReport]:
     """Lines 2-10 of Algorithm 1: tasks not dominated by any other."""
-    result = []
-    for a in candidates:
-        dominated = False
-        for b in candidates:
-            if b is a:
-                continue
-            if dominates(b, a, resources):
-                dominated = True
-                break
-        if not dominated:
-            result.append(a)
-    return result
+    # One gain lookup per (task, resource); the pairwise pass below then
+    # compares plain floats.
+    vectors = [_gain_vector(report, resources) for report in candidates]
+    return [
+        report
+        for report, vector in zip(candidates, vectors)
+        if not any(
+            other is not vector and _vector_dominates(other, vector)
+            for other in vectors
+        )
+    ]
 
 
 def _cancellable_candidates(

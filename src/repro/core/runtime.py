@@ -3,14 +3,17 @@
 Attributes resource usage to cancellable tasks via the three tracing APIs
 and manages the two-mode timestamping scheme: coarse sampled timestamps
 under normal operation, per-event timestamps while overload is suspected.
+:class:`TracingController` is the controller base that wires the tracing
+API to it (ATROPOS and pBox).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING
 
 from .config import AtroposConfig
-from .ledger import UsageLedger, UsageStats
+from .controller import BaseController
+from .ledger import UsageLedger
 from .task import CancellableTask
 from .types import ResourceHandle
 
@@ -103,13 +106,13 @@ class RuntimeManager:
     # Tracing entry points
     # ------------------------------------------------------------------
     def record_get(
-        self, task: CancellableTask, resource: ResourceHandle, amount: float
+        self, task: CancellableTask, resource: ResourceHandle, amount: float = 1.0
     ) -> None:
         self.events_traced += 1
         self.ledger.record_get(id(task), resource, amount, self.timestamp())
 
     def record_free(
-        self, task: CancellableTask, resource: ResourceHandle, amount: float
+        self, task: CancellableTask, resource: ResourceHandle, amount: float = 1.0
     ) -> None:
         self.events_traced += 1
         self.ledger.record_free(id(task), resource, amount, self.timestamp())
@@ -152,3 +155,33 @@ class RuntimeManager:
     def roll_window(self) -> None:
         self.ledger.roll_window()
         self.activity.roll()
+
+
+class TracingController(BaseController):
+    """A controller whose tracing calls feed a :class:`RuntimeManager`.
+
+    Shared by ATROPOS and pBox, which trace the same per-task usage
+    signals.  The five tracing calls of Figure 6b *are* the runtime
+    manager's entry points: they are bound per instance instead of
+    delegated, so a traced event does not pay for a forwarding frame.
+    """
+
+    def __init__(self, env: "Environment", config: AtroposConfig) -> None:
+        super().__init__(env)
+        self.config = config
+        self.runtime = runtime = RuntimeManager(env, config)
+        self.get_resource = runtime.record_get
+        self.free_resource = runtime.record_free
+        self.slow_by_resource = runtime.record_slow_by
+        self.begin_wait = runtime.record_wait_start
+        self.end_wait = runtime.record_wait_end
+
+    def create_cancel(self, *args, **kwargs) -> CancellableTask:
+        task = super().create_cancel(*args, **kwargs)
+        self.runtime.task_started(task)
+        return task
+
+    def free_cancel(self, task: CancellableTask) -> None:
+        if id(task) in self.tasks:
+            self.runtime.task_finished(task)
+        super().free_cancel(task)

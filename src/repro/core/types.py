@@ -49,6 +49,15 @@ class ResourceHandle:
     name: str
     rtype: ResourceType
 
+    def __hash__(self) -> int:
+        # Every traced event looks a handle up in a dict.  A controller
+        # registers one handle per name, so the name alone spreads them,
+        # and a str caches its hash; the generated hash would also run
+        # the Python-level Enum.__hash__ of ``rtype`` each time.  Value-
+        # based and never stored: handles are pickled to shard workers,
+        # whose str hashes differ.
+        return hash(self.name)
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name}[{self.rtype.value}]"
 

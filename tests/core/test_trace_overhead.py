@@ -1,0 +1,75 @@
+"""Guard on the cost of the ATROPOS tracing path.
+
+Same discipline as ``tests/telemetry/test_overhead.py``: a
+*deterministic* overhead measure (``sys.setprofile`` counts at a fixed
+seed), never a wall clock.  One c1 run under ATROPOS, one second past
+its warm-up; the counts are divided by the traced events of the run
+(``runtime.events_traced``), so they read as "what one traced event
+costs the whole simulation":
+
+* **Python calls per traced event** -- the whole run's, so the kernel
+  and the app model are in the number too, but they are the same code
+  on both sides of a tracing change.
+* **``hash()`` calls per traced event** -- the tracing path keys dicts
+  by :class:`~repro.core.types.ResourceHandle`, whose ``__hash__`` is
+  Python-level.  One lookup per event (the task's record) plus the
+  per-tick estimator work is the budget.
+
+With six tuple-keyed ledger tables and the dataclass-generated handle
+hash this run cost 43.2 calls and 11.3 ``hash()`` calls per traced
+event; the per-(task, resource) records brought it to 30.2 and 1.5.
+The bounds sit ~25 % above the new values.  Wall-clock numbers are
+``core.trace_call_us`` / ``core.overhead_x`` in ``perf/``.
+"""
+
+import gc
+import sys
+
+from repro.baselines import controller_factory
+from repro.cases import get_case
+
+MAX_CALLS_PER_EVENT = 38.0
+MAX_HASHES_PER_EVENT = 1.9
+
+
+def _run_once():
+    case = get_case("c1")
+    return case.run(
+        controller_factory(
+            "atropos",
+            case.slo_latency,
+            atropos_overrides=dict(case.atropos_overrides),
+        ),
+        seed=0,
+        duration=case.warmup + 1.0,
+    )
+
+
+def test_tracing_call_and_hash_counts_per_event():
+    _run_once()  # warm imports / code caches outside the measurement
+
+    calls = hashes = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls, hashes
+        if event == "call":
+            calls += 1
+        elif event == "c_call" and arg is hash:
+            hashes += 1
+
+    # A finished run is cyclic garbage full of suspended handler
+    # generators; collecting one mid-count would run their ``finally``
+    # blocks (releases, free_cancel) inside the measurement.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        result = _run_once()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+
+    events = result.controller.runtime.events_traced
+    assert events > 1000  # the run did exercise the tracing path
+    assert calls / events < MAX_CALLS_PER_EVENT, (calls, events)
+    assert hashes / events < MAX_HASHES_PER_EVENT, (hashes, events)

@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,10 @@ from repro.core import (
 from repro.core.ledger import UsageLedger
 from repro.core.progress import MAX_PROGRESS, MIN_PROGRESS
 from repro.sim import Rng, percentile
+
+# Imported here, not inside test_matches_numpy: the first import takes a
+# few hundred ms, which hypothesis would charge to one example's deadline.
+np = pytest.importorskip("numpy")
 
 RES = ResourceHandle("r", ResourceType.LOCK)
 
@@ -79,8 +84,6 @@ class TestPercentileProperties:
     )
     @settings(max_examples=100)
     def test_matches_numpy(self, values, pct):
-        import numpy as np
-
         ours = percentile(values, pct)
         theirs = float(np.percentile(values, pct))
         assert math.isclose(ours, theirs, rel_tol=1e-9, abs_tol=1e-9)
