@@ -29,6 +29,7 @@ See :mod:`repro.campaign.spec` for cache identity, \
 
 from .runner import (
     CampaignStats,
+    CampaignWorkerError,
     ResolvedSettings,
     current_settings,
     execute,
@@ -48,6 +49,7 @@ from .store import ResultStore, StoreStats, default_cache_dir
 __all__ = [
     "CACHE_SCHEMA",
     "CampaignStats",
+    "CampaignWorkerError",
     "ResolvedSettings",
     "ResultStore",
     "RunOutcome",

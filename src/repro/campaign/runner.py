@@ -7,9 +7,10 @@ ordered list of :class:`~repro.campaign.spec.RunSpec`, it
    ``REPRO_JOBS`` / ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` env > defaults),
 2. satisfies what it can from the content-addressed
    :class:`~repro.campaign.store.ResultStore`,
-3. runs the remaining specs -- inline, or through a ``multiprocessing``
-   pool when ``jobs > 1`` -- deduplicating identical specs within the
-   batch, and
+3. runs the remaining specs -- inline, or through ``jobs`` worker
+   processes when ``jobs > 1`` (a worker that dies surfaces as
+   :class:`CampaignWorkerError` naming its spec, never a hang) --
+   deduplicating identical specs within the batch, and
 4. returns outcomes **in spec order** (never completion order), so a
    parallel campaign is bit-identical to a serial one.
 
@@ -222,27 +223,94 @@ def _execute_one(spec: RunSpec, label: Optional[str] = None) -> Dict[str, Any]:
     return payload
 
 
-def _worker_run(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool entry point: rebuild the spec, run it, tag the worker."""
-    payload = _execute_one(RunSpec.from_dict(spec_dict))
-    payload["worker"] = f"pid-{os.getpid()}"
-    return payload
+class CampaignWorkerError(RuntimeError):
+    """A campaign worker process died without returning its payload."""
+
+    def __init__(
+        self, spec: str, unfinished: List[str], exitcode: Optional[int]
+    ) -> None:
+        self.spec = spec
+        self.unfinished = unfinished
+        self.exitcode = exitcode
+        super().__init__(
+            f"campaign worker died (exit code {exitcode}) running {spec}; "
+            f"unfinished: {', '.join(unfinished)}"
+        )
+
+
+def _pool_worker(conn) -> None:  # pragma: no cover - runs in the child
+    """Pool process: run spec dicts from the pipe until sent ``None``;
+    reply with the payload tagged with the worker -- or the exception
+    the run raised, for the parent to re-raise."""
+    for spec_dict in iter(conn.recv, None):
+        try:
+            reply = _execute_one(RunSpec.from_dict(spec_dict))
+            reply["worker"] = f"pid-{os.getpid()}"
+        except Exception as exc:
+            reply = exc
+        conn.send(reply)
 
 
 def _run_pool(
     specs: Sequence[RunSpec], jobs: int
 ) -> List[Dict[str, Any]]:
-    """Run specs through a worker pool; results in input order."""
+    """Run specs through ``jobs`` worker processes; results in input
+    order.  An idle worker takes the next spec, or its stop message once
+    none is left.  A worker that dies (its pipe reads EOF) raises
+    :class:`CampaignWorkerError`."""
     import multiprocessing
+    from multiprocessing.connection import wait
 
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-fork platforms
         ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=jobs) as pool:
-        return pool.map(
-            _worker_run, [spec.to_dict() for spec in specs], chunksize=1
-        )
+    results: List[Any] = [None] * len(specs)
+    todo = iter(range(len(specs)))
+    workers: Dict[Any, Any] = {}  # pipe -> process
+    busy: Dict[Any, int] = {}  # pipe -> index of the spec it is running
+
+    def feed(conn) -> None:
+        index = next(todo, None)
+        conn.send(None if index is None else specs[index].to_dict())
+        if index is not None:
+            busy[conn] = index
+
+    try:
+        for _ in range(jobs):
+            conn, child = ctx.Pipe()
+            # Daemonic, like the pool workers these replace: a campaign
+            # worker has no children (see cluster.epoch.shard_count).
+            workers[conn] = ctx.Process(
+                target=_pool_worker, args=(child,), daemon=True
+            )
+            workers[conn].start()
+            child.close()
+            feed(conn)
+        while busy:
+            for conn in wait(list(busy)):
+                index = busy.pop(conn)
+                try:
+                    reply = conn.recv()
+                except EOFError:
+                    workers[conn].join(timeout=10)
+                    raise CampaignWorkerError(
+                        specs[index].label(),
+                        [s.label() for s, r in zip(specs, results) if r is None],
+                        workers[conn].exitcode,
+                    ) from None
+                if isinstance(reply, Exception):
+                    raise reply
+                results[index] = reply
+                feed(conn)
+        return results
+    except BaseException:
+        for proc in workers.values():  # do not wait for runs in flight
+            proc.terminate()
+        raise
+    finally:
+        for proc in workers.values():
+            proc.join(timeout=10)
 
 
 def execute(

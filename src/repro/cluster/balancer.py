@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..sim.rng import Rng
+from ..workloads.spec import periodic_times, poisson_times
 from .directives import priority_of
 from .node import Arrival, NodeStatus
 from .routing import NodeView, RoutingPolicy, make_policy
@@ -34,23 +35,18 @@ def build_arrivals(spec: FleetSpec) -> List[Tuple[float, str, dict, str]]:
     rng = Rng(spec.seed).fork("cluster:arrivals")
     table_rng = Rng(spec.seed).fork("cluster:tables")
     out: List[Tuple[float, str, dict, str]] = []
-    mean = 1.0 / spec.arrival_rate
-    t = 0.0
-    while True:
-        t += rng.exponential(mean)
-        if t >= spec.duration:
-            break
+    for t in poisson_times(
+        rng, lambda: spec.arrival_rate, 0.0, spec.duration
+    ):
         op = "point" if rng.random() < spec.point_weight else "write"
         params = {"table": table_rng.randint(0, spec.tables - 1)}
         out.append((t, op, params, "lb"))
-    at = spec.report_start
-    while at < spec.duration:
+    for at in periodic_times(
+        spec.report_start, spec.report_period, spec.duration
+    ):
         out.append((at, "heavy_report", {}, "report"))
-        at += spec.report_period
-    at = spec.scan_start
-    while at < spec.duration:
+    for at in periodic_times(spec.scan_start, spec.scan_period, spec.duration):
         out.append((at, "fanout_scan", {"rows": spec.scan_rows}, "scan"))
-        at += spec.scan_period
     out.sort(key=lambda a: a[0])
     return out
 

@@ -8,7 +8,7 @@ collectors the experiment harness consumes.
 
 from .environment import Environment
 from .errors import EmptySchedule, Interrupt, SimulationError
-from .events import AllOf, AnyOf, Condition, Event, Timeout
+from .events import AllOf, AnyOf, At, Condition, Event, Timeout
 from .metrics import (
     MetricsCollector,
     RequestRecord,
@@ -23,6 +23,7 @@ from .rng import Rng
 __all__ = [
     "AllOf",
     "AnyOf",
+    "At",
     "Condition",
     "EmptySchedule",
     "Environment",

@@ -11,15 +11,16 @@ Heap entries are packed 3-tuples ``(time, key, event)`` with
 far below ``2**SEQ_BITS``, so integer key order is exactly lexicographic
 (priority, sequence) order, with one comparison and one tuple slot fewer
 per entry than the naive 4-tuple.  Everything that schedules an event --
-:meth:`Environment.schedule`, the inlined fast paths in
-:mod:`repro.sim.events` and :mod:`repro.sim.process`, and
-:meth:`Environment.schedule_batch` -- builds entries in this one format.
+:meth:`Environment.schedule` and the inlined fast paths in
+:mod:`repro.sim.events` (relative :class:`Timeout`, absolute
+:class:`At`) and :mod:`repro.sim.process` -- builds entries in this one
+format.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from ..obs.tracer import NULL_TRACER
 from .errors import EmptySchedule, StopSimulation
@@ -114,30 +115,6 @@ class Environment:
             (self._now + delay, (priority << SEQ_BITS) | self._eid, event),
         )
         self._eid += 1
-
-    def schedule_batch(
-        self, entries: Iterable[Tuple[float, Event]], priority: int = NORMAL
-    ) -> int:
-        """Schedule many ``(absolute_time, event)`` pairs in one pass.
-
-        ``entries`` must be in ascending time order (sequence numbers are
-        assigned in iteration order, so FIFO-among-ties matches what a
-        loop of :meth:`schedule` calls would produce).  One
-        ``heapify`` replaces per-event sift-ups; with a near-empty queue
-        this is the O(n) way to preload an arrival stream.  Returns the
-        number of events scheduled.
-        """
-        queue = self._queue
-        eid = self._eid
-        key_base = priority << SEQ_BITS
-        n = len(queue)
-        for at, event in entries:
-            queue.append((at, key_base | eid, event))
-            eid += 1
-        added = len(queue) - n
-        self._eid = eid
-        heapq.heapify(queue)
-        return added
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

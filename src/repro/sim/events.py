@@ -6,12 +6,13 @@ processes (see :mod:`repro.sim.process`) yield events to wait on them.
 
 Hot-path notes (see docs/PERFORMANCE.md for the full tour): event types
 declare ``__slots__`` and the constructors of the high-volume types
-(:class:`Event`, :class:`Timeout`) write fields and push heap entries
-directly rather than delegating through ``Environment.schedule`` -- both
-paths produce *identical* heap entries ``(time, key, event)`` with
-``key = (priority << SEQ_BITS) | seq``, so event ordering is exactly the
-(time, priority, sequence) contract documented in
-:mod:`repro.sim.environment` no matter which path scheduled the event.
+(:class:`Event`, :class:`Timeout`, :class:`At`) write fields and push
+heap entries directly rather than delegating through
+``Environment.schedule`` -- both paths produce *identical* heap entries
+``(time, key, event)`` with ``key = (priority << SEQ_BITS) | seq``, so
+event ordering is exactly the (time, priority, sequence) contract
+documented in :mod:`repro.sim.environment` no matter which path
+scheduled the event.
 """
 
 from __future__ import annotations
@@ -155,6 +156,29 @@ class Timeout(Event):
     @property
     def delay(self) -> float:
         return self._delay
+
+
+class At(Event):
+    """An event that triggers at a fixed absolute simulated time.
+
+    Built like :class:`Timeout`, but the heap entry carries ``at``
+    itself -- never ``now + (at - now)``, which need not round-trip in
+    floating point -- so a pre-computed arrival time is the time the
+    event is processed at, bit for bit.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", at: float, value: Any = None) -> None:
+        if at < env._now:
+            raise ValueError(f"time {at} is before now ({env._now})")
+        self.env = env
+        self.callbacks = []
+        self._ok = True
+        self._value = value
+        self.defused = False
+        heappush(env._queue, (at, _NORMAL_KEY | env._eid, self))
+        env._eid += 1
 
 
 class Condition(Event):

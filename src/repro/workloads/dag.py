@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Sequence, Tuple
 
 from ..sim.rng import Rng
+from .spec import periodic_times, poisson_times
 
 #: Backends a service may run (subset of repro.apps wired into the mesh).
 DAG_BACKENDS = ("mysql", "postgres")
@@ -347,20 +348,16 @@ def build_arrivals(spec: DagSpec) -> List[Tuple[float, int, str, str]]:
     for cls in spec.classes:
         rng = Rng(spec.seed).fork(f"dag:arrivals:{cls.name}")
         if cls.rate > 0:
-            t = cls.start
-            while True:
-                t += rng.exponential(1.0 / cls.rate)
-                if t >= spec.duration:
-                    break
+            for t in poisson_times(
+                rng, lambda: cls.rate, cls.start, spec.duration
+            ):
                 user = rng.randint(0, cls.users - 1)
                 raw.append((t, cls.name, f"{cls.name}-{user}"))
         else:
-            t = cls.start
-            k = 0
-            while t < spec.duration:
+            for k, t in enumerate(
+                periodic_times(cls.start, cls.period, spec.duration)
+            ):
                 raw.append((t, cls.name, f"{cls.name}-{k % cls.users}"))
-                t += cls.period
-                k += 1
     raw.sort(key=lambda item: (item[0], item[1], item[2]))
     return [
         (t, rid, name, client)

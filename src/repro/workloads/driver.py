@@ -1,8 +1,9 @@
 """Workload driver: request lifecycle with cancellation and re-execution.
 
 The driver plays the role of the benchmark clients (sysbench, Rally, ...)
-plus the application's connection layer: it submits operations as
-open-loop arrivals, runs each through the controller's admission hook,
+plus the application's connection layer: it pumps each source's arrival
+stream into the run (:meth:`Driver.run_arrivals`, one pending arrival
+per stream), runs each request through the controller's admission hook,
 registers a cancellable task, executes the application handler, and
 handles the three unwind paths -- completion, controller drop, and
 cancellation (with the controller's re-execution gate deciding retry vs
@@ -11,14 +12,14 @@ drop).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..core.controller import BaseController
 from ..core.types import CancelSignal, DropRequest, DropSignal, TaskKind
 from ..sim.errors import Interrupt
-from ..sim.events import Event
+from ..sim.events import At
 from ..sim.metrics import MetricsCollector, RequestRecord, RequestStatus
-from .spec import OperationFactory, Workload
+from .spec import Arrival, Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..apps.base import Application, Operation
@@ -67,44 +68,62 @@ class Driver:
         return self.env.process(self._request(op, client_id))
 
     def run_workload(self, workload: Workload) -> None:
-        """Start all of a workload's arrival processes."""
+        """Start every source of a workload (``source.start(self)``)."""
         self.workload = workload
-        for generator in workload.processes(self):
-            self.env.process(generator)
+        for source in workload.sources:
+            source.start(self)
 
     def run_arrivals(
-        self,
-        arrivals: Iterable[Tuple[float, OperationFactory]],
-        client_id: str = "client",
-    ) -> int:
-        """Preload a fully pre-generated arrival stream.
+        self, arrivals: Iterable[Arrival], client_id: str = "client"
+    ) -> None:
+        """Offer an arrival stream: the one way load enters a run.
 
-        ``arrivals`` is an ascending sequence of ``(absolute_time,
-        operation_factory)`` pairs (see
-        :func:`repro.workloads.spec.poisson_arrival_stream`).  Each
-        arrival becomes one pre-triggered event whose callback submits
-        the operation, loaded through ``Environment.schedule_batch`` in
-        a single heapify -- no per-arrival source-process wakeup, no
-        per-arrival heap sift.  Returns the number of arrivals loaded.
+        ``arrivals`` is any iterable of ascending ``(absolute_time,
+        operation_factory)`` pairs -- a source's lazy ``arrivals()``
+        generator or a pre-built list (fleet, mesh).  The pump keeps
+        exactly **one** pending :class:`~repro.sim.events.At` event per
+        stream: when it fires the due operation is submitted, then the
+        next pair is pulled and scheduled.  Pulling at the previous
+        arrival's time is what lets a generator follow a live rate
+        (burst faults), and the heap never holds a stream's future.
 
-        Use this for open-loop streams whose rate does not change
-        mid-run; live-rate sources (fault-driven bursts) need the
-        per-arrival :class:`~repro.workloads.spec.OpenLoopSource` path.
+        A time earlier than the stream's previous one (or than
+        ``env.now`` for the first) would rewind the clock: ``At``
+        refuses it, and the ``ValueError`` names ``client_id`` too.
         """
-        env = self.env
-        submit = self.submit
+        pump = self._pump(arrivals, client_id)
+        next(pump)  # to its first yield, which receives ...
+        pump.send(pump.send)  # ... the callback that resumes it
 
-        def deliver(event: Event) -> None:
-            submit(event._value(), client_id=client_id)
+    def _pump(self, arrivals: Iterable[Arrival], client_id: str):
+        """One stream's pump: a generator that each of its ``At`` events
+        resumes (``resume`` is its own ``send``, the event's callback).
 
-        def entries():
-            for at, factory in arrivals:
-                event = Event(env)
-                event._value = factory
-                event.callbacks.append(deliver)
-                yield at, event
-
-        return env.schedule_batch(entries())
+        A generator rather than an object with a callback method, for
+        the sake of memory between back-to-back runs.  When a finished
+        run is garbage collected, its in-flight requests' ``finally``
+        blocks run and schedule events, which resurrects the environment
+        -- and whatever it still reaches -- for one more full collection.
+        A pending arrival keeps its pump reachable from there, and the
+        pump holds the driver.  Finalization clears a generator's frame
+        but not an object's fields, so only a generator lets go of the
+        driver and its request records in the first collection (as an
+        object: +13 % peak RSS over eight ATROPOS case runs in a row).
+        """
+        env, submit = self.env, self.submit
+        resume = yield
+        for at, factory in arrivals:
+            try:
+                due = At(env, at)
+            except ValueError as exc:
+                raise ValueError(
+                    f"arrival stream {client_id!r}: {exc}"
+                ) from exc
+            due.callbacks.append(resume)
+            yield  # until the arrival is due
+            submit(factory(), client_id=client_id)
+        del resume  # its reference to itself
+        yield  # exhausted; returning would raise StopIteration in the run loop
 
     # ------------------------------------------------------------------
     # Request lifecycle

@@ -6,9 +6,10 @@ connect, ``freeCancel`` at disconnect): resource usage accumulates per
 connection and a cancellation kills whatever the connection is doing.
 
 :class:`ConnectionSource` provides that granularity on the workload
-side: a fixed population of connections, each registering one
-cancellable task for its lifetime and running a closed loop of
-operations under it.  A cancellation unwinds the in-flight operation and
+side, behind the same ``start(driver)`` protocol as the sources in
+:mod:`repro.workloads.spec`: a fixed population of connections, each
+registering one cancellable task for its lifetime and running a closed
+loop of operations under it.  A cancellation unwinds the in-flight operation and
 drops the connection; the client reconnects (with a fresh,
 non-cancellable task, per the fairness rule) after ``reconnect_delay``.
 """
@@ -51,11 +52,9 @@ class ConnectionSource:
         if self.reconnect_delay < 0:
             raise ValueError("reconnect_delay must be non-negative")
 
-    def process(self, driver: "Driver"):
+    def start(self, driver: "Driver") -> None:
         for i in range(self.connections):
             driver.env.process(self._connection(driver, i))
-        return
-        yield  # pragma: no cover - generator protocol
 
     def _stopped(self, env) -> bool:
         return self.stop_time is not None and env.now >= self.stop_time

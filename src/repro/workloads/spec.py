@@ -1,15 +1,23 @@
 """Workload specifications: arrival processes and operation mixes.
 
-A :class:`Workload` is a set of arrival sources: open-loop Poisson
-streams of a weighted operation mix (the sysbench-style foreground load)
-plus scheduled one-shot operations (the culprit triggers of each case,
-e.g. "launch a backup query at t = 20 s").
+A :class:`Workload` is a set of sources: open-loop Poisson streams of a
+weighted operation mix (the sysbench-style foreground load), scheduled
+one-shot and periodic operations (the culprit triggers of each case,
+e.g. "launch a backup query at t = 20 s"), and closed-loop clients.
+
+Every source begins offering load through ``source.start(driver)``.  An
+open-loop one (:class:`ArrivalSource`) defines ``arrivals(driver)``, a
+lazy ascending iterator of ``(absolute_time, operation_factory)`` pairs,
+which ``start`` hands to :meth:`repro.workloads.driver.Driver.run_arrivals`
+-- the pump all load enters a run through, on every tier.  Arrival
+*times* come from :func:`poisson_times` and :func:`periodic_times`, the
+only copies of those loops (fleet and mesh ``build_arrivals`` included).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..apps.base import Operation
@@ -20,44 +28,40 @@ if TYPE_CHECKING:  # pragma: no cover
 #: can be randomized without sharing state between requests).
 OperationFactory = Callable[[], "Operation"]
 
+#: One offered request: when it arrives and how to build its operation.
+Arrival = Tuple[float, OperationFactory]
 
-def poisson_arrival_stream(
-    rng: "Rng",
-    rate: float,
-    stop_time: float,
-    factory: Optional[OperationFactory] = None,
-    start_time: float = 0.0,
-    mix: Optional[Sequence["MixEntry"]] = None,
-) -> List[Tuple[float, OperationFactory]]:
-    """Pre-generate a Poisson arrival stream for ``Driver.run_arrivals``.
 
-    Returns ascending ``(absolute_time, operation_factory)`` pairs.
-    Pass either a single ``factory`` or a weighted ``mix``.  With a
-    ``mix``, the rng draws (one exponential then one weighted choice per
-    arrival) interleave exactly like :class:`OpenLoopSource.process` at
-    a fixed rate, so the materialized stream is *draw-identical* to what
-    the generator source would submit.  Only for streams whose rate is
-    fixed for the whole run -- live-rate behavior (burst faults) needs
-    the generator source.
+def poisson_times(
+    rng: "Rng", rate: Callable[[], float], start: float, stop: Optional[float]
+) -> Iterator[float]:
+    """Ascending Poisson arrival times in ``(start, stop)``.
+
+    ``rate`` is a zero-argument callable read once per draw, *when the
+    consumer pulls* -- a consumer that pulls the next time as it handles
+    the previous one (the arrival pump) therefore follows a live rate.
+    Lazy: one exponential draw per pull and nothing else, so draws the
+    caller makes on the same ``rng`` between pulls keep their order.
+    ``stop=None`` never ends.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if (factory is None) == (mix is None):
-        raise ValueError("pass exactly one of factory or mix")
-    mean = 1.0 / rate
     exponential = rng.exponential
-    choose = None
-    if mix is not None:
-        choose = rng.weighted_chooser(mix, [m.weight for m in mix])
-    out: List[Tuple[float, OperationFactory]] = []
-    append = out.append
-    t = start_time
+    t = start
     while True:
-        t += exponential(mean)
-        if t >= stop_time:
-            break
-        append((t, factory if choose is None else choose().factory))
-    return out
+        t += exponential(1.0 / rate())
+        if stop is not None and t >= stop:
+            return
+        yield t
+
+
+def periodic_times(
+    start: float, period: float, stop: Optional[float]
+) -> Iterator[float]:
+    """``start, start + period, ...`` (accumulated, as a clock that
+    sleeps ``period`` at a time would read) while ``< stop``."""
+    t = start
+    while stop is None or t < stop:
+        yield t
+        t += period
 
 
 @dataclass
@@ -72,14 +76,23 @@ class MixEntry:
             raise ValueError("weight must be positive")
 
 
+class ArrivalSource:
+    """An open-loop source: ``arrivals(driver)`` yields its ascending
+    ``(time, factory)`` pairs; ``start`` feeds them to the pump."""
+
+    def start(self, driver: "Driver") -> None:
+        driver.run_arrivals(self.arrivals(driver), client_id=self.client_id)
+
+
 @dataclass
-class OpenLoopSource:
+class OpenLoopSource(ArrivalSource):
     """Poisson arrivals of a weighted operation mix.
 
-    ``burst_factor`` is a live multiplier on :attr:`rate`, re-read at
-    every arrival: :mod:`repro.faults` raises it during a ``burst``
-    fault window and restores it afterwards, giving mid-run
-    arrival-rate spikes without rebuilding the workload.
+    ``burst_factor`` is a live multiplier on :attr:`rate`, re-read each
+    time the pump pulls the next arrival (i.e. at the previous arrival's
+    time): :mod:`repro.faults` raises it during a ``burst`` fault window
+    and restores it afterwards, giving mid-run arrival-rate spikes
+    without rebuilding the workload.
     """
 
     rate: float  # arrivals per second
@@ -97,46 +110,66 @@ class OpenLoopSource:
         if not self.mix:
             raise ValueError("mix must not be empty")
 
-    def process(self, driver: "Driver"):
-        env = driver.env
-        rng = driver.app.rng.fork(f"{self.rng_stream}:{self.client_id}")
+    def arrivals(self, driver: "Driver") -> Iterator[Arrival]:
+        return self.draw(
+            driver.app.rng.fork(f"{self.rng_stream}:{self.client_id}")
+        )
+
+    def draw(self, rng: "Rng") -> Iterator[Arrival]:
+        """The arrivals, drawn from ``rng``: per arrival one exponential
+        then one weighted choice, the rate re-read at each pull."""
         # Precompiled chooser: draw-for-draw identical to weighted_choice
         # (see Rng.weighted_chooser), so the sampled sequence is unchanged.
-        choose = rng.weighted_chooser(
-            self.mix, [m.weight for m in self.mix]
-        )
-        exponential = rng.exponential
-        timeout = env.timeout
-        submit = driver.submit
-        client_id = self.client_id
-        if self.start_time > 0:
-            yield timeout(self.start_time)
-        while self.stop_time is None or env.now < self.stop_time:
-            # self.rate / self.burst_factor are re-read per arrival: both
-            # are live fault-injection hooks.
-            yield timeout(
-                exponential(1.0 / (self.rate * self.burst_factor))
-            )
-            if self.stop_time is not None and env.now >= self.stop_time:
-                break
-            submit(choose().factory(), client_id=client_id)
+        choose = rng.weighted_chooser(self.mix, [m.weight for m in self.mix])
+        for t in poisson_times(
+            rng,
+            lambda: self.rate * self.burst_factor,
+            self.start_time,
+            self.stop_time,
+        ):
+            yield t, choose().factory
+
+
+def poisson_arrival_stream(
+    rng: "Rng",
+    rate: float,
+    stop_time: float,
+    factory: Optional[OperationFactory] = None,
+    start_time: float = 0.0,
+    mix: Optional[List[MixEntry]] = None,
+) -> List[Arrival]:
+    """A fixed-rate Poisson stream, materialized.
+
+    Returns ascending ``(absolute_time, operation_factory)`` pairs for
+    :meth:`Driver.run_arrivals`.  Pass either a weighted ``mix`` or a
+    single ``factory`` (a mix of one).  This is ``list()`` over
+    :meth:`OpenLoopSource.draw`, so at the same rng, rate and mix the
+    list *is* what the live source would offer.
+    """
+    if (factory is None) == (mix is None):
+        raise ValueError("pass exactly one of factory or mix")
+    if mix is None:
+        mix = [MixEntry(factory, 1.0)]
+    source = OpenLoopSource(
+        rate, mix, start_time=start_time, stop_time=stop_time
+    )
+    return list(source.draw(rng))
 
 
 @dataclass
-class ScheduledOp:
+class ScheduledOp(ArrivalSource):
     """A one-shot operation fired at a fixed time (culprit triggers)."""
 
     at: float
     factory: OperationFactory
     client_id: str = "trigger"
 
-    def process(self, driver: "Driver"):
-        yield driver.env.timeout(self.at)
-        driver.submit(self.factory(), client_id=self.client_id)
+    def arrivals(self, driver: "Driver") -> Iterator[Arrival]:
+        yield self.at, self.factory
 
 
 @dataclass
-class PeriodicOp:
+class PeriodicOp(ArrivalSource):
     """An operation fired on a fixed period (background tasks, crons)."""
 
     period: float
@@ -149,13 +182,9 @@ class PeriodicOp:
         if self.period <= 0:
             raise ValueError("period must be positive")
 
-    def process(self, driver: "Driver"):
-        env = driver.env
-        if self.start_time > 0:
-            yield env.timeout(self.start_time)
-        while self.stop_time is None or env.now < self.stop_time:
-            driver.submit(self.factory(), client_id=self.client_id)
-            yield env.timeout(self.period)
+    def arrivals(self, driver: "Driver") -> Iterator[Arrival]:
+        for t in periodic_times(self.start_time, self.period, self.stop_time):
+            yield t, self.factory
 
 
 @dataclass
@@ -182,12 +211,9 @@ class ClosedLoopSource:
         if not self.mix:
             raise ValueError("mix must not be empty")
 
-    def process(self, driver: "Driver"):
-        # Spawn one loop per client; this generator just sets them up.
+    def start(self, driver: "Driver") -> None:
         for i in range(self.clients):
             driver.env.process(self._client_loop(driver, i))
-        return
-        yield  # pragma: no cover - generator protocol
 
     def _client_loop(self, driver: "Driver", index: int):
         env = driver.env
@@ -208,13 +234,11 @@ class ClosedLoopSource:
 
 @dataclass
 class Workload:
-    """A full workload: any combination of sources."""
+    """A full workload: any combination of sources (each with a
+    ``start(driver)``; see the module docstring)."""
 
     sources: List[object] = field(default_factory=list)
 
     def add(self, source) -> "Workload":
         self.sources.append(source)
         return self
-
-    def processes(self, driver: "Driver"):
-        return [source.process(driver) for source in self.sources]

@@ -1,8 +1,14 @@
 """Tests for settings resolution and the execute() pipeline."""
 
+import contextlib
+import os
+import signal
+
 import pytest
 
 from repro.campaign import (
+    CampaignWorkerError,
+    RunSpec,
     current_settings,
     execute,
     reset_session_stats,
@@ -10,6 +16,7 @@ from repro.campaign import (
     settings,
 )
 from repro.campaign.runner import CACHE_ENV, JOBS_ENV
+from repro.experiments import harness
 from repro.experiments.case_family import case_spec
 from repro.obs import Tracer, tracing
 
@@ -120,6 +127,55 @@ class TestExecute:
         for s, p in zip(serial, parallel):
             assert s.summary == p.summary
             assert s.extras == p.extras
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail (not hang) if the body outlives ``seconds``; works without
+    the pytest-timeout plugin."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestWorkerFailure:
+    """Parallel paths fail loudly and by name, never hang."""
+
+    def _register(self, monkeypatch, name, builder):
+        # Fork-started workers inherit the patched registry.
+        monkeypatch.setitem(harness._SIM_BUILDERS, name, builder)
+        return RunSpec("test", name, {}, seed=0, duration=1.0)
+
+    def test_dead_worker_is_a_named_error_not_a_hang(self, monkeypatch):
+        doomed = self._register(
+            monkeypatch, "test.dies", lambda params: os._exit(13)
+        )
+        specs = [_spec(seed=0), doomed, _spec(seed=1)]
+        with _deadline(60):
+            with pytest.raises(CampaignWorkerError) as raised:
+                execute(specs, jobs=2, cache=False)
+        error = raised.value
+        assert error.exitcode == 13
+        assert error.spec == doomed.label()
+        assert doomed.label() in error.unfinished
+        assert "test.dies" in str(error) and "13" in str(error)
+
+    def test_worker_exception_is_reraised_in_the_parent(self, monkeypatch):
+        def builder(params):
+            raise ValueError("boom in the builder")
+
+        broken = self._register(monkeypatch, "test.raises", builder)
+        with _deadline(60):
+            with pytest.raises(ValueError, match="boom in the builder"):
+                execute([_spec(seed=0), broken], jobs=2, cache=False)
 
 
 class TestTracingInterplay:

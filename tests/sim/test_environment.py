@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment
+from repro.sim import At, EmptySchedule, Environment
 
 
 def test_initial_time_defaults_to_zero():
@@ -177,18 +177,19 @@ def _scheduled_counts(tracer=None):
     counts.append(env.events_scheduled)
     env.process(proc(env))
     counts.append(env.events_scheduled)
-    added = env.schedule_batch((at, env.event()) for at in (3.0, 4.0, 5.0))
+    for at in (3.0, 4.0, 5.0):
+        At(env, at)
     counts.append(env.events_scheduled)
     env.run()
     counts.append(env.events_scheduled)
-    return added, counts
+    return counts
 
 
 def test_events_scheduled_counts_every_scheduling_path():
-    added, counts = _scheduled_counts()
-    # One per timeout, one per process start, one per batch entry; the
-    # run then adds the process's own timeout and its completion event.
-    assert added == 3
+    counts = _scheduled_counts()
+    # One per timeout, one per process start, one per absolute-time
+    # event; the run then adds the process's own timeout and its
+    # completion event.
     assert counts == [0, 1, 2, 5, 7]
 
 

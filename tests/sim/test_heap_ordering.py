@@ -7,11 +7,12 @@ same-time URGENT/NORMAL mixes through the real scheduler and compare the
 processed order against a reference sort of the scheduling log.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment
-from repro.sim.events import NORMAL, SEQ_BITS, URGENT, Event
+from repro.sim.events import NORMAL, SEQ_BITS, URGENT, At, Event
 
 #: A scheduled entry for the generators: (time-bucket, priority).  Few
 #: distinct times so same-time collisions (the interesting regime) are
@@ -83,30 +84,43 @@ def test_packed_key_matches_tuple_order(seq):
     )
 
 
-def test_schedule_batch_matches_loop_of_schedules():
-    """Preloading via schedule_batch processes in the same order as an
-    equivalent sequence of schedule() calls."""
+def test_at_events_match_loop_of_schedules():
+    """Absolute-time ``At`` events are processed in the same order as an
+    equivalent sequence of schedule() calls: ascending time, FIFO among
+    ties, one sequence number each."""
 
-    def build(use_batch):
+    def build(use_at):
         env = Environment()
         order = []
 
         def observe(index):
-            return lambda event: order.append(index)
+            return lambda event: order.append((index, env.now))
 
-        pairs = []
         times = [0.0, 0.1, 0.1, 0.1, 0.4, 0.4, 1.0]
         for index, at in enumerate(times):
-            event = Event(env)
-            event._value = index
-            event.callbacks.append(observe(index))
-            pairs.append((at, event))
-        if use_batch:
-            env.schedule_batch(pairs)
-        else:
-            for at, event in pairs:
+            if use_at:
+                event = At(env, at, index)
+            else:
+                event = Event(env)
+                event._value = index
                 env.schedule(event, delay=at)
+            event.callbacks.append(observe(index))
+        assert env.events_scheduled == len(times)
         env.run()
         return order
 
     assert build(True) == build(False)
+    assert [index for index, _ in build(True)] == list(range(7))
+
+
+def test_at_fires_at_its_exact_time_and_never_in_the_past():
+    env = Environment()
+    env.run(until=0.3)
+    at = 0.9
+    assert 0.3 + (at - 0.3) != at  # why At takes a time, not a delay
+    seen = []
+    At(env, at).callbacks.append(lambda event: seen.append(env.now))
+    env.run()
+    assert seen == [at]
+    with pytest.raises(ValueError, match="before now"):
+        At(env, at - 0.5)

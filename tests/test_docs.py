@@ -165,3 +165,24 @@ class TestRepoDocs:
         )
         assert len(errors) == 1
         assert "missing from the repo root" in errors[0]
+
+    def test_retired_names_detected_even_in_code_fences(self, tmp_path):
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "# T\n\ncall `env.schedule_batch(pairs)`\n\n"
+            "```bash\npython -m repro bench --quick\n```\n\nfine line\n"
+        )
+        prose, fenced = checker.check_retired([doc])
+        assert ":3: " in prose and "schedule_batch" in prose
+        assert ":6: " in fenced and "repro bench" in fenced
+
+    def test_repo_docs_mention_no_retired_name(self):
+        assert "CHANGES.md" not in checker.RETIRED_TARGETS
+        files = checker.collect_markdown(checker.RETIRED_TARGETS)
+        assert (REPO_ROOT / "ROADMAP.md") in files
+        errors = checker.check_retired(files)
+        assert errors == [], "\n".join(errors)
+
+    def test_retired_names_count_toward_exit_status(self, monkeypatch):
+        monkeypatch.setattr(checker, "RETIRED_NAMES", ["# ROADMAP"])
+        assert checker.main([]) >= 1

@@ -10,10 +10,13 @@ target`` definitions -- and verifies
   to a real heading, using GitHub's slugification rules; anchors may
   come from ATX (``## Heading``) or setext (underlined) headings, or
   from explicit HTML ``<a id=...>`` / ``<a name=...>`` tags,
-* every reference-style usage has a matching definition.
+* every reference-style usage has a matching definition,
+* no document outside the change log still mentions a *retired name*
+  (:data:`RETIRED_NAMES`: commands, files and functions that no longer
+  exist), code fences included -- a stale command is the worst kind.
 
 External (``http(s)://``, ``mailto:``) links are skipped -- CI must not
-depend on the network.  Exit status is the number of broken links.
+depend on the network.  Exit status is the number of problems found.
 
 Usage::
 
@@ -46,6 +49,20 @@ REQUIRED_ANCHORS = [
     "REGRESS_BASELINE.json",
     "BENCHMARK.json",
 ]
+
+#: Things that no longer exist.  A document that still mentions one
+#: describes a system the reader cannot run.
+RETIRED_NAMES = [
+    "schedule_batch",
+    "Workload.processes",
+    "repro bench",
+    "BENCH_6.json",
+    "BENCH_7.json",
+]
+
+#: Where retired names are looked for: the default set minus CHANGES.md,
+#: the history of record, which names what each PR removed.
+RETIRED_TARGETS = [t for t in DEFAULT_TARGETS if t != "CHANGES.md"]
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
@@ -214,18 +231,32 @@ def check_anchors(
     return errors
 
 
+def check_retired(files: List[Path]) -> List[str]:
+    """Every mention of a retired name, one error per (line, name)."""
+    return [
+        f"{_rel(path)}:{lineno}: retired name {name!r} still mentioned"
+        for path in files
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        for name in RETIRED_NAMES
+        if name in line
+    ]
+
+
 def main(argv: List[str]) -> int:
     targets = argv or DEFAULT_TARGETS
     errors = check(targets)
     if not argv:
-        # Anchor integrity is a repo-level property; skip it when the
-        # caller asked to lint specific files.
+        # Anchor integrity and retired names are repo-level properties;
+        # skip them when the caller asked to lint specific files.
         errors += check_anchors(collect_markdown(targets))
+        errors += check_retired(collect_markdown(RETIRED_TARGETS))
     for error in errors:
         print(error, file=sys.stderr)
     checked = len(collect_markdown(targets))
     print(f"checked {checked} markdown file(s): "
-          f"{len(errors)} broken link(s)")
+          f"{len(errors)} problem(s)")
     return min(len(errors), 125)
 
 
