@@ -64,6 +64,9 @@ class Application:
         #: Consolidated hook switch, mirrored from Environment (one bool
         #: per instant-emission site instead of a tracer lookup chain).
         self._hooked = env.hooks_enabled
+        #: False under a controller that records no resource events: the
+        #: three tracing helpers below then return at once.
+        self._traces = controller.traces_resources
         self._handlers: Dict[str, Handler] = {}
         #: Count of instrumentation sites (tracing calls wired into this
         #: app); reported in the Table 3 integration-effort experiment.
@@ -87,11 +90,17 @@ class Application:
     # Execution
     # ------------------------------------------------------------------
     def execute(self, task: CancellableTask, op: Operation) -> Generator:
-        """Run ``op`` on behalf of ``task`` (process generator)."""
+        """The process generator running ``op`` on behalf of ``task``.
+
+        This is the handler's own generator, not a delegating wrapper: a
+        request is resumed once per event through every ``yield from``
+        level above the wait, so a pass-through level is a frame per
+        event.
+        """
         handler = self._handlers.get(op.name)
         if handler is None:
             raise KeyError(f"{self.name} has no operation {op.name!r}")
-        yield from handler(task, **op.params)
+        return handler(task, **op.params)
 
     # ------------------------------------------------------------------
     # Instrumentation helpers (the ATROPOS tracing call sites)
@@ -99,14 +108,16 @@ class Application:
     def trace_get(
         self, task: CancellableTask, resource: ResourceHandle, amount: float = 1.0
     ) -> None:
-        self.controller.get_resource(task, resource, amount)
-        self._charge_tracing(task)
+        if self._traces:
+            self.controller.get_resource(task, resource, amount)
+            self._charge_tracing(task)
 
     def trace_free(
         self, task: CancellableTask, resource: ResourceHandle, amount: float = 1.0
     ) -> None:
-        self.controller.free_resource(task, resource, amount)
-        self._charge_tracing(task)
+        if self._traces:
+            self.controller.free_resource(task, resource, amount)
+            self._charge_tracing(task)
 
     def trace_slow_by(
         self,
@@ -115,8 +126,9 @@ class Application:
         delay: float,
         events: float = 1.0,
     ) -> None:
-        self.controller.slow_by_resource(task, resource, delay, events)
-        self._charge_tracing(task)
+        if self._traces:
+            self.controller.slow_by_resource(task, resource, delay, events)
+            self._charge_tracing(task)
 
     def _charge_tracing(self, task: CancellableTask) -> None:
         """Accumulate tracing overhead as a latency debt on the task.

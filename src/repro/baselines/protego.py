@@ -83,6 +83,8 @@ class Protego(BaseController):
     """Victim-dropping overload control keyed on blocking delay."""
 
     name = "protego"
+    #: ``slow_by_resource`` feeds the blocking-delay budget.
+    traces_resources = True
 
     def __init__(
         self,

@@ -30,6 +30,14 @@ class BaseController:
 
     name = "none"
 
+    #: Whether this type records the resource-tracing calls of Figure 6b
+    #: (``get_resource`` / ``free_resource`` / ``slow_by_resource``).  A
+    #: fact about the class, not a setting: a controller that overrides
+    #: one of the three says True.  Applications read it once and skip
+    #: the round trip (and its ``tracing_cost`` charge, necessarily zero)
+    #: under a controller that would ignore it.
+    traces_resources = False
+
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self._task_seq = 1

@@ -166,6 +166,8 @@ class TracingController(BaseController):
     delegated, so a traced event does not pay for a forwarding frame.
     """
 
+    traces_resources = True
+
     def __init__(self, env: "Environment", config: AtroposConfig) -> None:
         super().__init__(env)
         self.config = config

@@ -14,13 +14,14 @@ by name through this registry instead of receiving factories directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, Optional
 
 from ..core.controller import BaseController, NullController
 from ..obs.tracer import get_active_tracer
 from ..telemetry import get_active_telemetry
 from ..sim.environment import Environment
-from ..sim.metrics import MetricsCollector, Summary
+from ..sim.metrics import MetricsCollector, RequestStatus, Summary
 from ..sim.rng import Rng
 from ..workloads.driver import Driver
 from ..workloads.spec import Workload
@@ -65,13 +66,15 @@ class RunResult:
     def drop_rate(self) -> float:
         return self.summary.drop_rate
 
-    @property
+    @cached_property
     def trimmed_collector(self) -> MetricsCollector:
         """The warm-up-trimmed view of :attr:`collector`.
 
         :attr:`summary` is computed from exactly this view; use it
         whenever derived metrics should be comparable to the summary.
-        With ``warmup == 0`` it is :attr:`collector` itself.
+        With ``warmup == 0`` it is :attr:`collector` itself.  Built once
+        per result (a finished run's records no longer change):
+        :func:`run_simulation` hands over the view it summarized.
         """
         return self.collector.trimmed(self.warmup)
 
@@ -181,9 +184,9 @@ def run_simulation(
         scraper.finalize(env.now)
 
     effective = duration - warmup if warmup > 0.0 else duration
-    summary = Summary.from_collector(collector.trimmed(warmup), effective)
-    return RunResult(
-        summary=summary,
+    trimmed = collector.trimmed(warmup)
+    result = RunResult(
+        summary=Summary.from_collector(trimmed, effective),
         collector=collector,
         controller=controller,
         app=app,
@@ -193,6 +196,9 @@ def run_simulation(
         faults=injector,
         telemetry=scraper.run if scraper is not None else None,
     )
+    # Seed the cached view so extras and timelines reuse it.
+    result.trimmed_collector = trimmed
+    return result
 
 
 def normalize(value: float, baseline: float) -> float:
@@ -334,14 +340,15 @@ def extract_extras(result: RunResult) -> Dict[str, Any]:
         extras["adaptations"] = int(adaptation.adaptations)
         extras["adapt_events"] = list(adaptation.adapt_events)
     ops: Dict[str, Any] = {}
+    completed = RequestStatus.COMPLETED
     for record in result.trimmed_collector.records:
-        if not record.completed:
+        if record.status is not completed:
             continue
         entry = ops.get(record.op_name)
         if entry is None:
             entry = ops[record.op_name] = {"n": 0, "latency_sum": 0.0}
         entry["n"] += 1
-        entry["latency_sum"] += record.latency
+        entry["latency_sum"] += record.finish_time - record.arrival_time
     extras["ops"] = {name: ops[name] for name in sorted(ops)}
     if result.faults is not None:
         extras["fault_events"] = [

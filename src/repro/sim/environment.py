@@ -50,11 +50,15 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0, tracer=None) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time.  A plain attribute: only the run loop
+        #: (:meth:`step` / :meth:`run`) writes it; everything else reads.
+        self.now = float(initial_time)
         self._queue: List[QueueEntry] = []
         #: Next event sequence number == events scheduled so far.
         self._eid = 0
-        self._active_process: Optional[Process] = None
+        #: The process currently being resumed, if any.  Like ``now`` a
+        #: plain attribute with one writer (``Process._resume``).
+        self.active_process: Optional[Process] = None
         #: Structured tracer (NULL_TRACER = tracing disabled, the default).
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: One consolidated flag for "any per-event hook is live".
@@ -69,18 +73,16 @@ class Environment:
 
     @property
     def events_scheduled(self) -> int:
-        """Total events scheduled so far (``perf/`` reads it as ``sim.events``)."""
+        """Total events pushed on the heap so far (``perf/`` reads it as
+        ``sim.events``).
+
+        Not counted: the completion of a process nobody joined.  A
+        process that finishes with an empty callback list and nothing to
+        raise is marked processed on the spot (see
+        :meth:`repro.sim.process.Process._finish`) and never reaches the
+        heap, so it consumes no sequence number.
+        """
         return self._eid
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # ------------------------------------------------------------------
     # Event factories
@@ -112,7 +114,7 @@ class Environment:
         """Schedule ``event`` to be processed after ``delay``."""
         heapq.heappush(
             self._queue,
-            (self._now + delay, (priority << SEQ_BITS) | self._eid, event),
+            (self.now + delay, (priority << SEQ_BITS) | self._eid, event),
         )
         self._eid += 1
 
@@ -129,7 +131,7 @@ class Environment:
         the exception of a failed event that nobody handled (not defused).
         """
         try:
-            self._now, _, event = heapq.heappop(self._queue)
+            self.now, _, event = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no more events scheduled") from None
 
@@ -166,9 +168,9 @@ class Environment:
         else:
             stop_at = float(until)
             stop_event = None
-            if stop_at < self._now:
+            if stop_at < self.now:
                 raise ValueError(
-                    f"until ({stop_at}) must not be before now ({self._now})"
+                    f"until ({stop_at}) must not be before now ({self.now})"
                 )
 
         # The run loop is `step()` inlined: one heappop and one callback
@@ -178,7 +180,7 @@ class Environment:
         heappop = heapq.heappop
         try:
             while queue and queue[0][0] <= stop_at:
-                self._now, _, event = heappop(queue)
+                self.now, _, event = heappop(queue)
                 callbacks = event.callbacks
                 if callbacks is None:
                     continue
@@ -195,7 +197,7 @@ class Environment:
                 "simulation ran out of events before the until-event triggered"
             )
         if stop_at != float("inf"):
-            self._now = stop_at
+            self.now = stop_at
         return None
 
 

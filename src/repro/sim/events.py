@@ -90,7 +90,7 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
-        heappush(env._queue, (env._now, _NORMAL_KEY | env._eid, self))
+        heappush(env._queue, (env.now, _NORMAL_KEY | env._eid, self))
         env._eid += 1
         return self
 
@@ -106,7 +106,7 @@ class Event:
         self._ok = False
         self._value = exception
         env = self.env
-        heappush(env._queue, (env._now, _NORMAL_KEY | env._eid, self))
+        heappush(env._queue, (env.now, _NORMAL_KEY | env._eid, self))
         env._eid += 1
         return self
 
@@ -150,7 +150,7 @@ class Timeout(Event):
         self._value = value
         self.defused = False
         self._delay = delay
-        heappush(env._queue, (env._now + delay, _NORMAL_KEY | env._eid, self))
+        heappush(env._queue, (env.now + delay, _NORMAL_KEY | env._eid, self))
         env._eid += 1
 
     @property
@@ -170,8 +170,8 @@ class At(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", at: float, value: Any = None) -> None:
-        if at < env._now:
-            raise ValueError(f"time {at} is before now ({env._now})")
+        if at < env.now:
+            raise ValueError(f"time {at} is before now ({env.now})")
         self.env = env
         self.callbacks = []
         self._ok = True

@@ -62,7 +62,12 @@ def percentile(values: Sequence[float], pct: float) -> float:
         raise ValueError(f"percentile must be in [0, 100], got {pct}")
     if not values:
         return float("nan")
-    ordered = sorted(values)
+    return _percentile_of_sorted(sorted(values), pct)
+
+
+def _percentile_of_sorted(ordered: Sequence[float], pct: float) -> float:
+    """:func:`percentile` of a non-empty ascending sequence, ``pct``
+    already validated (lets one sort serve several percentiles)."""
     if len(ordered) == 1:
         return ordered[0]
     rank = (pct / 100.0) * (len(ordered) - 1)
@@ -108,11 +113,16 @@ def completion_windows(
     """
     n_windows = window_count(end_time, window)
     buckets: List[List[float]] = [[] for _ in range(n_windows)]
+    last = n_windows - 1
+    completed = RequestStatus.COMPLETED
     for record in records:
-        if not record.completed:
+        if record.status is not completed:
             continue
-        idx = min(int(record.finish_time // window), n_windows - 1)
-        buckets[idx].append(record.latency)
+        finish = record.finish_time
+        idx = int(finish // window)
+        buckets[idx if idx < last else last].append(
+            finish - record.arrival_time
+        )
     return [
         ((i + 1) * window, buckets[i]) for i in range(n_windows)
     ]
@@ -153,11 +163,11 @@ class MetricsCollector:
         if cutoff <= 0:
             return self
         view = MetricsCollector()
-        view.note_offered(self.offered)
+        view._offered = self._offered
         view.offered_by_op = dict(self.offered_by_op)
-        for record in self.records:
-            if record.finish_time >= cutoff:
-                view.record(record)
+        view.records = [
+            record for record in self.records if record.finish_time >= cutoff
+        ]
         return view
 
     # ------------------------------------------------------------------
@@ -301,15 +311,39 @@ class Summary:
     def from_collector(
         cls, collector: MetricsCollector, duration: float
     ) -> "Summary":
-        counts = collector.status_counts()
+        """One pass over the records and one sort.
+
+        Field for field what the per-metric methods of
+        :class:`MetricsCollector` return (``throughput``,
+        ``latency_percentile(50 / 99)``, ``mean_latency``, ``drop_rate``,
+        ``status_counts``) -- those stay the public API and the
+        reference the tests compare this against.
+        """
+        if duration <= 0:
+            raise ValueError("duration must be positive")
+        counts: Dict[RequestStatus, int] = {s: 0 for s in RequestStatus}
+        completed = RequestStatus.COMPLETED
+        latencies: List[float] = []
+        for record in collector.records:
+            status = record.status
+            counts[status] += 1
+            if status is completed:
+                latencies.append(record.finish_time - record.arrival_time)
+        n = len(latencies)
+        terminal = len(collector.records)
+        nan = float("nan")
+        # Sum in record order, before sorting: float addition is not
+        # associative and mean_latency() adds in this order.
+        mean = sum(latencies) / n if n else nan
+        latencies.sort()
         return cls(
             duration=duration,
-            throughput=collector.throughput(duration),
-            p50_latency=collector.latency_percentile(50),
-            p99_latency=collector.latency_percentile(99),
-            mean_latency=collector.mean_latency(),
-            drop_rate=collector.drop_rate(),
-            completed=counts[RequestStatus.COMPLETED],
+            throughput=n / duration,
+            p50_latency=_percentile_of_sorted(latencies, 50) if n else nan,
+            p99_latency=_percentile_of_sorted(latencies, 99) if n else nan,
+            mean_latency=mean,
+            drop_rate=(terminal - n) / terminal if terminal else 0.0,
+            completed=n,
             dropped=counts[RequestStatus.DROPPED],
             cancelled=counts[RequestStatus.CANCELLED],
             timed_out=counts[RequestStatus.TIMED_OUT],

@@ -24,13 +24,16 @@ injector records such faults as not-applied instead of crashing the run.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Optional
 
 from ...obs.tracer import NULL_TRACER, owner_label
-from ..events import Event
+from ..events import NORMAL, PENDING, SEQ_BITS, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..environment import Environment
+
+_NORMAL_KEY = NORMAL << SEQ_BITS
 
 
 class Grant(Event):
@@ -55,7 +58,15 @@ class Grant(Event):
     )
 
     def __init__(self, env: "Environment", resource: Any, owner: Any) -> None:
-        super().__init__(env)
+        # Grants are the second highest-volume event after Timeout: write
+        # the Event fields here instead of going through Event.__init__.
+        # Subclasses add one slot and no constructor; the resource sets
+        # that slot right after building the grant.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self.defused = False
         self.resource = resource
         self.owner = owner
         self.request_time = env.now
@@ -83,8 +94,16 @@ class Grant(Event):
         return self.env.now - self.grant_time
 
     def _mark_granted(self) -> None:
-        self.grant_time = self.env.now
-        self.succeed(self)
+        """Stamp the grant time and trigger the event with itself as
+        value (``succeed(self)`` with the heap entry pushed directly)."""
+        if self._value is not PENDING:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        env = self.env
+        now = env.now
+        self.grant_time = now
+        self._value = self
+        heappush(env._queue, (now, _NORMAL_KEY | env._eid, self))
+        env._eid += 1
 
     def close(self) -> None:
         """Release the resource if granted, or leave the queue if pending.
@@ -93,7 +112,10 @@ class Grant(Event):
         """
         if self.closed:
             return
-        self._closed_hold = self.hold_time if self.grant_time is not None else 0.0
+        granted_at = self.grant_time
+        self._closed_hold = (
+            0.0 if granted_at is None else self.env.now - granted_at
+        )
         self.closed = True
         self.resource._close(self)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Generator
 
 from ...obs.tracer import owner_label
-from ..events import Event
+from ..events import Event, Timeout
 from .threadpool import ThreadPool
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,15 +117,24 @@ class CPU:
                 busy=self.busy_cores,
             )
         done = 0.0
+        env = self.env
+        submit = self._pool.submit
+        usage = self.usage
         try:
             remaining = cpu_time
             while remaining > 1e-12:
                 chunk = min(self.slice_time, remaining)
-                with self._pool.submit(owner=owner) as slot:
+                # try/finally, not ``with slot``: the slice loop is the
+                # hottest resource path and the context manager costs two
+                # extra calls a slice.
+                slot = submit(owner)
+                try:
                     yield slot
-                    yield self.env.timeout(chunk)
-                    self.usage[owner] = self.usage.get(owner, 0.0) + chunk
+                    yield Timeout(env, chunk)
+                    usage[owner] = usage.get(owner, 0.0) + chunk
                     done += chunk
+                finally:
+                    slot.close()
                 remaining -= chunk
         finally:
             if aid is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Generator
 
 from ...obs.tracer import owner_label
-from ..events import Event
+from ..events import Event, Timeout
 from .threadpool import ThreadPool
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,13 +122,16 @@ class DiskIO:
                 inflight=self.inflight,
             )
         try:
-            with self._pool.submit(owner=owner) as slot:
+            slot = self._pool.submit(owner)
+            try:
                 yield slot
-                yield self.env.timeout(self._service_time(nbytes))
+                yield Timeout(self.env, self._service_time(nbytes))
                 self.bytes_by_owner[owner] = (
                     self.bytes_by_owner.get(owner, 0.0) + nbytes
                 )
                 self.total_bytes += nbytes
+            finally:
+                slot.close()
         finally:
             if aid is not None:
                 tracer.async_end(

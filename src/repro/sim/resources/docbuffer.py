@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
+from ...obs.tracer import owner_label
 from .base import Resource
 
 
@@ -208,25 +209,67 @@ class DocumentBuffer(Resource):
         the MRU end, then evict globally-LRU documents until the page
         budget fits again.
         """
-        if collection not in self._docs_per_page:
+        dpp = self._docs_per_page.get(collection)
+        if dpp is None:
             raise KeyError(f"unregistered collection {collection!r}")
         outcome = DocAccessOutcome()
+        # One loop, list surgery and page accounting inline: a flood
+        # touches hundreds of thousands of documents a run, and a helper
+        # call per step is most of what each one costs the host.
+        nodes = self._nodes
+        tail = self._tail
+        resident = self._resident
+        owner_docs = self._owner_docs
+        owned = None
+        hits = misses = 0
         for doc_id in doc_ids:
             key = (collection, doc_id)
-            node = self._nodes.get(key)
+            node = nodes.get(key)
             if node is not None:
-                outcome.hits += 1
-                self._unlink(node)
-                self._push_mru(node)
-            else:
-                outcome.misses += 1
-                self._insert(key, collection, owner)
-                self._evict_to_fit(outcome)
-        self.total_hits += outcome.hits
-        self.total_misses += outcome.misses
+                hits += 1
+                after = node.next
+                if after is not tail:
+                    # Unlink, then relink at the MRU end.
+                    before = node.prev
+                    before.next = after
+                    after.prev = before
+                    last = tail.prev
+                    last.next = node
+                    node.prev = last
+                    node.next = tail
+                    tail.prev = node
+                continue
+            misses += 1
+            node = _DocNode(key, collection, owner)
+            nodes[key] = node
+            last = tail.prev
+            last.next = node
+            node.prev = last
+            node.next = tail
+            tail.prev = node
+            if owned is None:
+                # Looked up once per call.  Eviction drops the tables it
+                # empties, but never this one under us: it holds the key
+                # just inserted, which sits at the MRU end and is never
+                # its own access's victim (one document fits in any
+                # capacity >= 1 once everything older is gone).
+                owned = owner_docs.get(owner)
+                if owned is None:
+                    owned = owner_docs[owner] = {}
+            owned[key] = None
+            # A new document opens a page exactly when the previous
+            # count filled its pages to the brim.
+            count = resident[collection]
+            resident[collection] = count + 1
+            if count % dpp == 0:
+                self._pages_used += 1
+                if self._pages_used > self.capacity_pages:
+                    self._evict_to_fit(outcome)
+        outcome.hits = hits
+        outcome.misses = misses
+        self.total_hits += hits
+        self.total_misses += misses
         if self._traced and outcome.evicted_docs:
-            from ...obs.tracer import owner_label
-
             self._tracer.instant(
                 self.env.now,
                 "mem",
@@ -254,12 +297,22 @@ class DocumentBuffer(Resource):
         docs = self._owner_docs.pop(owner, None)
         if not docs:
             return 0
-        released = 0
+        nodes = self._nodes
+        resident = self._resident
+        docs_per_page = self._docs_per_page
         for key in docs:
-            node = self._nodes.pop(key)
-            self._unlink(node)
-            self._drop_resident(node.collection)
-            released += 1
+            node = nodes.pop(key)
+            before = node.prev
+            after = node.next
+            before.next = after
+            after.prev = before
+            node.prev = node.next = None
+            collection = node.collection
+            count = resident[collection] - 1
+            resident[collection] = count
+            if count % docs_per_page[collection] == 0:
+                self._pages_used -= 1
+        released = len(docs)
         self.total_released_docs += released
         if self._traced:
             self._trace_depths(used=self._pages_used, free=self.free_pages)
@@ -294,58 +347,52 @@ class DocumentBuffer(Resource):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _insert(
-        self, key: Tuple[str, Hashable], collection: str, owner: Any
-    ) -> None:
-        node = _DocNode(key, collection, owner)
-        self._nodes[key] = node
-        self._push_mru(node)
-        self._owner_docs.setdefault(owner, {})[key] = None
-        # Page accounting: a new document opens a page exactly when the
-        # previous count filled its pages to the brim.
-        if self._resident[collection] % self._docs_per_page[collection] == 0:
-            self._pages_used += 1
-        self._resident[collection] += 1
-
     def _evict_to_fit(self, outcome: DocAccessOutcome) -> None:
-        while self._pages_used > self.capacity_pages:
-            victim = self._head.next
-            if victim is self._tail:  # pragma: no cover - defensive
-                break
-            self._unlink(victim)
-            outcome.unlink_ops += 1
-            del self._nodes[victim.key]
-            owned = self._owner_docs.get(victim.owner)
+        """Evict globally-LRU documents until the page budget fits.
+
+        One walk from the LRU end: each victim is unlinked (its own
+        pointers cleared -- one ``unlink_op`` per document) and the head
+        sentinel is re-linked once, to the first survivor, at the end.
+        """
+        capacity = self.capacity_pages
+        pages = self._pages_used
+        head = self._head
+        tail = self._tail
+        nodes = self._nodes
+        owner_docs = self._owner_docs
+        resident = self._resident
+        docs_per_page = self._docs_per_page
+        victims = outcome.victims
+        docs = freed = 0
+        victim = head.next
+        while pages > capacity and victim is not tail:
+            survivor = victim.next
+            key = victim.key
+            del nodes[key]
+            owner = victim.owner
+            owned = owner_docs.get(owner)
             if owned is not None:
-                owned.pop(victim.key, None)
+                owned.pop(key, None)
                 if not owned:
-                    del self._owner_docs[victim.owner]
-            pages_before = self._pages_used
-            self._drop_resident(victim.collection)
-            outcome.evicted_docs += 1
-            outcome.evicted_pages += pages_before - self._pages_used
-            outcome.victims[victim.owner] = (
-                outcome.victims.get(victim.owner, 0) + 1
-            )
-            self.total_evicted_docs += 1
-            self.total_evicted_pages += pages_before - self._pages_used
-
-    def _drop_resident(self, collection: str) -> None:
-        self._resident[collection] -= 1
-        if self._resident[collection] % self._docs_per_page[collection] == 0:
-            self._pages_used -= 1
-
-    def _unlink(self, node: _DocNode) -> None:
-        node.prev.next = node.next
-        node.next.prev = node.prev
-        node.prev = node.next = None
-
-    def _push_mru(self, node: _DocNode) -> None:
-        last = self._tail.prev
-        last.next = node
-        node.prev = last
-        node.next = self._tail
-        self._tail.prev = node
+                    del owner_docs[owner]
+            collection = victim.collection
+            count = resident[collection] - 1
+            resident[collection] = count
+            if count % docs_per_page[collection] == 0:
+                pages -= 1
+                freed += 1
+            victims[owner] = victims.get(owner, 0) + 1
+            docs += 1
+            victim.prev = victim.next = None
+            victim = survivor
+        head.next = victim
+        victim.prev = head
+        self._pages_used = pages
+        outcome.evicted_docs += docs
+        outcome.unlink_ops += docs
+        outcome.evicted_pages += freed
+        self.total_evicted_docs += docs
+        self.total_evicted_pages += freed
 
     def _close(self, grant: Any) -> None:  # pragma: no cover - unused
         raise NotImplementedError("DocumentBuffer uses access/release_owner")

@@ -25,13 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class LockGrant(Grant):
     """Grant event for a :class:`SyncLock` acquisition."""
 
+    #: ``exclusive`` is set by :meth:`SyncLock.acquire`, the only builder.
     __slots__ = ("exclusive",)
-
-    def __init__(
-        self, env: "Environment", lock: "SyncLock", owner: Any, exclusive: bool
-    ) -> None:
-        super().__init__(env, lock, owner)
-        self.exclusive = exclusive
 
 
 class SyncLock(Resource):
@@ -128,7 +123,8 @@ class SyncLock(Resource):
     # ------------------------------------------------------------------
     def acquire(self, owner: Any = None, exclusive: bool = True) -> LockGrant:
         """Request the lock; returns a grant event to yield on."""
-        grant = LockGrant(self.env, self, owner, exclusive)
+        grant = LockGrant(self.env, self, owner)
+        grant.exclusive = exclusive
         self._waiters.append(grant)
         if self._traced:
             self._trace_wait_begin(grant, exclusive=exclusive)
@@ -138,24 +134,24 @@ class SyncLock(Resource):
         self._dispatch()
         return grant
 
-    def _compatible(self, grant: LockGrant) -> bool:
-        if grant.exclusive:
-            return not self._holders
-        return not self.held_exclusive
-
     def _dispatch(self) -> None:
         """Grant as many head-of-queue waiters as compatibility allows."""
-        while self._waiters:
-            head = self._waiters[0]
-            if not self._compatible(head):
+        waiters = self._waiters
+        holders = self._holders
+        while waiters:
+            head = waiters[0]
+            # A writer needs the lock free; a reader only needs no writer
+            # holding it -- and a writer never shares, so if one holds
+            # the lock it is holders[0].
+            if holders and (head.exclusive or holders[0].exclusive):
                 break
-            self._waiters.popleft()
-            self._holders.append(head)
+            waiters.popleft()
+            holders.append(head)
             self.total_wait_time += self.env.now - head.request_time
             if self._traced:
                 self._trace_granted(head, exclusive=head.exclusive)
                 self._trace_depths(
-                    queued=len(self._waiters), holders=len(self._holders)
+                    queued=len(waiters), holders=len(holders)
                 )
             head._mark_granted()
         # Progress guarantee: a fully idle lock readmits parked waiters
@@ -233,9 +229,10 @@ class SyncLock(Resource):
         return readmitted
 
     def _close(self, grant: Grant) -> None:
-        if grant in self._holders:
+        if grant.grant_time is not None:
+            # Granted means holding: a grant leaves ``_holders`` only here.
             self._holders.remove(grant)
-            self.total_hold_time += grant.hold_time
+            self.total_hold_time += grant._closed_hold
             if self._traced:
                 self._trace_released(grant)
                 self._trace_depths(

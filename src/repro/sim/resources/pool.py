@@ -20,6 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from ...obs.tracer import owner_label
 from .base import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,6 +92,10 @@ class MemoryPool(Resource):
         self.eviction = eviction
         #: owner -> resident page count, in LRU order (oldest first).
         self._resident: "OrderedDict[Any, int]" = OrderedDict()
+        #: Running ``sum(self._resident.values())``, kept by ``acquire``,
+        #: ``_take_from`` and ``release`` so occupancy reads do not grow
+        #: with the number of owners.
+        self._used = 0
         #: Cumulative counters for contention-level computation.
         self.total_acquired = 0
         self.total_evicted = 0
@@ -101,11 +106,11 @@ class MemoryPool(Resource):
     # ------------------------------------------------------------------
     @property
     def used_pages(self) -> int:
-        return sum(self._resident.values())
+        return self._used
 
     @property
     def free_pages(self) -> int:
-        return self.capacity_pages - self.used_pages
+        return self.capacity_pages - self._used
 
     def resident_pages(self, owner: Any) -> int:
         return self._resident.get(owner, 0)
@@ -114,7 +119,7 @@ class MemoryPool(Resource):
         return list(self._resident.keys())
 
     def occupancy(self) -> float:
-        return self.used_pages / self.capacity_pages
+        return self._used / self.capacity_pages
 
     def telemetry_snapshot(self) -> dict:
         """Scrape-friendly state (see :mod:`repro.telemetry.scrape`)."""
@@ -142,7 +147,7 @@ class MemoryPool(Resource):
         if capacity_pages <= 0:
             raise ValueError("capacity_pages must be positive")
         self.capacity_pages = capacity_pages
-        overflow = self.used_pages - capacity_pages
+        overflow = self._used - capacity_pages
         evicted = 0
         if overflow > 0:
             evicted = self._evict(overflow, requester=None, protected=())
@@ -185,7 +190,7 @@ class MemoryPool(Resource):
         if pages < 0:
             raise ValueError("pages must be non-negative")
         pages = min(pages, self.capacity_pages)
-        from_free = min(pages, self.free_pages)
+        from_free = min(pages, self.capacity_pages - self._used)
         need_evict = pages - from_free
 
         victims: Dict[Any, int] = {}
@@ -200,10 +205,9 @@ class MemoryPool(Resource):
         if pages > 0:
             self._resident[owner] = self._resident.get(owner, 0) + pages
             self._resident.move_to_end(owner)
+            self._used += pages
         self.total_acquired += pages
         if self._traced:
-            from ...obs.tracer import owner_label
-
             if evicted > 0:
                 self._tracer.instant(
                     self.env.now,
@@ -244,6 +248,7 @@ class MemoryPool(Resource):
             del self._resident[victim]
         else:
             self._resident[victim] = have - take
+        self._used -= take
         self._last_victims[victim] = self._last_victims.get(victim, 0) + take
 
     def _evict_lru(self, pages: int, blocked: set) -> int:
@@ -297,6 +302,7 @@ class MemoryPool(Resource):
             del self._resident[owner]
         else:
             self._resident[owner] = have - take
+        self._used -= take
         self.total_released += take
         if self._traced:
             self._trace_depths(used=self.used_pages, free=self.free_pages)

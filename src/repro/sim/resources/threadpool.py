@@ -23,13 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class SlotGrant(Grant):
     """Grant event for a worker slot."""
 
+    #: ``klass`` is set by :meth:`ThreadPool.submit`, the only builder.
     __slots__ = ("klass",)
-
-    def __init__(
-        self, env: "Environment", pool: "ThreadPool", owner: Any, klass: str
-    ) -> None:
-        super().__init__(env, pool, owner)
-        self.klass = klass
 
 
 class QueueFull(Exception):
@@ -201,8 +196,21 @@ class ThreadPool(Resource):
                 f"{self.name}: admission queue full "
                 f"({len(self._waiters)}/{self.queue_capacity})"
             )
-        grant = SlotGrant(self.env, self, owner, klass)
-        self._waiters.append(grant)
+        grant = SlotGrant(self.env, self, owner)
+        grant.klass = klass
+        waiters = self._waiters
+        if not (waiters or self._reservations or self._traced):
+            # Nobody is ahead of this grant and nothing reshapes the
+            # order: take a free slot now (zero wait, nothing to add to
+            # total_wait_time) or become the queue's head -- what
+            # append + _dispatch would do, without the loop.
+            if len(self._running) < self.workers:
+                self._running.append(grant)
+                grant._mark_granted()
+            else:
+                waiters.append(grant)
+            return grant
+        waiters.append(grant)
         if self._traced:
             self._trace_wait_begin(grant, klass=klass)
             self._trace_depths(
@@ -252,15 +260,17 @@ class ThreadPool(Resource):
                     break
 
     def _close(self, grant: Grant) -> None:
-        if grant in self._running:
+        if grant.grant_time is not None:
+            # Granted means running: a grant leaves ``_running`` only here.
             self._running.remove(grant)
-            self.total_busy_time += grant.hold_time
+            self.total_busy_time += grant._closed_hold
             if self._traced:
                 self._trace_released(grant)
                 self._trace_depths(
                     queued=len(self._waiters), active=len(self._running)
                 )
-            self._dispatch()
+            if self._waiters:
+                self._dispatch()
             return
         try:
             self._waiters.remove(grant)  # type: ignore[arg-type]

@@ -37,7 +37,7 @@ def window_series(
 
     Args:
         records: completion records (``RequestRecord``-shaped: needs
-            ``completed``, ``finish_time``, ``latency``); typically the
+            ``status``, ``arrival_time``, ``finish_time``); typically the
             warm-up-trimmed collector records so the series matches the
             run summary.
         duration: run horizon covered by the window grid.
@@ -51,7 +51,7 @@ def window_series(
     one windows-aligned list per :data:`SERIES_KEYS` (``p99`` is None
     for empty windows; everything else is a number).
     """
-    windows = completion_windows(list(records), window, duration)
+    windows = completion_windows(records, window, duration)
     n = window_count(duration, window)
     cancels = [0] * n
     for t in cancel_times:

@@ -52,8 +52,7 @@ class TestDispatch:
         app = TinyApp(env, NullController(env), Rng(0))
         task = app.controller.create_cancel()
         with pytest.raises(KeyError, match="no operation"):
-            # The error surfaces when the generator starts.
-            list(app.execute(task, Operation("nope")))
+            app.execute(task, Operation("nope"))
 
     def test_operations_listing(self, env):
         app = TinyApp(env, NullController(env), Rng(0))
@@ -89,6 +88,58 @@ class TestTracingDebt:
         task = app.controller.create_cancel()
         app.trace_get(task, app.r_lock)
         assert "trace_debt" not in task.metadata
+
+
+SYSTEMS = (
+    "atropos", "protego", "pbox", "darc", "parties", "seda", "breakwater",
+    "dagor", "autothrottle", "overload",
+)
+TRACING_HOOKS = ("get_resource", "free_resource", "slow_by_resource")
+
+
+class TestTracesResourcesFact:
+    """``traces_resources`` lets the app skip the tracing round trip; it
+    must be True for every controller that would have recorded it."""
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_stated_by_exactly_the_controllers_that_record(self, env, system):
+        from repro.baselines import controller_factory
+
+        controller = controller_factory(system)(env)
+        records = any(
+            getattr(controller, hook).__func__
+            is not getattr(BaseController, hook)
+            for hook in TRACING_HOOKS
+        )
+        assert controller.traces_resources is records
+        if not records:
+            assert controller.tracing_cost(1) == 0.0
+
+    def test_recording_controller_still_sees_every_tracing_call(self, env):
+        seen = []
+
+        class Recorder(NullController):
+            traces_resources = True
+
+            def get_resource(self, task, resource, amount=1.0):
+                seen.append(("get", resource.name, amount))
+
+            def free_resource(self, task, resource, amount=1.0):
+                seen.append(("free", resource.name, amount))
+
+            def slow_by_resource(self, task, resource, delay, events=1.0):
+                seen.append(("slow", resource.name, delay, events))
+
+        app = TinyApp(env, Recorder(env), Rng(0))
+        task = app.controller.create_cancel()
+        app.trace_get(task, app.r_lock, 2.0)
+        app.trace_slow_by(task, app.r_pool, 0.5, events=3.0)
+        app.trace_free(task, app.r_lock, 2.0)
+        assert seen == [
+            ("get", "tiny.lock", 2.0),
+            ("slow", "tiny.pool", 0.5, 3.0),
+            ("free", "tiny.lock", 2.0),
+        ]
 
 
 class TestCheckpoint:

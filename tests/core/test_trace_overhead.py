@@ -17,18 +17,19 @@ costs the whole simulation":
 
 With six tuple-keyed ledger tables and the dataclass-generated handle
 hash this run cost 43.2 calls and 11.3 ``hash()`` calls per traced
-event; the per-(task, resource) records brought it to 30.2 and 1.5.
-The bounds sit ~25 % above the new values.  Wall-clock numbers are
-``core.trace_call_us`` / ``core.overhead_x`` in ``perf/``.
+event; the per-(task, resource) records brought it to 30.3 and 1.5,
+and the lean grant path / unjoined completions under it (kernel and
+resources, not tracing; see ``test_request_path_overhead.py``) to 24.4
+calls.  The bounds sit ~25 % above the current values.  Wall-clock
+numbers are ``core.trace_call_us`` / ``core.overhead_x`` in ``perf/``.
 """
-
-import gc
-import sys
 
 from repro.baselines import controller_factory
 from repro.cases import get_case
 
-MAX_CALLS_PER_EVENT = 38.0
+from .callcount import counted
+
+MAX_CALLS_PER_EVENT = 30.5
 MAX_HASHES_PER_EVENT = 1.9
 
 
@@ -48,26 +49,7 @@ def _run_once():
 def test_tracing_call_and_hash_counts_per_event():
     _run_once()  # warm imports / code caches outside the measurement
 
-    calls = hashes = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls, hashes
-        if event == "call":
-            calls += 1
-        elif event == "c_call" and arg is hash:
-            hashes += 1
-
-    # A finished run is cyclic garbage full of suspended handler
-    # generators; collecting one mid-count would run their ``finally``
-    # blocks (releases, free_cancel) inside the measurement.
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profiler)
-    try:
-        result = _run_once()
-    finally:
-        sys.setprofile(None)
-        gc.enable()
+    result, calls, hashes = counted(_run_once)
 
     events = result.controller.runtime.events_traced
     assert events > 1000  # the run did exercise the tracing path

@@ -114,6 +114,38 @@ class TestHarness:
         )
         assert result.trimmed_collector is result.collector
 
+    def test_one_run_builds_the_trimmed_view_once(self, monkeypatch):
+        """``run_simulation`` summarizes the view it hands to the result,
+        and ``extract_extras`` + ``timeline`` reuse it (three builds a
+        run before)."""
+        from repro.apps.mysql import MySQL, light_mix
+        from repro.experiments.harness import extract_extras
+        from repro.sim.metrics import MetricsCollector
+        from repro.workloads import OpenLoopSource, Workload
+
+        calls = []
+        real_trimmed = MetricsCollector.trimmed
+
+        def counting_trimmed(self, cutoff):
+            calls.append(cutoff)
+            return real_trimmed(self, cutoff)
+
+        monkeypatch.setattr(MetricsCollector, "trimmed", counting_trimmed)
+        result = run_simulation(
+            lambda env, ctl, rng: MySQL(env, ctl, rng),
+            lambda app, rng: Workload(
+                [OpenLoopSource(rate=100.0, mix=light_mix(rng))]
+            ),
+            duration=4.0,
+            warmup=2.0,
+        )
+        extras = extract_extras(result)
+        result.timeline(window=1.0)
+        assert calls == [2.0]
+        assert sum(op["n"] for op in extras["ops"].values()) == (
+            result.summary.completed
+        )
+
     def test_registry_covers_every_artifact(self):
         expected = {
             "fig2", "fig3", "fig4", "fig9", "fig10", "fig11", "fig12",

@@ -11,7 +11,7 @@ OWNERS = ["a", "b", "c", "hot", "scan"]
 
 
 class PoolMachine(RuleBasedStateMachine):
-    """Random acquire/release/touch sequences on both eviction modes."""
+    """Random acquire/release/touch/resize sequences on both eviction modes."""
 
     def __init__(self):
         super().__init__()
@@ -64,6 +64,26 @@ class PoolMachine(RuleBasedStateMachine):
         before = self.pool.resident_pages(owner)
         self.pool.touch(owner)
         assert self.pool.resident_pages(owner) == before
+
+    @rule(capacity=st.integers(min_value=1, max_value=96))
+    def set_capacity(self, capacity):
+        if self.pool is None:
+            return
+        before = self.pool.used_pages
+        evicted = self.pool.set_capacity(capacity)
+        self.capacity = capacity
+        # Shrinking protects nobody, so exactly the overflow goes.
+        assert evicted == max(0, before - capacity)
+
+    @invariant()
+    def running_total_is_the_sum_of_residents(self):
+        """``used_pages`` is a running counter; the sum is its definition."""
+        if self.pool is None:
+            return
+        assert self.pool.used_pages == sum(
+            self.pool.resident_pages(owner) for owner in self.pool.owners()
+        )
+        assert self.pool.free_pages == self.capacity - self.pool.used_pages
 
     @invariant()
     def capacity_never_exceeded(self):

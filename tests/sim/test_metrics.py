@@ -1,6 +1,8 @@
 """Tests for metrics: records, percentiles, windows, summaries."""
 
+import dataclasses
 import math
+import struct
 
 import pytest
 
@@ -160,3 +162,107 @@ class TestSummary:
         assert s.dropped == 1
         assert s.drop_rate == pytest.approx(1 / 3)
         assert s.p99_latency == pytest.approx(0.298)
+
+    def test_rejects_non_positive_duration(self):
+        mc = MetricsCollector()
+        mc.record(make_record(1, 0.1))
+        for duration in (0.0, -1.0):
+            with pytest.raises(ValueError, match="duration"):
+                Summary.from_collector(mc, duration=duration)
+        with pytest.raises(ValueError, match="duration"):
+            Summary.from_collector(MetricsCollector(), duration=0.0)
+
+
+def _reference_summary(collector, duration):
+    """``Summary`` assembled from the public per-metric methods: the
+    straightforward several-pass definition ``from_collector`` must equal."""
+    counts = collector.status_counts()
+    return Summary(
+        duration=duration,
+        throughput=collector.throughput(duration),
+        p50_latency=collector.latency_percentile(50),
+        p99_latency=collector.latency_percentile(99),
+        mean_latency=collector.mean_latency(),
+        drop_rate=collector.drop_rate(),
+        completed=counts[RequestStatus.COMPLETED],
+        dropped=counts[RequestStatus.DROPPED],
+        cancelled=counts[RequestStatus.CANCELLED],
+        timed_out=counts[RequestStatus.TIMED_OUT],
+    )
+
+
+def _bits(summary):
+    """Field values with floats as their exact bit patterns (nan == nan,
+    and a one-ulp drift does not hide behind ``==`` on rounded output)."""
+    return {
+        name: struct.pack("<d", value) if isinstance(value, float) else value
+        for name, value in dataclasses.asdict(summary).items()
+    }
+
+
+def _mixed_collector(n=257):
+    """All four statuses, several ops, unsorted non-round latencies whose
+    sum depends on the order of addition."""
+    statuses = list(RequestStatus)
+    mc = MetricsCollector()
+    mc.note_offered(n + 5)
+    for i in range(n):
+        latency = ((i * 7919) % 1013) / 997.0 + 1e-9 * i
+        arrival = 0.37 * i
+        mc.record(RequestRecord(
+            request_id=i,
+            op_name=("read", "write", "scan")[i % 3],
+            client_id="c0",
+            arrival_time=arrival,
+            finish_time=arrival + latency,
+            status=statuses[0] if i % 5 else statuses[1 + (i // 5) % 3],
+        ))
+    return mc
+
+
+class TestSummaryMatchesPerMetricMethods:
+    """``from_collector`` is one pass and one sort; the per-metric
+    methods are the reference, field for field and bit for bit."""
+
+    def check(self, collector, duration):
+        got = Summary.from_collector(collector, duration)
+        want = _reference_summary(collector, duration)
+        assert _bits(got) == _bits(want)
+        return got
+
+    def test_all_four_statuses(self):
+        summary = self.check(_mixed_collector(), 28.0)
+        assert min(summary.completed, summary.dropped,
+                   summary.cancelled, summary.timed_out) > 0
+
+    def test_empty_collector(self):
+        summary = self.check(MetricsCollector(), 10.0)
+        assert summary.completed == 0 and summary.drop_rate == 0.0
+        assert math.isnan(summary.p50_latency)
+        assert math.isnan(summary.p99_latency)
+        assert math.isnan(summary.mean_latency)
+
+    def test_single_record(self):
+        mc = MetricsCollector()
+        mc.record(make_record(1, 0.125))
+        summary = self.check(mc, 3.0)
+        assert summary.p50_latency == summary.p99_latency == 0.125
+
+    def test_nothing_completed(self):
+        mc = MetricsCollector()
+        mc.record(make_record(1, 0.1, status=RequestStatus.CANCELLED))
+        mc.record(make_record(2, 0.2, status=RequestStatus.TIMED_OUT))
+        summary = self.check(mc, 3.0)
+        assert summary.drop_rate == 1.0 and math.isnan(summary.mean_latency)
+
+    def test_warmup_trimmed_view(self):
+        full = _mixed_collector()
+        view = full.trimmed(20.0)
+        assert 0 < len(view.records) < len(full.records)
+        assert view.offered == full.offered
+        assert view.offered_by_op == full.offered_by_op
+        assert view.records == [
+            r for r in full.records if r.finish_time >= 20.0
+        ]
+        self.check(view, 75.0)
+        assert full.trimmed(0.0) is full

@@ -248,3 +248,194 @@ def test_all_of_waits_for_all():
     p = env.process(proc(env))
     env.run()
     assert p.value == (5.0, ["a", "b"])
+
+
+# ----------------------------------------------------------------------
+# Completion rule: a completion nobody joined never reaches the heap; a
+# joined one resumes its joiner through the heap, in schedule order.
+# ----------------------------------------------------------------------
+def _worker(env, delay, value):
+    yield env.timeout(delay)
+    return value
+
+
+def test_unjoined_process_is_processed_the_moment_it_finishes():
+    env = Environment()
+    seen = []
+
+    def watcher(env, target):
+        yield env.timeout(1.0)
+        # Same instant as the worker's last event, which was scheduled
+        # first: the worker has finished and -- nobody having joined it
+        # -- is already processed, with no completion event pending.
+        seen.append((target.triggered, target.processed, env.queue_depth))
+
+    worker = env.process(_worker(env, 1.0, "done"))
+    env.process(watcher(env, worker))
+    env.run()
+    assert seen == [(True, True, 0)]
+    assert worker.ok and worker.value == "done"
+
+
+def test_late_join_of_finished_process_reads_its_value_at_once():
+    env = Environment()
+
+    def late_joiner(env, target):
+        yield env.timeout(5.0)
+        before = env.events_scheduled
+        value = yield target
+        # No event was needed to deliver the value, and no time passed.
+        return (env.now, value, env.events_scheduled - before)
+
+    worker = env.process(_worker(env, 1.0, "early"))
+    joiner = env.process(late_joiner(env, worker))
+    env.run()
+    assert joiner.value == (5.0, "early", 0)
+
+
+def test_run_until_finished_process_returns_its_value():
+    env = Environment()
+    worker = env.process(_worker(env, 1.0, "early"))
+    env.run(until=3.0)
+    assert worker.processed
+    assert env.run(until=worker) == "early"
+    assert env.now == 3.0
+
+
+def test_joined_process_resumes_its_joiner_through_the_heap():
+    """The joiner runs after events already scheduled for that instant
+    (the completion takes the next sequence number), not inside the
+    worker's last step."""
+    env = Environment()
+    order = []
+
+    def joiner(env, target):
+        value = yield target
+        order.append(("joiner", env.now, value))
+
+    def bystander(env):
+        yield env.timeout(1.0)
+        order.append(("bystander", env.now))
+
+    worker = env.process(_worker(env, 1.0, "w"))
+    env.process(joiner(env, worker))
+    env.process(bystander(env))
+    before = env.events_scheduled
+    env.run()
+    assert order == [("bystander", 1.0), ("joiner", 1.0, "w")]
+    # worker timeout + bystander timeout + the worker's completion: the
+    # joined completion is a scheduled event like any other.
+    assert env.events_scheduled - before == 3
+
+
+def test_all_of_over_processes_joins_them_through_the_heap():
+    env = Environment()
+    order = []
+
+    def parent(env, children):
+        result = yield env.all_of(children)
+        order.append("parent")
+        return (env.now, [result[child] for child in children])
+
+    def bystander(env):
+        yield env.timeout(2.0)
+        order.append("bystander")
+
+    children = [
+        env.process(_worker(env, 1.0, "a")),
+        env.process(_worker(env, 2.0, "b")),
+    ]
+    parent_proc = env.process(parent(env, children))
+    env.process(bystander(env))
+    env.run()
+    assert parent_proc.value == (2.0, ["a", "b"])
+    assert order == ["bystander", "parent"]
+
+
+def test_all_of_accepts_already_finished_unjoined_processes():
+    env = Environment()
+
+    def parent(env, children):
+        yield env.timeout(5.0)
+        result = yield env.all_of(children)
+        return (env.now, [result[child] for child in children])
+
+    children = [
+        env.process(_worker(env, 1.0, "a")),
+        env.process(_worker(env, 2.0, "b")),
+    ]
+    parent_proc = env.process(parent(env, children))
+    env.run()
+    assert parent_proc.value == (5.0, ["a", "b"])
+
+
+def test_closed_loop_client_resumes_in_schedule_order():
+    """The ``submit_and_wait`` shape: a client starts a request process
+    and joins it before it ends.  Two clients whose requests end at the
+    same instant resume in the order those requests finished."""
+    env = Environment()
+    order = []
+
+    def client(env, name, service):
+        for _ in range(2):
+            value = yield env.process(_worker(env, service, name))
+            order.append((env.now, value))
+
+    env.process(client(env, "first", 1.0))
+    env.process(client(env, "second", 1.0))
+    env.run()
+    assert order == [
+        (1.0, "first"), (1.0, "second"), (2.0, "first"), (2.0, "second"),
+    ]
+
+
+def test_unjoined_process_dying_of_an_exception_still_crashes_the_run():
+    env = Environment()
+
+    def broken(env):
+        yield env.timeout(1.0)
+        raise ValueError("model bug")
+
+    proc = env.process(broken(env))
+    with pytest.raises(ValueError, match="model bug"):
+        env.run()
+    assert proc.triggered and not proc.ok
+
+
+def test_unjoined_process_unwound_by_interrupt_does_not_crash_the_run():
+    env = Environment()
+
+    def killer(env, target):
+        yield env.timeout(1.0)
+        target.interrupt("cancelled")
+
+    target = env.process(_worker(env, 100.0, "never"))
+    env.process(killer(env, target))
+    before = env.events_scheduled
+    env.run()
+    assert target.processed and not target.ok
+    assert isinstance(target.value, Interrupt)
+    # The two timeouts + the interruption; no completion event for
+    # either process.
+    assert env.events_scheduled - before == 3
+
+
+def test_late_join_of_interrupted_process_raises_in_the_joiner():
+    env = Environment()
+
+    def killer(env, target):
+        yield env.timeout(1.0)
+        target.interrupt("cancelled")
+
+    def late_joiner(env, target):
+        yield env.timeout(5.0)
+        try:
+            yield target
+        except Interrupt as exc:
+            return ("raised", exc.cause)
+
+    target = env.process(_worker(env, 100.0, "never"))
+    env.process(killer(env, target))
+    joiner = env.process(late_joiner(env, target))
+    env.run()
+    assert joiner.value == ("raised", "cancelled")

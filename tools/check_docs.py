@@ -58,6 +58,8 @@ RETIRED_NAMES = [
     "repro bench",
     "BENCH_6.json",
     "BENCH_7.json",
+    "Environment._now",
+    "env._now",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,
