@@ -38,10 +38,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import time
 
 from . import campaign
 from .experiments import ALL_EXPERIMENTS, resolve_experiment_id
 from .reporting import DEFAULT_ORDER, render_report, run_experiments
+from .telemetry import telemetry_session
 
 
 def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
@@ -61,22 +63,15 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _campaign_settings(args):
-    campaign.reset_session_stats()
-    return campaign.settings(
-        jobs=getattr(args, "jobs", None),
-        cache=getattr(args, "cache", None),
-        cache_dir=getattr(args, "cache_dir", None),
-        adaptive=getattr(args, "adaptive", None) or None,
-    )
-
-
-def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--telemetry", default=None, metavar="DIR",
-        help="scrape the runs and write metrics.prom / series.jsonl / "
-        "report.html into DIR (forces serial, uncached execution)",
-    )
+def _add_telemetry_flags(
+    parser: argparse.ArgumentParser, directory: bool = True
+) -> None:
+    if directory:
+        parser.add_argument(
+            "--telemetry", default=None, metavar="DIR",
+            help="scrape the runs and write metrics.prom / series.jsonl / "
+            "report.html into DIR (forces serial, uncached execution)",
+        )
     parser.add_argument(
         "--live", action="store_true",
         help="print a live telemetry dashboard line per scrape to stderr",
@@ -87,33 +82,22 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _telemetry_session(args):
-    """Build a TelemetrySession from CLI flags; None when not requested."""
-    if not getattr(args, "telemetry", None) and not getattr(
-        args, "live", False
-    ):
+def _telemetry_session(args, always: bool = False):
+    """Build a TelemetrySession from CLI flags; None when not requested
+    (``always``: the ``report`` command scrapes whatever the flags)."""
+    live = getattr(args, "live", False)
+    if not (always or live or getattr(args, "telemetry", None)):
         return None
     from .telemetry import TelemetrySession, live_line
 
     sink = None
-    if args.live:
+    if live:
         def sink(run, window):
             print(live_line(run, window), file=sys.stderr)
 
     return TelemetrySession(
         interval=getattr(args, "scrape_interval", 0.25), live_sink=sink
     )
-
-
-@contextlib.contextmanager
-def _maybe_telemetry(session):
-    if session is None:
-        yield None
-        return
-    from .telemetry import telemetry_session
-
-    with telemetry_session(session):
-        yield session
 
 
 def _write_telemetry(session, out_dir) -> None:
@@ -132,44 +116,96 @@ def _write_telemetry(session, out_dir) -> None:
     )
 
 
-def _print_campaign_stats() -> None:
+@contextlib.contextmanager
+def _session(args, telemetry=None, in_process: bool = False):
+    """The scope every simulating command runs in.
+
+    Campaign settings come from the flags -- or, ``in_process``, are
+    pinned serial and uncached: ``trace`` and ``report`` observe the
+    runs, and a cached or worker-pool run would leave the trace or the
+    scrape series empty.  ``telemetry`` is the session to scrape into.
+    On the way out the ``--telemetry`` exports are written and the
+    campaign statistics go to stderr.
+    """
+    campaign.reset_session_stats()
+    if in_process:
+        settings = campaign.settings(jobs=1, cache=False)
+    else:
+        settings = campaign.settings(
+            jobs=getattr(args, "jobs", None),
+            cache=getattr(args, "cache", None),
+            cache_dir=getattr(args, "cache_dir", None),
+            adaptive=getattr(args, "adaptive", None) or None,
+        )
+    with settings, telemetry_session(telemetry):  # None: no session
+        yield
+    if telemetry is not None and getattr(args, "telemetry", None):
+        _write_telemetry(telemetry, args.telemetry)
     stats = campaign.session_stats()
     if stats.runs:
         print(stats.format(), file=sys.stderr)
+
+
+def _resolve(name: str):
+    """The experiment id behind a CLI name (short id or module name);
+    an unknown one is reported on stderr and resolves to None."""
+    exp_id = resolve_experiment_id(name)
+    if exp_id is None:
+        print(
+            f"unknown experiment {name!r}; "
+            f"known: {sorted(ALL_EXPERIMENTS)}",
+            file=sys.stderr,
+        )
+    return exp_id
+
+
+def _run(args, exp_id: str, seed=None, **kwargs):
+    """Call one experiment's runner with the shared flags."""
+    return ALL_EXPERIMENTS[exp_id](
+        quick=not args.full,
+        seed=args.seed if seed is None else seed,
+        **kwargs,
+    )
+
+
+def _run_one(args, name: str, **kwargs) -> int:
+    """resolve -> session -> runner -> print -> stats: all there is to
+    ``run``, ``ablate``, ``ablate-adaptive``, ``faults matrix``, ``dag
+    --controller compare`` and ``cluster --mode compare``."""
+    exp_id = _resolve(name)
+    if exp_id is None:
+        return 2
+    with _session(args, _telemetry_session(args)):
+        started = time.time()
+        result = _run(args, exp_id, **kwargs)
+        print(
+            f"[{exp_id} done in {time.time() - started:.1f}s]",
+            file=sys.stderr,
+        )
+        print(result.format())
+    return 0
+
+
+def _case_range() -> str:
+    from .cases import all_case_ids
+
+    ids = all_case_ids()
+    return f"{ids[0]}..{ids[-1]}"
 
 
 def cmd_list(args) -> int:
     print("Available experiments (paper artifact -> runner):")
     for exp_id in DEFAULT_ORDER:
         print(f"  {exp_id}")
-    print("\nAvailable cases: c1..c16 (see `python -m repro case <id>`)")
+    opt_in = [i for i in ALL_EXPERIMENTS if i not in DEFAULT_ORDER]
+    print(f"\nOpt-in (`python -m repro run <id>`): {', '.join(opt_in)}")
+    print(f"\nAvailable cases: {_case_range()} "
+          "(see `python -m repro case <id>`)")
     return 0
 
 
 def cmd_run(args) -> int:
-    if args.experiment not in ALL_EXPERIMENTS:
-        print(
-            f"unknown experiment {args.experiment!r}; "
-            f"known: {sorted(ALL_EXPERIMENTS)}",
-            file=sys.stderr,
-        )
-        return 2
-    session = _telemetry_session(args)
-    with _campaign_settings(args):
-        with _maybe_telemetry(session):
-            results = run_experiments(
-                [args.experiment],
-                quick=not args.full,
-                seed=args.seed,
-                progress=lambda i, dt: print(
-                    f"[{i} done in {dt:.1f}s]", file=sys.stderr
-                ),
-            )
-    print(results[args.experiment].format())
-    if session is not None and args.telemetry:
-        _write_telemetry(session, args.telemetry)
-    _print_campaign_stats()
-    return 0
+    return _run_one(args, args.experiment)
 
 
 def cmd_all(args) -> int:
@@ -180,53 +216,40 @@ def cmd_all(args) -> int:
     print("Running all experiments "
           f"({'full' if args.full else 'quick'} mode)...",
           file=sys.stderr)
-    session = _telemetry_session(args)
-    with _campaign_settings(args):
-        with _maybe_telemetry(session):
-            results = run_experiments(
-                quick=not args.full, seed=args.seed, progress=progress
-            )
-    report = render_report(results)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(report)
-        print(f"report written to {args.output}", file=sys.stderr)
-    else:
-        print(report)
-    if session is not None and args.telemetry:
-        _write_telemetry(session, args.telemetry)
-    _print_campaign_stats()
+    with _session(args, _telemetry_session(args)):
+        results = run_experiments(
+            quick=not args.full, seed=args.seed, progress=progress
+        )
+        report = render_report(results)
+        if args.output:
+            with open(args.output, "w") as handle:
+                handle.write(report)
+            print(f"report written to {args.output}", file=sys.stderr)
+        else:
+            print(report)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    exp_id = resolve_experiment_id(args.experiment)
+    exp_id = _resolve(args.experiment)
     if exp_id is None:
-        print(
-            f"unknown experiment {args.experiment!r}; "
-            f"known: {sorted(ALL_EXPERIMENTS)}",
-            file=sys.stderr,
-        )
         return 2
     seeds = args.seeds if args.seeds else [0]
     sections = []
-    with _campaign_settings(args):
+    with _session(args):
         for seed in seeds:
             print(f"[sweep {exp_id} seed={seed}]", file=sys.stderr)
-            results = run_experiments(
-                [exp_id], quick=not args.full, seed=seed
-            )
-            sections.append(
-                f"## seed={seed}\n\n{results[exp_id].format()}"
-            )
-    report = f"# Sweep: {exp_id} (seeds={seeds})\n\n" + "\n\n".join(sections)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(report + "\n")
-        print(f"sweep written to {args.output}", file=sys.stderr)
-    else:
-        print(report)
-    _print_campaign_stats()
+            result = _run(args, exp_id, seed=seed)
+            sections.append(f"## seed={seed}\n\n{result.format()}")
+        report = (
+            f"# Sweep: {exp_id} (seeds={seeds})\n\n" + "\n\n".join(sections)
+        )
+        if args.output:
+            with open(args.output, "w") as handle:
+                handle.write(report + "\n")
+            print(f"sweep written to {args.output}", file=sys.stderr)
+        else:
+            print(report)
     return 0
 
 
@@ -275,24 +298,13 @@ def cmd_trace(args) -> int:
         write_utilization_csv,
     )
 
-    exp_id = resolve_experiment_id(args.experiment)
+    exp_id = _resolve(args.experiment)
     if exp_id is None:
-        print(
-            f"unknown experiment {args.experiment!r}; "
-            f"known: {sorted(ALL_EXPERIMENTS)}",
-            file=sys.stderr,
-        )
         return 2
     out = args.out or f"{exp_id}-trace.json"
     tracer = Tracer(max_runs=None if args.all_runs else 1)
-    # Tracing needs in-process serial runs: cached or worker-pool runs
-    # would leave the trace empty.
-    with campaign.settings(jobs=1, cache=False):
-        with tracing(tracer):
-            results = run_experiments(
-                [exp_id], quick=not args.full, seed=args.seed
-            )
-    print(results[exp_id].format())
+    with _session(args, in_process=True), tracing(tracer):
+        print(_run(args, exp_id).format())
     print()
     write_chrome_trace(tracer, out)
     print(f"chrome trace written to {out} "
@@ -309,38 +321,15 @@ def cmd_trace(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .telemetry import (
-        TelemetrySession,
-        live_line,
-        telemetry_session,
-        write_html_report,
-    )
+    from .telemetry import write_html_report
 
-    exp_id = resolve_experiment_id(args.experiment)
+    exp_id = _resolve(args.experiment)
     if exp_id is None:
-        print(
-            f"unknown experiment {args.experiment!r}; "
-            f"known: {sorted(ALL_EXPERIMENTS)}",
-            file=sys.stderr,
-        )
         return 2
     out = args.out or f"{exp_id}-report.html"
-    sink = None
-    if args.live:
-        def sink(run, window):
-            print(live_line(run, window), file=sys.stderr)
-
-    session = TelemetrySession(
-        interval=args.scrape_interval, live_sink=sink
-    )
-    # Telemetry needs in-process serial runs, like tracing: cached or
-    # worker-pool runs would leave the scrape series empty.
-    with campaign.settings(jobs=1, cache=False):
-        with telemetry_session(session):
-            results = run_experiments(
-                [exp_id], quick=not args.full, seed=args.seed
-            )
-    print(results[exp_id].format())
+    session = _telemetry_session(args, always=True)
+    with _session(args, session, in_process=True):
+        print(_run(args, exp_id).format())
     write_html_report(session.runs, out, title=f"repro telemetry: {exp_id}")
     print(
         f"telemetry report for {len(session.runs)} run(s) written to {out}",
@@ -370,84 +359,73 @@ def cmd_faults(args) -> int:
             print(f"  {name:<20} {plan.describe()}")
         return 0
 
-    if args.faults_command == "run":
-        from .experiments.case_family import case_spec
-
-        try:
-            plan = resolve_plan(args.plan)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        spec = case_spec(
-            "faults-cli", args.case, seed=args.seed,
-            system=args.system, faults=plan,
+    if args.faults_command == "matrix":
+        return _run_one(
+            args, "resilience", case_ids=args.cases, kinds=args.kinds
         )
-        with _campaign_settings(args):
-            outcome = campaign.execute([spec])[0]
-        s = outcome.summary
+
+    from .experiments.case_family import case_spec
+
+    try:
+        plan = resolve_plan(args.plan)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    spec = case_spec(
+        "faults-cli", args.case, seed=args.seed,
+        system=args.system, faults=plan,
+    )
+    with _session(args):
+        outcome = campaign.execute([spec])[0]
+    s = outcome.summary
+    print(
+        f"case={args.case} system={args.system} seed={args.seed} "
+        f"plan={args.plan}"
+    )
+    print(f"plan: {plan.describe()}")
+    print(
+        f"tput={s.throughput:.1f}/s  p99={s.p99_latency * 1000:.1f}ms  "
+        f"drop_rate={s.drop_rate:.4f}  cancels={outcome.cancels}  "
+        f"signals_dropped={outcome.extras['cancel_signals_dropped']}"
+    )
+    print("\nFault log:")
+    for event in outcome.extras.get("fault_events", []):
+        marker = "applied" if event["applied"] else "no-op"
         print(
-            f"case={args.case} system={args.system} seed={args.seed} "
-            f"plan={args.plan}"
+            f"  t={event['time']:7.3f}s  {event['phase']:<7} "
+            f"{event['kind']:<16} [{marker}] {event['detail']}"
         )
-        print(f"plan: {plan.describe()}")
-        print(
-            f"tput={s.throughput:.1f}/s  p99={s.p99_latency * 1000:.1f}ms  "
-            f"drop_rate={s.drop_rate:.4f}  cancels={outcome.cancels}  "
-            f"signals_dropped={outcome.extras['cancel_signals_dropped']}"
-        )
-        print("\nFault log:")
-        for event in outcome.extras.get("fault_events", []):
-            marker = "applied" if event["applied"] else "no-op"
-            print(
-                f"  t={event['time']:7.3f}s  {event['phase']:<7} "
-                f"{event['kind']:<16} [{marker}] {event['detail']}"
-            )
-        cancelled = outcome.extras.get("cancelled_ops", [])
-        if cancelled:
-            print(f"\nCancelled operations: {', '.join(cancelled)}")
-        _print_campaign_stats()
-        return 0
-
-    # matrix
-    from .experiments.resilience import run as run_resilience
-
-    with _campaign_settings(args):
-        result = run_resilience(
-            quick=not args.full,
-            case_ids=args.cases,
-            kinds=args.kinds,
-            seed=args.seed,
-        )
-    print(result.format())
-    _print_campaign_stats()
-    return 0
-
-
-def cmd_ablate_adaptive(args) -> int:
-    from .experiments.ablate_adaptive import run as run_ablation
-
-    with _campaign_settings(args):
-        result = run_ablation(
-            quick=not args.full, seed=args.seed, case_ids=args.cases
-        )
-    print(result.format())
-    _print_campaign_stats()
+    cancelled = outcome.extras.get("cancelled_ops", [])
+    if cancelled:
+        print(f"\nCancelled operations: {', '.join(cancelled)}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    if args.levers:
-        from .experiments.ablate_levers import run as run_ablation
-    else:
-        # Default dimension: the threshold-policy ablation.
-        from .experiments.ablate_adaptive import run as run_ablation
+    # Default dimension: the threshold-policy ablation (all there is to
+    # ``ablate-adaptive``, which has no ``--levers``).
+    levers = getattr(args, "levers", False)
+    return _run_one(
+        args,
+        "ablate-levers" if levers else "ablate-adaptive",
+        case_ids=args.cases,
+    )
 
-    with _campaign_settings(args):
-        result = run_ablation(
-            quick=not args.full, seed=args.seed, case_ids=args.cases
-        )
-    print(result.format())
-    _print_campaign_stats()
+
+def _spec_overrides(args) -> dict:
+    """The ``--duration`` / ``--warmup`` / ``--epoch`` actually given."""
+    return {
+        name: getattr(args, name)
+        for name in ("duration", "warmup", "epoch")
+        if getattr(args, name) is not None
+    }
+
+
+def _print_run(args, result) -> int:
+    """One fleet or mesh run: its rendering and, asked, its sha256."""
+    print(result.render())
+    if args.digest:
+        print(f"digest {result.digest()}")
     return 0
 
 
@@ -455,72 +433,32 @@ def cmd_cluster(args) -> int:
     from .cluster import demo_fleet, run_fleet
 
     if args.mode == "compare":
-        from .experiments.cluster_attribution import run as run_comparison
-
-        result = run_comparison(
-            quick=not args.full,
-            seed=args.seed,
-            jobs=args.jobs,
-            n_nodes=args.nodes,
-            policy=args.policy,
+        return _run_one(
+            args, "cluster", n_nodes=args.nodes, policy=args.policy
         )
-        print(result.format())
-        return 0
-
-    overrides = {}
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.warmup is not None:
-        overrides["warmup"] = args.warmup
-    if args.epoch is not None:
-        overrides["epoch"] = args.epoch
     spec = demo_fleet(
         n_nodes=args.nodes,
         backends=tuple(args.backends),
         policy=args.policy,
         mode=args.mode,
         seed=args.seed,
-        **overrides,
+        **_spec_overrides(args),
     )
-    result = run_fleet(spec, jobs=args.jobs)
-    print(result.render())
-    if args.digest:
-        print(f"digest {result.digest()}")
-    return 0
+    return _print_run(args, run_fleet(spec, jobs=args.jobs))
 
 
 def cmd_dag(args) -> int:
     from .cluster import run_dag
     from .workloads.dag import dag_storm
 
-    overrides = {}
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.warmup is not None:
-        overrides["warmup"] = args.warmup
-    if args.epoch is not None:
-        overrides["epoch"] = args.epoch
-
     if args.controller == "compare":
-        from .experiments.dag_overload import run as run_comparison
-
-        with _campaign_settings(args):
-            result = run_comparison(
-                quick=not args.full,
-                seed=args.seed,
-                jobs=args.jobs,
-                n_leaves=args.leaves,
-            )
-        print(result.format())
-        _print_campaign_stats()
-        return 0
-
-    spec = dag_storm(n_leaves=args.leaves, seed=args.seed, **overrides)
-    result = run_dag(spec, controller=args.controller, jobs=args.jobs)
-    print(result.render())
-    if args.digest:
-        print(f"digest {result.digest()}")
-    return 0
+        return _run_one(args, "dag", n_leaves=args.leaves)
+    spec = dag_storm(
+        n_leaves=args.leaves, seed=args.seed, **_spec_overrides(args)
+    )
+    return _print_run(
+        args, run_dag(spec, controller=args.controller, jobs=args.jobs)
+    )
 
 
 def cmd_regress(args) -> int:
@@ -562,7 +500,7 @@ def cmd_regress(args) -> int:
         }
         if args.telemetry:
             meta["telemetry_interval"] = args.scrape_interval
-        with _campaign_settings(args):
+        with _session(args):
             baseline = capture(
                 args.name,
                 entries,
@@ -572,7 +510,6 @@ def cmd_regress(args) -> int:
                 scrape_interval=args.scrape_interval,
             )
         baseline.write(args.out)
-        _print_campaign_stats()
         print(
             f"baseline {args.name!r}: {len(baseline.cases)} capture(s) "
             f"written to {args.out}"
@@ -625,10 +562,9 @@ def cmd_regress(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    with _campaign_settings(args):
+    with _session(args):
         current = recapture(baseline, jobs=args.jobs, perturb=perturb)
     result = compare(baseline, current, rel_tol=args.rel_tol)
-    _print_campaign_stats()
     print(result.format())
     report_path = args.report
     if args.action == "report" and report_path is None:
@@ -654,7 +590,40 @@ def cmd_cache(args) -> int:
     return 0
 
 
+def _add_ablation_flags(parser, full_help: str) -> None:
+    """What ``ablate-adaptive`` and ``ablate`` share."""
+    parser.add_argument("--full", action="store_true", help=full_help)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--cases", nargs="+", default=None, metavar="CID",
+        help="restrict to these case ids",
+    )
+    _add_campaign_flags(parser)
+    parser.set_defaults(func=cmd_ablate)
+
+
+def _add_horizon_flags(
+    parser, duration: int, warmup: int, epoch_help: str, full_help: str
+) -> None:
+    """What ``cluster`` and ``dag`` share: the run horizon, seed, scale."""
+    parser.add_argument(
+        "--duration", type=float, default=None, metavar="S",
+        help=f"simulated seconds (default {duration})",
+    )
+    parser.add_argument(
+        "--warmup", type=float, default=None, metavar="S",
+        help=f"seconds excluded from the report (default {warmup})",
+    )
+    parser.add_argument(
+        "--epoch", type=float, default=None, metavar="S", help=epoch_help
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--full", action="store_true", help=full_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .baselines import SYSTEMS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="ATROPOS (SOSP 2025) reproduction harness",
@@ -694,15 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ablate-adaptive",
         help="fixed vs health-driven adaptive thresholds across the cases",
     )
-    p_adapt.add_argument("--full", action="store_true",
-                         help="all 16 cases instead of the quick subset")
-    p_adapt.add_argument("--seed", type=int, default=0)
-    p_adapt.add_argument(
-        "--cases", nargs="+", default=None, metavar="CID",
-        help="restrict to these case ids",
-    )
-    _add_campaign_flags(p_adapt)
-    p_adapt.set_defaults(func=cmd_ablate_adaptive)
+    _add_ablation_flags(p_adapt, "all 16 cases instead of the quick subset")
 
     p_ablate = sub.add_parser(
         "ablate",
@@ -714,15 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="contrast mitigation levers (cancel / lock_reshape / "
         "composite) across the case families",
     )
-    p_ablate.add_argument("--full", action="store_true",
-                          help="all cases instead of the quick subset")
-    p_ablate.add_argument("--seed", type=int, default=0)
-    p_ablate.add_argument(
-        "--cases", nargs="+", default=None, metavar="CID",
-        help="restrict to these case ids",
-    )
-    _add_campaign_flags(p_ablate)
-    p_ablate.set_defaults(func=cmd_ablate)
+    _add_ablation_flags(p_ablate, "all cases instead of the quick subset")
 
     p_sweep = sub.add_parser(
         "sweep", help="run one experiment across several seeds"
@@ -739,12 +692,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_case = sub.add_parser("case", help="run one overload case")
-    p_case.add_argument("case", help="c1..c16")
+    p_case.add_argument("case", help=_case_range())
     p_case.add_argument(
         "--system",
         default="atropos",
-        choices=["overload", "atropos", "protego", "pbox", "darc",
-                 "parties", "seda", "breakwater", "dagor", "autothrottle"],
+        choices=list(SYSTEMS),
     )
     p_case.add_argument("--seed", type=int, default=0)
     p_case.add_argument(
@@ -798,14 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--seed", type=int, default=0)
     p_report.add_argument("--full", action="store_true",
                           help="full sweeps instead of quick mode")
-    p_report.add_argument(
-        "--live", action="store_true",
-        help="print a live telemetry dashboard line per scrape to stderr",
-    )
-    p_report.add_argument(
-        "--scrape-interval", type=float, default=0.25, metavar="S",
-        help="simulated seconds between telemetry scrapes (default 0.25)",
-    )
+    _add_telemetry_flags(p_report, directory=False)
     p_report.set_defaults(func=cmd_report)
 
     p_faults = sub.add_parser(
@@ -828,8 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     f_run.add_argument("--case", default="c1", help="case id (default c1)")
     f_run.add_argument(
         "--system", default="atropos",
-        choices=["overload", "atropos", "protego", "pbox", "darc",
-                 "parties", "seda", "breakwater", "dagor", "autothrottle"],
+        choices=list(SYSTEMS),
     )
     f_run.add_argument("--seed", type=int, default=0)
     _add_campaign_flags(f_run)
@@ -877,22 +821,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", default="compare", choices=list(MODES) + ["compare"],
         help="control mode, or 'compare' to run all three (default)",
     )
-    p_cluster.add_argument(
-        "--duration", type=float, default=None, metavar="S",
-        help="simulated seconds (default 30)",
-    )
-    p_cluster.add_argument(
-        "--warmup", type=float, default=None, metavar="S",
-        help="seconds excluded from the report (default 5)",
-    )
-    p_cluster.add_argument(
-        "--epoch", type=float, default=None, metavar="S",
-        help="coordinator scrape / LB sync interval (default 0.5)",
-    )
-    p_cluster.add_argument("--seed", type=int, default=0)
-    p_cluster.add_argument(
-        "--full", action="store_true",
-        help="longer runs for --mode compare (30s instead of 16s)",
+    _add_horizon_flags(
+        p_cluster, 30, 5,
+        "coordinator scrape / LB sync interval (default 0.5)",
+        "longer runs for --mode compare (30s instead of 16s)",
     )
     p_cluster.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -923,22 +855,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--leaves", type=int, default=2, metavar="N",
         help="fan-out leaf services behind the gateway (default 2)",
     )
-    p_dag.add_argument(
-        "--duration", type=float, default=None, metavar="S",
-        help="simulated seconds (default 24)",
-    )
-    p_dag.add_argument(
-        "--warmup", type=float, default=None, metavar="S",
-        help="seconds excluded from the report (default 4)",
-    )
-    p_dag.add_argument(
-        "--epoch", type=float, default=None, metavar="S",
-        help="mesh RPC / feedback sync interval (default 0.25)",
-    )
-    p_dag.add_argument("--seed", type=int, default=0)
-    p_dag.add_argument(
-        "--full", action="store_true",
-        help="longer runs for --controller compare (24s instead of 16s)",
+    _add_horizon_flags(
+        p_dag, 24, 4,
+        "mesh RPC / feedback sync interval (default 0.25)",
+        "longer runs for --controller compare (24s instead of 16s)",
     )
     p_dag.add_argument(
         "--digest", action="store_true",

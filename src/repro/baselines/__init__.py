@@ -19,6 +19,9 @@ applications (§5.1's integration methodology):
   (per-service fast loop + global tower, NSDI '24).
 """
 
+from ..core.atropos import Atropos
+from ..core.config import AtroposConfig
+from ..core.controller import NullController
 from .autothrottle import Autothrottle, AutothrottleTower
 from .breakwater import Breakwater
 from .dagor import Dagor
@@ -37,8 +40,31 @@ __all__ = [
     "PBox",
     "Parties",
     "Protego",
+    "SYSTEMS",
     "Seda",
 ]
+
+#: System name -> constructor(env, slo_latency, atropos_overrides): the
+#: one list of systems, read by :func:`controller_factory`, the CLI's
+#: ``--system`` choices (in this order) and the tests.
+SYSTEMS = {
+    "overload": lambda env, slo, overrides: NullController(env),
+    "atropos": lambda env, slo, overrides: Atropos(
+        env, AtroposConfig(slo_latency=slo, **overrides)
+    ),
+    "protego": lambda env, slo, overrides: Protego(env, slo_latency=slo),
+    "pbox": lambda env, slo, overrides: PBox(env, slo_latency=slo),
+    "darc": lambda env, slo, overrides: DARC(env),
+    "parties": lambda env, slo, overrides: Parties(env, slo_latency=slo),
+    "seda": lambda env, slo, overrides: Seda(env, slo_latency=slo),
+    "breakwater": lambda env, slo, overrides: Breakwater(
+        env, target_delay=slo
+    ),
+    "dagor": lambda env, slo, overrides: Dagor(env, slo_latency=slo),
+    "autothrottle": lambda env, slo, overrides: Autothrottle(
+        env, slo_latency=slo
+    ),
+}
 
 
 def controller_factory(
@@ -46,44 +72,14 @@ def controller_factory(
 ):
     """Build a controller factory by system name.
 
-    Recognized names: "atropos", "protego", "pbox", "darc", "parties",
-    "seda", "breakwater", "dagor", "autothrottle", "overload"/"none"
-    (uncontrolled).  ``atropos_overrides`` are extra
-    :class:`AtroposConfig` fields (used by cases that need e.g. the
-    thread-level cancellation flag).
+    Recognized names: the keys of :data:`SYSTEMS`, plus "none" for
+    "overload" (uncontrolled); anything else is a ValueError.
+    ``atropos_overrides`` are extra :class:`AtroposConfig` fields (used
+    by cases that need e.g. the thread-level cancellation flag).
     """
-    from ..core.atropos import Atropos
-    from ..core.config import AtroposConfig
-    from ..core.controller import NullController
-
     name = name.lower()
-
-    def build(env):
-        if name == "atropos":
-            return Atropos(
-                env,
-                AtroposConfig(
-                    slo_latency=slo_latency, **(atropos_overrides or {})
-                ),
-            )
-        if name == "protego":
-            return Protego(env, slo_latency=slo_latency)
-        if name == "pbox":
-            return PBox(env, slo_latency=slo_latency)
-        if name == "darc":
-            return DARC(env)
-        if name == "parties":
-            return Parties(env, slo_latency=slo_latency)
-        if name == "seda":
-            return Seda(env, slo_latency=slo_latency)
-        if name == "breakwater":
-            return Breakwater(env, target_delay=slo_latency)
-        if name == "dagor":
-            return Dagor(env, slo_latency=slo_latency)
-        if name == "autothrottle":
-            return Autothrottle(env, slo_latency=slo_latency)
-        if name in ("overload", "none"):
-            return NullController(env)
-        raise ValueError(f"unknown controller {name!r}")
-
-    return build
+    try:
+        constructor = SYSTEMS["overload" if name == "none" else name]
+    except KeyError:
+        raise ValueError(f"unknown controller {name!r}") from None
+    return lambda env: constructor(env, slo_latency, atropos_overrides or {})

@@ -194,31 +194,24 @@ def _execute_one(spec: RunSpec, label: Optional[str] = None) -> Dict[str, Any]:
         summary, extras = build.runner(
             seed=spec.seed, duration=duration, warmup=warmup, label=label
         )
-        walltime = time.perf_counter() - started
-        outcome = RunOutcome(
-            spec=spec, summary=summary, extras=extras, walltime=walltime
+    else:
+        result = run_simulation(
+            build.app_factory,
+            build.workload_factory,
+            build.controller_factory,
+            duration=duration,
+            seed=spec.seed,
+            warmup=warmup,
+            label=label,
+            fault_plan=fault_plan,
         )
-        payload = outcome.to_payload()
-        payload["sim_duration"] = duration
-        return payload
-    result = run_simulation(
-        build.app_factory,
-        build.workload_factory,
-        build.controller_factory,
-        duration=duration,
-        seed=spec.seed,
-        warmup=warmup,
-        label=label,
-        fault_plan=fault_plan,
-    )
-    walltime = time.perf_counter() - started
-    outcome = RunOutcome(
+        summary, extras = result.summary, extract_extras(result)
+    payload = RunOutcome(
         spec=spec,
-        summary=result.summary,
-        extras=extract_extras(result),
-        walltime=walltime,
-    )
-    payload = outcome.to_payload()
+        summary=summary,
+        extras=extras,
+        walltime=time.perf_counter() - started,
+    ).to_payload()
     payload["sim_duration"] = duration
     return payload
 

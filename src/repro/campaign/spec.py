@@ -26,6 +26,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
+from ..experiments import EXPERIMENTS
 from ..sim.metrics import Summary
 
 #: Bump when the payload layout or extras schema changes incompatibly.
@@ -47,25 +48,14 @@ from ..sim.metrics import Summary
 #: ``mongodb`` app family joined the case registry (c17/c18).
 CACHE_SCHEMA = 7
 
-#: Modules whose import populates the sim-builder registry.  Worker
-#: processes (and cold parents) import these before resolving families;
-#: the list is the campaign analogue of experiments._EXPERIMENT_RUNNERS.
-FAMILY_MODULES = (
-    "repro.experiments.case_family",
-    "repro.experiments.fig2_buffer_pool",
-    "repro.experiments.fig3_lock_contention",
-    "repro.experiments.fig13_policies",
-    "repro.experiments.fig14_overhead",
-    "repro.experiments.dag_overload",
-    "repro.experiments.cluster_attribution",
-)
-
 _families_loaded = False
 
 
 def load_all_families() -> None:
     """Import every module that registers simulation families.
 
+    Those are the ``family`` rows of :data:`repro.experiments.EXPERIMENTS`
+    -- only those, so a worker never pays for importing the rest.
     Idempotent and cheap after the first call; invoked by the runner in
     the parent and by spawn-started workers (fork-started workers
     inherit the populated registry).
@@ -73,8 +63,9 @@ def load_all_families() -> None:
     global _families_loaded
     if _families_loaded:
         return
-    for module in FAMILY_MODULES:
-        import_module(module)
+    for experiment in EXPERIMENTS:
+        if experiment.family:
+            import_module(f"repro.experiments.{experiment.module}")
     _families_loaded = True
 
 

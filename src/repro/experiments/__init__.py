@@ -17,6 +17,12 @@ table2    reproduced case inventory
 table3    integration effort
 ========  ====================================================
 
+All of them sweep one shape -- rows x columns of runs, each row against
+a reference run -- through :class:`repro.experiments.grid.Sweep`, and
+:data:`EXPERIMENTS` is the one table of what an experiment is (the CLI,
+the report order, the campaign's family loader and the paper-claims
+tests all read it).
+
 Beyond the paper's artifacts, ``resilience`` runs the chaos matrix
 (fault kind x intensity via :mod:`repro.faults`), ``ablate-adaptive``
 compares fixed vs health-driven adaptive thresholds
@@ -27,58 +33,80 @@ coordinated cross-node culprit attribution on a simulated fleet
 (:mod:`repro.cluster`).  All are opt-in -- ``repro faults matrix`` /
 ``repro ablate-adaptive`` / ``repro ablate --levers`` / ``repro
 cluster`` or ``repro run <id>`` -- and not part of the default ``repro
-run`` order.
+all`` order; so are the three ``ablation-*`` knob sweeps and the
+multi-seed ``robustness`` repeat.
 """
 
 from importlib import import_module
+from typing import NamedTuple, Optional
 
 from .harness import RunResult, normalize, run_simulation
 from .tables import ExperimentResult, ExperimentTable
 
-#: experiment id -> (module under this package, runner attribute).
-#: Modules are imported lazily: several of them import :mod:`repro.cases`,
-#: which itself builds on this package's harness.
-_EXPERIMENT_RUNNERS = {
-    "fig2": ("fig2_buffer_pool", "run"),
-    "fig3": ("fig3_lock_contention", "run"),
-    "fig4": ("fig4_motivation", "run"),
-    "fig9": ("fig9_comparison", "run"),
-    "fig10": ("fig10_mitigation", "run"),
-    "fig11": ("fig11_drop_rate", "run"),
-    "fig12": ("fig12_slo", "run"),
-    "fig13": ("fig13_policies", "run"),
-    "fig14": ("fig14_overhead", "run"),
-    "table1": ("table_experiments", "run_table1"),
-    "table2": ("table_experiments", "run_table2"),
-    "table3": ("table_experiments", "run_table3"),
-    "resilience": ("resilience", "run"),
-    "ablate-adaptive": ("ablate_adaptive", "run"),
-    "ablate-levers": ("ablate_levers", "run"),
-    "cluster": ("cluster_attribution", "run"),
-    "dag": ("dag_overload", "run"),
-}
+
+class Experiment(NamedTuple):
+    """One row of the experiment table; calling it runs the experiment.
+
+    The module is imported on first use: several of them import
+    :mod:`repro.cases`, which itself builds on this package's harness.
+    """
+
+    id: str
+    #: Module under this package (also accepted as a CLI name).
+    module: str
+    #: Runner attribute ``runner(quick=True, ...) -> ExperimentResult``;
+    #: None for a module that only registers a sim family.
+    runner: Optional[str] = "run"
+    #: Part of the default ``repro all`` report, in table order.
+    report: bool = False
+    #: Importing the module registers a sim family, so campaign workers
+    #: must import it (:func:`repro.campaign.load_all_families`).
+    family: bool = False
+    #: The runner takes ``seed``; one that does not (the tables read
+    #: registries, ``robustness`` sweeps its own ``seeds``) is called
+    #: without it, so callers hand every experiment the seed alike.
+    seeded: bool = True
+
+    def __call__(self, *args, **kwargs) -> ExperimentResult:
+        if not self.seeded:
+            kwargs.pop("seed", None)
+        module = import_module(f"{__name__}.{self.module}")
+        return getattr(module, self.runner)(*args, **kwargs)
 
 
-class _LazyRunner:
-    """Callable proxy importing the experiment module on first use."""
-
-    def __init__(self, module_name: str, attribute: str) -> None:
-        self._module_name = module_name
-        self._attribute = attribute
-
-    def __call__(self, *args, **kwargs):
-        module = import_module(f"{__name__}.{self._module_name}")
-        return getattr(module, self._attribute)(*args, **kwargs)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<experiment {self._module_name}.{self._attribute}>"
-
+EXPERIMENTS = (
+    # The paper's artifacts, in the order they appear in the paper.
+    Experiment("fig2", "fig2_buffer_pool", report=True, family=True),
+    Experiment("fig3", "fig3_lock_contention", report=True, family=True),
+    Experiment("fig4", "fig4_motivation", report=True),
+    Experiment("table1", "table_experiments", "run_table1", report=True,
+               seeded=False),
+    Experiment("table2", "table_experiments", "run_table2", report=True,
+               seeded=False),
+    Experiment("table3", "table_experiments", "run_table3", report=True,
+               seeded=False),
+    Experiment("fig9", "fig9_comparison", report=True),
+    Experiment("fig10", "fig10_mitigation", report=True),
+    Experiment("fig11", "fig11_drop_rate", report=True),
+    Experiment("fig12", "fig12_slo", report=True),
+    Experiment("fig13", "fig13_policies", report=True, family=True),
+    Experiment("fig14", "fig14_overhead", report=True, family=True),
+    # Beyond the paper: opt-in.
+    Experiment("resilience", "resilience"),
+    Experiment("ablate-adaptive", "ablate_adaptive"),
+    Experiment("ablate-levers", "ablate_levers"),
+    Experiment("cluster", "cluster_attribution", family=True),
+    Experiment("dag", "dag_overload", family=True),
+    Experiment("ablation-cooldown", "ablations", "run_cooldown"),
+    Experiment("ablation-detection", "ablations", "run_detection_period"),
+    Experiment("ablation-reexec", "ablations", "run_no_reexecution"),
+    Experiment("robustness", "robustness", seeded=False),
+    # The family every case sweep above shares; no experiment of its own.
+    Experiment("case", "case_family", runner=None, family=True),
+)
 
 #: experiment id -> runner callable(quick=True) -> ExperimentResult.
-ALL_EXPERIMENTS = {
-    key: _LazyRunner(module, attribute)
-    for key, (module, attribute) in _EXPERIMENT_RUNNERS.items()
-}
+ALL_EXPERIMENTS = {e.id: e for e in EXPERIMENTS if e.runner is not None}
 
 
 def resolve_experiment_id(name: str) -> "str | None":
@@ -87,16 +115,16 @@ def resolve_experiment_id(name: str) -> "str | None":
     Accepts the short id (``fig3``) or the runner module name
     (``fig3_lock_contention``); returns None if neither matches.
     """
-    if name in ALL_EXPERIMENTS:
-        return name
-    for exp_id, (module, _attr) in _EXPERIMENT_RUNNERS.items():
-        if name == module:
-            return exp_id
+    for experiment in ALL_EXPERIMENTS.values():
+        if name in (experiment.id, experiment.module):
+            return experiment.id
     return None
 
 
 __all__ = [
     "ALL_EXPERIMENTS",
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentResult",
     "ExperimentTable",
     "RunResult",

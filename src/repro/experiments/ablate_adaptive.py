@@ -21,20 +21,14 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..campaign import execute
-from .case_family import case_spec
+from ..cases import all_case_ids
+from .grid import case_sweep, norm_p99
 from .tables import ExperimentResult, ExperimentTable
 
 #: Quick-mode subset: convoy, stream, and thrash cases where the
 #: detector works hardest (and flapping/p99 rules have signal to react
 #: to).
 QUICK_CASES = ["c1", "c2", "c5", "c12"]
-
-
-def _all_case_ids() -> List[str]:
-    from ..cases import all_case_ids
-
-    return list(all_case_ids())
 
 
 def run(
@@ -44,41 +38,25 @@ def run(
 ) -> ExperimentResult:
     """Run the fixed-vs-adaptive threshold ablation."""
     if case_ids is None:
-        case_ids = list(QUICK_CASES) if quick else _all_case_ids()
-    specs = []
-    for cid in case_ids:
-        specs.append(
-            case_spec("ablate-adaptive", cid, seed, include_culprit=False)
-        )
-        specs.append(
-            case_spec("ablate-adaptive", cid, seed, atropos_overrides={})
-        )
-        specs.append(
-            case_spec(
-                "ablate-adaptive", cid, seed,
-                atropos_overrides={}, adaptive=True,
-            )
-        )
-    p99 = ExperimentTable(
-        "Adaptive thresholds: normalized p99 (fixed vs adaptive)",
-        ["case", "fixed", "adaptive"],
+        case_ids = list(QUICK_CASES) if quick else all_case_ids()
+    grid = case_sweep(
+        "ablate-adaptive", case_ids, ["fixed", "adaptive"], seed,
+        lambda name: {"atropos_overrides": {}, "adaptive": name == "adaptive"},
+    )
+    p99 = grid.table(
+        "Adaptive thresholds: normalized p99 (fixed vs adaptive)", norm_p99
     )
     actions = ExperimentTable(
         "Adaptive thresholds: cancellations and threshold moves",
         ["case", "cancels_fixed", "cancels_adaptive", "adaptations"],
     )
-    outcomes = iter(execute(specs))
     for cid in case_ids:
-        baseline = next(outcomes)
-        fixed = next(outcomes)
-        adaptive = next(outcomes)
-        p99.add_row(
-            cid,
-            fixed.p99_latency / baseline.p99_latency,
-            adaptive.p99_latency / baseline.p99_latency,
-        )
+        adaptive = grid.cells[cid, "adaptive"]
         actions.add_row(
-            cid, fixed.cancels, adaptive.cancels, adaptive.adaptations
+            cid,
+            grid.cells[cid, "fixed"].cancels,
+            adaptive.cancels,
+            adaptive.adaptations,
         )
     return ExperimentResult(
         experiment_id="ablate-adaptive",

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..campaign import execute
-from .case_family import case_spec
+from ..cases import all_case_ids
+from .grid import case_sweep, norm_p99, norm_tput
 from .tables import ExperimentResult, ExperimentTable
 
 #: The levers contrasted, in report order.
@@ -39,10 +39,9 @@ QUICK_CASES = ["c1", "c4", "c17", "c18"]
 GOODPUT_TOLERANCE = 0.01
 
 
-def _all_case_ids() -> List[str]:
-    from ..cases import all_case_ids
-
-    return list(all_case_ids())
+def _action_mix(outcome, _baseline) -> str:
+    parked = outcome.extras.get("audit_mix", {}).get("lock-reshaped", 0)
+    return "{}c/{}p".format(outcome.cancels, parked)
 
 
 def run(
@@ -52,63 +51,27 @@ def run(
 ) -> ExperimentResult:
     """Run the mitigation-lever ablation."""
     if case_ids is None:
-        case_ids = list(QUICK_CASES) if quick else _all_case_ids()
-    specs = []
-    for cid in case_ids:
-        specs.append(case_spec("ablate-levers", cid, seed,
-                               include_culprit=False))
-        for lever in LEVERS:
-            specs.append(
-                case_spec(
-                    "ablate-levers", cid, seed,
-                    atropos_overrides={}, lever=lever,
-                )
-            )
-    p99 = ExperimentTable(
-        "Mitigation levers: normalized victim p99",
-        ["case"] + list(LEVERS),
+        case_ids = list(QUICK_CASES) if quick else all_case_ids()
+    grid = case_sweep(
+        "ablate-levers", case_ids, LEVERS, seed,
+        lambda lever: {"atropos_overrides": {}, "lever": lever},
     )
-    actions = ExperimentTable(
+    p99 = grid.table("Mitigation levers: normalized victim p99", norm_p99)
+    actions = grid.table(
         "Mitigation levers: action mix (cancelled / parked per lever)",
-        ["case"] + [f"{lever}" for lever in LEVERS],
+        _action_mix,
     )
     verdict = ExperimentTable(
         "Regimes where lock-reshape beats cancel "
         "(p99 lower, goodput within 1%)",
         ["case", "reshape/cancel p99", "goodput ratio", "reshape wins"],
     )
-    outcomes = iter(execute(specs))
     reshape_wins = []
     for cid in case_ids:
-        baseline = next(outcomes)
-        by_lever = {lever: next(outcomes) for lever in LEVERS}
-        p99.add_row(
-            cid,
-            *(
-                by_lever[lever].p99_latency / baseline.p99_latency
-                for lever in LEVERS
-            ),
-        )
-        actions.add_row(
-            cid,
-            *(
-                "{}c/{}p".format(
-                    by_lever[lever].cancels,
-                    by_lever[lever].extras.get("audit_mix", {}).get(
-                        "lock-reshaped", 0
-                    ),
-                )
-                for lever in LEVERS
-            ),
-        )
-        cancel = by_lever["cancel"]
-        reshape = by_lever["lock_reshape"]
-        p99_ratio = reshape.p99_latency / cancel.p99_latency
-        goodput_ratio = (
-            reshape.throughput / cancel.throughput
-            if cancel.throughput
-            else float("nan")
-        )
+        cancel = grid.cells[cid, "cancel"]
+        reshape = grid.cells[cid, "lock_reshape"]
+        p99_ratio = norm_p99(reshape, cancel)
+        goodput_ratio = norm_tput(reshape, cancel)
         wins = p99_ratio < 1.0 and goodput_ratio >= 1.0 - GOODPUT_TOLERANCE
         if wins:
             reshape_wins.append(cid)

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..campaign import execute
-from .case_family import case_spec
-from .tables import ExperimentResult, ExperimentTable
+from .grid import attr, case_sweep, norm_p99
+from .tables import ExperimentResult
 
 #: Stream cases where repeated cancellations are needed.
 COOLDOWN_CASES = ["c2", "c12", "c15"]
@@ -26,23 +25,6 @@ COOLDOWNS = [0.05, 0.2, 0.5, 1.0]
 
 DETECTION_CASES = ["c1", "c4", "c13"]
 PERIODS = [0.05, 0.1, 0.25, 0.5]
-
-
-def _specs(experiment, case_ids, seed, override_key, values):
-    """Per case: one baseline spec, then one spec per override value."""
-    specs = []
-    for cid in case_ids:
-        specs.append(case_spec(experiment, cid, seed, include_culprit=False))
-        for value in values:
-            specs.append(
-                case_spec(
-                    experiment,
-                    cid,
-                    seed,
-                    atropos_overrides={override_key: value},
-                )
-            )
-    return specs
 
 
 def run_cooldown(
@@ -54,34 +36,23 @@ def run_cooldown(
     """Sweep the cancellation cooldown on culprit-stream cases."""
     case_ids = case_ids if case_ids is not None else list(COOLDOWN_CASES)
     cooldowns = cooldowns if cooldowns is not None else list(COOLDOWNS)
-    p99 = ExperimentTable(
-        "Ablation: normalized p99 vs cancellation cooldown",
-        ["case"] + [f"cooldown_{c}s" for c in cooldowns],
+    grid = case_sweep(
+        "ablation-cooldown", case_ids, cooldowns, seed,
+        lambda value: {"atropos_overrides": {"cancel_cooldown": value}},
+        label="cooldown_{}s".format,
     )
-    cancels = ExperimentTable(
-        "Ablation: cancellations vs cancellation cooldown",
-        ["case"] + [f"cooldown_{c}s" for c in cooldowns],
-    )
-    outcomes = iter(
-        execute(
-            _specs("ablation-cooldown", case_ids, seed,
-                   "cancel_cooldown", cooldowns)
-        )
-    )
-    for cid in case_ids:
-        baseline = next(outcomes)
-        p99_row = [cid]
-        cancel_row = [cid]
-        for _ in cooldowns:
-            outcome = next(outcomes)
-            p99_row.append(outcome.p99_latency / baseline.p99_latency)
-            cancel_row.append(outcome.cancels)
-        p99.add_row(*p99_row)
-        cancels.add_row(*cancel_row)
     return ExperimentResult(
         experiment_id="ablation-cooldown",
         description="Cancellation-cooldown trade-off (§5.3)",
-        tables=[p99, cancels],
+        tables=[
+            grid.table(
+                "Ablation: normalized p99 vs cancellation cooldown", norm_p99
+            ),
+            grid.table(
+                "Ablation: cancellations vs cancellation cooldown",
+                attr("cancels"),
+            ),
+        ],
     )
 
 
@@ -94,28 +65,28 @@ def run_detection_period(
     """Sweep the detection period on single-culprit convoy cases."""
     case_ids = case_ids if case_ids is not None else list(DETECTION_CASES)
     periods = periods if periods is not None else list(PERIODS)
-    p99 = ExperimentTable(
-        "Ablation: normalized p99 vs detection period",
-        ["case"] + [f"period_{p}s" for p in periods],
+    grid = case_sweep(
+        "ablation-detection", case_ids, periods, seed,
+        lambda value: {"atropos_overrides": {"detection_period": value}},
+        label="period_{}s".format,
     )
-    outcomes = iter(
-        execute(
-            _specs("ablation-detection", case_ids, seed,
-                   "detection_period", periods)
-        )
-    )
-    for cid in case_ids:
-        baseline = next(outcomes)
-        row = [cid]
-        for _ in periods:
-            outcome = next(outcomes)
-            row.append(outcome.p99_latency / baseline.p99_latency)
-        p99.add_row(*row)
     return ExperimentResult(
         experiment_id="ablation-detection",
         description="Detection-period reaction-time trade-off (§3.3)",
-        tables=[p99],
+        tables=[
+            grid.table(
+                "Ablation: normalized p99 vs detection period", norm_p99
+            )
+        ],
     )
+
+
+#: Column -> overrides.  reexec_slo_multiple=0 exhausts the budget
+#: immediately: every cancelled request is dropped.
+REEXEC_VARIANTS = {
+    "with_reexec": {},
+    "without_reexec": {"reexec_slo_multiple": 0.0},
+}
 
 
 def run_no_reexecution(
@@ -123,32 +94,18 @@ def run_no_reexecution(
 ) -> ExperimentResult:
     """Compare drop rates with and without the re-execution path."""
     case_ids = case_ids if case_ids is not None else ["c2", "c5", "c15"]
-    table = ExperimentTable(
-        "Ablation: drop rate with vs without re-execution",
-        ["case", "with_reexec", "without_reexec"],
+    grid = case_sweep(
+        "ablation-reexec", case_ids, list(REEXEC_VARIANTS), seed,
+        lambda name: {"atropos_overrides": REEXEC_VARIANTS[name]},
+        baseline=False,
     )
-    specs = []
-    for cid in case_ids:
-        specs.append(
-            case_spec("ablation-reexec", cid, seed, atropos_overrides={})
-        )
-        # reexec_slo_multiple=0 exhausts the budget immediately: every
-        # cancelled request is dropped.
-        specs.append(
-            case_spec(
-                "ablation-reexec",
-                cid,
-                seed,
-                atropos_overrides={"reexec_slo_multiple": 0.0},
-            )
-        )
-    outcomes = iter(execute(specs))
-    for cid in case_ids:
-        with_reexec = next(outcomes)
-        without = next(outcomes)
-        table.add_row(cid, with_reexec.drop_rate, without.drop_rate)
     return ExperimentResult(
         experiment_id="ablation-reexec",
         description="Re-execution fairness mechanism (§4)",
-        tables=[table],
+        tables=[
+            grid.table(
+                "Ablation: drop rate with vs without re-execution",
+                attr("drop_rate"),
+            )
+        ],
     )

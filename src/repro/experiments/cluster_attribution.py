@@ -39,7 +39,7 @@ from typing import Any, Dict, Optional
 from ..cluster import demo_fleet, run_fleet
 from ..cluster.spec import MODES
 from ..sim.metrics import Summary
-from .harness import SimBuild, register_sim
+from .harness import SimBuild, register_sim, without_run_fields
 from .tables import ExperimentResult, ExperimentTable
 
 
@@ -83,9 +83,7 @@ def _build_cluster(params: Dict[str, Any]) -> SimBuild:
     """
     from ..cluster.spec import FleetSpec
 
-    fleet = dict(params.get("fleet") or {})
-    for key in ("seed", "duration", "warmup"):
-        fleet.pop(key, None)
+    fleet = without_run_fields(params.get("fleet") or {})
 
     def runner(seed, duration, warmup, label=None):
         spec = FleetSpec.from_dict(
@@ -109,13 +107,10 @@ def cluster_spec(
     """Build the campaign spec for one fleet run."""
     from ..campaign.spec import RunSpec
 
-    clean = dict(fleet)
-    for key in ("seed", "duration", "warmup"):
-        clean.pop(key, None)
     return RunSpec(
         experiment=experiment,
         family="cluster",
-        params={"fleet": clean},
+        params={"fleet": without_run_fields(fleet)},
         seed=seed,
         duration=duration,
         warmup=warmup,

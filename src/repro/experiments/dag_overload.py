@@ -37,7 +37,7 @@ from typing import Any, Dict, Optional
 
 from ..campaign import RunSpec, execute
 from ..sim.metrics import Summary
-from .harness import SimBuild, register_sim
+from .harness import SimBuild, register_sim, without_run_fields
 from .tables import ExperimentResult, ExperimentTable
 
 #: Controller contrast order (also the spec order of the campaign).
@@ -89,9 +89,7 @@ def _build_dag(params: Dict[str, Any]) -> SimBuild:
     from ..workloads.dag import DagSpec
 
     controller = params.get("controller", "atropos")
-    scenario = dict(params.get("scenario") or {})
-    for key in ("seed", "duration", "warmup"):
-        scenario.pop(key, None)
+    scenario = without_run_fields(params.get("scenario") or {})
 
     def runner(seed, duration, warmup, label=None):
         spec = DagSpec.from_dict(
@@ -120,7 +118,10 @@ def dag_spec(
     return RunSpec(
         experiment=experiment,
         family="dag",
-        params={"controller": controller, "scenario": scenario},
+        params={
+            "controller": controller,
+            "scenario": without_run_fields(scenario),
+        },
         seed=seed,
         duration=duration,
         warmup=warmup,
@@ -139,8 +140,6 @@ def run(
     duration = 16.0 if quick else 24.0
     warmup = 4.0
     scenario = dag_storm(n_leaves=n_leaves).to_dict()
-    for key in ("seed", "duration", "warmup"):
-        scenario.pop(key)
     specs = [
         dag_spec("dag", controller, scenario, seed, duration, warmup)
         for controller in DAG_CONTRAST

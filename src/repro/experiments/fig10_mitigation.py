@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..campaign import execute
 from ..cases import paper_case_ids
-from .case_family import case_spec
-from .harness import normalize
+from .grid import case_sweep, mean, norm_p99, norm_tput
 from .tables import ExperimentResult, ExperimentTable
+
+#: Column label -> how the overloaded case is run.
+VARIANTS = {"Overload": {}, "Atropos": {"system": "atropos"}}
 
 
 def run(
@@ -24,49 +25,25 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 10's Overload-vs-Atropos series."""
     case_ids = case_ids if case_ids is not None else paper_case_ids()
-    tput = ExperimentTable(
-        "Fig 10a: normalized throughput per case",
-        ["case", "Overload", "Atropos"],
+    grid = case_sweep(
+        "fig10", case_ids, list(VARIANTS), seed, VARIANTS.get
     )
-    p99 = ExperimentTable(
-        "Fig 10b: normalized p99 latency per case",
-        ["case", "Overload", "Atropos"],
-    )
+    tput = grid.table("Fig 10a: normalized throughput per case", norm_tput)
+    p99 = grid.table("Fig 10b: normalized p99 latency per case", norm_p99)
     extras = ExperimentTable(
         "Fig 10 extras: Atropos drop rate and cancellations per case",
         ["case", "drop_rate", "cancels"],
     )
-    specs = []
     for cid in case_ids:
-        specs.append(case_spec("fig10", cid, seed, include_culprit=False))
-        specs.append(case_spec("fig10", cid, seed))
-        specs.append(case_spec("fig10", cid, seed, system="atropos"))
-    outcomes = iter(execute(specs))
-    for cid in case_ids:
-        baseline = next(outcomes)
-        overload = next(outcomes)
-        atropos = next(outcomes)
-        tput.add_row(
-            cid,
-            normalize(overload.throughput, baseline.throughput),
-            normalize(atropos.throughput, baseline.throughput),
-        )
-        p99.add_row(
-            cid,
-            normalize(overload.p99_latency, baseline.p99_latency),
-            normalize(atropos.p99_latency, baseline.p99_latency),
-        )
+        atropos = grid.cells[cid, "Atropos"]
         extras.add_row(cid, atropos.drop_rate, atropos.cancels)
     summary = ExperimentTable(
         "Fig 10 summary (paper: Atropos 96% tput, 1.16x p99, <0.01% drops)",
         ["metric", "value"],
     )
-    atr_tputs = tput.column("Atropos")
-    atr_p99s = p99.column("Atropos")
-    drops = extras.column("drop_rate")
-    summary.add_row("avg_norm_throughput", sum(atr_tputs) / len(atr_tputs))
-    summary.add_row("avg_norm_p99", sum(atr_p99s) / len(atr_p99s))
-    summary.add_row("avg_drop_rate", sum(drops) / len(drops))
+    summary.add_row("avg_norm_throughput", mean(tput.column("Atropos")))
+    summary.add_row("avg_norm_p99", mean(p99.column("Atropos")))
+    summary.add_row("avg_drop_rate", mean(extras.column("drop_rate")))
     return ExperimentResult(
         experiment_id="fig10",
         description="Mitigation effectiveness of Atropos across 16 cases",

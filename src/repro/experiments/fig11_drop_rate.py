@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..campaign import execute
-from .case_family import case_spec
-from .tables import ExperimentResult, ExperimentTable
+from .grid import attr, case_sweep, column_means
+from .tables import ExperimentResult
 
 #: The cases shown in the paper's Figure 11.
 FIG11_CASES = ["c1", "c3", "c4", "c6", "c7", "c8", "c9", "c12", "c13", "c14"]
@@ -25,24 +24,11 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 11's drop-rate comparison."""
     case_ids = case_ids if case_ids is not None else list(FIG11_CASES)
-    table = ExperimentTable(
-        "Fig 11: drop rate per case", ["case", "Protego", "Atropos"]
-    )
-    specs = []
-    for cid in case_ids:
-        specs.append(case_spec("fig11", cid, seed, system="protego"))
-        specs.append(case_spec("fig11", cid, seed, system="atropos"))
-    outcomes = iter(execute(specs))
-    for cid in case_ids:
-        protego = next(outcomes)
-        atropos = next(outcomes)
-        table.add_row(cid, protego.drop_rate, atropos.drop_rate)
-    summary = ExperimentTable(
-        "Fig 11 summary", ["system", "avg_drop_rate"]
-    )
-    for system in ("Protego", "Atropos"):
-        values = table.column(system)
-        summary.add_row(system, sum(values) / len(values))
+    table = case_sweep(
+        "fig11", case_ids, ["Protego", "Atropos"], seed,
+        lambda name: {"system": name.lower()}, baseline=False,
+    ).table("Fig 11: drop rate per case", attr("drop_rate"))
+    summary = column_means("Fig 11 summary", "system", avg_drop_rate=table)
     return ExperimentResult(
         experiment_id="fig11",
         description="Drop rate of Atropos vs Protego",

@@ -19,10 +19,22 @@ from typing import List, Optional
 
 from ..campaign import execute
 from .case_family import case_spec
-from .tables import ExperimentResult, ExperimentTable
+from .grid import Sweep, attr
+from .tables import ExperimentResult
 
 FIG12_CASES = ["c1", "c2", "c10", "c11", "c14", "c15"]
 SLO_GOALS = [0.10, 0.20, 0.40, 0.60]
+
+
+def _light_mean(outcome, baseline) -> float:
+    """Mean latency over the ops the non-overloaded baseline completed."""
+    return outcome.mean_latency_over(baseline.completed_ops())
+
+
+def _increase(outcome, baseline) -> float:
+    return (
+        _light_mean(outcome, baseline) / _light_mean(baseline, baseline) - 1.0
+    )
 
 
 def run(
@@ -34,51 +46,41 @@ def run(
     """Regenerate Figure 12's latency-increase-vs-SLO-goal bars."""
     case_ids = case_ids if case_ids is not None else list(FIG12_CASES)
     goals = goals if goals is not None else list(SLO_GOALS)
-    increase = ExperimentTable(
-        "Fig 12: mean latency increase (light ops) vs SLO goal",
-        ["case"] + [f"goal_{int(g * 100)}%" for g in goals],
-    )
-    cancels = ExperimentTable(
-        "Fig 12 extras: cancellations issued vs SLO goal",
-        ["case"] + [f"goal_{int(g * 100)}%" for g in goals],
-    )
     # Phase 1: per-case baselines define the light-op set and its mean.
-    baselines = execute(
-        [
-            case_spec("fig12", cid, seed, include_culprit=False)
-            for cid in case_ids
-        ]
-    )
+    specs = [
+        case_spec("fig12", cid, seed, include_culprit=False)
+        for cid in case_ids
+    ]
+    baselines = dict(zip(case_ids, execute(specs)))
+
     # Phase 2: the goal sweep, with SLOs derived from phase 1.
-    per_case = []
-    specs = []
-    for cid, baseline in zip(case_ids, baselines):
-        light_ops = baseline.completed_ops()
-        base_mean = baseline.mean_latency_over(light_ops)
-        per_case.append((light_ops, base_mean))
-        for goal in goals:
-            specs.append(
-                case_spec(
-                    "fig12",
-                    cid,
-                    seed,
-                    system="atropos",
-                    slo_latency=base_mean * (1.0 + goal),
-                    atropos_overrides={"slo_slack": 1.0},
-                )
-            )
-    outcomes = iter(execute(specs))
-    for cid, (light_ops, base_mean) in zip(case_ids, per_case):
-        inc_row = [cid]
-        cancel_row = [cid]
-        for _ in goals:
-            outcome = next(outcomes)
-            inc_row.append(
-                outcome.mean_latency_over(light_ops) / base_mean - 1.0
-            )
-            cancel_row.append(outcome.cancels)
-        increase.add_row(*inc_row)
-        cancels.add_row(*cancel_row)
+    def spec_for(cid, goal):
+        base_mean = _light_mean(baselines[cid], baselines[cid])
+        return case_spec(
+            "fig12",
+            cid,
+            seed,
+            system="atropos",
+            slo_latency=base_mean * (1.0 + goal),
+            atropos_overrides={"slo_slack": 1.0},
+        )
+
+    grid = Sweep(
+        "case",
+        case_ids,
+        goals,
+        spec_for,
+        label=lambda goal: f"goal_{int(goal * 100)}%",
+    )
+    grid.references = baselines
+    increase = grid.table(
+        "Fig 12: mean latency increase (light ops) vs SLO goal",
+        _increase,
+    )
+    cancels = grid.table(
+        "Fig 12 extras: cancellations issued vs SLO goal",
+        attr("cancels"),
+    )
     return ExperimentResult(
         experiment_id="fig12",
         description="SLO maintenance under different thresholds",

@@ -25,8 +25,9 @@ from ..cases import paper_case_ids
 from ..core.atropos import Atropos
 from ..core.config import AtroposConfig
 from ..workloads.spec import OpenLoopSource, ScheduledOp, Workload
-from .case_family import _policy_class, case_spec
-from .harness import SimBuild, normalize, register_sim
+from .case_family import _policy_class
+from .grid import case_sweep, column_means, norm_p99, norm_tput
+from .harness import SimBuild, register_sim
 from .tables import ExperimentResult, ExperimentTable
 
 #: Display label -> stable policy id used in RunSpec params.
@@ -44,42 +45,18 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 13's per-case policy-ablation bars."""
     case_ids = case_ids if case_ids is not None else paper_case_ids()
-    tput = ExperimentTable(
-        "Fig 13: normalized throughput per policy",
-        ["case"] + list(POLICIES),
+    grid = case_sweep(
+        "fig13", case_ids, list(POLICIES), seed,
+        lambda name: {"policy": POLICIES[name]},
     )
-    p99 = ExperimentTable(
-        "Fig 13 extras: normalized p99 per policy",
-        ["case"] + list(POLICIES),
-    )
-    specs = []
-    for cid in case_ids:
-        specs.append(case_spec("fig13", cid, seed, include_culprit=False))
-        for policy_id in POLICIES.values():
-            specs.append(case_spec("fig13", cid, seed, policy=policy_id))
-    outcomes = iter(execute(specs))
-    for cid in case_ids:
-        baseline = next(outcomes)
-        tput_row = [cid]
-        p99_row = [cid]
-        for _ in POLICIES:
-            outcome = next(outcomes)
-            tput_row.append(
-                normalize(outcome.throughput, baseline.throughput)
-            )
-            p99_row.append(
-                normalize(outcome.p99_latency, baseline.p99_latency)
-            )
-        tput.add_row(*tput_row)
-        p99.add_row(*p99_row)
-    summary = ExperimentTable(
+    tput = grid.table("Fig 13: normalized throughput per policy", norm_tput)
+    p99 = grid.table("Fig 13 extras: normalized p99 per policy", norm_p99)
+    summary = column_means(
         "Fig 13 summary: policy averages",
-        ["policy", "avg_norm_throughput", "avg_norm_p99"],
+        "policy",
+        avg_norm_throughput=tput,
+        avg_norm_p99=p99,
     )
-    for name in POLICIES:
-        tputs = tput.column(name)
-        p99s = p99.column(name)
-        summary.add_row(name, sum(tputs) / len(tputs), sum(p99s) / len(p99s))
     late = late_culprit_scenario(seed=seed)
     return ExperimentResult(
         experiment_id="fig13",

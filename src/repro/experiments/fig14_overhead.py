@@ -20,11 +20,12 @@ from ..apps.elasticsearch import Elasticsearch, ElasticsearchConfig
 from ..apps.mysql import MySQL, MySQLConfig, light_mix
 from ..apps.postgres import PostgreSQL, PostgresConfig
 from ..apps.solr import Solr, SolrConfig
-from ..campaign import RunSpec, execute
+from ..campaign import RunSpec
 from ..core.atropos import Atropos
 from ..core.config import AtroposConfig
 from ..workloads.spec import MixEntry, OpenLoopSource, ScheduledOp, Workload
-from .harness import SimBuild, normalize, register_sim
+from .grid import Sweep, norm_p99, norm_tput
+from .harness import SimBuild, register_sim
 from .tables import ExperimentResult, ExperimentTable
 
 WORKLOADS = ["Read", "Write", "Read Overload", "Write Overload"]
@@ -134,46 +135,57 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 14's overhead bars."""
     apps = apps if apps is not None else list(APP_SPECS)
-    tput = ExperimentTable(
-        "Fig 14a: normalized throughput (Atropos / uninstrumented)",
-        ["app"] + WORKLOADS,
+    # Each workload runs uninstrumented, then traced: the reference is
+    # per cell, so both are columns and the tables pair them up.
+    def spec_for(app_name, column):
+        workload_name, instrumented = column
+        return RunSpec(
+            "fig14",
+            "fig14.point",
+            {
+                "app": app_name,
+                "read_heavy": workload_name.startswith("Read"),
+                "overload": "Overload" in workload_name,
+                "instrumented": instrumented,
+            },
+            seed=seed,
+            duration=duration,
+            warmup=2.0,
+        )
+
+    grid = Sweep(
+        "app",
+        apps,
+        [(name, traced) for name in WORKLOADS for traced in (False, True)],
+        spec_for,
     )
-    p99 = ExperimentTable(
-        "Fig 14b: normalized p99 latency (Atropos / uninstrumented)",
-        ["app"] + WORKLOADS,
-    )
-    specs = []
-    for app_name in apps:
-        for workload_name in WORKLOADS:
-            for instrumented in (False, True):
-                specs.append(
-                    RunSpec(
-                        "fig14",
-                        "fig14.point",
-                        {
-                            "app": app_name,
-                            "read_heavy": workload_name.startswith("Read"),
-                            "overload": "Overload" in workload_name,
-                            "instrumented": instrumented,
-                        },
-                        seed=seed,
-                        duration=duration,
-                        warmup=2.0,
+
+    def table(title, cell):
+        out = ExperimentTable(title, ["app"] + WORKLOADS)
+        for app_name in apps:
+            out.add_row(
+                app_name,
+                *(
+                    cell(
+                        grid.cells[app_name, (name, True)],
+                        grid.cells[app_name, (name, False)],
                     )
-                )
-    outcomes = iter(execute(specs))
-    for app_name in apps:
-        tput_row = [app_name]
-        p99_row = [app_name]
-        for _ in WORKLOADS:
-            plain = next(outcomes)
-            traced = next(outcomes)
-            tput_row.append(normalize(traced.throughput, plain.throughput))
-            p99_row.append(normalize(traced.p99_latency, plain.p99_latency))
-        tput.add_row(*tput_row)
-        p99.add_row(*p99_row)
+                    for name in WORKLOADS
+                ),
+            )
+        return out
+
     return ExperimentResult(
         experiment_id="fig14",
         description="Tracing/decision overhead of Atropos",
-        tables=[tput, p99],
+        tables=[
+            table(
+                "Fig 14a: normalized throughput (Atropos / uninstrumented)",
+                norm_tput,
+            ),
+            table(
+                "Fig 14b: normalized p99 latency (Atropos / uninstrumented)",
+                norm_p99,
+            ),
+        ],
     )

@@ -17,10 +17,11 @@ from typing import List, Optional
 
 from ..apps.base import Operation
 from ..apps.mysql import MySQL, MySQLConfig, light_mix
-from ..campaign import RunSpec, execute
+from ..campaign import RunSpec
 from ..workloads.spec import MixEntry, OpenLoopSource, Workload
+from .grid import Sweep, attr
 from .harness import SimBuild, register_sim
-from .tables import ExperimentResult, ExperimentTable
+from .tables import ExperimentResult
 
 #: (series label from the paper, scaled dump weight in the mix).
 SCENARIOS = [
@@ -70,41 +71,31 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 2's throughput and p99 series."""
     loads = loads if loads is not None else (QUICK_LOADS if quick else FULL_LOADS)
-    tput = ExperimentTable(
-        "Fig 2 (top): throughput (req/s) vs offered load",
-        ["offered_load"] + [label for label, _ in SCENARIOS],
+    weights = dict(SCENARIOS)
+    grid = Sweep(
+        "offered_load",
+        loads,
+        list(weights),
+        lambda load, label: RunSpec(
+            "fig2",
+            "fig2.point",
+            {"load": load, "dump_weight": weights[label]},
+            seed=seed,
+            duration=duration,
+            warmup=warmup,
+        ),
     )
-    p99 = ExperimentTable(
-        "Fig 2 (bottom): p99 latency (s) vs offered load",
-        ["offered_load"] + [label for label, _ in SCENARIOS],
-    )
-    outcomes = iter(
-        execute(
-            [
-                RunSpec(
-                    "fig2",
-                    "fig2.point",
-                    {"load": load, "dump_weight": weight},
-                    seed=seed,
-                    duration=duration,
-                    warmup=warmup,
-                )
-                for load in loads
-                for _, weight in SCENARIOS
-            ]
-        )
-    )
-    for load in loads:
-        tput_row = [load]
-        p99_row = [load]
-        for _ in SCENARIOS:
-            outcome = next(outcomes)
-            tput_row.append(outcome.throughput)
-            p99_row.append(outcome.p99_latency)
-        tput.add_row(*tput_row)
-        p99.add_row(*p99_row)
     return ExperimentResult(
         experiment_id="fig2",
         description="Impact of dump queries on buffer pool contention",
-        tables=[tput, p99],
+        tables=[
+            grid.table(
+                "Fig 2 (top): throughput (req/s) vs offered load",
+                attr("throughput"),
+            ),
+            grid.table(
+                "Fig 2 (bottom): p99 latency (s) vs offered load",
+                attr("p99_latency"),
+            ),
+        ],
     )

@@ -16,10 +16,11 @@ from typing import List, Optional
 
 from ..apps.base import Operation
 from ..apps.mysql import MySQL, MySQLConfig, light_mix
-from ..campaign import RunSpec, execute
+from ..campaign import RunSpec
 from ..workloads.spec import OpenLoopSource, ScheduledOp, Workload
+from .grid import Sweep, attr
 from .harness import SimBuild, register_sim
-from .tables import ExperimentResult, ExperimentTable
+from .tables import ExperimentResult
 
 SCENARIOS = ["Lock Contention", "Drop Scan", "Drop Backup"]
 
@@ -114,39 +115,31 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 3's throughput and p99 series."""
     loads = loads if loads is not None else (QUICK_LOADS if quick else FULL_LOADS)
-    tput = ExperimentTable(
-        "Fig 3 (top): throughput (req/s) vs offered load",
-        ["offered_load"] + SCENARIOS,
-    )
-    p99 = ExperimentTable(
-        "Fig 3 (bottom): p99 latency (s) vs offered load",
-        ["offered_load"] + SCENARIOS,
-    )
+    # scenario -> (scans, backup)
     variants = {
         "Lock Contention": (True, True),
         "Drop Scan": (False, True),
         "Drop Backup": (True, False),
     }
-    outcomes = iter(
-        execute(
-            [
-                point_spec("fig3", load, *variants[name], seed=seed)
-                for load in loads
-                for name in SCENARIOS
-            ]
-        )
+    grid = Sweep(
+        "offered_load",
+        loads,
+        SCENARIOS,
+        lambda load, name: point_spec(
+            "fig3", load, *variants[name], seed=seed
+        ),
     )
-    for load in loads:
-        tput_row = [load]
-        p99_row = [load]
-        for _ in SCENARIOS:
-            outcome = next(outcomes)
-            tput_row.append(outcome.throughput)
-            p99_row.append(outcome.p99_latency)
-        tput.add_row(*tput_row)
-        p99.add_row(*p99_row)
     return ExperimentResult(
         experiment_id="fig3",
         description="Performance impact of table lock contention",
-        tables=[tput, p99],
+        tables=[
+            grid.table(
+                "Fig 3 (top): throughput (req/s) vs offered load",
+                attr("throughput"),
+            ),
+            grid.table(
+                "Fig 3 (bottom): p99 latency (s) vs offered load",
+                attr("p99_latency"),
+            ),
+        ],
     )

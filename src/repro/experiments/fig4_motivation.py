@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..campaign import execute
 from .fig3_lock_contention import point_spec
-from .harness import normalize
-from .tables import ExperimentResult, ExperimentTable
+from .grid import Sweep, attr, norm_p99, norm_tput
+from .tables import ExperimentResult
 
 SYSTEMS = ["atropos", "protego", "pbox"]
 
@@ -31,57 +30,42 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 4's normalized tput / p99 / drop-rate series."""
     loads = loads if loads is not None else (QUICK_LOADS if quick else FULL_LOADS)
-    tput = ExperimentTable(
-        "Fig 4a: normalized throughput vs offered load",
-        ["offered_load"] + SYSTEMS,
+    # Each system on the full scans+backup convoy, against the
+    # non-overloaded run at the same load.
+    grid = Sweep(
+        "offered_load",
+        loads,
+        SYSTEMS,
+        lambda load, system: point_spec(
+            "fig4",
+            load,
+            True,
+            True,
+            seed=seed,
+            system=system,
+            slo_latency=SLO_LATENCY,
+        ),
+        reference=lambda load: point_spec(
+            "fig4", load, False, False, seed=seed
+        ),
     )
-    p99 = ExperimentTable(
-        "Fig 4b: normalized p99 latency vs offered load",
-        ["offered_load"] + SYSTEMS,
-    )
-    drops = ExperimentTable(
-        "Fig 4c: drop rate vs offered load",
-        ["offered_load"] + SYSTEMS,
-    )
-    specs = []
-    for load in loads:
-        # Non-overloaded baseline at the same load, then each system on
-        # the full scans+backup convoy.
-        specs.append(point_spec("fig4", load, False, False, seed=seed))
-        for system in SYSTEMS:
-            specs.append(
-                point_spec(
-                    "fig4",
-                    load,
-                    True,
-                    True,
-                    seed=seed,
-                    system=system,
-                    slo_latency=SLO_LATENCY,
-                )
-            )
-    outcomes = iter(execute(specs))
-    for load in loads:
-        baseline = next(outcomes)
-        tput_row = [load]
-        p99_row = [load]
-        drop_row = [load]
-        for _ in SYSTEMS:
-            outcome = next(outcomes)
-            tput_row.append(
-                normalize(outcome.throughput, baseline.throughput)
-            )
-            p99_row.append(
-                normalize(outcome.p99_latency, baseline.p99_latency)
-            )
-            drop_row.append(outcome.drop_rate)
-        tput.add_row(*tput_row)
-        p99.add_row(*p99_row)
-        drops.add_row(*drop_row)
     return ExperimentResult(
         experiment_id="fig4",
         description=(
             "Protego vs pBox vs Atropos on the table-lock overload case"
         ),
-        tables=[tput, p99, drops],
+        tables=[
+            grid.table(
+                "Fig 4a: normalized throughput vs offered load",
+                norm_tput,
+            ),
+            grid.table(
+                "Fig 4b: normalized p99 latency vs offered load",
+                norm_p99,
+            ),
+            grid.table(
+                "Fig 4c: drop rate vs offered load",
+                attr("drop_rate"),
+            ),
+        ],
     )

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..campaign import execute
 from ..cases import paper_case_ids
-from .case_family import case_spec
-from .harness import normalize
-from .tables import ExperimentResult, ExperimentTable
+from .grid import case_sweep, column_means, norm_p99, norm_tput
+from .tables import ExperimentResult
 
 SYSTEMS = ["atropos", "protego", "pbox", "darc", "parties"]
 
@@ -30,43 +28,18 @@ def run(
     # The paper's figure plots c1-c15; we include c16 as well.
     case_ids = case_ids if case_ids is not None else paper_case_ids()
     systems = systems if systems is not None else list(SYSTEMS)
-    tput = ExperimentTable(
-        "Fig 9a: normalized throughput per case", ["case"] + systems
+    grid = case_sweep(
+        "fig9", case_ids, systems, seed, lambda system: {"system": system}
     )
-    p99 = ExperimentTable(
-        "Fig 9b: normalized p99 latency per case", ["case"] + systems
-    )
-    specs = []
-    for cid in case_ids:
-        specs.append(case_spec("fig9", cid, seed, include_culprit=False))
-        for system in systems:
-            specs.append(case_spec("fig9", cid, seed, system=system))
-    outcomes = iter(execute(specs))
-    for cid in case_ids:
-        baseline = next(outcomes)
-        tput_row = [cid]
-        p99_row = [cid]
-        for _ in systems:
-            outcome = next(outcomes)
-            tput_row.append(
-                normalize(outcome.throughput, baseline.throughput)
-            )
-            p99_row.append(
-                normalize(outcome.p99_latency, baseline.p99_latency)
-            )
-        tput.add_row(*tput_row)
-        p99.add_row(*p99_row)
-
+    tput = grid.table("Fig 9a: normalized throughput per case", norm_tput)
+    p99 = grid.table("Fig 9b: normalized p99 latency per case", norm_p99)
     # Per-system averages (the numbers quoted in §5.2).
-    avg = ExperimentTable(
+    avg = column_means(
         "Fig 9 summary: per-system averages",
-        ["system", "avg_norm_throughput", "avg_norm_p99"],
+        "system",
+        avg_norm_throughput=tput,
+        avg_norm_p99=p99,
     )
-    for system in systems:
-        tputs = tput.column(system)
-        p99s = p99.column(system)
-        avg.add_row(system, sum(tputs) / len(tputs), sum(p99s) / len(p99s))
-
     return ExperimentResult(
         experiment_id="fig9",
         description="Comparison with state-of-the-art systems on all cases",

@@ -237,6 +237,17 @@ class SimBuild:
     runner: Optional[Callable[..., Any]] = None
 
 
+def without_run_fields(scenario: Dict[str, Any]) -> Dict[str, Any]:
+    """A runner family's scenario dict minus ``seed`` / ``duration`` /
+    ``warmup``: those live on the RunSpec identity and reach the runner
+    as arguments."""
+    return {
+        key: value
+        for key, value in scenario.items()
+        if key not in ("seed", "duration", "warmup")
+    }
+
+
 #: Family name -> builder(params: dict) -> SimBuild.
 _SIM_BUILDERS: Dict[str, Callable[[Dict[str, Any]], SimBuild]] = {}
 

@@ -66,8 +66,6 @@ def dag_entries(seed: int = 1) -> List[Tuple[str, RunSpec]]:
     from .dag_overload import dag_spec
 
     scenario = dag_storm(n_leaves=2).to_dict()
-    for key in ("seed", "duration", "warmup"):
-        scenario.pop(key)
     return [
         (
             "dag:storm-atropos",

@@ -66,17 +66,21 @@ DEGRADE_TARGETS: Dict[str, str] = {
 QUICK_CASES = ["c1"]
 FULL_CASES = ["c1", "c5", "c8"]
 SYSTEMS = ["overload", "atropos", "protego"]
-QUICK_KINDS = [
-    "degrade",
-    "detector-noise",
-    "estimator-noise",
-    "cancel-delay",
-    "cancel-drop",
-    "uncancellable",
-    "burst",
-    "partition",
-]
-FULL_KINDS = QUICK_KINDS + ["crash"]
+#: Fault kind -> constructor; its keywords are the kind's
+#: :data:`INTENSITIES` parameters plus the shared fault window.
+GRID_FAULTS = {
+    "degrade": degrade,
+    "detector-noise": detector_noise,
+    "estimator-noise": estimator_noise,
+    "cancel-delay": cancel_delay,
+    "cancel-drop": cancel_drop,
+    "uncancellable": uncancellable,
+    "burst": burst,
+    "partition": partition,
+    "crash": crash,
+}
+FULL_KINDS = list(GRID_FAULTS)
+QUICK_KINDS = [kind for kind in FULL_KINDS if kind != "crash"]
 
 #: intensity tier -> per-kind fault parameters.
 INTENSITIES: Dict[str, Dict[str, dict]] = {
@@ -107,30 +111,14 @@ INTENSITIES: Dict[str, Dict[str, dict]] = {
 
 def grid_plan(kind: str, case_id: str, intensity: str = "high") -> FaultPlan:
     """The one-fault plan the matrix injects for (kind, case, tier)."""
-    params = INTENSITIES[intensity][kind]
-    window = {"at": FAULT_AT, "duration": FAULT_DURATION}
+    if kind not in GRID_FAULTS:
+        raise KeyError(f"unknown grid fault kind {kind!r}")
+    params = dict(INTENSITIES[intensity][kind])
     if kind == "degrade":
-        return FaultPlan.of(
-            degrade(DEGRADE_TARGETS.get(case_id, "buffer_pool"),
-                    params["factor"], **window)
-        )
-    if kind == "detector-noise":
-        return FaultPlan.of(detector_noise(noise=params["noise"], **window))
-    if kind == "estimator-noise":
-        return FaultPlan.of(estimator_noise(noise=params["noise"], **window))
-    if kind == "cancel-delay":
-        return FaultPlan.of(cancel_delay(params["delay"], **window))
-    if kind == "cancel-drop":
-        return FaultPlan.of(cancel_drop(params["probability"], **window))
-    if kind == "uncancellable":
-        return FaultPlan.of(uncancellable(**window))
-    if kind == "burst":
-        return FaultPlan.of(burst(params["factor"], **window))
-    if kind == "partition":
-        return FaultPlan.of(partition(**window))
-    if kind == "crash":
-        return FaultPlan.of(crash(**window))
-    raise KeyError(f"unknown grid fault kind {kind!r}")
+        params["resource"] = DEGRADE_TARGETS.get(case_id, "buffer_pool")
+    return FaultPlan.of(
+        GRID_FAULTS[kind](at=FAULT_AT, duration=FAULT_DURATION, **params)
+    )
 
 
 def _wrong_rate(outcome, culprit_ops) -> float:
@@ -172,10 +160,11 @@ def run(
 
     # Clean baselines first, then the grid, all in one campaign batch so
     # dedupe/caching/parallelism see the whole sweep at once.
-    specs = []
-    for cid in case_ids:
-        for system in systems:
-            specs.append(case_spec("resilience", cid, seed, system=system))
+    clean_keys = [(cid, system) for cid in case_ids for system in systems]
+    specs = [
+        case_spec("resilience", cid, seed, system=system)
+        for cid, system in clean_keys
+    ]
     grid = []
     for cid in case_ids:
         for kind in kinds:
@@ -190,13 +179,7 @@ def run(
                         )
                     )
     outcomes = execute(specs)
-
-    clean: Dict[tuple, object] = {}
-    idx = 0
-    for cid in case_ids:
-        for system in systems:
-            clean[(cid, system)] = outcomes[idx]
-            idx += 1
+    clean = dict(zip(clean_keys, outcomes))
 
     from ..cases import get_case
 
@@ -210,7 +193,9 @@ def run(
             "cancels", "wrong_rate", "recovery_s",
         ],
     )
-    for (cid, kind, tier, system, plan), outcome in zip(grid, outcomes[idx:]):
+    for (cid, kind, tier, system, plan), outcome in zip(
+        grid, outcomes[len(clean_keys):]
+    ):
         case = get_case(cid)
         base = clean[(cid, system)]
         table.add_row(

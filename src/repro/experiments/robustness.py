@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..campaign import execute
 from .case_family import case_spec
-from .harness import normalize
+from .grid import Sweep, mean, norm_p99, norm_tput
 from .tables import ExperimentResult, ExperimentTable
 
 DEFAULT_CASES = ["c1", "c2", "c5", "c8", "c13", "c15"]
@@ -27,6 +26,20 @@ def run(
     """Repeat the headline mitigation result across seeds."""
     case_ids = case_ids if case_ids is not None else list(DEFAULT_CASES)
     seeds = seeds if seeds is not None else list(DEFAULT_SEEDS)
+    # Per seed: the non-overloaded baseline, then ATROPOS on the
+    # overloaded case (the reference is per cell, so both are columns).
+    def spec_for(cid, column):
+        seed, overloaded = column
+        if overloaded:
+            return case_spec("robustness", cid, seed, system="atropos")
+        return case_spec("robustness", cid, seed, include_culprit=False)
+
+    grid = Sweep(
+        "case",
+        case_ids,
+        [(seed, overloaded) for seed in seeds for overloaded in (False, True)],
+        spec_for,
+    )
     table = ExperimentTable(
         "Robustness: Atropos normalized metrics across seeds "
         f"(seeds={seeds})",
@@ -37,27 +50,18 @@ def run(
             "drop_max",
         ],
     )
-    specs = []
     for cid in case_ids:
-        for seed in seeds:
-            specs.append(
-                case_spec("robustness", cid, seed, include_culprit=False)
-            )
-            specs.append(case_spec("robustness", cid, seed, system="atropos"))
-    outcomes = iter(execute(specs))
-    for cid in case_ids:
-        tputs, p99s, drops = [], [], []
-        for _ in seeds:
-            baseline = next(outcomes)
-            atropos = next(outcomes)
-            tputs.append(normalize(atropos.throughput, baseline.throughput))
-            p99s.append(normalize(atropos.p99_latency, baseline.p99_latency))
-            drops.append(atropos.drop_rate)
+        pairs = [
+            (grid.cells[cid, (seed, True)], grid.cells[cid, (seed, False)])
+            for seed in seeds
+        ]
+        tputs = [norm_tput(*pair) for pair in pairs]
+        p99s = [norm_p99(*pair) for pair in pairs]
         table.add_row(
             cid,
-            min(tputs), sum(tputs) / len(tputs), max(tputs),
-            min(p99s), sum(p99s) / len(p99s), max(p99s),
-            max(drops),
+            min(tputs), mean(tputs), max(tputs),
+            min(p99s), mean(p99s), max(p99s),
+            max(atropos.drop_rate for atropos, _ in pairs),
         )
     return ExperimentResult(
         experiment_id="robustness",

@@ -9,12 +9,11 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Optional
 
-from .experiments import ALL_EXPERIMENTS, ExperimentResult
+from .experiments import ALL_EXPERIMENTS, EXPERIMENTS, ExperimentResult
 
 #: The order artifacts appear in the paper.
 DEFAULT_ORDER = [
-    "fig2", "fig3", "fig4", "table1", "table2", "table3",
-    "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
+    experiment.id for experiment in EXPERIMENTS if experiment.report
 ]
 
 
@@ -32,11 +31,7 @@ def run_experiments(
     results: Dict[str, ExperimentResult] = {}
     for exp_id in ids:
         started = time.time()
-        runner = ALL_EXPERIMENTS[exp_id]
-        kwargs = {"quick": quick}
-        if exp_id.startswith(("fig", "ablate")):
-            kwargs["seed"] = seed
-        results[exp_id] = runner(**kwargs)
+        results[exp_id] = ALL_EXPERIMENTS[exp_id](quick=quick, seed=seed)
         if progress is not None:
             progress(exp_id, time.time() - started)
     return results
@@ -45,36 +40,14 @@ def run_experiments(
 def render_report(
     results: Dict[str, ExperimentResult],
     title: str = "Reproduction results",
-    tracer=None,
 ) -> str:
-    """Render results as a markdown-ish text report.
-
-    When ``tracer`` (a :class:`repro.obs.Tracer` used while the results
-    were produced) is given, the report ends with its event counters and
-    decision-audit totals.
-    """
+    """Render results as a markdown-ish text report."""
     lines = [f"# {title}", ""]
-    for exp_id in DEFAULT_ORDER:
-        if exp_id not in results:
-            continue
-        result = results[exp_id]
-        lines.append("```")
-        lines.append(result.format())
-        lines.append("```")
-        lines.append("")
-    # Anything requested outside the default order, sorted by id so the
-    # rendered report is stable regardless of dict insertion order.
-    for exp_id in sorted(results):
-        if exp_id not in DEFAULT_ORDER:
-            lines.append("```")
-            lines.append(results[exp_id].format())
-            lines.append("```")
-            lines.append("")
-    if tracer is not None and getattr(tracer, "enabled", False):
-        from .obs import render_trace_summary
-
-        lines.append("```")
-        lines.append(render_trace_summary(tracer))
-        lines.append("```")
-        lines.append("")
+    # Anything requested outside the default order follows it, sorted
+    # by id so the rendered report is stable regardless of dict
+    # insertion order.
+    ordered = [exp_id for exp_id in DEFAULT_ORDER if exp_id in results]
+    ordered += sorted(set(results) - set(DEFAULT_ORDER))
+    for exp_id in ordered:
+        lines += ["```", results[exp_id].format(), "```", ""]
     return "\n".join(lines)

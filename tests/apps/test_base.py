@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.base import Application, Operation
+from repro.baselines import SYSTEMS, controller_factory
 from repro.core import (
     Atropos,
     AtroposConfig,
@@ -90,10 +91,6 @@ class TestTracingDebt:
         assert "trace_debt" not in task.metadata
 
 
-SYSTEMS = (
-    "atropos", "protego", "pbox", "darc", "parties", "seda", "breakwater",
-    "dagor", "autothrottle", "overload",
-)
 TRACING_HOOKS = ("get_resource", "free_resource", "slow_by_resource")
 
 
@@ -103,8 +100,6 @@ class TestTracesResourcesFact:
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_stated_by_exactly_the_controllers_that_record(self, env, system):
-        from repro.baselines import controller_factory
-
         controller = controller_factory(system)(env)
         records = any(
             getattr(controller, hook).__func__

@@ -151,6 +151,8 @@ class TestHarness:
             "fig2", "fig3", "fig4", "fig9", "fig10", "fig11", "fig12",
             "fig13", "fig14", "table1", "table2", "table3", "resilience",
             "ablate-adaptive", "ablate-levers", "cluster", "dag",
+            "ablation-cooldown", "ablation-detection", "ablation-reexec",
+            "robustness",
         }
         assert set(ALL_EXPERIMENTS) == expected
 

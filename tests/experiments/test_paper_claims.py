@@ -9,19 +9,9 @@ this module checks the claims on the configurations the report prints.
 
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS, ablations, robustness
+from repro.experiments import ALL_EXPERIMENTS
 
 pytestmark = pytest.mark.slow
-
-#: Experiment id -> runner(quick=True); the ablations and the seed
-#: sweep are not report experiments, so they are named here.
-RUNNERS = {
-    **ALL_EXPERIMENTS,
-    "ablation-cooldown": ablations.run_cooldown,
-    "ablation-detection-period": ablations.run_detection_period,
-    "ablation-reexecution": ablations.run_no_reexecution,
-    "robustness": robustness.run,
-}
 
 
 def _renders(result):
@@ -124,8 +114,8 @@ CLAIMS = [
     ("fig13", _fig13),
     ("fig14", _fig14),
     ("ablation-cooldown", _cooldown),
-    ("ablation-detection-period", _renders),
-    ("ablation-reexecution", _reexecution),
+    ("ablation-detection", _renders),
+    ("ablation-reexec", _reexecution),
     ("robustness", _robustness),
     ("table1", _table1),
     ("table2", _rows(16)),
@@ -137,4 +127,4 @@ CLAIMS = [
     "experiment, check", CLAIMS, ids=[claim[0] for claim in CLAIMS]
 )
 def test_paper_claim(experiment, check):
-    check(RUNNERS[experiment](quick=True))
+    check(ALL_EXPERIMENTS[experiment](quick=True))

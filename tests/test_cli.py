@@ -229,6 +229,47 @@ class TestCommands:
     def test_run_unknown_experiment_exits_2(self, capsys):
         assert main(["run", "fig99"]) == 2
 
+    def test_run_resolves_the_module_name_like_sweep_trace_report(self, capsys):
+        assert main(["run", "table_experiments"]) == 0
+        assert "Table 1" in capsys.readouterr().out
+
+    def test_list_derives_cases_and_names_the_opt_in_experiments(self, capsys):
+        from repro.cases import all_case_ids
+
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert f"c1..{all_case_ids()[-1]}" in out
+        for opt_in in ("resilience", "ablate-adaptive", "ablate-levers",
+                       "cluster", "dag"):
+            assert opt_in in out
+
+    @pytest.mark.parametrize(
+        "experiment, module",
+        [("dag", "dag_overload"), ("cluster", "cluster_attribution"),
+         ("resilience", "resilience")],
+    )
+    def test_sweep_hands_each_seed_to_the_runner(
+        self, experiment, module, monkeypatch, capsys
+    ):
+        from importlib import import_module
+
+        from repro.experiments import ExperimentResult
+
+        seen = []
+
+        def run(quick=True, seed=None):
+            seen.append(seed)
+            return ExperimentResult(experiment, f"ran seed {seed}")
+
+        module = import_module(f"repro.experiments.{module}")
+        monkeypatch.setattr(module, "run", run)
+        assert main(["sweep", experiment, "--seeds", "0", "1", "2"]) == 0
+        assert seen == [0, 1, 2]
+        out = capsys.readouterr().out
+        assert "ran seed 1" in out and "ran seed 2" in out
+        assert main(["run", experiment, "--seed", "7"]) == 0
+        assert seen[-1] == 7
+
     def test_run_table_experiment(self, capsys):
         assert main(["run", "table2"]) == 0
         out = capsys.readouterr().out

@@ -186,3 +186,34 @@ class TestRepoDocs:
     def test_retired_names_count_toward_exit_status(self, monkeypatch):
         monkeypatch.setattr(checker, "RETIRED_NAMES", ["# ROADMAP"])
         assert checker.main([]) >= 1
+
+
+class TestDocumentedCommands:
+    def test_every_documented_command_parses(self):
+        files = checker.collect_markdown(checker.RETIRED_TARGETS)
+        files.append(checker.CLI_MODULE)
+        lines = [line for path in files for line in checker.cli_lines(path)]
+        assert len(lines) > 90  # README, EXPERIMENTS, docs, the docstring
+        errors = checker.check_cli(files)
+        assert errors == [], "\n".join(errors)
+
+    def test_stale_flag_and_unknown_experiment_detected(self, tmp_path):
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "# T\n\n`python -m repro run nope` in prose is not checked\n\n"
+            "```bash\n"
+            "python -m repro run fig9 --no-such-flag   # stale flag\n"
+            "python -m repro trace fig99_gone --out t.json\n"
+            "python -m repro sweep fig3_lock_contention \\\n"
+            "    --seeds 0 1   # continuation lines are joined\n"
+            "python -m repro run fig10 [--seed N] [--jobs N]\n"
+            "```\n"
+        )
+        flag, experiment = checker.check_cli([doc])
+        assert ":6: " in flag and "--no-such-flag" in flag
+        assert ":7: " in experiment and "fig99_gone" in experiment
+
+    def test_synopsis_notation_reads_as_its_first_instance(self):
+        assert checker.cli_argv(
+            "python -m repro dag [--controller compare|none] [--jobs N]  # x"
+        ) == ["dag", "--controller", "compare", "--jobs", "1"]

@@ -13,7 +13,10 @@ target`` definitions -- and verifies
 * every reference-style usage has a matching definition,
 * no document outside the change log still mentions a *retired name*
   (:data:`RETIRED_NAMES`: commands, files and functions that no longer
-  exist), code fences included -- a stale command is the worst kind.
+  exist), code fences included -- a stale command is the worst kind,
+* every ``python -m repro ...`` line inside a code fence (and in the
+  usage block of the ``repro.__main__`` docstring) parses with the CLI's
+  own ``build_parser()`` and names an experiment the registry knows.
 
 External (``http(s)://``, ``mailto:``) links are skipped -- CI must not
 depend on the network.  Exit status is the number of problems found.
@@ -25,7 +28,11 @@ Usage::
 
 from __future__ import annotations
 
+import ast
+import contextlib
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
@@ -65,6 +72,9 @@ RETIRED_NAMES = [
 #: Where retired names are looked for: the default set minus CHANGES.md,
 #: the history of record, which names what each PR removed.
 RETIRED_TARGETS = [t for t in DEFAULT_TARGETS if t != "CHANGES.md"]
+
+#: The module whose docstring is the CLI's usage block.
+CLI_MODULE = REPO_ROOT / "src" / "repro" / "__main__.py"
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
@@ -246,14 +256,93 @@ def check_retired(files: List[Path]) -> List[str]:
     ]
 
 
+CLI_PREFIX = "python -m repro"
+
+
+def cli_lines(path: Path) -> List[Tuple[int, str]]:
+    """``(line number, command)`` per ``python -m repro ...`` line.
+
+    Markdown: lines inside code fences, backslash continuations joined.
+    Python: the module docstring (the usage block of ``__main__``).
+    """
+    text = path.read_text(encoding="utf-8")
+    in_fence = path.suffix == ".py"  # a docstring is one literal block
+    if in_fence:
+        text = ast.get_docstring(ast.parse(text)) or ""
+    found: List[Tuple[int, str]] = []
+    pending = None  # (line number, text so far) of a continued command
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if CODE_FENCE_RE.match(line.strip()):
+            in_fence = not in_fence
+            continue
+        if pending is not None:
+            lineno, line = pending[0], pending[1] + " " + line.strip()
+            pending = None
+        elif not in_fence or CLI_PREFIX not in line:
+            continue
+        if line.endswith("\\"):
+            pending = (lineno, line[:-1])
+        else:
+            found.append((lineno, line[line.index(CLI_PREFIX):]))
+    return found
+
+
+def cli_argv(command: str) -> List[str]:
+    """The argv a documented command stands for.
+
+    Comments go; usage-synopsis notation is read as its first concrete
+    instance: ``[--flag X]`` is given, ``a|b|c`` is ``a``, a one-letter
+    placeholder (``N``, ``S``) is ``1``.
+    """
+    tokens = shlex.split(
+        command.replace("[", " ").replace("]", " "), comments=True
+    )[len(CLI_PREFIX.split()):]
+    return [
+        "1" if re.fullmatch("[A-Z]", token) else token.split("|")[0]
+        for token in tokens
+    ]
+
+
+def check_cli(files: List[Path]) -> List[str]:
+    """Every documented ``python -m repro`` line must parse with the
+    real parser, and a positional experiment must resolve."""
+    if str(REPO_ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.__main__ import build_parser
+    from repro.experiments import resolve_experiment_id
+
+    parser = build_parser()
+    errors: List[str] = []
+    for path in files:
+        for lineno, command in cli_lines(path):
+            where = f"{_rel(path)}:{lineno}"
+            complaint = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(complaint):
+                    args = parser.parse_args(cli_argv(command))
+            except SystemExit:
+                reason = complaint.getvalue().strip().splitlines()[-1:]
+                errors.append(
+                    f"{where}: `{command}` does not parse: "
+                    + "".join(reason)
+                )
+                continue
+            name = getattr(args, "experiment", None)
+            if name is not None and resolve_experiment_id(name) is None:
+                errors.append(f"{where}: unknown experiment {name!r}")
+    return errors
+
+
 def main(argv: List[str]) -> int:
     targets = argv or DEFAULT_TARGETS
     errors = check(targets)
     if not argv:
-        # Anchor integrity and retired names are repo-level properties;
-        # skip them when the caller asked to lint specific files.
+        # Anchor integrity, retired names and documented commands are
+        # repo-level properties; skip them when the caller asked to lint
+        # specific files.
         errors += check_anchors(collect_markdown(targets))
         errors += check_retired(collect_markdown(RETIRED_TARGETS))
+        errors += check_cli(collect_markdown(RETIRED_TARGETS) + [CLI_MODULE])
     for error in errors:
         print(error, file=sys.stderr)
     checked = len(collect_markdown(targets))
