@@ -5,7 +5,8 @@ This example builds a small bespoke application -- a job server with one
 worker pool and one shared index lock -- and walks through the full
 integration surface from the paper's Figure 6:
 
-* ``register_resource``      declare application resources,
+* ``register_resource``      declare application resources and the sim
+  objects behind them,
 * ``create_cancel``/``free_cancel``   delimit cancellable tasks,
 * ``set_cancel_action``      register a custom cancellation initiator,
 * ``get/free/slow_by``       trace resource usage at the natural points
@@ -35,9 +36,15 @@ class JobServer(Application):
         # Internal resources (simulation primitives).
         self.pool = ThreadPool(env, "jobserver.pool", workers=8)
         self.index_lock = SyncLock(env, "jobserver.index")
-        # Declare them to the overload controller.
-        self.r_pool = self.register_resource("worker_pool", ResourceType.QUEUE)
-        self.r_index = self.register_resource("index_lock", ResourceType.LOCK)
+        # Declare them to the overload controller, handing over the sim
+        # object(s) behind each handle: telemetry, fault injection and
+        # the lock-reshape lever find them through app.resources().
+        self.r_pool = self.register_resource(
+            "worker_pool", ResourceType.QUEUE, self.pool
+        )
+        self.r_index = self.register_resource(
+            "index_lock", ResourceType.LOCK, self.index_lock
+        )
         self.register_handler("small_job", self.small_job)
         self.register_handler("reindex", self.reindex)
 

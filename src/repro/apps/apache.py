@@ -66,7 +66,7 @@ class Apache(Application):
             queue_capacity=cfg.accept_queue,
         )
         self.r_workers = self.register_resource(
-            "worker_pool", ResourceType.QUEUE
+            "worker_pool", ResourceType.QUEUE, self.workers
         )
         self.instrumentation_sites = 6
 

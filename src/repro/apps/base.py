@@ -68,6 +68,8 @@ class Application:
         #: three tracing helpers below then return at once.
         self._traces = controller.traces_resources
         self._handlers: Dict[str, Handler] = {}
+        #: handle -> the sim objects behind it, in registration order.
+        self._resources: Dict[ResourceHandle, tuple] = {}
         #: Count of instrumentation sites (tracing calls wired into this
         #: app); reported in the Table 3 integration-effort experiment.
         self.instrumentation_sites = 0
@@ -79,9 +81,34 @@ class Application:
         self._handlers[op_name] = handler
 
     def register_resource(
-        self, name: str, rtype: ResourceType
+        self, name: str, rtype: ResourceType, *sims: Any
     ) -> ResourceHandle:
-        return self.controller.register_resource(f"{self.name}.{name}", rtype)
+        """Declare an application resource and the sim objects behind it.
+
+        This is the paper's integration step (§3.2): the controller gets
+        its :class:`ResourceHandle`, and the app remembers which sim
+        primitives the handle stands for, so telemetry, fault injection
+        and the mitigation levers all read :meth:`resources` instead of
+        guessing from attribute names.
+        """
+        if not sims:
+            raise TypeError(
+                f"{self.name}.{name}: register_resource needs the sim "
+                "object(s) behind the handle"
+            )
+        handle = self.controller.register_resource(f"{self.name}.{name}", rtype)
+        self._resources[handle] = sims
+        return handle
+
+    def resources(self, handle: Optional[ResourceHandle] = None) -> list:
+        """Registered sim objects, in registration order.
+
+        With ``handle``, only the objects behind that handle (empty for
+        a handle this application did not register).
+        """
+        if handle is not None:
+            return list(self._resources.get(handle, ()))
+        return [sim for sims in self._resources.values() for sim in sims]
 
     def operations(self) -> list:
         return sorted(self._handlers.keys())

@@ -98,12 +98,14 @@ class Elasticsearch(Application):
         self.doc_lock = SyncLock(env, "es.doc_lock")
 
         self.r_query_cache = self.register_resource(
-            "query_cache", ResourceType.MEMORY
+            "query_cache", ResourceType.MEMORY, self.query_cache
         )
-        self.r_heap = self.register_resource("heap", ResourceType.MEMORY)
-        self.r_cpu = self.register_resource("cpu", ResourceType.CPU)
+        self.r_heap = self.register_resource(
+            "heap", ResourceType.MEMORY, self.heap
+        )
+        self.r_cpu = self.register_resource("cpu", ResourceType.CPU, self.cpu)
         self.r_doc_lock = self.register_resource(
-            "document_lock", ResourceType.LOCK
+            "document_lock", ResourceType.LOCK, self.doc_lock
         )
         self.instrumentation_sites = 16
 

@@ -50,7 +50,9 @@ class Etcd(Application):
         self.config = config or EtcdConfig()
 
         self.kv_lock = SyncLock(env, "etcd.kv_lock")
-        self.r_kv_lock = self.register_resource("kv_lock", ResourceType.LOCK)
+        self.r_kv_lock = self.register_resource(
+            "kv_lock", ResourceType.LOCK, self.kv_lock
+        )
         self.instrumentation_sites = 6
 
         self.register_handler("get", self.get)

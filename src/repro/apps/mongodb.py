@@ -127,13 +127,13 @@ class MongoDB(Application):
 
         # --- application resources registered with the controller ---
         self.r_doc_cache = self.register_resource(
-            "doc_cache", ResourceType.MEMORY
+            "doc_cache", ResourceType.MEMORY, self.doc_cache
         )
         self.r_collection_lock = self.register_resource(
-            "collection_lock", ResourceType.LOCK
+            "collection_lock", ResourceType.LOCK, *self.collection_locks
         )
         self.r_index_lock = self.register_resource(
-            "index_lock", ResourceType.LOCK
+            "index_lock", ResourceType.LOCK, self.index_latch
         )
         self.instrumentation_sites = 14
 

@@ -119,14 +119,16 @@ class MySQL(Application):
 
         # --- application resources registered with the controller ---
         self.r_buffer_pool = self.register_resource(
-            "buffer_pool", ResourceType.MEMORY
+            "buffer_pool", ResourceType.MEMORY, self.buffer_pool
         )
         self.r_table_lock = self.register_resource(
-            "table_lock", ResourceType.LOCK
+            "table_lock", ResourceType.LOCK, *self.table_locks
         )
-        self.r_undo_log = self.register_resource("undo_log", ResourceType.LOCK)
+        self.r_undo_log = self.register_resource(
+            "undo_log", ResourceType.LOCK, self.undo_latch
+        )
         self.r_innodb_queue = self.register_resource(
-            "innodb_queue", ResourceType.QUEUE
+            "innodb_queue", ResourceType.QUEUE, self.innodb_queue
         )
         self.instrumentation_sites = 20  # Table 3: ~20 resources/sites
 

@@ -101,10 +101,14 @@ class PostgreSQL(Application):
         )
 
         self.r_table_lock = self.register_resource(
-            "table_lock", ResourceType.LOCK
+            "table_lock", ResourceType.LOCK, *self.table_locks
         )
-        self.r_wal = self.register_resource("wal", ResourceType.LOCK)
-        self.r_io = self.register_resource("system_io", ResourceType.IO)
+        self.r_wal = self.register_resource(
+            "wal", ResourceType.LOCK, self.wal_lock
+        )
+        self.r_io = self.register_resource(
+            "system_io", ResourceType.IO, self.disk
+        )
         self.instrumentation_sites = 15
 
         #: Dead tuples per table (MVCC bloat, case c6).

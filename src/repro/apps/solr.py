@@ -63,10 +63,10 @@ class Solr(Application):
         self.index_lock = SyncLock(env, "solr.index_lock")
 
         self.r_queue = self.register_resource(
-            "searcher_queue", ResourceType.QUEUE
+            "searcher_queue", ResourceType.QUEUE, self.searchers
         )
         self.r_index_lock = self.register_resource(
-            "index_lock", ResourceType.LOCK
+            "index_lock", ResourceType.LOCK, self.index_lock
         )
         self.instrumentation_sites = 10
 

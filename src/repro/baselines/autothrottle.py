@@ -55,8 +55,8 @@ class AutothrottleResizeAction(ActionPolicy):
     def bind(self, app) -> None:
         c = self.controller
         pools = [
-            value for value in vars(app).values()
-            if isinstance(value, ThreadPool)
+            sim for sim in app.resources()
+            if isinstance(sim, ThreadPool)
         ]
         if pools:
             c.pool = max(pools, key=lambda p: p.nominal_workers)

@@ -38,19 +38,19 @@ class WorkerReservationAction(ActionPolicy):
 
     def bind(self, app) -> None:
         c = self.controller
-        for attr in vars(app).values():
-            if isinstance(attr, ThreadPool):
+        for pool in app.resources():
+            if isinstance(pool, ThreadPool):
                 reserve = max(
-                    1, math.floor(attr.workers * c.reserved_fraction)
+                    1, math.floor(pool.workers * c.reserved_fraction)
                 )
                 # Never reserve every worker: heavy requests must be able
                 # to run, else the system deadlocks by policy.
-                reserve = min(reserve, attr.workers - 1)
+                reserve = min(reserve, pool.workers - 1)
                 if reserve <= 0:
                     continue
                 # One shared reservation for all profiled-short classes.
-                attr.reserve(c.light_classes, reserve)
-                c.reserved_pools.append(attr)
+                pool.reserve(c.light_classes, reserve)
+                c.reserved_pools.append(pool)
 
     def act(self, now: float, signals: Dict[str, Any]) -> None:
         """Never called: the pipeline has no period."""

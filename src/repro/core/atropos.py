@@ -147,7 +147,7 @@ class Atropos(TracingController):
         )
 
     def bind(self, app) -> None:
-        """Let the lever discover app resources (locks) at bind time."""
+        """Hand the lever the application (its resource registry)."""
         self.pipeline.bind(app)
 
     def _build_adaptation(self):

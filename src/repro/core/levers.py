@@ -43,6 +43,7 @@ from .pipeline import ActionPolicy
 from .types import ResourceType
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..apps.base import Application
     from ..sim.resources.lock import SyncLock
     from .atropos import Atropos
 
@@ -316,28 +317,36 @@ class LockScheduleLever(MitigationLever):
 
     def __init__(self, controller: "Atropos") -> None:
         super().__init__(controller)
-        #: All SyncLocks discovered on the bound application.
-        self._locks: List["SyncLock"] = []
+        #: The bound application; its resource registry maps the culprit
+        #: handle to the locks behind it.
+        self._app: Optional["Application"] = None
         #: Lifetime count of waiters this lever parked.
         self.parked_total = 0
 
     def bind(self, app) -> None:
+        self._app = app
+
+    def _app_locks(self, handle=None) -> List["SyncLock"]:
+        """The bound app's SyncLocks -- behind ``handle``, or all of them.
+
+        A culprit handle that stands for something else (a pool, a
+        queue) has none, and neither has an unbound lever.
+        """
         from ..sim.resources.lock import SyncLock
 
-        locks: List["SyncLock"] = []
-        for value in vars(app).values():
-            if isinstance(value, SyncLock):
-                locks.append(value)
-            elif isinstance(value, (list, tuple)):
-                locks.extend(v for v in value if isinstance(v, SyncLock))
-        self._locks = locks
+        if self._app is None:
+            return []
+        return [
+            sim for sim in self._app.resources(handle)
+            if isinstance(sim, SyncLock)
+        ]
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
         snap = super().telemetry_snapshot()
         snap["parked_total"] = self.parked_total
         # Readmission happens in the locks (idle trickle), not here.
         snap["reactivated_total"] = sum(
-            lock.waiters_reactivated_total for lock in self._locks
+            lock.waiters_reactivated_total for lock in self._app_locks()
         )
         return snap
 
@@ -360,18 +369,10 @@ class LockScheduleLever(MitigationLever):
             return audit.candidates[0].op_name, None
         return None, None
 
-    def _locks_for(self, resource_name: str) -> List["SyncLock"]:
-        prefix = resource_name + "."
-        return [
-            lock
-            for lock in self._locks
-            if lock.name == resource_name or lock.name.startswith(prefix)
-        ]
-
     def _parkable(self, culprit_resource, op_name: str) -> int:
         """How many culprit-class waiters a reshape would park right now."""
         count = 0
-        for lock in self._locks_for(culprit_resource.resource.name):
+        for lock in self._app_locks(culprit_resource.resource):
             for grant in lock._waiters:
                 if getattr(grant.owner, "op_name", None) == op_name:
                     count += 1
@@ -394,7 +395,7 @@ class LockScheduleLever(MitigationLever):
             self._finish_audit(audit)
             return
         parked = 0
-        for lock in self._locks_for(culprit_resource.resource.name):
+        for lock in self._app_locks(culprit_resource.resource):
             parked += lock.reshape_queue(
                 lambda grant: getattr(grant.owner, "op_name", None)
                 == op_name

@@ -202,39 +202,27 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Resource degradation
     # ------------------------------------------------------------------
-    def _find_degradable(self, target: str) -> Optional[Any]:
-        """Resolve ``target`` to an app attribute with a degrade() hook.
+    def _find_resource(self, target: str) -> Optional[Any]:
+        """Resolve ``target`` to one of the app's registered resources.
 
-        Matches the full resource name (``mysql.buffer_pool``) or a
+        Matches the full sim-resource name (``mysql.buffer_pool``) or a
         dotted suffix (``buffer_pool``), so plans stay portable across
         applications that follow the ``<app>.<resource>`` convention.
-        Looks one level into list/tuple attributes too -- apps keep
-        per-instance resources in collections (``mongodb``'s per-
-        collection locks), and a resource found there but lacking a
-        real ``degrade()`` must report *that*, not "no match".
+        Every registered resource is a candidate -- a lock in a per-
+        table list too -- so one lacking a real ``degrade()`` reports
+        *that*, not "no match".
         """
         if self._app is None:
             return None
-        candidates = []
-        for value in vars(self._app).values():
-            if isinstance(value, (list, tuple)):
-                candidates.extend(value)
-            else:
-                candidates.append(value)
-        for value in candidates:
-            name = getattr(value, "name", None)
-            if not isinstance(name, str) or not callable(
-                getattr(value, "degrade", None)
-            ):
-                continue
-            if name == target or name.endswith("." + target):
-                return value
+        for sim in self._app.resources():
+            if sim.name == target or sim.name.endswith("." + target):
+                return sim
         return None
 
     def _apply_degrade(self, fault: Fault):
         target = fault.param("resource")
         factor = fault.param("factor")
-        resource = self._find_degradable(target)
+        resource = self._find_resource(target)
         if resource is None:
             return False, f"no degradable resource matching {target!r}", None
         try:

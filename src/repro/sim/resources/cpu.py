@@ -10,7 +10,7 @@ scheduler would let them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator
+from typing import TYPE_CHECKING, Any, Dict, Generator, List
 
 from ...obs.tracer import owner_label
 from ..events import Event, Timeout
@@ -62,6 +62,10 @@ class CPU:
 
     def consumed(self, owner: Any) -> float:
         return self.usage.get(owner, 0.0)
+
+    def owners(self) -> List[Any]:
+        """Owners of the slices on a core or in the run queue."""
+        return self._pool.owners()
 
     def telemetry_snapshot(self) -> dict:
         """Scrape-friendly state (see :mod:`repro.telemetry.scrape`)."""

@@ -6,7 +6,7 @@ saturating the disk and slowing queries).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator
+from typing import TYPE_CHECKING, Any, Dict, Generator, List
 
 from ...obs.tracer import owner_label
 from ..events import Event, Timeout
@@ -68,6 +68,10 @@ class DiskIO:
 
     def transferred(self, owner: Any) -> float:
         return self.bytes_by_owner.get(owner, 0.0)
+
+    def owners(self) -> List[Any]:
+        """Owners of the operations in flight or in the device queue."""
+        return self._pool.owners()
 
     def telemetry_snapshot(self) -> dict:
         """Scrape-friendly state (see :mod:`repro.telemetry.scrape`)."""

@@ -167,6 +167,10 @@ class DocumentBuffer(Resource):
     def owner_docs(self, owner: Any) -> int:
         return len(self._owner_docs.get(owner, ()))
 
+    def owners(self) -> List[Any]:
+        """Everyone with at least one resident document."""
+        return list(self._owner_docs)
+
     def contains(self, collection: str, doc_id: Hashable) -> bool:
         return (collection, doc_id) in self._nodes
 

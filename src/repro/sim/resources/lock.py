@@ -103,6 +103,13 @@ class SyncLock(Resource):
     def holder_owners(self) -> List[Any]:
         return [g.owner for g in self._holders]
 
+    def owners(self) -> List[Any]:
+        """Everyone this lock knows: holders, then waiters, then parked."""
+        return [
+            g.owner
+            for g in (*self._holders, *self._waiters, *self._passivated)
+        ]
+
     def telemetry_snapshot(self) -> dict:
         """Scrape-friendly state (see :mod:`repro.telemetry.scrape`)."""
         return {

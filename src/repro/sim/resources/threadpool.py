@@ -153,6 +153,10 @@ class ThreadPool(Resource):
     def idle_workers(self) -> int:
         return self.workers - len(self._running)
 
+    def owners(self) -> List[Any]:
+        """Everyone this pool knows: running, then queued."""
+        return [g.owner for g in (*self._running, *self._waiters)]
+
     def telemetry_snapshot(self) -> dict:
         """Scrape-friendly state (see :mod:`repro.telemetry.scrape`)."""
         return {

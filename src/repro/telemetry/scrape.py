@@ -107,8 +107,10 @@ class Scraper:
         self._driver: Any = None
         self._controller: Any = None
         self._faults: Any = None
-        #: (attr_name, resource) pairs, sorted by attribute name.
-        self._resources: List[Tuple[str, Any]] = []
+        #: The app's registered resources, sorted by resource name.
+        self._resources: List[Any] = []
+        #: (resource name, snapshot key) -> registry child.
+        self._series: Dict[Tuple[str, str], Any] = {}
         self._last_t = 0.0
         # Incremental cursors / previous cumulative values.
         self._record_idx = 0
@@ -125,24 +127,16 @@ class Scraper:
         controller: Any = None,
         faults: Any = None,
     ) -> None:
-        """Bind the run's components; discovers scrapeable resources."""
+        """Bind the run's components; lists the app's registered resources."""
         self._app = app
         self._driver = driver
         self._controller = controller
         self._faults = faults
-        self._resources = []
-        if app is not None:
-            for attr in sorted(vars(app)):
-                obj = getattr(app, attr)
-                if obj is controller:
-                    # The app's back-reference to its controller; scraped
-                    # separately (its snapshot nests detector/blame dicts).
-                    continue
-                if callable(getattr(obj, "telemetry_snapshot", None)):
-                    self._resources.append((attr, obj))
-        self.run.resource_names = [
-            getattr(obj, "name", attr) for attr, obj in self._resources
-        ]
+        self._resources = sorted(
+            app.resources() if app is not None else (),
+            key=lambda sim: sim.name,
+        )
+        self.run.resource_names = [sim.name for sim in self._resources]
 
     def start(self) -> None:
         """Spawn the scrape loop as a simulation process."""
@@ -186,23 +180,21 @@ class Scraper:
         self._scrape_driver(values, elapsed)
 
         # -- resources -------------------------------------------------
-        for attr, resource in self._resources:
-            name = getattr(resource, "name", attr)
+        for resource in self._resources:
+            name = resource.name
             snap = resource.telemetry_snapshot()
             for key in sorted(snap):
                 val = float(snap[key])
                 if key.endswith("_total"):
                     delta = self._counter_delta(f"res:{name}:{key}", val)
                     if delta > 0:
-                        reg.counter(
-                            f"repro_resource_{key}",
-                            "Per-resource cumulative total",
-                            resource=name,
+                        self._resource_series(
+                            reg.counter, "Per-resource cumulative total",
+                            name, key,
                         ).inc(delta)
                 else:
-                    reg.gauge(
-                        f"repro_resource_{key}",
-                        "Per-resource level", resource=name,
+                    self._resource_series(
+                        reg.gauge, "Per-resource level", name, key
                     ).set(val)
                 if key in ("utilization", "queue_depth"):
                     short = "util" if key == "utilization" else "qdepth"
@@ -225,6 +217,18 @@ class Scraper:
         if self.live_sink is not None:
             self.live_sink(self.run, window)
         return window
+
+    def _resource_series(self, declare, help_text: str, name: str, key: str):
+        """The registry child of one resource's snapshot key, declared on
+        first use: rebuilding its label key every scrape costs more than
+        the rest of the per-key work, and every registered lock is now
+        scraped (``tests/telemetry/test_overhead.py`` holds the bound)."""
+        series = self._series.get((name, key))
+        if series is None:
+            series = self._series[name, key] = declare(
+                f"repro_resource_{key}", help_text, resource=name
+            )
+        return series
 
     def _scrape_driver(self, values: Dict[str, float], elapsed: float) -> None:
         driver = self._driver

@@ -23,8 +23,12 @@ class TinyApp(Application):
         super().__init__(env, controller, rng)
         self.lock = SyncLock(env, "tiny.lock")
         self.pool = ThreadPool(env, "tiny.pool", workers=1)
-        self.r_lock = self.register_resource("lock", ResourceType.LOCK)
-        self.r_pool = self.register_resource("pool", ResourceType.QUEUE)
+        self.r_lock = self.register_resource(
+            "lock", ResourceType.LOCK, self.lock
+        )
+        self.r_pool = self.register_resource(
+            "pool", ResourceType.QUEUE, self.pool
+        )
         self.register_handler("op", self.op)
 
     def op(self, task):

@@ -14,6 +14,8 @@ from repro.baselines.dagor import (
 from repro.sim import Environment, RequestRecord, RequestStatus
 from repro.sim.resources import ThreadPool
 
+from ..apps.stub import StubApp
+
 
 @pytest.fixture
 def env():
@@ -98,11 +100,13 @@ class TestDagorConvergence:
         assert times == sorted(times)
 
 
-class _PoolApp:
-    """Minimal app exposing a worker pool for bind() discovery."""
+class _PoolApp(StubApp):
+    """Minimal app registering a worker pool (and a narrower one)."""
 
     def __init__(self, env, workers=32):
-        self.workers = ThreadPool(env, "workers", workers=workers)
+        self.narrow = ThreadPool(env, "stub.narrow", workers=2)
+        self.workers = ThreadPool(env, "stub.workers", workers=workers)
+        super().__init__(env, narrow=self.narrow, workers=self.workers)
 
 
 class TestAutothrottle:

@@ -74,6 +74,26 @@ class TestDARC:
         )
         assert reserved >= app.innodb_queue.workers // 2
 
+    def test_never_reserves_every_worker(self, env):
+        from repro.sim.resources import SyncLock, ThreadPool
+
+        from ..apps.stub import StubApp
+
+        single = ThreadPool(env, "stub.single", workers=1)
+        pair = ThreadPool(env, "stub.pair", workers=2)
+        darc = DARC(env, reserved_fraction=0.9)
+        darc.bind(
+            StubApp(
+                env, darc, single=single, pair=pair,
+                latch=SyncLock(env, "stub.latch"),
+            )
+        )
+        # Heavy requests must keep a worker: no reservation on a pool
+        # of one, one of two reserved on the pair, locks left alone.
+        assert darc.reserved_pools == [pair]
+        assert single._reservations == {}
+        assert sum(pair._reservations.values()) == 1
+
     def test_invalid_fraction_rejected(self, env):
         with pytest.raises(ValueError):
             DARC(env, reserved_fraction=1.5)

@@ -10,8 +10,11 @@ from repro.core.levers import (
     LockScheduleLever,
     resolve_lever,
 )
-from repro.sim import Environment
-from repro.sim.resources import SyncLock
+from repro.core.types import ResourceType
+from repro.sim import Environment, Rng
+from repro.sim.resources import SyncLock, ThreadPool
+
+from ..apps.stub import BACKENDS, StubApp
 
 
 class TestRegistry:
@@ -62,23 +65,44 @@ class TestLockDiscovery:
     def test_bind_discovers_locks_including_lists(self):
         env = Environment()
         controller = Atropos(env, AtroposConfig(lever="lock_reshape"))
+        lever = controller.lever
+        assert lever._app_locks() == []  # unbound: nothing to park on
 
-        class App:
-            def __init__(self):
-                self.one = SyncLock(env, "app.latch")
-                self.many = [
-                    SyncLock(env, "app.table_lock.0"),
-                    SyncLock(env, "app.table_lock.1"),
-                ]
-                self.other = "not a lock"
+        app = StubApp(
+            env,
+            controller,
+            # Handle and sim names deliberately share nothing (mysql's
+            # undo_log is the sim mysql.undo_latch).
+            undo_log=SyncLock(env, "app.latch"),
+            table_lock=[
+                SyncLock(env, "app.table_lock.0"),
+                SyncLock(env, "app.table_lock.1"),
+            ],
+            queue=ThreadPool(env, "app.queue", workers=2),
+        )
+        controller.bind(app)
 
-        controller.bind(App())
-        names = [lock.name for lock in controller.lever._locks]
-        assert names == ["app.latch", "app.table_lock.0", "app.table_lock.1"]
-        assert [
-            lock.name
-            for lock in controller.lever._locks_for("app.table_lock")
-        ] == ["app.table_lock.0", "app.table_lock.1"]
-        assert [
-            lock.name for lock in controller.lever._locks_for("app.latch")
-        ] == ["app.latch"]
+        def names(handle=None):
+            return [lock.name for lock in lever._app_locks(handle)]
+
+        assert names() == ["app.latch", "app.table_lock.0", "app.table_lock.1"]
+        assert names(app.handles["table_lock"]) == [
+            "app.table_lock.0", "app.table_lock.1",
+        ]
+        assert names(app.handles["undo_log"]) == ["app.latch"]
+        assert names(app.handles["queue"]) == []
+        foreign = controller.register_resource("elsewhere", ResourceType.LOCK)
+        assert names(foreign) == []
+
+    @pytest.mark.parametrize("app_type", BACKENDS)
+    def test_every_lock_handle_resolves_to_a_lock(self, app_type):
+        """The lever can park on every LOCK resource of every backend
+        (four handles resolved to nothing while the lookup matched
+        handle names against sim names)."""
+        env = Environment()
+        controller = Atropos(env, AtroposConfig(lever="lock_reshape"))
+        app = app_type(env, controller, Rng(0))
+        controller.bind(app)
+        for handle in controller.resources.values():
+            if handle.rtype is ResourceType.LOCK:
+                assert controller.lever._app_locks(handle), handle.name

@@ -26,13 +26,7 @@ from repro.sim.resources.pool import MemoryPool
 from repro.sim.resources.threadpool import ThreadPool
 from repro.sim.rng import Rng
 
-
-class StubApp:
-    """Bare attribute bag the injector scans for degradable resources."""
-
-    def __init__(self, **resources):
-        for key, value in resources.items():
-            setattr(self, key, value)
+from ..apps.stub import StubApp
 
 
 def arm(env, plan, app=None, controller=None, driver=None, seed=0):
@@ -79,7 +73,7 @@ def test_tap_noise_deterministic_and_nonnegative():
 def test_degrade_applies_and_restores():
     env = Environment()
     pool = ThreadPool(env, "app.workers", workers=8)
-    app = StubApp(workers=pool)
+    app = StubApp(env, workers=pool)
     plan = FaultPlan.of(degrade("workers", 0.5, at=1.0, duration=2.0))
     injector = arm(env, plan, app=app)
     env.run(until=0.5)
@@ -95,7 +89,7 @@ def test_degrade_applies_and_restores():
 def test_degrade_matches_dotted_suffix():
     env = Environment()
     pool = MemoryPool(env, "mysql.buffer_pool", capacity_pages=100)
-    app = StubApp(bp=pool)
+    app = StubApp(env, bp=pool)
     injector = arm(
         env, FaultPlan.of(degrade("buffer_pool", 0.5, at=0.0)), app=app
     )
@@ -106,7 +100,7 @@ def test_degrade_matches_dotted_suffix():
 
 def test_degrade_missing_resource_is_recorded_not_fatal():
     env = Environment()
-    app = StubApp()
+    app = StubApp(env)
     injector = arm(
         env, FaultPlan.of(degrade("buffer_pool", 0.5, at=0.0)), app=app
     )
@@ -116,16 +110,17 @@ def test_degrade_missing_resource_is_recorded_not_fatal():
 
 
 def test_degrade_lock_reports_no_hook_not_no_match():
-    """A lock held in a list attribute resolves by name and reports its
-    missing degrade() hook (the lock.py docstring contract), instead of
-    the misleading "no degradable resource matching"."""
+    """A lock registered as one of several behind a handle resolves by
+    name and reports its missing degrade() hook (the lock.py docstring
+    contract), instead of the misleading "no degradable resource
+    matching"."""
     from repro.sim.resources import SyncLock
 
     env = Environment()
     locks = [
         SyncLock(env, f"mongodb.collection_lock.{i}") for i in range(2)
     ]
-    app = StubApp(collection_locks=locks)
+    app = StubApp(env, collection_locks=locks)
     injector = arm(
         env,
         FaultPlan.of(degrade("collection_lock.1", 0.5, at=0.0)),
@@ -143,7 +138,7 @@ def test_degrade_finds_degradable_resources_inside_lists():
         MemoryPool(env, f"app.pool.{i}", capacity_pages=100)
         for i in range(2)
     ]
-    app = StubApp(pools=pools)
+    app = StubApp(env, pools=pools)
     injector = arm(
         env, FaultPlan.of(degrade("pool.0", 0.5, at=0.0)), app=app
     )
@@ -158,7 +153,7 @@ def test_disk_degrade_scales_bandwidth_and_latency():
     disk = DiskIO(
         env, "pg.disk", bandwidth_bytes_per_sec=100.0, op_latency=0.01
     )
-    app = StubApp(disk=disk)
+    app = StubApp(env, disk=disk)
     arm(env, FaultPlan.of(degrade("disk", 0.25, at=0.0, duration=1.0)), app=app)
     env.run(until=0.5)
     assert disk.bandwidth == pytest.approx(25.0)

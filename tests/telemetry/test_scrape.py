@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.apps.mongodb import MongoDB
 from repro.apps.mysql import MySQL, light_mix
-from repro.core import Atropos, AtroposConfig
+from repro.apps.postgres import PostgreSQL
+from repro.core import Atropos, AtroposConfig, NullController
 from repro.experiments import run_simulation
+from repro.sim import Environment, Rng
 from repro.sim.metrics import window_count
 from repro.telemetry import (
     HealthRule,
@@ -13,6 +16,7 @@ from repro.telemetry import (
     live_line,
     telemetry_session,
 )
+from repro.telemetry.scrape import RunTelemetry, Scraper
 from repro.workloads import OpenLoopSource, Workload
 
 
@@ -67,6 +71,31 @@ class TestScraperAttachment:
         window = run.windows[-1]
         for name in run.resource_names:
             assert f"util:{name}" in window.values
+
+    @pytest.mark.parametrize(
+        "app_type", [MySQL, PostgreSQL, MongoDB], ids=lambda cls: cls.name
+    )
+    def test_attach_lists_every_registered_resource(self, app_type):
+        """The per-table / per-collection locks sit in a list on the app;
+        the scraper reads the registry, so they get series too."""
+        env = Environment()
+        app = app_type(env, NullController(env), Rng(0))
+        run = RunTelemetry("run", 0.5)
+        scraper = Scraper(env, run, rules=[])
+        scraper.attach(app=app)
+        assert run.resource_names == sorted(
+            sim.name for sim in app.resources()
+        )
+        listed = [
+            name for name in run.resource_names
+            if ".table_lock." in name or ".collection_lock." in name
+        ]
+        assert len(listed) >= 4
+        window = scraper.scrape()
+        for name in run.resource_names:
+            assert f"util:{name}" in window.values
+        for name in listed:
+            assert f"qdepth:{name}" in window.values
 
 
 class TestWindowValues:

@@ -7,9 +7,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_checker():
+def load_checker(name="check_docs"):
     spec = importlib.util.spec_from_file_location(
-        "check_docs", REPO_ROOT / "tools" / "check_docs.py"
+        name, REPO_ROOT / "tools" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -67,6 +67,8 @@ RETIRED_NAMES = [
     "BENCH_7.json",
     "Environment._now",
     "env._now",
+    "_find_degradable",
+    "_locks_for",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,

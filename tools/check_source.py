@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Source rules for ``src/repro`` (stdlib only; run in tier-1 and CI).
+
+Rules a reviewer would otherwise have to re-check by eye on every PR,
+enforced on the AST so a comment or a string cannot trip them.
+
+Rule 1 -- no attribute-bag discovery.  Nothing calls ``vars()`` and
+nothing reads ``__dict__`` of an object other than ``self``.  What an
+application is made of is what it registered
+(``Application.register_resource(name, rtype, *sims)`` and
+``app.resources()``); a consumer that walks an application's attributes
+instead sees whatever happens to be a top-level attribute that day --
+five such walks, each with its own rule, once hid thirteen locks from
+telemetry and four LOCK handles from the lock-reshape lever.  An object
+copying its *own* ``self.__dict__`` (a ``to_dict`` / ``__getstate__``)
+is not discovery and stays legal.
+
+Exit status is the number of violations found.
+
+Usage::
+
+    python tools/check_source.py [FILE_OR_DIR ...]   # default: src/repro
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+from typing import List, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_TARGET = REPO_ROOT / "src" / "repro"
+
+
+def check_source(text: str, where: str) -> List[str]:
+    """Rule violations in one module's source, as ``where:line: why``."""
+    found: List[Tuple[int, str]] = []
+    for node in ast.walk(ast.parse(text, filename=where)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "vars"
+        ):
+            found.append((node.lineno, "vars() call"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__dict__"
+            and not (
+                isinstance(node.value, ast.Name) and node.value.id == "self"
+            )
+        ):
+            found.append((node.lineno, "__dict__ of another object read"))
+    return [
+        f"{where}:{lineno}: {what} -- read the application's resource "
+        "registry (app.resources())"
+        for lineno, what in sorted(found)
+    ]
+
+
+def check(paths: List[Path]) -> List[str]:
+    errors: List[str] = []
+    for root in paths:
+        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
+        for path in files:
+            try:
+                where = str(path.relative_to(REPO_ROOT))
+            except ValueError:
+                where = str(path)
+            errors.extend(
+                check_source(path.read_text(encoding="utf-8"), where)
+            )
+    return errors
+
+
+def main(argv: List[str]) -> int:
+    targets = [Path(arg).resolve() for arg in argv] or [DEFAULT_TARGET]
+    errors = check(targets)
+    for error in errors:
+        print(error, file=sys.stderr)
+    print(f"checked source rules: {len(errors)} violation(s)")
+    return min(len(errors), 125)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
