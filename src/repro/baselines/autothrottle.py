@@ -11,9 +11,10 @@ is the application's worker pool: the fast loop resizes the widest
 (PostgreSQL's lock/disk model) are squeezed with per-checkpoint
 throttle delays instead.
 
-The fast loop is a plain pipeline stage
-(:class:`AutothrottleResizeAction` driven by the shared
-:class:`~repro.core.pipeline.LatencyWindowSource`); the slow loop
+The fast loop is the per-window step of a
+:class:`~repro.core.pipeline.WindowedController`
+(:meth:`Autothrottle.act`; the pool is picked once, in
+:meth:`Autothrottle.bind`); the slow loop
 (:class:`AutothrottleTower`) lives wherever the global view lives --
 the mesh epoch loop runs it in the coordinator's slow-loop seat and
 delivers new targets to each service as epoch-boundary directives
@@ -29,65 +30,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..core.controller import BaseController
-from ..core.pipeline import ActionPolicy, ControlPipeline, LatencyWindowSource
+from ..core.pipeline import WindowedController
 from ..sim.resources.threadpool import ThreadPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.task import CancellableTask
     from ..sim.environment import Environment
-    from ..sim.metrics import RequestRecord
 
 
-class AutothrottleResizeAction(ActionPolicy):
-    """The per-service fast loop: track the target by squeezing workers.
-
-    Window tail above the target: multiplicative shrink of the
-    concurrency limit.  Comfortably below (or no samples): grow back
-    one worker at a time toward the pool's nominal size.
-    """
-
-    name = "autothrottle-resize"
-
-    def __init__(self, controller: "Autothrottle") -> None:
-        self.controller = controller
-
-    def bind(self, app) -> None:
-        c = self.controller
-        pools = [
-            sim for sim in app.resources()
-            if isinstance(sim, ThreadPool)
-        ]
-        if pools:
-            c.pool = max(pools, key=lambda p: p.nominal_workers)
-            c.nominal_workers = c.pool.nominal_workers
-            c.limit = c.nominal_workers
-
-    def act(self, now: float, signals: Dict[str, Any]) -> None:
-        c = self.controller
-        tail = signals.get("tail_latency", float("nan"))
-        has_sample = tail == tail
-        if has_sample and tail > c.target:
-            c.last_violation = True
-            c.limit = max(c.min_workers, int(c.limit * c.shrink))
-            if c.pool is None:
-                c.squeeze_delay = min(
-                    c.max_squeeze, max(c.base_squeeze, c.squeeze_delay * 2.0)
-                )
-        elif not has_sample or tail < c.relax_fraction * c.target:
-            c.last_violation = False
-            c.limit = min(c.nominal_workers, c.limit + 1)
-            c.squeeze_delay = (
-                0.0 if c.squeeze_delay < c.base_squeeze
-                else c.squeeze_delay * 0.5
-            )
-        if c.pool is not None and c.pool.workers != c.limit:
-            c.pool.resize(c.limit)
-            c.resize_moves += 1
-        signals["throttle_limit"] = c.limit
-
-
-class Autothrottle(BaseController):
+class Autothrottle(WindowedController):
     """Per-service fast-loop throttle with a settable latency target."""
 
     name = "autothrottle"
@@ -102,7 +53,7 @@ class Autothrottle(BaseController):
         shrink: float = 0.6,
         relax_fraction: float = 0.7,
     ) -> None:
-        super().__init__(env)
+        super().__init__(env, adjust_period)
         self.slo_latency = slo_latency
         #: The local latency target the tower redistributes.
         self.target = 0.8 * slo_latency if target is None else target
@@ -119,21 +70,6 @@ class Autothrottle(BaseController):
         self.max_squeeze = slo_latency / 2.0
         self.resize_moves = 0
         self.target_moves = 0
-        self.last_violation = False
-        self._window_source = LatencyWindowSource(
-            env, horizon=1.0, percentile=99
-        )
-        self.pipeline = ControlPipeline(
-            env,
-            period=adjust_period,
-            sources=[self._window_source],
-            action=AutothrottleResizeAction(self),
-        )
-
-    @property
-    def window(self):
-        """The completion window (owned by the pipeline's source)."""
-        return self._window_source.window
 
     def set_target(self, target: float) -> None:
         """Slow-loop entry point: the tower moved this service's target."""
@@ -143,22 +79,48 @@ class Autothrottle(BaseController):
             self.target_moves += 1
 
     def bind(self, app) -> None:
-        self.pipeline.bind(app)
+        """Pick the app's widest worker pool as the throttle."""
+        pools = [
+            sim for sim in app.resources()
+            if isinstance(sim, ThreadPool)
+        ]
+        if pools:
+            self.pool = max(pools, key=lambda p: p.nominal_workers)
+            self.nominal_workers = self.pool.nominal_workers
+            self.limit = self.nominal_workers
+
+    def act(self, now: float, signals: Dict[str, Any]) -> None:
+        """The fast loop: track the target by squeezing workers.
+
+        Window tail above the target: multiplicative shrink of the
+        concurrency limit.  Comfortably below (or no samples): grow back
+        one worker at a time toward the pool's nominal size.
+        """
+        tail = signals["tail_latency"]  # nan for an empty window
+        if tail > self.target:
+            self.last_violation = True
+            self.limit = max(self.min_workers, int(self.limit * self.shrink))
+            if self.pool is None:
+                self.squeeze_delay = min(
+                    self.max_squeeze,
+                    max(self.base_squeeze, self.squeeze_delay * 2.0),
+                )
+        elif tail != tail or tail < self.relax_fraction * self.target:
+            self.last_violation = False
+            self.limit = min(self.nominal_workers, self.limit + 1)
+            self.squeeze_delay = (
+                0.0 if self.squeeze_delay < self.base_squeeze
+                else self.squeeze_delay * 0.5
+            )
+        if self.pool is not None and self.pool.workers != self.limit:
+            self.pool.resize(self.limit)
+            self.resize_moves += 1
 
     def throttle_delay(self, task: "CancellableTask") -> float:
         return self.squeeze_delay
 
-    def observe_completion(self, record: "RequestRecord") -> None:
-        self.pipeline.observe_completion(record)
-
-    def start(self) -> None:
-        self.pipeline.start()
-
     def telemetry_snapshot(self) -> Dict[str, Any]:
         snap = super().telemetry_snapshot()
-        detector = self._window_source.telemetry_snapshot()
-        detector["overloaded"] = 1.0 if self.last_violation else 0.0
-        snap["detector"] = detector
         snap["throttle"] = {
             "target": self.target,
             "limit": self.limit,

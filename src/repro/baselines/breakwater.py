@@ -12,54 +12,23 @@ The paper uses Breakwater's detector shape inside ATROPOS (§3.3) and
 places the full system in Figure 1's design space; this implementation
 completes the comparison set.
 
-Pipeline composition: the shared
-:class:`~repro.core.pipeline.LatencyWindowSource` feeds the window mean
-to :class:`BreakwaterCreditAction`, which applies the credit AIMD.
+Control loop: a :class:`~repro.core.pipeline.WindowedController` whose
+per-window step (:meth:`Breakwater.act`) is the credit AIMD against the
+window's mean latency in excess of the service-time estimate.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict
 
-from ..core.controller import BaseController
-from ..core.pipeline import ActionPolicy, ControlPipeline, LatencyWindowSource
+from ..core.pipeline import WindowedController
 from ..core.task import CancellableTask
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
-    from ..sim.metrics import RequestRecord
 
 
-class BreakwaterCreditAction(ActionPolicy):
-    """AIMD update of the credit pool keyed on queueing delay."""
-
-    name = "breakwater-credits"
-
-    def __init__(self, controller: "Breakwater") -> None:
-        self.controller = controller
-
-    def act(self, now: float, signals: Dict[str, Any]) -> None:
-        c = self.controller
-        mean = signals.get("mean_latency", float("nan"))
-        if mean != mean:  # nan: no completions in the window
-            delay = 0.0
-        else:
-            delay = max(0.0, mean - c._service_estimate)
-        violated = delay > c.target_delay
-        c.last_violation = violated
-        if violated:
-            c.credits = max(
-                float(c.min_credits),
-                c.credits * c.multiplicative_decrease,
-            )
-        else:
-            c.credits = min(
-                float(c.max_credits),
-                c.credits + c.additive_increase,
-            )
-
-
-class Breakwater(BaseController):
+class Breakwater(WindowedController):
     """Credit-based admission keyed on queueing delay."""
 
     name = "breakwater"
@@ -83,7 +52,7 @@ class Breakwater(BaseController):
             overcommit: credits are slightly overcommitted relative to
                 inflight demand so idle capacity is never stranded.
         """
-        super().__init__(env)
+        super().__init__(env, adjust_period)
         self.target_delay = target_delay
         self.adjust_period = adjust_period
         self.credits = float(initial_credits)
@@ -94,41 +63,27 @@ class Breakwater(BaseController):
         self.overcommit = overcommit
         #: Requests currently holding a credit (executing).
         self.inflight = 0
-        self.rejections = 0
-        #: Whether the last adjustment window violated the delay target.
-        self.last_violation = False
         #: Sum of service-time estimates, for delay decomposition.
         self._service_estimate = 0.005
-        self._window_source = LatencyWindowSource(
-            env, horizon=1.0, percentile=99
-        )
-        self.pipeline = ControlPipeline(
-            env,
-            period=adjust_period,
-            sources=[self._window_source],
-            action=BreakwaterCreditAction(self),
-        )
 
-    @property
-    def window(self):
-        """The completion window (owned by the pipeline's signal source)."""
-        return self._window_source.window
-
-    # ------------------------------------------------------------------
-    # Credit pool adjustment (AIMD on queueing delay)
-    # ------------------------------------------------------------------
-    def observe_completion(self, record: "RequestRecord") -> None:
-        self.pipeline.observe_completion(record)
-
-    def _queueing_delay(self) -> float:
-        """Observed delay in excess of the service-time estimate."""
-        mean = self.window.mean_latency(self.env.now)
-        if mean != mean:  # nan
-            return 0.0
-        return max(0.0, mean - self._service_estimate)
-
-    def start(self) -> None:
-        self.pipeline.start()
+    def act(self, now: float, signals: Dict[str, Any]) -> None:
+        """AIMD update of the credit pool keyed on queueing delay."""
+        mean = signals["mean_latency"]
+        if mean != mean:  # nan: no completions in the window
+            delay = 0.0
+        else:
+            delay = max(0.0, mean - self._service_estimate)
+        self.last_violation = delay > self.target_delay
+        if self.last_violation:
+            self.credits = max(
+                float(self.min_credits),
+                self.credits * self.multiplicative_decrease,
+            )
+        else:
+            self.credits = min(
+                float(self.max_credits),
+                self.credits + self.additive_increase,
+            )
 
     # ------------------------------------------------------------------
     # Admission
@@ -152,9 +107,6 @@ class Breakwater(BaseController):
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
         snap = super().telemetry_snapshot()
-        detector = self._window_source.telemetry_snapshot()
-        detector["overloaded"] = 1.0 if self.last_violation else 0.0
-        snap["detector"] = detector
         snap["admission"] = {
             "credits": self.credits,
             "inflight": self.inflight,

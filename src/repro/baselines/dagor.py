@@ -15,13 +15,10 @@ Like every baseline here it is indiscriminate about *cause*: it cannot
 cancel an admitted culprit, only refuse future work, so an in-flight
 heavy task keeps its resources until it finishes.
 
-Pipeline composition: a shared
-:class:`~repro.core.pipeline.LatencyWindowSource` feeds
-:class:`DagorLevelAdaptation` (the between-window level adjustment --
-an :class:`~repro.core.pipeline.AdaptationPolicy`, since it moves the
-live admission threshold) and :class:`DagorFeedbackAction` (the
-per-window action: publish the feedback snapshot upstream and roll the
-window's rejection counter).
+Control loop: a :class:`~repro.core.pipeline.WindowedController` whose
+per-window step (:meth:`Dagor.act`) moves the live admission level
+against the window's p99 and then publishes it as the window-edge
+feedback snapshot.
 """
 
 from __future__ import annotations
@@ -29,17 +26,10 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..core.controller import BaseController
-from ..core.pipeline import (
-    ActionPolicy,
-    AdaptationPolicy,
-    ControlPipeline,
-    LatencyWindowSource,
-)
+from ..core.pipeline import WindowedController
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
-    from ..sim.metrics import RequestRecord
 
 #: Business-priority classes (0 = most critical, admitted longest).
 BUSINESS_LEVELS = 4
@@ -91,53 +81,7 @@ def compound_priority(
     return business * user_levels + user_level(client_id, user_levels)
 
 
-class DagorLevelAdaptation(AdaptationPolicy):
-    """Between-window admission-level adjustment (the slow half).
-
-    Overloaded window: drop the level by ``shrink_step`` compound
-    notches (shedding whole user slices of the least-critical admitted
-    business class).  Healthy window: raise it one notch -- DAGOR's
-    asymmetric probe back toward full admission.
-    """
-
-    name = "dagor-level"
-
-    def __init__(self, controller: "Dagor") -> None:
-        self.controller = controller
-
-    def adapt(self, now: float, signals: Dict[str, Any]) -> None:
-        c = self.controller
-        tail = signals.get("tail_latency", float("nan"))
-        overloaded = tail == tail and tail > c.slo_latency  # nan-safe
-        c.last_violation = overloaded
-        if overloaded:
-            c.level = max(c.min_level, c.level - c.shrink_step)
-        else:
-            c.level = min(c.max_level, c.level + c.grow_step)
-
-
-class DagorFeedbackAction(ActionPolicy):
-    """Per-window action: publish the upstream feedback snapshot.
-
-    Upstream callers (the mesh's epoch loop, a gateway) see the level
-    as it stood at the last window edge -- the piggy-backed feedback of
-    the paper -- not the live value mid-window.
-    """
-
-    name = "dagor-feedback"
-
-    def __init__(self, controller: "Dagor") -> None:
-        self.controller = controller
-
-    def act(self, now: float, signals: Dict[str, Any]) -> None:
-        c = self.controller
-        c.admit_level = c.level
-        c.feedback_history.append((now, c.level))
-        c.window_rejections = 0
-        signals["admit_level"] = c.level
-
-
-class Dagor(BaseController):
+class Dagor(WindowedController):
     """Compound-priority admission with exported upstream feedback."""
 
     name = "dagor"
@@ -153,7 +97,7 @@ class Dagor(BaseController):
         min_level: Optional[int] = None,
         priorities: Optional[Dict[str, int]] = None,
     ) -> None:
-        super().__init__(env)
+        super().__init__(env, adjust_period)
         self.slo_latency = slo_latency
         self.user_levels = user_levels
         self.priorities = (
@@ -171,29 +115,31 @@ class Dagor(BaseController):
             max(1, user_levels // 2) if shrink_step is None else shrink_step
         )
         self.grow_step = grow_step
-        #: Live admission level (moved by the adaptation stage).
+        #: Live admission level (moved at each window edge).
         self.level = self.max_level
         #: Window-edge feedback snapshot exported upstream.
         self.admit_level = self.max_level
-        self.rejections = 0
-        self.window_rejections = 0
-        self.last_violation = False
         self.feedback_history: List[Tuple[float, int]] = []
-        self._window_source = LatencyWindowSource(
-            env, horizon=1.0, percentile=99
-        )
-        self.pipeline = ControlPipeline(
-            env,
-            period=adjust_period,
-            sources=[self._window_source],
-            adaptation=DagorLevelAdaptation(self),
-            action=DagorFeedbackAction(self),
-        )
 
-    @property
-    def window(self):
-        """The completion window (owned by the pipeline's source)."""
-        return self._window_source.window
+    def act(self, now: float, signals: Dict[str, Any]) -> None:
+        """Adjust the admission level, then publish it upstream.
+
+        Overloaded window: drop the level by ``shrink_step`` compound
+        notches (shedding whole user slices of the least-critical
+        admitted business class).  Healthy window: raise it one notch --
+        DAGOR's asymmetric probe back toward full admission.  Upstream
+        callers (the mesh's epoch loop, a gateway) see the level as it
+        stood at the last window edge -- the piggy-backed feedback of the
+        paper -- not the live value mid-window.
+        """
+        # nan (an empty window) compares False: no violation.
+        self.last_violation = signals["tail_latency"] > self.slo_latency
+        if self.last_violation:
+            self.level = max(self.min_level, self.level - self.shrink_step)
+        else:
+            self.level = min(self.max_level, self.level + self.grow_step)
+        self.admit_level = self.level
+        self.feedback_history.append((now, self.level))
 
     def priority_of(self, op_name: str, client_id: str) -> int:
         return compound_priority(
@@ -204,20 +150,10 @@ class Dagor(BaseController):
         if self.priority_of(op_name, client_id) <= self.level:
             return True
         self.rejections += 1
-        self.window_rejections += 1
         return False
-
-    def observe_completion(self, record: "RequestRecord") -> None:
-        self.pipeline.observe_completion(record)
-
-    def start(self) -> None:
-        self.pipeline.start()
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
         snap = super().telemetry_snapshot()
-        detector = self._window_source.telemetry_snapshot()
-        detector["overloaded"] = 1.0 if self.last_violation else 0.0
-        snap["detector"] = detector
         snap["admission"] = {
             "level": self.level,
             "admit_level": self.admit_level,

@@ -7,9 +7,8 @@ classes.  DARC helps thread-pool monopolization cases, but cannot address
 held locks, buffer-pool thrash, or GC pressure -- no amount of worker
 partitioning releases a held resource.
 
-Pipeline composition: DARC is the degenerate pipeline -- no periodic
-loop at all (``period=None``), just a bind-time
-:class:`WorkerReservationAction`.
+Control loop: none.  DARC acts once, in :meth:`DARC.bind`, and starts
+no monitor process.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import math
 from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from ..core.controller import BaseController
-from ..core.pipeline import ActionPolicy, ControlPipeline
 from ..sim.resources import ThreadPool
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,34 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Request classes DARC's profiler classifies as short.
 LIGHT_CLASSES: Tuple[str, ...] = ("light", "static", "io")
-
-
-class WorkerReservationAction(ActionPolicy):
-    """Bind-time action: reserve worker-pool slots for short classes."""
-
-    name = "darc-reservation"
-
-    def __init__(self, controller: "DARC") -> None:
-        self.controller = controller
-
-    def bind(self, app) -> None:
-        c = self.controller
-        for pool in app.resources():
-            if isinstance(pool, ThreadPool):
-                reserve = max(
-                    1, math.floor(pool.workers * c.reserved_fraction)
-                )
-                # Never reserve every worker: heavy requests must be able
-                # to run, else the system deadlocks by policy.
-                reserve = min(reserve, pool.workers - 1)
-                if reserve <= 0:
-                    continue
-                # One shared reservation for all profiled-short classes.
-                pool.reserve(c.light_classes, reserve)
-                c.reserved_pools.append(pool)
-
-    def act(self, now: float, signals: Dict[str, Any]) -> None:
-        """Never called: the pipeline has no period."""
 
 
 class DARC(BaseController):
@@ -73,11 +43,6 @@ class DARC(BaseController):
         self.reserved_fraction = reserved_fraction
         self.light_classes = light_classes
         self.reserved_pools = []
-        self.pipeline = ControlPipeline(
-            env,
-            period=None,
-            action=WorkerReservationAction(self),
-        )
 
     def bind(self, app) -> None:
         """Reserve a share of every worker pool for short classes.
@@ -86,10 +51,19 @@ class DARC(BaseController):
         is encoded in the class names the application already submits
         with: "light"/"static" classes are the profiled-short ones.
         """
-        self.pipeline.bind(app)
-
-    def start(self) -> None:
-        self.pipeline.start()  # no-op: period is None
+        for pool in app.resources():
+            if isinstance(pool, ThreadPool):
+                reserve = max(
+                    1, math.floor(pool.workers * self.reserved_fraction)
+                )
+                # Never reserve every worker: heavy requests must be able
+                # to run, else the system deadlocks by policy.
+                reserve = min(reserve, pool.workers - 1)
+                if reserve <= 0:
+                    continue
+                # One shared reservation for all profiled-short classes.
+                pool.reserve(self.light_classes, reserve)
+                self.reserved_pools.append(pool)
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
         snap = super().telemetry_snapshot()

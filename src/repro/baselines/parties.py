@@ -10,59 +10,23 @@ things are healthy.
 PARTIES never drops an executing request, so a culprit already holding a
 resource keeps it; throttled clients simply queue at admission.
 
-Pipeline composition: the shared
-:class:`~repro.core.pipeline.LatencyWindowSource` provides the window
-tail and :class:`PartiesAllocationAction` performs the shrink / restore
-/ decay step.
+Control loop: a :class:`~repro.core.pipeline.WindowedController` whose
+per-window step (:meth:`Parties.act`) is the shrink / restore / decay of
+the per-client allocations against the window's p99.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict
 
-from ..core.controller import BaseController
-from ..core.pipeline import ActionPolicy, ControlPipeline, LatencyWindowSource
+from ..core.pipeline import WindowedController
 from ..core.task import CancellableTask
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
-    from ..sim.metrics import RequestRecord
 
 
-class PartiesAllocationAction(ActionPolicy):
-    """Shift concurrency allocations away from the heaviest client."""
-
-    name = "parties-allocation"
-
-    def __init__(self, controller: "Parties") -> None:
-        self.controller = controller
-
-    def act(self, now: float, signals: Dict[str, Any]) -> None:
-        c = self.controller
-        tail = signals.get("tail_latency", float("nan"))
-        violated = tail == tail and tail > c.slo_latency  # nan-safe
-        c.last_violation = violated
-        if violated:
-            # Shift resources away from the heaviest client.
-            clients = [cl for cl in c.limits if c.inflight.get(cl, 0)]
-            if not clients:
-                # Violation with nobody executing: nothing to shrink,
-                # and (historically) no decay either this window.
-                return
-            heaviest = max(clients, key=c._usage_score)
-            new_limit = max(c.min_limit, c._limit(heaviest) // 2)
-            c.limits[heaviest] = new_limit
-        else:
-            # Healthy: slowly restore allocations.
-            for client in list(c.limits):
-                if c.limits[client] < c.initial_limit:
-                    c.limits[client] += 1
-        # Usage scores decay each window so history does not dominate.
-        for client in list(c.busy_time):
-            c.busy_time[client] *= 0.5
-
-
-class Parties(BaseController):
+class Parties(WindowedController):
     """Per-client incremental resource partitioning."""
 
     name = "parties"
@@ -75,7 +39,7 @@ class Parties(BaseController):
         initial_limit: int = 64,
         min_limit: int = 1,
     ) -> None:
-        super().__init__(env)
+        super().__init__(env, adjust_period)
         self.slo_latency = slo_latency
         self.adjust_period = adjust_period
         self.initial_limit = initial_limit
@@ -86,23 +50,6 @@ class Parties(BaseController):
         self.inflight: Dict[str, int] = {}
         #: client -> cumulative busy time (usage signal).
         self.busy_time: Dict[str, float] = {}
-        self.rejections = 0
-        #: Whether the last adjustment window violated the SLO.
-        self.last_violation = False
-        self._window_source = LatencyWindowSource(
-            env, horizon=1.0, percentile=99
-        )
-        self.pipeline = ControlPipeline(
-            env,
-            period=adjust_period,
-            sources=[self._window_source],
-            action=PartiesAllocationAction(self),
-        )
-
-    @property
-    def window(self):
-        """The completion window (owned by the pipeline's signal source)."""
-        return self._window_source.window
 
     # ------------------------------------------------------------------
     # Admission by per-client allocation
@@ -136,11 +83,28 @@ class Parties(BaseController):
     # ------------------------------------------------------------------
     # Monitoring and adjustment
     # ------------------------------------------------------------------
-    def observe_completion(self, record: "RequestRecord") -> None:
-        self.pipeline.observe_completion(record)
-
-    def start(self) -> None:
-        self.pipeline.start()
+    def act(self, now: float, signals: Dict[str, Any]) -> None:
+        """Shift concurrency allocations away from the heaviest client."""
+        # nan (an empty window) compares False: no violation.
+        self.last_violation = signals["tail_latency"] > self.slo_latency
+        if self.last_violation:
+            clients = [cl for cl in self.limits if self.inflight.get(cl, 0)]
+            if not clients:
+                # Violation with nobody executing: nothing to shrink,
+                # and (historically) no decay either this window.
+                return
+            heaviest = max(clients, key=self._usage_score)
+            self.limits[heaviest] = max(
+                self.min_limit, self._limit(heaviest) // 2
+            )
+        else:
+            # Healthy: slowly restore allocations.
+            for client in list(self.limits):
+                if self.limits[client] < self.initial_limit:
+                    self.limits[client] += 1
+        # Usage scores decay each window so history does not dominate.
+        for client in list(self.busy_time):
+            self.busy_time[client] *= 0.5
 
     def _usage_score(self, client_id: str) -> float:
         """Busy-time so far plus the live tasks' elapsed time."""
@@ -152,9 +116,6 @@ class Parties(BaseController):
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
         snap = super().telemetry_snapshot()
-        detector = self._window_source.telemetry_snapshot()
-        detector["overloaded"] = 1.0 if self.last_violation else 0.0
-        snap["detector"] = detector
         snap["admission"] = {
             "clients": len(self.limits),
             "min_limit": min(self.limits.values()) if self.limits else None,

@@ -7,9 +7,9 @@ request.  §2.2's critique: a throttled culprit still holds what it
 already acquired, so severe overload caused by held resources is not
 fully recovered.
 
-Pipeline composition: a :class:`UsageWindowSource` owns the usage-ledger
-window roll and :class:`PenaltyAction` performs the per-window
-interference check.
+Control loop: a :class:`~repro.core.runtime.TracingController` that sits
+in its own pipeline's action seat; the per-window step (:meth:`PBox.act`)
+is the interference check followed by the usage-ledger window roll.
 """
 
 from __future__ import annotations
@@ -18,41 +18,12 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..core.config import AtroposConfig
 from ..core.estimator import Estimator
-from ..core.pipeline import ActionPolicy, ControlPipeline, SignalSource
-from ..core.runtime import RuntimeManager, TracingController
+from ..core.pipeline import ControlPipeline
+from ..core.runtime import TracingController
 from ..core.task import CancellableTask
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
-    from ..sim.metrics import RequestRecord
-
-
-class UsageWindowSource(SignalSource):
-    """Bookkeeping source: rolls the runtime usage window each tick."""
-
-    name = "usage-window"
-
-    def __init__(self, runtime: RuntimeManager) -> None:
-        self.runtime = runtime
-
-    def sample(self, now: float, signals: Dict[str, Any]) -> None:
-        """No per-window signal: pBox's estimator reads the ledger
-        directly inside the action stage."""
-
-    def roll(self, now: float) -> None:
-        self.runtime.roll_window()
-
-
-class PenaltyAction(ActionPolicy):
-    """Penalize the top consumer of each overloaded resource."""
-
-    name = "pbox-penalty"
-
-    def __init__(self, controller: "PBox") -> None:
-        self.controller = controller
-
-    def act(self, now: float, signals: Dict[str, Any]) -> None:
-        self.controller._maybe_penalize()
 
 
 class PBox(TracingController):
@@ -91,12 +62,7 @@ class PBox(TracingController):
         #: task-id -> penalty expiry time.
         self._penalized: Dict[int, float] = {}
         self.penalties_issued = 0
-        self.pipeline = ControlPipeline(
-            env,
-            period=detection_period,
-            sources=[UsageWindowSource(self.runtime)],
-            action=PenaltyAction(self),
-        )
+        self.pipeline = ControlPipeline(env, detection_period, action=self)
 
     def free_cancel(self, task: CancellableTask) -> None:
         self._penalized.pop(id(task), None)
@@ -116,6 +82,11 @@ class PBox(TracingController):
 
     def start(self) -> None:
         self.pipeline.start()
+
+    def act(self, now: float, signals: Dict[str, Any]) -> None:
+        """Penalize this window's offenders, then roll the usage window."""
+        self._maybe_penalize()
+        self.runtime.roll_window()
 
     def _maybe_penalize(self) -> None:
         assessment = self.estimator.assess(

@@ -8,11 +8,9 @@ tail latency is bounded, but throughput craters and the drop rate is
 high, and cases whose bottleneck is a non-waitable resource (memory
 thrash, GC) are not helped at all.
 
-Pipeline composition: :class:`BlockingDelaySource` scans the open waits
-and publishes the over-budget victims as a signal;
-:class:`VictimDropAction` delivers the drops.  The split mirrors the
-other controllers: observation produces evidence, the action consumes
-it.
+Control loop: Protego sits in its own pipeline's action seat; the
+per-period step (:meth:`Protego.act`) scans the open waits for
+over-budget victims and delivers the drops.
 """
 
 from __future__ import annotations
@@ -20,63 +18,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict
 
 from ..core.controller import BaseController
-from ..core.pipeline import ActionPolicy, ControlPipeline, SignalSource
+from ..core.pipeline import ControlPipeline
 from ..core.task import CancellableTask
 from ..core.types import DropSignal, ResourceHandle, ResourceType, TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
-
-
-class BlockingDelaySource(SignalSource):
-    """Scans blocked requests for accumulated wait over budget.
-
-    Publishes ``blocked_victims``: the ``(task, resource)`` pairs whose
-    blocking delay exceeds the drop threshold, in wait-start order.
-    """
-
-    name = "blocking-delay"
-
-    def __init__(self, controller: "Protego") -> None:
-        self.controller = controller
-
-    def sample(self, now: float, signals: Dict[str, Any]) -> None:
-        c = self.controller
-        victims = []
-        for task_id, waits in c._open_waits.items():
-            task = c.tasks.get(task_id)
-            if task is None or not task.alive:
-                continue
-            if task.kind is TaskKind.BACKGROUND:
-                continue
-            if c.blocking_delay(task) > c.drop_threshold:
-                victims.extend((task, resource) for resource in waits)
-        signals["blocked_victims"] = victims
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        return {"open_waits": self.controller.open_wait_count()}
-
-
-class VictimDropAction(ActionPolicy):
-    """Aborts the over-budget waiting victims found this window."""
-
-    name = "protego-drop"
-
-    def __init__(self, controller: "Protego") -> None:
-        self.controller = controller
-
-    def act(self, now: float, signals: Dict[str, Any]) -> None:
-        c = self.controller
-        for task, resource in signals.get("blocked_victims", ()):
-            if task.process is not None and task.process.is_alive:
-                c.drops_issued += 1
-                task.process.interrupt(
-                    DropSignal(
-                        reason="lock-wait-over-budget",
-                        resource=resource,
-                        decided_at=now,
-                    )
-                )
 
 
 class Protego(BaseController):
@@ -111,12 +58,7 @@ class Protego(BaseController):
         #: wait-start order; the inner order is the task's own.
         self._open_waits: Dict[int, Dict[ResourceHandle, float]] = {}
         self.drops_issued = 0
-        self.pipeline = ControlPipeline(
-            env,
-            period=monitor_period,
-            sources=[BlockingDelaySource(self)],
-            action=VictimDropAction(self),
-        )
+        self.pipeline = ControlPipeline(env, monitor_period, action=self)
 
     # ------------------------------------------------------------------
     # Wait tracking
@@ -192,6 +134,33 @@ class Protego(BaseController):
         if task.kind is TaskKind.BACKGROUND:
             return False
         return self.blocking_delay(task) > self.drop_threshold
+
+    def act(self, now: float, signals: Dict[str, Any]) -> None:
+        """Abort the waiting victims whose blocking delay is over budget.
+
+        One drop per open wait, in wait-start order.  An interrupt is
+        only scheduled here, so no drop changes what the scan sees next.
+        """
+        for task_id, waits in self._open_waits.items():
+            task = self.tasks.get(task_id)
+            if task is None or not task.alive:
+                continue
+            if task.kind is TaskKind.BACKGROUND:
+                continue
+            if self.blocking_delay(task) <= self.drop_threshold:
+                continue
+            process = task.process
+            if process is None or not process.is_alive:
+                continue
+            for resource in waits:
+                self.drops_issued += 1
+                process.interrupt(
+                    DropSignal(
+                        reason="lock-wait-over-budget",
+                        resource=resource,
+                        decided_at=now,
+                    )
+                )
 
     def start(self) -> None:
         self.pipeline.start()

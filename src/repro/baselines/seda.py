@@ -6,44 +6,22 @@ system from *demand* overload but is indiscriminate -- it cannot tell
 culprit from victim, so under application resource overload it sheds
 load across the board.
 
-Pipeline composition: a shared
-:class:`~repro.core.pipeline.LatencyWindowSource` produces the window
-statistics and :class:`SedaRateAction` applies the AIMD update, the same
-signal -> action split every controller in this repo uses.
+Control loop: a :class:`~repro.core.pipeline.WindowedController` whose
+per-window step (:meth:`Seda.act`) is the AIMD update of the admission
+rate against the window's p99.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict
 
-from ..core.controller import BaseController
-from ..core.pipeline import ActionPolicy, ControlPipeline, LatencyWindowSource
+from ..core.pipeline import WindowedController
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
-    from ..sim.metrics import RequestRecord
 
 
-class SedaRateAction(ActionPolicy):
-    """AIMD update of the admission rate keyed on the window tail."""
-
-    name = "seda-aimd"
-
-    def __init__(self, controller: "Seda") -> None:
-        self.controller = controller
-
-    def act(self, now: float, signals: Dict[str, Any]) -> None:
-        c = self.controller
-        tail = signals.get("tail_latency", float("nan"))
-        violated = tail == tail and tail > c.slo_latency  # nan-safe
-        c.last_violation = violated
-        if violated:
-            c.rate = max(c.min_rate, c.rate * c.multiplicative_decrease)
-        else:
-            c.rate += c.additive_increase
-
-
-class Seda(BaseController):
+class Seda(WindowedController):
     """AIMD token-bucket admission keyed on tail latency."""
 
     name = "seda"
@@ -58,7 +36,7 @@ class Seda(BaseController):
         additive_increase: float = 25.0,
         multiplicative_decrease: float = 0.7,
     ) -> None:
-        super().__init__(env)
+        super().__init__(env, adjust_period)
         self.slo_latency = slo_latency
         self.adjust_period = adjust_period
         self.rate = initial_rate
@@ -67,23 +45,17 @@ class Seda(BaseController):
         self.multiplicative_decrease = multiplicative_decrease
         self._tokens = initial_rate * adjust_period
         self._last_refill = env.now
-        self.rejections = 0
-        #: Whether the last adjustment window violated the SLO.
-        self.last_violation = False
-        self._window_source = LatencyWindowSource(
-            env, horizon=1.0, percentile=99
-        )
-        self.pipeline = ControlPipeline(
-            env,
-            period=adjust_period,
-            sources=[self._window_source],
-            action=SedaRateAction(self),
-        )
 
-    @property
-    def window(self):
-        """The completion window (owned by the pipeline's signal source)."""
-        return self._window_source.window
+    def act(self, now: float, signals: Dict[str, Any]) -> None:
+        """AIMD update of the admission rate keyed on the window tail."""
+        # nan (an empty window) compares False: no violation.
+        self.last_violation = signals["tail_latency"] > self.slo_latency
+        if self.last_violation:
+            self.rate = max(
+                self.min_rate, self.rate * self.multiplicative_decrease
+            )
+        else:
+            self.rate += self.additive_increase
 
     def _refill(self) -> None:
         now = self.env.now
@@ -101,17 +73,8 @@ class Seda(BaseController):
         self.rejections += 1
         return False
 
-    def observe_completion(self, record: "RequestRecord") -> None:
-        self.pipeline.observe_completion(record)
-
-    def start(self) -> None:
-        self.pipeline.start()
-
     def telemetry_snapshot(self) -> Dict[str, Any]:
         snap = super().telemetry_snapshot()
-        detector = self._window_source.telemetry_snapshot()
-        detector["overloaded"] = 1.0 if self.last_violation else 0.0
-        snap["detector"] = detector
         snap["admission"] = {
             "rate": self.rate,
             "tokens": self._tokens,

@@ -17,7 +17,7 @@ Public API (mirrors the paper's Figure 6 integration surface):
 """
 
 from .adaptive import AdaptiveThresholdPolicy, HealthSignalSource
-from .atropos import Atropos, CancellationAction, DetectorSignalSource
+from .atropos import Atropos, DetectorSignalSource
 from .cancellation import CancellationEvent, CancellationManager
 from .config import AtroposConfig
 from .controller import BaseController, NullController
@@ -84,7 +84,6 @@ __all__ = [
     "CancelSignal",
     "CancelLever",
     "CancellableTask",
-    "CancellationAction",
     "CancellationEvent",
     "CancellationManager",
     "CancellationPolicy",

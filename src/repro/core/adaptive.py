@@ -63,9 +63,6 @@ class HealthSignalSource(SignalSource):
         }
         signals["health_events"] = self.monitor.evaluate(now, values)
 
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        return {"health_events": len(self.monitor.events)}
-
 
 class HistoryScheduleSource(SignalSource):
     """Publishes history-mined threshold targets when their time comes.
@@ -99,12 +96,6 @@ class HistoryScheduleSource(SignalSource):
             self._cursor += 1
         if due:
             signals["history_targets"] = due
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        return {
-            "schedule_entries": len(self._entries),
-            "schedule_published": self._cursor,
-        }
 
 
 class AdaptiveThresholdPolicy(AdaptationPolicy):

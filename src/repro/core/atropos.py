@@ -13,8 +13,7 @@ The periodic control loop itself is a
 detector thresholds between windows, and a **mitigation lever**
 (:mod:`repro.core.levers`) carries the blame -> select -> mitigate
 decision (§3.3-§3.5) with its audit trail.  The default
-:class:`~repro.core.levers.CancelLever` (historically named
-``CancellationAction``; the alias is kept) reproduces the paper's
+:class:`~repro.core.levers.CancelLever` reproduces the paper's
 targeted cancellation byte-for-byte; ``AtroposConfig.lever`` swaps in
 lock-queue reshaping or the audited composite.  The controller class
 holds the state and the integration surface; the pipeline stages hold
@@ -31,7 +30,7 @@ from .controller import BaseController
 from .decision_log import DecisionKind, DecisionLog
 from .detector import OverloadDetector
 from .estimator import Estimator, OverloadAssessment
-from .levers import CancelLever, resolve_lever
+from .levers import resolve_lever
 from .pipeline import (
     ControlPipeline,
     NoAdaptation,
@@ -41,9 +40,6 @@ from .policy import CancellationPolicy, MultiObjectivePolicy
 from .runtime import TracingController
 from .task import CancellableTask, CancelInitiator
 from .types import TaskKind
-
-#: Backward-compatible alias: the historical action-stage class name.
-CancellationAction = CancelLever
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
@@ -88,9 +84,6 @@ class DetectorSignalSource(SignalSource):
 
     def roll(self, now: float) -> None:
         self.controller.runtime.roll_window()
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        return self.controller.detector.telemetry_snapshot()
 
 
 class Atropos(TracingController):
@@ -148,7 +141,7 @@ class Atropos(TracingController):
 
     def bind(self, app) -> None:
         """Hand the lever the application (its resource registry)."""
-        self.pipeline.bind(app)
+        self.lever.bind(app)
 
     def _build_adaptation(self):
         if not self.config.adaptive_thresholds:

@@ -7,8 +7,8 @@ same detect -> classify -> blame machinery can drive different
 mitigations and ``repro ablate --levers`` can contrast them:
 
 * :class:`CancelLever` -- the paper's action (and the default): cancel
-  the highest-gain culprit task.  Byte-identical to the historical
-  ``CancellationAction`` behaviour.
+  the highest-gain culprit task, byte-identical to the behaviour
+  before levers existed.
 * :class:`LockScheduleLever` -- a Malthusian-Locks-style resource-level
   mitigation (arXiv 1511.06035): instead of killing the culprit, *park*
   its queued lock waiters off the dispatch path
@@ -287,8 +287,8 @@ class CancelLever(MitigationLever):
     """Targeted task cancellation -- the paper's mitigation, the default.
 
     Behaviour (decision-log records, audit contents, cancellation
-    manager interaction) is byte-identical to the historical
-    ``CancellationAction``; fig9/fig13 regression-gate this.
+    manager interaction) is byte-identical to the action stage that
+    predates the lever registry; fig9/fig13 regression-gate this.
     """
 
     name = "cancellation"

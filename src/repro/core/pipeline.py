@@ -1,25 +1,26 @@
-"""The composable control-plane pipeline: signals -> adaptation -> action.
+"""The control-plane loop: signals -> adaptation -> action, on one process.
 
-Every overload controller in this repo -- ATROPOS and all six baselines
--- runs the same periodic loop: *observe* some signals about the system,
-optionally *adapt* its own thresholds, then *act* (cancel, drop,
-throttle, resize an admission pool).  This module makes that loop an
-explicit pipeline of three pluggable stage kinds, composed by a
-:class:`ControlPipeline` that owns the single monitor process:
+Every periodic overload controller in this repo -- ATROPOS and the
+baselines that tick -- runs one loop: *observe* some signals about the
+system, optionally *adapt* its own thresholds, then *act* (cancel, drop,
+throttle, resize an admission pool).  :class:`ControlPipeline` owns that
+loop and its single monitor process.  Who fills the seats differs:
 
-* :class:`SignalSource` -- produces the window's observations into a
-  shared signal map (detector samples, latency-window statistics,
-  health events, blocking-delay scans).  Sources are sampled in list
-  order, so a later source may consume what an earlier one produced
-  (the health source reads the detector source's values).
-* :class:`AdaptationPolicy` -- the slow, between-window control layer:
-  adjusts live thresholds derived from the static config.  The default
-  :class:`NoAdaptation` keeps every threshold fixed, which preserves the
-  historical behaviour bit-for-bit.
-* :class:`ActionPolicy` -- the fast per-window decision: blame +
-  cancellation for ATROPOS, an AIMD rate/credit update for SEDA and
-  Breakwater, victim drops for Protego, penalties for pBox, worker
-  reservation (a bind-time action) for DARC.
+* **ATROPOS composes stages.**  It has one to three
+  :class:`SignalSource` objects (detector, health, history schedule;
+  sampled in list order, so a later source may consume what an earlier
+  one produced), an :class:`AdaptationPolicy` (default
+  :class:`NoAdaptation`: fixed thresholds, the historical behaviour
+  bit-for-bit) and one of three mitigation levers
+  (:mod:`repro.core.levers`, whose base is :class:`ActionPolicy`).
+* **A baseline is one class.**  Each has exactly one fixed composition,
+  so it passes *itself* as the action and keeps its per-window step as
+  its own ``act(now, signals)``.  The five that watch a latency window
+  (SEDA, Breakwater, PARTIES, DAGOR, Autothrottle) share
+  :class:`WindowedController`, which owns the
+  :class:`LatencyWindowSource`, the pipeline and the detector-style
+  telemetry; Protego and pBox pass themselves with no source at all.
+  DARC acts once, in ``bind(app)``, and has no pipeline.
 
 The tick order is **sample -> adapt -> act -> roll**: an adaptation
 reads the window that just closed and moves thresholds for the *next*
@@ -36,6 +37,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional
 
 from ..sim.metrics import SlidingWindow
+from .controller import BaseController
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
@@ -65,10 +67,6 @@ class SignalSource:
     def roll(self, now: float) -> None:
         """End-of-tick bookkeeping (e.g. roll a usage ledger window)."""
 
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        """Scrape-friendly view of this source's latest state."""
-        return {}
-
 
 class AdaptationPolicy:
     """Between-window adjustment of live thresholds (the slow loop)."""
@@ -89,12 +87,17 @@ class NoAdaptation(AdaptationPolicy):
 
 
 class ActionPolicy:
-    """The per-window control action (the fast loop)."""
+    """Base of the mitigation levers: the stage ATROPOS swaps per config.
+
+    The pipeline itself only needs ``act(now, signals)`` of its action,
+    which is why a baseline can sit in this seat as itself.
+    """
 
     name = "action"
 
     def bind(self, app) -> None:
-        """One-time configuration against the application (DARC)."""
+        """One-time configuration against the application (its resource
+        registry); called from :meth:`Atropos.bind`."""
 
     def act(self, now: float, signals: Dict[str, Any]) -> None:
         raise NotImplementedError
@@ -105,41 +108,35 @@ class ControlPipeline:
 
     Args:
         env: simulation environment.
-        period: seconds between ticks; ``None`` means the pipeline has no
-            periodic loop at all (a bind-time-only controller like DARC).
+        period: seconds between ticks.
         sources: signal sources, sampled in order each tick.
         adaptation: threshold adaptation stage (default: fixed).
-        action: the control action stage (optional).
+        action: anything with ``act(now, signals)`` -- a lever, or the
+            controller itself (optional).
     """
 
     def __init__(
         self,
         env: "Environment",
-        period: Optional[float],
+        period: float,
         sources: Iterable[SignalSource] = (),
         adaptation: Optional[AdaptationPolicy] = None,
-        action: Optional[ActionPolicy] = None,
+        action: Any = None,
     ) -> None:
         self.env = env
         self.period = period
         self.sources = list(sources)
         self.adaptation = adaptation or NoAdaptation()
         self.action = action
-        #: The signal map produced by the most recent tick (telemetry).
-        self.last_signals: Dict[str, Any] = {}
         self._started = False
-
-    def bind(self, app) -> None:
-        if self.action is not None:
-            self.action.bind(app)
 
     def observe_completion(self, record: "RequestRecord") -> None:
         for source in self.sources:
             source.observe_completion(record)
 
     def start(self) -> None:
-        """Launch the monitor process (idempotent; no-op without a period)."""
-        if self._started or self.period is None:
+        """Launch the monitor process (idempotent)."""
+        if self._started:
             return
         self._started = True
         self.env.process(self._loop())
@@ -160,18 +157,16 @@ class ControlPipeline:
             self.action.act(now, signals)
         for source in self.sources:
             source.roll(now)
-        self.last_signals = signals
         return signals
 
 
 class LatencyWindowSource(SignalSource):
     """Shared sliding-window completion statistics.
 
-    The bookkeeping SEDA, Breakwater, and PARTIES each re-implemented:
-    feed completed requests into a :class:`SlidingWindow` and expose the
-    window's throughput, sample count, mean, and tail percentile as
+    Feeds completed requests into a :class:`SlidingWindow` and exposes
+    the window's throughput, sample count, mean, and tail percentile as
     signals (``throughput``, ``samples``, ``mean_latency``,
-    ``tail_latency``).
+    ``tail_latency``; the latencies are nan for an empty window).
     """
 
     name = "latency-window"
@@ -207,3 +202,46 @@ class LatencyWindowSource(SignalSource):
                 now, self.percentile
             ),
         }
+
+
+class WindowedController(BaseController):
+    """A baseline that is "window tail vs a target -> move one number".
+
+    Sibling of :class:`~repro.core.runtime.TracingController`: the base
+    of SEDA, Breakwater, PARTIES, DAGOR and Autothrottle.  It owns the
+    completion window (1 s horizon, p99), the pipeline that ticks every
+    ``period`` seconds with the controller itself in the action seat,
+    and the detector-style telemetry the scraper reads.  A subclass
+    implements :meth:`act`, sets :attr:`last_violation` there, and counts
+    what its ``admit`` turns away in :attr:`rejections`.
+    """
+
+    def __init__(self, env: "Environment", period: float) -> None:
+        super().__init__(env)
+        self.rejections = 0
+        #: Whether the last window violated the controller's target.
+        self.last_violation = False
+        self._window_source = LatencyWindowSource(env)
+        self.pipeline = ControlPipeline(
+            env, period, sources=[self._window_source], action=self
+        )
+
+    @property
+    def window(self) -> SlidingWindow:
+        return self._window_source.window
+
+    def act(self, now: float, signals: Dict[str, Any]) -> None:
+        """The per-window step, given the window's signals."""
+        raise NotImplementedError
+
+    def observe_completion(self, record: "RequestRecord") -> None:
+        self._window_source.observe_completion(record)
+
+    def start(self) -> None:
+        self.pipeline.start()
+
+    def telemetry_snapshot(self) -> Dict[str, Any]:
+        snap = super().telemetry_snapshot()
+        snap["detector"] = detector = self._window_source.telemetry_snapshot()
+        detector["overloaded"] = 1.0 if self.last_violation else 0.0
+        return snap

@@ -9,19 +9,30 @@ controller must report its own action counters.
 
 import pytest
 
-from repro.baselines import controller_factory
+from repro.baselines import SYSTEMS, controller_factory
+from repro.core.pipeline import WindowedController
 from repro.sim import Environment
 
 DETECTOR_KEYS = {"overloaded", "tail_latency", "throughput", "samples"}
 
-#: Baselines whose control loop watches a latency window (and therefore
-#: report detector-style signals to the scraper).
-WINDOWED = ["seda", "breakwater", "parties"]
-ALL_BASELINES = ["seda", "breakwater", "parties", "pbox", "darc", "protego"]
-
 
 def build(name):
     return controller_factory(name, slo_latency=0.05)(Environment())
+
+
+ALL_BASELINES = [n for n in SYSTEMS if n not in ("overload", "atropos")]
+#: Baselines whose control loop watches a latency window (and therefore
+#: report detector-style signals to the scraper).
+WINDOWED = [
+    n for n in ALL_BASELINES if isinstance(build(n), WindowedController)
+]
+
+
+def test_the_derived_lists_are_the_eight_and_the_five():
+    assert len(ALL_BASELINES) == 8
+    assert sorted(WINDOWED) == [
+        "autothrottle", "breakwater", "dagor", "parties", "seda",
+    ]
 
 
 class TestSnapshotParity:
@@ -39,8 +50,13 @@ class TestSnapshotParity:
 
     @pytest.mark.parametrize("name", WINDOWED)
     def test_windowed_baselines_report_admission_state(self, name):
-        snap = build(name).telemetry_snapshot()
-        assert "rejections" in snap["admission"]
+        controller = build(name)
+        snap = controller.telemetry_snapshot()
+        assert controller.rejections == 0
+        if name == "autothrottle":  # throttles, never refuses
+            assert "limit" in snap["throttle"]
+        else:
+            assert "rejections" in snap["admission"]
 
     def test_pbox_reports_penalties(self):
         snap = build("pbox").telemetry_snapshot()

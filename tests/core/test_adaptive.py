@@ -141,7 +141,6 @@ class TestHealthSignalSource:
         source.sample(1.0, signals)
         events = signals["health_events"]
         assert [e.kind for e in events] == ["p99-ceiling"]
-        assert source.telemetry_snapshot() == {"health_events": 1}
 
 
 class TestAtroposWiring:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Atropos, AtroposConfig, CancellationAction
+from repro.core import Atropos, AtroposConfig
 from repro.core.levers import (
     LEVERS,
     CancelLever,
@@ -27,10 +27,6 @@ class TestRegistry:
     def test_unknown_lever_names_the_known_ones(self):
         with pytest.raises(KeyError, match="cancel, lock_reshape, composite"):
             resolve_lever("nuke")
-
-    def test_cancellation_action_alias_is_cancel_lever(self):
-        # Backward compatibility: the historical action-stage name.
-        assert CancellationAction is CancelLever
 
     def test_config_rejects_unknown_lever(self):
         with pytest.raises(ValueError, match="lever must be one of"):

@@ -9,7 +9,9 @@ from repro.core import (
     NoAdaptation,
     SignalSource,
 )
-from repro.core.pipeline import AdaptationPolicy
+from repro.baselines import DARC
+from repro.core import NullController
+from repro.core.pipeline import AdaptationPolicy, WindowedController
 from repro.sim import Environment, RequestRecord, RequestStatus
 
 
@@ -72,10 +74,6 @@ class RecordingAdaptation(AdaptationPolicy):
 class RecordingAction(ActionPolicy):
     def __init__(self, trace):
         self.trace = trace
-        self.bound = []
-
-    def bind(self, app):
-        self.bound.append(app)
 
     def act(self, now, signals):
         self.trace.append("act")
@@ -113,7 +111,6 @@ class TestTickOrder:
         signals = pipeline.tick()
         assert reader.seen == [42]
         assert signals["upstream"] == 42
-        assert pipeline.last_signals is signals
 
     def test_fresh_signal_map_each_tick(self, env):
         pipeline = ControlPipeline(
@@ -151,15 +148,6 @@ class TestLifecycle:
         # A second start() must not spawn a second monitor process.
         assert trace.count("sample:a") == 2
 
-    def test_no_period_means_no_loop(self, env):
-        trace = []
-        pipeline = ControlPipeline(
-            env, period=None, sources=[RecordingSource("a", trace)]
-        )
-        pipeline.start()
-        env.run(until=5.0)
-        assert trace == []
-
     def test_completions_fan_out_to_all_sources(self, env):
         a = RecordingSource("a", [])
         b = RecordingSource("b", [])
@@ -169,15 +157,40 @@ class TestLifecycle:
         assert a.completions == [rec]
         assert b.completions == [rec]
 
-    def test_bind_reaches_the_action(self, env):
-        action = RecordingAction([])
-        pipeline = ControlPipeline(env, period=None, action=action)
-        app = object()
-        pipeline.bind(app)
-        assert action.bound == [app]
 
-    def test_bind_without_action_is_noop(self, env):
-        ControlPipeline(env, period=None).bind(object())
+class TickingController(WindowedController):
+    """The smallest windowed baseline: records what it is handed."""
+
+    def __init__(self, env, period):
+        super().__init__(env, period)
+        self.ticks = []
+
+    def act(self, now, signals):
+        self.ticks.append((now, signals["samples"]))
+
+
+class TestActionSeat:
+    def test_controller_passed_as_action_is_ticked(self, env):
+        controller = TickingController(env, period=0.5)
+        assert controller.pipeline.action is controller
+        controller.observe_completion(record(0.1, 0.05))
+        controller.start()
+        env.run(until=1.2)
+        assert controller.ticks == [(0.5, 1), (1.0, 1)]
+
+    def test_windowed_controller_without_act_raises(self, env):
+        controller = WindowedController(env, period=1.0)
+        with pytest.raises(NotImplementedError):
+            controller.pipeline.tick()
+
+    def test_darc_and_null_start_no_process(self, env):
+        for build in (DARC, NullController):
+            controller = build(env)
+            before = env.alive_processes
+            controller.start()
+            env.run(until=env.now + 1.0)
+            assert env.alive_processes == before
+            assert not hasattr(controller, "pipeline")
 
 
 class TestLatencyWindowSource:

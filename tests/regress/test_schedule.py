@@ -158,17 +158,6 @@ class TestHistoryScheduleSource:
         values = [e["value"] for e in signals["history_targets"]]
         assert values == [1.1, 1.05]  # time order preserved
 
-    def test_telemetry_snapshot_counts(self):
-        source = HistoryScheduleSource(
-            [{"time": 1.0, "param": "slo_slack", "value": 1.05}]
-        )
-        assert source.telemetry_snapshot() == {
-            "schedule_entries": 1,
-            "schedule_published": 0,
-        }
-        source.sample(2.0, {})
-        assert source.telemetry_snapshot()["schedule_published"] == 1
-
 
 class TestEndToEndScheduleRun:
     def test_scheduled_moves_land_as_audited_adapts(self):

@@ -1,8 +1,10 @@
-"""Source rules: ``tools/check_source.py`` and the tree it guards."""
+"""Source rules: ``tools/check_source.py`` and the tree it guards, and
+``tools/count_code.py``, the counter the simplicity PRs quote."""
 
 from .test_docs import load_checker
 
 checker = load_checker("check_source")
+counter = load_checker("count_code")
 
 
 def test_src_repro_never_walks_an_objects_attributes():
@@ -28,3 +30,36 @@ def test_own_dict_comments_and_strings_are_not():
         "        return dict(self.__dict__)  # not vars(app)\n"
     )
     assert checker.check_source(source, "m.py") == []
+
+
+def test_count_code_skips_docstrings_comments_and_blanks():
+    source = (
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "import os  # code with a trailing comment: 1\n"
+        "\n"
+        "def f(a,\n"
+        "      b):  # a two-line signature: 2\n"
+        '    """One-line docstring."""\n'
+        "    text = \"\"\"a string that is not a docstring,\n"
+        '    on two lines: 2"""\n'
+        "    return (\n"
+        "        a + b  # a three-line statement: 3\n"
+        "    )\n"
+        "\n"
+        "class C:\n"
+        '    """Docstring."""\n'
+        "    x = 1  # class line + this: 2\n"
+    )
+    assert counter.count_code_lines(source) == 10
+
+
+def test_count_code_totals_a_tree(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "pkg" / "b.py").write_text('"""Doc."""\n\nz = 3\n')
+    (tmp_path / "pkg" / "notes.txt").write_text("not python\n")
+    assert counter.count_paths([tmp_path]) == 3
+    assert counter.count_paths([tmp_path / "pkg" / "a.py"]) == 2

@@ -69,6 +69,18 @@ RETIRED_NAMES = [
     "env._now",
     "_find_degradable",
     "_locks_for",
+    "SedaRateAction",
+    "BreakwaterCreditAction",
+    "PartiesAllocationAction",
+    "DagorLevelAdaptation",
+    "DagorFeedbackAction",
+    "AutothrottleResizeAction",
+    "WorkerReservationAction",
+    "BlockingDelaySource",
+    "VictimDropAction",
+    "UsageWindowSource",
+    "PenaltyAction",
+    "CancellationAction",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,
