@@ -663,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ablate-adaptive",
         help="fixed vs health-driven adaptive thresholds across the cases",
     )
-    _add_ablation_flags(p_adapt, "all 16 cases instead of the quick subset")
+    _add_ablation_flags(p_adapt, "all cases instead of the quick subset")
 
     p_ablate = sub.add_parser(
         "ablate",

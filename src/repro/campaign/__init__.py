@@ -1,9 +1,9 @@
 """Parallel, cache-aware experiment campaign runner.
 
 Turns simulation runs into declarative, picklable :class:`RunSpec`
-objects and executes campaigns of them through a ``multiprocessing``
-worker pool backed by a content-addressed on-disk result store
-(``.repro-cache/``).  Guarantees:
+objects and executes campaigns of them through a pool of worker
+processes (:mod:`repro.workers`) backed by a content-addressed on-disk
+result store (``.repro-cache/``).  Guarantees:
 
 * **Bit-identical to serial** -- per-seed determinism is preserved and
   outcomes are merged in spec order, never completion order, so

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..experiments.harness import extract_extras, resolve_sim, run_simulation
 from ..obs.tracer import get_active_tracer
 from ..telemetry import get_active_telemetry
+from ..workers import RemoteTraceback, WorkerFailure, Workers
 from .spec import RunOutcome, RunSpec, load_all_families
 from .store import ResultStore, default_cache_dir
 
@@ -53,11 +54,6 @@ class ResolvedSettings:
     jobs: int = 1
     cache: bool = True
     cache_dir: Path = Path(".repro-cache")
-    #: Force every spec in the batch to run with health-driven adaptive
-    #: thresholds (the CLI ``--adaptive`` flag).  Specs are rewritten
-    #: before cache lookup, so fixed and adaptive runs never share an
-    #: entry.
-    adaptive: bool = False
 
 
 _OVERLAYS: List[Dict[str, Any]] = []
@@ -74,6 +70,10 @@ def settings(
 
         with campaign.settings(jobs=4, cache_dir=tmp):
             run_experiments(["fig2"])
+
+    ``adaptive`` is the CLI ``--adaptive`` flag: not an execution
+    setting but what ``case_spec`` reads (:func:`ambient`) to overlay
+    health-driven adaptive thresholds on every spec that builds ATROPOS.
     """
     _OVERLAYS.append(
         {"jobs": jobs, "cache": cache, "cache_dir": cache_dir,
@@ -85,37 +85,36 @@ def settings(
         _OVERLAYS.pop()
 
 
+def ambient(name: str, explicit: Any = None) -> Any:
+    """``explicit``, else the innermost ``settings(name=...)`` in scope,
+    else None."""
+    if explicit is not None:
+        return explicit
+    for overlay in reversed(_OVERLAYS):
+        if overlay[name] is not None:
+            return overlay[name]
+    return None
+
+
 def current_settings(
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
     cache_dir: Optional[os.PathLike] = None,
-    adaptive: Optional[bool] = None,
 ) -> ResolvedSettings:
     """Resolve settings: explicit args > overlays > environment > defaults."""
-
-    def pick(name, explicit):
-        if explicit is not None:
-            return explicit
-        for overlay in reversed(_OVERLAYS):
-            if overlay[name] is not None:
-                return overlay[name]
-        return None
-
-    jobs = pick("jobs", jobs)
+    jobs = ambient("jobs", jobs)
     if jobs is None:
         env = os.environ.get(JOBS_ENV)
         jobs = int(env) if env else 1
-    cache = pick("cache", cache)
+    cache = ambient("cache", cache)
     if cache is None:
         env = os.environ.get(CACHE_ENV)
         cache = env.strip().lower() not in _FALSEY if env else True
-    cache_dir = pick("cache_dir", cache_dir)
+    cache_dir = ambient("cache_dir", cache_dir)
     if cache_dir is None:
         cache_dir = default_cache_dir()
-    adaptive = pick("adaptive", adaptive)
     return ResolvedSettings(
-        jobs=max(1, int(jobs)), cache=bool(cache), cache_dir=Path(cache_dir),
-        adaptive=bool(adaptive),
+        jobs=max(1, int(jobs)), cache=bool(cache), cache_dir=Path(cache_dir)
     )
 
 
@@ -169,15 +168,10 @@ def _execute_one(spec: RunSpec, label: Optional[str] = None) -> Dict[str, Any]:
     """Build and run one spec in this process; returns its payload."""
     load_all_families()
     started = time.perf_counter()
-    params = dict(spec.params)
-    if spec.adaptive:
-        # The adaptive flag lives on the spec (cache identity), not in
-        # the stored params; builders see it as a transient param.
-        params["adaptive"] = True
-    if spec.lever:
-        # Same transient-param pattern for the mitigation lever.
-        params["lever"] = spec.lever
-    build = resolve_sim(spec.family)(params)
+    # Only a family that builds ATROPOS is handed an overlay, and only
+    # its builder takes one.
+    overlay = (spec.overlay,) if spec.overlay else ()
+    build = resolve_sim(spec.family)(dict(spec.params), *overlay)
     duration = spec.duration if spec.duration is not None else build.duration
     warmup = spec.warmup if spec.warmup is not None else build.warmup
     fault_plan = None
@@ -217,93 +211,74 @@ def _execute_one(spec: RunSpec, label: Optional[str] = None) -> Dict[str, Any]:
 
 
 class CampaignWorkerError(RuntimeError):
-    """A campaign worker process died without returning its payload."""
+    """A campaign worker process died without returning its payload
+    (``exitcode``), or raised something that could not be sent back
+    (``detail`` ends in the worker's formatted traceback)."""
 
     def __init__(
-        self, spec: str, unfinished: List[str], exitcode: Optional[int]
+        self,
+        spec: str,
+        unfinished: List[str],
+        exitcode: Optional[int],
+        detail: str,
     ) -> None:
         self.spec = spec
         self.unfinished = unfinished
         self.exitcode = exitcode
         super().__init__(
-            f"campaign worker died (exit code {exitcode}) running {spec}; "
-            f"unfinished: {', '.join(unfinished)}"
+            f"campaign worker failed running {spec} "
+            f"(unfinished: {', '.join(unfinished)}): {detail}"
         )
 
 
-def _pool_worker(conn) -> None:  # pragma: no cover - runs in the child
-    """Pool process: run spec dicts from the pipe until sent ``None``;
-    reply with the payload tagged with the worker -- or the exception
-    the run raised, for the parent to re-raise."""
-    for spec_dict in iter(conn.recv, None):
-        try:
-            reply = _execute_one(RunSpec.from_dict(spec_dict))
-            reply["worker"] = f"pid-{os.getpid()}"
-        except Exception as exc:
-            reply = exc
-        conn.send(reply)
+def _spec_runner(index: int):  # pragma: no cover - runs in the child
+    """Pool process: spec dict in, payload tagged with the worker out."""
+
+    def run(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
+        payload = _execute_one(RunSpec.from_dict(spec_dict))
+        payload["worker"] = f"pid-{os.getpid()}"
+        return payload
+
+    return run
 
 
 def _run_pool(
     specs: Sequence[RunSpec], jobs: int
 ) -> List[Dict[str, Any]]:
     """Run specs through ``jobs`` worker processes; results in input
-    order.  An idle worker takes the next spec, or its stop message once
-    none is left.  A worker that dies (its pipe reads EOF) raises
-    :class:`CampaignWorkerError`."""
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        ctx = multiprocessing.get_context("spawn")
+    order.  An idle worker takes the next spec.  A worker that dies
+    raises :class:`CampaignWorkerError`; what a run raised is re-raised
+    here, the worker's traceback chained as its cause."""
     results: List[Any] = [None] * len(specs)
     todo = iter(range(len(specs)))
-    workers: Dict[Any, Any] = {}  # pipe -> process
-    busy: Dict[Any, int] = {}  # pipe -> index of the spec it is running
+    busy: Dict[int, int] = {}  # worker -> index of the spec it is running
 
-    def feed(conn) -> None:
-        index = next(todo, None)
-        conn.send(None if index is None else specs[index].to_dict())
-        if index is not None:
-            busy[conn] = index
+    with Workers(jobs, _spec_runner) as pool:
 
-    try:
-        for _ in range(jobs):
-            conn, child = ctx.Pipe()
-            # Daemonic, like the pool workers these replace: a campaign
-            # worker has no children (see cluster.epoch.shard_count).
-            workers[conn] = ctx.Process(
-                target=_pool_worker, args=(child,), daemon=True
-            )
-            workers[conn].start()
-            child.close()
-            feed(conn)
+        def feed(worker: int) -> None:
+            index = next(todo, None)
+            if index is not None:
+                pool.send(worker, specs[index].to_dict())
+                busy[worker] = index
+
+        for worker in range(jobs):
+            feed(worker)
         while busy:
-            for conn in wait(list(busy)):
-                index = busy.pop(conn)
+            for worker in pool.wait_any(list(busy)):
+                index = busy.pop(worker)
                 try:
-                    reply = conn.recv()
-                except EOFError:
-                    workers[conn].join(timeout=10)
+                    results[index] = pool.recv(worker)
+                except WorkerFailure as failure:
+                    if failure.exc is not None:
+                        raise failure.exc from RemoteTraceback(failure.text)
                     raise CampaignWorkerError(
                         specs[index].label(),
                         [s.label() for s, r in zip(specs, results) if r is None],
-                        workers[conn].exitcode,
+                        failure.exitcode,
+                        str(failure),
                     ) from None
-                if isinstance(reply, Exception):
-                    raise reply
-                results[index] = reply
-                feed(conn)
-        return results
-    except BaseException:
-        for proc in workers.values():  # do not wait for runs in flight
-            proc.terminate()
-        raise
-    finally:
-        for proc in workers.values():
-            proc.join(timeout=10)
+                feed(worker)
+    return results
 
 
 def execute(
@@ -327,10 +302,6 @@ def execute(
     if not specs:
         return []
     cfg = current_settings(jobs=jobs, cache=cache, cache_dir=cache_dir)
-    if cfg.adaptive:
-        # --adaptive rewrites the whole batch before key computation:
-        # the flag is part of each spec's cache identity.
-        specs = [replace(spec, adaptive=True) for spec in specs]
     load_all_families()
     tracer = get_active_tracer()
     traced = bool(getattr(tracer, "enabled", False))

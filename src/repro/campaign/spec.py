@@ -9,12 +9,13 @@ Experiments enumerate their sweeps as RunSpecs and hand them to
 and a content-addressed result store.
 
 Cache identity is the SHA-256 of the *physical* run description (family
-+ params + seed + duration + warmup + fault plan) plus the repro version and a
-fingerprint of the package source -- so two experiments sharing a run
-(e.g. the per-case baselines of fig9/fig10/fig12/fig13) share one cache
-entry, and any code change invalidates the whole cache rather than
-serving stale results.  The ``experiment`` field is bookkeeping only and
-deliberately excluded from the key.
++ params + seed + duration + warmup + fault plan + config overlay) plus
+the repro version and a fingerprint of the package source -- so two
+experiments sharing a run (e.g. the per-case baselines of
+fig9/fig10/fig12/fig13) share one cache entry, and any code change
+invalidates the whole cache rather than serving stale results.  The
+``experiment`` field is bookkeeping only and deliberately excluded from
+the key.  docs/ARCHITECTURE.md ("Run identity") says what goes where.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ from ..sim.metrics import Summary
 #: 7: RunSpec grew the ``lever`` identity field (mitigation levers,
 #: :mod:`repro.core.levers`); audits carry a ``lever`` tag and the
 #: ``mongodb`` app family joined the case registry (c17/c18).
-CACHE_SCHEMA = 7
+#: 8: one ``overlay`` mapping replaces ``adaptive``, ``lever`` and the
+#: case family's in-params overrides (a new controller knob is a new
+#: overlay key, not a new field); faulted extras lost ``timeline``.
+CACHE_SCHEMA = 8
 
 _families_loaded = False
 
@@ -114,15 +118,11 @@ class RunSpec:
         faults: optional :meth:`repro.faults.FaultPlan.to_dict` payload
             injected into the run; part of the cache identity (a faulted
             run must never share a cache entry with its clean twin).
-        adaptive: run the controller with health-driven adaptive
-            thresholds (``AtroposConfig.adaptive_thresholds``).  Part of
-            the cache identity: fixed and adaptive twins of the same
-            case must never share a cache entry.
-        lever: mitigation lever for the controller
-            (``AtroposConfig.lever``; :mod:`repro.core.levers`).  None
-            means the family default (targeted cancellation).  Part of
-            the cache identity: cancel / lock-reshape / composite twins
-            of the same case must never share a cache entry.
+        overlay: :class:`~repro.core.config.AtroposConfig` field ->
+            value, laid over the family's own configuration of the
+            ATROPOS controller it builds (``adaptive_thresholds``,
+            ``lever``, ``slo_slack``, the ablation knobs, ``regress
+            --perturb``).  Empty for every run that builds none.
     """
 
     experiment: str
@@ -132,11 +132,13 @@ class RunSpec:
     duration: Optional[float] = None
     warmup: Optional[float] = None
     faults: Optional[Dict[str, Any]] = None
-    adaptive: bool = False
-    lever: Optional[str] = None
+    overlay: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", _canonical_params(self.params))
+        object.__setattr__(
+            self, "overlay", _canonical_params(self.overlay or {})
+        )
         if self.faults is not None:
             object.__setattr__(
                 self, "faults", _canonical_params(self.faults)
@@ -154,8 +156,7 @@ class RunSpec:
             "duration": self.duration,
             "warmup": self.warmup,
             "faults": self.faults,
-            "adaptive": self.adaptive,
-            "lever": self.lever,
+            "overlay": self.overlay,
         }
 
     def to_dict(self) -> Dict[str, Any]:
@@ -163,17 +164,11 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
-        return cls(
-            experiment=data.get("experiment", ""),
-            family=data["family"],
-            params=data.get("params", {}),
-            seed=data.get("seed", 0),
-            duration=data.get("duration"),
-            warmup=data.get("warmup"),
-            faults=data.get("faults"),
-            adaptive=data.get("adaptive", False),
-            lever=data.get("lever"),
-        )
+        if "overlay" not in data:  # written before schema 8
+            from ..experiments.case_family import upgrade_spec_dict
+
+            data = upgrade_spec_dict(data)
+        return cls(**data)
 
     def cache_key(self) -> str:
         """Content address of this run under the current code version."""

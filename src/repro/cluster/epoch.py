@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
-import traceback
 from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -35,6 +33,7 @@ from ..apps.postgres import PostgreSQL, PostgresConfig
 from ..sim.environment import Environment
 from ..sim.metrics import MetricsCollector, Summary
 from ..sim.rng import Rng
+from ..workers import WorkerFailure, Workers, can_fork
 from ..workloads.driver import Driver
 
 
@@ -241,32 +240,27 @@ class ShardError(RuntimeError):
         )
 
 
-def _shard_worker(planner, spec_dict, indices, conn):  # pragma: no cover
-    """Persistent shard process: owns a subset of the planner's nodes,
-    rebuilt from the spec's dict form as a worker that could not inherit
-    the parent's memory would have to."""
+def _shard_server(shard, planner, spec_dict, assignments):  # pragma: no cover
+    """Shard process: owns a subset of the planner's nodes, rebuilt from
+    the spec's dict form as a worker that could not inherit the parent's
+    memory would have to; serves ``advance`` and ``finish`` rounds."""
     spec = type(planner.spec).from_dict(spec_dict)
-    nodes = [planner.make_node(spec, index) for index in indices]
-    try:
-        while True:
-            kind, epoch, t_end, plan = conn.recv()
-            if kind == "stop":
-                break
+    nodes = [planner.make_node(spec, index) for index in assignments[shard]]
+
+    def serve(message):
+        epoch, t_end, plan = message
+        reply = {}
+        for node in nodes:
             try:
-                reply = {}
-                for node in nodes:
-                    reply[node.index] = (
-                        node.advance(epoch, t_end, *plan[node.index])
-                        if kind == "advance" else node.finish()
-                    )
-            except Exception:
-                conn.send(
-                    ("error", node.name, epoch, traceback.format_exc())
+                reply[node.index] = (
+                    node.finish() if epoch is None
+                    else node.advance(epoch, t_end, *plan[node.index])
                 )
-                break
-            conn.send(("ok", reply))
-    finally:
-        conn.close()
+            except Exception as exc:
+                raise RuntimeError(f"node {node.name} raised") from exc
+        return reply
+
+    return serve
 
 
 class ShardPool:
@@ -274,71 +268,39 @@ class ShardPool:
     round-robin, one round-trip per epoch per shard."""
 
     def __init__(self, planner, shards: int) -> None:
-        ctx = multiprocessing.get_context("fork")
         self.node_names = planner.node_names
         self.assignments = [
             [i for i in range(len(self.node_names)) if i % shards == s]
             for s in range(shards)
         ]
-        self.pipes = []
-        self.procs = []
-        spec_dict = planner.spec.to_dict()
-        for indices in self.assignments:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(planner, spec_dict, indices, child),
-            )
-            proc.daemon = True
-            proc.start()
-            child.close()
-            self.pipes.append(parent)
-            self.procs.append(proc)
+        self.workers = Workers(
+            shards, _shard_server, planner, planner.spec.to_dict(),
+            self.assignments,
+        )
 
     def advance(self, epoch, t_end, plan):
-        for pipe, indices in zip(self.pipes, self.assignments):
-            mine = {index: plan[index] for index in indices}
-            pipe.send(("advance", epoch, t_end, mine))
-        return self._gather(epoch)
+        return self._round(epoch, t_end, plan)
 
     def finish(self):
-        for pipe in self.pipes:
-            pipe.send(("finish", None, None, None))
-        return self._gather(None)
+        return self._round(None, None, None)
 
-    def _gather(self, epoch: Optional[int]) -> List:
+    def _round(self, epoch: Optional[int], t_end, plan) -> List:
+        """One message to every shard (no epoch: send your end-of-run
+        reports), then every reply, in shard order."""
+        for shard, indices in enumerate(self.assignments):
+            mine = plan and {index: plan[index] for index in indices}
+            self.workers.send(shard, (epoch, t_end, mine))
         merged: Dict[int, Any] = {}
-        for shard, pipe in enumerate(self.pipes):
+        for shard, indices in enumerate(self.assignments):
             try:
-                reply = pipe.recv()
-            except EOFError:
-                proc = self.procs[shard]
-                proc.join(timeout=5)
-                raise self._error(
-                    shard, epoch, "worker died without replying "
-                    f"(exit code {proc.exitcode})",
-                ) from None
-            if reply[0] == "error":
-                _, node, at, text = reply
-                raise self._error(shard, at, f"node {node} raised\n{text}")
-            merged.update(reply[1])
+                merged.update(self.workers.recv(shard))
+            except WorkerFailure as failure:
+                owned = [self.node_names[i] for i in indices]
+                raise ShardError(shard, owned, epoch, str(failure)) from None
         return [merged[index] for index in sorted(merged)]
 
-    def _error(self, shard, epoch, detail) -> ShardError:
-        owned = [self.node_names[i] for i in self.assignments[shard]]
-        return ShardError(shard, owned, epoch, detail)
-
     def close(self):
-        for pipe in self.pipes:
-            try:
-                pipe.send(("stop", None, None, None))
-            except OSError:
-                pass
-            pipe.close()
-        for proc in self.procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
+        self.workers.close()
 
 
 def shard_count(node_count: int, jobs: Optional[int]) -> int:
@@ -352,13 +314,7 @@ def shard_count(node_count: int, jobs: Optional[int]) -> int:
     from ..campaign import current_settings
 
     shards = min(current_settings(jobs=jobs).jobs, node_count)
-    if (
-        shards <= 1
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return 1
-    return shards
+    return shards if shards > 1 and can_fork() else 1
 
 
 def _epoch_loop(planner, placement):

@@ -12,9 +12,8 @@ reports:
   adaptive policy made (``adaptations``; 0 means the health rules never
   fired and the run is identical to fixed).
 
-Both variants share the per-case baseline run (and its cache entry);
-fixed and adaptive runs never share an entry (``RunSpec.adaptive`` is
-part of the cache identity).
+Both variants share the per-case baseline run (and its cache entry), and
+``fixed`` is fig10's ``Atropos`` column, entry and all.
 """
 
 from __future__ import annotations
@@ -30,6 +29,9 @@ from .tables import ExperimentResult, ExperimentTable
 #: to).
 QUICK_CASES = ["c1", "c2", "c5", "c12"]
 
+#: Column -> overlay.
+VARIANTS = {"fixed": {}, "adaptive": {"adaptive_thresholds": True}}
+
 
 def run(
     quick: bool = True,
@@ -40,8 +42,8 @@ def run(
     if case_ids is None:
         case_ids = list(QUICK_CASES) if quick else all_case_ids()
     grid = case_sweep(
-        "ablate-adaptive", case_ids, ["fixed", "adaptive"], seed,
-        lambda name: {"atropos_overrides": {}, "adaptive": name == "adaptive"},
+        "ablate-adaptive", case_ids, list(VARIANTS), seed,
+        lambda name: {"system": "atropos", "overlay": VARIANTS[name]},
     )
     p99 = grid.table(
         "Adaptive thresholds: normalized p99 (fixed vs adaptive)", norm_p99

@@ -16,8 +16,7 @@ The quick set pairs the MySQL lock cases with the MongoDB extension
 cases so both habitats show up: c17's chunk-wise scan storm is parkable
 (reshape wins without losing the scans' work), while c18's memory flood
 gives the lock lever nothing to park (cancel wins, reshape no-ops).
-Lever runs never share cache entries (``RunSpec.lever`` is part of the
-cache identity); the shared baseline does.
+The levers share each case's baseline run (and its cache entry).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ def run(
         case_ids = list(QUICK_CASES) if quick else all_case_ids()
     grid = case_sweep(
         "ablate-levers", case_ids, LEVERS, seed,
-        lambda lever: {"atropos_overrides": {}, "lever": lever},
+        lambda lever: {"overlay": {"lever": lever}},
     )
     p99 = grid.table("Mitigation levers: normalized victim p99", norm_p99)
     actions = grid.table(

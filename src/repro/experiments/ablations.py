@@ -38,7 +38,7 @@ def run_cooldown(
     cooldowns = cooldowns if cooldowns is not None else list(COOLDOWNS)
     grid = case_sweep(
         "ablation-cooldown", case_ids, cooldowns, seed,
-        lambda value: {"atropos_overrides": {"cancel_cooldown": value}},
+        lambda value: {"overlay": {"cancel_cooldown": value}},
         label="cooldown_{}s".format,
     )
     return ExperimentResult(
@@ -67,7 +67,7 @@ def run_detection_period(
     periods = periods if periods is not None else list(PERIODS)
     grid = case_sweep(
         "ablation-detection", case_ids, periods, seed,
-        lambda value: {"atropos_overrides": {"detection_period": value}},
+        lambda value: {"overlay": {"detection_period": value}},
         label="period_{}s".format,
     )
     return ExperimentResult(
@@ -81,7 +81,7 @@ def run_detection_period(
     )
 
 
-#: Column -> overrides.  reexec_slo_multiple=0 exhausts the budget
+#: Column -> overlay.  reexec_slo_multiple=0 exhausts the budget
 #: immediately: every cancelled request is dropped.
 REEXEC_VARIANTS = {
     "with_reexec": {},
@@ -96,7 +96,7 @@ def run_no_reexecution(
     case_ids = case_ids if case_ids is not None else ["c2", "c5", "c15"]
     grid = case_sweep(
         "ablation-reexec", case_ids, list(REEXEC_VARIANTS), seed,
-        lambda name: {"atropos_overrides": REEXEC_VARIANTS[name]},
+        lambda name: {"system": "atropos", "overlay": REEXEC_VARIANTS[name]},
         baseline=False,
     )
     return ExperimentResult(

@@ -62,7 +62,7 @@ def run(
             seed,
             system="atropos",
             slo_latency=base_mean * (1.0 + goal),
-            atropos_overrides={"slo_slack": 1.0},
+            overlay={"slo_slack": 1.0},
         )
 
     grid = Sweep(

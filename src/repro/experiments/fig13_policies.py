@@ -22,10 +22,8 @@ from ..apps.base import Operation
 from ..apps.mysql import MySQL, MySQLConfig, light_mix
 from ..campaign import RunSpec, execute
 from ..cases import paper_case_ids
-from ..core.atropos import Atropos
-from ..core.config import AtroposConfig
 from ..workloads.spec import OpenLoopSource, ScheduledOp, Workload
-from .case_family import _policy_class
+from .case_family import atropos_factory
 from .grid import case_sweep, column_means, norm_p99, norm_tput
 from .harness import SimBuild, register_sim
 from .tables import ExperimentResult, ExperimentTable
@@ -97,23 +95,14 @@ def _late_culprit_workload(app, rng):
 @register_sim("fig13.late")
 def _build_late(params):
     """The late-culprit scenario under one cancellation policy."""
-    policy_cls = _policy_class(params["policy"])
     # Pool sized so hot set + report fit together: contention appears
     # only when the dump arrives.
     config = MySQLConfig(buffer_pool_pages=3200)
 
-    def controller(env):
-        atropos_config = AtroposConfig(slo_latency=0.02)
-        return Atropos(
-            env,
-            atropos_config,
-            policy=policy_cls(min_age=atropos_config.min_cancel_age),
-        )
-
     return SimBuild(
         lambda env, ctl, rng: MySQL(env, ctl, rng, config=config),
         _late_culprit_workload,
-        controller_factory=controller,
+        controller_factory=atropos_factory(0.02, {}, params["policy"]),
         duration=12.0,
         warmup=2.0,
     )

@@ -365,14 +365,6 @@ def extract_extras(result: RunResult) -> Dict[str, Any]:
         extras["fault_events"] = [
             event.to_dict() for event in result.faults.events
         ]
-        extras["timeline"] = [
-            [
-                round(end, 9),
-                round(tput, 9),
-                None if p99 != p99 else round(p99, 9),
-            ]
-            for end, tput, p99 in result.timeline(0.5)
-        ]
     if result.telemetry is not None:
         run = result.telemetry
         extras["health_events"] = [e.to_dict() for e in run.health_events]

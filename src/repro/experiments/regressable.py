@@ -5,10 +5,10 @@ declarative run the observatory snapshots and later replays.  Four
 families are registered:
 
 ``case``
-    The standard six-case single-node family (ATROPOS on the direct
-    config-override build path, so threshold perturbations via
-    ``atropos_overrides`` reach the detector).  These carry full
-    per-window series, health counts, and decision/audit mixes.
+    The standard six-case single-node family under ATROPOS -- fig9's
+    and fig10's runs at the same seed, cache entries included.  These
+    carry full per-window series, health counts, and decision/audit
+    mixes.
 ``dag``
     The microservice-DAG storm under the atropos controller; a custom-
     runner family, regressed on summary scalars plus the DagResult
@@ -24,16 +24,13 @@ families are registered:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from ..campaign.spec import RunSpec
 
 #: The standard regress case set: the quick-ablation four plus the two
 #: SLO-variant cases (c7: 40ms SLO, c14 exercises re-execution).
 REGRESS_CASES = ("c1", "c2", "c5", "c7", "c12", "c14")
-
-#: Known target family names, in capture order.
-REGRESS_TARGETS = ("case", "dag", "cluster", "lever")
 
 #: The lever-family regress set: the parkable MongoDB lock case under
 #: each non-default lever.
@@ -48,13 +45,13 @@ EXPERIMENT_ID = "regress"
 def case_entries(
     cases: Iterable[str] = REGRESS_CASES, seed: int = 1
 ) -> List[Tuple[str, RunSpec]]:
-    """ATROPOS runs of the named cases on the direct-config build path."""
+    """ATROPOS runs of the named cases."""
     from .case_family import case_spec
 
     return [
         (
             f"case:{case_id}",
-            case_spec(EXPERIMENT_ID, case_id, seed, atropos_overrides={}),
+            case_spec(EXPERIMENT_ID, case_id, seed, system="atropos"),
         )
         for case_id in cases
     ]
@@ -95,14 +92,20 @@ def lever_entries(seed: int = 1) -> List[Tuple[str, RunSpec]]:
     return [
         (
             f"lever:{case_id}-{lever}",
-            case_spec(
-                EXPERIMENT_ID, case_id, seed,
-                atropos_overrides={}, lever=lever,
-            ),
+            case_spec(EXPERIMENT_ID, case_id, seed, overlay={"lever": lever}),
         )
         for case_id in REGRESS_LEVER_CASES
         for lever in ("lock_reshape", "composite")
     ]
+
+
+#: Target family name -> its entries, in capture order.
+REGRESS_TARGETS = {
+    "case": case_entries,
+    "dag": dag_entries,
+    "cluster": cluster_entries,
+    "lever": lever_entries,
+}
 
 
 def regress_entries(
@@ -118,17 +121,14 @@ def regress_entries(
     """
     entries: List[Tuple[str, RunSpec]] = []
     for target in targets:
-        if target == "case":
-            entries.extend(case_entries(cases, seed))
-        elif target == "dag":
-            entries.extend(dag_entries(seed))
-        elif target == "cluster":
-            entries.extend(cluster_entries(seed))
-        elif target == "lever":
-            entries.extend(lever_entries(seed))
-        else:
+        try:
+            builder = REGRESS_TARGETS[target]
+        except KeyError:
             raise KeyError(
                 f"unknown regress target {target!r}; "
                 f"known: {list(REGRESS_TARGETS)}"
-            )
+            ) from None
+        entries.extend(
+            builder(cases, seed) if target == "case" else builder(seed)
+        )
     return entries

@@ -131,10 +131,11 @@ def _wrong_rate(outcome, culprit_ops) -> float:
 
 
 def _recovery_seconds(outcome, plan: FaultPlan, slo_latency: float) -> float:
-    """Time from fault lift to sustained-SLO p99, from the cached timeline."""
+    """Time from fault lift to sustained-SLO p99, from the cached series."""
     fault_end = plan.last_end()
     target = slo_latency * 1.2
-    for end, _tput, p99 in outcome.extras.get("timeline", []):
+    series = outcome.extras["series"]
+    for end, p99 in zip(series["end"], series["p99"]):
         if end < fault_end:
             continue
         if p99 is not None and p99 <= target:

@@ -25,7 +25,7 @@ from .baseline import (  # noqa: F401
     CaseCapture,
     RegressBaseline,
 )
-from .capture import apply_perturbation, capture, recapture  # noqa: F401
+from .capture import capture, recapture  # noqa: F401
 from .compare import CaseDrift, RegressReport, compare  # noqa: F401
 from .report import render_diff_report, write_diff_report  # noqa: F401
 from .schedule import derive_schedule  # noqa: F401

@@ -6,19 +6,21 @@ addressed caching applies -- an unchanged tree re-serves the baseline's
 own runs from cache), and condense each outcome into a
 :class:`~repro.regress.baseline.CaseCapture`.
 
-:func:`apply_perturbation` is the seeded-drift hook: it merges config
-overrides into the ``atropos_overrides`` of every case-family spec, the
-same direct-build path the ablations use, so a perturbed check runs a
-*genuinely different* controller configuration (different cache key,
-different behaviour) rather than faking drifted numbers.
+``recapture(perturb=...)`` is the seeded-drift hook: the overrides are
+merged into the overlay of every spec that builds ATROPOS
+(:func:`repro.experiments.case_family.overlaid`, the route the
+ablations use), so a perturbed check runs a *genuinely different*
+controller configuration (different cache key, different behaviour)
+rather than faking drifted numbers; every other spec replays as is.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..campaign.spec import RunSpec
+from ..experiments.case_family import overlaid
 from .baseline import CaseCapture, RegressBaseline
 
 
@@ -108,46 +110,16 @@ def recapture(
     what was snapshotted (optionally perturbed).
     """
     entries = [
-        (capture_.name, RunSpec.from_dict(capture_.spec))
+        (
+            capture_.name,
+            overlaid(RunSpec.from_dict(capture_.spec), perturb or {}),
+        )
         for capture_ in baseline.cases
     ]
-    if perturb:
-        entries = [
-            (entry_name, apply_perturbation(spec, perturb))
-            for entry_name, spec in entries
-        ]
     meta = {"checked_against": baseline.name}
     if perturb:
         meta["perturb"] = dict(perturb)
     return capture(baseline.name, entries, jobs=jobs, meta=meta)
-
-
-def apply_perturbation(
-    spec: RunSpec, overrides: Dict[str, Any]
-) -> RunSpec:
-    """Merge config overrides into a case-family spec.
-
-    Only ``case`` specs are perturbable (they own an
-    ``atropos_overrides`` config path); other families pass through
-    unchanged so a mixed-target check still perturbs what it can.
-    """
-    if spec.family != "case" or not overrides:
-        return spec
-    params = dict(spec.params)
-    merged = dict(params.get("atropos_overrides") or {})
-    merged.update(overrides)
-    params["atropos_overrides"] = merged
-    return RunSpec(
-        experiment=spec.experiment,
-        family=spec.family,
-        params=params,
-        seed=spec.seed,
-        duration=spec.duration,
-        warmup=spec.warmup,
-        faults=spec.faults,
-        adaptive=spec.adaptive,
-        lever=spec.lever,
-    )
 
 
 def parse_perturbations(pairs: Iterable[str]) -> Dict[str, Any]:

@@ -122,7 +122,7 @@ def derive_schedules(
 def schedule_overrides(
     schedule: List[Dict[str, Any]],
 ) -> Dict[str, Any]:
-    """``atropos_overrides`` payload enabling a derived schedule.
+    """Config overlay (``RunSpec.overlay``) enabling a derived schedule.
 
     History schedules ride on the adaptive pipeline (they need the
     AdaptiveThresholdPolicy to apply and audit the moves), so the

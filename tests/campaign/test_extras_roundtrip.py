@@ -138,7 +138,7 @@ from repro.experiments.case_family import case_spec
 from repro.regress.baseline import RegressBaseline
 from repro.regress.capture import capture
 
-spec = case_spec("hashseed", "c1", 1, atropos_overrides={})
+spec = case_spec("hashseed", "c1", 1, system="atropos")
 spec = RunSpec(experiment=spec.experiment, family=spec.family,
                params=spec.params, seed=spec.seed,
                duration=4.0, warmup=1.0)

@@ -47,20 +47,29 @@ class TestRunSpec:
 
     def test_adaptive_is_part_of_the_identity(self):
         fixed = RunSpec("e", "f", {"x": 1})
-        adaptive = RunSpec("e", "f", {"x": 1}, adaptive=True)
+        adaptive = RunSpec(
+            "e", "f", {"x": 1}, overlay={"adaptive_thresholds": True}
+        )
         assert fixed.identity() != adaptive.identity()
         assert fixed.cache_key() != adaptive.cache_key()
 
     def test_adaptive_round_trips_and_defaults_false(self):
-        adaptive = RunSpec("e", "f", {}, adaptive=True)
+        adaptive = RunSpec("e", "f", {}, overlay={"adaptive_thresholds": True})
         clone = RunSpec.from_dict(adaptive.to_dict())
-        assert clone.adaptive is True
+        assert clone.overlay == {"adaptive_thresholds": True}
         assert clone == adaptive
-        # Payloads written before the adaptive field existed load as
-        # fixed-threshold specs.
+        # Payloads written before the overlay existed load without one.
         legacy = {k: v for k, v in RunSpec("e", "f", {}).to_dict().items()
-                  if k != "adaptive"}
-        assert RunSpec.from_dict(legacy).adaptive is False
+                  if k != "overlay"}
+        assert RunSpec.from_dict(legacy) == RunSpec("e", "f", {})
+
+    def test_overlay_is_canonical_and_none_means_empty(self):
+        a = RunSpec("e", "f", {}, overlay={"b": (1, 2), "a": 1})
+        b = RunSpec("e", "f", {}, overlay={"a": 1, "b": [1, 2]})
+        assert a == b and a.cache_key() == b.cache_key()
+        assert RunSpec("e", "f", {}, overlay=None) == RunSpec("e", "f", {})
+        assert len(RunSpec.__dataclass_fields__) == 8
+        assert not hasattr(a, "adaptive") and not hasattr(a, "lever")
 
     def test_label_names_experiment_and_seed(self):
         spec = RunSpec("fig2", "fig2.point", {"load": 100.0}, seed=4)

@@ -169,9 +169,9 @@ class TestAdaptiveRuns:
         from repro.experiments.case_family import case_spec
 
         fixed, adaptive = execute([
-            case_spec("adapt-test", "c2", 1, atropos_overrides={}),
-            case_spec("adapt-test", "c2", 1, atropos_overrides={},
-                      adaptive=True),
+            case_spec("adapt-test", "c2", 1, system="atropos"),
+            case_spec("adapt-test", "c2", 1,
+                      overlay={"adaptive_thresholds": True}),
         ])
         assert fixed.extras.get("adaptations", 0) == 0
         assert adaptive.adaptations > 0
@@ -185,9 +185,9 @@ class TestAdaptiveRuns:
         from repro.experiments.case_family import case_spec
 
         fixed, adaptive = execute([
-            case_spec("adapt-test", "c2", 0, atropos_overrides={}),
-            case_spec("adapt-test", "c2", 0, atropos_overrides={},
-                      adaptive=True),
+            case_spec("adapt-test", "c2", 0, system="atropos"),
+            case_spec("adapt-test", "c2", 0,
+                      overlay={"adaptive_thresholds": True}),
         ])
         assert adaptive.adaptations == 0
         assert fixed.summary == adaptive.summary
@@ -205,7 +205,7 @@ from repro.campaign import execute
 from repro.experiments.case_family import case_spec
 
 outcome, = execute([
-    case_spec("det", "c2", 1, atropos_overrides={}, adaptive=True)
+    case_spec("det", "c2", 1, overlay={"adaptive_thresholds": True})
 ])
 payload = outcome.to_payload()
 payload.pop("walltime")

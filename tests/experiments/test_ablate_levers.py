@@ -13,7 +13,7 @@ class TestSpecIdentity:
         identities = {
             json.dumps(
                 case_spec("ablate-levers", "c17", 0,
-                          atropos_overrides={}, lever=lever).identity(),
+                          overlay={"lever": lever}).identity(),
                 sort_keys=True,
             )
             for lever in LEVERS

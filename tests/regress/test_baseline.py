@@ -89,7 +89,7 @@ class TestFromOutcome:
         from repro.campaign import execute
         from repro.experiments.case_family import case_spec
 
-        spec = case_spec("t", "c2", 1, atropos_overrides={})
+        spec = case_spec("t", "c2", 1, system="atropos")
         (outcome,) = execute([spec], jobs=1)
         capture = CaseCapture.from_outcome("case:c2", outcome)
         assert capture.name == "case:c2"

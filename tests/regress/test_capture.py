@@ -1,15 +1,16 @@
 """Tests for capture/recapture and the seeded-perturbation hook."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign.spec import RunSpec
-from repro.experiments.case_family import case_spec
+from repro.experiments.case_family import case_spec, overlaid
 from repro.experiments.regressable import (
     REGRESS_CASES,
     regress_entries,
 )
 from repro.regress.capture import (
-    apply_perturbation,
     capture,
     parse_perturbations,
     recapture,
@@ -24,16 +25,9 @@ def _short_case_spec(case_id="c1", seed=1, **overrides):
     include real overload (and therefore real sensitivity to the
     detection-threshold perturbation the drift tests seed).
     """
-    spec = case_spec("regress-test", case_id, seed,
-                     atropos_overrides=overrides or {})
-    return RunSpec(
-        experiment=spec.experiment,
-        family=spec.family,
-        params=spec.params,
-        seed=spec.seed,
-        duration=5.0,
-        warmup=1.0,
-    )
+    spec = case_spec("regress-test", case_id, seed, system="atropos",
+                     overlay=overrides)
+    return replace(spec, duration=5.0, warmup=1.0)
 
 
 class TestParsePerturbations:
@@ -56,31 +50,35 @@ class TestParsePerturbations:
 
 
 class TestApplyPerturbation:
+    """``recapture(perturb=...)`` is ``overlaid`` over every spec."""
+
     def test_case_spec_identity_changes(self):
         spec = _short_case_spec()
-        perturbed = apply_perturbation(spec, {"contention_threshold": 0.6})
-        assert perturbed.identity() != spec.identity()
-        assert perturbed.params["atropos_overrides"] == \
-            {"contention_threshold": 0.6}
+        perturbed = overlaid(spec, {"contention_threshold": 0.6})
+        assert perturbed.overlay == {"contention_threshold": 0.6}
         # Everything else rides along untouched.
-        assert perturbed.seed == spec.seed
-        assert perturbed.duration == spec.duration
+        assert perturbed == replace(spec, overlay=perturbed.overlay)
 
     def test_merges_over_existing_overrides(self):
         spec = _short_case_spec(cancel_cooldown=0.1)
-        perturbed = apply_perturbation(spec, {"contention_threshold": 0.6})
-        assert perturbed.params["atropos_overrides"] == {
+        perturbed = overlaid(spec, {"contention_threshold": 0.6})
+        assert perturbed.overlay == {
             "cancel_cooldown": 0.1,
             "contention_threshold": 0.6,
         }
 
     def test_non_case_family_passes_through(self):
         spec = RunSpec(experiment="t", family="dag", params={})
-        assert apply_perturbation(spec, {"slo_slack": 0.8}) is spec
+        assert overlaid(spec, {"slo_slack": 0.8}) is spec
+
+    @pytest.mark.parametrize("system", [None, "protego", "overload"])
+    def test_a_case_spec_that_builds_no_atropos_keeps_its_key(self, system):
+        spec = case_spec("t", "c1", 1, system=system)
+        assert overlaid(spec, {"slo_slack": 0.8}) is spec
 
     def test_empty_overrides_pass_through(self):
         spec = _short_case_spec()
-        assert apply_perturbation(spec, {}) is spec
+        assert overlaid(spec, {}) == spec
 
 
 class TestRegressEntries:
@@ -102,8 +100,8 @@ class TestRegressEntries:
         entries = regress_entries(targets=("lever",))
         names = [name for name, _ in entries]
         assert names == ["lever:c17-lock_reshape", "lever:c17-composite"]
-        assert [spec.lever for _, spec in entries] == [
-            "lock_reshape", "composite",
+        assert [spec.overlay for _, spec in entries] == [
+            {"lever": "lock_reshape"}, {"lever": "composite"},
         ]
 
 

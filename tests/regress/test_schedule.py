@@ -161,13 +161,14 @@ class TestHistoryScheduleSource:
 
 class TestEndToEndScheduleRun:
     def test_scheduled_moves_land_as_audited_adapts(self):
+        from dataclasses import replace
+
         from repro.campaign.runner import _execute_one
-        from repro.campaign.spec import RunSpec
         from repro.experiments.case_family import case_spec
 
         spec = case_spec(
             "t", "c2", 1,
-            atropos_overrides={
+            overlay={
                 "adaptive_thresholds": True,
                 "history_schedule": [
                     {"time": 1.5, "param": "slo_slack", "value": 1.05},
@@ -176,11 +177,7 @@ class TestEndToEndScheduleRun:
                 ],
             },
         )
-        spec = RunSpec(
-            experiment=spec.experiment, family=spec.family,
-            params=spec.params, seed=spec.seed,
-            duration=4.0, warmup=1.0,
-        )
+        spec = replace(spec, duration=4.0, warmup=1.0)
         payload = _execute_one(spec)
         events = [
             e for e in payload["extras"].get("adapt_events", [])

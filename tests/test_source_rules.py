@@ -32,6 +32,22 @@ def test_own_dict_comments_and_strings_are_not():
     assert checker.check_source(source, "m.py") == []
 
 
+def test_only_the_workers_module_imports_multiprocessing():
+    source = (
+        "import os, multiprocessing\n"
+        "def pool():\n"
+        "    from multiprocessing.connection import wait\n"
+        "    from .multiprocessing import not_the_stdlib_one\n"
+        '    return "import multiprocessing"  # prose is fine\n'
+    )
+    errors = checker.check_source(source, "src/repro/campaign/runner.py")
+    assert [e.split(": ")[0] for e in errors] == [
+        "src/repro/campaign/runner.py:1", "src/repro/campaign/runner.py:3",
+    ]
+    assert checker.check_source(source, checker.WORKERS_MODULE) == []
+    assert (checker.REPO_ROOT / checker.WORKERS_MODULE).is_file()
+
+
 def test_count_code_skips_docstrings_comments_and_blanks():
     source = (
         '"""Module docstring,\n'

@@ -81,6 +81,11 @@ RETIRED_NAMES = [
     "UsageWindowSource",
     "PenaltyAction",
     "CancellationAction",
+    "RunSpec.adaptive",
+    "RunSpec.lever",
+    "apply_perturbation",
+    "_pool_worker",
+    "_shard_worker",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,

@@ -15,6 +15,12 @@ telemetry and four LOCK handles from the lock-reshape lever.  An object
 copying its *own* ``self.__dict__`` (a ``to_dict`` / ``__getstate__``)
 is not discovery and stays legal.
 
+Rule 2 -- one module forks.  ``multiprocessing`` is imported by
+``src/repro/workers.py`` and by nothing else: the campaign pool and the
+shard pool once hand-rolled the same fork / pipe / EOF protocol with
+different stop, terminate and error-transport rules.  Whatever needs a
+worker process asks :class:`repro.workers.Workers`.
+
 Exit status is the number of violations found.
 
 Usage::
@@ -32,6 +38,12 @@ from typing import List, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_TARGET = REPO_ROOT / "src" / "repro"
 
+#: The one module that may import ``multiprocessing`` (rule 2).
+WORKERS_MODULE = "src/repro/workers.py"
+
+_REGISTRY = "read the application's resource registry (app.resources())"
+_WORKERS = f"start worker processes through repro.workers ({WORKERS_MODULE})"
+
 
 def check_source(text: str, where: str) -> List[str]:
     """Rule violations in one module's source, as ``where:line: why``."""
@@ -42,7 +54,7 @@ def check_source(text: str, where: str) -> List[str]:
             and isinstance(node.func, ast.Name)
             and node.func.id == "vars"
         ):
-            found.append((node.lineno, "vars() call"))
+            found.append((node.lineno, f"vars() call -- {_REGISTRY}"))
         elif (
             isinstance(node, ast.Attribute)
             and node.attr == "__dict__"
@@ -50,12 +62,21 @@ def check_source(text: str, where: str) -> List[str]:
                 isinstance(node.value, ast.Name) and node.value.id == "self"
             )
         ):
-            found.append((node.lineno, "__dict__ of another object read"))
-    return [
-        f"{where}:{lineno}: {what} -- read the application's resource "
-        "registry (app.resources())"
-        for lineno, what in sorted(found)
-    ]
+            found.append(
+                (node.lineno, f"__dict__ of another object read -- {_REGISTRY}")
+            )
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:  # a relative import names a module of ours
+                modules = [] if node.level else [node.module]
+            if where != WORKERS_MODULE and any(
+                name.split(".")[0] == "multiprocessing" for name in modules
+            ):
+                found.append(
+                    (node.lineno, f"multiprocessing imported -- {_WORKERS}")
+                )
+    return [f"{where}:{lineno}: {what}" for lineno, what in sorted(found)]
 
 
 def check(paths: List[Path]) -> List[str]:
