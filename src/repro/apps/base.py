@@ -132,19 +132,21 @@ class Application:
     # ------------------------------------------------------------------
     # Instrumentation helpers (the ATROPOS tracing call sites)
     # ------------------------------------------------------------------
+    # A controller that models tracing overhead charges it to the task's
+    # ``trace_debt`` inside these calls; the debt is paid (as simulated
+    # delay) at the next checkpoint -- the amortized rdtsc /
+    # sampled-timestamp cost of §3.2 without a yield per traced event.
     def trace_get(
         self, task: CancellableTask, resource: ResourceHandle, amount: float = 1.0
     ) -> None:
         if self._traces:
             self.controller.get_resource(task, resource, amount)
-            self._charge_tracing(task)
 
     def trace_free(
         self, task: CancellableTask, resource: ResourceHandle, amount: float = 1.0
     ) -> None:
         if self._traces:
             self.controller.free_resource(task, resource, amount)
-            self._charge_tracing(task)
 
     def trace_slow_by(
         self,
@@ -155,20 +157,6 @@ class Application:
     ) -> None:
         if self._traces:
             self.controller.slow_by_resource(task, resource, delay, events)
-            self._charge_tracing(task)
-
-    def _charge_tracing(self, task: CancellableTask) -> None:
-        """Accumulate tracing overhead as a latency debt on the task.
-
-        The debt is paid (as simulated delay) at the next checkpoint --
-        modelling the amortized rdtsc/sampled-timestamp cost of §3.2
-        without a yield per traced event.
-        """
-        cost = self.controller.tracing_cost(1)
-        if cost > 0.0:
-            task.metadata["trace_debt"] = (
-                task.metadata.get("trace_debt", 0.0) + cost
-            )
 
     # ------------------------------------------------------------------
     # Traced resource acquisition helpers
@@ -275,7 +263,8 @@ class Application:
                 )
             raise DropRequest("controller-drop")
         delay = self.controller.throttle_delay(task)
-        debt = task.metadata.pop("trace_debt", 0.0)
+        debt = task.trace_debt
+        task.trace_debt = 0.0
         total = delay + debt
         if total > 0.0:
             if self._hooked:

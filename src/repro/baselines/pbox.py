@@ -14,7 +14,7 @@ is the interference check followed by the usage-ledger window roll.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..core.config import AtroposConfig
 from ..core.estimator import Estimator
@@ -47,13 +47,16 @@ class PBox(TracingController):
             penalty_duration: how long a penalty sticks before expiring.
         """
         # pBox traces the same per-task usage signals (its "observation
-        # points"); we reuse the runtime/estimator machinery.
+        # points"); we reuse the runtime/estimator machinery.  Its
+        # tracing is modelled as free: no checkpoint debt.
         super().__init__(
             env,
             AtroposConfig(
                 slo_latency=slo_latency,
                 detection_period=detection_period,
                 contention_threshold=contention_threshold,
+                coarse_trace_cost=0.0,
+                fine_trace_cost=0.0,
             ),
         )
         self.estimator = Estimator(env, self.runtime, self.config)
@@ -89,16 +92,38 @@ class PBox(TracingController):
         self.runtime.roll_window()
 
     def _maybe_penalize(self) -> None:
+        """Penalize the top consumer of each overloaded resource.
+
+        pBox reasons about observed usage, so it needs no per-task
+        assessment: the contention verdicts, then each overloaded
+        resource's top consumer from the tasks that touched it.
+        """
+        estimator = self.estimator
+        resources = list(self.resources.values())
+        if estimator.gain_tap is not None:
+            offenders = self._tapped_offenders(resources)
+        else:
+            offenders = [
+                estimator.top_consumer(report.resource, self.tasks)
+                for report in estimator.contention(resources)
+                if report.overloaded
+            ]
+        for best in offenders:
+            if best is not None:
+                if id(best) not in self._penalized:
+                    self.penalties_issued += 1
+                self._penalized[id(best)] = (
+                    self.env.now + self.penalty_duration
+                )
+
+    def _tapped_offenders(self, resources) -> List[Optional[CancellableTask]]:
+        """The same pick from a full assessment: a gain tap corrupts every
+        (task, resource) usage, in live-task order."""
         assessment = self.estimator.assess(
-            resources=list(self.resources.values()),
-            tasks=self.live_tasks(),
-            use_future_gain=False,  # pBox reasons about observed usage
+            resources, self.live_tasks(), use_future_gain=False
         )
-        overloaded = assessment.overloaded_resources
-        if not overloaded:
-            return
-        # Penalize the top consumer of each overloaded resource.
-        for report in overloaded:
+        offenders = []
+        for report in assessment.overloaded_resources:
             best: Optional[CancellableTask] = None
             best_usage = 0.0
             for task_report in assessment.tasks:
@@ -106,12 +131,8 @@ class PBox(TracingController):
                 if usage > best_usage and task_report.task.alive:
                     best = task_report.task
                     best_usage = usage
-            if best is not None:
-                if id(best) not in self._penalized:
-                    self.penalties_issued += 1
-                self._penalized[id(best)] = (
-                    self.env.now + self.penalty_duration
-                )
+            offenders.append(best)
+        return offenders
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
         snap = super().telemetry_snapshot()

@@ -61,9 +61,6 @@ class DetectorSignalSource(SignalSource):
     def __init__(self, controller: "Atropos") -> None:
         self.controller = controller
 
-    def observe_completion(self, record: "RequestRecord") -> None:
-        self.controller.detector.observe_completion(record)
-
     def sample(self, now: float, signals: Dict[str, Any]) -> None:
         controller = self.controller
         oldest_age = controller._oldest_request_age()
@@ -177,9 +174,6 @@ class Atropos(TracingController):
         super().set_cancel_action(initiator)
         self.cancellation.set_initiator(initiator)
 
-    def tracing_cost(self, n_events: int = 1) -> float:
-        return n_events * self.runtime.event_cost()
-
     def telemetry_snapshot(self) -> dict:
         """Controller state for the telemetry scraper: cancels, the
         detector's latest sample, signal outcomes, and blame scores."""
@@ -202,7 +196,8 @@ class Atropos(TracingController):
         return True
 
     def observe_completion(self, record: "RequestRecord") -> None:
-        self.pipeline.observe_completion(record)
+        # The detector is the only stage that reads completions.
+        self.detector.observe_completion(record)
         if self.fallback is not None:
             self.fallback.observe_completion(record)
 
@@ -238,14 +233,14 @@ class Atropos(TracingController):
         """Age of the oldest live *user request* task (head-of-line signal).
 
         Background tasks are excluded: they have no SLO and may legally
-        run for a long time.
+        run for a long time.  ``tasks`` is in creation order and a task's
+        ``created_at`` is the clock at creation, so the first live
+        request is the oldest.
         """
-        ages = [
-            t.age
-            for t in self.tasks.values()
-            if t.alive and t.kind is TaskKind.REQUEST
-        ]
-        return max(ages, default=0.0)
+        for task in self.tasks.values():
+            if task.kind is TaskKind.REQUEST and task.alive:
+                return self.env.now - task.created_at
+        return 0.0
 
     def _is_calm(self) -> bool:
         """No application resource currently over its contention threshold."""

@@ -34,8 +34,7 @@ class BaseController:
     #: (``get_resource`` / ``free_resource`` / ``slow_by_resource``).  A
     #: fact about the class, not a setting: a controller that overrides
     #: one of the three says True.  Applications read it once and skip
-    #: the round trip (and its ``tracing_cost`` charge, necessarily zero)
-    #: under a controller that would ignore it.
+    #: the round trip under a controller that would ignore it.
     traces_resources = False
 
     def __init__(self, env: "Environment") -> None:
@@ -147,10 +146,6 @@ class BaseController:
     ) -> float:
         """``task`` stopped queueing (granted or unwound); returns the
         measured wait duration (0 for controllers that do not track it)."""
-        return 0.0
-
-    def tracing_cost(self, n_events: int = 1) -> float:
-        """Simulated overhead seconds the app adds per traced event."""
         return 0.0
 
     # ------------------------------------------------------------------

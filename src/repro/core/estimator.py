@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .config import AtroposConfig
+from .ledger import TaskUsage, UsageStats
 from .progress import future_gain_multiplier
 from .runtime import RuntimeManager
 from .task import CancellableTask
@@ -134,7 +135,23 @@ class Estimator:
     # ------------------------------------------------------------------
     def contention_raw(self, resource: ResourceHandle) -> float:
         """Class-specific raw contention over the current window."""
+        return self._raw(resource, *self._window(resource))
+
+    def contention_norm(self, resource: ResourceHandle) -> float:
+        """Normalized contention: delay share of window execution time."""
+        return self._norm(resource, *self._window(resource))
+
+    def _window(self, resource: ResourceHandle):
+        """The resource's window counters and the sum of its in-progress
+        waits (taken once per resource: it walks every waiter)."""
         stats = self.runtime.ledger.resource_window(resource)
+        if resource.rtype is ResourceType.MEMORY:
+            return stats, 0.0
+        return stats, self.runtime.ledger.open_wait_time(resource, self.env.now)
+
+    def _raw(
+        self, resource: ResourceHandle, stats: UsageStats, open_wait: float
+    ) -> float:
         if resource.rtype is ResourceType.MEMORY:
             # Average eviction ratio: evictions per acquired page.
             if stats.acquired <= _EPS:
@@ -143,24 +160,18 @@ class Estimator:
         # LOCK / QUEUE / CPU / IO: waiting time over usage time.  Open
         # (in-progress) waits are included so a forming convoy -- where no
         # grant ever completes -- is visible immediately.
-        waiting = stats.wait_time + self._open_wait_time(resource)
-        usage = stats.hold_time + self._open_hold_time(resource)
+        waiting = stats.wait_time + open_wait
+        usage = stats.hold_time + self.runtime.ledger.open_hold_time(
+            resource, self.env.now
+        )
         if usage <= _EPS:
             # Waiting with no one using it at all: treat any wait as severe.
             return waiting / _EPS if waiting > _EPS else 0.0
         return waiting / usage
 
-    def _open_hold_time(self, resource: ResourceHandle) -> float:
-        """Sum of in-progress hold durations on ``resource``."""
-        return self.runtime.ledger.open_hold_time(resource, self.env.now)
-
-    def _open_wait_time(self, resource: ResourceHandle) -> float:
-        """Sum of in-progress wait durations on ``resource``."""
-        return self.runtime.ledger.open_wait_time(resource, self.env.now)
-
-    def contention_norm(self, resource: ResourceHandle) -> float:
-        """Normalized contention: delay share of window execution time."""
-        stats = self.runtime.ledger.resource_window(resource)
+    def _norm(
+        self, resource: ResourceHandle, stats: UsageStats, open_wait: float
+    ) -> float:
         exec_seconds = self.runtime.activity.window_task_seconds()
         if exec_seconds <= _EPS:
             return 0.0
@@ -170,7 +181,7 @@ class Estimator:
                 # is: the same stall matters more when the eviction ratio
                 # is high.
                 delay = stats.wait_time * min(
-                    1.0, self.contention_raw(resource)
+                    1.0, self._raw(resource, stats, open_wait)
                 )
             else:
                 # Pure stall regime (e.g. GC pauses from heap occupancy):
@@ -178,7 +189,7 @@ class Estimator:
                 # losing time to the memory resource.
                 delay = stats.wait_time
         else:
-            delay = stats.wait_time + self._open_wait_time(resource)
+            delay = stats.wait_time + open_wait
         return min(1.0, delay / exec_seconds)
 
     # ------------------------------------------------------------------
@@ -199,30 +210,32 @@ class Estimator:
         record = self.runtime.ledger.record(id(task), resource)
         if record is None:
             return 0.0
-        if resource.rtype is ResourceType.MEMORY:
-            return record.total().held  # pages currently held
-        if resource.rtype in (ResourceType.LOCK, ResourceType.QUEUE):
-            # Current holding time (open interval), per the paper's lock
-            # example: "held a table lock for 1s at 40% progress -> 1.5s".
-            current = record.current_hold(self.env.now)
-            return current if current > 0 else record.hold_time
-        return record.acquired  # CPU-seconds consumed / IO bytes moved
+        return _usage(record, resource.rtype, self.env.now)
+
+    def _touched_usage(self, resource: ResourceHandle):
+        """``(task key, current usage)`` of every task with a get, free or
+        slow-by on ``resource``, in first-touch order.  A task without
+        one uses nothing of it."""
+        aggregate = self.runtime.ledger.aggregate(resource)
+        if aggregate is None:
+            return []
+        rtype, now = resource.rtype, self.env.now
+        return [
+            (key, _usage(record, rtype, now))
+            for key, record in aggregate.touched.items()
+        ]
 
     # ------------------------------------------------------------------
     # Full assessment
     # ------------------------------------------------------------------
-    def assess(
-        self,
-        resources: List[ResourceHandle],
-        tasks: List[CancellableTask],
-        use_future_gain: bool = True,
-    ) -> OverloadAssessment:
-        """Snapshot contention and gains for the policy engine."""
-        resource_reports = []
+    def contention(self, resources: List[ResourceHandle]) -> List[ResourceReport]:
+        """Contention levels and overload verdicts (no gains yet)."""
+        reports = []
         for resource in resources:
-            raw = self.contention_raw(resource)
-            norm = self.contention_norm(resource)
-            resource_reports.append(
+            stats, open_wait = self._window(resource)
+            raw = self._raw(resource, stats, open_wait)
+            norm = self._norm(resource, stats, open_wait)
+            reports.append(
                 ResourceReport(
                     resource=resource,
                     contention_raw=raw,
@@ -230,29 +243,95 @@ class Estimator:
                     overloaded=norm >= self.config.threshold_for(resource.name),
                 )
             )
-        task_reports = []
-        for task in tasks:
-            report = TaskReport(task=task, progress=task.progress())
-            # One progress reading per task; x1.0 is the current-usage
-            # (Fig 13 ablation) gain, exactly.
-            multiplier = (
-                future_gain_multiplier(report.progress)
-                if use_future_gain
-                else 1.0
-            )
+        return reports
+
+    def assess(
+        self,
+        resources: List[ResourceHandle],
+        tasks: List[CancellableTask],
+        use_future_gain: bool = True,
+    ) -> OverloadAssessment:
+        """Snapshot contention and gains for the policy engine.
+
+        Gains come from each resource's touched records, resource by
+        resource, so every ``TaskReport.gains`` lists its resources in
+        ``resources`` order.  A :attr:`gain_tap` draws for every (task,
+        resource) pair in task order, so a tapped assessment walks them
+        all.
+        """
+        resource_reports = self.contention(resources)
+        # One progress reading per task; x1.0 is the current-usage
+        # (Fig 13 ablation) gain, exactly.
+        task_reports = [
+            TaskReport(task=task, progress=task.progress()) for task in tasks
+        ]
+        multipliers = [
+            future_gain_multiplier(report.progress) if use_future_gain else 1.0
+            for report in task_reports
+        ]
+        #: resource -> its positive gains (any order: only their max,
+        #: median and count are read).
+        gains: Dict[ResourceHandle, List[float]] = {r: [] for r in resources}
+        if self.gain_tap is None:
+            by_key = {
+                id(report.task): (report, multiplier)
+                for report, multiplier in zip(task_reports, multipliers)
+            }
             for resource in resources:
-                gain = self.current_usage(task, resource) * multiplier
-                if self.gain_tap is not None:
-                    gain = self.gain_tap(self.env.now, gain)
-                if gain > 0.0:
-                    report.gains[resource] = gain
-            task_reports.append(report)
+                positive = gains[resource]
+                for key, usage in self._touched_usage(resource):
+                    entry = by_key.get(key)
+                    if entry is None:
+                        continue
+                    gain = usage * entry[1]
+                    if gain > 0.0:
+                        entry[0].gains[resource] = gain
+                        positive.append(gain)
+        else:
+            now = self.env.now
+            for report, multiplier in zip(task_reports, multipliers):
+                for resource in resources:
+                    gain = self.gain_tap(
+                        now, self.current_usage(report.task, resource) * multiplier
+                    )
+                    if gain > 0.0:
+                        report.gains[resource] = gain
+                        gains[resource].append(gain)
         for resource_report in resource_reports:
-            self._assess_concentration(resource_report, task_reports)
+            self._assess_concentration(
+                resource_report, gains[resource_report.resource]
+            )
         return OverloadAssessment(resources=resource_reports, tasks=task_reports)
 
+    def top_consumer(
+        self, resource: ResourceHandle, tasks: Dict[int, CancellableTask]
+    ) -> Optional[CancellableTask]:
+        """The live task using the most of ``resource`` right now.
+
+        ``tasks`` is the controller's task table (key -> task, creation
+        order); ties go to the task created first.  The same pick as
+        scanning an assessment's ``TaskReport`` list for the first
+        strictly greater current usage, without building one.
+        """
+        best: Optional[CancellableTask] = None
+        best_usage = 0.0
+        order = None
+        for key, usage in self._touched_usage(resource):
+            if usage < best_usage or not usage > 0.0:  # NaN never wins
+                continue
+            task = tasks.get(key)
+            if task is None or not task.alive:
+                continue
+            if usage == best_usage:
+                if order is None:
+                    order = {k: i for i, k in enumerate(tasks)}
+                if order[key] > order[id(best)]:
+                    continue
+            best, best_usage = task, usage
+        return best
+
     def _assess_concentration(
-        self, resource_report: ResourceReport, task_reports: List[TaskReport]
+        self, resource_report: ResourceReport, gains: List[float]
     ) -> None:
         """Decide whether the contention has a concentrated culprit.
 
@@ -270,11 +349,6 @@ class Estimator:
           gains (one or two gainers are concentrated by construction).
         """
         resource = resource_report.resource
-        gains = [
-            gain
-            for gain in [tr.gain(resource) for tr in task_reports]
-            if gain > 0.0
-        ]
         if not gains:
             resource_report.gain_skew = 0.0
             resource_report.concentrated = False
@@ -299,3 +373,15 @@ class Estimator:
         skew = max(gains) / statistics.median(gains)
         resource_report.gain_skew = skew
         resource_report.concentrated = skew >= self.config.gain_skew_threshold
+
+
+def _usage(record: TaskUsage, rtype: ResourceType, now: float) -> float:
+    """Current usage behind one (task, resource) record."""
+    if rtype is ResourceType.MEMORY:
+        return max(0.0, record.acquired - record.released)  # pages held
+    if rtype is ResourceType.LOCK or rtype is ResourceType.QUEUE:
+        # Current holding time (open interval), per the paper's lock
+        # example: "held a table lock for 1s at 40% progress -> 1.5s".
+        current = record.current_hold(now)
+        return current if current > 0 else record.hold_time
+    return record.acquired  # CPU-seconds consumed / IO bytes moved

@@ -47,14 +47,12 @@ if TYPE_CHECKING:  # pragma: no cover
 class SignalSource:
     """One producer of per-window observations.
 
-    Subclasses override :meth:`sample`; the completion feed and the
-    end-of-tick :meth:`roll` hook are optional.
+    Subclasses override :meth:`sample`; the end-of-tick :meth:`roll`
+    hook is optional.  A source that reads completions is fed them by
+    the controller that owns it, which knows which of its stages do.
     """
 
     name = "signal"
-
-    def observe_completion(self, record: "RequestRecord") -> None:
-        """Feedback hook: a request reached a terminal state."""
 
     def sample(self, now: float, signals: Dict[str, Any]) -> None:
         """Write this window's observations into ``signals``.
@@ -129,10 +127,6 @@ class ControlPipeline:
         self.adaptation = adaptation or NoAdaptation()
         self.action = action
         self._started = False
-
-    def observe_completion(self, record: "RequestRecord") -> None:
-        for source in self.sources:
-            source.observe_completion(record)
 
     def start(self) -> None:
         """Launch the monitor process (idempotent)."""

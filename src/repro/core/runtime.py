@@ -40,12 +40,18 @@ class ActivityTracker:
         self._accum += self._active * (now - self._last_change)
         self._last_change = now
 
+    # task_started / task_finished inline _settle: they run once per
+    # task start and finish.
     def task_started(self) -> None:
-        self._settle()
+        now = self.env.now
+        self._accum += self._active * (now - self._last_change)
+        self._last_change = now
         self._active += 1
 
     def task_finished(self) -> None:
-        self._settle()
+        now = self.env.now
+        self._accum += self._active * (now - self._last_change)
+        self._last_change = now
         self._active = max(0, self._active - 1)
 
     @property
@@ -62,7 +68,16 @@ class ActivityTracker:
 
 
 class RuntimeManager:
-    """Tracks per-task resource usage for the ATROPOS controller."""
+    """Tracks per-task resource usage for the ATROPOS controller.
+
+    The five tracing entry points (``record_get`` ... ``record_wait_end``)
+    each do their whole job in one frame: count the event, take the
+    timestamp, update the (task, resource) record of the ledger in place
+    and, for the three resource events, add the simulated tracing cost
+    to the task's :attr:`~repro.core.task.CancellableTask.trace_debt`.
+    They call into the ledger only to create a record or to bring it
+    into the current window.
+    """
 
     def __init__(self, env: "Environment", config: AtroposConfig) -> None:
         self.env = env
@@ -74,33 +89,20 @@ class RuntimeManager:
         #: Total traced events (for overhead accounting/reporting).
         self.events_traced = 0
         self._last_sampled_stamp = env.now
+        self._sample_interval = config.timestamp_sample_interval
+        #: Simulated seconds one get / free / slow-by adds to the task's
+        #: checkpoint debt, indexed by ``fine_mode``.
+        self._trace_cost = (config.coarse_trace_cost, config.fine_trace_cost)
 
     # ------------------------------------------------------------------
     # Timestamping
     # ------------------------------------------------------------------
-    def timestamp(self) -> float:
-        """Current trace timestamp.
-
-        In coarse mode, timestamps are quantized to the sampling interval
-        (all events within an interval share one timestamp); in fine mode
-        every event reads the clock.
-        """
-        now = self.env.now
-        if self.fine_mode:
-            return now
-        interval = self.config.timestamp_sample_interval
-        if now - self._last_sampled_stamp >= interval:
-            self._last_sampled_stamp = now - (now % interval)
-        return self._last_sampled_stamp
-
     def set_fine_mode(self, enabled: bool) -> None:
+        """Two-mode timestamping: in coarse mode ``record_get`` /
+        ``record_free`` stamp events with the clock quantized to the
+        sampling interval (all events within an interval share one
+        timestamp); in fine mode every event reads the clock."""
         self.fine_mode = enabled
-
-    def event_cost(self) -> float:
-        """Simulated per-event tracing overhead for the current mode."""
-        if self.fine_mode:
-            return self.config.fine_trace_cost
-        return self.config.coarse_trace_cost
 
     # ------------------------------------------------------------------
     # Tracing entry points
@@ -109,13 +111,64 @@ class RuntimeManager:
         self, task: CancellableTask, resource: ResourceHandle, amount: float = 1.0
     ) -> None:
         self.events_traced += 1
-        self.ledger.record_get(id(task), resource, amount, self.timestamp())
+        fine = self.fine_mode
+        stamp = self.env.now
+        if not fine:
+            if stamp - self._last_sampled_stamp >= self._sample_interval:
+                self._last_sampled_stamp = stamp - (
+                    stamp % self._sample_interval
+                )
+            stamp = self._last_sampled_stamp
+        ledger = self.ledger
+        key = id(task)
+        records = ledger.by_task.get(key)
+        record = records.get(resource.name) if records is not None else None
+        if record is None or record.epoch != ledger.epoch:
+            record = ledger.countable(key, resource, record)
+        aggregate = record.aggregate
+        record.acquired += amount
+        record.w_acquired += amount
+        aggregate.acquired += amount
+        aggregate.w_acquired += amount
+        if not record.hold_depth:
+            record.hold_since = stamp
+        record.hold_depth += 1
+        task.trace_debt += self._trace_cost[fine]
 
     def record_free(
         self, task: CancellableTask, resource: ResourceHandle, amount: float = 1.0
     ) -> None:
         self.events_traced += 1
-        self.ledger.record_free(id(task), resource, amount, self.timestamp())
+        fine = self.fine_mode
+        stamp = self.env.now
+        if not fine:
+            if stamp - self._last_sampled_stamp >= self._sample_interval:
+                self._last_sampled_stamp = stamp - (
+                    stamp % self._sample_interval
+                )
+            stamp = self._last_sampled_stamp
+        ledger = self.ledger
+        key = id(task)
+        records = ledger.by_task.get(key)
+        record = records.get(resource.name) if records is not None else None
+        if record is None or record.epoch != ledger.epoch:
+            record = ledger.countable(key, resource, record)
+        aggregate = record.aggregate
+        record.released += amount
+        record.w_released += amount
+        aggregate.released += amount
+        aggregate.w_released += amount
+        # Close the outermost hold interval; an unbalanced free is a no-op.
+        if record.hold_depth:
+            record.hold_depth -= 1
+            if not record.hold_depth:
+                duration = stamp - record.hold_since
+                if duration > 0:
+                    record.hold_time += duration
+                    record.w_hold_time += duration
+                    aggregate.hold_time += duration
+                    aggregate.w_hold_time += duration
+        task.trace_debt += self._trace_cost[fine]
 
     def record_slow_by(
         self,
@@ -125,29 +178,70 @@ class RuntimeManager:
         events: float = 1.0,
     ) -> None:
         self.events_traced += 1
-        self.ledger.record_slow_by(id(task), resource, delay, events)
+        ledger = self.ledger
+        key = id(task)
+        records = ledger.by_task.get(key)
+        record = records.get(resource.name) if records is not None else None
+        if record is None or record.epoch != ledger.epoch:
+            record = ledger.countable(key, resource, record)
+        aggregate = record.aggregate
+        record.wait_time += delay
+        record.w_wait_time += delay
+        aggregate.wait_time += delay
+        aggregate.w_wait_time += delay
+        record.wait_events += events
+        record.w_wait_events += events
+        aggregate.wait_events += events
+        aggregate.w_wait_events += events
+        task.trace_debt += self._trace_cost[self.fine_mode]
 
     def record_wait_start(
         self, task: CancellableTask, resource: ResourceHandle
     ) -> None:
+        """``task`` started queueing on ``resource`` (before the grant)."""
         self.events_traced += 1
-        self.ledger.record_wait_start(id(task), resource, self.env.now)
+        ledger = self.ledger
+        key = id(task)
+        records = ledger.by_task.get(key)
+        record = records.get(resource.name) if records is not None else None
+        if record is None:
+            record = ledger.open(key, resource)
+        if not record.waited:
+            record.waited = True
+            record.aggregate.waited[key] = record
+        if not record.wait_depth:
+            record.wait_since = self.env.now
+        record.wait_depth += 1
 
     def record_wait_end(
         self, task: CancellableTask, resource: ResourceHandle
     ) -> float:
+        """Close an open wait; records the duration as slow-by time (one
+        event) and returns it."""
         self.events_traced += 1
-        return self.ledger.record_wait_end(id(task), resource, self.env.now)
-
-    # ------------------------------------------------------------------
-    # Task lifecycle
-    # ------------------------------------------------------------------
-    def task_started(self, task: CancellableTask) -> None:
-        self.activity.task_started()
-
-    def task_finished(self, task: CancellableTask) -> None:
-        self.activity.task_finished()
-        self.ledger.forget_task(id(task))
+        ledger = self.ledger
+        key = id(task)
+        records = ledger.by_task.get(key)
+        record = records.get(resource.name) if records is not None else None
+        if record is None or not record.wait_depth:
+            return 0.0
+        record.wait_depth -= 1
+        if record.wait_depth:
+            return 0.0
+        duration = self.env.now - record.wait_since
+        if duration > 0:
+            if record.epoch != ledger.epoch:
+                ledger.countable(key, resource, record)
+            aggregate = record.aggregate
+            record.wait_time += duration
+            record.w_wait_time += duration
+            aggregate.wait_time += duration
+            aggregate.w_wait_time += duration
+            record.wait_events += 1.0
+            record.w_wait_events += 1.0
+            aggregate.wait_events += 1.0
+            aggregate.w_wait_events += 1.0
+        return duration
 
     # ------------------------------------------------------------------
     # Window management
@@ -164,6 +258,8 @@ class TracingController(BaseController):
     signals.  The five tracing calls of Figure 6b *are* the runtime
     manager's entry points: they are bound per instance instead of
     delegated, so a traced event does not pay for a forwarding frame.
+    Task start and finish go straight to the activity tracker and the
+    ledger for the same reason.
     """
 
     traces_resources = True
@@ -180,10 +276,12 @@ class TracingController(BaseController):
 
     def create_cancel(self, *args, **kwargs) -> CancellableTask:
         task = super().create_cancel(*args, **kwargs)
-        self.runtime.task_started(task)
+        self.runtime.activity.task_started()
         return task
 
     def free_cancel(self, task: CancellableTask) -> None:
         if id(task) in self.tasks:
-            self.runtime.task_finished(task)
+            runtime = self.runtime
+            runtime.activity.task_finished()
+            runtime.ledger.forget_task(id(task))
         super().free_cancel(task)

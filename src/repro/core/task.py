@@ -63,6 +63,9 @@ class CancellableTask:
         self.cancel_count = 0
         self._cancellable = cancellable
         self.cancel_signal: Optional[CancelSignal] = None
+        #: Simulated tracing overhead, seconds, charged by the runtime
+        #: per traced event and paid as delay at the next checkpoint.
+        self.trace_debt = 0.0
         #: Free-form per-task annotations (used by controllers).
         self.metadata: Dict[str, Any] = {}
 

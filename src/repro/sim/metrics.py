@@ -8,6 +8,7 @@ overload detectors (which watch recent windows), and the experiment harness
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -72,13 +73,40 @@ def _percentile_of_sorted(ordered: Sequence[float], pct: float) -> float:
         return ordered[0]
     rank = (pct / 100.0) * (len(ordered) - 1)
     low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return ordered[low]
-    frac = rank - low
+    return _interpolate(ordered[low], ordered[math.ceil(rank)], rank - low)
+
+
+def _interpolate(below: float, above: float, frac: float) -> float:
+    """The value ``frac`` of the way from order statistic ``below`` to
+    the next one, ``above`` (``frac`` 0 means the rank hit ``below``)."""
+    if frac == 0.0:
+        return below
     # Interpolate as base + delta*frac: exact when both points are equal
     # (a*(1-f) + b*f can drift by one ulp for tiny magnitudes).
-    return ordered[low] + (ordered[high] - ordered[low]) * frac
+    return below + (above - below) * frac
+
+
+def _selected_percentile(values: List[float], pct: float) -> float:
+    """:func:`percentile` without sorting all of ``values``.
+
+    The interpolation reads at most two order statistics; they are
+    taken by heap selection from whichever end is nearer (a p99 of n
+    values keeps ~n/100 of them), then interpolated exactly as
+    :func:`percentile` does, so the result is bit-identical for any
+    list of non-NaN values without negative zeros.
+    """
+    n = len(values)
+    if n < 2 or not 0.0 <= pct <= 100.0:
+        return percentile(values, pct)
+    rank = (pct / 100.0) * (n - 1)
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if n - low <= high + 1:
+        # Descending: top[i] is the (n-1-i)-th order statistic.
+        top = heapq.nlargest(n - low, values)
+        return _interpolate(top[-1], top[n - 1 - high], rank - low)
+    bottom = heapq.nsmallest(high + 1, values)
+    return _interpolate(bottom[low], bottom[-1], rank - low)
 
 
 def window_count(end_time: float, window: float) -> int:
@@ -264,8 +292,12 @@ class SlidingWindow:
         self._entries: Deque[Tuple[float, float]] = deque()
 
     def observe(self, finish_time: float, latency: float) -> None:
-        self._entries.append((finish_time, latency))
-        self._evict(finish_time)
+        entries = self._entries
+        entries.append((finish_time, latency))
+        # _evict, inlined: this runs once per completion.
+        cutoff = finish_time - self.horizon
+        while entries[0][0] < cutoff:
+            entries.popleft()
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.horizon
@@ -282,8 +314,10 @@ class SlidingWindow:
         return len(self._entries) / self.horizon
 
     def latency_percentile(self, now: float, pct: float) -> float:
+        """:func:`percentile` of the window's latencies, without sorting
+        the window (one call per detector tick)."""
         self._evict(now)
-        return percentile([lat for _, lat in self._entries], pct)
+        return _selected_percentile([lat for _, lat in self._entries], pct)
 
     def mean_latency(self, now: float) -> float:
         self._evict(now)

@@ -174,15 +174,12 @@ class ThreadPool(Resource):
         for group, reserved in self._reservations.items():
             if klass in group:
                 continue
-            in_use = sum(1 for g in self._running if g.klass in group)
+            in_use = 0
+            for grant in self._running:
+                if grant.klass in group:
+                    in_use += 1
             headroom += max(0, reserved - in_use)
         return headroom
-
-    def _can_run(self, grant: SlotGrant) -> bool:
-        idle = self.idle_workers
-        if idle <= 0:
-            return False
-        return idle > self._reserved_headroom(grant.klass)
 
     # ------------------------------------------------------------------
     # Submit / release
@@ -245,23 +242,32 @@ class ThreadPool(Resource):
                     )
                 grant._mark_granted()
             return
-        progressed = True
-        while progressed:
-            progressed = False
-            for grant in list(self._waiters):
-                if self._can_run(grant):
-                    self._waiters.remove(grant)
-                    self._running.append(grant)
-                    self.total_wait_time += self.env.now - grant.request_time
-                    if self._traced:
-                        self._trace_granted(grant, klass=grant.klass)
-                        self._trace_depths(
-                            queued=len(self._waiters),
-                            active=len(self._running),
-                        )
-                    grant._mark_granted()
-                    progressed = True
+        # Grant the first waiter that may run, then look again from the
+        # head: each grant changes the headroom.  Whether a waiter may
+        # run depends only on its class and the pool, so one look judges
+        # each class once; with no idle worker nobody may run.
+        waiters = self._waiters
+        running = self._running
+        while waiters and len(running) < self.workers:
+            idle = self.workers - len(running)
+            verdicts: Dict[str, bool] = {}
+            for grant in waiters:
+                runs = verdicts.get(grant.klass)
+                if runs is None:
+                    runs = verdicts[grant.klass] = (
+                        idle > self._reserved_headroom(grant.klass)
+                    )
+                if runs:
                     break
+            else:
+                return
+            waiters.remove(grant)
+            running.append(grant)
+            self.total_wait_time += self.env.now - grant.request_time
+            if self._traced:
+                self._trace_granted(grant, klass=grant.klass)
+                self._trace_depths(queued=len(waiters), active=len(running))
+            grant._mark_granted()
 
     def _close(self, grant: Grant) -> None:
         if grant.grant_time is not None:

@@ -78,7 +78,7 @@ class TestTracingDebt:
         task = atropos.create_cancel()
         app.trace_get(task, app.r_lock)
         app.trace_free(task, app.r_lock)
-        assert task.metadata["trace_debt"] == pytest.approx(0.02)
+        assert task.trace_debt == pytest.approx(0.02)
 
         def body(env):
             yield from app.checkpoint(task)
@@ -86,13 +86,22 @@ class TestTracingDebt:
         start = env.now
         run_proc(env, body(env))
         assert env.now - start == pytest.approx(0.02)
-        assert "trace_debt" not in task.metadata
+        assert task.trace_debt == 0.0
 
     def test_null_controller_accrues_no_debt(self, env):
         app = TinyApp(env, NullController(env), Rng(0))
         task = app.controller.create_cancel()
         app.trace_get(task, app.r_lock)
-        assert "trace_debt" not in task.metadata
+        assert task.trace_debt == 0.0
+
+    @pytest.mark.parametrize("system", ["pbox", "protego"])
+    def test_other_tracing_controllers_accrue_no_debt(self, env, system):
+        app = TinyApp(env, controller_factory(system)(env), Rng(0))
+        task = app.controller.create_cancel()
+        app.trace_get(task, app.r_lock)
+        app.trace_slow_by(task, app.r_lock, 0.5)
+        app.trace_free(task, app.r_lock)
+        assert task.trace_debt == 0.0
 
 
 TRACING_HOOKS = ("get_resource", "free_resource", "slow_by_resource")
@@ -111,8 +120,6 @@ class TestTracesResourcesFact:
             for hook in TRACING_HOOKS
         )
         assert controller.traces_resources is records
-        if not records:
-            assert controller.tracing_cost(1) == 0.0
 
     def test_recording_controller_still_sees_every_tracing_call(self, env):
         seen = []

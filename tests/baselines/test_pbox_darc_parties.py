@@ -1,6 +1,8 @@
 """Tests for the pBox, DARC, PARTIES, and SEDA baselines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import DARC, Parties, PBox, Seda, controller_factory
 from repro.cases import get_case
@@ -28,7 +30,7 @@ class TestPBox:
         mem = p.register_resource("pool", ResourceType.MEMORY)
         hog = p.create_cancel()
         small = p.create_cancel()
-        p.runtime.task_started(hog)
+        p.runtime.activity.task_started()
         env.run(until=1.0)
         p.get_resource(hog, mem, 1000)
         p.get_resource(small, mem, 10)
@@ -189,3 +191,93 @@ class TestSeda:
         admitted = sum(1 for _ in range(100) if s.admit("op", "c"))
         assert admitted < 100
         assert s.rejections > 0
+
+
+_pbox_op = st.one_of(
+    st.tuples(
+        st.sampled_from(["get", "get", "free", "slow", "wait_start", "wait_end"]),
+        st.integers(min_value=0, max_value=7),  # task
+        st.integers(min_value=0, max_value=len(ResourceType) - 1),
+        # Few distinct amounts, so equal usages are common.
+        st.sampled_from([1.0, 1.0, 2.0, 4.0]),
+    ),
+    st.tuples(
+        st.sampled_from(["create", "free_cancel", "finish"]),
+        st.integers(min_value=0, max_value=7),
+    ),
+    # Holds opened in one coarse 10 ms stamp tie exactly.
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.003, 0.01, 0.2])),
+    st.tuples(st.just("roll")),
+)
+
+
+def _assessment_top_consumer(pbox, resource):
+    """pBox's pick as it was: the first task, in live-task order, with
+    strictly greater current usage in a full assessment."""
+    assessment = pbox.estimator.assess(
+        list(pbox.resources.values()), pbox.live_tasks(),
+        use_future_gain=False,
+    )
+    best, best_usage = None, 0.0
+    for task_report in assessment.tasks:
+        usage = task_report.gain(resource)
+        if usage > best_usage and task_report.task.alive:
+            best, best_usage = task_report.task, usage
+    return best
+
+
+class TestPBoxVictimChoice:
+    @given(ops=st.lists(_pbox_op, max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_touched_records_pick_the_assessments_top_consumer(self, ops):
+        env = Environment()
+        p = PBox(env, contention_threshold=0.01)
+        resources = [
+            p.register_resource(rtype.value, rtype) for rtype in ResourceType
+        ]
+        slots = [p.create_cancel() for _ in range(8)]
+        for op in ops:
+            kind = op[0]
+            if kind == "advance":
+                env.run(until=env.now + op[1])
+            elif kind == "roll":
+                p.runtime.roll_window()
+            elif kind == "create":
+                slots[op[1]] = p.create_cancel()
+            elif kind == "free_cancel":
+                p.free_cancel(slots[op[1]])
+            elif kind == "finish":
+                slots[op[1]].finish()  # dead but not yet freed
+            else:
+                task, resource = slots[op[1]], resources[op[2]]
+                if kind == "get":
+                    p.get_resource(task, resource, op[3])
+                elif kind == "free":
+                    p.free_resource(task, resource, op[3])
+                elif kind == "slow":
+                    p.slow_by_resource(task, resource, op[3] / 10, op[3])
+                elif kind == "wait_start":
+                    p.begin_wait(task, resource)
+                else:
+                    p.end_wait(task, resource)
+        for resource in resources:
+            assert p.estimator.top_consumer(
+                resource, p.tasks
+            ) is _assessment_top_consumer(p, resource)
+        # The whole window step, fast against tapped.
+        p._maybe_penalize()
+        fast = (dict(p._penalized), p.penalties_issued)
+        p._penalized.clear()
+        p.penalties_issued = 0
+        p.estimator.gain_tap = lambda now, gain: gain
+        p._maybe_penalize()
+        assert (dict(p._penalized), p.penalties_issued) == fast
+
+    def test_equal_usage_goes_to_the_task_created_first(self, env):
+        p = PBox(env)
+        mem = p.register_resource("pool", ResourceType.MEMORY)
+        first, second = p.create_cancel(), p.create_cancel()
+        # Touch order is the reverse of creation order.
+        p.get_resource(second, mem, 10)
+        p.get_resource(first, mem, 10)
+        assert p.estimator.top_consumer(mem, p.tasks) is first

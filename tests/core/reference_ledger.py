@@ -1,21 +1,59 @@
-"""Test-only reference for :class:`repro.core.ledger.UsageLedger`.
+"""Test-only reference for the usage ledger and the runtime that writes it.
 
-This is the ledger as it stood before the per-(task, resource) records:
-six global tables keyed by ``(task key, resource)`` tuples, with
-whole-table scans in ``forget_task``, ``tasks_touching`` and
-``open_wait_time``.  It is slow and obviously right, which is what a
-differential test wants (``test_ledger_records.py``).  Nothing under
-``src/`` imports it.
+:class:`TableLedger` is the ledger as it stood before the per-(task,
+resource) records: six global tables keyed by ``(task key, resource)``
+tuples, with whole-table scans in ``forget_task``, ``tasks_touching`` and
+``open_wait_time``, and one :class:`HoldTracker` object per open
+interval.  :class:`TableRuntime` is the runtime manager in front of it
+as it stood before the tracing entry points were fused into one frame
+each: a separate timestamp call, a ledger call per event, and the
+application's per-event tracing debt added to a task metadata dict.
+Both are slow and obviously right, which is what a differential test
+wants (``test_ledger_records.py``).  Nothing under ``src/`` imports them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
-from repro.core.ledger import HoldTracker, UsageStats
+from repro.core.ledger import UsageStats
 from repro.core.types import ResourceHandle
 
 Key = Tuple[int, ResourceHandle]  # (task id(), resource)
+
+
+@dataclass(slots=True)
+class HoldTracker:
+    """Tracks the open holding interval for a (task, resource) pair.
+
+    Application tasks hold a given resource through nested or repeated
+    grants; we track the outermost interval (depth counting).
+    """
+
+    open_depth: int = 0
+    open_since: Optional[float] = None
+
+    def on_get(self, now: float) -> None:
+        if self.open_depth == 0:
+            self.open_since = now
+        self.open_depth += 1
+
+    def on_free(self, now: float) -> float:
+        """Returns the completed hold duration (0 while still nested)."""
+        if self.open_depth == 0:
+            return 0.0
+        self.open_depth -= 1
+        if self.open_depth == 0 and self.open_since is not None:
+            duration = now - self.open_since
+            self.open_since = None
+            return duration
+        return 0.0
+
+    def current_hold(self, now: float) -> float:
+        if self.open_since is None:
+            return 0.0
+        return now - self.open_since
 
 
 class TableLedger:
@@ -185,3 +223,70 @@ class TableLedger:
             stale = [k for k in table if k[0] == task_key]
             for k in stale:
                 del table[k]
+
+
+class TableRuntime:
+    """The runtime manager over :class:`TableLedger`, keyed by ints.
+
+    Timestamps follow the two-mode scheme (coarse: quantized to the
+    sampling interval; fine: the clock); ``record_get`` / ``record_free``
+    / ``record_slow_by`` then add the mode's per-event cost to the
+    task's ``metadata["trace_debt"]``, as the application did after
+    each of those three calls.
+    """
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.ledger = TableLedger()
+        self.now = 0.0
+        self.fine_mode = False
+        self.events_traced = 0
+        self._last_sampled_stamp = 0.0
+        #: task key -> that task's metadata dict.
+        self.metadata: Dict[int, dict] = {}
+
+    def timestamp(self) -> float:
+        now = self.now
+        if self.fine_mode:
+            return now
+        interval = self.config.timestamp_sample_interval
+        if now - self._last_sampled_stamp >= interval:
+            self._last_sampled_stamp = now - (now % interval)
+        return self._last_sampled_stamp
+
+    def event_cost(self) -> float:
+        if self.fine_mode:
+            return self.config.fine_trace_cost
+        return self.config.coarse_trace_cost
+
+    def _charge_tracing(self, task_key: int) -> None:
+        cost = 1 * self.event_cost()
+        if cost > 0.0:
+            metadata = self.metadata.setdefault(task_key, {})
+            metadata["trace_debt"] = metadata.get("trace_debt", 0.0) + cost
+
+    def trace_debt(self, task_key: int) -> float:
+        return self.metadata.get(task_key, {}).get("trace_debt", 0.0)
+
+    def record_get(self, task_key, resource, amount=1.0) -> None:
+        self.events_traced += 1
+        self.ledger.record_get(task_key, resource, amount, self.timestamp())
+        self._charge_tracing(task_key)
+
+    def record_free(self, task_key, resource, amount=1.0) -> None:
+        self.events_traced += 1
+        self.ledger.record_free(task_key, resource, amount, self.timestamp())
+        self._charge_tracing(task_key)
+
+    def record_slow_by(self, task_key, resource, delay, events=1.0) -> None:
+        self.events_traced += 1
+        self.ledger.record_slow_by(task_key, resource, delay, events)
+        self._charge_tracing(task_key)
+
+    def record_wait_start(self, task_key, resource) -> None:
+        self.events_traced += 1
+        self.ledger.record_wait_start(task_key, resource, self.now)
+
+    def record_wait_end(self, task_key, resource) -> float:
+        self.events_traced += 1
+        return self.ledger.record_wait_end(task_key, resource, self.now)

@@ -1,6 +1,8 @@
 """Tests for the assembled Atropos controller (monitor loop behavior)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Atropos,
@@ -9,6 +11,8 @@ from repro.core import (
     ResourceType,
     TaskKind,
 )
+from repro.core.task import TaskState
+from repro.core.types import CancelSignal
 from repro.sim import Environment, Interrupt, RequestRecord, RequestStatus
 
 
@@ -139,11 +143,58 @@ def test_oldest_request_age_ignores_background_tasks(env):
     assert atropos._oldest_request_age() == pytest.approx(2.0)
 
 
+_age_op = st.one_of(
+    st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=0.3)),
+    st.tuples(st.sampled_from(["request", "background"])),
+    st.tuples(
+        st.sampled_from(["free", "cancel", "reexecute"]),
+        st.integers(min_value=0, max_value=20),
+    ),
+)
+
+
+@given(ops=st.lists(_age_op, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_oldest_request_age_matches_a_scan_of_every_task(ops):
+    """The first live request in creation order is the oldest: the same
+    float as the maximum age over all live requests."""
+    env = Environment()
+    atropos = make_atropos(env)
+    for op in ops:
+        kind = op[0]
+        live = list(atropos.tasks.values())
+        if kind == "advance":
+            env.run(until=env.now + op[1])
+        elif kind == "request":
+            atropos.create_cancel(op_name="query")
+        elif kind == "background":
+            atropos.create_cancel(kind=TaskKind.BACKGROUND, op_name="purge")
+        elif live:
+            task = live[op[1] % len(live)]
+            if kind == "cancel":
+                if task.state is TaskState.RUNNING:
+                    task.begin_cancel(CancelSignal())
+            else:
+                atropos.free_cancel(task)
+                if kind == "reexecute":
+                    atropos.create_cancel(
+                        kind=task.kind, op_name=task.op_name
+                    ).mark_non_cancellable()
+        scan = max(
+            (
+                t.age
+                for t in atropos.tasks.values()
+                if t.alive and t.kind is TaskKind.REQUEST
+            ),
+            default=0.0,
+        )
+        assert atropos._oldest_request_age() == scan
+
+
 def test_is_calm_reflects_contention(env):
     atropos = make_atropos(env)
     mem = atropos.register_resource("pool", ResourceType.MEMORY)
     holder = hog_task(env, atropos, mem, amount=100)
-    atropos.runtime.task_started  # task already started via create_cancel
     assert atropos._is_calm()
     env.run(until=1.0)
     atropos.slow_by_resource(holder["task"], mem, delay=2.0, events=100)

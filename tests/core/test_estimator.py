@@ -1,6 +1,8 @@
 """Tests for contention-level and resource-gain estimation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AtroposConfig,
@@ -62,7 +64,7 @@ class TestMemoryContention:
         runtime, estimator, controller = setup
         mem = controller.register_resource("pool", ResourceType.MEMORY)
         task = live_task(env, controller)
-        runtime.task_started(task)
+        runtime.activity.task_started()
         advance(env, 1.0)  # 1 task-second of execution in the window
         runtime.record_get(task, mem, 100)
         runtime.record_slow_by(task, mem, delay=0.5, events=100)
@@ -159,7 +161,7 @@ class TestAssessment:
         runtime, estimator, controller = setup
         mem = controller.register_resource("pool", ResourceType.MEMORY)
         task = live_task(env, controller)
-        runtime.task_started(task)
+        runtime.activity.task_started()
         advance(env, 1.0)
         runtime.record_get(task, mem, 100)
         runtime.record_slow_by(task, mem, delay=0.9, events=100)
@@ -171,7 +173,7 @@ class TestAssessment:
         runtime, estimator, controller = setup
         mem = controller.register_resource("pool", ResourceType.MEMORY)
         task = live_task(env, controller)
-        runtime.task_started(task)
+        runtime.activity.task_started()
         advance(env, 1.0)
         runtime.record_get(task, mem, 100)  # no evictions
         assess = estimator.assess([mem], [task])
@@ -219,8 +221,9 @@ class TestConcentration:
                 runtime.record_get(task, res, gain)
             else:
                 # Time-typed: open a hold of the given duration.
-                runtime.ledger.record_get(
-                    id(task), res, 1, env.now - gain
+                runtime.record_get(task, res, 1)
+                runtime.ledger.record(id(task), res).hold_since = (
+                    env.now - gain
                 )
             tasks.append(task)
         return estimator.assess([res], tasks), res
@@ -270,14 +273,106 @@ class TestConcentration:
         tasks = []
         for _ in range(10):
             task = live_task(env, controller)
-            runtime.task_started(task)
+            runtime.activity.task_started()
             tasks.append(task)
         advance(env, 1.0)
         for task in tasks:
             # Everyone waits a lot (contended) but holds only briefly.
             runtime.record_slow_by(task, res, delay=0.4)
-            runtime.ledger.record_get(id(task), res, 1, env.now - 0.005)
+            runtime.record_get(task, res, 1)
+            runtime.ledger.record(id(task), res).hold_since = env.now - 0.005
         assessment = estimator.assess([res], tasks)
         assert assessment.resources[0].overloaded
         assert not assessment.resources[0].concentrated
         assert not assessment.is_resource_overload
+
+
+#: One resource per type, so every usage formula is exercised.
+_RTYPES = list(ResourceType)
+_ledger_op = st.one_of(
+    st.tuples(
+        st.sampled_from(["get", "get", "free", "slow", "wait_start", "wait_end"]),
+        st.integers(min_value=0, max_value=5),  # task
+        st.integers(min_value=0, max_value=len(_RTYPES) - 1),  # resource
+        # Few distinct amounts, so equal usages (ties) are common.
+        st.sampled_from([0.5, 1.0, 1.0, 2.0, 5.0]),
+    ),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.004, 0.01, 0.3])),
+    st.tuples(st.just("roll")),
+    st.tuples(st.just("fine"), st.booleans()),
+)
+
+
+def random_ledger(ops, progress):
+    """A runtime, estimator and six live tasks after ``ops``."""
+    env = Environment()
+    config = AtroposConfig()
+    runtime = RuntimeManager(env, config)
+    estimator = Estimator(env, runtime, config)
+    controller = BaseController(env)
+    resources = [
+        controller.register_resource(f"r{i}", rtype)
+        for i, rtype in enumerate(_RTYPES)
+    ]
+    tasks = []
+    for done in progress:
+        model = GetNextProgress(100)
+        model.advance(done * 100)
+        tasks.append(controller.create_cancel(progress=model))
+        runtime.activity.task_started()
+    for op in ops:
+        kind = op[0]
+        if kind == "advance":
+            advance(env, op[1])
+        elif kind == "roll":
+            runtime.roll_window()
+        elif kind == "fine":
+            runtime.set_fine_mode(op[1])
+        else:
+            task, resource = tasks[op[1]], resources[op[2]]
+            if kind == "get":
+                runtime.record_get(task, resource, op[3])
+            elif kind == "free":
+                runtime.record_free(task, resource, op[3])
+            elif kind == "slow":
+                runtime.record_slow_by(task, resource, op[3] / 10, op[3])
+            elif kind == "wait_start":
+                runtime.record_wait_start(task, resource)
+            else:
+                runtime.record_wait_end(task, resource)
+    return controller, estimator, resources, tasks
+
+
+class TestGainsFromTouchedRecords:
+    """``assess`` reads gains off each resource's touched records; with
+    a gain tap it walks every (task, resource) pair.  An identity tap
+    must not change a single float or its place."""
+
+    @given(
+        ops=st.lists(_ledger_op, max_size=60),
+        progress=st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=6, max_size=6
+        ),
+        chosen=st.lists(
+            st.integers(min_value=0, max_value=5), unique=True, max_size=6
+        ),
+        use_future_gain=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_identity_tap_gives_the_same_assessment(
+        self, ops, progress, chosen, use_future_gain
+    ):
+        _, estimator, resources, tasks = random_ledger(ops, progress)
+        # Any subset, in any order: tasks the ledger knows and tasks it
+        # does not, like the live-task list of a real run.
+        subset = [tasks[i] for i in chosen]
+        fast = estimator.assess(resources, subset, use_future_gain)
+        estimator.gain_tap = lambda now, gain: gain
+        walked = estimator.assess(resources, subset, use_future_gain)
+        assert [list(r.gains.items()) for r in fast.tasks] == [
+            list(r.gains.items()) for r in walked.tasks
+        ]
+        assert [r.progress for r in fast.tasks] == [
+            r.progress for r in walked.tasks
+        ]
+        assert fast.resources == walked.resources

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import ResourceHandle, ResourceType
-from repro.core.ledger import HoldTracker, UsageLedger, UsageStats
+from repro.core.ledger import UsageStats
+
+from .recorder import Recorder
 
 LOCK = ResourceHandle("table_lock", ResourceType.LOCK)
 MEM = ResourceHandle("buffer_pool", ResourceType.MEMORY)
@@ -39,28 +41,40 @@ class TestUsageStats:
 
 
 class TestHoldTracker:
+    """A (task, resource) hold runs from the get that opens it to the
+    free that closes the outermost grant."""
+
     def test_single_hold(self):
-        t = HoldTracker()
-        t.on_get(now=1.0)
-        assert t.current_hold(now=4.0) == 3.0
-        assert t.on_free(now=5.0) == 4.0
-        assert t.current_hold(now=6.0) == 0.0
+        led = Recorder()
+        led.record_get(1, LOCK, 1, now=1.0)
+        assert led.current_hold(1, LOCK, now=4.0) == 3.0
+        led.record_free(1, LOCK, 1, now=5.0)
+        assert led.task_total(1, LOCK).hold_time == 4.0
+        assert led.current_hold(1, LOCK, now=6.0) == 0.0
 
     def test_nested_holds_use_outermost(self):
-        t = HoldTracker()
-        t.on_get(1.0)
-        t.on_get(2.0)
-        assert t.on_free(3.0) == 0.0  # still nested
-        assert t.on_free(5.0) == 4.0  # outermost closes
+        led = Recorder()
+        led.record_get(1, LOCK, 1, now=1.0)
+        led.record_get(1, LOCK, 1, now=2.0)
+        led.record_free(1, LOCK, 1, now=3.0)  # still nested
+        assert led.task_total(1, LOCK).hold_time == 0.0
+        assert led.current_hold(1, LOCK, now=3.0) == 2.0
+        led.record_free(1, LOCK, 1, now=5.0)  # outermost closes
+        assert led.task_total(1, LOCK).hold_time == 4.0
 
     def test_unbalanced_free_is_safe(self):
-        t = HoldTracker()
-        assert t.on_free(1.0) == 0.0
+        led = Recorder()
+        led.record_free(1, LOCK, 1, now=1.0)
+        assert led.task_total(1, LOCK).hold_time == 0.0
+        assert led.current_hold(1, LOCK, now=2.0) == 0.0
+        led.record_get(1, LOCK, 1, now=2.0)
+        led.record_free(1, LOCK, 1, now=3.0)
+        assert led.task_total(1, LOCK).hold_time == 1.0
 
 
 class TestLedger:
     def test_get_accumulates_per_task_and_resource(self):
-        led = UsageLedger()
+        led = Recorder()
         led.record_get(1, MEM, 10, now=0.0)
         led.record_get(1, MEM, 5, now=1.0)
         led.record_get(2, MEM, 3, now=1.0)
@@ -69,14 +83,14 @@ class TestLedger:
         assert led.resource_total(MEM).acquired == 18
 
     def test_free_records_hold_time(self):
-        led = UsageLedger()
+        led = Recorder()
         led.record_get(1, LOCK, 1, now=2.0)
         led.record_free(1, LOCK, 1, now=7.0)
         assert led.task_total(1, LOCK).hold_time == 5.0
         assert led.resource_total(LOCK).hold_time == 5.0
 
     def test_slow_by_accumulates_wait(self):
-        led = UsageLedger()
+        led = Recorder()
         led.record_slow_by(1, LOCK, delay=0.5)
         led.record_slow_by(1, LOCK, delay=0.25, events=2)
         assert led.task_total(1, LOCK).wait_time == 0.75
@@ -84,7 +98,7 @@ class TestLedger:
         assert led.resource_total(LOCK).wait_time == 0.75
 
     def test_window_resets_but_total_persists(self):
-        led = UsageLedger()
+        led = Recorder()
         led.record_get(1, MEM, 10, now=0.0)
         led.roll_window()
         led.record_get(1, MEM, 5, now=1.0)
@@ -92,26 +106,26 @@ class TestLedger:
         assert led.task_total(1, MEM).acquired == 15
 
     def test_current_hold(self):
-        led = UsageLedger()
+        led = Recorder()
         led.record_get(1, LOCK, 1, now=3.0)
         assert led.current_hold(1, LOCK, now=10.0) == 7.0
         led.record_free(1, LOCK, 1, now=10.0)
         assert led.current_hold(1, LOCK, now=12.0) == 0.0
 
     def test_unknown_task_returns_zero_stats(self):
-        led = UsageLedger()
+        led = Recorder()
         assert led.task_total(99, MEM).acquired == 0
         assert led.current_hold(99, MEM, now=1.0) == 0.0
 
     def test_tasks_touching(self):
-        led = UsageLedger()
+        led = Recorder()
         led.record_get(1, MEM, 1, now=0.0)
         led.record_get(2, LOCK, 1, now=0.0)
         assert led.tasks_touching(MEM) == [1]
         assert led.tasks_touching(LOCK) == [2]
 
     def test_forget_task_drops_all_state(self):
-        led = UsageLedger()
+        led = Recorder()
         led.record_get(1, MEM, 10, now=0.0)
         led.record_get(1, LOCK, 1, now=0.0)
         led.forget_task(1)

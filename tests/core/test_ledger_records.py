@@ -1,9 +1,12 @@
-"""The per-(task, resource) ledger against the table-keyed reference.
+"""The runtime's tracing entry points and the per-(task, resource)
+ledger against the table-keyed reference.
 
 ``reference_ledger.TableLedger`` is the ledger as it was before the
-records: every query of the two must agree exactly -- floats with
-``==``, ``tasks_touching`` as lists -- because the estimator's float
-sums, and through them every run digest, depend on it.
+records and ``TableRuntime`` the runtime in front of it before the
+entry points were fused: every query of the two must agree exactly --
+floats with ``==``, ``tasks_touching`` as lists -- because the
+estimator's float sums, and through them every run digest, depend on
+it; so must each task's tracing debt and the traced-event count.
 """
 
 import pytest
@@ -12,10 +15,11 @@ from hypothesis import strategies as st
 
 from repro.baselines import controller_factory
 from repro.cases import get_case
-from repro.core import ResourceHandle, ResourceType
-from repro.core.ledger import UsageLedger, UsageStats
+from repro.core import AtroposConfig, ResourceHandle, ResourceType
+from repro.core.ledger import UsageStats
 
-from .reference_ledger import TableLedger
+from .recorder import Recorder
+from .reference_ledger import TableLedger, TableRuntime
 
 LOCK = ResourceHandle("table_lock", ResourceType.LOCK)
 MEM = ResourceHandle("buffer_pool", ResourceType.MEMORY)
@@ -81,7 +85,7 @@ class TestAgainstReference:
     )
     @settings(max_examples=300, deadline=None)
     def test_every_query_agrees_after_every_event(self, steps):
-        new, ref = UsageLedger(), TableLedger()
+        new, ref = Recorder(), TableLedger()
 
         def ref_open_hold_time(resource, now):
             # The estimator's pre-record formula, summed in touch order.
@@ -99,9 +103,101 @@ class TestAgainstReference:
             )
 
 
+#: The runtime ops: the five entry points, with the clock moving in
+#: steps below and across the 10 ms coarse sampling interval; mode
+#: switches, window rolls and forgets between them.
+_step = st.sampled_from([0.0, 0.0, 0.001, 0.004, 0.01, 0.013, 0.05])
+_event = st.tuples(
+    st.sampled_from(["get", "free", "slow", "wait_start", "wait_end"]),
+    st.sampled_from(TASKS),
+    st.sampled_from(RESOURCES),
+    _amount,
+)
+_runtime_op = st.one_of(
+    _event,
+    _event,
+    st.tuples(st.just("mode"), st.booleans()),
+    st.tuples(st.just("forget"), st.sampled_from(TASKS)),
+    st.tuples(st.just("roll")),
+)
+
+
+def _apply_runtime(new, ref, op):
+    """One op on both sides; returns (new result, reference result)."""
+    kind = op[0]
+    if kind == "mode":
+        new.runtime.set_fine_mode(op[1])
+        ref.fine_mode = op[1]
+        return None, None
+    if kind in ("roll", "forget"):
+        return _apply(new, op, None), _apply(ref.ledger, op, None)
+    _, task, resource, value = op
+    runtime = new.runtime
+    stub = new.task(task)
+    if kind == "get":
+        return (runtime.record_get(stub, resource, value),
+                ref.record_get(task, resource, value))
+    if kind == "free":
+        return (runtime.record_free(stub, resource, value),
+                ref.record_free(task, resource, value))
+    if kind == "slow":
+        return (runtime.record_slow_by(stub, resource, value, value),
+                ref.record_slow_by(task, resource, value, value))
+    if kind == "wait_start":
+        return (runtime.record_wait_start(stub, resource),
+                ref.record_wait_start(task, resource))
+    return (runtime.record_wait_end(stub, resource),
+            ref.record_wait_end(task, resource))
+
+
+class TestFusedRuntime:
+    """The one-frame entry points against the pre-fusion runtime: the
+    same ledger (coarse and fine timestamps, nested holds, waits closed
+    early or twice), the same debt per task, the same event count."""
+
+    @given(steps=st.lists(st.tuples(_step, _runtime_op), max_size=120))
+    @settings(max_examples=300, deadline=None)
+    def test_ledger_debt_and_count_agree_after_every_event(self, steps):
+        config = AtroposConfig(coarse_trace_cost=4e-6, fine_trace_cost=5e-5)
+        new, ref = Recorder(config, fine=False), TableRuntime(config)
+
+        def ref_open_hold_time(resource, now):
+            total = 0.0
+            for task in ref.ledger.tasks_touching(resource):
+                total += ref.ledger.current_hold(task, resource, now)
+            return total
+
+        now = 0.0
+        for delta, op in steps:
+            now += delta
+            new.env.now = ref.now = now
+            got, want = _apply_runtime(new, ref, op)
+            assert got == want
+            assert _queries(new, now, new.open_hold_time) == _queries(
+                ref.ledger, now, ref_open_hold_time
+            )
+            assert [new.task(t).trace_debt for t in TASKS] == [
+                ref.trace_debt(t) for t in TASKS
+            ]
+            assert new.runtime.events_traced == ref.events_traced
+
+    def test_debt_follows_the_mode_of_each_event(self):
+        config = AtroposConfig(coarse_trace_cost=1e-6, fine_trace_cost=1e-5)
+        rec = Recorder(config, fine=False)
+        rec.record_get(1, LOCK, 1, now=0.0)
+        rec.runtime.set_fine_mode(True)
+        rec.record_free(1, LOCK, 1, now=0.001)
+        rec.record_slow_by(1, LOCK, 0.5)
+        rec.record_wait_start(1, LOCK, now=0.002)
+        rec.record_wait_end(1, LOCK, now=0.003)
+        # Waits are not charged; the three resource events are.
+        assert rec.task(1).trace_debt == 1e-6 + 1e-5 + 1e-5
+        assert rec.runtime.events_traced == 5
+
+
 class TestForget:
     def test_reused_key_starts_from_zero_and_lists_last(self):
-        led = UsageLedger()
+        led = Recorder()
         for task in (1, 2, 3):
             led.record_wait_start(task, LOCK, now=0.0)
             led.record_wait_end(task, LOCK, now=1.0)
@@ -125,7 +221,7 @@ class TestForget:
         assert led.resource_total(LOCK).acquired == 5
 
     def test_forget_is_idempotent_and_scoped_to_the_task(self):
-        led = UsageLedger()
+        led = Recorder()
         led.record_get(1, MEM, 10, now=0.0)
         led.record_wait_start(2, LOCK, now=0.0)
         led.forget_task(1)

@@ -37,10 +37,6 @@ class RecordingSource(SignalSource):
         self.trace = trace
         self.key = key
         self.value = value
-        self.completions = []
-
-    def observe_completion(self, rec):
-        self.completions.append(rec)
 
     def sample(self, now, signals):
         self.trace.append(f"sample:{self.name}")
@@ -147,15 +143,6 @@ class TestLifecycle:
         env.run(until=2.5)
         # A second start() must not spawn a second monitor process.
         assert trace.count("sample:a") == 2
-
-    def test_completions_fan_out_to_all_sources(self, env):
-        a = RecordingSource("a", [])
-        b = RecordingSource("b", [])
-        pipeline = ControlPipeline(env, period=1.0, sources=[a, b])
-        rec = record(1.0, 0.1)
-        pipeline.observe_completion(rec)
-        assert a.completions == [rec]
-        assert b.completions == [rec]
 
 
 class TickingController(WindowedController):

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core import AtroposConfig, BaseController, ResourceType, RuntimeManager
+from repro.core import (
+    AtroposConfig,
+    BaseController,
+    ResourceHandle,
+    ResourceType,
+    RuntimeManager,
+)
+from repro.core.runtime import TracingController
+from repro.core.task import CancellableTask
 from repro.sim import Environment
 
 
@@ -23,30 +31,47 @@ def runtime(env):
     )
 
 
+LOCK = ResourceHandle("lock", ResourceType.LOCK)
+
+
+def stamp(env, runtime):
+    """The timestamp a get takes now: where the hold it opens starts."""
+    task = CancellableTask(env, key=None)
+    runtime.record_get(task, LOCK, 1)
+    since = runtime.ledger.record(id(task), LOCK).hold_since
+    runtime.ledger.forget_task(id(task))
+    return since
+
+
 class TestTimestampModes:
     def test_coarse_mode_quantizes(self, env, runtime):
         env.run(until=0.0042)
-        ts1 = runtime.timestamp()
+        ts1 = stamp(env, runtime)
         env.run(until=0.0058)
-        ts2 = runtime.timestamp()
+        ts2 = stamp(env, runtime)
         # Same sampling interval -> same timestamp.
         assert ts1 == ts2
 
     def test_coarse_mode_advances_between_intervals(self, env, runtime):
-        ts1 = runtime.timestamp()
+        ts1 = stamp(env, runtime)
         env.run(until=0.05)
-        ts2 = runtime.timestamp()
+        ts2 = stamp(env, runtime)
         assert ts2 > ts1
 
     def test_fine_mode_is_exact(self, env, runtime):
         runtime.set_fine_mode(True)
         env.run(until=0.0042)
-        assert runtime.timestamp() == 0.0042
+        assert stamp(env, runtime) == 0.0042
 
-    def test_event_cost_depends_on_mode(self, runtime):
-        assert runtime.event_cost() == 1e-6
+    def test_event_cost_depends_on_mode(self, env, runtime):
+        controller = BaseController(env)
+        res = controller.register_resource("r", ResourceType.LOCK)
+        task = controller.create_cancel()
+        runtime.record_get(task, res, 1)
+        assert task.trace_debt == 1e-6
         runtime.set_fine_mode(True)
-        assert runtime.event_cost() == 1e-5
+        runtime.record_free(task, res, 1)
+        assert task.trace_debt == 1e-6 + 1e-5
 
     def test_events_traced_counter(self, env, runtime):
         controller = BaseController(env)
@@ -62,39 +87,34 @@ class TestTimestampModes:
 
 class TestActivityTracker:
     def test_integrates_active_tasks(self, env, runtime):
-        controller = BaseController(env)
-        t1 = controller.create_cancel()
-        t2 = controller.create_cancel()
-        runtime.task_started(t1)
+        runtime.activity.task_started()
         env.run(until=1.0)
-        runtime.task_started(t2)
+        runtime.activity.task_started()
         env.run(until=2.0)
         # 1 task for 1s + 2 tasks for 1s = 3 task-seconds.
         assert runtime.activity.window_task_seconds() == pytest.approx(3.0)
 
     def test_roll_resets_window(self, env, runtime):
-        controller = BaseController(env)
-        t = controller.create_cancel()
-        runtime.task_started(t)
+        runtime.activity.task_started()
         env.run(until=1.0)
         runtime.roll_window()
         env.run(until=1.5)
         assert runtime.activity.window_task_seconds() == pytest.approx(0.5)
 
     def test_finish_stops_accumulation(self, env, runtime):
-        controller = BaseController(env)
-        t = controller.create_cancel()
-        runtime.task_started(t)
+        runtime.activity.task_started()
         env.run(until=1.0)
-        runtime.task_finished(t)
+        runtime.activity.task_finished()
         env.run(until=5.0)
         assert runtime.activity.window_task_seconds() == pytest.approx(1.0)
 
-    def test_task_finished_forgets_ledger_state(self, env, runtime):
-        controller = BaseController(env)
+    def test_task_finished_forgets_ledger_state(self, env):
+        controller = TracingController(env, AtroposConfig())
         res = controller.register_resource("r", ResourceType.MEMORY)
         t = controller.create_cancel()
-        runtime.task_started(t)
-        runtime.record_get(t, res, 10)
-        runtime.task_finished(t)
-        assert runtime.ledger.task_total(id(t), res).acquired == 0
+        assert controller.runtime.activity.active == 1
+        controller.get_resource(t, res, 10)
+        controller.free_cancel(t)
+        assert controller.runtime.activity.active == 0
+        assert controller.runtime.ledger.task_total(id(t), res).acquired == 0
+        assert controller.runtime.ledger.tracked_tasks() == set()

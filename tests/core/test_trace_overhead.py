@@ -10,18 +10,23 @@ costs the whole simulation":
 * **Python calls per traced event** -- the whole run's, so the kernel
   and the app model are in the number too, but they are the same code
   on both sides of a tracing change.
-* **``hash()`` calls per traced event** -- the tracing path keys dicts
-  by :class:`~repro.core.types.ResourceHandle`, whose ``__hash__`` is
-  Python-level.  One lookup per event (the task's record) plus the
-  per-tick estimator work is the budget.
+* **``hash()`` calls per traced event** --
+  :class:`~repro.core.types.ResourceHandle`'s ``__hash__`` is
+  Python-level, so the tracing path keys its per-event lookups by task
+  key and resource name; what is left is the per-tick estimator and
+  policy work, which keys by handle.
 
 With six tuple-keyed ledger tables and the dataclass-generated handle
 hash this run cost 43.2 calls and 11.3 ``hash()`` calls per traced
 event; the per-(task, resource) records brought it to 30.3 and 1.5,
 and the lean grant path / unjoined completions under it (kernel and
 resources, not tracing; see ``test_request_path_overhead.py``) to 24.4
-calls.  The bounds sit ~25 % above the current values.  Wall-clock
-numbers are ``core.trace_call_us`` / ``core.overhead_x`` in ``perf/``.
+calls.  One frame per traced event (each entry point updates its
+record in place, records keyed by resource name, the tracing debt a
+float on the task) and task start / finish without forwarding frames
+took it to 16.4 calls and 0.12 ``hash()`` calls.  The bounds sit ~25 %
+above the current values.  Wall-clock numbers are
+``core.trace_call_us`` / ``core.overhead_x`` in ``perf/``.
 """
 
 from repro.baselines import controller_factory
@@ -29,8 +34,8 @@ from repro.cases import get_case
 
 from .callcount import counted
 
-MAX_CALLS_PER_EVENT = 30.5
-MAX_HASHES_PER_EVENT = 1.9
+MAX_CALLS_PER_EVENT = 20.5
+MAX_HASHES_PER_EVENT = 0.15
 
 
 def _run_once():

@@ -12,9 +12,10 @@ from repro.core import (
     clamp_progress,
     future_gain_multiplier,
 )
-from repro.core.ledger import UsageLedger
 from repro.core.progress import MAX_PROGRESS, MIN_PROGRESS
 from repro.sim import Rng, percentile
+
+from ..core.recorder import Recorder
 
 # Imported here, not inside test_matches_numpy: the first import takes a
 # few hundred ms, which hypothesis would charge to one example's deadline.
@@ -102,7 +103,7 @@ class TestLedgerProperties:
     )
     @settings(max_examples=150)
     def test_window_never_exceeds_total(self, events):
-        ledger = UsageLedger()
+        ledger = Recorder()
         now = 0.0
         for kind, task, value in events:
             now += 0.1
@@ -128,7 +129,7 @@ class TestLedgerProperties:
     )
     @settings(max_examples=100)
     def test_unbalanced_frees_never_negative_hold(self, gets, frees):
-        ledger = UsageLedger()
+        ledger = Recorder()
         now = 0.0
         for _ in range(gets):
             now += 1.0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import RequestRecord, RequestStatus
+from repro.sim import RequestRecord, RequestStatus, Rng
 from repro.sim.metrics import (
     SlidingWindow,
     completion_windows,
@@ -102,6 +102,56 @@ class TestSlidingWindowProperties:
         assert window.throughput(now) == pytest.approx(
             expected / horizon
         )
+
+    @given(
+        # Few distinct values, so ties are common; abs() because a
+        # latency is a difference of clock readings, never -0.0.
+        window_latencies=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.001, 0.05, 0.05, 1.0]),
+                st.floats(min_value=0.0, max_value=10.0).map(abs),
+            ),
+            max_size=300,
+        ),
+        pct=st.one_of(
+            st.sampled_from([0.0, 50.0, 99.0, 100.0]),
+            st.floats(min_value=0.0, max_value=100.0),
+        ),
+    )
+    @settings(max_examples=400)
+    def test_latency_percentile_is_bit_identical_to_percentile(
+        self, window_latencies, pct
+    ):
+        """The window selects the two order statistics it needs instead
+        of sorting; the float must be the one a full sort gives."""
+        window = SlidingWindow(horizon=10.0)
+        for i, latency in enumerate(window_latencies):
+            window.observe(i * 0.01, latency)
+        now = max(0.0, (len(window_latencies) - 1) * 0.01)
+        got = window.latency_percentile(now, pct)
+        want = percentile(list(window_latencies), pct)
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("size", [2, 3, 101, 1000, 3000])
+    def test_large_windows_are_bit_identical_too(self, size):
+        """Detector-sized windows (hypothesis rarely draws them): heap
+        selection from either end, ties from rounding."""
+        rng = Rng(size)
+        latencies = [round(rng.exponential(0.05), 3) for _ in range(size)]
+        window = SlidingWindow(horizon=1e9)
+        for i, latency in enumerate(latencies):
+            window.observe(float(i), latency)
+        for pct in (0.0, 1.0, 25.0, 50.0, 75.0, 99.0, 99.9, 100.0, 37.3):
+            got = window.latency_percentile(float(size - 1), pct)
+            assert got.hex() == percentile(latencies, pct).hex(), pct
+
+    @pytest.mark.parametrize("pct", [-1.0, 100.5])
+    def test_latency_percentile_rejects_bad_pct(self, pct):
+        window = SlidingWindow(horizon=1.0)
+        for i in range(5):
+            window.observe(0.1 * i, 0.01 * i)
+        with pytest.raises(ValueError):
+            window.latency_percentile(0.5, pct)
 
 
 def make_records(finish_times):

@@ -1,9 +1,13 @@
 """Tests for the bounded worker pool."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment, Interrupt
 from repro.sim.resources import QueueFull, ThreadPool
+
+from ...core.callcount import counted
 
 
 @pytest.fixture
@@ -191,3 +195,120 @@ def test_introspection_counts(env):
 def test_invalid_workers_rejected(env):
     with pytest.raises(ValueError):
         ThreadPool(env, "p", workers=0)
+
+
+class ScanningPool(ThreadPool):
+    """The reservation dispatch as it was: rescan every waiter, judging
+    each one afresh, after every grant (kept as the reference)."""
+
+    def _reserved_headroom(self, klass):
+        headroom = 0
+        for group, reserved in self._reservations.items():
+            if klass in group:
+                continue
+            in_use = sum(1 for g in self._running if g.klass in group)
+            headroom += max(0, reserved - in_use)
+        return headroom
+
+    def _can_run(self, grant):
+        idle = self.idle_workers
+        if idle <= 0:
+            return False
+        return idle > self._reserved_headroom(grant.klass)
+
+    def _dispatch(self):
+        if not self._reservations:
+            return super()._dispatch()
+        progressed = True
+        while progressed:
+            progressed = False
+            for grant in list(self._waiters):
+                if self._can_run(grant):
+                    self._waiters.remove(grant)
+                    self._running.append(grant)
+                    self.total_wait_time += self.env.now - grant.request_time
+                    grant._mark_granted()
+                    progressed = True
+                    break
+
+
+_POOL_CLASSES = ["light", "static", "heavy", "default"]
+_pool_op = st.one_of(
+    st.tuples(st.just("submit"), st.sampled_from(_POOL_CLASSES)),
+    st.tuples(st.just("submit"), st.sampled_from(_POOL_CLASSES)),
+    st.tuples(
+        st.sampled_from(["close_queued", "close_running"]),
+        st.integers(min_value=0, max_value=30),
+    ),
+    st.tuples(
+        st.just("reserve"),
+        st.sampled_from([("light", "static"), ("heavy",), "default"]),
+        st.integers(min_value=0, max_value=5),
+    ),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("resize"), st.integers(min_value=1, max_value=6)),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.01, 0.25])),
+)
+
+
+def _pool_step(env, pool, grants, op):
+    """Apply one op; returns what it raised (so both sides can agree)."""
+    kind = op[0]
+    if kind == "submit":
+        grants.append(pool.submit(owner=len(grants), klass=op[1]))
+    elif kind in ("close_queued", "close_running"):
+        pick = list(pool._waiters if kind == "close_queued" else pool._running)
+        if pick:
+            pick[op[1] % len(pick)].close()
+    elif kind == "reserve":
+        try:
+            pool.reserve(op[1], op[2])
+        except ValueError as exc:
+            return str(exc)
+    elif kind == "clear":
+        pool.clear_reservations()
+    elif kind == "resize":
+        pool.resize(op[1])
+    else:
+        env.now += op[1]
+    return None
+
+
+class TestReservationDispatch:
+    @given(ops=st.lists(_pool_op, max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_same_grants_in_the_same_order_as_a_full_rescan(self, ops):
+        sides = []
+        for cls in (ThreadPool, ScanningPool):
+            env = Environment()
+            sides.append((env, cls(env, "p", workers=4), []))
+        for op in ops:
+            outcomes = [
+                _pool_step(env, pool, grants, op)
+                for env, pool, grants in sides
+            ]
+            assert outcomes[0] == outcomes[1]
+            (_, new, _), (_, ref, _) = sides
+            # Running is in grant order: a grant is appended when made.
+            assert [g.owner for g in new._running] == [
+                g.owner for g in ref._running
+            ]
+            assert [g.owner for g in new._waiters] == [
+                g.owner for g in ref._waiters
+            ]
+            assert new.total_wait_time == ref.total_wait_time
+
+    @pytest.mark.parametrize("idle", [0, 1])
+    def test_a_dispatch_judges_each_class_once(self, env, idle):
+        """With no idle worker nobody is judged; with one kept for
+        another class's reservation, the queue's one class is judged
+        once -- not every queued request."""
+        pool = ThreadPool(env, "p", workers=2)
+        pool.reserve("light", 1)
+        for _ in range(2 - idle):
+            pool.submit(klass="heavy" if idle else "light")
+        for _ in range(300):
+            pool.submit(klass="heavy")
+        assert pool.queue_length == 300
+        _, calls, _ = counted(pool._dispatch)
+        assert calls <= 3, calls

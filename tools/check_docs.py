@@ -86,6 +86,11 @@ RETIRED_NAMES = [
     "apply_perturbation",
     "_pool_worker",
     "_shard_worker",
+    "_charge_tracing",
+    "tracing_cost",
+    "event_cost",
+    "HoldTracker",
+    "ControlPipeline.observe_completion",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,
