@@ -16,8 +16,8 @@ ordered list of :class:`~repro.campaign.spec.RunSpec`, it
 
 When a tracing session is active (:func:`repro.obs.tracing`), execution
 is forced serial + uncached-read so every run actually happens in-process
-and lands in the trace; per-run worker timing is emitted as ``campaign``
-instants visible to the existing exporters.
+and lands in the trace; each run is marked by a ``campaign`` instant
+naming its family and seed.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..experiments.harness import extract_extras, resolve_sim, run_simulation
-from ..obs.tracer import get_active_tracer
-from ..telemetry import get_active_telemetry
+from ..obs.tracer import ACTIVE
 from ..workers import RemoteTraceback, WorkerFailure, Workers
 from .spec import RunOutcome, RunSpec, load_all_families
 from .store import ResultStore, default_cache_dir
@@ -303,9 +302,8 @@ def execute(
         return []
     cfg = current_settings(jobs=jobs, cache=cache, cache_dir=cache_dir)
     load_all_families()
-    tracer = get_active_tracer()
-    traced = bool(getattr(tracer, "enabled", False))
-    telemetered = bool(getattr(get_active_telemetry(), "enabled", False))
+    tracer = ACTIVE.tracer
+    traced, telemetered = tracer.enabled, ACTIVE.telemetry.enabled
     store = ResultStore(cfg.cache_dir) if cfg.cache else None
 
     started = time.perf_counter()
@@ -359,11 +357,12 @@ def execute(
 
 
 def _emit_run_instant(tracer, spec: RunSpec, payload: Dict[str, Any]) -> None:
-    """Surface per-run campaign timing in the active trace.
+    """Mark the end of each executed run in the active trace.
 
-    Lands on a ``campaign`` track of the run that just executed, so the
-    Chrome-trace/Perfetto view (and the category counters in the trace
-    summary) show what the campaign machinery spent around each run.
+    Lands on a ``campaign`` track of the run that just executed, naming
+    its family and seed.  Host wall clock stays out (it is in
+    :class:`CampaignStats` on stderr), so a trace is byte-identical
+    across runs.
     """
     tracer.instant(
         payload.get("sim_duration", 0.0),
@@ -372,5 +371,4 @@ def _emit_run_instant(tracer, spec: RunSpec, payload: Dict[str, Any]) -> None:
         "campaign",
         family=spec.family,
         seed=spec.seed,
-        walltime_s=round(payload["walltime"], 6),
     )

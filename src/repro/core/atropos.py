@@ -152,16 +152,16 @@ class Atropos(TracingController):
     def _build_sources(self):
         sources = [DetectorSignalSource(self)]
         if self.config.adaptive_thresholds:
-            from ..telemetry.health import HealthMonitor, adaptation_rules
+            from ..telemetry.health import HealthMonitor, default_health_rules
             from .adaptive import HealthSignalSource
 
-            sources.append(
-                HealthSignalSource(
-                    HealthMonitor(
-                        adaptation_rules(self.config.slo_latency)
-                    )
-                )
-            )
+            # The standard rules the detector's windows can feed, with
+            # the scraper's parameters.
+            rules = [
+                rule for rule in default_health_rules(self.config.slo_latency)
+                if rule.name in ("detector-flapping", "p99-ceiling")
+            ]
+            sources.append(HealthSignalSource(HealthMonitor(rules)))
             if self.config.history_schedule:
                 from .adaptive import HistoryScheduleSource
 

@@ -262,13 +262,12 @@ class MitigationLever(ActionPolicy):
         )
 
     def _finish_audit(self, audit: DecisionAudit) -> None:
-        """Record the audit and mirror it into the run's tracer."""
+        """Record the audit; a traced run also carries its payload on
+        the ``decision`` instant (what ``tracer.audits`` reads)."""
         c = self.controller
         c.decision_log.record_audit(audit)
         tracer = c.env.tracer
         if tracer.enabled:
-            payload = audit.to_payload()
-            tracer.audit(payload)
             tracer.instant(
                 audit.time,
                 "decision",
@@ -279,7 +278,7 @@ class MitigationLever(ActionPolicy):
                     else ""
                 ),
                 "atropos:decisions",
-                audit=payload,
+                audit=audit.to_payload(),
             )
 
 

@@ -18,8 +18,7 @@ from functools import cached_property
 from typing import Any, Callable, Dict, Optional
 
 from ..core.controller import BaseController, NullController
-from ..obs.tracer import get_active_tracer
-from ..telemetry import get_active_telemetry
+from ..obs.tracer import ACTIVE
 from ..sim.environment import Environment
 from ..sim.metrics import MetricsCollector, RequestStatus, Summary
 from ..sim.rng import Rng
@@ -117,8 +116,9 @@ def run_simulation(
         seed: RNG seed (runs are deterministic per seed).
         warmup: completions finishing before this time are excluded from
             the summary (cold-cache transient).
-        label: trace-run label when a tracing session is active (see
-            :func:`repro.obs.tracing`); defaults to a sequence number.
+        label: run label in the active trace and telemetry session
+            (see :data:`repro.obs.ACTIVE`); defaults to
+            ``run-{n}:seed={seed}``, ``n`` counting that session's runs.
         fault_plan: optional :class:`repro.faults.FaultPlan`; when given
             (and non-empty) a :class:`~repro.faults.FaultInjector` is
             armed against the assembled run and exposed as
@@ -135,12 +135,15 @@ def run_simulation(
     pull-based sim process that only *reads* model state, so scraped
     runs report identical results.
     """
-    tracer = get_active_tracer()
-    if tracer.enabled and tracer.accepting_runs:
-        tracer.new_run(label or f"run-{len(tracer.runs) + 1}:seed={seed}")
-        env = Environment(tracer=tracer)
-    else:
-        env = Environment()
+    tracer, telemetry = ACTIVE.tracer, ACTIVE.telemetry
+    # The null session accepts no runs.
+    traced, scraped = tracer.accepting_runs, telemetry.accepting_runs
+    if label is None and (traced or scraped):
+        n = len((tracer if traced else telemetry).runs) + 1
+        label = f"run-{n}:seed={seed}"
+    if traced:
+        tracer.new_run(label)
+    env = Environment(tracer=tracer if traced else None)
     rng = Rng(seed)
     controller = (
         controller_factory(env) if controller_factory else NullController(env)
@@ -159,17 +162,13 @@ def run_simulation(
         injector = FaultInjector(env, fault_plan, rng.fork("faults"))
         injector.arm(app=app, controller=controller, driver=driver)
     scraper = None
-    telemetry = get_active_telemetry()
-    if telemetry.enabled and telemetry.accepting_runs:
+    if scraped:
         from ..telemetry.health import slo_of
         from ..telemetry.scrape import Scraper
 
-        telemetry_run = telemetry.new_run(
-            label or f"run-{len(telemetry.runs) + 1}:seed={seed}"
-        )
         scraper = Scraper(
             env,
-            telemetry_run,
+            telemetry.new_run(label),
             rules=telemetry.rules_for(controller),
             slo=slo_of(controller),
             live_sink=telemetry.live_sink,

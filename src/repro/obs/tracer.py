@@ -15,6 +15,10 @@ Design constraints:
 * **Null fast path** -- untraced runs go through :class:`NullTracer`,
   whose ``enabled`` flag is a class attribute checked before any event is
   built; the hot paths pay one attribute load and one branch.
+* **One active-session slot** -- :data:`ACTIVE` holds the tracer and the
+  telemetry session (:mod:`repro.telemetry`) harness runs attach to;
+  :func:`tracing` and ``telemetry_session`` install one for a ``with``
+  block through the same :func:`active` scope.
 
 Event vocabulary (mirrors the Trace Event Format):
 
@@ -31,16 +35,16 @@ Event vocabulary (mirrors the Trace Event Format):
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
+    "ACTIVE",
     "NULL_TRACER",
     "NullTracer",
     "Span",
     "Tracer",
-    "get_active_tracer",
+    "active",
     "owner_label",
-    "set_active_tracer",
     "tracing",
 ]
 
@@ -132,8 +136,6 @@ class Tracer:
         self.events: List[Dict[str, Any]] = []
         #: Per-category event counts (surfaced by reporting).
         self.counts: Dict[str, int] = {}
-        #: Decision-audit payloads appended by the ATROPOS controller.
-        self.audits: List[Dict[str, Any]] = []
         self.max_runs = max_runs
         self._pid = 0
         self._run_labels: List[str] = []
@@ -148,6 +150,17 @@ class Tracer:
     def runs(self) -> List[str]:
         """Labels of the runs recorded so far."""
         return list(self._run_labels)
+
+    @property
+    def audits(self) -> List[Dict[str, Any]]:
+        """The decision-audit payloads, read back from the ``decision``
+        instants the mitigation levers emit (the controller's decision
+        log is the record of truth; this is the trace's view of it)."""
+        return [
+            event["args"]["audit"]
+            for event in self.events
+            if event.get("cat") == "decision"
+        ]
 
     @property
     def accepting_runs(self) -> bool:
@@ -277,10 +290,6 @@ class Tracer:
             "counter",
         )
 
-    def audit(self, payload: Dict[str, Any]) -> None:
-        """Attach one decision-audit payload (see core.decision_log)."""
-        self.audits.append(payload)
-
     # ------------------------------------------------------------------
     # Finalization
     # ------------------------------------------------------------------
@@ -308,7 +317,6 @@ class NullTracer:
     accepting_runs = False
     events: List[Dict[str, Any]] = []
     counts: Dict[str, int] = {}
-    audits: List[Dict[str, Any]] = []
 
     def new_run(self, label: str) -> int:
         return 0
@@ -326,9 +334,6 @@ class NullTracer:
         pass
 
     def counter(self, ts, name, track, **values) -> None:
-        pass
-
-    def audit(self, payload) -> None:
         pass
 
     def close_open_spans(self, ts: float) -> None:
@@ -350,28 +355,40 @@ class _NullSpan(Span):
 
 _NULL_SPAN = _NullSpan()
 
-#: Process-wide disabled tracer; the default for every Environment.
+#: Process-wide disabled tracer; the default for every Environment, and
+#: the null session of both :data:`ACTIVE` slots.
 NULL_TRACER = NullTracer()
 
-#: The tracer new simulation harness runs attach to (see
-#: experiments.harness.run_simulation).  NULL_TRACER unless a tracing
-#: session is active.
-_ACTIVE: Any = NULL_TRACER
+
+class _Active:
+    """The sessions harness runs attach to: a tracer and a telemetry
+    session, each :data:`NULL_TRACER` (``enabled`` is ``False``) unless a
+    ``with`` block installed one."""
+
+    __slots__ = ("tracer", "telemetry")
+
+    def __init__(self) -> None:
+        self.tracer = self.telemetry = NULL_TRACER
 
 
-def get_active_tracer():
-    """The tracer harness-created environments should use."""
-    return _ACTIVE
-
-
-def set_active_tracer(tracer) -> None:
-    """Install ``tracer`` as the active tracer (None resets to null)."""
-    global _ACTIVE
-    _ACTIVE = tracer if tracer is not None else NULL_TRACER
+#: The one active-session slot, read by
+#: ``experiments.harness.run_simulation`` and ``campaign.execute``.
+ACTIVE = _Active()
 
 
 @contextlib.contextmanager
-def tracing(tracer: Tracer) -> Iterator[Tracer]:
+def active(kind: str, session: Any) -> Iterator[Any]:
+    """Install ``session`` as the active ``kind`` (``"tracer"`` or
+    ``"telemetry"``) for a ``with`` block; None installs the null one."""
+    previous = getattr(ACTIVE, kind)
+    setattr(ACTIVE, kind, NULL_TRACER if session is None else session)
+    try:
+        yield session
+    finally:
+        setattr(ACTIVE, kind, previous)
+
+
+def tracing(tracer: Optional[Tracer]) -> ContextManager[Optional[Tracer]]:
     """Context manager scoping an active tracing session::
 
         tracer = Tracer()
@@ -379,9 +396,4 @@ def tracing(tracer: Tracer) -> Iterator[Tracer]:
             run_experiments(["fig3"])
         write_chrome_trace(tracer, "trace.json")
     """
-    previous = get_active_tracer()
-    set_active_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_active_tracer(previous)
+    return active("tracer", tracer)

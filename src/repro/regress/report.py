@@ -1,15 +1,11 @@
 """Self-contained HTML diff report for a regress check.
 
-One section per capture: side-by-side SVG sparkline panels overlaying
-the baseline (grey) and current (blue) window series on a shared value
-scale -- the sparkline geometry is
-:func:`repro.telemetry.report.spark_points`, the same code path as the
-telemetry run reports -- plus the count/scalar drift tables.  Drifting
-panels are titled in red and the drifting series are named up front, so
-a CI failure links straight to what moved.
-
-Deterministic: no wall clock, fixed float formatting, inline CSS/SVG
-only.
+One section per capture: sparkline panels overlaying the baseline
+(grey) and current (blue) window series on a shared value scale, plus
+the count/scalar drift tables, all built from the
+:mod:`repro.obs.export` page kit the telemetry run reports use.
+Drifting panels are titled in red and the drifting series are named up
+front, so a CI failure links straight to what moved.
 """
 
 from __future__ import annotations
@@ -17,34 +13,19 @@ from __future__ import annotations
 import html
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..telemetry.report import SPARK_H, SPARK_W, _fmt, spark_points
+from ..obs.export import (
+    fmt,
+    page,
+    panel,
+    polyline,
+    row,
+    spark_points,
+    svg,
+    table,
+)
 from ..telemetry.series import SERIES_KEYS
 from .baseline import RegressBaseline
 from .compare import CaseDrift, RegressReport
-
-_CSS = """
-body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2em auto; max-width: 1080px; color: #1c2733; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 1.6em;
-     border-bottom: 1px solid #d8dee6; padding-bottom: .2em; }
-.meta { color: #5a6b7b; font-size: .85em; }
-.verdict-pass { color: #2e7d32; font-weight: 600; }
-.verdict-drift { color: #b00020; font-weight: 600; }
-.panels { display: flex; flex-wrap: wrap; gap: 14px; }
-.panel { border: 1px solid #d8dee6; border-radius: 6px;
-         padding: 8px 10px; background: #fbfcfe; }
-.panel .title { font-size: .8em; color: #44525f; margin-bottom: 2px; }
-.panel .title.drift { color: #b00020; font-weight: 600; }
-.panel .last { font-size: .82em; }
-.legend { font-size: .8em; color: #5a6b7b; }
-.legend .base { color: #8a97a5; } .legend .cur { color: #2255a4; }
-table.drift { border-collapse: collapse; font-size: .82em;
-              margin-top: .6em; }
-table.drift th, table.drift td { border: 1px solid #d8dee6;
-              padding: 3px 8px; text-align: left; }
-table.drift th { background: #eef2f7; }
-td.drifted { color: #b00020; font-weight: 600; }
-"""
 
 _BASE_COLOUR = "#8a97a5"
 _CUR_COLOUR = "#2255a4"
@@ -79,77 +60,55 @@ def _diff_panel(
     )
     lo = min(finite)
     hi = max(finite)
-    polylines = []
-    for pairs, colour, width in (
-        (base_pairs, _BASE_COLOUR, "1.1"),
-        (cur_pairs, _CUR_COLOUR, "1.4"),
-    ):
-        pts = spark_points(pairs, duration, lo=lo, hi=hi)
-        if pts:
-            polylines.append(
-                f'<polyline points="{pts}" fill="none" '
-                f'stroke="{colour}" stroke-width="{width}"/>'
-            )
+    polylines = "".join(
+        polyline(spark_points(pairs, duration, lo=lo, hi=hi), colour, width)
+        for pairs, colour, width in (
+            (base_pairs, _BASE_COLOUR, "1.1"),
+            (cur_pairs, _CUR_COLOUR, "1.4"),
+        )
+    )
     drifted = bool(drift and drift.get("drifted"))
-    title_cls = "title drift" if drifted else "title"
-    flag = " (drift)" if drifted else ""
     detail = ""
     if drift and drift.get("base_mean") is not None:
         detail = (
-            f'<div class="last">mean {_fmt(drift["base_mean"])} &rarr; '
-            f'{_fmt(drift["cur_mean"])}'
+            f'<div class="last">mean {fmt(drift["base_mean"])} &rarr; '
+            f'{fmt(drift["cur_mean"])}'
             + (
-                f' &middot; rel {_fmt(drift["rel_change"])}'
+                f' &middot; rel {fmt(drift["rel_change"])}'
                 if drift.get("rel_change") is not None else ""
             )
             + "</div>"
         )
-    return (
-        '<div class="panel">'
-        f'<div class="{title_cls}">{html.escape(key)}{flag}</div>'
-        f'<svg width="{SPARK_W}" height="{SPARK_H}" '
-        f'viewBox="0 0 {SPARK_W} {SPARK_H}">{"".join(polylines)}</svg>'
-        f"{detail}"
-        "</div>"
-    )
+    title = key + (" (drift)" if drifted else "")
+    return panel(title, svg(polylines) + detail, drifted=drifted)
 
 
 def _drift_table(case: CaseDrift) -> str:
-    rows = []
-    for label, result in (
-        [(key, case.counts[key]) for key in sorted(case.counts)]
-        + [
-            (f"summary:{key}", case.scalars[key])
-            for key in sorted(case.scalars)
-        ]
-    ):
-        drifted = result.get("drifted")
-        cls = ' class="drifted"' if drifted else ""
-        rows.append(
-            "<tr>"
-            f"<td{cls}>{html.escape(label)}</td>"
-            f"<td>{_fmt_cell(result.get('base'))}</td>"
-            f"<td>{_fmt_cell(result.get('cur'))}</td>"
-            f"<td>{'drift' if drifted else 'ok'}</td>"
-            "</tr>"
-        )
+    checks = [(key, case.counts[key]) for key in sorted(case.counts)] + [
+        (f"summary:{key}", case.scalars[key]) for key in sorted(case.scalars)
+    ]
+    rows = [
+        _check_row(label, _fmt_cell(result.get("base")),
+                   _fmt_cell(result.get("cur")), result.get("drifted"))
+        for label, result in checks
+    ]
     if case.digest:
-        drifted = case.digest.get("drifted")
-        cls = ' class="drifted"' if drifted else ""
+        base, cur = (
+            html.escape(str(case.digest.get(side))[:12])
+            for side in ("base", "cur")
+        )
         rows.append(
-            "<tr>"
-            f"<td{cls}>digest</td>"
-            f"<td>{html.escape(str(case.digest.get('base'))[:12])}</td>"
-            f"<td>{html.escape(str(case.digest.get('cur'))[:12])}</td>"
-            f"<td>{'drift' if drifted else 'ok'}</td>"
-            "</tr>"
+            _check_row("digest", base, cur, case.digest.get("drifted"))
         )
     if not rows:
         return ""
-    return (
-        '<table class="drift"><tr><th>check</th><th>baseline</th>'
-        "<th>current</th><th>verdict</th></tr>"
-        f'{"".join(rows)}</table>'
+    return table(("check", "baseline", "current", "verdict"), rows)
+
+
+def _check_row(label: str, base: str, cur: str, drifted: Any) -> str:
+    return row(
+        html.escape(label), base, cur, "drift" if drifted else "ok",
+        drifted=bool(drifted),
     )
 
 
@@ -157,7 +116,7 @@ def _fmt_cell(value: Any) -> str:
     if value is None:
         return "--"
     if isinstance(value, float):
-        return _fmt(value)
+        return fmt(value)
     return html.escape(str(value))
 
 
@@ -220,20 +179,14 @@ def render_diff_report(
     sections = "".join(
         _case_section(case, baseline, current) for case in report.cases
     )
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">'
-        f"<title>{html.escape(heading)}</title>"
-        f"<style>{_CSS}</style></head><body>"
-        f"<h1>{html.escape(heading)}</h1>"
+    return page(
+        heading,
         f"{verdict}"
         '<p class="legend"><span class="base">&#9644; baseline</span> '
         '&middot; <span class="cur">&#9644; current</span> &middot; '
         f"rel tol {report.rel_tol:.0%} &middot; "
         f"{len(report.cases)} capture(s) &middot; "
-        "generated by repro.regress</p>"
-        f"{sections}"
-        "</body></html>\n"
+        f"generated by repro.regress</p>{sections}",
     )
 
 

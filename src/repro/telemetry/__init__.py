@@ -23,17 +23,17 @@ Usage mirrors :func:`repro.obs.tracing`::
         run_experiments(["fig2"])      # every run gets scraped
     write_html_report(session.runs, "report.html")
 
-Null fast path: with no active session, :func:`get_active_telemetry`
-returns :data:`NULL_TELEMETRY` whose ``enabled`` is a class attribute
-``False`` -- the harness pays one attribute load and one branch, exactly
-like ``NullTracer``.
+Null fast path: the session lives in the same slot as the active
+tracer (:data:`repro.obs.ACTIVE`), whose null session's ``enabled`` and
+``accepting_runs`` are class attributes ``False`` -- the harness pays
+one attribute load and one branch per run.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Any, Callable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, ContextManager, List, Optional, Sequence
 
+from ..obs.tracer import active
 from .export import (
     jsonl_series,
     prometheus_text,
@@ -77,10 +77,7 @@ __all__ = [
     "ScrapeWindow",
     "live_line",
     "TelemetrySession",
-    "NULL_TELEMETRY",
     "telemetry_session",
-    "get_active_telemetry",
-    "set_active_telemetry",
     "prometheus_text",
     "jsonl_series",
     "write_prometheus",
@@ -98,9 +95,7 @@ class TelemetrySession:
         max_runs: stop attaching after this many runs (None = all).
         health_rules: explicit rule list; None derives
             :func:`default_health_rules` per run from the controller's
-            SLO and ``expected_culprits``.
-        expected_culprits: op names the wrong-culprit rule treats as
-            legitimate cancellation targets.
+            SLO.
         live_sink: callable ``(run, window)`` invoked after every scrape
             (the ``--live`` TTY dashboard).
     """
@@ -112,7 +107,6 @@ class TelemetrySession:
         interval: float = 0.25,
         max_runs: Optional[int] = None,
         health_rules: Optional[Sequence[HealthRule]] = None,
-        expected_culprits: Optional[Sequence[str]] = None,
         live_sink: Optional[Callable[[RunTelemetry, ScrapeWindow], None]]
         = None,
     ) -> None:
@@ -122,9 +116,6 @@ class TelemetrySession:
         self.max_runs = max_runs
         self.health_rules = (
             list(health_rules) if health_rules is not None else None
-        )
-        self.expected_culprits = (
-            tuple(expected_culprits) if expected_culprits else None
         )
         self.live_sink = live_sink
         self.runs: List[RunTelemetry] = []
@@ -144,47 +135,12 @@ class TelemetrySession:
         """The rule set a run under ``controller`` is monitored with."""
         if self.health_rules is not None:
             return list(self.health_rules)
-        return default_health_rules(
-            slo=slo_of(controller),
-            expected_culprits=self.expected_culprits,
-        )
+        return default_health_rules(slo=slo_of(controller))
 
 
-class NullTelemetrySession:
-    """Disabled session: the harness checks ``enabled`` and moves on."""
-
-    enabled = False
-    accepting_runs = False
-    interval = 0.0
-    runs: List[RunTelemetry] = []
-
-    def new_run(self, label: str) -> None:  # pragma: no cover - never hit
-        raise RuntimeError("null telemetry session cannot record runs")
-
-    def rules_for(self, controller: Any) -> List[HealthRule]:
-        return []
-
-
-NULL_TELEMETRY = NullTelemetrySession()
-
-_ACTIVE: Any = NULL_TELEMETRY
-
-
-def get_active_telemetry():
-    """The telemetry session harness runs should attach to."""
-    return _ACTIVE
-
-
-def set_active_telemetry(session) -> None:
-    """Install ``session`` as active (None resets to the null session)."""
-    global _ACTIVE
-    _ACTIVE = session if session is not None else NULL_TELEMETRY
-
-
-@contextlib.contextmanager
 def telemetry_session(
-    session: TelemetrySession,
-) -> Iterator[TelemetrySession]:
+    session: Optional[TelemetrySession],
+) -> ContextManager[Optional[TelemetrySession]]:
     """Context manager scoping an active telemetry session::
 
         session = TelemetrySession(interval=0.5)
@@ -192,9 +148,4 @@ def telemetry_session(
             run_experiments(["fig2"])
         write_prometheus(session.runs, "metrics.prom")
     """
-    previous = get_active_telemetry()
-    set_active_telemetry(session)
-    try:
-        yield session
-    finally:
-        set_active_telemetry(previous)
+    return active("telemetry", session)

@@ -3,14 +3,16 @@
 Both formats are deterministic: families sorted by name, children by
 label key, windows in simulated-time order, floats rendered with
 ``repr`` (shortest round-trip, platform-stable for IEEE doubles), and
-JSON with sorted keys.  Same seed -> byte-identical files.
+JSON in the canonical compact form the Chrome trace uses
+(:func:`repro.obs.export.compact_json`).  Same seed -> byte-identical
+files.
 """
 
 from __future__ import annotations
 
-import json
-from typing import IO, List, Union
+from typing import List, Union
 
+from ..obs.export import compact_json
 from .registry import LabelKey
 from .scrape import RunTelemetry
 
@@ -98,12 +100,9 @@ def _clean(value: float) -> Union[float, None]:
 
 def jsonl_series(runs: List[RunTelemetry]) -> str:
     """One JSON line per run header / scrape window / health event."""
-    dumps = lambda obj: json.dumps(  # noqa: E731
-        obj, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
     lines: List[str] = []
     for run in runs:
-        lines.append(dumps({
+        lines.append(compact_json({
             "kind": "run",
             "run": run.label,
             "interval": round(run.interval, 9),
@@ -112,7 +111,7 @@ def jsonl_series(runs: List[RunTelemetry]) -> str:
             "windows": len(run.windows),
         }))
         for window in run.windows:
-            lines.append(dumps({
+            lines.append(compact_json({
                 "kind": "window",
                 "run": run.label,
                 "t": round(window.t, 9),
@@ -124,11 +123,11 @@ def jsonl_series(runs: List[RunTelemetry]) -> str:
         for event in run.health_events:
             payload = event.to_dict()
             payload.update({"kind": "health", "run": run.label})
-            lines.append(dumps(payload))
+            lines.append(compact_json(payload))
         for fault in run.fault_events:
             payload = dict(fault)
             payload.update({"kind": "fault", "run": run.label})
-            lines.append(dumps(payload))
+            lines.append(compact_json(payload))
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -80,9 +80,16 @@ def slo_of(controller: Any) -> Optional[float]:
 def default_health_rules(
     slo: Optional[float] = None,
     expected_culprits: Optional[Sequence[str]] = None,
-    goodput_floor: Optional[float] = None,
 ) -> List[HealthRule]:
-    """The standard rule set; SLO-dependent rules appear only with a SLO."""
+    """The standard rule set, each rule spelled here once.
+
+    ``p99-ceiling`` needs a SLO and ``wrong-culprit`` the expected
+    culprits; each appears only when given.  The telemetry scraper, the
+    cluster coordinator and the mesh evaluate the whole set; the
+    adaptive controller and :func:`series_health_counts` pick the rules
+    their windows can feed.  ``goodput-floor`` is reachable only through
+    an explicit rule list.
+    """
     rules = [
         HealthRule(
             name="cancel-storm", kind="cancel-storm", severity="critical",
@@ -100,13 +107,6 @@ def default_health_rules(
                 params={"limit": 5.0 * slo, "min_samples": 3},
             )
         )
-    if goodput_floor is not None:
-        rules.append(
-            HealthRule(
-                name="goodput-floor", kind="goodput-floor",
-                params={"floor": goodput_floor},
-            )
-        )
     if expected_culprits:
         rules.append(
             HealthRule(
@@ -114,31 +114,6 @@ def default_health_rules(
                 severity="critical",
                 params={"expected": tuple(expected_culprits),
                         "max_rate": 0.0},
-            )
-        )
-    return rules
-
-
-def adaptation_rules(slo: Optional[float] = None) -> List[HealthRule]:
-    """The rule subset the adaptive controller mode evaluates in-loop.
-
-    :class:`repro.core.adaptive.AdaptiveThresholdPolicy` runs its own
-    :class:`HealthMonitor` over the detector's windows (one evaluation
-    per detection period, independent of any telemetry session), using
-    the same rule engine and the same parameters as the scraper's
-    defaults: detector-flapping always, p99-ceiling at ``5 x SLO``.
-    """
-    rules = [
-        HealthRule(
-            name="detector-flapping", kind="detector-flapping",
-            params={"transitions": 3, "lookback": 8},
-        ),
-    ]
-    if slo is not None:
-        rules.append(
-            HealthRule(
-                name="p99-ceiling", kind="p99-ceiling", severity="critical",
-                params={"limit": 5.0 * slo, "min_samples": 3},
             )
         )
     return rules
@@ -286,30 +261,6 @@ class HealthMonitor:
         )
 
 
-def series_rules(slo: Optional[float] = None) -> List[HealthRule]:
-    """The rule subset computable post-hoc from a serialized series.
-
-    A :func:`repro.telemetry.series.window_series` payload carries
-    per-window p99 / completion / cancellation values but no live
-    detector trigger, so ``detector-flapping`` (an in-loop signal) is
-    excluded; the parameters match :func:`default_health_rules`.
-    """
-    rules = [
-        HealthRule(
-            name="cancel-storm", kind="cancel-storm", severity="critical",
-            params={"max_per_window": 3},
-        ),
-    ]
-    if slo is not None:
-        rules.append(
-            HealthRule(
-                name="p99-ceiling", kind="p99-ceiling", severity="critical",
-                params={"limit": 5.0 * slo, "min_samples": 3},
-            )
-        )
-    return rules
-
-
 def series_health_counts(
     series: Mapping[str, Any],
     rules: Optional[Sequence[HealthRule]] = None,
@@ -321,10 +272,16 @@ def series_health_counts(
     campaign extras cache), so ``repro regress`` gets per-rule event
     counts from cached runs without a telemetry session.  Every rule in
     play appears in the result, zero-count rules included, keys sorted.
+    The default rules are the standard ones a serialized series can
+    feed: it carries per-window p99 / completion / cancellation values
+    but no live detector trigger, so ``detector-flapping`` is left out.
     """
     window = float(series.get("window") or 0.0) or 1.0
     if rules is None:
-        rules = series_rules(series.get("slo"))
+        rules = [
+            rule for rule in default_health_rules(series.get("slo"))
+            if rule.name in ("cancel-storm", "p99-ceiling")
+        ]
     monitor = HealthMonitor(rules)
     p99s = series.get("p99", ())
     throughputs = series.get("throughput", ())

@@ -1,11 +1,10 @@
 """Self-contained HTML run reports with inline-SVG sparklines.
 
 :func:`render_html_report` turns a telemetry session's runs into one
-HTML document with zero external references (inline CSS, inline SVG):
-per run, sparkline panels for throughput / p99 / per-resource
-utilization / kernel queue depth / cancellations, a colour-banded
-health timeline, fault inject/restore markers, and the decision-audit
-table.  Deterministic: no wall clock, fixed float formatting.
+HTML document built from the :mod:`repro.obs.export` page kit: per run,
+sparkline panels for throughput / p99 / per-resource utilization /
+kernel queue depth / cancellations, a colour-banded health timeline,
+fault inject/restore markers, and the decision-audit table.
 """
 
 from __future__ import annotations
@@ -13,81 +12,21 @@ from __future__ import annotations
 import html
 from typing import List, Optional, Sequence, Tuple
 
+from ..obs.export import (
+    SPARK_H,
+    SPARK_W,
+    fmt,
+    page,
+    panel,
+    polyline,
+    row,
+    spark_points,
+    spark_x,
+    svg,
+    table,
+)
 from .health import worst_severity
 from .scrape import RunTelemetry
-
-SPARK_W = 260
-SPARK_H = 48
-_PAD = 3.0
-
-_CSS = """
-body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2em auto; max-width: 1080px; color: #1c2733; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 1.6em;
-     border-bottom: 1px solid #d8dee6; padding-bottom: .2em; }
-.meta { color: #5a6b7b; font-size: .85em; }
-.panels { display: flex; flex-wrap: wrap; gap: 14px; }
-.panel { border: 1px solid #d8dee6; border-radius: 6px;
-         padding: 8px 10px; background: #fbfcfe; }
-.panel .title { font-size: .8em; color: #44525f; margin-bottom: 2px; }
-.panel .last { font-size: .9em; font-weight: 600; }
-table.audits { border-collapse: collapse; font-size: .82em;
-               margin-top: .6em; }
-table.audits th, table.audits td { border: 1px solid #d8dee6;
-               padding: 3px 8px; text-align: left; }
-table.audits th { background: #eef2f7; }
-.sev-warn { color: #9a6b00; } .sev-critical { color: #b00020; }
-.healthlist { font-size: .85em; }
-"""
-
-
-def _fmt(value: float, digits: int = 3) -> str:
-    if value != value:
-        return "--"
-    return f"{value:.{digits}g}"
-
-
-def _spark_points(
-    series: Sequence[Tuple[float, float]], duration: float
-) -> Tuple[str, float, float]:
-    """SVG polyline points for (t, value) series; returns (pts, lo, hi)."""
-    finite = [(t, v) for t, v in series if v == v]
-    if not finite or duration <= 0:
-        return "", float("nan"), float("nan")
-    lo = min(v for _, v in finite)
-    hi = max(v for _, v in finite)
-    span = (hi - lo) or 1.0
-    pts = []
-    for t, v in finite:
-        x = _PAD + (SPARK_W - 2 * _PAD) * min(t / duration, 1.0)
-        y = SPARK_H - _PAD - (SPARK_H - 2 * _PAD) * ((v - lo) / span)
-        pts.append(f"{x:.1f},{y:.1f}")
-    return " ".join(pts), lo, hi
-
-
-def spark_points(
-    series: Sequence[Tuple[float, float]],
-    duration: float,
-    lo: Optional[float] = None,
-    hi: Optional[float] = None,
-) -> str:
-    """Public sparkline geometry (shared with ``repro.regress.report``).
-
-    Like :func:`_spark_points` but with an optional fixed value range,
-    so two series (baseline vs current) can be overlaid on one scale.
-    """
-    finite = [(t, v) for t, v in series if v == v]
-    if not finite or duration <= 0:
-        return ""
-    lo = min(v for _, v in finite) if lo is None else lo
-    hi = max(v for _, v in finite) if hi is None else hi
-    span = (hi - lo) or 1.0
-    pts = []
-    for t, v in finite:
-        x = _PAD + (SPARK_W - 2 * _PAD) * min(t / duration, 1.0)
-        y = SPARK_H - _PAD - (SPARK_H - 2 * _PAD) * ((v - lo) / span)
-        pts.append(f"{x:.1f},{y:.1f}")
-    return " ".join(pts)
 
 
 def _sparkline(
@@ -97,32 +36,23 @@ def _sparkline(
     fault_times: Sequence[Tuple[float, str]] = (),
     unit: str = "",
 ) -> str:
-    pts, lo, hi = _spark_points(series, duration)
+    pts = spark_points(series, duration)
+    finite = [v for _, v in series if v == v]
+    lo, hi = (min(finite), max(finite)) if pts else (float("nan"),) * 2
     markers = []
-    for t, phase in fault_times:
-        if duration <= 0:
-            continue
-        x = _PAD + (SPARK_W - 2 * _PAD) * min(t / duration, 1.0)
+    for t, phase in fault_times if duration > 0 else ():
+        x = spark_x(t, duration)
         colour = "#b00020" if phase == "inject" else "#2e7d32"
         markers.append(
             f'<line x1="{x:.1f}" y1="1" x2="{x:.1f}" y2="{SPARK_H - 1}" '
             f'stroke="{colour}" stroke-width="1" stroke-dasharray="2,2"/>'
         )
-    poly = (
-        f'<polyline points="{pts}" fill="none" stroke="#2255a4" '
-        f'stroke-width="1.3"/>' if pts else ""
-    )
-    finite = [v for _, v in series if v == v]
     last = finite[-1] if finite else float("nan")
-    return (
-        '<div class="panel">'
-        f'<div class="title">{html.escape(title)}</div>'
-        f'<svg class="spark" width="{SPARK_W}" height="{SPARK_H}" '
-        f'viewBox="0 0 {SPARK_W} {SPARK_H}">'
-        f'{"".join(markers)}{poly}</svg>'
-        f'<div class="last">last {_fmt(last)}{unit} '
-        f'<span class="meta">(min {_fmt(lo)}, max {_fmt(hi)})</span></div>'
-        "</div>"
+    return panel(
+        title,
+        svg("".join(markers) + polyline(pts, "#2255a4", "1.3"))
+        + f'<div class="last">last {fmt(last)}{unit} '
+        f'<span class="meta">(min {fmt(lo)}, max {fmt(hi)})</span></div>',
     )
 
 
@@ -132,21 +62,15 @@ def _health_timeline(run: RunTelemetry) -> str:
         return '<p class="meta">no scrape windows</p>'
     width = SPARK_W * 2
     cell = width / len(run.windows)
-    cells = []
-    for i, window in enumerate(run.windows):
-        sev = worst_severity(window.health)
-        colour = {"critical": "#d32f2f", "warn": "#f9a825"}.get(
-            sev, "#7cb342"
-        )
-        cells.append(
-            f'<rect x="{i * cell:.1f}" y="0" width="{cell:.2f}" '
-            f'height="14" fill="{colour}"/>'
-        )
-    return (
-        '<div class="panel"><div class="title">health timeline '
-        "(green ok / amber warn / red critical)</div>"
-        f'<svg width="{width}" height="14">{"".join(cells)}</svg>'
-        "</div>"
+    colours = {"critical": "#d32f2f", "warn": "#f9a825"}
+    cells = "".join(
+        f'<rect x="{i * cell:.1f}" y="0" width="{cell:.2f}" height="14" '
+        f'fill="{colours.get(worst_severity(window.health), "#7cb342")}"/>'
+        for i, window in enumerate(run.windows)
+    )
+    return panel(
+        "health timeline (green ok / amber warn / red critical)",
+        svg(cells, width, 14),
     )
 
 
@@ -170,32 +94,21 @@ def _audit_table(run: RunTelemetry, limit: int = 25) -> str:
         return '<p class="meta">no decision audits recorded</p>'
     rows = []
     for audit in run.audits[:limit]:
-        detector = audit.get("detector") or {}
-        tail = detector.get("tail_latency")
-        tail_txt = f"{tail * 1000:.1f}ms" if isinstance(
-            tail, (int, float)
-        ) else "--"
-        rows.append(
-            "<tr>"
-            f"<td>{audit.get('time', 0):.2f}s</td>"
-            f"<td>{html.escape(str(audit.get('verdict', '?')))}</td>"
-            f"<td>{html.escape(str(audit.get('culprit_resource') or '-'))}"
-            "</td>"
-            f"<td>{html.escape(str(audit.get('cancelled_op_name') or '-'))}"
-            "</td>"
-            f"<td>{tail_txt}</td>"
-            "</tr>"
-        )
+        tail = (audit.get("detector") or {}).get("tail_latency")
+        rows.append(row(
+            f"{audit.get('time', 0):.2f}s",
+            html.escape(str(audit.get("verdict", "?"))),
+            html.escape(str(audit.get("culprit_resource") or "-")),
+            html.escape(str(audit.get("cancelled_op_name") or "-")),
+            f"{tail * 1000:.1f}ms" if isinstance(tail, (int, float)) else "--",
+        ))
     extra = len(run.audits) - limit
     more = (
         f'<p class="meta">... {extra} more audits</p>' if extra > 0 else ""
     )
-    return (
-        '<table class="audits"><tr><th>t</th><th>verdict</th>'
-        "<th>culprit resource</th><th>cancelled op</th>"
-        "<th>tail latency</th></tr>"
-        f'{"".join(rows)}</table>{more}'
-    )
+    header = ("t", "verdict", "culprit resource", "cancelled op",
+              "tail latency")
+    return table(header, rows) + more
 
 
 def _run_section(run: RunTelemetry) -> str:
@@ -254,22 +167,15 @@ def render_html_report(
     runs: List[RunTelemetry], title: Optional[str] = None
 ) -> str:
     """Render a complete, self-contained HTML report for the runs."""
-    heading = title or "repro telemetry report"
     sections = "".join(_run_section(run) for run in runs)
     if not runs:
         sections = "<p>No telemetry captured (no runs executed).</p>"
     total_events = sum(len(run.health_events) for run in runs)
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">'
-        f"<title>{html.escape(heading)}</title>"
-        f"<style>{_CSS}</style></head><body>"
-        f"<h1>{html.escape(heading)}</h1>"
+    return page(
+        title or "repro telemetry report",
         f'<p class="meta">{len(runs)} run(s) · '
         f"{total_events} health event(s) · generated by repro.telemetry"
-        "</p>"
-        f"{sections}"
-        "</body></html>\n"
+        f"</p>{sections}",
     )
 
 

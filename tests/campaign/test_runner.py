@@ -18,7 +18,7 @@ from repro.campaign import (
 from repro.campaign.runner import CACHE_ENV, JOBS_ENV
 from repro.experiments import harness
 from repro.experiments.case_family import case_spec
-from repro.obs import Tracer, tracing
+from repro.obs import Tracer, dumps_chrome_trace, tracing
 
 
 #: One cheap deterministic run (c1 baseline, no controller).
@@ -200,3 +200,14 @@ class TestTracingInterplay:
         with tracing(tracer):
             execute([_spec()], cache_dir=tmp_path)
         assert any(e.get("cat") == "campaign" for e in tracer.events)
+
+    def test_traced_campaign_is_deterministic(self, tmp_path):
+        """Two traced executions of one spec write the same trace bytes:
+        the ``campaign.run`` instant carries no host wall clock."""
+        traces = []
+        for _ in range(2):
+            tracer = Tracer()
+            with tracing(tracer):
+                execute([_spec()], cache=False)
+            traces.append(dumps_chrome_trace(tracer))
+        assert traces[0] == traces[1]

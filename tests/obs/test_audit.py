@@ -185,4 +185,3 @@ class TestTracingNonInterference:
         assert env.tracer is NULL_TRACER
         atropos, _ = run_cancellation_scenario(env)
         assert len(NULL_TRACER.events) == 0
-        assert len(NULL_TRACER.audits) == 0

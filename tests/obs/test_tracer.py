@@ -1,12 +1,11 @@
 """Unit tests for the tracer core: spans, tracks, null fast path."""
 
 from repro.obs import (
+    ACTIVE,
     NULL_TRACER,
     NullTracer,
     Tracer,
-    get_active_tracer,
     owner_label,
-    set_active_tracer,
     tracing,
 )
 
@@ -139,27 +138,26 @@ class TestNullTracer:
         null.instant(0.0, "c", "n", "t")
         null.async_end(1.0, "c", "n", "t", null.async_begin(0.0, "c", "n", "t"))
         null.counter(0.0, "n", "t", v=1)
-        null.audit({"verdict": "cancelled"})
         null.close_open_spans(9.0)
         assert len(null) == 0
         assert null.events == []
-        assert null.audits == []
 
     def test_active_tracer_defaults_to_null(self):
-        assert get_active_tracer() is NULL_TRACER
+        assert ACTIVE.tracer is NULL_TRACER
+        assert ACTIVE.telemetry is NULL_TRACER
 
     def test_tracing_context_installs_and_restores(self):
         tracer = Tracer()
         with tracing(tracer) as active:
             assert active is tracer
-            assert get_active_tracer() is tracer
-        assert get_active_tracer() is NULL_TRACER
+            assert ACTIVE.tracer is tracer
+            assert ACTIVE.telemetry is NULL_TRACER
+        assert ACTIVE.tracer is NULL_TRACER
 
-    def test_set_active_tracer_none_resets(self):
+    def test_tracing_none_installs_null(self):
         tracer = Tracer()
-        set_active_tracer(tracer)
-        try:
-            assert get_active_tracer() is tracer
-        finally:
-            set_active_tracer(None)
-        assert get_active_tracer() is NULL_TRACER
+        with tracing(tracer):
+            with tracing(None):
+                assert ACTIVE.tracer is NULL_TRACER
+            assert ACTIVE.tracer is tracer
+        assert ACTIVE.tracer is NULL_TRACER

@@ -143,12 +143,9 @@ class TestDefaults:
         assert kinds == {"cancel-storm", "detector-flapping"}
 
     def test_slo_and_culprits_add_rules(self):
-        rules = default_health_rules(
-            slo=0.05, expected_culprits=["backup"], goodput_floor=10.0
-        )
+        rules = default_health_rules(slo=0.05, expected_culprits=["backup"])
         kinds = {r.kind for r in rules}
         assert "p99-ceiling" in kinds
-        assert "goodput-floor" in kinds
         assert "wrong-culprit-rate" in kinds
         ceiling = next(r for r in rules if r.kind == "p99-ceiling")
         assert ceiling.params["limit"] == pytest.approx(0.25)

@@ -7,12 +7,12 @@ from repro.apps.mysql import MySQL, light_mix
 from repro.apps.postgres import PostgreSQL
 from repro.core import Atropos, AtroposConfig, NullController
 from repro.experiments import run_simulation
+from repro.obs import ACTIVE
 from repro.sim import Environment, Rng
 from repro.sim.metrics import window_count
 from repro.telemetry import (
     HealthRule,
     TelemetrySession,
-    get_active_telemetry,
     live_line,
     telemetry_session,
 )
@@ -48,7 +48,7 @@ class TestScraperAttachment:
     def test_no_session_records_nothing(self):
         result = run_mysql(duration=1.0)
         assert result.telemetry is None
-        assert get_active_telemetry().enabled is False
+        assert ACTIVE.telemetry.enabled is False
 
     def test_max_runs_caps_attachment(self):
         session = TelemetrySession(interval=0.5, max_runs=1)

@@ -48,6 +48,21 @@ def test_only_the_workers_module_imports_multiprocessing():
     assert (checker.REPO_ROOT / checker.WORKERS_MODULE).is_file()
 
 
+def test_only_the_page_kit_spells_the_html_shell():
+    source = (
+        '"""Renders a <!DOCTYPE html> page -- prose is fine."""\n'
+        "def render(body):\n"
+        '    head = "<!DOCTYPE html>\\n<html>"\n'
+        '    return f"<!doctype html><body>{body}</body>"\n'
+    )
+    errors = checker.check_source(source, "src/repro/regress/report.py")
+    assert [e.split(": ")[0] for e in errors] == [
+        "src/repro/regress/report.py:3", "src/repro/regress/report.py:4",
+    ]
+    assert checker.check_source(source, checker.PAGE_MODULE) == []
+    assert (checker.REPO_ROOT / checker.PAGE_MODULE).is_file()
+
+
 def test_count_code_skips_docstrings_comments_and_blanks():
     source = (
         '"""Module docstring,\n'

@@ -91,6 +91,16 @@ RETIRED_NAMES = [
     "event_cost",
     "HoldTracker",
     "ControlPipeline.observe_completion",
+    "adaptation_rules",
+    "series_rules",
+    "NullTelemetrySession",
+    "NULL_TELEMETRY",
+    "tracer.audit(",
+    "get_active_tracer",
+    "set_active_tracer",
+    "get_active_telemetry",
+    "set_active_telemetry",
+    "goodput_floor",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,

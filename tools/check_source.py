@@ -21,6 +21,13 @@ shard pool once hand-rolled the same fork / pipe / EOF protocol with
 different stop, terminate and error-transport rules.  Whatever needs a
 worker process asks :class:`repro.workers.Workers`.
 
+Rule 3 -- one module spells the HTML page shell.  A ``<!DOCTYPE html>``
+string literal appears in ``src/repro/obs/export.py`` and nowhere else:
+the telemetry report and the regress diff once each carried their own
+document shell, stylesheet, sparkline geometry, panels and tables.  A
+report builds its page from that module's kit (``page``, ``panel``,
+``table``, ...).  Docstrings and comments may mention the doctype.
+
 Exit status is the number of violations found.
 
 Usage::
@@ -44,11 +51,20 @@ WORKERS_MODULE = "src/repro/workers.py"
 _REGISTRY = "read the application's resource registry (app.resources())"
 _WORKERS = f"start worker processes through repro.workers ({WORKERS_MODULE})"
 
+#: The one module that may spell the HTML document shell (rule 3).
+PAGE_MODULE = "src/repro/obs/export.py"
+
+_PAGE = f"build HTML pages with the page kit in {PAGE_MODULE}"
+
 
 def check_source(text: str, where: str) -> List[str]:
     """Rule violations in one module's source, as ``where:line: why``."""
     found: List[Tuple[int, str]] = []
-    for node in ast.walk(ast.parse(text, filename=where)):
+    tree = ast.parse(text, filename=where)
+    # A bare string statement is a docstring (prose), not a literal in use.
+    prose = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Expr)}
+    for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -76,6 +92,14 @@ def check_source(text: str, where: str) -> List[str]:
                 found.append(
                     (node.lineno, f"multiprocessing imported -- {_WORKERS}")
                 )
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "<!doctype html" in node.value.lower()
+            and id(node) not in prose
+            and where != PAGE_MODULE
+        ):
+            found.append((node.lineno, f"HTML page shell spelled -- {_PAGE}"))
     return [f"{where}:{lineno}: {what}" for lineno, what in sorted(found)]
 
 
