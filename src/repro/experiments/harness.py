@@ -128,7 +128,8 @@ def run_simulation(
 
     When a tracer is active (``repro.obs.tracing``), this run becomes
     one Chrome-trace process in it: the kernel, resources, driver, and
-    controller all emit through ``env.tracer``.  Tracing never perturbs
+    controller all emit through ``env.tracer``, a view the run detaches
+    once it ends (``Tracer.end_run``).  Tracing never perturbs
     the simulation itself -- results are identical with or without it.
     The same holds for an active telemetry session
     (:func:`repro.telemetry.telemetry_session`): the scraper is a
@@ -141,9 +142,7 @@ def run_simulation(
     if label is None and (traced or scraped):
         n = len((tracer if traced else telemetry).runs) + 1
         label = f"run-{n}:seed={seed}"
-    if traced:
-        tracer.new_run(label)
-    env = Environment(tracer=tracer if traced else None)
+    env = Environment(tracer=tracer.open_run(label) if traced else None)
     rng = Rng(seed)
     controller = (
         controller_factory(env) if controller_factory else NullController(env)
@@ -181,6 +180,7 @@ def run_simulation(
     env.tracer.close_open_spans(env.now)
     if scraper is not None:
         scraper.finalize(env.now)
+    env.tracer.end_run()
 
     effective = duration - warmup if warmup > 0.0 else duration
     trimmed = collector.trimmed(warmup)

@@ -35,6 +35,8 @@ Event vocabulary (mirrors the Trace Event Format):
 from __future__ import annotations
 
 import contextlib
+import copy
+import itertools
 from typing import Any, ContextManager, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
@@ -140,7 +142,7 @@ class Tracer:
         self._pid = 0
         self._run_labels: List[str] = []
         self._track_ids: Dict[Tuple[int, str], int] = {}
-        self._next_async_id = 1
+        self._async_ids = itertools.count(1)
         self._open: set = set()
 
     # ------------------------------------------------------------------
@@ -181,6 +183,27 @@ class Tracer:
             }
         )
         return self._pid
+
+    def open_run(self, label: str) -> "Tracer":
+        """Start a run and return the tracer its components emit through:
+        a view sharing this tracer's event store, writing under the new
+        run's pid until :meth:`end_run` detaches it."""
+        self.new_run(label)
+        view = copy.copy(self)
+        view._open = set()
+        return view
+
+    def end_run(self) -> None:
+        """Detach a run's view (see :meth:`open_run`) from the store.
+
+        A run's objects can emit after the run ends: a suspended
+        process's ``finally`` blocks run whenever the garbage collector
+        frees it, at a point no simulated event orders.  A detached view
+        writes into private containers nothing reads, so those emissions
+        never reach the trace.
+        """
+        self.events, self.counts, self._track_ids = [], {}, {}
+        self._async_ids = itertools.count(1)
 
     def _track(self, track: str) -> Dict[str, int]:
         if self._pid == 0:
@@ -243,8 +266,7 @@ class Tracer:
         self, ts: float, cat: str, name: str, track: str, **args: Any
     ) -> int:
         """Open an overlapping (async) span; returns the pairing id."""
-        aid = self._next_async_id
-        self._next_async_id += 1
+        aid = next(self._async_ids)
         self._emit(
             {
                 "ph": "b",
@@ -337,6 +359,9 @@ class NullTracer:
         pass
 
     def close_open_spans(self, ts: float) -> None:
+        pass
+
+    def end_run(self) -> None:
         pass
 
     def __len__(self) -> int:

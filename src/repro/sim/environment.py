@@ -25,7 +25,7 @@ from typing import Any, List, Optional, Tuple, Union
 from ..obs.tracer import NULL_TRACER
 from .errors import EmptySchedule, StopSimulation
 from .events import NORMAL, SEQ_BITS, AllOf, AnyOf, Event, Timeout
-from .process import Process, ProcessGenerator
+from .process import STARTED, Initialize, Process, ProcessGenerator
 
 #: Heap entries: (time, (priority << SEQ_BITS) | sequence, event).
 QueueEntry = Tuple[float, int, Event]
@@ -76,11 +76,18 @@ class Environment:
         """Total events pushed on the heap so far (``perf/`` reads it as
         ``sim.events``).
 
-        Not counted: the completion of a process nobody joined.  A
-        process that finishes with an empty callback list and nothing to
-        raise is marked processed on the spot (see
-        :meth:`repro.sim.process.Process._finish`) and never reaches the
-        heap, so it consumes no sequence number.
+        Not counted, because each is handled on the spot instead of
+        reaching the heap, so it consumes no sequence number:
+
+        * the completion of a process nobody joined: a process that
+          finishes with an empty callback list and nothing to raise is
+          marked processed at once (see
+          :meth:`repro.sim.process.Process._finish`);
+        * the ``Initialize`` of a process started by
+          :meth:`process_now` (every pumped request);
+        * the grant event of a CPU slice whose core is handed on inline
+          (:meth:`repro.sim.resources.threadpool.ThreadPool.handoff`),
+          which the run loop would have popped next.
         """
         return self._eid
 
@@ -96,8 +103,33 @@ class Environment:
         return Timeout(self, delay, value)
 
     def process(self, generator: ProcessGenerator) -> Process:
-        """Start a new process running ``generator``."""
-        return Process(self, generator)
+        """Start a new process running ``generator``: an URGENT
+        :class:`~repro.sim.process.Initialize` event at ``now`` runs it
+        to its first yield, so the caller keeps running first."""
+        process = Process(self, generator)
+        Initialize(self, process)
+        return process
+
+    def process_now(self, generator: ProcessGenerator) -> Process:
+        """Start a new process running ``generator`` inline: run it to
+        its first yield before returning, with no ``Initialize`` event.
+
+        Same schedule as :meth:`process` -- every later sequence number
+        is one lower, which keeps their order -- only where that
+        ``Initialize`` would be the very next event popped:
+
+        * the caller is a callback of a NORMAL event being processed at
+          ``now``, and not a process (URGENT events at ``now`` all pop
+          before a NORMAL one, so none is pending, and
+          :attr:`active_process` is free);
+        * that event has no callback after the caller's, and the caller
+          schedules and changes nothing after this call.
+
+        The arrival pump (``Driver.run_arrivals``) is the one caller.
+        """
+        process = Process(self, generator)
+        process._resume(STARTED)
+        return process
 
     def all_of(self, events: List[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have succeeded."""

@@ -11,7 +11,7 @@ import enum
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 
@@ -39,8 +39,6 @@ class RequestRecord:
     status: RequestStatus
     #: Number of times the request was cancelled and re-executed.
     retries: int = 0
-    #: Free-form tags (e.g. which resource the culprit monopolized).
-    tags: Dict[str, object] = field(default_factory=dict)
 
     @property
     def latency(self) -> float:

@@ -33,7 +33,8 @@ _NORMAL_KEY = 1 << SEQ_BITS
 
 
 class Initialize(Event):
-    """Internal event that starts a process on the next kernel step."""
+    """Internal event that starts a process on the next kernel step
+    (:meth:`~repro.sim.environment.Environment.process` schedules one)."""
 
     __slots__ = ()
 
@@ -45,6 +46,20 @@ class Initialize(Event):
         self.callbacks = [process._resume]
         heappush(env._queue, (env.now, _URGENT_KEY | env._eid, self))
         env._eid += 1
+
+
+class _Started:
+    """What an :class:`Initialize` event hands the process it starts
+    (success, value ``None``), without being an event: the argument of
+    the first ``_resume`` of a process started inline by
+    :meth:`~repro.sim.environment.Environment.process_now`."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+STARTED = _Started()
 
 
 class Interruption(Event):
@@ -85,6 +100,12 @@ class Process(Event):
     A process is itself an event: it triggers with the generator's return
     value when the generator finishes (or fails with the exception that
     escaped it), so other processes can ``yield proc`` to join it.
+
+    Construction does not start the generator: build processes through
+    :meth:`Environment.process <repro.sim.environment.Environment.process>`
+    (started by an :class:`Initialize` event) or
+    :meth:`~repro.sim.environment.Environment.process_now` (started
+    inline).
     """
 
     __slots__ = ("_generator", "_target", "name", "_span")
@@ -110,7 +131,6 @@ class Process(Event):
         else:
             self._span = None
         env.alive_processes += 1
-        Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:

@@ -94,16 +94,35 @@ class Grant(Event):
         return self.env.now - self.grant_time
 
     def _mark_granted(self) -> None:
-        """Stamp the grant time and trigger the event with itself as
-        value (``succeed(self)`` with the heap entry pushed directly)."""
+        """Stamp the grant time and trigger the event (``succeed()``
+        with the heap entry pushed directly).
+
+        The value is ``None``, not the grant: a grant whose value is
+        itself is a reference cycle, and through :attr:`owner` it would
+        keep its request's task, process and generator alive until the
+        cyclic collector runs.  Nothing reads a grant's value; the
+        acquirer already holds the grant.
+        """
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         env = self.env
         now = env.now
         self.grant_time = now
-        self._value = self
+        self._value = None
         heappush(env._queue, (now, _NORMAL_KEY | env._eid, self))
         env._eid += 1
+
+    def _grant_inline(self) -> None:
+        """Grant and process at once: stamp the grant time and run the
+        callbacks here, as the run loop would on popping the event
+        :meth:`_mark_granted` pushes.  The same schedule only where that
+        event would be the very next one popped (see
+        :meth:`repro.sim.resources.threadpool.ThreadPool.handoff`)."""
+        self.grant_time = self.env.now
+        self._value = None
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
 
     def close(self) -> None:
         """Release the resource if granted, or leave the queue if pending.

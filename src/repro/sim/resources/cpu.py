@@ -6,6 +6,13 @@ CPU-bound tasks therefore inflate everyone's latency through queueing --
 the behaviour behind the paper's case 12 (Elasticsearch long-running
 queries hogging CPU) -- while short tasks still interleave, like an OS
 scheduler would let them.
+
+The slice loop of one :meth:`CPU.execute` call is driven by callbacks
+(:class:`_SliceLoop`): the owning process waits on one event for the
+whole call, each slice's grant event starts the slice's timer, and each
+timer ends the slice and queues the next one.  Between two slices of one
+call the core is handed on through :meth:`ThreadPool.handoff`, without a
+grant event whenever that event would have been popped next.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .threadpool import ThreadPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..environment import Environment
+    from .threadpool import SlotGrant
 
 
 class CPU:
@@ -120,27 +128,16 @@ class CPU:
                 run_queue=self.run_queue_length,
                 busy=self.busy_cores,
             )
-        done = 0.0
-        env = self.env
-        submit = self._pool.submit
-        usage = self.usage
+        loop = None
         try:
-            remaining = cpu_time
-            while remaining > 1e-12:
-                chunk = min(self.slice_time, remaining)
-                # try/finally, not ``with slot``: the slice loop is the
-                # hottest resource path and the context manager costs two
-                # extra calls a slice.
-                slot = submit(owner)
-                try:
-                    yield slot
-                    yield Timeout(env, chunk)
-                    usage[owner] = usage.get(owner, 0.0) + chunk
-                    done += chunk
-                finally:
-                    slot.close()
-                remaining -= chunk
+            if cpu_time > 1e-12:
+                loop = _SliceLoop(self, owner, cpu_time)
+                yield loop.finished
         finally:
+            if loop is not None:
+                # An interrupt leaves the current slice's grant queued or
+                # running: release it (a no-op after the last slice).
+                loop.grant.close()
             if aid is not None:
                 tracer.async_end(
                     self.env.now,
@@ -148,5 +145,71 @@ class CPU:
                     f"execute {owner_label(owner)}",
                     f"cpu:{self.name}",
                     aid,
-                    consumed=round(done, 9),
+                    consumed=round(loop.done if loop else 0.0, 9),
                 )
+
+
+class _SliceLoop:
+    """The slices of one :meth:`CPU.execute` call.
+
+    Each slice submits one grant to the core pool; the grant's event
+    starts the slice's timer (:meth:`_start`), and the timer charges the
+    slice and queues the next one (:meth:`_end`).  The last slice's end
+    releases its core, then resumes the owner inline through
+    :attr:`finished` -- the order in which a process resumed by that
+    timer would have done the same.  After an interrupt the owner has
+    closed :attr:`grant`, and a later pop of that grant or its timer does
+    nothing.
+    """
+
+    __slots__ = ("cpu", "owner", "remaining", "chunk", "done", "grant",
+                 "finished")
+
+    def __init__(self, cpu: CPU, owner: Any, cpu_time: float) -> None:
+        self.cpu = cpu
+        self.owner = owner
+        self.remaining = cpu_time
+        self.done = 0.0
+        #: The one event the owner waits on; never scheduled.
+        self.finished = Event(cpu.env)
+        self.chunk = min(cpu.slice_time, cpu_time)
+        self._submit()
+
+    def _submit(self) -> None:
+        grant = self.grant = self.cpu._pool.submit(self.owner)
+        grant.callbacks.append(self._start)
+
+    def _start(self, grant: "SlotGrant") -> None:
+        if not grant.closed:
+            Timeout(self.cpu.env, self.chunk).callbacks.append(self._end)
+
+    def _end(self, timer: Event) -> None:
+        grant = self.grant
+        if grant.closed:
+            return
+        cpu = self.cpu
+        owner = self.owner
+        chunk = self.chunk
+        usage = cpu.usage
+        usage[owner] = usage.get(owner, 0.0) + chunk
+        self.done += chunk
+        remaining = self.remaining = self.remaining - chunk
+        if remaining > 1e-12:
+            self.chunk = min(cpu.slice_time, remaining)
+            handed = cpu._pool.handoff(grant, self._start)
+            if handed is None:
+                grant.close()
+                self._submit()
+            else:
+                self.grant = handed
+            return
+        # The last slice never hands its core on inline: the owner's
+        # process continues right here, and what it schedules must keep
+        # its place ahead of the next slice's timer, which starts only
+        # when the grant event this close dispatches is popped.
+        grant.close()
+        finished = self.finished
+        finished._value = None
+        callbacks, finished.callbacks = finished.callbacks, None
+        for callback in callbacks:
+            callback(finished)

@@ -12,7 +12,7 @@ DARC baseline, which dedicates cores/workers to short request classes).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional
 
 from .base import Grant, Resource
 
@@ -219,6 +219,56 @@ class ThreadPool(Resource):
             )
         self._dispatch()
         return grant
+
+    def handoff(
+        self, grant: SlotGrant, callback: Callable[[Grant], None]
+    ) -> Optional[SlotGrant]:
+        """``grant.close()`` then a new grant for the same owner and
+        class with ``callback`` on it, as ``submit`` would make -- but
+        the one grant this starts is processed inline (its callbacks run
+        here) instead of through a grant event.  That grant is the FIFO
+        head, which takes the freed worker while the owner queues behind
+        the rest; with nobody waiting, it is the new grant, and the owner
+        keeps its worker.  Returns the new grant.
+
+        It is for the CPU's private core pool, which is untraced, never
+        reserved and unbounded, so it skips what ``submit`` and
+        ``_dispatch`` do for those.  The bookkeeping is close + submit's:
+        ``_running`` order, busy and wait totals, request and grant
+        times.  The schedule is the same when the grant event would be
+        the very next one popped, so the caller must be a callback doing
+        nothing after this call, and the pool checks the rest: nothing
+        is due at or before ``now`` (slices started at one instant end
+        at one float time, and a grant popped later than that tie would
+        order the next timers differently), and not over-committed after
+        a shrink (with ``running <= workers``, a non-empty queue means
+        every worker is busy, so exactly one is freed).  Otherwise it
+        changes nothing and returns ``None``: close and submit as usual.
+        """
+        env = self.env
+        now = env.now
+        queue = env._queue
+        running = self._running
+        if (queue and queue[0][0] <= now) or len(running) > self.workers:
+            return None
+        hold = grant._closed_hold = now - grant.grant_time
+        grant.closed = True
+        running.remove(grant)
+        self.total_busy_time += hold
+        new = SlotGrant(env, self, grant.owner)
+        new.klass = grant.klass
+        new.callbacks.append(callback)
+        waiters = self._waiters
+        if waiters:
+            start = waiters.popleft()
+            running.append(start)
+            self.total_wait_time += now - start.request_time
+            waiters.append(new)
+        else:
+            running.append(new)
+            start = new
+        start._grant_inline()
+        return new
 
     def _dispatch(self) -> None:
         """Start queued grants; FIFO, but reservations may let later grants

@@ -82,10 +82,18 @@ class Driver:
         operation_factory)`` pairs -- a source's lazy ``arrivals()``
         generator or a pre-built list (fleet, mesh).  The pump keeps
         exactly **one** pending :class:`~repro.sim.events.At` event per
-        stream: when it fires the due operation is submitted, then the
-        next pair is pulled and scheduled.  Pulling at the previous
-        arrival's time is what lets a generator follow a live rate
-        (burst faults), and the heap never holds a stream's future.
+        stream.  When it fires, the due operation is built, the next
+        pair is pulled and scheduled, and then the request starts.
+        Pulling at the previous arrival's time is what lets a generator
+        follow a live rate (burst faults), and the heap never holds a
+        stream's future.
+
+        The request starts inline (``env.process_now``): the ``At`` is a
+        NORMAL event with no other callback, and the pump schedules
+        nothing at ``now`` after the start, so the ``Initialize`` event
+        ``env.process`` would schedule is always the next one popped.
+        The random draws keep their order: the factory's, then the next
+        arrival's, then the request's own.
 
         A time earlier than the stream's previous one (or than
         ``env.now`` for the first) would rewind the clock: ``At``
@@ -110,8 +118,10 @@ class Driver:
         driver and its request records in the first collection (as an
         object: +13 % peak RSS over eight ATROPOS case runs in a row).
         """
-        env, submit = self.env, self.submit
+        env, request = self.env, self._request
+        start = env.process_now
         resume = yield
+        op = None  # the operation due at the last ``At``, not yet started
         for at, factory in arrivals:
             try:
                 due = At(env, at)
@@ -120,8 +130,12 @@ class Driver:
                     f"arrival stream {client_id!r}: {exc}"
                 ) from exc
             due.callbacks.append(resume)
+            if op is not None:
+                start(request(op, client_id))
             yield  # until the arrival is due
-            submit(factory(), client_id=client_id)
+            op = factory()
+        if op is not None:
+            start(request(op, client_id))
         del resume  # its reference to itself
         yield  # exhausted; returning would raise StopIteration in the run loop
 

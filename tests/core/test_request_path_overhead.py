@@ -12,35 +12,50 @@ each read as work per request reaching a terminal record:
 
 The cases are the three shapes of the path: c12 (Elasticsearch, CPU
 time slices: the grant path), c18 (MongoDB, document flood: the
-``DocumentBuffer`` loops) and c16 (Apache, a plain worker-pool request).
+``DocumentBuffer`` loops) and c16 (etcd, a plain pumped request behind
+one lock).
 
-====  ==================  ==================
-case  calls / request     events / request
-====  ==================  ==================
-c12   146.5 -> 86.8       8.48 -> 7.48
-c18   256.9 -> 117.4      5.65 -> 4.65
-c16    97.1 -> 68.5       6.01 -> 5.01
-====  ==================  ==================
+====  ==========================  ==========================
+case  calls / request             events / request
+====  ==========================  ==========================
+c12   146.5 -> 86.8 -> 67.8       8.48 -> 7.48 -> 4.77
+c18   256.9 -> 117.4 -> 115.4     5.65 -> 4.65 -> 3.65
+c16    97.1 -> 68.5 -> 65.6       6.01 -> 5.01 -> 3.53
+====  ==========================  ==========================
 
-Before is the three-deep grant constructor, context-manager slices, a
-heap completion per request process, per-document buffer helpers and the
-tracing round trip under ``NullController``; after is one lean grant
-path, unjoined completions off the heap and single-loop buffer access.
-The bounds sit ~25 % above the new values.  Wall-clock numbers are the
+The first column is the three-deep grant constructor, context-manager
+slices, a heap completion per request process, per-document buffer
+helpers and the tracing round trip under ``NullController``; the second
+is one lean grant path, unjoined completions off the heap and
+single-loop buffer access; the third starts pumped requests without an
+``Initialize`` event and hands a CPU core on between two slices without
+a grant event when that event would have been popped next.  The bounds
+sit ~25 % above the last column.  Wall-clock numbers are the
 ``apps.*.us_per_request`` rows of ``perf/``.
+
+The second guard is on cyclic garbage: a request's objects must be
+freed by reference counting when it ends.  A grant whose value was the
+grant itself was a reference cycle that kept its request's task,
+process and generator alive until the cyclic collector ran, about four
+objects per request.
 """
+
+import gc
 
 import pytest
 
+from repro.baselines import controller_factory
 from repro.cases import get_case
+from repro.experiments import run_simulation
+from repro.sim import At
 
 from .callcount import counted
 
 #: case -> (max Python calls per request, max events per request).
 BOUNDS = {
-    "c12": (108.0, 9.35),
-    "c18": (147.0, 5.8),
-    "c16": (86.0, 6.25),
+    "c12": (85.0, 6.0),
+    "c18": (144.0, 4.6),
+    "c16": (82.0, 4.4),
 }
 
 
@@ -61,3 +76,42 @@ def test_calls_and_events_per_request(case_id):
     max_calls, max_events = BOUNDS[case_id]
     assert calls / requests < max_calls, (calls, requests)
     assert events / requests < max_events, (events, requests)
+
+
+@pytest.mark.parametrize(
+    "case_id,system", [("c12", None), ("c18", None), ("c1", "atropos")]
+)
+def test_requests_leave_no_cyclic_garbage(case_id, system):
+    """With ``gc`` disabled from the start, a collection one simulated
+    second past the warm-up finds < 0.1 objects per completed request."""
+    case = get_case(case_id)
+    mid = case.warmup + 1.0
+    found = []
+
+    def workload(app, rng):
+        At(app.env, mid).callbacks.append(
+            lambda _: found.append(gc.collect())
+        )
+        return case.workload_factory(app, rng, True)
+
+    factory = system and controller_factory(
+        system, case.slo_latency, atropos_overrides=case.atropos_overrides
+    )
+    # An earlier run's garbage can take several collections to go: its
+    # generators' ``finally`` blocks resurrect what they touch.
+    while gc.collect():
+        pass
+    gc.disable()
+    try:
+        result = run_simulation(
+            case.app_factory, workload, controller_factory=factory,
+            duration=mid + 0.5, seed=0, warmup=case.warmup,
+        )
+    finally:
+        gc.enable()
+    completed = sum(
+        1 for record in result.collector.records
+        if record.completed and record.finish_time <= mid
+    )
+    assert completed > 400
+    assert found[0] / completed < 0.1, (found, completed)

@@ -6,6 +6,8 @@ that triggered the cycle, and the ranked candidate evidence behind the
 verdict.
 """
 
+import gc
+
 import pytest
 
 from repro.core import (
@@ -177,6 +179,30 @@ class TestTracingNonInterference:
             self._lock_case_summary(tracer=None)
         assert tracer.runs == ["run-1:seed=1"]
         assert len(tracer.events) == events_before
+
+    def test_trace_ends_with_the_run(self):
+        """The processes a run leaves suspended release what they hold
+        when the collector frees them, after the run; none of that may
+        reach the trace, whenever the collector happens to run."""
+        from repro.apps.mysql import MySQL, light_mix
+        from repro.experiments import run_simulation
+        from repro.workloads import OpenLoopSource, Workload
+
+        tracer = Tracer()
+        with tracing(tracer):
+            result = run_simulation(
+                lambda env, ctl, rng: MySQL(env, ctl, rng),
+                lambda app, rng: Workload(
+                    [OpenLoopSource(rate=3000.0, mix=light_mix(rng))]
+                ),
+                duration=1.0,
+                seed=3,
+            )
+        events = len(tracer.events)
+        assert result.driver.env.alive_processes > 0
+        del result
+        gc.collect()
+        assert len(tracer.events) == events
 
     def test_untraced_run_emits_nothing(self):
         from repro.obs import NULL_TRACER

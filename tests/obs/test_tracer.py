@@ -108,6 +108,24 @@ class TestRunsAndTracks:
         instants = [e for e in tracer.events if e["ph"] == "i"]
         assert [(e["pid"], e["tid"]) for e in instants] == [(1, 1), (2, 1)]
 
+    def test_run_view_writes_under_its_pid_until_ended(self):
+        tracer = Tracer()
+        first = tracer.open_run("first")
+        first.instant(0.0, "misc", "x", "track-a")
+        assert first.async_begin(0.0, "req", "r", "track-a") == 1
+        second = tracer.open_run("second")
+        assert second.async_begin(0.0, "req", "r", "track-a") == 2
+        first.end_run()
+        first.instant(1.0, "misc", "late", "track-b")
+        first.counter(1.0, "depth", "track-b", queued=1)
+        tracer.instant(2.0, "campaign", "campaign.run", "campaign")
+        assert tracer.runs == ["first", "second"]
+        assert [e["name"] for e in tracer.events if e["ph"] == "i"] == [
+            "x", "campaign.run"]
+        assert [e["pid"] for e in tracer.events if e["ph"] != "M"] == [
+            1, 1, 2, 2]
+        assert tracer.counts == {"misc": 1, "req": 2, "campaign": 1}
+
     def test_implicit_run_when_event_precedes_new_run(self):
         tracer = Tracer()
         tracer.counter(0.0, "depth", "lock:t", queued=1)
@@ -139,6 +157,7 @@ class TestNullTracer:
         null.async_end(1.0, "c", "n", "t", null.async_begin(0.0, "c", "n", "t"))
         null.counter(0.0, "n", "t", v=1)
         null.close_open_spans(9.0)
+        null.end_run()
         assert len(null) == 0
         assert null.events == []
 

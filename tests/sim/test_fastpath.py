@@ -62,7 +62,7 @@ tracer = Tracer(max_runs=1)
 with tracing(tracer):
     hooked_result = one_run()
 hooked = render(hooked_result)
-assert hooked_result.driver.env.tracer is tracer
+assert hooked_result.driver.env.hooks_enabled
 assert tracer.runs and len(tracer.events) > 100, (
     "hooked run emitted no trace data; the hooked path was not exercised"
 )

@@ -439,3 +439,69 @@ def test_late_join_of_interrupted_process_raises_in_the_joiner():
     joiner = env.process(late_joiner(env, target))
     env.run()
     assert joiner.value == ("raised", "cancelled")
+
+
+# ----------------------------------------------------------------------
+# Inline start (Environment.process_now)
+# ----------------------------------------------------------------------
+def test_process_now_runs_to_the_first_yield_without_an_event():
+    env = Environment()
+    steps = []
+
+    def body(env):
+        steps.append(("started", env.now, env.active_process))
+        yield env.timeout(1.0)
+        steps.append(("resumed", env.now))
+
+    proc = None
+
+    def starter(event):
+        nonlocal proc
+        proc = env.process_now(body(env))
+        steps.append("returned")
+
+    env.timeout(2.0).callbacks.append(starter)
+    env.run(until=2.5)
+    # Started inside the caller, before it returned; only the two
+    # timeouts were scheduled.
+    assert steps == [("started", 2.0, proc), "returned"]
+    assert env.events_scheduled == 2
+    assert env.active_process is None
+    env.run()
+    assert steps[-1] == ("resumed", 3.0)
+    assert proc.processed and proc.ok
+
+
+def test_process_now_matches_process_when_initialize_pops_next():
+    """Started from the callback of a NORMAL event, as the arrival pump
+    does: the same interleaving as ``env.process``, whose ``Initialize``
+    is the next event popped, with one event fewer."""
+
+    def trace(start):
+        env = Environment()
+        order = []
+
+        def request(env, name):
+            order.append((env.now, name, "start"))
+            yield env.timeout(0.0)
+            order.append((env.now, name, "step"))
+
+        def arrive(name, also_at_now):
+            def callback(event):
+                if also_at_now:
+                    env.timeout(0.0).callbacks.append(
+                        lambda e: order.append((env.now, name, "neighbour"))
+                    )
+                start(env)(request(env, name))
+            return callback
+
+        for name, at, also in (("a", 1.0, True), ("b", 1.0, False),
+                               ("c", 2.0, True)):
+            env.timeout(at).callbacks.append(arrive(name, also))
+        env.run()
+        return order, env.events_scheduled
+
+    inline, inline_events = trace(lambda env: env.process_now)
+    deferred, deferred_events = trace(lambda env: env.process)
+    assert inline == deferred
+    assert inline_events == deferred_events - 3

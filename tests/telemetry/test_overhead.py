@@ -67,6 +67,10 @@ def test_telemetry_call_count_overhead():
     # it with room to spare (it should be ~0: one session lookup and
     # one property check per run).
     assert _count_calls(run_saturated) / plain - 1.0 < 0.02
-    # Active scraping reads state, it never re-simulates: bounded well
-    # below the cost of the run itself even at the 0.25s interval.
-    assert _count_calls(run_scraped) / plain - 1.0 < 0.25
+    # Active scraping reads state, it never re-simulates: well below the
+    # cost of the run itself (~132k calls) even at the 0.25s interval.
+    # The scrapes' own calls (33,525) are bounded directly, so a cheaper
+    # run does not loosen the guard: 34,000 is a quarter of the ~136k
+    # calls the run cost before pumped requests stopped paying for an
+    # Initialize event.
+    assert _count_calls(run_scraped) - plain < 34_000

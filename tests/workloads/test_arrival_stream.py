@@ -170,8 +170,9 @@ def test_one_pending_arrival_per_stream():
     peak = 0
     while env.peek() < 5.0:
         env.step()
-        # Each live request owns one pending event (its start or its
-        # service timeout); +1 for a just-finished one's completion.
+        # Each live request owns one pending event, its service timeout
+        # (a pumped request starts inline, with no start event); +1 for
+        # a just-finished one's completion.
         assert env.queue_depth <= streams + env.alive_processes + 1
         peak = max(peak, env.queue_depth)
     assert len(driver.collector.records) > 9000
