@@ -4,22 +4,23 @@ Usage::
 
     python -m repro list
     python -m repro run fig10 [--full] [--seed N] [--jobs N] [--no-cache]
+    python -m repro run fig10 --seeds 0 1 2 [--output FILE]
     python -m repro run fig2 --telemetry out/ [--live] [--scrape-interval S]
-    python -m repro run fig9 --adaptive
+    python -m repro run fig9 --adaptive [--cases c1 c2]
+    python -m repro run ablate-adaptive [--full] [--seed N] [--cases c1 c2]
+    python -m repro run ablate-levers [--full] [--seed N] [--cases c1 c17]
+    python -m repro run resilience [--full] [--cases c1] [--kinds burst]
+    python -m repro run cluster [--full] [--nodes N] [--policy p2c]
+    python -m repro run dag [--full] [--leaves N]
     python -m repro all [--full] [--output FILE] [--jobs N] [--telemetry DIR]
-    python -m repro ablate-adaptive [--full] [--seed N] [--cases c1 c2]
-    python -m repro ablate --levers [--full] [--seed N] [--cases c1 c17]
-    python -m repro sweep fig10 --seeds 0 1 2 [--jobs N]
     python -m repro case c5 [--system atropos] [--seed N]
     python -m repro trace fig3 --out trace.json [--util util.csv]
-    python -m repro report fig2 [--out report.html] [--live]
-    python -m repro cluster [--mode compare|none|local|coordinated]
+    python -m repro cluster [--mode coordinated|none|local] [--nodes N]
     python -m repro cluster --nodes 3 --mode coordinated --digest [--jobs N]
-    python -m repro dag [--controller compare|none|atropos|dagor|autothrottle]
+    python -m repro dag [--controller atropos|none|dagor|autothrottle]
     python -m repro dag --leaves 3 --controller atropos --digest [--jobs N]
     python -m repro faults list
     python -m repro faults run --plan lossy-initiator [--case c1] [--system atropos]
-    python -m repro faults matrix [--full] [--jobs N]
     python -m repro regress baseline [--out FILE] [--targets case dag cluster lever]
     python -m repro regress baseline --telemetry [--scrape-interval S]
     python -m repro regress check [--baseline FILE] [--perturb K=V] [--report FILE]
@@ -27,6 +28,12 @@ Usage::
     python -m repro regress schedule [--case case:c1]
     python -m repro cache stats
     python -m repro cache clear
+
+``run`` is the one command that runs a registered experiment.  The
+flags of :data:`RUNNER_FLAGS` hand their runner keyword through; a flag
+whose keyword the experiment's runner does not take exits 2.  ``cluster``
+and ``dag`` run one fleet or mesh mode, digestable; ``run cluster`` and
+``run dag`` compare the modes.
 
 Experiment output goes to **stdout**; progress and campaign statistics
 go to **stderr**, so stdout can be diffed across invocations.  The
@@ -41,52 +48,75 @@ import sys
 import time
 
 from . import campaign
+from .cluster.routing import policy_names
 from .experiments import ALL_EXPERIMENTS, resolve_experiment_id
 from .reporting import DEFAULT_ORDER, render_report, run_experiments
 from .telemetry import telemetry_session
 
+#: Runner keyword -> its flag and argparse options.  ``run`` and
+#: ``trace`` take every one; the experiment named decides which apply.
+RUNNER_FLAGS = {
+    "case_ids": ("--cases", dict(
+        nargs="+", metavar="CID", help="restrict to these case ids")),
+    "kinds": ("--kinds", dict(
+        nargs="+", metavar="KIND", help="restrict to these fault kinds")),
+    "n_nodes": ("--nodes", dict(
+        type=int, metavar="N", help="app nodes in the fleet (default 3)")),
+    "policy": ("--policy", dict(
+        choices=policy_names(),
+        help="load-balancer routing policy (default least-outstanding)")),
+    "n_leaves": ("--leaves", dict(
+        type=int, metavar="N",
+        help="fan-out leaf services behind the gateway (default 2)")),
+}
 
-def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for simulation runs "
-        "(default: $REPRO_JOBS or 1)",
-    )
-    parser.add_argument(
-        "--cache", action=argparse.BooleanOptionalAction, default=None,
-        help="reuse cached run results (default: $REPRO_CACHE or on)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result-store location (default: $REPRO_CACHE_DIR "
-        "or .repro-cache)",
-    )
+
+def _given(args, *names) -> dict:
+    """The named flags actually given; the rest keep their callee's
+    defaults."""
+    return {
+        name: getattr(args, name)
+        for name in names
+        if getattr(args, name, None) is not None
+    }
 
 
-def _add_telemetry_flags(
-    parser: argparse.ArgumentParser, directory: bool = True
-) -> None:
-    if directory:
-        parser.add_argument(
-            "--telemetry", default=None, metavar="DIR",
-            help="scrape the runs and write metrics.prom / series.jsonl / "
-            "report.html into DIR (forces serial, uncached execution)",
+def runner_kwargs(args, exp_id: str) -> dict:
+    """The :data:`RUNNER_FLAGS` given, as the runner's keywords;
+    ValueError names a flag the experiment's runner does not take."""
+    kwargs = _given(args, *RUNNER_FLAGS)
+    refused = [
+        RUNNER_FLAGS[name][0]
+        for name in kwargs
+        if not ALL_EXPERIMENTS[exp_id].accepts(name)
+    ]
+    if refused:
+        raise ValueError(f"{exp_id} takes no {' '.join(refused)}")
+    return kwargs
+
+
+def _experiment(args):
+    """``(exp_id, runner keywords)`` the flags name; None, said on
+    stderr, for an unknown experiment or a flag its runner refuses."""
+    exp_id = resolve_experiment_id(args.experiment)
+    if exp_id is None:
+        print(
+            f"unknown experiment {args.experiment!r}; "
+            f"known: {sorted(ALL_EXPERIMENTS)}",
+            file=sys.stderr,
         )
-    parser.add_argument(
-        "--live", action="store_true",
-        help="print a live telemetry dashboard line per scrape to stderr",
-    )
-    parser.add_argument(
-        "--scrape-interval", type=float, default=0.25, metavar="S",
-        help="simulated seconds between telemetry scrapes (default 0.25)",
-    )
+        return None
+    try:
+        return exp_id, runner_kwargs(args, exp_id)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return None
 
 
-def _telemetry_session(args, always: bool = False):
-    """Build a TelemetrySession from CLI flags; None when not requested
-    (``always``: the ``report`` command scrapes whatever the flags)."""
+def _telemetry_session(args):
+    """Build a TelemetrySession from CLI flags; None when not requested."""
     live = getattr(args, "live", False)
-    if not (always or live or getattr(args, "telemetry", None)):
+    if not (live or getattr(args, "telemetry", None)):
         return None
     from .telemetry import TelemetrySession, live_line
 
@@ -95,9 +125,7 @@ def _telemetry_session(args, always: bool = False):
         def sink(run, window):
             print(live_line(run, window), file=sys.stderr)
 
-    return TelemetrySession(
-        interval=getattr(args, "scrape_interval", 0.25), live_sink=sink
-    )
+    return TelemetrySession(interval=args.scrape_interval, live_sink=sink)
 
 
 def _write_telemetry(session, out_dir) -> None:
@@ -117,26 +145,21 @@ def _write_telemetry(session, out_dir) -> None:
 
 
 @contextlib.contextmanager
-def _session(args, telemetry=None, in_process: bool = False):
+def _session(args, telemetry=None):
     """The scope every simulating command runs in.
 
-    Campaign settings come from the flags -- or, ``in_process``, are
-    pinned serial and uncached: ``trace`` and ``report`` observe the
-    runs, and a cached or worker-pool run would leave the trace or the
-    scrape series empty.  ``telemetry`` is the session to scrape into.
-    On the way out the ``--telemetry`` exports are written and the
-    campaign statistics go to stderr.
+    Campaign settings come from the flags (an observed run resolves to
+    one job, :func:`repro.campaign.current_settings`); ``telemetry`` is
+    the session to scrape into.  On the way out the ``--telemetry``
+    exports are written and the campaign statistics go to stderr.
     """
     campaign.reset_session_stats()
-    if in_process:
-        settings = campaign.settings(jobs=1, cache=False)
-    else:
-        settings = campaign.settings(
-            jobs=getattr(args, "jobs", None),
-            cache=getattr(args, "cache", None),
-            cache_dir=getattr(args, "cache_dir", None),
-            adaptive=getattr(args, "adaptive", None) or None,
-        )
+    settings = campaign.settings(
+        jobs=getattr(args, "jobs", None),
+        cache=getattr(args, "cache", None),
+        cache_dir=getattr(args, "cache_dir", None),
+        adaptive=getattr(args, "adaptive", None) or None,
+    )
     with settings, telemetry_session(telemetry):  # None: no session
         yield
     if telemetry is not None and getattr(args, "telemetry", None):
@@ -144,19 +167,6 @@ def _session(args, telemetry=None, in_process: bool = False):
     stats = campaign.session_stats()
     if stats.runs:
         print(stats.format(), file=sys.stderr)
-
-
-def _resolve(name: str):
-    """The experiment id behind a CLI name (short id or module name);
-    an unknown one is reported on stderr and resolves to None."""
-    exp_id = resolve_experiment_id(name)
-    if exp_id is None:
-        print(
-            f"unknown experiment {name!r}; "
-            f"known: {sorted(ALL_EXPERIMENTS)}",
-            file=sys.stderr,
-        )
-    return exp_id
 
 
 def _run(args, exp_id: str, seed=None, **kwargs):
@@ -168,22 +178,15 @@ def _run(args, exp_id: str, seed=None, **kwargs):
     )
 
 
-def _run_one(args, name: str, **kwargs) -> int:
-    """resolve -> session -> runner -> print -> stats: all there is to
-    ``run``, ``ablate``, ``ablate-adaptive``, ``faults matrix``, ``dag
-    --controller compare`` and ``cluster --mode compare``."""
-    exp_id = _resolve(name)
-    if exp_id is None:
-        return 2
-    with _session(args, _telemetry_session(args)):
-        started = time.time()
-        result = _run(args, exp_id, **kwargs)
-        print(
-            f"[{exp_id} done in {time.time() - started:.1f}s]",
-            file=sys.stderr,
-        )
-        print(result.format())
-    return 0
+def _emit(text: str, output) -> None:
+    """``text`` to stdout, or to the ``--output`` file (one final
+    newline)."""
+    if output:
+        with open(output, "w") as handle:
+            handle.write(text.rstrip("\n") + "\n")
+        print(f"report written to {output}", file=sys.stderr)
+    else:
+        print(text)
 
 
 def _case_range() -> str:
@@ -205,7 +208,30 @@ def cmd_list(args) -> int:
 
 
 def cmd_run(args) -> int:
-    return _run_one(args, args.experiment)
+    """resolve -> session -> runner (once, or once per ``--seeds``) ->
+    print -> stats."""
+    picked = _experiment(args)
+    if picked is None:
+        return 2
+    exp_id, kwargs = picked
+    with _session(args, _telemetry_session(args)):
+        if args.seeds:
+            sections = []
+            for seed in args.seeds:
+                print(f"[sweep {exp_id} seed={seed}]", file=sys.stderr)
+                result = _run(args, exp_id, seed=seed, **kwargs)
+                sections.append(f"## seed={seed}\n\n{result.format()}")
+            text = f"# Sweep: {exp_id} (seeds={args.seeds})\n\n" + \
+                "\n\n".join(sections)
+        else:
+            started = time.time()
+            text = _run(args, exp_id, **kwargs).format()
+            print(
+                f"[{exp_id} done in {time.time() - started:.1f}s]",
+                file=sys.stderr,
+            )
+        _emit(text, args.output)
+    return 0
 
 
 def cmd_all(args) -> int:
@@ -220,36 +246,7 @@ def cmd_all(args) -> int:
         results = run_experiments(
             quick=not args.full, seed=args.seed, progress=progress
         )
-        report = render_report(results)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(report)
-            print(f"report written to {args.output}", file=sys.stderr)
-        else:
-            print(report)
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    exp_id = _resolve(args.experiment)
-    if exp_id is None:
-        return 2
-    seeds = args.seeds if args.seeds else [0]
-    sections = []
-    with _session(args):
-        for seed in seeds:
-            print(f"[sweep {exp_id} seed={seed}]", file=sys.stderr)
-            result = _run(args, exp_id, seed=seed)
-            sections.append(f"## seed={seed}\n\n{result.format()}")
-        report = (
-            f"# Sweep: {exp_id} (seeds={seeds})\n\n" + "\n\n".join(sections)
-        )
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(report + "\n")
-            print(f"sweep written to {args.output}", file=sys.stderr)
-        else:
-            print(report)
+        _emit(render_report(results), args.output)
     return 0
 
 
@@ -298,13 +295,14 @@ def cmd_trace(args) -> int:
         write_utilization_csv,
     )
 
-    exp_id = _resolve(args.experiment)
-    if exp_id is None:
+    picked = _experiment(args)
+    if picked is None:
         return 2
+    exp_id, kwargs = picked
     out = args.out or f"{exp_id}-trace.json"
     tracer = Tracer(max_runs=None if args.all_runs else 1)
-    with _session(args, in_process=True), tracing(tracer):
-        print(_run(args, exp_id).format())
+    with _session(args), tracing(tracer):
+        print(_run(args, exp_id, **kwargs).format())
     print()
     write_chrome_trace(tracer, out)
     print(f"chrome trace written to {out} "
@@ -317,24 +315,6 @@ def cmd_trace(args) -> int:
         print(f"decision audits written to {args.audit}")
     print()
     print(render_trace_summary(tracer))
-    return 0
-
-
-def cmd_report(args) -> int:
-    from .telemetry import write_html_report
-
-    exp_id = _resolve(args.experiment)
-    if exp_id is None:
-        return 2
-    out = args.out or f"{exp_id}-report.html"
-    session = _telemetry_session(args, always=True)
-    with _session(args, session, in_process=True):
-        print(_run(args, exp_id).format())
-    write_html_report(session.runs, out, title=f"repro telemetry: {exp_id}")
-    print(
-        f"telemetry report for {len(session.runs)} run(s) written to {out}",
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -358,11 +338,6 @@ def cmd_faults(args) -> int:
         for name, plan in sorted(named_plans().items()):
             print(f"  {name:<20} {plan.describe()}")
         return 0
-
-    if args.faults_command == "matrix":
-        return _run_one(
-            args, "resilience", case_ids=args.cases, kinds=args.kinds
-        )
 
     from .experiments.case_family import case_spec
 
@@ -401,26 +376,6 @@ def cmd_faults(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    # Default dimension: the threshold-policy ablation (all there is to
-    # ``ablate-adaptive``, which has no ``--levers``).
-    levers = getattr(args, "levers", False)
-    return _run_one(
-        args,
-        "ablate-levers" if levers else "ablate-adaptive",
-        case_ids=args.cases,
-    )
-
-
-def _spec_overrides(args) -> dict:
-    """The ``--duration`` / ``--warmup`` / ``--epoch`` actually given."""
-    return {
-        name: getattr(args, name)
-        for name in ("duration", "warmup", "epoch")
-        if getattr(args, name) is not None
-    }
-
-
 def _print_run(args, result) -> int:
     """One fleet or mesh run: its rendering and, asked, its sha256."""
     print(result.render())
@@ -429,20 +384,17 @@ def _print_run(args, result) -> int:
     return 0
 
 
+_HORIZON = ("duration", "warmup", "epoch")
+
+
 def cmd_cluster(args) -> int:
     from .cluster import demo_fleet, run_fleet
 
-    if args.mode == "compare":
-        return _run_one(
-            args, "cluster", n_nodes=args.nodes, policy=args.policy
-        )
     spec = demo_fleet(
-        n_nodes=args.nodes,
         backends=tuple(args.backends),
-        policy=args.policy,
         mode=args.mode,
         seed=args.seed,
-        **_spec_overrides(args),
+        **_given(args, "n_nodes", "policy", *_HORIZON),
     )
     return _print_run(args, run_fleet(spec, jobs=args.jobs))
 
@@ -451,11 +403,7 @@ def cmd_dag(args) -> int:
     from .cluster import run_dag
     from .workloads.dag import dag_storm
 
-    if args.controller == "compare":
-        return _run_one(args, "dag", n_leaves=args.leaves)
-    spec = dag_storm(
-        n_leaves=args.leaves, seed=args.seed, **_spec_overrides(args)
-    )
+    spec = dag_storm(seed=args.seed, **_given(args, "n_leaves", *_HORIZON))
     return _print_run(
         args, run_dag(spec, controller=args.controller, jobs=args.jobs)
     )
@@ -488,7 +436,7 @@ def cmd_regress(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        cases = list(args.cases or REGRESS_CASES)
+        cases = list(args.case_ids or REGRESS_CASES)
         entries = regress_entries(
             targets=args.targets, cases=cases, seed=args.seed
         )
@@ -590,22 +538,21 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def _add_ablation_flags(parser, full_help: str) -> None:
-    """What ``ablate-adaptive`` and ``ablate`` share."""
-    parser.add_argument("--full", action="store_true", help=full_help)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--cases", nargs="+", default=None, metavar="CID",
-        help="restrict to these case ids",
-    )
-    _add_campaign_flags(parser)
-    parser.set_defaults(func=cmd_ablate)
+def _parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A flag group other parsers inherit (``parents=``)."""
+    return argparse.ArgumentParser(add_help=False, parents=parents)
+
+
+def _seed(default: int = 0) -> argparse.ArgumentParser:
+    parent = _parent()
+    parent.add_argument("--seed", type=int, default=default, metavar="N")
+    return parent
 
 
 def _add_horizon_flags(
-    parser, duration: int, warmup: int, epoch_help: str, full_help: str
+    parser, duration: int, warmup: int, epoch_help: str
 ) -> None:
-    """What ``cluster`` and ``dag`` share: the run horizon, seed, scale."""
+    """What ``cluster`` and ``dag`` share: the run horizon and digest."""
     parser.add_argument(
         "--duration", type=float, default=None, metavar="S",
         help=f"simulated seconds (default {duration})",
@@ -617,12 +564,75 @@ def _add_horizon_flags(
     parser.add_argument(
         "--epoch", type=float, default=None, metavar="S", help=epoch_help
     )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--full", action="store_true", help=full_help)
+    parser.add_argument(
+        "--digest", action="store_true",
+        help="print the run's canonical sha256 (determinism checks)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     from .baselines import SYSTEMS
+    from .cluster.spec import BACKENDS, MODES
+    from .workloads.dag import DAG_CONTROLLERS
+
+    # Each shared flag is spelled once, here, and inherited.
+    seed = _seed()
+    full = _parent()
+    full.add_argument("--full", action="store_true",
+                      help="full sweeps instead of quick mode")
+    jobs = _parent()
+    jobs.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="worker processes for simulation runs, or node shards for "
+        "a fleet / mesh run (default: $REPRO_JOBS or 1; parallel and "
+        "serial runs are byte-identical)",
+    )
+    store = _parent()
+    store.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="result-store location (default: $REPRO_CACHE_DIR "
+        "or .repro-cache)",
+    )
+    campaign_flags = _parent(jobs, store)
+    campaign_flags.add_argument(
+        "--cache", action=argparse.BooleanOptionalAction, default=None,
+        help="reuse cached run results (default: $REPRO_CACHE or on)",
+    )
+    scrape = _parent()
+    scrape.add_argument(
+        "--scrape-interval", type=float, default=0.25, metavar="S",
+        help="simulated seconds between telemetry scrapes (default 0.25)",
+    )
+    telemetry = _parent(scrape)
+    telemetry.add_argument(
+        "--telemetry", default=None, metavar="DIR",
+        help="scrape the runs and write metrics.prom / series.jsonl / "
+        "report.html into DIR (forces serial, uncached execution)",
+    )
+    telemetry.add_argument(
+        "--live", action="store_true",
+        help="print a live telemetry dashboard line per scrape to stderr",
+    )
+    runner_flags = {}
+    for name, (flag, options) in RUNNER_FLAGS.items():
+        runner_flags[name] = _parent()
+        runner_flags[name].add_argument(flag, dest=name, **options)
+    experiment = _parent(*runner_flags.values())
+    experiment.add_argument(
+        "experiment", help="id or module name, e.g. fig3 or "
+        "fig3_lock_contention (see `list`)",
+    )
+    report = _parent(seed, full, campaign_flags, telemetry)
+    report.add_argument(
+        "--adaptive", action="store_true",
+        help="run ATROPOS with health-driven adaptive thresholds "
+        "(separate cache entries from fixed-threshold runs)",
+    )
+    report.add_argument(
+        "--output", metavar="FILE", help="write the report to a file"
+    )
+    system = _parent()
+    system.add_argument("--system", default="atropos", choices=list(SYSTEMS))
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -630,91 +640,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list", help="list experiments and cases")
-    p_list.set_defaults(func=cmd_list)
+    sub.add_parser(
+        "list", help="list experiments and cases"
+    ).set_defaults(func=cmd_list)
 
-    p_run = sub.add_parser("run", help="run one experiment")
-    p_run.add_argument("experiment", help="e.g. fig10, table1")
-    p_run.add_argument("--full", action="store_true",
-                       help="full sweeps instead of quick mode")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument(
-        "--adaptive", action="store_true",
-        help="run ATROPOS with health-driven adaptive thresholds "
-        "(separate cache entries from fixed-threshold runs)",
+    p_run = sub.add_parser(
+        "run", parents=[experiment, report], help="run one experiment"
     )
-    _add_campaign_flags(p_run)
-    _add_telemetry_flags(p_run)
+    p_run.add_argument(
+        "--seeds", type=int, nargs="+", default=None, metavar="N",
+        help="run once per seed into one `# Sweep:` document",
+    )
     p_run.set_defaults(func=cmd_run)
 
-    p_all = sub.add_parser("all", help="run every experiment")
-    p_all.add_argument("--full", action="store_true")
-    p_all.add_argument("--seed", type=int, default=0)
-    p_all.add_argument(
-        "--adaptive", action="store_true",
-        help="run ATROPOS with health-driven adaptive thresholds",
-    )
-    p_all.add_argument("--output", help="write the report to a file")
-    _add_campaign_flags(p_all)
-    _add_telemetry_flags(p_all)
-    p_all.set_defaults(func=cmd_all)
+    sub.add_parser(
+        "all", parents=[report], help="run every report experiment"
+    ).set_defaults(func=cmd_all)
 
-    p_adapt = sub.add_parser(
-        "ablate-adaptive",
-        help="fixed vs health-driven adaptive thresholds across the cases",
+    p_case = sub.add_parser(
+        "case", parents=[seed, system], help="run one overload case"
     )
-    _add_ablation_flags(p_adapt, "all cases instead of the quick subset")
-
-    p_ablate = sub.add_parser(
-        "ablate",
-        help="ablation sweeps (--levers: cancel vs lock-reshape vs "
-        "composite; default: fixed vs adaptive thresholds)",
-    )
-    p_ablate.add_argument(
-        "--levers", action="store_true",
-        help="contrast mitigation levers (cancel / lock_reshape / "
-        "composite) across the case families",
-    )
-    _add_ablation_flags(p_ablate, "all cases instead of the quick subset")
-
-    p_sweep = sub.add_parser(
-        "sweep", help="run one experiment across several seeds"
-    )
-    p_sweep.add_argument("experiment", help="e.g. fig10")
-    p_sweep.add_argument(
-        "--seeds", type=int, nargs="+", default=None, metavar="N",
-        help="seeds to sweep (default: 0)",
-    )
-    p_sweep.add_argument("--full", action="store_true",
-                         help="full sweeps instead of quick mode")
-    p_sweep.add_argument("--output", help="write the sweep to a file")
-    _add_campaign_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_case = sub.add_parser("case", help="run one overload case")
     p_case.add_argument("case", help=_case_range())
     p_case.add_argument(
-        "--system",
-        default="atropos",
-        choices=list(SYSTEMS),
-    )
-    p_case.add_argument("--seed", type=int, default=0)
-    p_case.add_argument(
-        "--explain",
-        type=int,
-        nargs="?",
-        const=40,
-        default=0,
-        metavar="N",
+        "--explain", type=int, nargs="?", const=40, default=0, metavar="N",
         help="print the last N decision-timeline events (atropos only)",
     )
     p_case.set_defaults(func=cmd_case)
 
     p_trace = sub.add_parser(
-        "trace", help="run one experiment with tracing enabled"
-    )
-    p_trace.add_argument(
-        "experiment", help="e.g. fig3 or fig3_lock_contention"
+        "trace", parents=[experiment, seed, full],
+        help="run one experiment with tracing enabled",
     )
     p_trace.add_argument(
         "--out", help="chrome-trace output path "
@@ -728,145 +683,60 @@ def build_parser() -> argparse.ArgumentParser:
         "--audit", metavar="FILE",
         help="also write the cancellation decision audits as JSON",
     )
-    p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--full", action="store_true",
-                         help="full sweeps instead of quick mode")
     p_trace.add_argument(
         "--all-runs", action="store_true",
         help="trace every run of the sweep (default: first run only)",
     )
     p_trace.set_defaults(func=cmd_trace)
 
-    p_report = sub.add_parser(
-        "report",
-        help="run one experiment with telemetry and render an HTML report",
-    )
-    p_report.add_argument(
-        "experiment", help="e.g. fig2 or fig2_throughput"
-    )
-    p_report.add_argument(
-        "--out", help="HTML output path (default: <experiment>-report.html)"
-    )
-    p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument("--full", action="store_true",
-                          help="full sweeps instead of quick mode")
-    _add_telemetry_flags(p_report, directory=False)
-    p_report.set_defaults(func=cmd_report)
-
     p_faults = sub.add_parser(
-        "faults", help="fault injection: list kinds, run a plan, chaos matrix"
+        "faults", help="fault injection: list kinds, run one plan"
     )
     f_sub = p_faults.add_subparsers(dest="faults_command", required=True)
-
-    f_list = f_sub.add_parser(
+    f_sub.add_parser(
         "list", help="list fault kinds and named plans"
-    )
-    f_list.set_defaults(func=cmd_faults)
-
+    ).set_defaults(func=cmd_faults)
     f_run = f_sub.add_parser(
-        "run", help="run one case with a fault plan injected"
+        "run", parents=[seed, system, campaign_flags],
+        help="run one case with a fault plan injected",
     )
     f_run.add_argument(
         "--plan", required=True, metavar="NAME|FILE",
         help="named plan (see `faults list`) or a FaultPlan JSON file",
     )
     f_run.add_argument("--case", default="c1", help="case id (default c1)")
-    f_run.add_argument(
-        "--system", default="atropos",
-        choices=list(SYSTEMS),
-    )
-    f_run.add_argument("--seed", type=int, default=0)
-    _add_campaign_flags(f_run)
     f_run.set_defaults(func=cmd_faults)
-
-    f_matrix = f_sub.add_parser(
-        "matrix", help="fault kind x intensity chaos matrix (resilience)"
-    )
-    f_matrix.add_argument("--full", action="store_true",
-                          help="more cases and both intensity tiers")
-    f_matrix.add_argument("--quick", action="store_true",
-                          help="one case, high intensity only (the default)")
-    f_matrix.add_argument("--seed", type=int, default=0)
-    f_matrix.add_argument(
-        "--cases", nargs="+", default=None, metavar="CID",
-        help="restrict to these case ids",
-    )
-    f_matrix.add_argument(
-        "--kinds", nargs="+", default=None, metavar="KIND",
-        help="restrict to these fault kinds",
-    )
-    _add_campaign_flags(f_matrix)
-    f_matrix.set_defaults(func=cmd_faults)
 
     p_cluster = sub.add_parser(
         "cluster",
-        help="fleet simulation: LB routing + cross-node culprit attribution",
-    )
-    from .cluster.routing import policy_names
-    from .cluster.spec import BACKENDS, MODES
-
-    p_cluster.add_argument(
-        "--nodes", type=int, default=3, metavar="N",
-        help="number of app nodes in the fleet (default 3)",
+        parents=[seed, jobs, runner_flags["n_nodes"], runner_flags["policy"]],
+        help="one fleet run: LB routing + cross-node culprit attribution",
     )
     p_cluster.add_argument(
         "--backends", nargs="+", default=list(BACKENDS), choices=BACKENDS,
         help="backend cycle assigned to nodes (default: mysql postgres)",
     )
     p_cluster.add_argument(
-        "--policy", default="least-outstanding", choices=policy_names(),
-        help="load-balancer routing policy (default least-outstanding)",
-    )
-    p_cluster.add_argument(
-        "--mode", default="compare", choices=list(MODES) + ["compare"],
-        help="control mode, or 'compare' to run all three (default)",
+        "--mode", default="coordinated", choices=MODES,
+        help="control mode (default coordinated)",
     )
     _add_horizon_flags(
-        p_cluster, 30, 5,
-        "coordinator scrape / LB sync interval (default 0.5)",
-        "longer runs for --mode compare (30s instead of 16s)",
-    )
-    p_cluster.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="shard node simulations across N workers "
-        "(default: $REPRO_JOBS or 1; serial and sharded runs are "
-        "byte-identical)",
-    )
-    p_cluster.add_argument(
-        "--digest", action="store_true",
-        help="print the run's canonical sha256 (determinism checks)",
+        p_cluster, 30, 5, "coordinator scrape / LB sync interval "
+        "(default 0.5)",
     )
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_dag = sub.add_parser(
-        "dag",
-        help="microservice-DAG mesh: cancel vs shed vs throttle on a "
-        "cross-service storm",
-    )
-    from .workloads.dag import DAG_CONTROLLERS
-
-    p_dag.add_argument(
-        "--controller", default="compare",
-        choices=list(DAG_CONTROLLERS) + ["compare"],
-        help="per-service controller, or 'compare' to contrast all four "
-        "via the campaign runner (default)",
+        "dag", parents=[seed, jobs, runner_flags["n_leaves"]],
+        help="one microservice-DAG mesh run under a cross-service storm",
     )
     p_dag.add_argument(
-        "--leaves", type=int, default=2, metavar="N",
-        help="fan-out leaf services behind the gateway (default 2)",
+        "--controller", default="atropos", choices=DAG_CONTROLLERS,
+        help="per-service controller (default atropos)",
     )
     _add_horizon_flags(
-        p_dag, 24, 4,
-        "mesh RPC / feedback sync interval (default 0.25)",
-        "longer runs for --controller compare (24s instead of 16s)",
+        p_dag, 24, 4, "mesh RPC / feedback sync interval (default 0.25)"
     )
-    p_dag.add_argument(
-        "--digest", action="store_true",
-        help="print the run's canonical sha256 (determinism checks)",
-    )
-    # --jobs doubles as mesh shard count for single-controller runs;
-    # serial and sharded runs are byte-identical.
-    _add_campaign_flags(p_dag)
     p_dag.set_defaults(func=cmd_dag)
 
     p_regress = sub.add_parser(
@@ -876,7 +746,9 @@ def build_parser() -> argparse.ArgumentParser:
     r_sub = p_regress.add_subparsers(dest="action", required=True)
 
     r_base = r_sub.add_parser(
-        "baseline", help="capture a named baseline snapshot"
+        "baseline",
+        parents=[_seed(1), scrape, campaign_flags, runner_flags["case_ids"]],
+        help="capture a named baseline snapshot",
     )
     r_base.add_argument(
         "--out", default="REGRESS_BASELINE.json", metavar="FILE",
@@ -892,34 +764,25 @@ def build_parser() -> argparse.ArgumentParser:
         "targets come from repro.experiments.regressable)",
     )
     r_base.add_argument(
-        "--cases", nargs="+", default=None, metavar="ID",
-        help="case ids for the case target (default: the standard six)",
-    )
-    r_base.add_argument("--seed", type=int, default=1)
-    r_base.add_argument(
         "--telemetry", action="store_true",
         help="scrape each capture and snapshot condensed window "
         "summaries into the baseline (serial, cache reads bypassed)",
     )
-    r_base.add_argument(
-        "--scrape-interval", type=float, default=0.25, metavar="S",
-        help="simulated seconds between scrapes for --telemetry "
-        "(default 0.25)",
-    )
-    _add_campaign_flags(r_base)
     r_base.set_defaults(func=cmd_regress)
 
+    baseline = _parent()
+    baseline.add_argument(
+        "--baseline", default="REGRESS_BASELINE.json", metavar="FILE",
+        help="baseline snapshot (default REGRESS_BASELINE.json)",
+    )
     for action, helptext in (
         ("check", "re-run a baseline's specs and gate on drift "
          "(exit 1 when anything drifted)"),
         ("report", "like check but always writes the HTML diff; "
          "exit 0"),
     ):
-        r_action = r_sub.add_parser(action, help=helptext)
-        r_action.add_argument(
-            "--baseline", default="REGRESS_BASELINE.json",
-            metavar="FILE",
-            help="baseline snapshot (default REGRESS_BASELINE.json)",
+        r_action = r_sub.add_parser(
+            action, parents=[baseline, campaign_flags], help=helptext
         )
         r_action.add_argument(
             "--perturb", nargs="+", default=None, metavar="KEY=VALUE",
@@ -935,16 +798,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--rel-tol", type=float, default=0.05, metavar="R",
             help="relative drift tolerance (default 0.05)",
         )
-        _add_campaign_flags(r_action)
         r_action.set_defaults(func=cmd_regress)
 
     r_sched = r_sub.add_parser(
-        "schedule",
+        "schedule", parents=[baseline],
         help="derive per-case threshold schedules from baseline history",
-    )
-    r_sched.add_argument(
-        "--baseline", default="REGRESS_BASELINE.json", metavar="FILE",
-        help="baseline snapshot (default REGRESS_BASELINE.json)",
     )
     r_sched.add_argument(
         "--case", default=None, metavar="NAME",
@@ -953,14 +811,9 @@ def build_parser() -> argparse.ArgumentParser:
     r_sched.set_defaults(func=cmd_regress)
 
     p_cache = sub.add_parser(
-        "cache", help="inspect or clear the result store"
+        "cache", parents=[store], help="inspect or clear the result store"
     )
     p_cache.add_argument("action", choices=["stats", "clear"])
-    p_cache.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result-store location (default: $REPRO_CACHE_DIR "
-        "or .repro-cache)",
-    )
     p_cache.set_defaults(func=cmd_cache)
     return parser
 

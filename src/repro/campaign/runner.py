@@ -14,10 +14,11 @@ ordered list of :class:`~repro.campaign.spec.RunSpec`, it
 4. returns outcomes **in spec order** (never completion order), so a
    parallel campaign is bit-identical to a serial one.
 
-When a tracing session is active (:func:`repro.obs.tracing`), execution
-is forced serial + uncached-read so every run actually happens in-process
-and lands in the trace; each run is marked by a ``campaign`` instant
-naming its family and seed.
+When a tracing session is active (:func:`repro.obs.tracing`), the
+settings resolve to one job (:func:`current_settings`) and cache reads
+are skipped, so every run actually happens in-process and lands in the
+trace; each run is marked by a ``campaign`` instant naming its family
+and seed.
 """
 
 from __future__ import annotations
@@ -100,9 +101,16 @@ def current_settings(
     cache: Optional[bool] = None,
     cache_dir: Optional[os.PathLike] = None,
 ) -> ResolvedSettings:
-    """Resolve settings: explicit args > overlays > environment > defaults."""
+    """Resolve settings: explicit args > overlays > environment > defaults.
+
+    An observed run executes in this process: while a tracer or a
+    telemetry session is active (:data:`repro.obs.ACTIVE`) ``jobs`` is
+    1, whatever was asked, so no run's events land in another process.
+    """
     jobs = ambient("jobs", jobs)
-    if jobs is None:
+    if ACTIVE.tracer.enabled or ACTIVE.telemetry.enabled:
+        jobs = 1
+    elif jobs is None:
         env = os.environ.get(JOBS_ENV)
         jobs = int(env) if env else 1
     cache = ambient("cache", cache)
@@ -289,10 +297,10 @@ def execute(
     """Run a campaign of specs; outcomes returned in spec order.
 
     Identical specs within the batch execute once and fan out to every
-    position.  With an active tracer, execution is serial and cache
-    reads are skipped (a cache hit would yield an empty trace); cache
-    *writes* still happen so a traced cold run warms the cache.  With an
-    active telemetry session, execution is serial and the cache is
+    position.  An observed run is serial (:func:`current_settings`).
+    With an active tracer, cache reads are skipped (a cache hit would
+    yield an empty trace); cache *writes* still happen so a traced cold
+    run warms the cache.  With an active telemetry session, the cache is
     bypassed entirely -- reads (a hit would yield no scrape windows)
     *and* writes (telemetered payloads would otherwise differ from the
     uniform cached schema only by happenstance of session settings).
@@ -323,15 +331,15 @@ def execute(
     miss_keys = list(pending)
     miss_specs = [specs[pending[key][0]] for key in miss_keys]
     if miss_specs:
-        serial = traced or telemetered
-        effective_jobs = 1 if serial else min(cfg.jobs, len(miss_specs))
-        if effective_jobs > 1:
-            payloads = _run_pool(miss_specs, effective_jobs)
+        jobs = min(cfg.jobs, len(miss_specs))
+        if jobs > 1:
+            payloads = _run_pool(miss_specs, jobs)
         else:
             payloads = []
             for spec in miss_specs:
                 payload = _execute_one(
-                    spec, label=spec.label() if serial else None
+                    spec,
+                    label=spec.label() if traced or telemetered else None,
                 )
                 if traced:
                     _emit_run_instant(tracer, spec, payload)

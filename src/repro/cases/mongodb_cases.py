@@ -3,7 +3,7 @@
 Both cases run through the same dynamics gates as the Table 2 set but
 are flagged ``extension=True`` so the paper-figure sweeps stay pinned to
 the 16 reproduced cases.  c17 is also the habitat where the lock-reshape
-mitigation lever beats cancellation (see ``repro ablate --levers``): the
+mitigation lever beats cancellation (see ``repro run ablate-levers``): the
 storm's chunk-wise lock re-acquisitions are parkable, so victims recover
 without the scans' work being lost.
 """

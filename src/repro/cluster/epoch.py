@@ -307,7 +307,8 @@ def shard_count(node_count: int, jobs: Optional[int]) -> int:
     """The one serial-or-sharded rule; 1 means serial.
 
     ``jobs`` defaults to the campaign worker-pool settings
-    (:func:`repro.campaign.settings` overlays / ``REPRO_JOBS``).  A
+    (:func:`repro.campaign.settings` overlays / ``REPRO_JOBS``), and an
+    observed run is serial (:func:`repro.campaign.current_settings`).  A
     platform without the fork start method runs serially, and so does a
     daemonic caller: a campaign pool worker may not have children.
     """

@@ -21,7 +21,7 @@ detector windows -- byte-identical per seed.
 
 Off by default: build :class:`~repro.core.config.AtroposConfig` with
 ``adaptive_thresholds=True`` (or pass ``--adaptive`` / use ``repro
-ablate-adaptive`` on the CLI) to enable it.
+run ablate-adaptive`` on the CLI) to enable it.
 """
 
 from __future__ import annotations

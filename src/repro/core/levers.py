@@ -4,7 +4,7 @@ The paper's thesis is targeted task cancellation, but cancellation is
 one point in a larger design space of mitigations.  This module
 generalizes the ATROPOS action stage into a **lever registry** so the
 same detect -> classify -> blame machinery can drive different
-mitigations and ``repro ablate --levers`` can contrast them:
+mitigations and ``repro run ablate-levers`` can contrast them:
 
 * :class:`CancelLever` -- the paper's action (and the default): cancel
   the highest-gain culprit task, byte-identical to the behaviour

@@ -30,14 +30,13 @@ compares fixed vs health-driven adaptive thresholds
 mitigation levers (cancel vs lock-reshape vs composite,
 :mod:`repro.core.levers`), and ``cluster`` compares local-only vs
 coordinated cross-node culprit attribution on a simulated fleet
-(:mod:`repro.cluster`).  All are opt-in -- ``repro faults matrix`` /
-``repro ablate-adaptive`` / ``repro ablate --levers`` / ``repro
-cluster`` or ``repro run <id>`` -- and not part of the default ``repro
-all`` order; so are the three ``ablation-*`` knob sweeps and the
-multi-seed ``robustness`` repeat.
+(:mod:`repro.cluster`).  All are opt-in -- ``repro run <id>`` -- and
+not part of the default ``repro all`` order; so are the three
+``ablation-*`` knob sweeps and the multi-seed ``robustness`` repeat.
 """
 
 from importlib import import_module
+from inspect import signature
 from typing import NamedTuple, Optional
 
 from .harness import RunResult, normalize, run_simulation
@@ -62,16 +61,22 @@ class Experiment(NamedTuple):
     #: Importing the module registers a sim family, so campaign workers
     #: must import it (:func:`repro.campaign.load_all_families`).
     family: bool = False
-    #: The runner takes ``seed``; one that does not (the tables read
-    #: registries, ``robustness`` sweeps its own ``seeds``) is called
-    #: without it, so callers hand every experiment the seed alike.
-    seeded: bool = True
+
+    def accepts(self, name: str) -> bool:
+        """Whether the runner takes keyword ``name``, read from its
+        signature."""
+        return name in signature(self._runner()).parameters
+
+    def _runner(self):
+        return getattr(import_module(f"{__name__}.{self.module}"), self.runner)
 
     def __call__(self, *args, **kwargs) -> ExperimentResult:
-        if not self.seeded:
+        # A runner without ``seed`` (the tables read registries,
+        # ``robustness`` sweeps its own ``seeds``) is called without it,
+        # so callers hand every experiment the seed alike.
+        if not self.accepts("seed"):
             kwargs.pop("seed", None)
-        module = import_module(f"{__name__}.{self.module}")
-        return getattr(module, self.runner)(*args, **kwargs)
+        return self._runner()(*args, **kwargs)
 
 
 EXPERIMENTS = (
@@ -79,12 +84,9 @@ EXPERIMENTS = (
     Experiment("fig2", "fig2_buffer_pool", report=True, family=True),
     Experiment("fig3", "fig3_lock_contention", report=True, family=True),
     Experiment("fig4", "fig4_motivation", report=True),
-    Experiment("table1", "table_experiments", "run_table1", report=True,
-               seeded=False),
-    Experiment("table2", "table_experiments", "run_table2", report=True,
-               seeded=False),
-    Experiment("table3", "table_experiments", "run_table3", report=True,
-               seeded=False),
+    Experiment("table1", "table_experiments", "run_table1", report=True),
+    Experiment("table2", "table_experiments", "run_table2", report=True),
+    Experiment("table3", "table_experiments", "run_table3", report=True),
     Experiment("fig9", "fig9_comparison", report=True),
     Experiment("fig10", "fig10_mitigation", report=True),
     Experiment("fig11", "fig11_drop_rate", report=True),
@@ -100,7 +102,7 @@ EXPERIMENTS = (
     Experiment("ablation-cooldown", "ablations", "run_cooldown"),
     Experiment("ablation-detection", "ablations", "run_detection_period"),
     Experiment("ablation-reexec", "ablations", "run_no_reexecution"),
-    Experiment("robustness", "robustness", seeded=False),
+    Experiment("robustness", "robustness"),
     # The family every case sweep above shares; no experiment of its own.
     Experiment("case", "case_family", runner=None, family=True),
 )

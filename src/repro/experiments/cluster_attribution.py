@@ -34,7 +34,7 @@ fleet digest/scalars through the content-addressed cache.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..cluster import demo_fleet, run_fleet
 from ..cluster.spec import MODES
@@ -120,7 +120,6 @@ def cluster_spec(
 def run(
     quick: bool = True,
     seed: int = 0,
-    jobs: Optional[int] = None,
     n_nodes: int = 3,
     policy: str = "least-outstanding",
 ) -> ExperimentResult:
@@ -153,7 +152,7 @@ def run(
         ["mode", "calm", "no_cross_node_culprit", "cancel", "quarantine"],
     )
     for mode in MODES:
-        result = run_fleet(spec.with_mode(mode), jobs=jobs)
+        result = run_fleet(spec.with_mode(mode))
         modes.add_row(
             mode,
             result.wrong_culprit_rate,

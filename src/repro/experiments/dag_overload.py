@@ -33,7 +33,7 @@ identical between serial and ``--jobs N`` executions.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..campaign import RunSpec, execute
 from ..sim.metrics import Summary
@@ -131,7 +131,6 @@ def dag_spec(
 def run(
     quick: bool = True,
     seed: int = 0,
-    jobs: Optional[int] = None,
     n_leaves: int = 2,
 ) -> ExperimentResult:
     """Run the four-controller DAG storm contrast."""
@@ -144,7 +143,7 @@ def run(
         dag_spec("dag", controller, scenario, seed, duration, warmup)
         for controller in DAG_CONTRAST
     ]
-    outcomes = execute(specs, jobs=jobs)
+    outcomes = execute(specs)
 
     table = ExperimentTable(
         "DAG storm: cancel vs shed vs throttle",

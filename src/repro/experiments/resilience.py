@@ -23,7 +23,7 @@ reports
 
 The grid goes through :func:`repro.campaign.execute`, so it caches,
 parallelizes, and is byte-deterministic per seed like every other
-experiment.  Regenerate with ``repro faults matrix`` (see
+experiment.  Regenerate with ``repro run resilience`` (see
 ``docs/RESILIENCE.md``).
 """
 

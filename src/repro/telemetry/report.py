@@ -10,7 +10,7 @@ fault inject/restore markers, and the decision-audit table.
 from __future__ import annotations
 
 import html
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..obs.export import (
     SPARK_H,
@@ -163,24 +163,20 @@ def _run_section(run: RunTelemetry) -> str:
     )
 
 
-def render_html_report(
-    runs: List[RunTelemetry], title: Optional[str] = None
-) -> str:
+def render_html_report(runs: List[RunTelemetry]) -> str:
     """Render a complete, self-contained HTML report for the runs."""
     sections = "".join(_run_section(run) for run in runs)
     if not runs:
         sections = "<p>No telemetry captured (no runs executed).</p>"
     total_events = sum(len(run.health_events) for run in runs)
     return page(
-        title or "repro telemetry report",
+        "repro telemetry report",
         f'<p class="meta">{len(runs)} run(s) · '
         f"{total_events} health event(s) · generated by repro.telemetry"
         f"</p>{sections}",
     )
 
 
-def write_html_report(
-    runs: List[RunTelemetry], path, title: Optional[str] = None
-) -> None:
+def write_html_report(runs: List[RunTelemetry], path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_html_report(runs, title))
+        handle.write(render_html_report(runs))

@@ -61,6 +61,21 @@ class TestSettingsResolution:
     def test_jobs_floor_is_one(self):
         assert current_settings(jobs=0).jobs == 1
 
+    def test_an_observed_run_executes_in_this_process(self, monkeypatch):
+        from repro.cluster.epoch import shard_count
+        from repro.telemetry import TelemetrySession, telemetry_session
+
+        monkeypatch.setenv(JOBS_ENV, "3")
+        with settings(jobs=2):
+            assert current_settings().jobs == 2
+            for observed in (tracing(Tracer()),
+                             telemetry_session(TelemetrySession())):
+                with observed:
+                    assert current_settings().jobs == 1
+                    assert current_settings(jobs=4).jobs == 1
+                    assert shard_count(4, jobs=4) == 1
+            assert current_settings().jobs == 2
+
 
 class TestExecute:
     def test_empty_batch(self):

@@ -168,15 +168,17 @@ class TestAdaptiveRuns:
         from repro.campaign import execute
         from repro.experiments.case_family import case_spec
 
-        fixed, adaptive = execute([
-            case_spec("adapt-test", "c2", 1, system="atropos"),
-            case_spec("adapt-test", "c2", 1,
-                      overlay={"adaptive_thresholds": True}),
-        ])
-        assert fixed.extras.get("adaptations", 0) == 0
-        assert adaptive.adaptations > 0
-        assert adaptive.extras["adapt_events"]
-        assert fixed.summary.p99_latency != adaptive.summary.p99_latency
+        for case_id in ("c2", "c12"):
+            fixed, adaptive = execute([
+                case_spec("adapt-test", case_id, 1, system="atropos"),
+                case_spec("adapt-test", case_id, 1,
+                          overlay={"adaptive_thresholds": True}),
+            ])
+            assert fixed.extras.get("adaptations", 0) == 0, case_id
+            assert adaptive.adaptations > 0, case_id
+            assert adaptive.extras["adapt_events"], case_id
+            assert fixed.summary.p99_latency != \
+                adaptive.summary.p99_latency, case_id
 
     def test_fixed_case_unaffected_when_health_never_fires(self):
         # Seed 0 on c2 never trips the health rules: the adaptive run

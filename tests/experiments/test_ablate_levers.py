@@ -1,4 +1,4 @@
-"""Tests for the mitigation-lever ablation (`repro ablate --levers`)."""
+"""Tests for the mitigation-lever ablation (`repro run ablate-levers`)."""
 
 import pytest
 
@@ -30,6 +30,24 @@ class TestSpecIdentity:
 
         apps = {get_case(cid).app_name for cid in QUICK_CASES}
         assert apps == {"mysql", "mongodb"}
+
+
+class TestLeverContrast:
+    def test_cancel_and_lock_reshape_pull_different_levers(self):
+        from repro.campaign import execute
+
+        cancel, reshape = execute([
+            case_spec("lever-test", "c17", 0, overlay={"lever": "cancel"}),
+            case_spec("lever-test", "c17", 0,
+                      overlay={"lever": "lock_reshape"}),
+        ])
+        cancel_mix = cancel.extras["audit_mix"]
+        reshape_mix = reshape.extras["audit_mix"]
+        assert cancel_mix != reshape_mix
+        assert cancel.cancels > 0
+        assert reshape.cancels == 0
+        assert reshape_mix.get("lock-reshaped", 0) > 0
+        assert "lock-reshaped" not in cancel_mix
 
 
 @pytest.mark.slow

@@ -27,7 +27,8 @@ def test_row_matches_its_module(experiment):
     runner = getattr(module, experiment.runner)
     parameters = inspect.signature(runner).parameters
     assert "quick" in parameters
-    assert experiment.seeded == ("seed" in parameters)
+    assert all(experiment.accepts(name) for name in parameters)
+    assert not experiment.accepts("no_such_keyword")
     # One id per experiment: the registry's is the one the result carries.
     assert f'experiment_id="{experiment.id}"' in inspect.getsource(runner)
     assert resolve_experiment_id(experiment.id) == experiment.id

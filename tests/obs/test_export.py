@@ -141,3 +141,13 @@ def test_render_trace_summary_mentions_counts():
     summary = render_trace_summary(tracer)
     assert "runs traced:" in summary
     assert "lock" in summary
+
+
+def test_page_escapes_its_heading():
+    from repro.obs.export import page
+
+    text = page("smoke <report>", "<p>body</p>")
+    assert text.startswith("<!DOCTYPE html>")
+    assert "<title>smoke &lt;report&gt;</title>" in text
+    assert "<h1>smoke &lt;report&gt;</h1>" in text
+    assert "<p>body</p>" in text

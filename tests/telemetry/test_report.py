@@ -71,8 +71,8 @@ class TestHtmlReport:
 
     def test_run_metadata_and_title_rendered(self):
         session = scraped_session()
-        text = render_html_report(session.runs, title="smoke <report>")
-        assert "smoke &lt;report&gt;" in text
+        text = render_html_report(session.runs)
+        assert "<title>repro telemetry report</title>" in text
         assert session.runs[0].label in text
         assert f"{len(session.runs[0].windows)} windows" in text
 

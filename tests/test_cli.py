@@ -1,9 +1,45 @@
 """Tests for the CLI (`python -m repro`) and report generation."""
 
+import argparse
+import inspect
+from importlib import import_module
+
 import pytest
 
 from repro.__main__ import build_parser, main
 from repro.reporting import DEFAULT_ORDER, render_report, run_experiments
+
+
+#: (retired spelling, its ``run`` spelling, runner module, the keyword
+#: arguments the retired spelling handed the runner per call).
+ROUTES = [
+    ("ablate-adaptive --cases c2 c12 --seed 1",
+     "run ablate-adaptive --cases c2 c12 --seed 1", "ablate_adaptive",
+     [dict(quick=True, seed=1, case_ids=["c2", "c12"])]),
+    ("ablate", "run ablate-adaptive", "ablate_adaptive",
+     [dict(quick=True, seed=0, case_ids=None)]),
+    ("ablate --levers --full --cases c17",
+     "run ablate-levers --full --cases c17", "ablate_levers",
+     [dict(quick=False, seed=0, case_ids=["c17"])]),
+    ("faults matrix --kinds cancel-drop burst",
+     "run resilience --kinds cancel-drop burst", "resilience",
+     [dict(quick=True, seed=0, case_ids=None,
+           kinds=["cancel-drop", "burst"])]),
+    ("faults matrix --full --cases c1 --seed 2",
+     "run resilience --full --cases c1 --seed 2", "resilience",
+     [dict(quick=False, seed=2, case_ids=["c1"], kinds=None)]),
+    ("sweep fig11 --seeds 0 1", "run fig11 --seeds 0 1", "fig11_drop_rate",
+     [dict(quick=True, seed=0), dict(quick=True, seed=1)]),
+    ("report fig2 --seed 3 --out F", "run fig2 --seed 3 --telemetry {tmp}",
+     "fig2_buffer_pool", [dict(quick=True, seed=3)]),
+    ("cluster", "run cluster", "cluster_attribution",
+     [dict(quick=True, seed=0, n_nodes=3, policy="least-outstanding")]),
+    ("cluster --nodes 5 --policy p2c --full",
+     "run cluster --nodes 5 --policy p2c --full", "cluster_attribution",
+     [dict(quick=False, seed=0, n_nodes=5, policy="p2c")]),
+    ("dag --leaves 3", "run dag --leaves 3", "dag_overload",
+     [dict(quick=True, seed=0, n_leaves=3)]),
+]
 
 
 class TestParser:
@@ -14,6 +50,16 @@ class TestParser:
     def test_list_parses(self):
         args = build_parser().parse_args(["list"])
         assert args.command == "list"
+
+    def test_top_level_commands(self):
+        (sub,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert list(sub.choices) == [
+            "list", "run", "all", "case", "trace", "faults", "cluster",
+            "dag", "regress", "cache",
+        ]
 
     def test_run_parses_flags(self):
         args = build_parser().parse_args(
@@ -35,11 +81,11 @@ class TestParser:
 
     def test_ablate_adaptive_parses(self):
         args = build_parser().parse_args(
-            ["ablate-adaptive", "--seed", "1", "--cases", "c2", "c12"]
+            ["run", "ablate-adaptive", "--seed", "1", "--cases", "c2", "c12"]
         )
-        assert args.command == "ablate-adaptive"
+        assert args.experiment == "ablate-adaptive"
         assert args.seed == 1
-        assert args.cases == ["c2", "c12"]
+        assert args.case_ids == ["c2", "c12"]
 
     def test_run_parses_campaign_flags(self):
         args = build_parser().parse_args(
@@ -58,9 +104,11 @@ class TestParser:
 
     def test_sweep_parses_seeds(self):
         args = build_parser().parse_args(
-            ["sweep", "fig10", "--seeds", "0", "1", "2"]
+            ["run", "fig10", "--seeds", "0", "1", "2", "--output", "s.txt"]
         )
         assert args.seeds == [0, 1, 2]
+        assert args.output == "s.txt"
+        assert build_parser().parse_args(["run", "fig10"]).seeds is None
 
     def test_cache_requires_action(self):
         with pytest.raises(SystemExit):
@@ -82,7 +130,7 @@ class TestParser:
         assert args.out == "b.json"
         assert args.name == "nightly"
         assert args.targets == ["case", "dag"]
-        assert args.cases == ["c1", "c2"]
+        assert args.case_ids == ["c1", "c2"]
         assert args.seed == 3
 
     def test_regress_baseline_parses_any_target_name(self):
@@ -107,12 +155,12 @@ class TestParser:
 
     def test_ablate_parses_levers_flag(self):
         args = build_parser().parse_args(
-            ["ablate", "--levers", "--cases", "c17", "c18"]
+            ["run", "ablate-levers", "--cases", "c17", "c18"]
         )
-        assert args.command == "ablate"
-        assert args.levers
-        assert args.cases == ["c17", "c18"]
-        assert not build_parser().parse_args(["ablate"]).levers
+        assert args.experiment == "ablate-levers"
+        assert args.case_ids == ["c17", "c18"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["ablate", "--levers"])
 
     def test_regress_check_parses(self):
         args = build_parser().parse_args(
@@ -152,13 +200,16 @@ class TestParser:
 
     def test_faults_matrix_parses_flags(self):
         args = build_parser().parse_args(
-            ["faults", "matrix", "--quick", "--kinds", "burst",
+            ["run", "resilience", "--kinds", "burst",
              "cancel-drop", "--cases", "c1", "--jobs", "2"]
         )
-        assert args.faults_command == "matrix"
+        assert args.experiment == "resilience"
         assert args.kinds == ["burst", "cancel-drop"]
-        assert args.cases == ["c1"]
+        assert args.case_ids == ["c1"]
+        assert args.jobs == 2
         assert not args.full
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["faults", "matrix"])
 
     def test_run_parses_telemetry_flags(self):
         args = build_parser().parse_args(
@@ -176,22 +227,26 @@ class TestParser:
         assert args.scrape_interval == 0.25
 
     def test_report_parses(self):
+        # The HTML report is what `run --telemetry DIR` writes.
         args = build_parser().parse_args(
-            ["report", "fig2", "--out", "r.html", "--seed", "3"]
+            ["run", "fig2", "--telemetry", "out", "--seed", "3"]
         )
-        assert args.command == "report"
         assert args.experiment == "fig2"
-        assert args.out == "r.html"
+        assert args.telemetry == "out"
         assert args.seed == 3
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "fig2"])
 
     def test_cluster_defaults(self):
+        # Unset --nodes / --policy keep the scenario's defaults.
         args = build_parser().parse_args(["cluster"])
         assert args.command == "cluster"
-        assert args.nodes == 3
-        assert args.mode == "compare"
-        assert args.policy == "least-outstanding"
+        assert args.n_nodes is None
+        assert args.mode == "coordinated"
+        assert args.policy is None
         assert args.jobs is None
         assert not args.digest
+        assert build_parser().parse_args(["dag"]).controller == "atropos"
 
     def test_cluster_parses_flags(self):
         args = build_parser().parse_args(
@@ -200,7 +255,7 @@ class TestParser:
              "--duration", "12", "--warmup", "3", "--epoch", "0.25",
              "--seed", "7", "--jobs", "2", "--digest"]
         )
-        assert args.nodes == 5
+        assert args.n_nodes == 5
         assert args.mode == "coordinated"
         assert args.policy == "p2c"
         assert args.backends == ["mysql"]
@@ -214,6 +269,14 @@ class TestParser:
     def test_cluster_validates_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cluster", "--mode", "bogus"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cluster", "--mode", "compare"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cluster", "--full"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["dag", "--controller", "compare"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["dag", "--cache-dir", "c"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cluster", "--policy", "bogus"])
         with pytest.raises(SystemExit):
@@ -263,12 +326,68 @@ class TestCommands:
 
         module = import_module(f"repro.experiments.{module}")
         monkeypatch.setattr(module, "run", run)
-        assert main(["sweep", experiment, "--seeds", "0", "1", "2"]) == 0
+        assert main(["run", experiment, "--seeds", "0", "1", "2"]) == 0
         assert seen == [0, 1, 2]
         out = capsys.readouterr().out
+        assert out.startswith(f"# Sweep: {experiment} (seeds=[0, 1, 2])")
         assert "ran seed 1" in out and "ran seed 2" in out
         assert main(["run", experiment, "--seed", "7"]) == 0
         assert seen[-1] == 7
+
+    @pytest.mark.parametrize(
+        "retired, spelling, module, calls", ROUTES, ids=[r[0] for r in ROUTES]
+    )
+    def test_each_new_spelling_hands_the_runner_what_the_retired_did(
+        self, retired, spelling, module, calls, tmp_path, monkeypatch, capsys
+    ):
+        from repro.experiments import ExperimentResult
+
+        module = import_module(f"repro.experiments.{module}")
+        signature = inspect.signature(module.run)
+
+        def effective(kwargs):
+            bound = signature.bind(**kwargs)
+            bound.apply_defaults()
+            return dict(bound.arguments)
+
+        seen = []
+
+        def run(**kwargs):
+            seen.append(effective(kwargs))
+            return ExperimentResult("routed", "routed")
+
+        run.__signature__ = signature
+        monkeypatch.setattr(module, "run", run)
+        argv = spelling.format(tmp=tmp_path).split()
+        assert main(argv) == 0
+        assert seen == [effective(kwargs) for kwargs in calls]
+
+    def test_a_flag_the_runner_does_not_take_exits_2(self, capsys):
+        assert main(["run", "fig2", "--kinds", "burst"]) == 2
+        assert "--kinds" in capsys.readouterr().err
+        assert main(["trace", "table1", "--cases", "c1"]) == 2
+        assert "--cases" in capsys.readouterr().err
+
+    def test_trace_runs_serially_and_warms_the_cache(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.campaign import execute
+        from repro.experiments import ExperimentResult
+        from repro.experiments.case_family import case_spec
+
+        def run(quick=True, seed=0, case_ids=None):
+            execute([case_spec("t", "c1", seed, include_culprit=False)])
+            return ExperimentResult("fig11", "one run")
+
+        module = import_module("repro.experiments.fig11_drop_rate")
+        monkeypatch.setattr(module, "run", run)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        assert main(["trace", "fig11", "--out", str(tmp_path / "t.json")]) == 0
+        assert "misses=1 jobs=1 " in capsys.readouterr().err
+        assert main(["run", "fig11"]) == 0
+        assert "hits=1 misses=0" in capsys.readouterr().err
 
     def test_run_table_experiment(self, capsys):
         assert main(["run", "table2"]) == 0
@@ -400,7 +519,7 @@ class TestCommands:
     @pytest.mark.slow
     def test_faults_matrix_cached_rerun_is_identical(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
-        argv = ["faults", "matrix", "--quick", "--kinds", "burst",
+        argv = ["run", "resilience", "--kinds", "burst",
                 "uncancellable", "--cache-dir", cache_dir]
         assert main(argv) == 0
         cold = capsys.readouterr()
@@ -420,28 +539,26 @@ class TestCommands:
         assert "mode=coordinated" in out
         assert "digest " in out
 
-    def test_report_unknown_experiment_exits_2(self, capsys):
-        assert main(["report", "fig99"]) == 2
+    def test_report_unknown_experiment_exits_2(self, tmp_path, capsys):
+        assert main(["run", "fig99", "--telemetry", str(tmp_path)]) == 2
 
     def test_report_on_simulation_free_experiment(self, tmp_path, capsys):
         # Tables regenerate from registries without simulating; the
         # report degrades to a valid empty document.
-        out = str(tmp_path / "t.html")
-        assert main(["report", "table1", "--out", out]) == 0
+        assert main(["run", "table1", "--telemetry", str(tmp_path)]) == 0
         captured = capsys.readouterr()
-        assert "telemetry report for 0 run(s)" in captured.err
-        text = (tmp_path / "t.html").read_text()
+        assert "telemetry for 0 run(s)" in captured.err
+        text = (tmp_path / "report.html").read_text()
         assert text.startswith("<!DOCTYPE html>")
         assert "No telemetry captured" in text
 
     @pytest.mark.slow
     def test_report_writes_sparkline_html(self, tmp_path, capsys):
-        out = str(tmp_path / "fig2.html")
-        assert main(["report", "fig2", "--out", out]) == 0
+        assert main(["run", "fig2", "--telemetry", str(tmp_path)]) == 0
         captured = capsys.readouterr()
         assert "Fig 2" in captured.out
-        assert "telemetry report for 18 run(s)" in captured.err
-        text = (tmp_path / "fig2.html").read_text()
+        assert "telemetry for 18 run(s)" in captured.err
+        text = (tmp_path / "report.html").read_text()
         assert text.count("<svg") >= 4 * 18
         assert "health timeline" in text
 

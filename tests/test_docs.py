@@ -204,16 +204,18 @@ class TestDocumentedCommands:
             "```bash\n"
             "python -m repro run fig9 --no-such-flag   # stale flag\n"
             "python -m repro trace fig99_gone --out t.json\n"
-            "python -m repro sweep fig3_lock_contention \\\n"
+            "python -m repro run fig3_lock_contention \\\n"
             "    --seeds 0 1   # continuation lines are joined\n"
             "python -m repro run fig10 [--seed N] [--jobs N]\n"
+            "python -m repro run fig2 --kinds burst   # not fig2's keyword\n"
             "```\n"
         )
-        flag, experiment = checker.check_cli([doc])
+        flag, experiment, refused = checker.check_cli([doc])
         assert ":6: " in flag and "--no-such-flag" in flag
         assert ":7: " in experiment and "fig99_gone" in experiment
+        assert ":11: " in refused and "--kinds" in refused
 
     def test_synopsis_notation_reads_as_its_first_instance(self):
         assert checker.cli_argv(
-            "python -m repro dag [--controller compare|none] [--jobs N]  # x"
-        ) == ["dag", "--controller", "compare", "--jobs", "1"]
+            "python -m repro dag [--controller atropos|none] [--jobs N]  # x"
+        ) == ["dag", "--controller", "atropos", "--jobs", "1"]

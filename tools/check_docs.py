@@ -16,7 +16,8 @@ target`` definitions -- and verifies
   exist), code fences included -- a stale command is the worst kind,
 * every ``python -m repro ...`` line inside a code fence (and in the
   usage block of the ``repro.__main__`` docstring) parses with the CLI's
-  own ``build_parser()`` and names an experiment the registry knows.
+  own ``build_parser()``, names an experiment the registry knows, and
+  gives only runner flags that experiment's runner takes.
 
 External (``http(s)://``, ``mailto:``) links are skipped -- CI must not
 depend on the network.  Exit status is the number of problems found.
@@ -101,6 +102,12 @@ RETIRED_NAMES = [
     "get_active_telemetry",
     "set_active_telemetry",
     "goodput_floor",
+    "repro sweep",
+    "repro report",
+    "repro ablate",
+    "faults matrix",
+    "--mode compare",
+    "--controller compare",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,
@@ -339,10 +346,11 @@ def cli_argv(command: str) -> List[str]:
 
 def check_cli(files: List[Path]) -> List[str]:
     """Every documented ``python -m repro`` line must parse with the
-    real parser, and a positional experiment must resolve."""
+    real parser, a positional experiment must resolve, and its runner
+    must take every runner flag the line gives."""
     if str(REPO_ROOT / "src") not in sys.path:
         sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.__main__ import build_parser
+    from repro.__main__ import build_parser, runner_kwargs
     from repro.experiments import resolve_experiment_id
 
     parser = build_parser()
@@ -362,8 +370,16 @@ def check_cli(files: List[Path]) -> List[str]:
                 )
                 continue
             name = getattr(args, "experiment", None)
-            if name is not None and resolve_experiment_id(name) is None:
+            if name is None:
+                continue
+            exp_id = resolve_experiment_id(name)
+            if exp_id is None:
                 errors.append(f"{where}: unknown experiment {name!r}")
+                continue
+            try:
+                runner_kwargs(args, exp_id)
+            except ValueError as exc:
+                errors.append(f"{where}: {exc}")
     return errors
 
 
