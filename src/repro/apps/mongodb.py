@@ -8,7 +8,7 @@ Models the application resources behind the two MongoDB extension cases
   (:class:`~repro.sim.resources.docbuffer.DocumentBuffer`).  A bulk
   insert of tiny documents floods the cache; because a page of a
   small-document collection packs dozens of documents, every page a
-  victim re-faults must unlink dozens of LRU entries -- small documents
+  victim re-faults must evict dozens of documents -- small documents
   make eviction slow, the failure mode the mongodb-d4 buffer analyzer
   documents.
 * **collection locks** (LOCK, case c17): FIFO reader/writer locks, one
@@ -272,8 +272,8 @@ class MongoDB(Application):
         Streams small documents into the cache under the task's own
         owner key (cancelling the task frees them).  The flood evicts
         the hot set, and -- because evicting one page of metrics
-        documents means unlinking ``page_size // small_doc_bytes`` LRU
-        entries -- every victim re-fault afterwards pays the
+        documents means evicting ``page_size // small_doc_bytes``
+        documents -- every victim re-fault afterwards pays the
         small-document eviction walk.
         """
         cfg = self.config
@@ -282,7 +282,10 @@ class MongoDB(Application):
         remaining = docs
         try:
             while remaining > 0:
-                batch = int(min(cfg.insert_batch_docs, remaining))
+                # At least one document a batch: a fractional tail (or
+                # batch size) would otherwise insert none, and the loop
+                # would spin at one simulated instant.
+                batch = max(1, int(min(cfg.insert_batch_docs, remaining)))
                 latch = yield from self.acquire_lock(
                     task, self.index_latch, self.r_index_lock, exclusive=False
                 )
