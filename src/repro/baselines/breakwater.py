@@ -101,7 +101,7 @@ class Breakwater(WindowedController):
         return task
 
     def free_cancel(self, task: CancellableTask) -> None:
-        if id(task) in self.tasks:
+        if task.seq in self.tasks:
             self.inflight = max(0, self.inflight - 1)
         super().free_cancel(task)
 

@@ -72,7 +72,7 @@ class Parties(WindowedController):
         return task
 
     def free_cancel(self, task: CancellableTask) -> None:
-        if id(task) in self.tasks:
+        if task.seq in self.tasks:
             client = task.client_id
             self.inflight[client] = max(0, self.inflight.get(client, 0) - 1)
             self.busy_time[client] = (

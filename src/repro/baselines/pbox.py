@@ -62,24 +62,24 @@ class PBox(TracingController):
         self.estimator = Estimator(env, self.runtime, self.config)
         self.penalty_delay = penalty_delay
         self.penalty_duration = penalty_duration
-        #: task-id -> penalty expiry time.
+        #: task seq -> penalty expiry time.
         self._penalized: Dict[int, float] = {}
         self.penalties_issued = 0
         self.pipeline = ControlPipeline(env, detection_period, action=self)
 
     def free_cancel(self, task: CancellableTask) -> None:
-        self._penalized.pop(id(task), None)
+        self._penalized.pop(task.seq, None)
         super().free_cancel(task)
 
     # ------------------------------------------------------------------
     # Penalty mechanism
     # ------------------------------------------------------------------
     def throttle_delay(self, task: CancellableTask) -> float:
-        expiry = self._penalized.get(id(task))
+        expiry = self._penalized.get(task.seq)
         if expiry is None:
             return 0.0
         if self.env.now >= expiry:
-            del self._penalized[id(task)]
+            del self._penalized[task.seq]
             return 0.0
         return self.penalty_delay
 
@@ -110,9 +110,9 @@ class PBox(TracingController):
             ]
         for best in offenders:
             if best is not None:
-                if id(best) not in self._penalized:
+                if best.seq not in self._penalized:
                     self.penalties_issued += 1
-                self._penalized[id(best)] = (
+                self._penalized[best.seq] = (
                     self.env.now + self.penalty_duration
                 )
 

@@ -51,9 +51,9 @@ class Protego(BaseController):
         self.slo_latency = slo_latency
         self.drop_fraction = drop_fraction
         self.monitor_period = monitor_period
-        #: (task-id) -> accumulated closed blocking delay.
+        #: task seq -> accumulated closed blocking delay.
         self._closed_wait: Dict[int, float] = {}
-        #: task-id -> {resource: open wait start time}.  Only tasks that
+        #: task seq -> {resource: open wait start time}.  Only tasks that
         #: are waiting right now have an entry, so the outer order is
         #: wait-start order; the inner order is the task's own.
         self._open_waits: Dict[int, Dict[ResourceHandle, float]] = {}
@@ -73,7 +73,7 @@ class Protego(BaseController):
         self, task: CancellableTask, resource: ResourceHandle
     ) -> None:
         if self._waitable(resource):
-            self._open_waits.setdefault(id(task), {})[resource] = self.env.now
+            self._open_waits.setdefault(task.seq, {})[resource] = self.env.now
 
     def slow_by_resource(
         self,
@@ -85,29 +85,29 @@ class Protego(BaseController):
         # Post-hoc blocking delays (e.g. CPU run-queue waits reported
         # after a burst) also count toward the request's budget.
         if self._waitable(resource):
-            self._closed_wait[id(task)] = (
-                self._closed_wait.get(id(task), 0.0) + delay
+            self._closed_wait[task.seq] = (
+                self._closed_wait.get(task.seq, 0.0) + delay
             )
 
     def end_wait(
         self, task: CancellableTask, resource: ResourceHandle
     ) -> float:
-        waits = self._open_waits.get(id(task))
+        waits = self._open_waits.get(task.seq)
         start = waits.pop(resource, None) if waits is not None else None
         if start is None:
             return 0.0
         if not waits:
-            del self._open_waits[id(task)]
+            del self._open_waits[task.seq]
         duration = self.env.now - start
-        self._closed_wait[id(task)] = (
-            self._closed_wait.get(id(task), 0.0) + duration
+        self._closed_wait[task.seq] = (
+            self._closed_wait.get(task.seq, 0.0) + duration
         )
         return duration
 
     def blocking_delay(self, task: CancellableTask) -> float:
         """Total blocking delay so far (closed + in-progress waits)."""
-        total = self._closed_wait.get(id(task), 0.0)
-        waits = self._open_waits.get(id(task))
+        total = self._closed_wait.get(task.seq, 0.0)
+        waits = self._open_waits.get(task.seq)
         if waits is not None:
             now = self.env.now
             for start in waits.values():
@@ -118,8 +118,8 @@ class Protego(BaseController):
         return sum(len(waits) for waits in self._open_waits.values())
 
     def free_cancel(self, task: CancellableTask) -> None:
-        self._closed_wait.pop(id(task), None)
-        self._open_waits.pop(id(task), None)
+        self._closed_wait.pop(task.seq, None)
+        self._open_waits.pop(task.seq, None)
         super().free_cancel(task)
 
     # ------------------------------------------------------------------
@@ -141,8 +141,8 @@ class Protego(BaseController):
         One drop per open wait, in wait-start order.  An interrupt is
         only scheduled here, so no drop changes what the scan sees next.
         """
-        for task_id, waits in self._open_waits.items():
-            task = self.tasks.get(task_id)
+        for seq, waits in self._open_waits.items():
+            task = self.tasks.get(seq)
             if task is None or not task.alive:
                 continue
             if task.kind is TaskKind.BACKGROUND:

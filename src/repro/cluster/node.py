@@ -187,8 +187,11 @@ class ClusterNode(EpochNode):
         if not targets:
             return
         self._directive_seq += 1
+        # The root is no task of this node's controller: a negative
+        # ``seq`` leaves the controller's numbering as it is.
         root = CancellableTask(
             self.env,
+            seq=-self._directive_seq,
             key=f"{self.name}:directive:{self._directive_seq}",
             op_name="cluster-directive",
             client_id="coordinator",

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from .cancellation import CancellationManager
 from .config import AtroposConfig
-from .controller import BaseController
 from .decision_log import DecisionKind, DecisionLog
 from .detector import OverloadDetector
 from .estimator import Estimator, OverloadAssessment
@@ -93,17 +92,7 @@ class Atropos(TracingController):
         env: "Environment",
         config: Optional[AtroposConfig] = None,
         policy: Optional[CancellationPolicy] = None,
-        fallback: Optional[BaseController] = None,
     ) -> None:
-        """
-        Args:
-            fallback: conventional overload controller consulted when a
-                slowdown is classified as *regular* (pure demand) overload
-                rather than resource overload (§3.3: "ATROPOS invokes
-                other overload control mechanisms in place to handle it").
-                Typically a :class:`~repro.baselines.Seda`-style admission
-                controller.  When None, regular overload is only counted.
-        """
         super().__init__(env, config or AtroposConfig())
         self.detector = OverloadDetector(env, self.config)
         self.estimator = Estimator(env, self.runtime, self.config)
@@ -113,7 +102,6 @@ class Atropos(TracingController):
         self.cancellation = CancellationManager(
             env, self.config, calm_check=self._is_calm
         )
-        self.fallback = fallback
         #: Explainable timeline of detections/classifications/cancels.
         self.decision_log = DecisionLog()
         #: Count of detector activations classified as regular overload.
@@ -121,9 +109,6 @@ class Atropos(TracingController):
         #: Most recent assessment (exposed for experiments/diagnostics).
         self.last_assessment: Optional[OverloadAssessment] = None
         self._started = False
-        #: True while the current detection window is classified as
-        #: regular (demand) overload; routes admission to the fallback.
-        self._regular_overload_active = False
         #: The active mitigation lever (the pipeline's action stage).
         self.lever = resolve_lever(self.config.lever)(self)
         #: The control pipeline (sample -> adapt -> act -> roll).
@@ -188,25 +173,14 @@ class Atropos(TracingController):
     # ------------------------------------------------------------------
     # Feedback + monitor loop
     # ------------------------------------------------------------------
-    def admit(self, op_name: str, client_id: str) -> bool:
-        """ATROPOS does no admission control itself; during *regular*
-        overload episodes the fallback controller's admission applies."""
-        if self.fallback is not None and self._regular_overload_active:
-            return self.fallback.admit(op_name, client_id)
-        return True
-
     def observe_completion(self, record: "RequestRecord") -> None:
         # The detector is the only stage that reads completions.
         self.detector.observe_completion(record)
-        if self.fallback is not None:
-            self.fallback.observe_completion(record)
 
     def start(self) -> None:
         if self._started:
             return
         self._started = True
-        if self.fallback is not None:
-            self.fallback.start()
         self.pipeline.start()
 
     # ------------------------------------------------------------------

@@ -78,14 +78,15 @@ class BaseController:
     ) -> CancellableTask:
         """Register the current activity as a cancellable task.
 
-        If ``key`` is omitted a unique key is generated (paper §3.1).  The
+        Every task gets the run's next ``seq``, which is also its key if
+        ``key`` is omitted (paper §3.1: "a unique key is generated").  The
         active simulated process is captured as the cancellation target.
         """
-        if key is None:
-            key = self._task_seq
-            self._task_seq += 1
+        seq = self._task_seq
+        self._task_seq = seq + 1
         task = CancellableTask(
             env=self.env,
+            seq=seq,
             key=key,
             kind=kind or TaskKind.REQUEST,
             client_id=client_id,
@@ -94,13 +95,13 @@ class BaseController:
             progress=progress,
             cancellable=cancellable,
         )
-        self.tasks[id(task)] = task
+        self.tasks[seq] = task
         return task
 
     def free_cancel(self, task: CancellableTask) -> None:
         """Unregister a task when its scope ends (idempotent)."""
         task.finish()
-        self.tasks.pop(id(task), None)
+        self.tasks.pop(task.seq, None)
 
     def set_cancel_action(self, initiator: CancelInitiator) -> None:
         """Register the application's cancellation initiator callback."""

@@ -21,8 +21,9 @@ what ``repro trace --audit`` exports and what the acceptance invariant
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 
 class DecisionKind(enum.Enum):
@@ -155,11 +156,11 @@ class DecisionLog:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._events: List[DecisionEvent] = []
+        self._events: Deque[DecisionEvent] = deque(maxlen=capacity)
         #: Events dropped once capacity was reached (oldest first).
         self.dropped = 0
         #: Decision audits, bounded by the same capacity.
-        self._audits: List[DecisionAudit] = []
+        self._audits: Deque[DecisionAudit] = deque(maxlen=capacity)
         self.audits_dropped = 0
 
     def record(
@@ -172,18 +173,16 @@ class DecisionLog:
         event = DecisionEvent(
             time=time, kind=kind, summary=summary, details=details
         )
-        self._events.append(event)
-        if len(self._events) > self.capacity:
-            self._events.pop(0)
+        if len(self._events) == self.capacity:
             self.dropped += 1
+        self._events.append(event)
         return event
 
     def record_audit(self, audit: DecisionAudit) -> DecisionAudit:
         """Append one decision audit (bounded like the event timeline)."""
-        self._audits.append(audit)
-        if len(self._audits) > self.capacity:
-            self._audits.pop(0)
+        if len(self._audits) == self.capacity:
             self.audits_dropped += 1
+        self._audits.append(audit)
         return audit
 
     # ------------------------------------------------------------------
@@ -223,7 +222,7 @@ class DecisionLog:
         limit: Optional[int] = None,
     ) -> str:
         """Human-readable timeline (optionally filtered / truncated)."""
-        events = self._events
+        events = list(self._events)
         if kinds is not None:
             wanted = set(kinds)
             events = [e for e in events if e.kind in wanted]

@@ -93,8 +93,10 @@ class TaskTree:
         self.env = env
         self.root = root
         self.propagation_delay = propagation_delay
-        #: child task -> node it runs on.
-        self._children: Dict[int, tuple] = {}
+        #: child task -> node it runs on.  Keyed by the task itself:
+        #: children come from several nodes' controllers, whose ``seq``
+        #: numbers collide.
+        self._children: Dict[CancellableTask, Node] = {}
         self.deliveries: List[Delivery] = []
 
     # ------------------------------------------------------------------
@@ -104,15 +106,15 @@ class TaskTree:
         """Associate a child task (running on ``node``) with the root."""
         if task is self.root:
             raise ValueError("the root cannot be its own child")
-        self._children[id(task)] = (task, node)
+        self._children[task] = node
         task.metadata["root_key"] = self.root.key
 
     def remove_child(self, task: CancellableTask) -> None:
-        self._children.pop(id(task), None)
+        self._children.pop(task, None)
 
     @property
     def children(self) -> List[CancellableTask]:
-        return [task for task, _ in self._children.values()]
+        return list(self._children)
 
     def live_children(self) -> List[CancellableTask]:
         return [t for t in self.children if t.alive]
@@ -136,7 +138,7 @@ class TaskTree:
                 default_initiator(self.root, signal)
             # else: the root itself initiated the abort (client disconnect
             # handled inline); it unwinds on its own after propagation.
-        for task, node in list(self._children.values()):
+        for task, node in list(self._children.items()):
             yield self.env.timeout(self.propagation_delay)
             delivery = self._deliver(task, node, signal)
             self.deliveries.append(delivery)
@@ -185,12 +187,12 @@ class TaskTree:
         unwinding a cancellation are excluded.  Order follows child
         registration order, matching :meth:`cancel_all`.
         """
-        latest: Dict[int, Delivery] = {}
+        latest: Dict[CancellableTask, Delivery] = {}
         for delivery in self.deliveries:
-            latest[id(delivery.task)] = delivery
+            latest[delivery.task] = delivery
         owed: List[Delivery] = []
-        for key, (task, _node) in self._children.items():
-            delivery = latest.get(key)
+        for task in self._children:
+            delivery = latest.get(task)
             if delivery is None or delivery.delivered:
                 continue
             if not task.alive or task.cancel_count > 0:
@@ -211,10 +213,10 @@ class TaskTree:
         )
         retried: List[Delivery] = []
         for stale in self.undelivered():
-            entry = self._children.get(id(stale.task))
-            if entry is None:
+            task = stale.task
+            node = self._children.get(task)
+            if node is None:
                 continue
-            task, node = entry
             yield self.env.timeout(self.propagation_delay)
             delivery = self._deliver(task, node, signal)
             self.deliveries.append(delivery)

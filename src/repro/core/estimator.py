@@ -207,13 +207,13 @@ class Estimator:
         self, task: CancellableTask, resource: ResourceHandle
     ) -> float:
         """Gain without the future scaling (the Fig 13 ablation baseline)."""
-        record = self.runtime.ledger.record(id(task), resource)
+        record = self.runtime.ledger.record(task.seq, resource)
         if record is None:
             return 0.0
         return _usage(record, resource.rtype, self.env.now)
 
     def _touched_usage(self, resource: ResourceHandle):
-        """``(task key, current usage)`` of every task with a get, free or
+        """``(task seq, current usage)`` of every task with a get, free or
         slow-by on ``resource``, in first-touch order.  A task without
         one uses nothing of it."""
         aggregate = self.runtime.ledger.aggregate(resource)
@@ -273,14 +273,14 @@ class Estimator:
         #: median and count are read).
         gains: Dict[ResourceHandle, List[float]] = {r: [] for r in resources}
         if self.gain_tap is None:
-            by_key = {
-                id(report.task): (report, multiplier)
+            by_seq = {
+                report.task.seq: (report, multiplier)
                 for report, multiplier in zip(task_reports, multipliers)
             }
             for resource in resources:
                 positive = gains[resource]
-                for key, usage in self._touched_usage(resource):
-                    entry = by_key.get(key)
+                for seq, usage in self._touched_usage(resource):
+                    entry = by_seq.get(seq)
                     if entry is None:
                         continue
                     gain = usage * entry[1]
@@ -308,25 +308,21 @@ class Estimator:
     ) -> Optional[CancellableTask]:
         """The live task using the most of ``resource`` right now.
 
-        ``tasks`` is the controller's task table (key -> task, creation
-        order); ties go to the task created first.  The same pick as
+        ``tasks`` is the controller's task table (``seq`` -> task); ties
+        go to the task created first, the lower ``seq``.  The same pick as
         scanning an assessment's ``TaskReport`` list for the first
         strictly greater current usage, without building one.
         """
         best: Optional[CancellableTask] = None
         best_usage = 0.0
-        order = None
-        for key, usage in self._touched_usage(resource):
+        for seq, usage in self._touched_usage(resource):
             if usage < best_usage or not usage > 0.0:  # NaN never wins
                 continue
-            task = tasks.get(key)
+            task = tasks.get(seq)
             if task is None or not task.alive:
                 continue
-            if usage == best_usage:
-                if order is None:
-                    order = {k: i for i, k in enumerate(tasks)}
-                if order[key] > order[id(best)]:
-                    continue
+            if usage == best_usage and seq > best.seq:
+                continue
             best, best_usage = task, usage
         return best
 

@@ -123,9 +123,9 @@ class ResourceUsage(_Counters):
 
     def __init__(self) -> None:
         super().__init__()
-        #: task key -> record, for tasks with a get / free / slow-by.
+        #: task seq -> record, for tasks with a get / free / slow-by.
         self.touched: Dict[int, TaskUsage] = {}
-        #: task key -> record, for tasks that ever queued on it.
+        #: task seq -> record, for tasks that ever queued on it.
         self.waited: Dict[int, TaskUsage] = {}
 
 
@@ -177,7 +177,7 @@ class UsageLedger:
     """Windowed + cumulative usage accounting across tasks and resources."""
 
     def __init__(self) -> None:
-        #: task key -> that task's records, by resource name.  Read
+        #: task seq -> that task's records, by resource name.  Read
         #: directly by the runtime's tracing entry points.
         self.by_task: Dict[int, Dict[str, TaskUsage]] = {}
         #: resource name -> aggregate record (kept for the ledger's

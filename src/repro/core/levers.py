@@ -74,7 +74,6 @@ class MitigationLever(ActionPolicy):
                 signals.get("oldest_inflight_age", 0.0)
             )
         else:
-            self.controller._regular_overload_active = False
             self._on_calm(now)
 
     def _on_calm(self, now: float) -> None:
@@ -103,14 +102,14 @@ class MitigationLever(ActionPolicy):
         audit = self._start_audit(now, sample, oldest_age, assessment)
         hottest = assessment.most_contended()
         if not assessment.is_resource_overload:
-            # Regular (demand) overload: out of scope for cancellation;
-            # delegated to the conventional fallback controller (§3.3).
+            # Regular (demand) overload: out of scope for cancellation
+            # (§3.3 leaves it to conventional overload control); only
+            # counted.
             c.regular_overloads += 1
-            c._regular_overload_active = True
             c.decision_log.record(
                 now,
                 DecisionKind.CLASSIFICATION,
-                "regular (demand) overload -> fallback",
+                "regular (demand) overload",
                 hottest=str(hottest.resource) if hottest else None,
                 contention=round(hottest.contention_norm, 3)
                 if hottest
@@ -119,7 +118,6 @@ class MitigationLever(ActionPolicy):
             audit.verdict = "regular-overload"
             self._finish_audit(audit)
             return
-        c._regular_overload_active = False
         culprit_resource = next(
             (r for r in assessment.resources if r.overloaded and r.concentrated),
             hottest,

@@ -120,7 +120,7 @@ class RuntimeManager:
                 )
             stamp = self._last_sampled_stamp
         ledger = self.ledger
-        key = id(task)
+        key = task.seq
         records = ledger.by_task.get(key)
         record = records.get(resource.name) if records is not None else None
         if record is None or record.epoch != ledger.epoch:
@@ -148,7 +148,7 @@ class RuntimeManager:
                 )
             stamp = self._last_sampled_stamp
         ledger = self.ledger
-        key = id(task)
+        key = task.seq
         records = ledger.by_task.get(key)
         record = records.get(resource.name) if records is not None else None
         if record is None or record.epoch != ledger.epoch:
@@ -179,7 +179,7 @@ class RuntimeManager:
     ) -> None:
         self.events_traced += 1
         ledger = self.ledger
-        key = id(task)
+        key = task.seq
         records = ledger.by_task.get(key)
         record = records.get(resource.name) if records is not None else None
         if record is None or record.epoch != ledger.epoch:
@@ -201,7 +201,7 @@ class RuntimeManager:
         """``task`` started queueing on ``resource`` (before the grant)."""
         self.events_traced += 1
         ledger = self.ledger
-        key = id(task)
+        key = task.seq
         records = ledger.by_task.get(key)
         record = records.get(resource.name) if records is not None else None
         if record is None:
@@ -220,7 +220,7 @@ class RuntimeManager:
         event) and returns it."""
         self.events_traced += 1
         ledger = self.ledger
-        key = id(task)
+        key = task.seq
         records = ledger.by_task.get(key)
         record = records.get(resource.name) if records is not None else None
         if record is None or not record.wait_depth:
@@ -280,8 +280,8 @@ class TracingController(BaseController):
         return task
 
     def free_cancel(self, task: CancellableTask) -> None:
-        if id(task) in self.tasks:
+        if task.seq in self.tasks:
             runtime = self.runtime
             runtime.activity.task_finished()
-            runtime.ledger.forget_task(id(task))
+            runtime.ledger.forget_task(task.seq)
         super().free_cancel(task)

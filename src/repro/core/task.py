@@ -38,7 +38,8 @@ class CancellableTask:
     def __init__(
         self,
         env: "Environment",
-        key: Any,
+        seq: int,
+        key: Any = None,
         kind: TaskKind = TaskKind.REQUEST,
         client_id: str = "anonymous",
         op_name: str = "op",
@@ -47,7 +48,12 @@ class CancellableTask:
         cancellable: bool = True,
     ) -> None:
         self.env = env
-        self.key = key
+        #: Creation number within the run, assigned once by
+        #: ``BaseController.create_cancel``: the key of every
+        #: controller-scoped table.
+        self.seq = seq
+        #: The application's name for the task; its ``seq`` by default.
+        self.key = seq if key is None else key
         self.kind = kind
         self.client_id = client_id
         self.op_name = op_name

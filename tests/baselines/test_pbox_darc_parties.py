@@ -19,11 +19,11 @@ class TestPBox:
     def test_penalty_applied_and_expires(self, env):
         p = PBox(env, penalty_delay=0.05, penalty_duration=0.5)
         task = p.create_cancel()
-        p._penalized[id(task)] = env.now + 0.5
+        p._penalized[task.seq] = env.now + 0.5
         assert p.throttle_delay(task) == 0.05
         env.run(until=1.0)
         assert p.throttle_delay(task) == 0.0
-        assert id(task) not in p._penalized
+        assert task.seq not in p._penalized
 
     def test_penalizes_top_consumer_of_overloaded_resource(self, env):
         p = PBox(env, contention_threshold=0.1)

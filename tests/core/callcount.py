@@ -10,16 +10,20 @@ import sys
 
 def counted(run):
     """Call ``run()`` under a profiler; returns ``(result, python_calls,
-    hash_calls)`` -- Python-level function calls (generator resumptions
-    included) and C-level ``hash()`` calls made while it ran."""
-    calls = hashes = 0
+    hash_calls, id_calls)`` -- Python-level function calls (generator
+    resumptions included) and C-level ``hash()`` and ``id()`` calls made
+    while it ran."""
+    calls = hashes = ids = 0
 
     def profiler(frame, event, arg):
-        nonlocal calls, hashes
+        nonlocal calls, hashes, ids
         if event == "call":
             calls += 1
-        elif event == "c_call" and arg is hash:
-            hashes += 1
+        elif event == "c_call":
+            if arg is hash:
+                hashes += 1
+            elif arg is id:
+                ids += 1
 
     # A finished run is cyclic garbage full of suspended handler
     # generators; collecting one mid-count would run their ``finally``
@@ -32,4 +36,4 @@ def counted(run):
     finally:
         sys.setprofile(None)
         gc.enable()
-    return result, calls, hashes
+    return result, calls, hashes, ids

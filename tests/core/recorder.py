@@ -16,9 +16,10 @@ from repro.sim import Environment
 
 
 class StubTask:
-    """What the runtime reads of a task: its identity and its debt."""
+    """What the runtime reads of a task: its ``seq`` and its debt."""
 
-    def __init__(self) -> None:
+    def __init__(self, seq: int) -> None:
+        self.seq = seq
         self.trace_debt = 0.0
 
 
@@ -29,19 +30,14 @@ class Recorder:
         self.runtime.set_fine_mode(fine)
         self.ledger = self.runtime.ledger
         self.tasks = {}
-        self._names = {}
 
     def task(self, name: int) -> StubTask:
-        """The stub behind ``name`` (made on first use, then kept)."""
+        """The stub behind ``name``, whose ``seq`` -- the ledger's key --
+        is ``name`` (made on first use, then kept)."""
         task = self.tasks.get(name)
         if task is None:
-            task = self.tasks[name] = StubTask()
-            self._names[id(task)] = name
+            task = self.tasks[name] = StubTask(name)
         return task
-
-    def key(self, name: int) -> int:
-        """The ledger's key for ``name``."""
-        return id(self.task(name))
 
     # -- recording -----------------------------------------------------
     def record_get(self, name, resource, amount, now) -> None:
@@ -67,20 +63,20 @@ class Recorder:
         self.ledger.roll_window()
 
     def forget_task(self, name) -> None:
-        self.ledger.forget_task(self.key(name))
+        self.ledger.forget_task(name)
 
     # -- queries -------------------------------------------------------
     def task_total(self, name, resource):
-        return self.ledger.task_total(self.key(name), resource)
+        return self.ledger.task_total(name, resource)
 
     def task_window(self, name, resource):
-        return self.ledger.task_window(self.key(name), resource)
+        return self.ledger.task_window(name, resource)
 
     def current_hold(self, name, resource, now) -> float:
-        return self.ledger.current_hold(self.key(name), resource, now)
+        return self.ledger.current_hold(name, resource, now)
 
     def current_wait(self, name, resource, now) -> float:
-        return self.ledger.current_wait(self.key(name), resource, now)
+        return self.ledger.current_wait(name, resource, now)
 
     def resource_total(self, resource):
         return self.ledger.resource_total(resource)
@@ -95,7 +91,7 @@ class Recorder:
         return self.ledger.open_hold_time(resource, now)
 
     def tasks_touching(self, resource) -> list:
-        return [self._names[key] for key in self.ledger.tasks_touching(resource)]
+        return self.ledger.tasks_touching(resource)
 
     def tracked_tasks(self) -> set:
-        return {self._names[key] for key in self.ledger.tracked_tasks()}
+        return self.ledger.tracked_tasks()

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.ledger import UsageStats
 from repro.core.types import ResourceHandle
 
-Key = Tuple[int, ResourceHandle]  # (task id(), resource)
+Key = Tuple[int, ResourceHandle]  # (task seq, resource)
 
 
 @dataclass(slots=True)

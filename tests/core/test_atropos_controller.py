@@ -11,6 +11,7 @@ from repro.core import (
     ResourceType,
     TaskKind,
 )
+from repro.core.decision_log import DecisionKind
 from repro.core.task import TaskState
 from repro.core.types import CancelSignal
 from repro.sim import Environment, Interrupt, RequestRecord, RequestStatus
@@ -232,54 +233,36 @@ def test_cancellation_disabled_still_detects(env):
     assert atropos.runtime.fine_mode  # tracing escalated anyway
 
 
-class TestFallbackDelegation:
-    """§3.3: regular (demand) overload is delegated to a conventional
-    admission controller; resource overload is handled by cancellation."""
+class TestRegularOverload:
+    """§3.3: regular (demand) overload is out of scope for cancellation;
+    ATROPOS classifies and counts it and acts on nothing."""
 
-    def _demand_overload_run(self, fallback_factory=None):
+    @pytest.mark.slow
+    def test_demand_overload_is_only_counted(self):
         """MySQL at ~2x capacity with no culprit: pure demand overload."""
         from repro.apps.mysql import MySQL, light_mix
         from repro.experiments import run_simulation
         from repro.workloads import OpenLoopSource, Workload
 
-        def controller(env):
-            fallback = fallback_factory(env) if fallback_factory else None
-            return Atropos(
-                env,
-                AtroposConfig(slo_latency=0.02),
-                fallback=fallback,
-            )
-
-        return run_simulation(
+        result = run_simulation(
             lambda env, ctl, rng: MySQL(env, ctl, rng),
             lambda app, rng: Workload(
                 [OpenLoopSource(rate=3500.0, mix=light_mix(rng))]
             ),
-            controller_factory=controller,
+            controller_factory=lambda env: Atropos(
+                env, AtroposConfig(slo_latency=0.02)
+            ),
             duration=8.0,
             warmup=2.0,
         )
-
-    @pytest.mark.slow
-    def test_demand_overload_without_fallback_is_only_counted(self):
-        result = self._demand_overload_run()
         atropos = result.controller
         assert atropos.regular_overloads > 0
         assert atropos.cancels_issued == 0
         assert result.drop_rate == 0.0
-
-    @pytest.mark.slow
-    def test_fallback_sheds_load_under_demand_overload(self):
-        from repro.baselines import Seda
-
-        result = self._demand_overload_run(
-            lambda env: Seda(env, slo_latency=0.02)
-        )
-        atropos = result.controller
-        assert atropos.regular_overloads > 0
-        assert atropos.cancels_issued == 0
-        # The SEDA fallback rejected excess demand...
-        assert result.drop_rate > 0.05
-        # ...which keeps the served tail under control vs no fallback.
-        uncontrolled = self._demand_overload_run()
-        assert result.p99_latency < uncontrolled.p99_latency
+        summaries = {
+            event.summary
+            for event in atropos.decision_log.events_of(
+                DecisionKind.CLASSIFICATION
+            )
+        }
+        assert "regular (demand) overload" in summaries

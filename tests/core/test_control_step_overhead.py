@@ -70,7 +70,7 @@ def _case_run(case_id, atropos):
 
 def _calls_per_request(run):
     run()  # warm imports / code caches outside the measurement
-    result, calls, _ = counted(run)
+    result, calls, _, _ = counted(run)
     requests = len(result.collector.records)
     assert requests > 400  # the run did exercise the request path
     return calls / requests

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core.decision_log import DecisionEvent, DecisionKind, DecisionLog
+from repro.core.decision_log import (
+    DecisionAudit,
+    DecisionEvent,
+    DecisionKind,
+    DecisionLog,
+    DetectorSignal,
+)
 
 
 class TestDecisionLog:
@@ -27,6 +33,22 @@ class TestDecisionLog:
         assert log.dropped == 2
         assert log.events[0].summary == "e2"
         assert "2 earlier events dropped" in log.render()
+
+    def test_overfilled_log_keeps_the_newest_in_order(self):
+        log = DecisionLog(capacity=4)
+        signal = DetectorSignal(None, None, None, 0.0)
+        for i in range(11):
+            log.record(float(i), DecisionKind.DETECTION, f"e{i}")
+            if i % 2:
+                log.record_audit(DecisionAudit(float(i), signal, [], [], "v"))
+        assert [e.summary for e in log.events] == ["e7", "e8", "e9", "e10"]
+        assert [a.time for a in log.audits] == [3.0, 5.0, 7.0, 9.0]
+        assert (log.dropped, log.audits_dropped) == (7, 1)
+        assert log.render(limit=2).splitlines() == [
+            "... (7 earlier events dropped)",
+            log.events[2].render(),
+            log.events[3].render(),
+        ]
 
     def test_render_filters_and_limits(self):
         log = DecisionLog()

@@ -160,3 +160,40 @@ def test_remove_child_excludes_from_propagation(env, controller):
     cancelled = {name for name, _, _ in log}
     assert "kept" in cancelled
     assert "removed" not in cancelled
+
+
+def test_children_of_two_controllers_are_reached_once_each(env):
+    """Each controller numbers its own tasks, so children fanned out from
+    two of them share ``seq`` 1 and 2: the tree keys them by the task."""
+    log = []
+    root = spawn(env, BaseController(env), "root", log)
+    tree = TaskTree(env, root)
+    node_a, node_b = Node("a"), Node("b")
+    children = []
+    for node in (node_a, node_b):
+        controller = BaseController(env)
+        for i in (1, 2):
+            child = spawn(env, controller, f"{node.name}{i}", log)
+            tree.add_child(child, node)
+            children.append(child)
+    assert [c.seq for c in children] == [1, 2, 1, 2]
+    assert tree.children == children
+    node_b.partition()
+
+    deliveries = run_cancel(env, tree)
+    assert [d.task.op_name for d in deliveries] == ["a1", "a2", "b1", "b2"]
+    assert [d.task.op_name for d in tree.undelivered()] == ["b1", "b2"]
+
+    node_b.heal()
+    retried = {}
+
+    def retry(env):
+        retried["deliveries"] = yield from tree.retry_undelivered()
+
+    env.process(retry(env))
+    env.run(until=env.now + 1.0)
+    assert [d.task.op_name for d in retried["deliveries"]] == ["b1", "b2"]
+    assert all(d.delivered for d in retried["deliveries"])
+    assert tree.undelivered() == []
+    assert sorted(name for name, _, _ in log) == ["a1", "a2", "b1", "b2", "root"]
+    assert tree.fully_cancelled()

@@ -222,7 +222,7 @@ class TestConcentration:
             else:
                 # Time-typed: open a hold of the given duration.
                 runtime.record_get(task, res, 1)
-                runtime.ledger.record(id(task), res).hold_since = (
+                runtime.ledger.record(task.seq, res).hold_since = (
                     env.now - gain
                 )
             tasks.append(task)
@@ -280,7 +280,7 @@ class TestConcentration:
             # Everyone waits a lot (contended) but holds only briefly.
             runtime.record_slow_by(task, res, delay=0.4)
             runtime.record_get(task, res, 1)
-            runtime.ledger.record(id(task), res).hold_since = env.now - 0.005
+            runtime.ledger.record(task.seq, res).hold_since = env.now - 0.005
         assessment = estimator.assess([res], tasks)
         assert assessment.resources[0].overloaded
         assert not assessment.resources[0].concentrated
@@ -376,3 +376,20 @@ class TestGainsFromTouchedRecords:
             r.progress for r in walked.tasks
         ]
         assert fast.resources == walked.resources
+
+
+class TestTopConsumer:
+    def test_a_tie_goes_to_the_lower_seq(self, env, setup):
+        """Creation order is ``seq`` order: among equal usages the task
+        created first wins, whatever order the tasks touched the
+        resource in."""
+        runtime, estimator, controller = setup
+        mem = controller.register_resource("pool", ResourceType.MEMORY)
+        first, second, third = (live_task(env, controller) for _ in range(3))
+        assert (first.seq, second.seq, third.seq) == (1, 2, 3)
+        runtime.record_get(third, mem, 50)
+        runtime.record_get(second, mem, 50)
+        runtime.record_get(first, mem, 10)
+        assert estimator.top_consumer(mem, controller.tasks) is second
+        runtime.record_get(third, mem, 1)
+        assert estimator.top_consumer(mem, controller.tasks) is third

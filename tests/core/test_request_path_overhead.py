@@ -8,7 +8,12 @@ each read as work per request reaching a terminal record:
 * **Python calls per request** -- in a pure-Python event loop the
   interpreter's per-call overhead is the cost, so this is the number a
   request-path change moves;
-* **events scheduled per request** -- ``Environment.events_scheduled``.
+* **events scheduled per request** -- ``Environment.events_scheduled``;
+* **``id()`` calls per request**, which must be none: a task's identity
+  is its ``seq``, assigned once by ``create_cancel``.  Keyed by
+  ``id(task)``, the controller's task table cost two builtin ``id()``
+  calls per request even uncontrolled, and c1 made 14.1 per request
+  under Protego and 12.9 under pBox; the last guard runs those two.
 
 The cases are the three shapes of the path: c12 (Elasticsearch, CPU
 time slices: the grant path), c18 (MongoDB, document flood: the
@@ -74,7 +79,7 @@ def _run_once(case_id):
 def test_calls_and_events_per_request(case_id):
     _run_once(case_id)  # warm imports / code caches outside the measurement
 
-    result, calls, _ = counted(lambda: _run_once(case_id))
+    result, calls, _, ids = counted(lambda: _run_once(case_id))
 
     requests = len(result.collector.records)
     events = result.driver.env.events_scheduled
@@ -82,6 +87,7 @@ def test_calls_and_events_per_request(case_id):
     max_calls, max_events = BOUNDS[case_id]
     assert calls / requests < max_calls, (calls, requests)
     assert events / requests < max_events, (events, requests)
+    assert ids == 0, (ids, requests)
 
 
 def test_a_flood_is_held_as_runs():
@@ -133,3 +139,20 @@ def test_requests_leave_no_cyclic_garbage(case_id, system):
     )
     assert completed > 400
     assert found[0] / completed < 0.1, (found, completed)
+
+
+@pytest.mark.parametrize("system", ["protego", "pbox"])
+def test_baselines_make_no_id_calls(system):
+    """Protego's wait tables and pBox's penalties key by ``task.seq``."""
+    case = get_case("c1")
+
+    def run():
+        return case.run(
+            controller_factory(system, case.slo_latency),
+            seed=0, duration=case.warmup + 1.0,
+        )
+
+    run()  # warm imports / code caches outside the measurement
+    result, _, _, ids = counted(run)
+    assert len(result.collector.records) > 400
+    assert ids == 0, ids

@@ -36,10 +36,10 @@ LOCK = ResourceHandle("lock", ResourceType.LOCK)
 
 def stamp(env, runtime):
     """The timestamp a get takes now: where the hold it opens starts."""
-    task = CancellableTask(env, key=None)
+    task = CancellableTask(env, seq=1)
     runtime.record_get(task, LOCK, 1)
-    since = runtime.ledger.record(id(task), LOCK).hold_since
-    runtime.ledger.forget_task(id(task))
+    since = runtime.ledger.record(task.seq, LOCK).hold_since
+    runtime.ledger.forget_task(task.seq)
     return since
 
 
@@ -116,5 +116,5 @@ class TestActivityTracker:
         controller.get_resource(t, res, 10)
         controller.free_cancel(t)
         assert controller.runtime.activity.active == 0
-        assert controller.runtime.ledger.task_total(id(t), res).acquired == 0
+        assert controller.runtime.ledger.task_total(t.seq, res).acquired == 0
         assert controller.runtime.ledger.tracked_tasks() == set()

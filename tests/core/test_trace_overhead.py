@@ -10,6 +10,11 @@ costs the whole simulation":
 * **Python calls per traced event** -- the whole run's, so the kernel
   and the app model are in the number too, but they are the same code
   on both sides of a tracing change.
+* **``id()`` calls per traced event**, which must be none: a task's
+  identity is its ``seq``, assigned once by ``create_cancel``, and the
+  ledger keys by it.  Keyed by ``id(task)`` this run made 9,597 builtin
+  ``id()`` calls, 1.60 per traced event (Python calls per event are the
+  same 16.08 either way: ``id`` is a C call).
 * **``hash()`` calls per traced event** --
   :class:`~repro.core.types.ResourceHandle`'s ``__hash__`` is
   Python-level, so the tracing path keys its per-event lookups by task
@@ -54,9 +59,10 @@ def _run_once():
 def test_tracing_call_and_hash_counts_per_event():
     _run_once()  # warm imports / code caches outside the measurement
 
-    result, calls, hashes = counted(_run_once)
+    result, calls, hashes, ids = counted(_run_once)
 
     events = result.controller.runtime.events_traced
     assert events > 1000  # the run did exercise the tracing path
     assert calls / events < MAX_CALLS_PER_EVENT, (calls, events)
     assert hashes / events < MAX_HASHES_PER_EVENT, (hashes, events)
+    assert ids == 0, (ids, events)

@@ -116,5 +116,5 @@ def test_selected_task_maximizes_scalarized_gain(vectors, weights):
     best = max(score(rep) for rep in reports)
     assert reported_score >= best - 1e-9
     # The winner is drawn from the non-dominated set.
-    nds_tasks = {id(r.task) for r in non_dominated_set(reports, RESOURCES)}
-    assert id(task) in nds_tasks
+    nds_tasks = {r.task.seq for r in non_dominated_set(reports, RESOURCES)}
+    assert task.seq in nds_tasks

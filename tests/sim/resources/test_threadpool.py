@@ -310,5 +310,5 @@ class TestReservationDispatch:
         for _ in range(300):
             pool.submit(klass="heavy")
         assert pool.queue_length == 300
-        _, calls, _ = counted(pool._dispatch)
+        _, calls, _, _ = counted(pool._dispatch)
         assert calls <= 3, calls

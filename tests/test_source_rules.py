@@ -63,6 +63,25 @@ def test_only_the_page_kit_spells_the_html_shell():
     assert (checker.REPO_ROOT / checker.PAGE_MODULE).is_file()
 
 
+def test_only_a_repr_body_calls_id():
+    source = (
+        '"""Keying a table by id(task) in prose is fine."""\n'
+        "class Tree:\n"
+        "    def add(self, task):\n"
+        "        self.children[id(task)] = task\n"
+        "    def __repr__(self):\n"
+        '        return f"<Tree at {id(self):#x}>"\n'
+        "def key(task):\n"
+        "    return task.seq, id\n"
+        "ranks = {id(t): i for i, t in enumerate([])}\n"
+    )
+    errors = checker.check_source(source, "src/repro/core/distributed.py")
+    assert [e.split(": ")[0] for e in errors] == [
+        "src/repro/core/distributed.py:4", "src/repro/core/distributed.py:9",
+    ]
+    assert "task.seq" in errors[0]
+
+
 def test_count_code_skips_docstrings_comments_and_blanks():
     source = (
         '"""Module docstring,\n'

@@ -28,6 +28,14 @@ document shell, stylesheet, sparkline geometry, panels and tables.  A
 report builds its page from that module's kit (``page``, ``panel``,
 ``table``, ...).  Docstrings and comments may mention the doctype.
 
+Rule 4 -- one place gives a task its identity.  Nothing calls the
+builtin ``id()`` except a ``__repr__`` body, which may print an
+address.  ``BaseController.create_cancel`` numbers every task once
+(``CancellableTask.seq``) and controller tables key by that number;
+structures that span controllers key by the task object.  Eight
+modules once keyed their tables by ``id(task)``, each deriving its own
+identity, and the estimator rebuilt creation order from a rank table.
+
 Exit status is the number of violations found.
 
 Usage::
@@ -56,6 +64,8 @@ PAGE_MODULE = "src/repro/obs/export.py"
 
 _PAGE = f"build HTML pages with the page kit in {PAGE_MODULE}"
 
+_IDENTITY = "key a task by task.seq, or by the task object across controllers"
+
 
 def check_source(text: str, where: str) -> List[str]:
     """Rule violations in one module's source, as ``where:line: why``."""
@@ -64,6 +74,14 @@ def check_source(text: str, where: str) -> List[str]:
     # A bare string statement is a docstring (prose), not a literal in use.
     prose = {id(node.value) for node in ast.walk(tree)
              if isinstance(node, ast.Expr)}
+    # Every node inside a ``__repr__`` body, where ``id()`` may print.
+    in_repr = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "__repr__"
+        for inner in ast.walk(node)
+    }
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
@@ -71,6 +89,13 @@ def check_source(text: str, where: str) -> List[str]:
             and node.func.id == "vars"
         ):
             found.append((node.lineno, f"vars() call -- {_REGISTRY}"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "id"
+            and id(node) not in in_repr
+        ):
+            found.append((node.lineno, f"id() call -- {_IDENTITY}"))
         elif (
             isinstance(node, ast.Attribute)
             and node.attr == "__dict__"
