@@ -130,28 +130,23 @@ class EpochNode:
     def _alias_ops(self) -> Dict[str, Callable]:
         """Tier-level op names over the backend's native handlers, so
         request records, candidate evidence and cancel signals carry
-        the names the global loop aggregates by."""
+        the names the global loop aggregates by.  Each alias returns
+        the native generator itself (no pass-through level: see
+        :meth:`~repro.apps.base.Application.execute`)."""
         app = self.app
         if self.backend == "mysql":
-            native_point, native_write = app.point_select, app.row_update
 
             def scan(task, rows=0.0):
-                yield from app.scan(task, table=0, rows=rows)
+                return app.scan(task, table=0, rows=rows)
 
-        else:
-            native_point, native_write = app.select, app.update
-            bytes_per_row = self.spec.pg_bytes_per_row
+            return {"point": app.point_select, "write": app.row_update,
+                    "scan": scan}
+        bytes_per_row = self.spec.pg_bytes_per_row
 
-            def scan(task, rows=0.0):
-                yield from app.vacuum(task, total_bytes=rows * bytes_per_row)
+        def scan(task, rows=0.0):
+            return app.vacuum(task, total_bytes=rows * bytes_per_row)
 
-        def point(task, table=0):
-            yield from native_point(task, table=table)
-
-        def write(task, table=0):
-            yield from native_write(task, table=table)
-
-        return {"point": point, "write": write, "scan": scan}
+        return {"point": app.select, "write": app.update, "scan": scan}
 
     @staticmethod
     def _make_op(op: str, params: Dict[str, Any]):

@@ -66,8 +66,8 @@ class ServiceStatus:
     t: float
     outstanding: int = 0
     offered_window: int = 0
-    #: Terminal shards this window: ``(key, status, latency, finish)``.
-    shard_results: List[Tuple[str, str, float, float]] = field(
+    #: Terminal shards this window: ``(key, status, latency)``.
+    shard_results: List[Tuple[str, str, float]] = field(
         default_factory=list
     )
     #: Window p99 over completed shard latencies.
@@ -150,9 +150,7 @@ class ServiceNode(EpochNode):
                 else status.t
             )
             latency = max(0.0, finish - record.arrival_time)
-            status.shard_results.append(
-                (key, record.status.value, latency, finish)
-            )
+            status.shard_results.append((key, record.status.value, latency))
             if record.completed:
                 completed_latencies.append(latency)
         if completed_latencies:
@@ -234,15 +232,17 @@ class DagResult(EpochResult):
 
 
 class _RequestState:
-    """Parent-side bookkeeping for one in-flight DAG request."""
+    """Parent-side bookkeeping for one DAG request, held while it is in
+    flight: the planner drops it once it is done, or failed with no
+    shard out.  Per-service state is indexed like ``spec.services``."""
 
     __slots__ = (
         "rid", "cls_name", "arrival", "client", "victim", "failed",
-        "done", "parents_left", "shards_left", "stage_done",
-        "stage_latency", "stage_finish",
+        "done", "out", "parents_left", "shards_left", "stage_latency",
     )
 
-    def __init__(self, rid, cls_name, arrival, client, victim, spec):
+    def __init__(self, rid, cls_name, arrival, client, victim,
+                 parents_left, shards_left):
         self.rid = rid
         self.cls_name = cls_name
         self.arrival = arrival
@@ -250,41 +250,61 @@ class _RequestState:
         self.victim = victim
         self.failed: Optional[str] = None
         self.done = False
-        self.parents_left = {}
-        self.shards_left = {}
-        self.stage_done = {}
-        self.stage_latency = {}
-        self.stage_finish = {}
-        for service in (s.name for s in spec.services):
-            incoming = spec.parents_of(service)
-            self.parents_left[service] = len(incoming)
-            self.shards_left[service] = (
-                1 if service == spec.entry
-                else sum(spec.edges[e].fanout for e in incoming)
-            )
-            self.stage_done[service] = False
+        #: Shards submitted to a service and not yet folded back (the
+        #: entry shard goes out as the request is created).
+        self.out = 1
+        self.parents_left = parents_left
+        self.shards_left = shards_left
+        self.stage_latency = [0.0] * len(shards_left)
 
-    def critical_path(self, spec: DagSpec) -> float:
-        cp: Dict[str, float] = {}
-        for service in spec.topo_order():
-            upstream = max(
-                (cp[spec.edges[e].source] for e in spec.parents_of(service)),
-                default=0.0,
-            )
-            cp[service] = upstream + self.stage_latency.get(service, 0.0)
-        return max(cp.values())
+    def critical_path(self, topo: List[int],
+                      upstream: List[List[int]]) -> float:
+        cp = [0.0] * len(topo)
+        for s in topo:
+            cp[s] = max(
+                (cp[p] for p in upstream[s]), default=0.0
+            ) + self.stage_latency[s]
+        return max(cp)
 
 
 class _MeshDriver:
-    """The mesh's slow loop: RPC-edge router + Autothrottle tower."""
+    """The mesh's slow loop: RPC-edge router + Autothrottle tower.
+
+    The DAG is resolved once, here, into index tables (services by
+    their ``spec.services`` index, edges by their ``spec.edges`` index)
+    that ``plan`` and ``fold`` read per shard."""
 
     def __init__(self, spec: DagSpec, controller: str) -> None:
         self.spec = spec
         self.controller = controller
         self.node_names = [service.name for service in spec.services]
+        self.index = {name: i for i, name in enumerate(self.node_names)}
+        self.entry = self.index[spec.entry]
+        self.topo = [self.index[name] for name in spec.topo_order()]
+        self.edge_target = [self.index[e.target] for e in spec.edges]
+        #: Per service: incoming / outgoing edge indices, and the
+        #: services at the far end of the incoming ones.
+        self.in_edges = [spec.parents_of(name) for name in self.node_names]
+        self.out_edges = [spec.children_of(name) for name in self.node_names]
+        self.upstream = [
+            [self.index[spec.edges[e].source] for e in edges]
+            for edges in self.in_edges
+        ]
+        #: Fresh per-request ``parents_left`` / ``shards_left`` vectors.
+        self.parents_init = [len(edges) for edges in self.in_edges]
+        self.shards_init = [
+            sum(spec.edges[e].fanout for e in edges) for edges in self.in_edges
+        ]
+        self.shards_init[self.entry] = 1
         self.arrivals = build_arrivals(spec)
+        #: Requests in flight, by rid.
         self.requests: Dict[int, _RequestState] = {}
         self.classes = {c.name: c for c in spec.classes}
+        #: Class name -> op per service index.
+        self.ops = {
+            c.name: [c.op_for(name) for name in self.node_names]
+            for c in spec.classes
+        }
         self.victim_classes = {
             c.name for c in spec.classes
             if c.name not in spec.expected_culprits
@@ -305,19 +325,15 @@ class _MeshDriver:
             )
         )
         self.tower: Optional[AutothrottleTower] = (
-            AutothrottleTower(
-                [s.name for s in spec.services], spec.slo_latency
-            )
+            AutothrottleTower(self.node_names, spec.slo_latency)
             if controller == "autothrottle" else None
         )
         self.tower_epochs = max(1, round(spec.tower_period / spec.epoch))
-        self.edge_queues: List[List[Tuple[int, int]]] = [
+        self.edge_queues: List[List[Tuple[_RequestState, int]]] = [
             [] for _ in spec.edges
         ]
         self.edge_out: List[int] = [0] * len(spec.edges)
-        self.admit_levels: Dict[str, int] = {
-            s.name: OPEN_LEVEL for s in spec.services
-        }
+        self.admit_levels = [OPEN_LEVEL] * len(spec.services)
         self.counts: Dict[str, Dict[str, int]] = {
             c.name: {"offered": 0, "completed": 0, "shed_upstream": 0,
                      "dropped": 0, "cancelled": 0, "timed_out": 0,
@@ -345,125 +361,118 @@ class _MeshDriver:
     ) -> Dict[int, Tuple[List[Shard], List[Tuple[str, float]]]]:
         spec = self.spec
         t_start = spec.epoch_end(epoch - 1) if epoch > 0 else 0.0
-        submissions: Dict[int, List[Shard]] = {
-            i: [] for i in range(len(spec.services))
-        }
-        for e, edge in enumerate(spec.edges):
-            queue = self.edge_queues[e]
+        submissions: List[List[Shard]] = [[] for _ in self.node_names]
+        for e, queue in enumerate(self.edge_queues):
+            target = self.edge_target[e]
+            limit = spec.edges[e].concurrency
             taken = 0
-            for rid, k in queue:
-                req = self.requests[rid]
-                if req.failed is not None:
-                    taken += 1
-                    continue
-                if self.edge_out[e] >= edge.concurrency:
-                    break
-                cls = self.classes[req.cls_name]
-                op = cls.op_for(edge.target)
-                if self.controller == "dagor":
-                    priority = compound_priority(
-                        op, req.client, spec.dagor_user_levels
-                    )
-                    if priority > self.admit_levels[edge.target]:
+            for req, k in queue:
+                if req.failed is None:
+                    if self.edge_out[e] >= limit:
+                        break
+                    op = self.ops[req.cls_name][target]
+                    if (
+                        self.controller == "dagor"
+                        and compound_priority(
+                            op, req.client, spec.dagor_user_levels
+                        ) > self.admit_levels[target]
+                    ):
                         req.failed = "shed-upstream"
                         self.counts[req.cls_name]["shed_upstream"] += 1
                         self.shed_upstream += 1
-                        taken += 1
-                        continue
-                self.edge_out[e] += 1
-                submissions[spec.service_index(edge.target)].append((
-                    t_start,
-                    f"{rid}:{e}:{k}",
-                    op,
-                    self._params(op, cls, rid, k),
-                    req.client,
-                ))
+                        if not req.out:
+                            del self.requests[req.rid]
+                    else:
+                        self.edge_out[e] += 1
+                        req.out += 1
+                        submissions[target].append((
+                            t_start,
+                            f"{req.rid}:{e}:{k}",
+                            op,
+                            self._params(op, req.cls_name, req.rid, k),
+                            req.client,
+                        ))
                 taken += 1
             del queue[:taken]
-        entry_idx = spec.service_index(spec.entry)
-        entry_cls_ops = {c.name: c.op_for(spec.entry) for c in spec.classes}
+        entry = self.entry
         while self._arrival_idx < len(self.arrivals):
             t, rid, cls_name, client = self.arrivals[self._arrival_idx]
             if t >= t_end:
                 break
             self._arrival_idx += 1
-            req = _RequestState(
-                rid, cls_name, t, client,
-                cls_name in self.victim_classes, spec,
+            self.requests[rid] = _RequestState(
+                rid, cls_name, t, client, cls_name in self.victim_classes,
+                self.parents_init.copy(), self.shards_init.copy(),
             )
-            self.requests[rid] = req
             self.counts[cls_name]["offered"] += 1
-            op = entry_cls_ops[cls_name]
-            submissions[entry_idx].append((
+            op = self.ops[cls_name][entry]
+            submissions[entry].append((
                 t,
                 f"{rid}:entry:0",
                 op,
-                self._params(op, self.classes[cls_name], rid, 0),
+                self._params(op, cls_name, rid, 0),
                 client,
             ))
         return {
             index: (shards, self._directives.get(index, []))
-            for index, shards in submissions.items()
+            for index, shards in enumerate(submissions)
         }
 
-    def _params(self, op, cls, rid: int, k: int) -> Dict[str, Any]:
+    def _params(self, op, cls_name: str, rid: int, k: int) -> Dict[str, Any]:
         if op == "scan":
-            return {"rows": cls.rows}
+            return {"rows": self.classes[cls_name].rows}
         return {"table": (rid + k) % self.spec.tables}
 
     # -- per-epoch feedback fold --------------------------------------
     def fold(self, epoch: int, t_end: float,
              statuses: List[ServiceStatus]) -> None:
         spec = self.spec
-        stage_completions: List[Tuple[int, str]] = []
+        requests = self.requests
+        stage_completions: List[Tuple[_RequestState, int]] = []
         window_victim_shards: List[float] = []
         window_cancelled_ops: List[str] = []
-        for status in statuses:
-            self.admit_levels[status.service] = status.admit_level
-            service = status.service
-            for key, st, latency, finish in status.shard_results:
-                parts = key.split(":")
-                rid = int(parts[0])
-                req = self.requests[rid]
-                if parts[1] != "entry":
-                    self.edge_out[int(parts[1])] -= 1
-                if st != "completed":
+        completed = 0
+        for s, status in enumerate(statuses):
+            self.admit_levels[s] = status.admit_level
+            for key, st, latency in status.shard_results:
+                rid, edge, _ = key.split(":")
+                req = requests[int(rid)]
+                req.out -= 1
+                if edge != "entry":
+                    self.edge_out[int(edge)] -= 1
+                if st == "completed":
+                    completed += 1
+                    if req.victim:
+                        window_victim_shards.append(latency)
+                    req.stage_latency[s] = max(req.stage_latency[s], latency)
+                    req.shards_left[s] -= 1
+                    if req.shards_left[s] == 0:
+                        stage_completions.append((req, s))
+                else:
                     if st == "cancelled":
                         self.cancelled_shards += 1
-                        cls = self.classes[req.cls_name]
-                        window_cancelled_ops.append(cls.op_for(service))
+                        window_cancelled_ops.append(self.ops[req.cls_name][s])
                     if req.failed is None:
                         req.failed = st
                         self.counts[req.cls_name][st] += 1
-                    continue
-                if req.victim:
-                    window_victim_shards.append(latency)
-                req.stage_latency[service] = max(
-                    req.stage_latency.get(service, 0.0), latency
-                )
-                req.stage_finish[service] = max(
-                    req.stage_finish.get(service, 0.0), finish
-                )
-                req.shards_left[service] -= 1
-                if req.shards_left[service] == 0:
-                    req.stage_done[service] = True
-                    stage_completions.append((rid, service))
-        for rid, service in stage_completions:
-            req = self.requests[rid]
-            for e in spec.children_of(service):
-                target = spec.edges[e].target
+                if req.failed is not None and not req.out:
+                    del requests[req.rid]
+        for req, s in stage_completions:
+            for e in self.out_edges[s]:
+                target = self.edge_target[e]
                 req.parents_left[target] -= 1
                 if req.parents_left[target] == 0 and req.failed is None:
-                    for e2 in spec.parents_of(target):
+                    for e2 in self.in_edges[target]:
                         for k in range(spec.edges[e2].fanout):
-                            self.edge_queues[e2].append((rid, k))
+                            self.edge_queues[e2].append((req, k))
             if (
                 req.failed is None
                 and not req.done
-                and all(req.stage_done.values())
+                and not any(req.shards_left)
             ):
                 req.done = True
-                cp = req.critical_path(spec)
+                del requests[req.rid]
+                cp = req.critical_path(self.topo, self.upstream)
                 self.counts[req.cls_name]["completed"] += 1
                 if req.victim:
                     self.victim_done.append((req.arrival, cp))
@@ -472,10 +481,6 @@ class _MeshDriver:
         fleet_p99 = (
             percentile(window_victim_shards, 99)
             if window_victim_shards else float("nan")
-        )
-        completed = sum(
-            1 for s in statuses
-            for _, st, _, _ in s.shard_results if st == "completed"
         )
         offered = sum(s.offered_window for s in statuses)
         self.monitor.evaluate(
@@ -511,7 +516,7 @@ class _MeshDriver:
         targets = self.tower.update(epoch, t_end, e2e, service_p99)
         self._window_victim_cp = []
         return {
-            self.spec.service_index(name): [("target", target)]
+            self.index[name]: [("target", target)]
             for name, target in sorted(targets.items())
         }
 
@@ -526,7 +531,7 @@ class _MeshDriver:
             epochs=spec.epoch_count(),
         )
         for req in self.requests.values():
-            if not req.done and req.failed is None:
+            if req.failed is None:
                 self.counts[req.cls_name]["unfinished"] += 1
         result.classes = self.counts
         latencies = [

@@ -303,12 +303,6 @@ class DagSpec:
             i for i, e in enumerate(self.edges) if e.source == service
         ]
 
-    def service_index(self, name: str) -> int:
-        for i, s in enumerate(self.services):
-            if s.name == name:
-                return i
-        raise KeyError(name)
-
     # ------------------------------------------------------------------
     # Epoch arithmetic (mirrors FleetSpec)
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.apps.base import Operation
 from repro.cluster import (
     ClusterNode,
     ServiceNode,
@@ -97,3 +98,28 @@ def test_to_dict_leaves_the_result_untouched(run):
     assert repr(result) == before
     assert json.dumps(result.to_dict(), sort_keys=True) == payload
     assert result.digest() == digest
+
+
+@pytest.mark.parametrize(
+    "backend, native",
+    [
+        ("mysql", {"point": "point_select", "write": "row_update",
+                   "scan": "scan"}),
+        ("postgres", {"point": "select", "write": "update",
+                      "scan": "vacuum"}),
+    ],
+)
+def test_node_ops_run_the_native_generators(backend, native):
+    """An alias hands back the backend handler's own generator: no
+    pass-through level for a request to resume through on every event."""
+    spec = dag_storm(n_leaves=2, duration=3, warmup=1)
+    service = next(s for s in spec.services if s.backend == backend)
+    node = ServiceNode(spec, service, spec.services.index(service), "none")
+    app = node.app
+    params = {"point": {"table": 1}, "write": {"table": 1},
+              "scan": {"rows": 10.0}}
+    for op, name in native.items():
+        task = app.controller.create_cancel()
+        gen = app.execute(task, Operation(op, params[op]))
+        assert gen.gi_code is getattr(type(app), name).__code__, op
+        gen.close()

@@ -9,7 +9,14 @@ and prints one line per run::
 
 The digest is the benchmark's own (``run_digest`` in
 ``perf/workloads.py``), so the two never disagree on what "the same run"
-means.  A change meant to move no output must print the same lines as
+means.  Then tiers 3-4, one line per (fleet mode | mesh controller,
+seed) at the same seeds: a 3-node ``demo_fleet`` for 8 simulated
+seconds and a ``dag_storm`` mesh for 12, each run serially::
+
+    fleet <mode> <seed> <FleetResult.digest()>
+    mesh <controller> <seed> <DagResult.digest()>
+
+A change meant to move no output must print the same lines as
 its parent (``diff`` the two outputs); CI does so against the merge
 base.  The tree imported is the one this file lives in, whatever is
 installed.
@@ -24,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 3)
@@ -65,12 +72,39 @@ def sweep(case_ids: Iterable[str], systems: Iterable[str],
                 )
 
 
+def tier_digest(tier: str, mode: str, seed: int) -> str:
+    """The result digest of one short fleet or mesh run."""
+    from repro.cluster import demo_fleet, run_dag, run_fleet
+    from repro.workloads.dag import dag_storm
+
+    if tier == "fleet":
+        spec = demo_fleet(
+            n_nodes=3, duration=8.0, warmup=2.0, mode=mode, seed=seed
+        )
+        return run_fleet(spec, jobs=1).digest()
+    return run_dag(dag_storm(duration=12.0, seed=seed), mode, jobs=1).digest()
+
+
+def tier_sweep(tiers: Iterable[Tuple[str, Iterable[str]]],
+               seeds: Iterable[int] = SEEDS) -> Iterator[str]:
+    """One output line per (tier, mode, seed), in that nesting."""
+    seeds = list(seeds)
+    for tier, modes in tiers:
+        for mode in modes:
+            for seed in seeds:
+                yield f"{tier} {mode} {seed} " + tier_digest(tier, mode, seed)
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.baselines import SYSTEMS
     from repro.cases import all_case_ids
+    from repro.cluster.spec import MODES
+    from repro.workloads.dag import DAG_CONTROLLERS
 
     for line in sweep(all_case_ids(), SYSTEMS):
+        print(line, flush=True)
+    for line in tier_sweep([("fleet", MODES), ("mesh", DAG_CONTROLLERS)]):
         print(line, flush=True)
     return 0
 
