@@ -100,7 +100,7 @@ class Apache(Application):
         # Apache has no application-level initiator for a running script:
         # cancelling this task requires the opt-in thread-level flag
         # (pthread_cancel; §3.6 / §5.2).
-        task.metadata["requires_thread_cancel"] = True
+        task.requires_thread_cancel = True
         slot = yield from self.acquire_slot(
             task, self.workers, self.r_workers, klass="php"
         )

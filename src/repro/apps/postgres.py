@@ -246,11 +246,7 @@ class PostgreSQL(Application):
             task, self.disk.queue, self.r_io, klass="io"
         )
         try:
-            yield self.env.timeout(self.disk._service_time(nbytes))
-            self.disk.bytes_by_owner[task] = (
-                self.disk.bytes_by_owner.get(task, 0.0) + nbytes
-            )
-            self.disk.total_bytes += nbytes
+            yield from self.disk.transfer(nbytes)
             self.trace_get(task, self.r_io, nbytes)
         finally:
             self.release_lock(task, slot, self.r_io)

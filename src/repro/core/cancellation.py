@@ -144,7 +144,7 @@ class CancellationManager:
             return False
         if not task.cancellable:
             return False
-        if task.metadata.get("requires_thread_cancel") and not (
+        if task.requires_thread_cancel and not (
             self.config.allow_thread_level_cancel
         ):
             # The task has no application-level initiator; thread-level

@@ -55,7 +55,7 @@ class DecisionKind(enum.Enum):
     LEVER = "lever"
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionEvent:
     """One entry in the decision timeline."""
 
@@ -74,7 +74,7 @@ class DecisionEvent:
         return f"t={self.time:8.3f}s  {self.kind.value:<14}  {self.summary}{extras}"
 
 
-@dataclass
+@dataclass(slots=True)
 class DetectorSignal:
     """The detector observation that triggered an audit cycle."""
 
@@ -84,7 +84,7 @@ class DetectorSignal:
     oldest_inflight_age: float
 
 
-@dataclass
+@dataclass(slots=True)
 class ResourceEvidence:
     """Estimator output for one resource, as recorded in an audit."""
 
@@ -98,7 +98,7 @@ class ResourceEvidence:
     gain_skew: float
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateEvidence:
     """One ranked cancellation candidate with its estimator inputs."""
 
@@ -117,7 +117,7 @@ class CandidateEvidence:
     selected: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionAudit:
     """Full evidence chain for one detector trigger -> verdict cycle.
 

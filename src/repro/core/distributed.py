@@ -107,7 +107,7 @@ class TaskTree:
         if task is self.root:
             raise ValueError("the root cannot be its own child")
         self._children[task] = node
-        task.metadata["root_key"] = self.root.key
+        task.root_key = self.root.key
 
     def remove_child(self, task: CancellableTask) -> None:
         self._children.pop(task, None)

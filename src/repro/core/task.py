@@ -9,7 +9,7 @@ attribution and the unit of cancellation.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .progress import ProgressModel, UnknownProgress
 from .types import CancelSignal, TaskKind
@@ -34,6 +34,13 @@ class TaskState(enum.Enum):
 
 class CancellableTask:
     """One registered unit of cancellable work."""
+
+    __slots__ = (
+        "env", "seq", "key", "kind", "client_id", "op_name", "process",
+        "progress_model", "created_at", "state", "cancel_count",
+        "_cancellable", "cancel_signal", "trace_debt",
+        "requires_thread_cancel", "root_key",
+    )
 
     def __init__(
         self,
@@ -72,8 +79,11 @@ class CancellableTask:
         #: Simulated tracing overhead, seconds, charged by the runtime
         #: per traced event and paid as delay at the next checkpoint.
         self.trace_debt = 0.0
-        #: Free-form per-task annotations (used by controllers).
-        self.metadata: Dict[str, Any] = {}
+        #: The task has no application-level initiator: cancelling it
+        #: needs the opt-in thread-level flag (§3.6).
+        self.requires_thread_cancel = False
+        #: Key of the distributed root this task is a child of, if any.
+        self.root_key: Any = None
 
     # ------------------------------------------------------------------
     # Introspection

@@ -17,7 +17,7 @@ grant event whenever that event would have been popped next.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List
+from typing import TYPE_CHECKING, Any, Generator, List
 
 from ...obs.tracer import owner_label
 from ..events import Event, Timeout
@@ -56,8 +56,10 @@ class CPU:
         self.slice_time = slice_time
         self._pool = ThreadPool(env, f"{name}.cores", cores, traced=False)
         self._tracer = env.tracer
-        #: owner -> cumulative CPU seconds consumed.
-        self.usage: Dict[Any, float] = {}
+        #: CPU seconds charged so far, summed in charge order.  Per-task
+        #: seconds belong to the caller's ledger (``trace_get``): the CPU
+        #: names an owner only while its slice runs or waits.
+        self.cpu_seconds = 0.0
 
     @property
     def run_queue_length(self) -> int:
@@ -67,9 +69,6 @@ class CPU:
     @property
     def busy_cores(self) -> int:
         return self._pool.active
-
-    def consumed(self, owner: Any) -> float:
-        return self.usage.get(owner, 0.0)
 
     def owners(self) -> List[Any]:
         """Owners of the slices on a core or in the run queue."""
@@ -82,7 +81,7 @@ class CPU:
             if self.cores else 0.0,
             "queue_depth": float(self.run_queue_length),
             "cores": float(self.cores),
-            "cpu_seconds_total": sum(self.usage.values()),
+            "cpu_seconds_total": self.cpu_seconds,
         }
 
     # ------------------------------------------------------------------
@@ -102,8 +101,9 @@ class CPU:
         self.cores = self.nominal_cores
         self._pool.resize(self.cores)
 
-    def execute(self, owner: Any, cpu_time: float) -> Generator[Event, Any, None]:
-        """Process generator: burn ``cpu_time`` seconds of CPU, time-sliced.
+    def execute(self, owner: Any, cpu_time: float) -> Generator[Event, Any, float]:
+        """Process generator: burn ``cpu_time`` seconds of CPU, time-sliced;
+        returns the seconds charged.
 
         Usage is charged slice by slice so an interrupt mid-way leaves the
         accounting consistent (the task pays for what it actually ran).
@@ -133,6 +133,8 @@ class CPU:
             if cpu_time > 1e-12:
                 loop = _SliceLoop(self, owner, cpu_time)
                 yield loop.finished
+                return loop.done
+            return 0.0
         finally:
             if loop is not None:
                 # An interrupt leaves the current slice's grant queued or
@@ -188,10 +190,8 @@ class _SliceLoop:
         if grant.closed:
             return
         cpu = self.cpu
-        owner = self.owner
         chunk = self.chunk
-        usage = cpu.usage
-        usage[owner] = usage.get(owner, 0.0) + chunk
+        cpu.cpu_seconds += chunk
         self.done += chunk
         remaining = self.remaining = self.remaining - chunk
         if remaining > 1e-12:

@@ -6,7 +6,7 @@ saturating the disk and slowing queries).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List
+from typing import TYPE_CHECKING, Any, Generator, List
 
 from ...obs.tracer import owner_label
 from ..events import Event, Timeout
@@ -49,8 +49,9 @@ class DiskIO:
         self.nominal_op_latency = op_latency
         self._pool = ThreadPool(env, f"{name}.queue", queue_depth, traced=False)
         self._tracer = env.tracer
-        #: owner -> cumulative bytes transferred.
-        self.bytes_by_owner: Dict[Any, float] = {}
+        #: Bytes transferred so far.  Per-task bytes belong to the
+        #: caller's ledger (``trace_get``): the device names an owner only
+        #: while its operation is in flight or queued.
         self.total_bytes = 0.0
 
     @property
@@ -65,9 +66,6 @@ class DiskIO:
     @property
     def inflight(self) -> int:
         return self._pool.active
-
-    def transferred(self, owner: Any) -> float:
-        return self.bytes_by_owner.get(owner, 0.0)
 
     def owners(self) -> List[Any]:
         """Owners of the operations in flight or in the device queue."""
@@ -100,8 +98,11 @@ class DiskIO:
         self.bandwidth = self.nominal_bandwidth
         self.op_latency = self.nominal_op_latency
 
-    def _service_time(self, nbytes: float) -> float:
-        return self.op_latency + nbytes / self.bandwidth
+    def transfer(self, nbytes: float) -> Generator[Event, Any, None]:
+        """Process generator: move ``nbytes`` bytes on a device-queue slot
+        the caller already holds (:attr:`queue`), then count them."""
+        yield Timeout(self.env, self.op_latency + nbytes / self.bandwidth)
+        self.total_bytes += nbytes
 
     def io(self, owner: Any, nbytes: float) -> Generator[Event, Any, None]:
         """Process generator: perform one I/O of ``nbytes`` bytes."""
@@ -129,11 +130,7 @@ class DiskIO:
             slot = self._pool.submit(owner)
             try:
                 yield slot
-                yield Timeout(self.env, self._service_time(nbytes))
-                self.bytes_by_owner[owner] = (
-                    self.bytes_by_owner.get(owner, 0.0) + nbytes
-                )
-                self.total_bytes += nbytes
+                yield from self.transfer(nbytes)
             finally:
                 slot.close()
         finally:

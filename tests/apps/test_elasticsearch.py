@@ -142,12 +142,11 @@ class TestCpuContention:
             duration=8.0, warmup=2.0,
         )
         assert loaded.p99_latency > clean.p99_latency * 2
-        # The CPU usage ledger attributes the burn to the long queries.
-        cpu_by_owner = loaded.app.cpu.usage
-        long_query_burn = sum(
-            t for owner, t in cpu_by_owner.items()
-            if getattr(owner, "op_name", "") == "long_query"
-        )
+        # The long queries burned the extra CPU.  Queued behind them, the
+        # loaded run's searches are charged no more CPU in the window than
+        # the clean run's, so the difference is a lower bound on the long
+        # queries' own seconds (40.67 of their 40.72 here).
+        long_query_burn = loaded.app.cpu.cpu_seconds - clean.app.cpu.cpu_seconds
         assert long_query_burn > 5.0
 
 

@@ -203,7 +203,7 @@ class TestThreadLevelCancellation:
             calm_check=lambda: True,
         )
         t = live_task(env, controller)["task"]
-        t.metadata["requires_thread_cancel"] = True
+        t.requires_thread_cancel = True
         assert not mgr.cancel(t, None, 1.0)
         assert mgr.log == []
 
@@ -215,7 +215,7 @@ class TestThreadLevelCancellation:
             calm_check=lambda: True,
         )
         t = live_task(env, controller)["task"]
-        t.metadata["requires_thread_cancel"] = True
+        t.requires_thread_cancel = True
         assert mgr.cancel(t, None, 1.0)
 
     def test_case_c9_sets_the_flag(self):

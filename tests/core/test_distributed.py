@@ -144,7 +144,7 @@ def test_children_tagged_with_root_key(env, controller):
     tree = TaskTree(env, root)
     child = spawn(env, controller, "child", log)
     tree.add_child(child, Node("n"))
-    assert child.metadata["root_key"] == root.key
+    assert child.root_key == root.key
 
 
 def test_remove_child_excludes_from_propagation(env, controller):

@@ -9,12 +9,14 @@ right, which is what a differential test wants (``test_cpu_reference.py``).
 
 Two differences from the original: tracing is left out, and each slice
 start is appended to :attr:`ReferenceCPU.starts` as ``(now, owner)``.
+Like the CPU, it keeps one running total of the seconds charged, in
+charge order, and ``execute`` returns the seconds it charged.
 Nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 from repro.sim.events import Timeout
 from repro.sim.resources.threadpool import ThreadPool
@@ -31,7 +33,7 @@ class ReferenceCPU:
         self.nominal_cores = cores
         self.slice_time = slice_time
         self._pool = ThreadPool(env, f"{name}.cores", cores, traced=False)
-        self.usage: Dict[Any, float] = {}
+        self.cpu_seconds = 0.0
         self.starts: List[Tuple[float, Any]] = []
 
     @property
@@ -58,6 +60,7 @@ class ReferenceCPU:
             raise ValueError("cpu_time must be non-negative")
         env = self.env
         remaining = cpu_time
+        charged = 0.0
         while remaining > 1e-12:
             chunk = min(self.slice_time, remaining)
             slot = self._pool.submit(owner)
@@ -65,7 +68,9 @@ class ReferenceCPU:
                 yield slot
                 self.starts.append((env.now, owner))
                 yield Timeout(env, chunk)
-                self.usage[owner] = self.usage.get(owner, 0.0) + chunk
+                self.cpu_seconds += chunk
+                charged += chunk
             finally:
                 slot.close()
             remaining -= chunk
+        return charged

@@ -16,13 +16,13 @@ def test_single_task_runs_at_full_speed(env):
     done = []
 
     def task(env):
-        yield from cpu.execute("a", 0.1)
-        done.append(env.now)
+        charged = yield from cpu.execute("a", 0.1)
+        done.append((env.now, charged))
 
     env.process(task(env))
     env.run()
-    assert done[0] == pytest.approx(0.1)
-    assert cpu.consumed("a") == pytest.approx(0.1)
+    assert done == [(pytest.approx(0.1), pytest.approx(0.1))]
+    assert cpu.cpu_seconds == pytest.approx(0.1)
 
 
 def test_two_tasks_share_one_core(env):
@@ -90,7 +90,7 @@ def test_interrupt_mid_execution_charges_partial_usage(env):
     env.process(killer(env, t))
     env.run()
     assert outcome and outcome[0] == pytest.approx(0.05, abs=0.01)
-    assert 0.0 < cpu.consumed("victim") <= 0.06
+    assert 0.0 < cpu.cpu_seconds <= 0.06
     # The core is free again.
     assert cpu.busy_cores == 0
 
@@ -100,13 +100,14 @@ def test_zero_time_execution_is_noop(env):
     done = []
 
     def task(env):
-        yield from cpu.execute("a", 0.0)
-        done.append(env.now)
+        charged = yield from cpu.execute("a", 0.0)
+        done.append((env.now, charged))
         yield env.timeout(0)
 
     env.process(task(env))
     env.run()
-    assert done == [0.0]
+    assert done == [(0.0, 0.0)]
+    assert cpu.cpu_seconds == 0.0
 
 
 def test_negative_time_rejected(env):

@@ -9,10 +9,12 @@ events.  Times are dyadic (sums of halves), so slice ends tie exactly:
 several calls started at one instant end their slices together, and an
 unrelated event can be due at exactly a slice end.
 
-After every distinct simulated time the two must agree on ``usage``
-(insertion order included), ``owners()``, ``run_queue_length``,
-``busy_cores`` and the pool's busy and wait totals; over the whole run,
-on the ordered ``(time, owner)`` slice starts and ``execute`` outcomes.
+After every distinct simulated time the two must agree on
+``cpu_seconds`` (summed in the same charge order, so exactly equal),
+``owners()``, ``run_queue_length``, ``busy_cores`` and the pool's busy
+and wait totals; over the whole run, on the ordered ``(time, owner)``
+slice starts and ``execute`` outcomes, each finished call with the
+seconds it returned as charged.
 """
 
 import contextlib
@@ -58,8 +60,8 @@ def build(make_cpu, program):
             try:
                 if gap is not None:
                     yield env.timeout(gap)
-                yield from cpu.execute(owner, demand)
-                outcomes.append((env.now, owner, "done"))
+                charged = yield from cpu.execute(owner, demand)
+                outcomes.append((env.now, owner, "done", charged))
             except Interrupt:
                 outcomes.append((env.now, owner, "interrupted"))
 
@@ -102,7 +104,7 @@ def run(make_cpu, program):
         pool = cpu._pool
         states.append((
             now,
-            list(cpu.usage.items()),
+            cpu.cpu_seconds,
             cpu.owners(),
             cpu.run_queue_length,
             cpu.busy_cores,
@@ -187,7 +189,8 @@ def test_a_grant_due_at_a_slice_end_keeps_its_place():
     ]
     _, outcomes, _ = run(CPU, case)
     assert outcomes == [
-        (2.0, "t0", "done"), (2.0, "t1", "done"), (3.0, "t2", "done"),
+        (2.0, "t0", "done", 1.0), (2.0, "t1", "done", 2.0),
+        (3.0, "t2", "done", 1.0),
     ]
 
 
@@ -216,9 +219,10 @@ def test_interrupts_at_every_stage_of_a_slice():
     assert outcomes == [
         (0.5, "t3", "interrupted"), (1.5, "t1", "interrupted"),
         (1.5, "t2", "interrupted"), (3.5, "t2", "interrupted"),
-        (4.5, "t0", "done"), (5.5, "t0", "done"),
+        (4.5, "t0", "done", 3.0), (5.5, "t0", "done", 1.0),
     ]
-    assert cpu.usage == {"t0": 4.0}
+    # No interrupted call was charged: the total is t0's two calls.
+    assert cpu.cpu_seconds == 4.0
 
 
 def test_degrade_below_the_running_slices_then_restore():

@@ -22,7 +22,7 @@ def test_io_takes_latency_plus_transfer_time(env):
     env.process(task(env))
     env.run()
     assert done == [pytest.approx(1.5)]  # 0.5 latency + 1.0 transfer
-    assert disk.transferred("a") == 100.0
+    assert disk.total_bytes == 100.0
 
 
 def test_queue_depth_limits_concurrency(env):
@@ -92,7 +92,9 @@ def test_interrupt_while_queued_cleans_up(env):
     env.run()
     assert ("victim", "cancelled") in log
     assert disk.queue_length == 0
-    assert disk.transferred("victim") == 0.0
+    # Only "big" transferred: the queued victim moved no bytes.
+    assert log == [("victim", "cancelled"), ("big", "done")]
+    assert disk.total_bytes == 100.0
 
 
 def test_negative_bytes_rejected(env):
