@@ -68,7 +68,6 @@ class Apache(Application):
         self.r_workers = self.register_resource(
             "worker_pool", ResourceType.QUEUE, self.workers
         )
-        self.instrumentation_sites = 6
 
         self.register_handler("static", self.static)
         self.register_handler("php_script", self.php_script)

@@ -70,9 +70,6 @@ class Application:
         self._handlers: Dict[str, Handler] = {}
         #: handle -> the sim objects behind it, in registration order.
         self._resources: Dict[ResourceHandle, tuple] = {}
-        #: Count of instrumentation sites (tracing calls wired into this
-        #: app); reported in the Table 3 integration-effort experiment.
-        self.instrumentation_sites = 0
 
     # ------------------------------------------------------------------
     # Wiring

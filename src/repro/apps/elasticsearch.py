@@ -107,7 +107,6 @@ class Elasticsearch(Application):
         self.r_doc_lock = self.register_resource(
             "document_lock", ResourceType.LOCK, self.doc_lock
         )
-        self.instrumentation_sites = 16
 
         # Warm state: hot filters cached, baseline heap allocated.
         self.query_cache.acquire(HOT_CACHE, cfg.hot_cache_entries)

@@ -53,7 +53,6 @@ class Etcd(Application):
         self.r_kv_lock = self.register_resource(
             "kv_lock", ResourceType.LOCK, self.kv_lock
         )
-        self.instrumentation_sites = 6
 
         self.register_handler("get", self.get)
         self.register_handler("put", self.put)

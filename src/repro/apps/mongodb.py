@@ -135,7 +135,6 @@ class MongoDB(Application):
         self.r_index_lock = self.register_resource(
             "index_lock", ResourceType.LOCK, self.index_latch
         )
-        self.instrumentation_sites = 14
 
         #: Monotonic id source for flood-inserted metrics documents
         #: (unique keys: a flood never re-touches what it wrote).

@@ -130,7 +130,6 @@ class MySQL(Application):
         self.r_innodb_queue = self.register_resource(
             "innodb_queue", ResourceType.QUEUE, self.innodb_queue
         )
-        self.instrumentation_sites = 20  # Table 3: ~20 resources/sites
 
         #: Scan/dump processes currently in flight; the backup handler
         #: waits for these to drain while holding all table locks (c1).

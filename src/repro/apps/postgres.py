@@ -109,7 +109,6 @@ class PostgreSQL(Application):
         self.r_io = self.register_resource(
             "system_io", ResourceType.IO, self.disk
         )
-        self.instrumentation_sites = 15
 
         #: Dead tuples per table (MVCC bloat, case c6).
         self.dead_tuples: Dict[int, float] = {i: 0.0 for i in range(cfg.tables)}

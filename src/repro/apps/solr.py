@@ -68,7 +68,6 @@ class Solr(Application):
         self.r_index_lock = self.register_resource(
             "index_lock", ResourceType.LOCK, self.index_lock
         )
-        self.instrumentation_sites = 10
 
         self.register_handler("query", self.query)
         self.register_handler("boolean_query", self.boolean_query)

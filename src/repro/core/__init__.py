@@ -29,7 +29,7 @@ from .estimator import (
     ResourceReport,
     TaskReport,
 )
-from .ledger import UsageLedger, UsageStats
+from .ledger import UsageLedger
 from .levers import (
     LEVERS,
     CancelLever,
@@ -122,7 +122,6 @@ __all__ = [
     "TimeBasedProgress",
     "UnknownProgress",
     "UsageLedger",
-    "UsageStats",
     "clamp_progress",
     "default_initiator",
     "dominates",

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .config import AtroposConfig
-from .ledger import TaskUsage, UsageStats
+from .ledger import ResourceUsage, TaskUsage
 from .progress import future_gain_multiplier
 from .runtime import RuntimeManager
 from .task import CancellableTask
@@ -142,54 +142,52 @@ class Estimator:
         return self._norm(resource, *self._window(resource))
 
     def _window(self, resource: ResourceHandle):
-        """The resource's window counters and the sum of its in-progress
+        """The resource's window record and the sum of its in-progress
         waits (taken once per resource: it walks every waiter)."""
-        stats = self.runtime.ledger.resource_window(resource)
+        window = self.runtime.ledger.aggregate(resource)
         if resource.rtype is ResourceType.MEMORY:
-            return stats, 0.0
-        return stats, self.runtime.ledger.open_wait_time(resource, self.env.now)
+            return window, 0.0
+        return window, window.open_wait_time(self.env.now)
 
     def _raw(
-        self, resource: ResourceHandle, stats: UsageStats, open_wait: float
+        self, resource: ResourceHandle, window: ResourceUsage, open_wait: float
     ) -> float:
         if resource.rtype is ResourceType.MEMORY:
             # Average eviction ratio: evictions per acquired page.
-            if stats.acquired <= _EPS:
+            if window.acquired <= _EPS:
                 return 0.0
-            return stats.wait_events / stats.acquired
+            return window.wait_events / window.acquired
         # LOCK / QUEUE / CPU / IO: waiting time over usage time.  Open
         # (in-progress) waits are included so a forming convoy -- where no
         # grant ever completes -- is visible immediately.
-        waiting = stats.wait_time + open_wait
-        usage = stats.hold_time + self.runtime.ledger.open_hold_time(
-            resource, self.env.now
-        )
+        waiting = window.wait_time + open_wait
+        usage = window.hold_time + window.open_hold_time(self.env.now)
         if usage <= _EPS:
             # Waiting with no one using it at all: treat any wait as severe.
             return waiting / _EPS if waiting > _EPS else 0.0
         return waiting / usage
 
     def _norm(
-        self, resource: ResourceHandle, stats: UsageStats, open_wait: float
+        self, resource: ResourceHandle, window: ResourceUsage, open_wait: float
     ) -> float:
         exec_seconds = self.runtime.activity.window_task_seconds()
         if exec_seconds <= _EPS:
             return 0.0
         if resource.rtype is ResourceType.MEMORY:
-            if stats.acquired > _EPS:
+            if window.acquired > _EPS:
                 # Eviction stall time, weighted by how contended the pool
                 # is: the same stall matters more when the eviction ratio
                 # is high.
-                delay = stats.wait_time * min(
-                    1.0, self._raw(resource, stats, open_wait)
+                delay = window.wait_time * min(
+                    1.0, self._raw(resource, window, open_wait)
                 )
             else:
                 # Pure stall regime (e.g. GC pauses from heap occupancy):
                 # nobody acquires pages in the window, but tasks are still
                 # losing time to the memory resource.
-                delay = stats.wait_time
+                delay = window.wait_time
         else:
-            delay = stats.wait_time + open_wait
+            delay = window.wait_time + open_wait
         return min(1.0, delay / exec_seconds)
 
     # ------------------------------------------------------------------
@@ -216,13 +214,11 @@ class Estimator:
         """``(task seq, current usage)`` of every task with a get, free or
         slow-by on ``resource``, in first-touch order.  A task without
         one uses nothing of it."""
-        aggregate = self.runtime.ledger.aggregate(resource)
-        if aggregate is None:
-            return []
+        touched = self.runtime.ledger.aggregate(resource).touched
         rtype, now = resource.rtype, self.env.now
         return [
             (key, _usage(record, rtype, now))
-            for key, record in aggregate.touched.items()
+            for key, record in touched.items()
         ]
 
     # ------------------------------------------------------------------
@@ -232,9 +228,9 @@ class Estimator:
         """Contention levels and overload verdicts (no gains yet)."""
         reports = []
         for resource in resources:
-            stats, open_wait = self._window(resource)
-            raw = self._raw(resource, stats, open_wait)
-            norm = self._norm(resource, stats, open_wait)
+            window, open_wait = self._window(resource)
+            raw = self._raw(resource, window, open_wait)
+            norm = self._norm(resource, window, open_wait)
             reports.append(
                 ResourceReport(
                     resource=resource,

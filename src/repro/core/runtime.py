@@ -75,8 +75,8 @@ class RuntimeManager:
     timestamp, update the (task, resource) record of the ledger in place
     and, for the three resource events, add the simulated tracing cost
     to the task's :attr:`~repro.core.task.CancellableTask.trace_debt`.
-    They call into the ledger only to create a record or to bring it
-    into the current window.
+    They call into the ledger only to create a record or to list its
+    task under the resource.
     """
 
     def __init__(self, env: "Environment", config: AtroposConfig) -> None:
@@ -123,13 +123,10 @@ class RuntimeManager:
         key = task.seq
         records = ledger.by_task.get(key)
         record = records.get(resource.name) if records is not None else None
-        if record is None or record.epoch != ledger.epoch:
-            record = ledger.countable(key, resource, record)
-        aggregate = record.aggregate
+        if record is None or not record.touched:
+            record = ledger.touch(key, resource, record)
         record.acquired += amount
-        record.w_acquired += amount
-        aggregate.acquired += amount
-        aggregate.w_acquired += amount
+        record.aggregate.acquired += amount
         if not record.hold_depth:
             record.hold_since = stamp
         record.hold_depth += 1
@@ -151,13 +148,9 @@ class RuntimeManager:
         key = task.seq
         records = ledger.by_task.get(key)
         record = records.get(resource.name) if records is not None else None
-        if record is None or record.epoch != ledger.epoch:
-            record = ledger.countable(key, resource, record)
-        aggregate = record.aggregate
+        if record is None or not record.touched:
+            record = ledger.touch(key, resource, record)
         record.released += amount
-        record.w_released += amount
-        aggregate.released += amount
-        aggregate.w_released += amount
         # Close the outermost hold interval; an unbalanced free is a no-op.
         if record.hold_depth:
             record.hold_depth -= 1
@@ -165,9 +158,7 @@ class RuntimeManager:
                 duration = stamp - record.hold_since
                 if duration > 0:
                     record.hold_time += duration
-                    record.w_hold_time += duration
-                    aggregate.hold_time += duration
-                    aggregate.w_hold_time += duration
+                    record.aggregate.hold_time += duration
         task.trace_debt += self._trace_cost[fine]
 
     def record_slow_by(
@@ -182,17 +173,11 @@ class RuntimeManager:
         key = task.seq
         records = ledger.by_task.get(key)
         record = records.get(resource.name) if records is not None else None
-        if record is None or record.epoch != ledger.epoch:
-            record = ledger.countable(key, resource, record)
+        if record is None or not record.touched:
+            record = ledger.touch(key, resource, record)
         aggregate = record.aggregate
-        record.wait_time += delay
-        record.w_wait_time += delay
         aggregate.wait_time += delay
-        aggregate.w_wait_time += delay
-        record.wait_events += events
-        record.w_wait_events += events
         aggregate.wait_events += events
-        aggregate.w_wait_events += events
         task.trace_debt += self._trace_cost[self.fine_mode]
 
     def record_wait_start(
@@ -230,17 +215,11 @@ class RuntimeManager:
             return 0.0
         duration = self.env.now - record.wait_since
         if duration > 0:
-            if record.epoch != ledger.epoch:
-                ledger.countable(key, resource, record)
+            if not record.touched:
+                ledger.touch(key, resource, record)
             aggregate = record.aggregate
-            record.wait_time += duration
-            record.w_wait_time += duration
             aggregate.wait_time += duration
-            aggregate.w_wait_time += duration
-            record.wait_events += 1.0
-            record.w_wait_events += 1.0
             aggregate.wait_events += 1.0
-            aggregate.w_wait_events += 1.0
         return duration
 
     # ------------------------------------------------------------------

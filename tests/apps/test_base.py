@@ -227,4 +227,5 @@ class TestAcquireHelpers:
         env.process(waiter(env))
         env.run(until=0.5)
         # The waiter's open wait is visible in the ledger mid-convoy.
-        assert atropos.runtime.ledger.open_wait_time(app.r_lock, 0.5) > 0.3
+        window = atropos.runtime.ledger.aggregate(app.r_lock)
+        assert window.open_wait_time(0.5) > 0.3

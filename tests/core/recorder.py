@@ -5,12 +5,15 @@ RuntimeManager`, whose entry points take task objects and read the
 clock.  :class:`Recorder` gives tests the ledger-shaped API instead --
 ``record_get(task, resource, amount, now)`` with ``task`` a small int,
 and every query keyed the same way -- which is also the API of
-``reference_ledger.TableLedger``, so one op list drives both.  Each call
-first moves the clock to ``now``; the runtime starts in fine mode, so
-every timestamp is exactly ``now``.  Nothing under ``src/`` imports it.
+``reference_ledger.TableLedger``, so one op list drives both.  Each
+call first moves the clock to ``now``; the runtime starts in fine mode,
+so every timestamp is exactly ``now``.  The ledger offers no queries
+beyond what the estimator reads; the ones tests ask are answered here
+from its records.  Nothing under ``src/`` imports it.
 """
 
 from repro.core.config import AtroposConfig
+from repro.core.ledger import ResourceUsage, TaskUsage
 from repro.core.runtime import RuntimeManager
 from repro.sim import Environment
 
@@ -66,32 +69,45 @@ class Recorder:
         self.ledger.forget_task(name)
 
     # -- queries -------------------------------------------------------
-    def task_total(self, name, resource):
-        return self.ledger.task_total(name, resource)
-
-    def task_window(self, name, resource):
-        return self.ledger.task_window(name, resource)
+    def task_total(self, name, resource) -> TaskUsage:
+        """The (task, resource) record: usage since the task started
+        (an empty record before any event)."""
+        record = self.ledger.record(name, resource)
+        return record if record is not None else TaskUsage(ResourceUsage())
 
     def current_hold(self, name, resource, now) -> float:
-        return self.ledger.current_hold(name, resource, now)
+        record = self.ledger.record(name, resource)
+        return record.current_hold(now) if record is not None else 0.0
 
     def current_wait(self, name, resource, now) -> float:
-        return self.ledger.current_wait(name, resource, now)
+        record = self.ledger.record(name, resource)
+        if record is None or not record.wait_depth:
+            return 0.0
+        return now - record.wait_since
 
-    def resource_total(self, resource):
-        return self.ledger.resource_total(resource)
-
-    def resource_window(self, resource):
-        return self.ledger.resource_window(resource)
+    def resource_window(self, resource) -> ResourceUsage:
+        """The resource's record: its usage over the current window."""
+        return self.ledger.aggregate(resource)
 
     def open_wait_time(self, resource, now) -> float:
-        return self.ledger.open_wait_time(resource, now)
+        return self.ledger.aggregate(resource).open_wait_time(now)
 
     def open_hold_time(self, resource, now) -> float:
-        return self.ledger.open_hold_time(resource, now)
+        return self.ledger.aggregate(resource).open_hold_time(now)
 
     def tasks_touching(self, resource) -> list:
-        return self.ledger.tasks_touching(resource)
+        """Task keys with a get / free / slow-by on ``resource``, in
+        first-touch order."""
+        return list(self.ledger.aggregate(resource).touched)
 
     def tracked_tasks(self) -> set:
-        return self.ledger.tracked_tasks()
+        return tracked_tasks(self.ledger)
+
+
+def tracked_tasks(ledger) -> set:
+    """Task keys ``ledger`` holds any state for.  Conservation: once
+    finished tasks are forgotten this is a subset of the live ones."""
+    keys = set(ledger.by_task)
+    for aggregate in ledger._resources.values():
+        keys.update(aggregate.touched, aggregate.waited)
+    return keys

@@ -9,7 +9,10 @@ as it stood before the tracing entry points were fused into one frame
 each: a separate timestamp call, a ledger call per event, and the
 application's per-event tracing debt added to a task metadata dict.
 Both are slow and obviously right, which is what a differential test
-wants (``test_ledger_records.py``).  Nothing under ``src/`` imports them.
+wants (``test_ledger_records.py``).  They keep every counter four times
+(task and resource, total and window), as the ledger once did; the test
+compares the copies the ledger still keeps.  Nothing under ``src/``
+imports them.
 """
 
 from __future__ import annotations
@@ -17,10 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.ledger import UsageStats
 from repro.core.types import ResourceHandle
 
 Key = Tuple[int, ResourceHandle]  # (task seq, resource)
+
+
+@dataclass
+class UsageStats:
+    """Raw counters for one (task, resource) or one resource aggregate."""
+
+    acquired: float = 0.0
+    released: float = 0.0
+    wait_time: float = 0.0
+    wait_events: float = 0.0
+    hold_time: float = 0.0
 
 
 @dataclass(slots=True)

@@ -1,43 +1,11 @@
 """Tests for the usage ledger."""
 
-import pytest
-
 from repro.core import ResourceHandle, ResourceType
-from repro.core.ledger import UsageStats
 
 from .recorder import Recorder
 
 LOCK = ResourceHandle("table_lock", ResourceType.LOCK)
 MEM = ResourceHandle("buffer_pool", ResourceType.MEMORY)
-
-
-class TestUsageStats:
-    def test_held_is_acquired_minus_released(self):
-        s = UsageStats(acquired=10, released=4)
-        assert s.held == 6
-
-    def test_held_never_negative(self):
-        s = UsageStats(acquired=1, released=5)
-        assert s.held == 0
-
-    def test_add_merges(self):
-        a = UsageStats(acquired=1, wait_time=2.0)
-        b = UsageStats(acquired=3, hold_time=1.0)
-        a.add(b)
-        assert a.acquired == 4
-        assert a.hold_time == 1.0
-        assert a.wait_time == 2.0
-
-    def test_copy_is_independent(self):
-        a = UsageStats(acquired=1)
-        b = a.copy()
-        b.acquired = 99
-        assert a.acquired == 1
-
-    def test_reset(self):
-        a = UsageStats(acquired=1, wait_time=2.0, hold_time=3.0)
-        a.reset()
-        assert a.acquired == 0 and a.wait_time == 0 and a.hold_time == 0
 
 
 class TestHoldTracker:
@@ -80,29 +48,33 @@ class TestLedger:
         led.record_get(2, MEM, 3, now=1.0)
         assert led.task_total(1, MEM).acquired == 15
         assert led.task_total(2, MEM).acquired == 3
-        assert led.resource_total(MEM).acquired == 18
+        assert led.resource_window(MEM).acquired == 18
 
     def test_free_records_hold_time(self):
         led = Recorder()
         led.record_get(1, LOCK, 1, now=2.0)
         led.record_free(1, LOCK, 1, now=7.0)
         assert led.task_total(1, LOCK).hold_time == 5.0
-        assert led.resource_total(LOCK).hold_time == 5.0
+        assert led.resource_window(LOCK).hold_time == 5.0
 
     def test_slow_by_accumulates_wait(self):
         led = Recorder()
         led.record_slow_by(1, LOCK, delay=0.5)
-        led.record_slow_by(1, LOCK, delay=0.25, events=2)
-        assert led.task_total(1, LOCK).wait_time == 0.75
-        assert led.task_total(1, LOCK).wait_events == 3
-        assert led.resource_total(LOCK).wait_time == 0.75
+        led.record_slow_by(2, LOCK, delay=0.25, events=2)
+        assert led.resource_window(LOCK).wait_time == 0.75
+        assert led.resource_window(LOCK).wait_events == 3
+        # A slow-by alone lists the task under the resource.
+        assert led.tasks_touching(LOCK) == [1, 2]
 
     def test_window_resets_but_total_persists(self):
         led = Recorder()
         led.record_get(1, MEM, 10, now=0.0)
+        led.record_slow_by(1, MEM, delay=0.5)
         led.roll_window()
+        window = led.resource_window(MEM)
+        assert window.acquired == window.wait_time == window.wait_events == 0
         led.record_get(1, MEM, 5, now=1.0)
-        assert led.task_window(1, MEM).acquired == 5
+        assert led.resource_window(MEM).acquired == 5
         assert led.task_total(1, MEM).acquired == 15
 
     def test_current_hold(self):
@@ -130,6 +102,7 @@ class TestLedger:
         led.record_get(1, LOCK, 1, now=0.0)
         led.forget_task(1)
         assert led.task_total(1, MEM).acquired == 0
+        assert led.ledger.record(1, LOCK) is None
         assert led.tasks_touching(MEM) == []
-        # Resource aggregates persist (they describe the resource).
-        assert led.resource_total(MEM).acquired == 10
+        # Resource counters persist (they describe the resource).
+        assert led.resource_window(MEM).acquired == 10

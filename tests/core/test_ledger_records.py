@@ -3,10 +3,13 @@ ledger against the table-keyed reference.
 
 ``reference_ledger.TableLedger`` is the ledger as it was before the
 records and ``TableRuntime`` the runtime in front of it before the
-entry points were fused: every query of the two must agree exactly --
-floats with ``==``, ``tasks_touching`` as lists -- because the
-estimator's float sums, and through them every run digest, depend on
-it; so must each task's tracing debt and the traced-event count.
+entry points were fused: every counter the ledger still keeps (a task's
+usage since start, a resource's current window) and every open interval
+must agree exactly -- floats with ``==``, ``tasks_touching`` as lists --
+because the estimator's float sums, and through them every run digest,
+depend on it; so must each task's tracing debt and the traced-event
+count.  One level up, the estimator's contention levels and current
+usages must equal its formulas as they read the reference's tables.
 """
 
 import pytest
@@ -16,15 +19,17 @@ from hypothesis import strategies as st
 from repro.baselines import controller_factory
 from repro.cases import get_case
 from repro.core import AtroposConfig, ResourceHandle, ResourceType
-from repro.core.ledger import UsageStats
+from repro.core.estimator import Estimator
 
-from .recorder import Recorder
+from .recorder import Recorder, tracked_tasks
 from .reference_ledger import TableLedger, TableRuntime
 
 LOCK = ResourceHandle("table_lock", ResourceType.LOCK)
 MEM = ResourceHandle("buffer_pool", ResourceType.MEMORY)
+CPU = ResourceHandle("cpu", ResourceType.CPU)
 TASKS = (1, 2, 3)
-RESOURCES = (LOCK, MEM)
+RESOURCES = (LOCK, MEM, CPU)
+_EPS = 1e-9
 
 #: The cases of the perf/ workloads (one per resource type, all backends).
 PERF_CASES = ("c1", "c5", "c7", "c9", "c12", "c14", "c16", "c18")
@@ -63,16 +68,67 @@ def _apply(ledger, op, now):
 def _queries(ledger, now, open_hold_time):
     out = []
     for resource in RESOURCES:
-        out.append(ledger.resource_total(resource))
-        out.append(ledger.resource_window(resource))
+        window = ledger.resource_window(resource)
+        out.append((window.acquired, window.wait_time, window.wait_events,
+                    window.hold_time))
         out.append(ledger.tasks_touching(resource))
         out.append(ledger.open_wait_time(resource, now))
         out.append(open_hold_time(resource, now))
         for task in TASKS:
-            out.append(ledger.task_total(task, resource))
-            out.append(ledger.task_window(task, resource))
+            total = ledger.task_total(task, resource)
+            out.append((total.acquired, total.released, total.hold_time))
             out.append(ledger.current_hold(task, resource, now))
             out.append(ledger.current_wait(task, resource, now))
+    return out
+
+
+def _estimates(new):
+    """What the estimator reads off ``new``'s ledger: raw and normalized
+    contention per resource, current usage per (task, resource)."""
+    estimator = Estimator(new.env, new.runtime, AtroposConfig())
+    out = []
+    for resource in RESOURCES:
+        out.append(estimator.contention_raw(resource))
+        out.append(estimator.contention_norm(resource))
+        for task in TASKS:
+            out.append(estimator.current_usage(new.task(task), resource))
+    return out
+
+
+def _reference_estimates(ref, now, open_hold_time, exec_seconds):
+    """The estimator's formulas as they read a ``UsageStats`` window and
+    task total, evaluated on the reference's tables."""
+    out = []
+    for resource in RESOURCES:
+        stats = ref.resource_window(resource)
+        if resource.rtype is ResourceType.MEMORY:
+            if stats.acquired > _EPS:
+                raw = stats.wait_events / stats.acquired
+                delay = stats.wait_time * min(1.0, raw)
+            else:
+                raw, delay = 0.0, stats.wait_time
+        else:
+            open_wait = ref.open_wait_time(resource, now)
+            waiting = stats.wait_time + open_wait
+            usage = stats.hold_time + open_hold_time(resource, now)
+            if usage <= _EPS:
+                raw = waiting / _EPS if waiting > _EPS else 0.0
+            else:
+                raw = waiting / usage
+            delay = stats.wait_time + open_wait
+        out.append(raw)
+        out.append(
+            min(1.0, delay / exec_seconds) if exec_seconds > _EPS else 0.0
+        )
+        for task in TASKS:
+            total = ref.task_total(task, resource)
+            if resource.rtype is ResourceType.MEMORY:
+                out.append(max(0.0, total.acquired - total.released))
+            elif resource.rtype in (ResourceType.LOCK, ResourceType.QUEUE):
+                current = ref.current_hold(task, resource, now)
+                out.append(current if current > 0 else total.hold_time)
+            else:
+                out.append(total.acquired)
     return out
 
 
@@ -86,6 +142,8 @@ class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_every_query_agrees_after_every_event(self, steps):
         new, ref = Recorder(), TableLedger()
+        # One live task, so the window has execution time to normalize by.
+        new.runtime.activity.task_started()
 
         def ref_open_hold_time(resource, now):
             # The estimator's pre-record formula, summed in touch order.
@@ -97,9 +155,14 @@ class TestAgainstReference:
         now = 0.0
         for delta, op in steps:
             now += delta
+            new.env.now = now
             assert _apply(new, op, now) == _apply(ref, op, now)
             assert _queries(new, now, new.open_hold_time) == _queries(
                 ref, now, ref_open_hold_time
+            )
+            exec_seconds = new.runtime.activity.window_task_seconds()
+            assert _estimates(new) == _reference_estimates(
+                ref, now, ref_open_hold_time, exec_seconds
             )
 
 
@@ -160,6 +223,7 @@ class TestFusedRuntime:
     def test_ledger_debt_and_count_agree_after_every_event(self, steps):
         config = AtroposConfig(coarse_trace_cost=4e-6, fine_trace_cost=5e-5)
         new, ref = Recorder(config, fine=False), TableRuntime(config)
+        new.runtime.activity.task_started()
 
         def ref_open_hold_time(resource, now):
             total = 0.0
@@ -175,6 +239,10 @@ class TestFusedRuntime:
             assert got == want
             assert _queries(new, now, new.open_hold_time) == _queries(
                 ref.ledger, now, ref_open_hold_time
+            )
+            exec_seconds = new.runtime.activity.window_task_seconds()
+            assert _estimates(new) == _reference_estimates(
+                ref.ledger, now, ref_open_hold_time, exec_seconds
             )
             assert [new.task(t).trace_debt for t in TASKS] == [
                 ref.trace_debt(t) for t in TASKS
@@ -204,7 +272,7 @@ class TestForget:
             led.record_get(task, LOCK, 1, now=1.0)
         led.forget_task(1)
         assert led.tasks_touching(LOCK) == [2, 3]
-        assert led.task_total(1, LOCK) == UsageStats()
+        assert led.ledger.record(1, LOCK) is None
         assert led.current_hold(1, LOCK, now=5.0) == 0.0
         assert led.current_wait(1, LOCK, now=5.0) == 0.0
 
@@ -215,10 +283,12 @@ class TestForget:
         led.record_get(1, LOCK, 2, now=6.0)
         # ... the first counted event is, and the key re-enters last.
         assert led.tasks_touching(LOCK) == [2, 3, 1]
-        assert led.task_total(1, LOCK) == UsageStats(acquired=2)
+        total = led.task_total(1, LOCK)
+        assert (total.acquired, total.released, total.hold_time) == (2, 0, 0)
         assert led.current_hold(1, LOCK, now=7.0) == 1.0
-        # Resource aggregates describe the resource and persist.
-        assert led.resource_total(LOCK).acquired == 5
+        # Resource counters describe the resource and persist.
+        assert led.resource_window(LOCK).acquired == 5
+        assert led.resource_window(LOCK).wait_events == 3
 
     def test_forget_is_idempotent_and_scoped_to_the_task(self):
         led = Recorder()
@@ -247,4 +317,4 @@ def test_ledger_tracks_only_live_tasks_after_a_run(case_id):
     )
     controller = result.controller
     assert controller.runtime.events_traced > 0
-    assert controller.runtime.ledger.tracked_tasks() <= set(controller.tasks)
+    assert tracked_tasks(controller.runtime.ledger) <= set(controller.tasks)

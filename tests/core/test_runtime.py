@@ -13,6 +13,8 @@ from repro.core.runtime import TracingController
 from repro.core.task import CancellableTask
 from repro.sim import Environment
 
+from .recorder import tracked_tasks
+
 
 @pytest.fixture
 def env():
@@ -116,5 +118,5 @@ class TestActivityTracker:
         controller.get_resource(t, res, 10)
         controller.free_cancel(t)
         assert controller.runtime.activity.active == 0
-        assert controller.runtime.ledger.task_total(t.seq, res).acquired == 0
-        assert controller.runtime.ledger.tracked_tasks() == set()
+        assert controller.runtime.ledger.record(t.seq, res) is None
+        assert tracked_tasks(controller.runtime.ledger) == set()

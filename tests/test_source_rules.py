@@ -82,6 +82,43 @@ def test_only_a_repr_body_calls_id():
     assert "task.seq" in errors[0]
 
 
+def test_random_and_time_imports_outside_their_owners_are_violations():
+    source = (
+        '"""import random / import time in prose are fine."""\n'
+        "import random\n"
+        "from time import perf_counter\n"
+        "import os.path, time as clock, time\n"
+        "from .random import not_the_stdlib_one\n"
+        "import datetime, randomize\n"
+        "def jitter():\n"
+        "    from random import Random\n"
+    )
+    errors = checker.check_source(source, "src/repro/core/estimator.py")
+    assert [e.split(" -- ")[0] for e in errors] == [
+        "src/repro/core/estimator.py:2: random imported",
+        "src/repro/core/estimator.py:3: time imported",
+        "src/repro/core/estimator.py:4: time imported",
+        "src/repro/core/estimator.py:8: random imported",
+    ]
+
+
+def test_only_the_seeded_and_timing_modules_import_random_and_time():
+    rng = "import random\nfrom random import Random\n"
+    clock = "import time\nfrom time import perf_counter\n"
+    for owner in ("src/repro/sim/rng.py", "src/repro/regress/stats.py"):
+        assert (checker.REPO_ROOT / owner).is_file()
+        assert checker.check_source(rng, owner) == []
+        assert len(checker.check_source(clock, owner)) == 2
+    for owner in (
+        "src/repro/__main__.py",
+        "src/repro/reporting.py",
+        "src/repro/campaign/runner.py",
+    ):
+        assert (checker.REPO_ROOT / owner).is_file()
+        assert checker.check_source(clock, owner) == []
+        assert len(checker.check_source(rng, owner)) == 2
+
+
 def test_count_code_skips_docstrings_comments_and_blanks():
     source = (
         '"""Module docstring,\n'

@@ -108,6 +108,7 @@ RETIRED_NAMES = [
     "faults matrix",
     "--mode compare",
     "--controller compare",
+    "UsageStats",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,

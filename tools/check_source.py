@@ -36,6 +36,17 @@ structures that span controllers key by the task object.  Eight
 modules once keyed their tables by ``id(task)``, each deriving its own
 identity, and the estimator rebuilt creation order from a rank table.
 
+Rule 5 -- randomness and the wall clock have owners.  ``random`` is
+imported by ``src/repro/sim/rng.py`` (every simulation draws from a
+seeded :class:`repro.sim.Rng`) and ``src/repro/regress/stats.py`` (its
+bootstrap is seeded) and by nothing else; ``time`` by
+``src/repro/__main__.py``, ``src/repro/reporting.py`` and
+``src/repro/campaign/runner.py``, which use it for wall-clock progress
+and run timing, and by nothing else.  A draw from an unseeded generator
+or a read of the host clock anywhere in the model would make a run
+depend on something its spec does not name, and two runs of one spec
+would stop being byte-identical.
+
 Exit status is the number of violations found.
 
 Usage::
@@ -65,6 +76,25 @@ PAGE_MODULE = "src/repro/obs/export.py"
 _PAGE = f"build HTML pages with the page kit in {PAGE_MODULE}"
 
 _IDENTITY = "key a task by task.seq, or by the task object across controllers"
+
+#: stdlib module -> the only modules that may import it, and why
+#: (rules 2 and 5).
+IMPORT_OWNERS = {
+    "multiprocessing": ((WORKERS_MODULE,), _WORKERS),
+    "random": (
+        ("src/repro/sim/rng.py", "src/repro/regress/stats.py"),
+        "draw from a seeded repro.sim.Rng",
+    ),
+    "time": (
+        (
+            "src/repro/__main__.py",
+            "src/repro/reporting.py",
+            "src/repro/campaign/runner.py",
+        ),
+        "read simulated time (env.now); only the CLI and the campaign "
+        "runner time the host",
+    ),
+}
 
 
 def check_source(text: str, where: str) -> List[str]:
@@ -111,12 +141,11 @@ def check_source(text: str, where: str) -> List[str]:
                 modules = [alias.name for alias in node.names]
             else:  # a relative import names a module of ours
                 modules = [] if node.level else [node.module]
-            if where != WORKERS_MODULE and any(
-                name.split(".")[0] == "multiprocessing" for name in modules
-            ):
-                found.append(
-                    (node.lineno, f"multiprocessing imported -- {_WORKERS}")
-                )
+            for root in dict.fromkeys(name.split(".")[0] for name in modules):
+                owned = IMPORT_OWNERS.get(root)
+                if owned is not None and where not in owned[0]:
+                    why = f"{root} imported -- {owned[1]}"
+                    found.append((node.lineno, why))
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
