@@ -607,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument(
         "--telemetry", default=None, metavar="DIR",
         help="scrape the runs and write metrics.prom / series.jsonl / "
-        "report.html into DIR (forces serial, uncached execution)",
+        "report.html into DIR (runs serial; skips cache reads)",
     )
     telemetry.add_argument(
         "--live", action="store_true",

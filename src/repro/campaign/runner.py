@@ -14,11 +14,13 @@ ordered list of :class:`~repro.campaign.spec.RunSpec`, it
 4. returns outcomes **in spec order** (never completion order), so a
    parallel campaign is bit-identical to a serial one.
 
-When a tracing session is active (:func:`repro.obs.tracing`), the
-settings resolve to one job (:func:`current_settings`) and cache reads
-are skipped, so every run actually happens in-process and lands in the
-trace; each run is marked by a ``campaign`` instant naming its family
-and seed.
+An observed run -- one under an active tracer (:func:`repro.obs.tracing`)
+or telemetry session -- follows one rule: the settings resolve to one
+job (:func:`current_settings`) and cache reads are skipped, so every run
+actually happens in-process and lands in the trace or the scrape; its
+payload equals the unobserved run's, so it still writes the cache.  A
+traced run is marked by a ``campaign`` instant naming its family and
+seed.
 """
 
 from __future__ import annotations
@@ -297,13 +299,11 @@ def execute(
     """Run a campaign of specs; outcomes returned in spec order.
 
     Identical specs within the batch execute once and fan out to every
-    position.  An observed run is serial (:func:`current_settings`).
-    With an active tracer, cache reads are skipped (a cache hit would
-    yield an empty trace); cache *writes* still happen so a traced cold
-    run warms the cache.  With an active telemetry session, the cache is
-    bypassed entirely -- reads (a hit would yield no scrape windows)
-    *and* writes (telemetered payloads would otherwise differ from the
-    uniform cached schema only by happenstance of session settings).
+    position.  An observed run (an active tracer or telemetry session)
+    is serial (:func:`current_settings`) and skips cache reads -- a hit
+    would yield an empty trace and no scrape windows -- but still writes
+    the cache: observing a run leaves its payload unchanged, so an
+    observed cold run warms the cache for a plain one.
     """
     specs = list(specs)
     if not specs:
@@ -311,7 +311,7 @@ def execute(
     cfg = current_settings(jobs=jobs, cache=cache, cache_dir=cache_dir)
     load_all_families()
     tracer = ACTIVE.tracer
-    traced, telemetered = tracer.enabled, ACTIVE.telemetry.enabled
+    observed = tracer.enabled or ACTIVE.telemetry.enabled
     store = ResultStore(cfg.cache_dir) if cfg.cache else None
 
     started = time.perf_counter()
@@ -319,7 +319,7 @@ def execute(
     pending: Dict[str, List[int]] = {}
     keys = [spec.cache_key() for spec in specs]
     for i, (spec, key) in enumerate(zip(specs, keys)):
-        if store is not None and not traced and not telemetered:
+        if store is not None and not observed:
             payload = store.get(key)
             if payload is not None:
                 outcomes[i] = RunOutcome.from_payload(
@@ -339,13 +339,13 @@ def execute(
             for spec in miss_specs:
                 payload = _execute_one(
                     spec,
-                    label=spec.label() if traced or telemetered else None,
+                    label=spec.label() if observed else None,
                 )
-                if traced:
+                if tracer.enabled:
                     _emit_run_instant(tracer, spec, payload)
                 payloads.append(payload)
         for key, payload in zip(miss_keys, payloads):
-            if store is not None and not telemetered:
+            if store is not None:
                 store.put(key, payload)
             for idx in pending[key]:
                 outcomes[idx] = RunOutcome.from_payload(

@@ -5,7 +5,7 @@ re-execution outcome is recorded as a typed event, giving operators an
 explainable timeline ("why did my query get killed at 12:01:03?") --
 table stakes for an overload controller anyone would deploy.
 
-Enabled by default (events are tiny); render with
+Enabled by default (events are tiny) and kept whole; render with
 :meth:`DecisionLog.render` or query with :meth:`DecisionLog.events_of`.
 
 Beyond the flat event timeline, the log also keeps a **decision-audit
@@ -21,9 +21,8 @@ what ``repro trace --audit`` exports and what the acceptance invariant
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 class DecisionKind(enum.Enum):
@@ -41,9 +40,6 @@ class DecisionKind(enum.Enum):
     #: A fault was injected into (or lifted from) the run
     #: (:mod:`repro.faults`); correlates faults with (mis)cancellations.
     FAULT = "fault"
-    #: A telemetry health rule fired (:mod:`repro.telemetry.health`);
-    #: correlates SLO violations with the decisions around them.
-    HEALTH = "health"
     #: An :class:`~repro.core.adaptive.AdaptiveThresholdPolicy` moved a
     #: live detector threshold (window widened on flapping, tail trigger
     #: tightened after sustained p99 violations, or a recovery step).
@@ -150,18 +146,15 @@ class DecisionAudit:
 
 
 class DecisionLog:
-    """Bounded in-memory decision timeline plus the audit trail."""
+    """In-memory decision timeline plus the audit trail.
 
-    def __init__(self, capacity: int = 10_000) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._events: Deque[DecisionEvent] = deque(maxlen=capacity)
-        #: Events dropped once capacity was reached (oldest first).
-        self.dropped = 0
-        #: Decision audits, bounded by the same capacity.
-        self._audits: Deque[DecisionAudit] = deque(maxlen=capacity)
-        self.audits_dropped = 0
+    Keeps every event and audit of the run: it grows with the run, like
+    :attr:`~repro.sim.metrics.MetricsCollector.records`.
+    """
+
+    def __init__(self) -> None:
+        self._events: List[DecisionEvent] = []
+        self._audits: List[DecisionAudit] = []
 
     def record(
         self,
@@ -173,15 +166,11 @@ class DecisionLog:
         event = DecisionEvent(
             time=time, kind=kind, summary=summary, details=details
         )
-        if len(self._events) == self.capacity:
-            self.dropped += 1
         self._events.append(event)
         return event
 
     def record_audit(self, audit: DecisionAudit) -> DecisionAudit:
-        """Append one decision audit (bounded like the event timeline)."""
-        if len(self._audits) == self.capacity:
-            self.audits_dropped += 1
+        """Append one decision audit."""
         self._audits.append(audit)
         return audit
 
@@ -222,13 +211,11 @@ class DecisionLog:
         limit: Optional[int] = None,
     ) -> str:
         """Human-readable timeline (optionally filtered / truncated)."""
-        events = list(self._events)
+        events = self._events
         if kinds is not None:
             wanted = set(kinds)
             events = [e for e in events if e.kind in wanted]
         if limit is not None:
             events = events[-limit:]
         lines = [e.render() for e in events]
-        if self.dropped:
-            lines.insert(0, f"... ({self.dropped} earlier events dropped)")
         return "\n".join(lines) if lines else "(no decisions recorded)"

@@ -364,12 +364,4 @@ def extract_extras(result: RunResult) -> Dict[str, Any]:
         extras["fault_events"] = [
             event.to_dict() for event in result.faults.events
         ]
-    if result.telemetry is not None:
-        run = result.telemetry
-        extras["health_events"] = [e.to_dict() for e in run.health_events]
-        extras["telemetry"] = {
-            "windows": len(run.windows),
-            "interval": round(run.interval, 9),
-            "resources": list(run.resource_names),
-        }
     return extras

@@ -63,37 +63,31 @@ def dumps_chrome_trace(tracer: Tracer) -> str:
 
 def write_chrome_trace(tracer: Tracer, path: str) -> int:
     """Write the Chrome-trace JSON to ``path``; returns the event count."""
-    payload = dumps_chrome_trace(tracer)
+    payload = chrome_trace_payload(tracer)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(payload)
+        handle.write(compact_json(payload))
         handle.write("\n")
-    return len(tracer.events)
+    return len(payload["traceEvents"])
 
 
 # ----------------------------------------------------------------------
 # Utilization timeline CSV
 # ----------------------------------------------------------------------
 def utilization_rows(tracer: Tracer) -> List[List[Any]]:
-    """Flatten counter events into (run, time_s, track, series, value) rows.
+    """Flatten counter records into (run, time_s, track, series, value) rows.
 
     One row per counter series sample, in emission (simulated-time) order;
-    the per-resource utilization timeline of a run.
+    the per-resource utilization timeline of a run.  ``time_s`` is the
+    trace's microsecond timestamp read back in seconds.
     """
-    run_labels = tracer.runs
+    runs = tracer.runs
     rows: List[List[Any]] = []
-    track_names: Dict[tuple, str] = {}
-    for event in tracer.events:
-        if event.get("ph") == "M" and event.get("name") == "thread_name":
-            track_names[(event["pid"], event["tid"])] = event["args"]["name"]
+    for ph, pid, ts, _, _, track, values, _ in tracer.records:
+        if ph != "C":
             continue
-        if event.get("ph") != "C":
-            continue
-        pid = event["pid"]
-        run = run_labels[pid - 1] if 0 < pid <= len(run_labels) else str(pid)
-        track = track_names.get((pid, event["tid"]), str(event["tid"]))
-        time_s = event["ts"] / 1e6
-        for series, value in sorted(event["args"].items()):
-            rows.append([run, f"{time_s:.6f}", track, series, value])
+        time_s = f"{round(ts * 1e6, 3) / 1e6:.6f}"
+        for series, value in sorted(values.items()):
+            rows.append([runs[pid - 1], time_s, track, series, value])
     return rows
 
 
@@ -133,9 +127,10 @@ def render_trace_summary(tracer: Tracer) -> str:
     out.write(f"runs traced:       {len(tracer.runs)}\n")
     out.write(f"trace events:      {len(tracer.events)}\n")
     out.write(f"decision audits:   {len(tracer.audits)}\n")
-    if tracer.counts:
+    counts = tracer.counts
+    if counts:
         out.write("events by category:\n")
-        for cat, count in sorted(tracer.counts.items()):
+        for cat, count in sorted(counts.items()):
             out.write(f"  {cat:<12} {count}\n")
     return out.getvalue().rstrip("\n")
 

@@ -8,6 +8,10 @@ turn the event stream into Chrome-trace JSON (loadable in
 
 Design constraints:
 
+* **A trace is a record, rendered at export** -- emitting an event
+  appends one flat tuple (:data:`Record`); the Chrome-trace dicts, the
+  ``tid`` numbering and the ``thread_name`` metadata are built by
+  :func:`render` only when :attr:`Tracer.events` is read.
 * **Determinism** -- events carry only simulated time and names derived
   from simulation state (task keys, resource names), never wall-clock
   time or ``id()`` addresses, so two runs with the same seed produce
@@ -99,20 +103,56 @@ class Span:
             return
         self._tracer = None
         tracer._open.discard(self)
-        args = dict(self.args) if self.args else {}
-        args.update(extra)
-        tracer._emit(
-            {
-                "ph": "X",
-                "cat": self.cat,
-                "name": self.name,
-                "ts": tracer._us(self.start),
-                "dur": tracer._us(ts - self.start),
-                **tracer._track(self.track),
-                **({"args": args} if args else {}),
-            },
-            self.cat,
+        args = self.args
+        if extra:
+            args = {**args, **extra} if args else extra
+        tracer.records.append(
+            ("X", tracer._pid or tracer.new_run("run"), self.start,
+             self.cat, self.name, self.track, args, ts)
         )
+
+
+#: One trace event as the tracer holds it: ``(ph, pid, ts, cat, name,
+#: track, args, extra)``, ``ts`` in simulated seconds; ``extra`` is a
+#: complete span's end time and an async span's pairing id.  A run's
+#: ``process_name`` metadata is ``("M", pid, 0.0, None, label, None,
+#: None, None)``.
+Record = Tuple[str, int, float, Optional[str], str, Optional[str], Any, Any]
+
+
+def render(records: List[Record]) -> List[Dict[str, Any]]:
+    """The Chrome-trace event dicts of ``records``, in order.
+
+    The one place the Trace Event Format layout is spelled: times in
+    microseconds (3-decimal fixed), tracks numbered per run (``tid``) in
+    order of first use, each announced by a ``thread_name`` metadata
+    event just before the first event on it.
+    """
+    events: List[Dict[str, Any]] = []
+    tids: Dict[Tuple[int, Optional[str]], int] = {}
+    per_run: Dict[int, int] = {}
+    for ph, pid, ts, cat, name, track, args, extra in records:
+        if ph == "M":
+            events.append({"ph": "M", "name": "process_name", "pid": pid,
+                           "tid": 0, "args": {"name": name}})
+            continue
+        tid = tids.get((pid, track))
+        if tid is None:
+            tid = tids[pid, track] = per_run[pid] = per_run.get(pid, 0) + 1
+            events.append({"ph": "M", "name": "thread_name", "pid": pid,
+                           "tid": tid, "args": {"name": track}})
+        event = {"ph": ph, "cat": cat, "name": name,
+                 "ts": round(ts * 1e6, 3), "pid": pid, "tid": tid}
+        if ph == "X":
+            event["dur"] = round((extra - ts) * 1e6, 3)
+        elif ph == "i":
+            event["s"] = "t"
+        elif ph != "C":
+            event["id"] = extra
+        if args or ph == "C":
+            event["args"] = args
+        events.append(event)
+    return events
 
 
 class Tracer:
@@ -121,7 +161,9 @@ class Tracer:
     One tracer may span several :func:`run_simulation` calls (an
     experiment sweep); each run is a separate Chrome-trace *process*
     (``pid``), named via :meth:`new_run`, and tracks within a run are
-    *threads* (``tid``) allocated on first use.
+    *threads* (``tid``) numbered on first use.  Emitting appends one
+    :data:`Record`; the Chrome-trace dicts are built only when
+    :attr:`events` is read.
     """
 
     enabled = True
@@ -134,20 +176,31 @@ class Tracer:
                 = unlimited.  The trace CLI defaults to tracing only the
                 first run of an experiment sweep to keep files loadable.
         """
-        #: Chrome-trace-ready event dicts, in emission order.
-        self.events: List[Dict[str, Any]] = []
-        #: Per-category event counts (surfaced by reporting).
-        self.counts: Dict[str, int] = {}
+        #: The emitted events as :data:`Record` tuples, in order.
+        self.records: List[Record] = []
         self.max_runs = max_runs
         self._pid = 0
         self._run_labels: List[str] = []
-        self._track_ids: Dict[Tuple[int, str], int] = {}
         self._async_ids = itertools.count(1)
         self._open: set = set()
 
     # ------------------------------------------------------------------
-    # Runs and tracks
+    # Views over the records
     # ------------------------------------------------------------------
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        """The Chrome-trace event dicts (:func:`render`)."""
+        return render(self.records)
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        """Events per category (surfaced by reporting)."""
+        counts: Dict[str, int] = {}
+        for record in self.records:
+            if record[0] != "M":
+                counts[record[3]] = counts.get(record[3], 0) + 1
+        return counts
+
     @property
     def runs(self) -> List[str]:
         """Labels of the runs recorded so far."""
@@ -159,34 +212,31 @@ class Tracer:
         instants the mitigation levers emit (the controller's decision
         log is the record of truth; this is the trace's view of it)."""
         return [
-            event["args"]["audit"]
-            for event in self.events
-            if event.get("cat") == "decision"
+            record[6]["audit"]
+            for record in self.records
+            if record[3] == "decision"
         ]
 
+    # ------------------------------------------------------------------
+    # Runs
+    # ------------------------------------------------------------------
     @property
     def accepting_runs(self) -> bool:
         """Whether a new harness run should attach to this tracer."""
         return self.max_runs is None or len(self._run_labels) < self.max_runs
 
     def new_run(self, label: str) -> int:
-        """Start a new run (Chrome-trace process); returns its pid."""
+        """Start a new run (Chrome-trace process); returns its pid.
+
+        An event emitted before any run starts one labelled ``run``."""
         self._pid += 1
         self._run_labels.append(label)
-        self.events.append(
-            {
-                "ph": "M",
-                "name": "process_name",
-                "pid": self._pid,
-                "tid": 0,
-                "args": {"name": label},
-            }
-        )
+        self.records.append(("M", self._pid, 0.0, None, label, None, None, None))
         return self._pid
 
     def open_run(self, label: str) -> "Tracer":
         """Start a run and return the tracer its components emit through:
-        a view sharing this tracer's event store, writing under the new
+        a view sharing this tracer's records, writing under the new
         run's pid until :meth:`end_run` detaches it."""
         self.new_run(label)
         view = copy.copy(self)
@@ -199,40 +249,11 @@ class Tracer:
         A run's objects can emit after the run ends: a suspended
         process's ``finally`` blocks run whenever the garbage collector
         frees it, at a point no simulated event orders.  A detached view
-        writes into private containers nothing reads, so those emissions
+        writes into a private list nothing reads, so those emissions
         never reach the trace.
         """
-        self.events, self.counts, self._track_ids = [], {}, {}
+        self.records = []
         self._async_ids = itertools.count(1)
-
-    def _track(self, track: str) -> Dict[str, int]:
-        if self._pid == 0:
-            # Events emitted before any run was declared: implicit run.
-            self.new_run("run")
-        key = (self._pid, track)
-        tid = self._track_ids.get(key)
-        if tid is None:
-            tid = len([k for k in self._track_ids if k[0] == self._pid]) + 1
-            self._track_ids[key] = tid
-            self.events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": self._pid,
-                    "tid": tid,
-                    "args": {"name": track},
-                }
-            )
-        return {"pid": self._pid, "tid": tid}
-
-    @staticmethod
-    def _us(seconds: float) -> float:
-        """Simulated seconds -> trace microseconds (3-decimal fixed)."""
-        return round(seconds * 1e6, 3)
-
-    def _emit(self, event: Dict[str, Any], cat: str) -> None:
-        self.events.append(event)
-        self.counts[cat] = self.counts.get(cat, 0) + 1
 
     # ------------------------------------------------------------------
     # Event API (ts is always simulated seconds)
@@ -249,17 +270,9 @@ class Tracer:
         self, ts: float, cat: str, name: str, track: str, **args: Any
     ) -> None:
         """Record a point event."""
-        self._emit(
-            {
-                "ph": "i",
-                "s": "t",
-                "cat": cat,
-                "name": name,
-                "ts": self._us(ts),
-                **self._track(track),
-                **({"args": args} if args else {}),
-            },
-            cat,
+        self.records.append(
+            ("i", self._pid or self.new_run("run"), ts, cat, name, track,
+             args, None)
         )
 
     def async_begin(
@@ -267,17 +280,9 @@ class Tracer:
     ) -> int:
         """Open an overlapping (async) span; returns the pairing id."""
         aid = next(self._async_ids)
-        self._emit(
-            {
-                "ph": "b",
-                "cat": cat,
-                "name": name,
-                "id": aid,
-                "ts": self._us(ts),
-                **self._track(track),
-                **({"args": args} if args else {}),
-            },
-            cat,
+        self.records.append(
+            ("b", self._pid or self.new_run("run"), ts, cat, name, track,
+             args, aid)
         )
         return aid
 
@@ -285,31 +290,16 @@ class Tracer:
         self, ts: float, cat: str, name: str, track: str, aid: int, **args: Any
     ) -> None:
         """Close the async span opened with id ``aid``."""
-        self._emit(
-            {
-                "ph": "e",
-                "cat": cat,
-                "name": name,
-                "id": aid,
-                "ts": self._us(ts),
-                **self._track(track),
-                **({"args": args} if args else {}),
-            },
-            cat,
+        self.records.append(
+            ("e", self._pid or self.new_run("run"), ts, cat, name, track,
+             args, aid)
         )
 
     def counter(self, ts: float, name: str, track: str, **values: float) -> None:
         """Record a counter sample (one or more named series)."""
-        self._emit(
-            {
-                "ph": "C",
-                "cat": "counter",
-                "name": name,
-                "ts": self._us(ts),
-                **self._track(track),
-                "args": values,
-            },
-            "counter",
+        self.records.append(
+            ("C", self._pid or self.new_run("run"), ts, "counter", name,
+             track, values, None)
         )
 
     # ------------------------------------------------------------------
@@ -322,9 +312,6 @@ class Tracer:
         ):
             span.end(ts, unfinished=True)
         self._open.clear()
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 class NullTracer:
@@ -363,9 +350,6 @@ class NullTracer:
 
     def end_run(self) -> None:
         pass
-
-    def __len__(self) -> int:
-        return 0
 
 
 class _NullSpan(Span):

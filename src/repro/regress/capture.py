@@ -36,9 +36,11 @@ def capture(
 
     With ``telemetry=True`` every run executes under a scraping
     :class:`~repro.telemetry.TelemetrySession` (serial, cache reads
-    bypassed -- a cache hit would yield no scrape windows) and each
+    skipped -- a cache hit would yield no scrape windows) and each
     capture additionally carries :func:`summarize_telemetry`'s condensed
-    window summaries.
+    window summaries.  Scraping leaves the payloads unchanged and they
+    are written to the cache, so a plain ``check`` on the same tree
+    re-serves them.
     """
     from ..campaign import execute
 

@@ -2,10 +2,12 @@
 
 The :class:`HealthMonitor` evaluates a list of :class:`HealthRule`
 against every telemetry scrape window *while the simulation runs*,
-producing a typed :class:`HealthEvent` stream.  Events land in three
+producing a typed :class:`HealthEvent` stream.  Events land in two
 places (wired by the scraper): the obs trace (``telemetry:health``
-instants), the controller's decision log (``DecisionKind.HEALTH``), and
--- via ``extract_extras`` -- the campaign cache extras.
+instants) and the run's :class:`~repro.telemetry.scrape.RunTelemetry`,
+which the telemetry exports and reports read.  They stay out of the
+controller and the campaign payload, so observing a run never changes
+what it caches.
 
 Built-in rule kinds (the ``params`` each understands):
 

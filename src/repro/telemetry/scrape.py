@@ -15,7 +15,8 @@ value map), updates the run's :class:`~repro.telemetry.registry.
 MetricsRegistry`, and feeds the window to the
 :class:`~repro.telemetry.health.HealthMonitor`; fired
 :class:`~repro.telemetry.health.HealthEvent` instances are mirrored
-into the obs trace and the controller's decision log.
+into the obs trace.  The controller's own state is only read: a scraped
+run's payload equals the unobserved run's.
 """
 
 from __future__ import annotations
@@ -211,7 +212,16 @@ class Scraper:
         cancelled_ops = self._window_cancelled_ops()
         window.health = self.monitor.evaluate(now, values, cancelled_ops)
         self.run.health_events.extend(window.health)
-        self._emit_health(window)
+        tracer = self.env.tracer
+        if tracer.enabled:
+            for event in window.health:
+                tracer.instant(
+                    event.time,
+                    "health",
+                    f"{event.severity} {event.rule}",
+                    "telemetry:health",
+                    **event.to_dict(),
+                )
         self.run.windows.append(window)
         self._last_t = now
         if self.live_sink is not None:
@@ -402,32 +412,6 @@ class Scraper:
         return [
             e.op_name for e in new if getattr(e, "delivered", True)
         ]
-
-    def _emit_health(self, window: ScrapeWindow) -> None:
-        """Mirror fired health events into the trace and decision log."""
-        if not window.health:
-            return
-        tracer = self.env.tracer
-        log = getattr(self._controller, "decision_log", None)
-        for event in window.health:
-            if tracer.enabled:
-                tracer.instant(
-                    event.time,
-                    "health",
-                    f"{event.severity} {event.rule}",
-                    "telemetry:health",
-                    **event.to_dict(),
-                )
-            if log is not None:
-                from ..core.decision_log import DecisionKind
-
-                log.record(
-                    event.time,
-                    DecisionKind.HEALTH,
-                    event.message,
-                    rule=event.rule,
-                    severity=event.severity,
-                )
 
     # ------------------------------------------------------------------
     # Finalization

@@ -5,7 +5,7 @@ delivered-cancellation times) into fixed per-window arrays on the
 shared ceil-based window grid (:func:`repro.sim.metrics.window_count`),
 so cached campaign extras carry the same per-window p99 / goodput /
 cancel-rate shape the telemetry scraper would have produced -- without
-requiring a (serial, uncached) telemetered run.  ``repro regress``
+requiring a telemetered run (serial, and never served from the cache).  ``repro regress``
 snapshots and diffs exactly this payload.
 
 All floats are rounded to 9 decimals and every list is windows-ordered,

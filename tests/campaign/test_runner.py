@@ -1,8 +1,10 @@
 """Tests for settings resolution and the execute() pipeline."""
 
 import contextlib
+import json
 import os
 import signal
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +20,9 @@ from repro.campaign import (
 from repro.campaign.runner import CACHE_ENV, JOBS_ENV
 from repro.experiments import harness
 from repro.experiments.case_family import case_spec
+from repro.experiments.regressable import regress_entries
 from repro.obs import Tracer, dumps_chrome_trace, tracing
+from repro.telemetry import TelemetrySession, telemetry_session
 
 
 #: One cheap deterministic run (c1 baseline, no controller).
@@ -226,3 +230,43 @@ class TestTracingInterplay:
                 execute([_spec()], cache=False)
             traces.append(dumps_chrome_trace(tracer))
         assert traces[0] == traces[1]
+
+
+
+def _observable(outcome):
+    """An outcome's payload minus the host wall clock, as canonical JSON
+    (NaN-safe: a cached payload went through JSON already)."""
+    payload = outcome.to_payload()
+    del payload["walltime"]
+    return json.dumps(payload, sort_keys=True)
+
+
+class TestTelemetryInterplay:
+    """A telemetered run follows the traced-run rule: serial, no cache
+    reads, cache writes -- its payload equals the unobserved run's."""
+
+    def test_telemetered_payloads_equal_the_plain_ones(self):
+        entries = regress_entries(("case", "lever"))
+        specs = [spec for _, spec in entries]
+        with telemetry_session(TelemetrySession(interval=0.25)) as session:
+            observed = execute(specs, cache=False)
+        plain = execute(specs, cache=False)
+        assert len(session.runs) == len(specs)
+        assert [_observable(o) for o in observed] == [
+            _observable(o) for o in plain
+        ]
+
+    def test_telemetered_run_warms_the_cache_for_a_plain_one(self, tmp_path):
+        atropos = replace(
+            case_spec("test", "c2", 1, system="atropos"),
+            duration=4.0, warmup=1.0,
+        )
+        specs = [_spec(), atropos]
+        with telemetry_session(TelemetrySession(interval=0.25)):
+            observed = execute(specs, cache_dir=tmp_path)
+        plain = execute(specs, cache_dir=tmp_path)
+        assert not any(o.cache_hit for o in observed)
+        assert all(o.cache_hit for o in plain)
+        assert [_observable(o) for o in observed] == [
+            _observable(o) for o in plain
+        ]

@@ -25,29 +25,23 @@ class TestDecisionLog:
             log.record(t, DecisionKind.DETECTION, f"at-{t}")
         assert [e.time for e in log.between(1.0, 2.0)] == [1.5]
 
-    def test_capacity_bounds_memory(self):
-        log = DecisionLog(capacity=3)
-        for i in range(5):
-            log.record(float(i), DecisionKind.DETECTION, f"e{i}")
-        assert len(log) == 3
-        assert log.dropped == 2
-        assert log.events[0].summary == "e2"
-        assert "2 earlier events dropped" in log.render()
-
-    def test_overfilled_log_keeps_the_newest_in_order(self):
-        log = DecisionLog(capacity=4)
+    def test_a_long_run_keeps_every_event_and_audit_in_order(self):
+        log = DecisionLog()
         signal = DetectorSignal(None, None, None, 0.0)
-        for i in range(11):
+        for i in range(12_000):
             log.record(float(i), DecisionKind.DETECTION, f"e{i}")
-            if i % 2:
-                log.record_audit(DecisionAudit(float(i), signal, [], [], "v"))
-        assert [e.summary for e in log.events] == ["e7", "e8", "e9", "e10"]
-        assert [a.time for a in log.audits] == [3.0, 5.0, 7.0, 9.0]
-        assert (log.dropped, log.audits_dropped) == (7, 1)
+            log.record_audit(DecisionAudit(float(i), signal, [], [], "v"))
+        assert len(log) == 12_000
+        assert [e.summary for e in log.events] == [
+            f"e{i}" for i in range(12_000)
+        ]
+        assert [a.time for a in log.audits] == [
+            float(i) for i in range(12_000)
+        ]
+        assert log.render().splitlines()[0] == log.events[0].render()
         assert log.render(limit=2).splitlines() == [
-            "... (7 earlier events dropped)",
-            log.events[2].render(),
-            log.events[3].render(),
+            log.events[-2].render(),
+            log.events[-1].render(),
         ]
 
     def test_render_filters_and_limits(self):
@@ -60,10 +54,6 @@ class TestDecisionLog:
 
     def test_render_empty(self):
         assert "no decisions" in DecisionLog().render()
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            DecisionLog(capacity=0)
 
     def test_event_render_includes_details(self):
         log = DecisionLog()

@@ -146,6 +146,27 @@ class TestRunsAndTracks:
         assert tracer.counts == {"lock": 2, "counter": 1}
 
 
+class TestRecords:
+    def test_each_event_is_one_flat_tuple(self):
+        tracer = Tracer()
+        tracer.new_run("r")
+        span = tracer.begin(0.5, "process", "p", "proc:p", w=1)
+        aid = tracer.async_begin(1.0, "lock", "wait", "lock:t", key=3)
+        tracer.async_end(2.0, "lock", "wait", "lock:t", aid)
+        tracer.instant(2.5, "mem", "evict", "mem:b", pages=4)
+        tracer.counter(3.0, "depth", "lock:t", queued=2)
+        span.end(4.0, outcome="done")
+        assert tracer.records == [
+            ("M", 1, 0.0, None, "r", None, None, None),
+            ("b", 1, 1.0, "lock", "wait", "lock:t", {"key": 3}, aid),
+            ("e", 1, 2.0, "lock", "wait", "lock:t", {}, aid),
+            ("i", 1, 2.5, "mem", "evict", "mem:b", {"pages": 4}, None),
+            ("C", 1, 3.0, "counter", "depth", "lock:t", {"queued": 2}, None),
+            ("X", 1, 0.5, "process", "p", "proc:p",
+             {"w": 1, "outcome": "done"}, 4.0),
+        ]
+
+
 class TestNullTracer:
     def test_everything_is_a_noop(self):
         null = NullTracer()
@@ -158,7 +179,6 @@ class TestNullTracer:
         null.counter(0.0, "n", "t", v=1)
         null.close_open_spans(9.0)
         null.end_run()
-        assert len(null) == 0
         assert null.events == []
 
     def test_active_tracer_defaults_to_null(self):

@@ -7,7 +7,7 @@ from repro.apps.mysql import MySQL, light_mix
 from repro.apps.postgres import PostgreSQL
 from repro.core import Atropos, AtroposConfig, NullController
 from repro.experiments import run_simulation
-from repro.obs import ACTIVE
+from repro.obs import ACTIVE, Tracer, tracing
 from repro.sim import Environment, Rng
 from repro.sim.metrics import window_count
 from repro.telemetry import (
@@ -156,7 +156,13 @@ class TestControllerScrape:
         families = {name for name, *_ in run.registry.collect()}
         assert "repro_detector_overloaded" in families
 
-    def test_health_events_mirror_into_decision_log(self):
+    def test_telemetry_leaves_the_decision_log_unchanged(self):
+        """Health events reach the trace and the run's telemetry; the
+        controller's decision log equals the unobserved run's."""
+        def atropos(env):
+            # An SLO tight enough that the detector fires and audits.
+            return Atropos(env, AtroposConfig(slo_latency=0.002))
+
         # A floor no workload can meet: fires on every loaded window.
         rules = [
             HealthRule(
@@ -165,23 +171,21 @@ class TestControllerScrape:
             )
         ]
         session = TelemetrySession(interval=0.5, health_rules=rules)
-        with telemetry_session(session):
-            result = run_mysql(
-                duration=2.0,
-                controller_factory=lambda env: Atropos(
-                    env, AtroposConfig(slo_latency=0.05)
-                ),
-            )
+        tracer = Tracer()
+        with telemetry_session(session), tracing(tracer):
+            observed = run_mysql(duration=2.0, controller_factory=atropos)
+        plain = run_mysql(duration=2.0, controller_factory=atropos)
         run = session.runs[0]
         assert run.health_events
         assert all(
             e.kind == "goodput-floor" for e in run.health_events
         )
-        log = result.controller.decision_log
-        health = [
-            e for e in log.events if e.kind.value == "health"
-        ]
-        assert len(health) == len(run.health_events)
+        assert tracer.counts["health"] == len(run.health_events)
+        observed_log = observed.controller.decision_log
+        plain_log = plain.controller.decision_log
+        assert plain_log.events and plain_log.audits
+        assert observed_log.events == plain_log.events
+        assert observed_log.audits == plain_log.audits
 
 
 class TestLiveSink:

@@ -571,7 +571,7 @@ class TestCommands:
         ) == 0
         captured = capsys.readouterr()
         assert "telemetry for" in captured.err
-        # Telemetry bypasses the cache entirely: all misses, serial.
+        # Telemetry skips cache reads: all misses, serial.
         assert "hits=0" in captured.err
         for name in ("metrics.prom", "series.jsonl", "report.html"):
             assert (out_dir / name).exists(), name

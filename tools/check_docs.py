@@ -109,6 +109,8 @@ RETIRED_NAMES = [
     "--mode compare",
     "--controller compare",
     "UsageStats",
+    "DecisionKind.HEALTH",
+    "audits_dropped",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,
