@@ -8,14 +8,22 @@ Package map:
   multi-objective cancellation policy, and safe cancellation handling.
 * :mod:`repro.sim` -- the discrete-event simulation kernel and resource
   primitives everything runs on.
-* :mod:`repro.apps` -- six simulated applications (MySQL, PostgreSQL,
-  Apache, Elasticsearch, Solr, etcd) instrumented with the ATROPOS APIs.
-* :mod:`repro.baselines` -- Protego, pBox, DARC, PARTIES, SEDA.
+* :mod:`repro.apps` -- seven simulated applications (MySQL, PostgreSQL,
+  Apache, Elasticsearch, Solr, etcd, MongoDB) instrumented with the
+  ATROPOS APIs.
+* :mod:`repro.baselines` -- Protego, pBox, DARC, PARTIES, SEDA,
+  Breakwater, DAGOR, Autothrottle.
 * :mod:`repro.workloads` -- open-loop workload generation and the
   request-lifecycle driver.
-* :mod:`repro.cases` -- the 16 reproduced real-world overload cases.
+* :mod:`repro.cases` -- the 16 reproduced real-world overload cases of
+  Table 2 and two extension cases (18 in all).
+* :mod:`repro.cluster` -- the N-node fleet and the microservice mesh.
 * :mod:`repro.experiments` -- runners regenerating every paper figure
-  and table.
+  and table; :mod:`repro.campaign` runs them in parallel from a cache.
+* :mod:`repro.obs`, :mod:`repro.telemetry` -- tracing, scraped metrics,
+  health rules and exports.
+* :mod:`repro.faults` -- declarative fault injection.
+* :mod:`repro.regress` -- the regression observatory over cached runs.
 * :mod:`repro.study` -- the 151-application cancellation survey.
 """
 

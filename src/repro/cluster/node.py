@@ -274,17 +274,11 @@ class ClusterNode(EpochNode):
         if max(blame.values(), default=0.0) < 0.5 * threshold:
             return
         status.blame = dict(blame)
-        weights = {
-            r.resource: r.contention_norm for r in assessment.resources
-        }
         for report in assessment.tasks:
             task = report.task
             if not task.alive:
                 continue
-            score = sum(
-                weights.get(resource, 0.0) * gain
-                for resource, gain in report.gains.items()
-            )
+            score = assessment.score(report)
             if score > 0.0:
                 status.candidates[task.op_name] = (
                     status.candidates.get(task.op_name, 0.0) + score

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .config import AtroposConfig
@@ -71,10 +72,6 @@ class TaskReport:
     def gain(self, resource: ResourceHandle) -> float:
         return self.gains.get(resource, 0.0)
 
-    @property
-    def total_raw_gain(self) -> float:
-        return sum(self.gains.values())
-
 
 @dataclass
 class OverloadAssessment:
@@ -102,6 +99,22 @@ class OverloadAssessment:
         if not self.resources:
             return None
         return max(self.resources, key=lambda r: r.contention_norm)
+
+    @cached_property
+    def _weights(self) -> Dict[ResourceHandle, float]:
+        """Scalarization weights (§3.5): normalized contention per
+        resource, built once per assessment."""
+        return {r.resource: r.contention_norm for r in self.resources}
+
+    def score(self, report: TaskReport) -> float:
+        """``report``'s gains scalarized by contention (§3.5, lines 12-20
+        of Algorithm 1): the one copy of the sum behind the policy's
+        ranking, the audit's candidate scores and a fleet node's."""
+        weights = self._weights
+        return sum(
+            weights.get(resource, 0.0) * gain
+            for resource, gain in report.gains.items()
+        )
 
     def blame_scores(self) -> Dict[str, float]:
         """Normalized contention per resource name (telemetry blame)."""

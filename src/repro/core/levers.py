@@ -199,9 +199,6 @@ class MitigationLever(ActionPolicy):
     ) -> DecisionAudit:
         """Snapshot the evidence behind this detection cycle."""
         c = self.controller
-        weights = {
-            r.resource: r.contention_norm for r in assessment.resources
-        }
         candidates = []
         for report in assessment.tasks:
             task = report.task
@@ -214,10 +211,7 @@ class MitigationLever(ActionPolicy):
             # The contention-weighted scalarization every policy's ranking
             # evidence is reported in (§3.5), whether or not the active
             # policy ultimately used it.
-            score = sum(
-                weights.get(resource, 0.0) * gain
-                for resource, gain in report.gains.items()
-            )
+            score = assessment.score(report)
             candidates.append(
                 CandidateEvidence(
                     task_key=task.key,

@@ -8,7 +8,7 @@ ablation baselines from §5.4 are also provided.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .estimator import OverloadAssessment, ResourceReport, TaskReport
 from .task import CancellableTask
@@ -99,17 +99,11 @@ class MultiObjectivePolicy(CancellationPolicy):
         if not candidates:
             return None
         resources = [r.resource for r in assessment.resources]
-        weights: Dict[ResourceHandle, float] = {
-            r.resource: r.contention_norm for r in assessment.resources
-        }
         dominators = non_dominated_set(candidates, resources)
         best: Optional[Tuple[CancellableTask, float]] = None
         # Lines 12-20 of Algorithm 1: scalarize gains by contention level.
         for report in dominators:
-            total_gain = sum(
-                weights.get(resource, 0.0) * gain
-                for resource, gain in report.gains.items()
-            )
+            total_gain = assessment.score(report)
             if total_gain <= 0.0:
                 continue
             if best is None or total_gain > best[1]:

@@ -35,12 +35,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.decision_log import DecisionKind
+from ..workloads.spec import OpenLoopSource
 from .plan import Fault, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.distributed import Node
     from ..sim.environment import Environment
     from ..sim.rng import Rng
+    from ..workloads.driver import Driver
 
 
 @dataclass
@@ -120,7 +122,7 @@ class FaultInjector:
         self.active_faults = 0
         self._app: Any = None
         self._controller: Any = None
-        self._driver: Any = None
+        self._driver: Optional["Driver"] = None
         #: Distributed nodes opted in via :meth:`register_node`.
         self._nodes: List["Node"] = []
 
@@ -135,7 +137,7 @@ class FaultInjector:
         self,
         app: Any = None,
         controller: Any = None,
-        driver: Any = None,
+        driver: Optional["Driver"] = None,
     ) -> None:
         """Bind run components and spawn one process per planned fault."""
         self._app = app
@@ -326,14 +328,16 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Workload bursts
     # ------------------------------------------------------------------
-    def _burstable_sources(self) -> List[Any]:
-        workload = getattr(self._driver, "workload", None)
-        if workload is None:
+    def _burstable_sources(self) -> List[OpenLoopSource]:
+        """The open-loop sources of the driver's workload (the only
+        sources with a rate to raise)."""
+        driver = self._driver
+        if driver is None or driver.workload is None:
             return []
         return [
             source
-            for source in getattr(workload, "sources", [])
-            if hasattr(source, "burst_factor")
+            for source in driver.workload.sources
+            if isinstance(source, OpenLoopSource)
         ]
 
     def _apply_burst(self, fault: Fault):

@@ -9,9 +9,11 @@ tightens the tail trigger just before the known-bad phase and relaxes
 it after.
 
 :func:`derive_schedule` mines one capture's per-window p99 series for
-sustained ceiling violations (same ``5 x SLO`` / 3-window parameters as
-the ``p99-ceiling`` health rule) and emits ``{"time", "param",
-"value"}`` entries consumable by
+sustained violations of the ``p99-ceiling`` health rule (its ceiling and
+minimum sample count, read from
+:func:`~repro.telemetry.health.default_health_rules`, held for
+``AtroposConfig.adapt_p99_sustain`` windows by default) and emits
+``{"time", "param", "value"}`` entries consumable by
 :attr:`repro.core.config.AtroposConfig.history_schedule`; the
 :class:`repro.core.adaptive.HistoryScheduleSource` publishes due
 entries in-run and the
@@ -23,15 +25,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from ..core.config import AtroposConfig
+from ..telemetry.health import default_health_rules
 from .baseline import CaseCapture, RegressBaseline
 
-#: Ceiling multiple over the SLO (matches the p99-ceiling health rule).
-CEILING_MULTIPLE = 5.0
-#: Consecutive violating windows before a phase counts as sustained
-#: (matches ``AtroposConfig.adapt_p99_sustain``).
-SUSTAIN_WINDOWS = 3
-#: Minimum completions per window before its p99 is trusted.
-MIN_SAMPLES = 3
 #: Tightened tail trigger during a known-bad phase.
 TIGHT_SLACK = 1.05
 #: Relaxed (default-config) tail trigger outside bad phases.
@@ -42,7 +39,7 @@ def derive_schedule(
     capture: CaseCapture,
     tight_slack: float = TIGHT_SLACK,
     base_slack: float = BASE_SLACK,
-    sustain: int = SUSTAIN_WINDOWS,
+    sustain: int = AtroposConfig.adapt_p99_sustain,
 ) -> List[Dict[str, Any]]:
     """Mine one capture's p99 series into a threshold schedule.
 
@@ -57,7 +54,12 @@ def derive_schedule(
         return []
     slo = float(series["slo"])
     window = float(series.get("window") or 0.0)
-    limit = CEILING_MULTIPLE * slo
+    ceiling = next(
+        rule for rule in default_health_rules(slo)
+        if rule.name == "p99-ceiling"
+    )
+    limit = float(ceiling.params["limit"])
+    min_samples = float(ceiling.params["min_samples"])
     ends = series.get("end", ())
     p99s = series.get("p99", ())
     throughput = series.get("throughput", ())
@@ -68,7 +70,7 @@ def derive_schedule(
             float(throughput[i]) * window if i < len(throughput) else 0.0
         )
         violating.append(
-            p99 is not None and samples >= MIN_SAMPLES and p99 > limit
+            p99 is not None and samples >= min_samples and p99 > limit
         )
     schedule: List[Dict[str, Any]] = []
     i = 0

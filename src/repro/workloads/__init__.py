@@ -2,19 +2,9 @@
 
 from .dag import DagSpec, EdgeSpec, RequestClass, ServiceSpec, dag_storm
 from .driver import Driver
-from .sessions import ConnectionSource
-from .spec import (
-    ClosedLoopSource,
-    MixEntry,
-    OpenLoopSource,
-    PeriodicOp,
-    ScheduledOp,
-    Workload,
-)
+from .spec import MixEntry, OpenLoopSource, PeriodicOp, ScheduledOp, Workload
 
 __all__ = [
-    "ClosedLoopSource",
-    "ConnectionSource",
     "DagSpec",
     "Driver",
     "EdgeSpec",

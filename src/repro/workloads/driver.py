@@ -24,6 +24,7 @@ from .spec import Arrival, Workload
 if TYPE_CHECKING:  # pragma: no cover
     from ..apps.base import Application, Operation
     from ..sim.environment import Environment
+    from ..sim.process import Process
 
 
 class Driver:
@@ -55,23 +56,16 @@ class Driver:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, op: "Operation", client_id: str = "client") -> None:
-        """Submit one request now (spawns its process)."""
-        self.env.process(self._request(op, client_id))
-
-    def submit_and_wait(self, op: "Operation", client_id: str = "client"):
-        """Submit one request; returns its process (an event to join).
-
-        Used by closed-loop clients that block until their request
-        reaches a terminal outcome.
-        """
+    def submit(self, op: "Operation", client_id: str = "client") -> "Process":
+        """Submit one request now; returns its process (an event that
+        fires when the request reaches a terminal outcome)."""
         return self.env.process(self._request(op, client_id))
 
     def run_workload(self, workload: Workload) -> None:
-        """Start every source of a workload (``source.start(self)``)."""
+        """Offer every source of a workload through :meth:`run_arrivals`."""
         self.workload = workload
         for source in workload.sources:
-            source.start(self)
+            self.run_arrivals(source.arrivals(self), source.client_id)
 
     def run_arrivals(
         self, arrivals: Iterable[Arrival], client_id: str = "client"

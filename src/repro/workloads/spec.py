@@ -1,17 +1,18 @@
 """Workload specifications: arrival processes and operation mixes.
 
-A :class:`Workload` is a set of sources: open-loop Poisson streams of a
-weighted operation mix (the sysbench-style foreground load), scheduled
-one-shot and periodic operations (the culprit triggers of each case,
-e.g. "launch a backup query at t = 20 s"), and closed-loop clients.
+A :class:`Workload` is a set of arrival sources: open-loop Poisson
+streams of a weighted operation mix (the sysbench-style foreground
+load) and scheduled one-shot and periodic operations (the culprit
+triggers of each case, e.g. "launch a backup query at t = 20 s").
 
-Every source begins offering load through ``source.start(driver)``.  An
-open-loop one (:class:`ArrivalSource`) defines ``arrivals(driver)``, a
-lazy ascending iterator of ``(absolute_time, operation_factory)`` pairs,
-which ``start`` hands to :meth:`repro.workloads.driver.Driver.run_arrivals`
--- the pump all load enters a run through, on every tier.  Arrival
-*times* come from :func:`poisson_times` and :func:`periodic_times`, the
-only copies of those loops (fleet and mesh ``build_arrivals`` included).
+Every source is an :class:`ArrivalSource`: ``arrivals(driver)`` is a
+lazy ascending iterator of ``(absolute_time, operation_factory)``
+pairs, which :meth:`repro.workloads.driver.Driver.run_workload` hands
+to :meth:`~repro.workloads.driver.Driver.run_arrivals` under the
+source's ``client_id`` -- the pump all load enters a run through, on
+every tier.  Arrival *times* come from :func:`poisson_times` and
+:func:`periodic_times`, the only copies of those loops (fleet and mesh
+``build_arrivals`` included).
 """
 
 from __future__ import annotations
@@ -77,11 +78,13 @@ class MixEntry:
 
 
 class ArrivalSource:
-    """An open-loop source: ``arrivals(driver)`` yields its ascending
-    ``(time, factory)`` pairs; ``start`` feeds them to the pump."""
+    """A source of load: ``arrivals(driver)`` yields its ascending
+    ``(time, factory)`` pairs, offered as client ``client_id``."""
 
-    def start(self, driver: "Driver") -> None:
-        driver.run_arrivals(self.arrivals(driver), client_id=self.client_id)
+    client_id: str
+
+    def arrivals(self, driver: "Driver") -> Iterator[Arrival]:
+        raise NotImplementedError
 
 
 @dataclass
@@ -188,57 +191,11 @@ class PeriodicOp(ArrivalSource):
 
 
 @dataclass
-class ClosedLoopSource:
-    """A fixed population of clients in a request/think loop.
-
-    Unlike the open-loop sources, a closed loop self-throttles under
-    overload: a blocked client submits nothing until its previous request
-    resolves -- the classic benchmark-client model (sysbench threads).
-    """
-
-    clients: int
-    mix: List[MixEntry]
-    think_time: float = 0.0
-    client_prefix: str = "closed"
-    start_time: float = 0.0
-    stop_time: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.clients <= 0:
-            raise ValueError("clients must be positive")
-        if self.think_time < 0:
-            raise ValueError("think_time must be non-negative")
-        if not self.mix:
-            raise ValueError("mix must not be empty")
-
-    def start(self, driver: "Driver") -> None:
-        for i in range(self.clients):
-            driver.env.process(self._client_loop(driver, i))
-
-    def _client_loop(self, driver: "Driver", index: int):
-        env = driver.env
-        client_id = f"{self.client_prefix}-{index}"
-        rng = driver.app.rng.fork(f"closed:{client_id}")
-        choose = rng.weighted_chooser(
-            self.mix, [m.weight for m in self.mix]
-        )
-        if self.start_time > 0:
-            yield env.timeout(self.start_time)
-        while self.stop_time is None or env.now < self.stop_time:
-            entry = choose()
-            done = driver.submit_and_wait(entry.factory(), client_id)
-            yield done
-            if self.think_time > 0:
-                yield env.timeout(rng.exponential(self.think_time))
-
-
-@dataclass
 class Workload:
-    """A full workload: any combination of sources (each with a
-    ``start(driver)``; see the module docstring)."""
+    """A full workload: any combination of arrival sources."""
 
-    sources: List[object] = field(default_factory=list)
+    sources: List[ArrivalSource] = field(default_factory=list)
 
-    def add(self, source) -> "Workload":
+    def add(self, source: ArrivalSource) -> "Workload":
         self.sources.append(source)
         return self

@@ -370,9 +370,9 @@ def test_all_of_accepts_already_finished_unjoined_processes():
 
 
 def test_closed_loop_client_resumes_in_schedule_order():
-    """The ``submit_and_wait`` shape: a client starts a request process
-    and joins it before it ends.  Two clients whose requests end at the
-    same instant resume in the order those requests finished."""
+    """A client starts a request process (as ``Driver.submit`` returns
+    one) and joins it before it ends.  Two clients whose requests end at
+    the same instant resume in the order those requests finished."""
     env = Environment()
     order = []
 

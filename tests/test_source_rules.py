@@ -119,6 +119,32 @@ def test_only_the_seeded_and_timing_modules_import_random_and_time():
         assert len(checker.check_source(rng, owner)) == 2
 
 
+def test_only_the_driver_builds_a_request_record():
+    source = (
+        '"""Builds a RequestRecord(...) -- prose is fine."""\n'
+        "from ..sim import metrics\n"
+        "from ..sim.metrics import RequestRecord\n"
+        "def end(op, now):\n"
+        "    kind = RequestRecord  # a reference, not a construction\n"
+        "    first = RequestRecord(request_id=1, op_name=op)\n"
+        "    return first, metrics.RequestRecord(request_id=2, op_name=op)\n"
+    )
+    errors = checker.check_source(source, "src/repro/workloads/sessions.py")
+    assert [e.split(": ")[0] for e in errors] == [
+        "src/repro/workloads/sessions.py:6",
+        "src/repro/workloads/sessions.py:7",
+    ]
+    assert "Driver._request" in errors[0]
+    assert checker.check_source(source, checker.LIFECYCLE_MODULE) == []
+
+
+def test_src_repro_ends_every_request_in_the_driver():
+    lifecycle = checker.REPO_ROOT / checker.LIFECYCLE_MODULE
+    assert "RequestRecord(" in lifecycle.read_text(encoding="utf-8")
+    errors = checker.check([checker.DEFAULT_TARGET])
+    assert [e for e in errors if "RequestRecord built" in e] == []
+
+
 def test_count_code_skips_docstrings_comments_and_blanks():
     source = (
         '"""Module docstring,\n'

@@ -14,8 +14,6 @@ from repro.apps.base import Application, Operation
 from repro.core import NullController
 from repro.sim import At, Environment, MetricsCollector, Rng
 from repro.workloads import (
-    ClosedLoopSource,
-    ConnectionSource,
     Driver,
     MixEntry,
     OpenLoopSource,
@@ -214,21 +212,3 @@ def test_stream_starting_in_the_past_is_refused():
     with pytest.raises(ValueError, match=r"'late': time 1\.5 is before now \(2\.0\)"):
         driver.run_arrivals([(1.5, fast)], client_id="late")
     assert (env.now, env.queue_depth) == (2.0, 0)
-
-
-@pytest.mark.parametrize(
-    "source",
-    [
-        ClosedLoopSource(clients=5, mix=MIX()),
-        ConnectionSource(connections=5, mix=MIX()),
-    ],
-    ids=["closed-loop", "connections"],
-)
-def test_population_sources_start_their_clients_directly(source):
-    env, driver = make_driver()
-    driver.run_workload(Workload([source]))
-    # One process (and its one start event) per client; no set-up process.
-    assert env.alive_processes == 5
-    assert env.events_scheduled == 5
-    env.run(until=0.05)
-    assert len(driver.collector.records) >= 5

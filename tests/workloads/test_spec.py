@@ -195,97 +195,3 @@ class TestDeterminism:
         a_times = [t for n, t, _ in result.app.calls if n == "a"]
         b_times = [t for n, t, _ in result.app.calls if n == "b"]
         assert a_times != b_times
-
-
-class TestClosedLoopSource:
-    def test_population_bounds_concurrency(self):
-        """A closed loop never has more inflight than clients."""
-        from repro.workloads import ClosedLoopSource
-
-        max_seen = {"inflight": 0}
-
-        def build(app, rng):
-            return Workload(
-                [
-                    ClosedLoopSource(
-                        clients=4,
-                        mix=[MixEntry(factory=op_factory("a"), weight=1.0)],
-                    )
-                ]
-            )
-
-        result = run(build, duration=2.0)
-        # 4 clients looping over a 1ms op for 2s -> ~8000 completions max,
-        # bounded well below an open loop at the same "rate".
-        completed = result.summary.completed
-        assert 1000 < completed <= 8001
-
-    def test_think_time_slows_loop(self):
-        from repro.workloads import ClosedLoopSource
-
-        def build(think):
-            def inner(app, rng):
-                return Workload(
-                    [
-                        ClosedLoopSource(
-                            clients=2,
-                            mix=[MixEntry(factory=op_factory("a"), weight=1.0)],
-                            think_time=think,
-                        )
-                    ]
-                )
-
-            return inner
-
-        eager = run(build(0.0), duration=2.0)
-        lazy = run(build(0.1), duration=2.0)
-        assert lazy.summary.completed < eager.summary.completed / 5
-
-    def test_clients_have_distinct_ids(self):
-        from repro.workloads import ClosedLoopSource
-
-        def build(app, rng):
-            return Workload(
-                [
-                    ClosedLoopSource(
-                        clients=3,
-                        mix=[MixEntry(factory=op_factory("a"), weight=1.0)],
-                    )
-                ]
-            )
-
-        result = run(build, duration=0.5)
-        clients = {r.client_id for r in result.collector.records}
-        assert clients == {"closed-0", "closed-1", "closed-2"}
-
-    def test_stop_time_ends_loops(self):
-        from repro.workloads import ClosedLoopSource
-
-        def build(app, rng):
-            return Workload(
-                [
-                    ClosedLoopSource(
-                        clients=2,
-                        mix=[MixEntry(factory=op_factory("a"), weight=1.0)],
-                        stop_time=1.0,
-                    )
-                ]
-            )
-
-        result = run(build, duration=3.0)
-        finishes = [r.finish_time for r in result.collector.records]
-        assert max(finishes) <= 1.1
-
-    def test_validation(self):
-        from repro.workloads import ClosedLoopSource
-
-        with pytest.raises(ValueError):
-            ClosedLoopSource(clients=0, mix=[MixEntry(op_factory("a"), 1.0)])
-        with pytest.raises(ValueError):
-            ClosedLoopSource(
-                clients=1,
-                mix=[MixEntry(op_factory("a"), 1.0)],
-                think_time=-1.0,
-            )
-        with pytest.raises(ValueError):
-            ClosedLoopSource(clients=1, mix=[])

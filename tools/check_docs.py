@@ -111,6 +111,10 @@ RETIRED_NAMES = [
     "UsageStats",
     "DecisionKind.HEALTH",
     "audits_dropped",
+    "ConnectionSource",
+    "ClosedLoopSource",
+    "submit_and_wait",
+    "workloads/sessions.py",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,

@@ -47,6 +47,15 @@ or a read of the host clock anywhere in the model would make a run
 depend on something its spec does not name, and two runs of one spec
 would stop being byte-identical.
 
+Rule 6 -- one place ends a request.  A ``RequestRecord(...)`` is built
+in ``src/repro/workloads/driver.py`` and nowhere else: ``Driver._request``
+is the only code that admits, registers, executes, unwinds and records
+a request, and every source offers its load through
+``Driver.run_arrivals``.  A connection-scoped source once ran a second
+lifecycle that skipped admission, the in-flight count, the offered
+counts per operation and the request spans, and numbered its records
+from a process-global counter.
+
 Exit status is the number of violations found.
 
 Usage::
@@ -76,6 +85,11 @@ PAGE_MODULE = "src/repro/obs/export.py"
 _PAGE = f"build HTML pages with the page kit in {PAGE_MODULE}"
 
 _IDENTITY = "key a task by task.seq, or by the task object across controllers"
+
+#: The one module that may build a ``RequestRecord`` (rule 6).
+LIFECYCLE_MODULE = "src/repro/workloads/driver.py"
+
+_LIFECYCLE = f"end requests in Driver._request ({LIFECYCLE_MODULE})"
 
 #: stdlib module -> the only modules that may import it, and why
 #: (rules 2 and 5).
@@ -126,6 +140,16 @@ def check_source(text: str, where: str) -> List[str]:
             and id(node) not in in_repr
         ):
             found.append((node.lineno, f"id() call -- {_IDENTITY}"))
+        elif (
+            isinstance(node, ast.Call)
+            and "RequestRecord" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            )
+            and where != LIFECYCLE_MODULE
+        ):
+            found.append(
+                (node.lineno, f"RequestRecord built -- {_LIFECYCLE}")
+            )
         elif (
             isinstance(node, ast.Attribute)
             and node.attr == "__dict__"
