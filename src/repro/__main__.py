@@ -279,9 +279,10 @@ def cmd_case(args) -> int:
         f"drop_rate={s.drop_rate:.4f}  "
         f"cancels={result.controller.cancels_issued}"
     )
-    if args.explain and hasattr(result.controller, "explain"):
+    decision_log = result.controller.decision_log
+    if args.explain and decision_log is not None:
         print("\nDecision timeline:")
-        print(result.controller.explain(limit=args.explain))
+        print(decision_log.render(limit=args.explain))
     return 0
 
 

@@ -42,6 +42,7 @@ from ..baselines.dagor import Dagor, compound_priority
 from ..core.atropos import Atropos
 from ..core.config import AtroposConfig
 from ..core.controller import NullController
+from ..core.pipeline import WindowedController
 from ..sim.environment import Environment
 from ..sim.metrics import percentile
 from ..telemetry.health import HealthMonitor, default_health_rules
@@ -129,7 +130,7 @@ class ServiceNode(EpochNode):
     # ------------------------------------------------------------------
     def _deliver(self, directives: List[Tuple[str, float]]) -> None:
         for kind, value in directives:
-            if kind == "target" and hasattr(self.controller, "set_target"):
+            if kind == "target" and isinstance(self.controller, Autothrottle):
                 self.controller.set_target(value)
 
     def _submit(self, shards: List[Shard]) -> None:
@@ -165,11 +166,13 @@ class ServiceNode(EpochNode):
 
     def _report_extra(self) -> Dict[str, Any]:
         controller = self.controller
+        windowed = isinstance(controller, WindowedController)
+        throttled = isinstance(controller, Autothrottle)
         return {
-            "cancels": int(controller.cancels_issued),
-            "rejections": int(getattr(controller, "rejections", 0)),
-            "resize_moves": int(getattr(controller, "resize_moves", 0)),
-            "target_moves": int(getattr(controller, "target_moves", 0)),
+            "cancels": controller.cancels_issued,
+            "rejections": controller.rejections if windowed else 0,
+            "resize_moves": controller.resize_moves if throttled else 0,
+            "target_moves": controller.target_moves if throttled else 0,
         }
 
 

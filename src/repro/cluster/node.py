@@ -246,9 +246,7 @@ class ClusterNode(EpochNode):
         self._fill_candidates(status)
         log = self.controller.cancellation.log
         status.local_cancelled_ops = [
-            entry.op_name
-            for entry in log[self._cancel_log_idx:]
-            if entry.delivered
+            entry.op_name for entry in log[self._cancel_log_idx:]
         ]
         self._cancel_log_idx = len(log)
         status.directive_cancels_window = (
@@ -303,9 +301,7 @@ class ClusterNode(EpochNode):
         log = self.controller.cancellation.log
         return {
             "local_cancels": int(self.controller.cancels_issued),
-            "local_cancelled_ops": [
-                entry.op_name for entry in log if entry.delivered
-            ],
+            "local_cancelled_ops": [entry.op_name for entry in log],
             "directive_cancels": int(self.directive_cancels),
             "directive_cancelled_ops": list(self.directive_cancelled_ops),
             "regular_overloads": int(self.controller.regular_overloads),

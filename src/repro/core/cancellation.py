@@ -16,16 +16,19 @@ Fault injection (:mod:`repro.faults` sets these attributes mid-run):
 * :attr:`CancellationManager.drop_probability` -- each issued signal is
   lost in flight with this probability: :meth:`CancellationManager.cancel`
   still returns True (the controller believes it cancelled, and the
-  cooldown applies), the event is logged with ``delivered=False``, and
-  the task stays RUNNING and cancellable so a later cycle can re-target
-  it.
+  cooldown applies), the loss is counted in ``dropped_signals`` but not
+  logged, and the task stays RUNNING and cancellable so a later cycle
+  can re-target it.
 * :attr:`CancellationManager.suspended` -- while True, no task is
   cancellable at all (``cancel()`` returns False).
+
+:attr:`CancellationManager.log` therefore holds exactly the cancels that
+reached their task; every reader of "what was cancelled" reads it as is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from .config import AtroposConfig
@@ -38,19 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class CancellationEvent:
-    """Audit record of one executed cancellation.
-
-    ``delivered`` is False when a fault-injected lossy initiator dropped
-    the signal in flight (the decision was made but never reached the
-    task); clean runs always record True.
-    """
+    """Audit record of one cancellation that reached its task."""
 
     time: float
     task_key: object
     op_name: str
     resource: Optional[ResourceHandle]
     score: float
-    delivered: bool = True
 
 
 class CancellationManager:
@@ -73,6 +70,7 @@ class CancellationManager:
         self._calm_check = calm_check
         self._initiator: CancelInitiator = default_initiator
         self._last_cancel_time: Optional[float] = None
+        #: The cancels that reached their task, in order.
         self.log: List[CancellationEvent] = []
         # -- fault-injection state (set by repro.faults) ----------------
         #: Seconds between the cancel decision and initiator invocation.
@@ -131,9 +129,9 @@ class CancellationManager:
         Fault injection can reshape the happy path: during an
         ``uncancellable`` window every call returns False; a lossy
         initiator (:attr:`drop_probability`) may lose the signal after
-        the decision (returns True, logs ``delivered=False``, leaves the
-        task running); a slow initiator (:attr:`initiator_delay`) defers
-        the actual interrupt.
+        the decision (returns True, counts it in :attr:`dropped_signals`,
+        leaves the task running); a slow initiator
+        (:attr:`initiator_delay`) defers the actual interrupt.
         """
         if not self.config.cancellation_enabled:
             return False
@@ -163,19 +161,9 @@ class CancellationManager:
             and self.fault_rng.chance(self.drop_probability)
         ):
             # Signal lost in flight: the decision stands (cooldown
-            # stamped, event logged) but the task never hears it and
+            # stamped, loss counted) but the task never hears it and
             # stays cancellable for a later cycle.
             self.dropped_signals += 1
-            self.log.append(
-                CancellationEvent(
-                    time=self.env.now,
-                    task_key=task.key,
-                    op_name=task.op_name,
-                    resource=resource,
-                    score=score,
-                    delivered=False,
-                )
-            )
             return True
         task.begin_cancel(signal)
         self.log.append(

@@ -37,6 +37,25 @@ class BaseController:
     #: the round trip under a controller that would ignore it.
     traces_resources = False
 
+    # What observers read (the harness extras, the telemetry scraper,
+    # the fault injector, the CLI).  A controller that has one of these
+    # sets it; the others keep the ``None`` declared here, so a reader
+    # tests for ``None`` instead of probing for the attribute.
+    #: The request latency SLO, seconds.
+    slo_latency: Optional[float] = None
+    #: The :class:`~repro.core.decision_log.DecisionLog` of detections,
+    #: verdicts, cancels and faults.
+    decision_log: Any = None
+    #: The :class:`~repro.core.cancellation.CancellationManager`; its
+    #: ``log`` holds the cancels that reached their task.
+    cancellation: Any = None
+    #: The :class:`~repro.core.detector.OverloadDetector` (``fault_tap``).
+    detector: Any = None
+    #: The :class:`~repro.core.estimator.Estimator` (``gain_tap``).
+    estimator: Any = None
+    #: The pipeline's :class:`~repro.core.pipeline.AdaptationPolicy`.
+    adaptation: Any = None
+
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self._task_seq = 1

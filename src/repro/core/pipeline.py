@@ -70,6 +70,8 @@ class AdaptationPolicy:
     """Between-window adjustment of live thresholds (the slow loop)."""
 
     name = "adaptation"
+    #: Threshold moves made so far; a policy that moves none keeps 0.
+    adaptations = 0
 
     def adapt(self, now: float, signals: Dict[str, Any]) -> None:
         raise NotImplementedError

@@ -253,6 +253,10 @@ class TracingController(BaseController):
         self.begin_wait = runtime.record_wait_start
         self.end_wait = runtime.record_wait_end
 
+    @property
+    def slo_latency(self) -> float:
+        return self.config.slo_latency
+
     def create_cancel(self, *args, **kwargs) -> CancellableTask:
         task = super().create_cancel(*args, **kwargs)
         self.runtime.activity.task_started()

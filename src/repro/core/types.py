@@ -28,10 +28,6 @@ class ResourceType(enum.Enum):
     CPU = "cpu"
     IO = "io"
 
-    @property
-    def is_system(self) -> bool:
-        return self in (ResourceType.CPU, ResourceType.IO)
-
 
 class TaskKind(enum.Enum):
     """What a cancellable task represents."""

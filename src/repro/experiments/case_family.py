@@ -33,6 +33,7 @@ from typing import Any, Dict, Optional
 
 from ..campaign.runner import ambient
 from ..campaign.spec import RunSpec
+from ..faults.plan import FaultPlan
 from .harness import SimBuild, register_sim
 
 #: Stable policy ids used inside RunSpec params (JSON-friendly).
@@ -149,7 +150,7 @@ def case_spec(
             f"overlay {overlay!r} on system {clean['system']!r}: only "
             "ATROPOS takes one"
         )
-    if faults is not None and hasattr(faults, "to_dict"):
+    if isinstance(faults, FaultPlan):
         faults = faults.to_dict()
     if faults and not faults.get("faults"):
         faults = None

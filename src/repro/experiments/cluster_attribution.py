@@ -26,16 +26,18 @@ directive/quarantine counts.  The headline: coordinated attribution
 drives the wrong-culprit rate to zero while beating the local pipelines
 on victim p99 *and* goodput.
 
-Fleet runs are also available as the ``cluster`` campaign family (a
-custom :class:`~repro.experiments.harness.SimBuild` runner like the
-``dag`` family), so ``repro regress`` can snapshot and drift-check the
-fleet digest/scalars through the content-addressed cache.
+Fleet runs go through :func:`repro.campaign.execute` as the ``cluster``
+campaign family (a custom :class:`~repro.experiments.harness.SimBuild`
+runner like the ``dag`` family): they are cached, spread one fleet per
+campaign worker, and ``repro regress`` snapshots and drift-checks the
+fleet digest/scalars through the same content-addressed cache.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
 
+from ..campaign import RunSpec, execute
 from ..cluster import demo_fleet, run_fleet
 from ..cluster.spec import MODES
 from ..sim.metrics import Summary
@@ -103,10 +105,8 @@ def cluster_spec(
     seed: int,
     duration: float,
     warmup: float,
-) -> "RunSpec":
+) -> RunSpec:
     """Build the campaign spec for one fleet run."""
-    from ..campaign.spec import RunSpec
-
     return RunSpec(
         experiment=experiment,
         family="cluster",
@@ -126,13 +126,21 @@ def run(
     """Run the three-mode cluster attribution comparison."""
     duration = 16.0 if quick else 30.0
     warmup = 4.0 if quick else 5.0
-    spec = demo_fleet(
+    fleet = demo_fleet(
         n_nodes=n_nodes,
         seed=seed,
         policy=policy,
         duration=duration,
         warmup=warmup,
     )
+    specs = [
+        cluster_spec(
+            "cluster", fleet.with_mode(mode).to_dict(), seed, duration,
+            warmup,
+        )
+        for mode in MODES
+    ]
+    outcomes = execute(specs)
 
     modes = ExperimentTable(
         "Cluster: local-only vs coordinated attribution",
@@ -151,21 +159,22 @@ def run(
         "Cluster: coordinator verdicts per mode",
         ["mode", "calm", "no_cross_node_culprit", "cancel", "quarantine"],
     )
-    for mode in MODES:
-        result = run_fleet(spec.with_mode(mode))
+    for mode, outcome in zip(MODES, outcomes):
+        payload = outcome.extras["fleet"]
+        p99 = payload["victim_p99"]
         modes.add_row(
             mode,
-            result.wrong_culprit_rate,
-            result.victim_p99 * 1000.0,
-            result.goodput,
-            result.cancels_total,
-            result.wrong_cancels,
-            len(result.directives),
-            ",".join(result.quarantined) or "-",
+            payload["wrong_culprit_rate"],
+            float("nan") if p99 is None else p99 * 1000.0,
+            payload["goodput"],
+            payload["cancels_total"],
+            payload["wrong_cancels"],
+            len(payload["directives"]),
+            ",".join(payload["quarantined"]) or "-",
         )
         counts = {verdict: 0 for verdict in
                   ("calm", "no-cross-node-culprit", "cancel", "quarantine")}
-        for decision in result.decisions:
+        for decision in payload["decisions"]:
             counts[decision["verdict"]] += 1
         verdicts.add_row(
             mode,

@@ -13,7 +13,7 @@ by name through this registry instead of receiving factories directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, Optional
 
@@ -162,14 +162,13 @@ def run_simulation(
         injector.arm(app=app, controller=controller, driver=driver)
     scraper = None
     if scraped:
-        from ..telemetry.health import slo_of
         from ..telemetry.scrape import Scraper
 
         scraper = Scraper(
             env,
             telemetry.new_run(label),
             rules=telemetry.rules_for(controller),
-            slo=slo_of(controller),
+            slo=controller.slo_latency,
             live_sink=telemetry.live_sink,
         )
         scraper.attach(
@@ -283,11 +282,6 @@ def resolve_sim(name: str) -> Callable[[Dict[str, Any]], SimBuild]:
         ) from None
 
 
-def registered_sims() -> Dict[str, Callable[[Dict[str, Any]], SimBuild]]:
-    """Snapshot of the registry (for introspection/tests)."""
-    return dict(_SIM_BUILDERS)
-
-
 def extract_extras(result: RunResult) -> Dict[str, Any]:
     """Condense the non-Summary metrics experiments consume into JSON.
 
@@ -305,28 +299,22 @@ def extract_extras(result: RunResult) -> Dict[str, Any]:
     value and per audit verdict, keys sorted).
     """
     controller = result.controller
+    cancellation = controller.cancellation
+    log = cancellation.log if cancellation is not None else []
     extras: Dict[str, Any] = {
-        "cancels_issued": int(getattr(controller, "cancels_issued", 0)),
+        "cancels_issued": controller.cancels_issued,
+        "first_cancelled_op": log[0].op_name if log else None,
+        "cancelled_ops": [e.op_name for e in log],
     }
-    cancellation = getattr(controller, "cancellation", None)
-    log = getattr(cancellation, "log", None)
-    extras["first_cancelled_op"] = log[0].op_name if log else None
-    extras["cancelled_ops"] = [
-        e.op_name for e in (log or []) if getattr(e, "delivered", True)
-    ]
-    from ..telemetry.health import slo_of
     from ..telemetry.series import window_series
 
     extras["series"] = window_series(
         result.trimmed_collector.records,
         result.duration,
-        slo=slo_of(controller),
-        cancel_times=[
-            e.time for e in (log or [])
-            if getattr(e, "delivered", True)
-        ],
+        slo=controller.slo_latency,
+        cancel_times=[e.time for e in log],
     )
-    decision_log = getattr(controller, "decision_log", None)
+    decision_log = controller.decision_log
     if decision_log is not None:
         decision_mix: Dict[str, int] = {}
         for event in decision_log.events:
@@ -342,12 +330,12 @@ def extract_extras(result: RunResult) -> Dict[str, Any]:
         extras["audit_mix"] = {
             k: audit_mix[k] for k in sorted(audit_mix)
         }
-    extras["cancel_signals_dropped"] = int(
-        getattr(cancellation, "dropped_signals", 0)
+    extras["cancel_signals_dropped"] = (
+        cancellation.dropped_signals if cancellation is not None else 0
     )
-    adaptation = getattr(controller, "adaptation", None)
-    if getattr(adaptation, "adaptations", 0):
-        extras["adaptations"] = int(adaptation.adaptations)
+    adaptation = controller.adaptation
+    if adaptation is not None and adaptation.adaptations:
+        extras["adaptations"] = adaptation.adaptations
         extras["adapt_events"] = list(adaptation.adapt_events)
     ops: Dict[str, Any] = {}
     completed = RequestStatus.COMPLETED

@@ -15,6 +15,11 @@ window end.  Every injection and revert
   controller keeps one, so experiments can correlate faults with
   (mis)cancellations in a single timeline.
 
+The injector reads the controller through the attributes
+:class:`~repro.core.controller.BaseController` declares
+(``decision_log``, ``detector``, ``estimator``, ``cancellation``); a
+controller without one leaves it ``None``.
+
 Application is *defensive by design*: a fault whose target does not
 exist in this run -- a ``degrade`` naming a resource the app lacks, a
 signal fault against a baseline controller with no detector, a
@@ -22,6 +27,12 @@ cancellation fault against a controller with no cancellation manager --
 is recorded with ``applied=False`` instead of crashing the run.  The
 chaos matrix sweeps one fault grid across heterogeneous systems and
 relies on this.
+
+``partition`` and ``crash`` cut the cancellation path: a harness run has
+no task tree, so every cancel delivery fails for the window.  A signal
+lost to them, or to ``cancel-drop``, is counted in the manager's
+``dropped_signals`` and not logged: the cancellation log holds only the
+cancels that reached their task.
 
 Determinism: all randomness (signal noise, signal drops) comes from a
 dedicated RNG stream forked from the run seed, so faulted runs are
@@ -34,12 +45,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
+from ..core.controller import BaseController
 from ..core.decision_log import DecisionKind
 from ..workloads.spec import OpenLoopSource
 from .plan import Fault, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.distributed import Node
     from ..sim.environment import Environment
     from ..sim.rng import Rng
     from ..workloads.driver import Driver
@@ -121,27 +132,26 @@ class FaultInjector:
         #: Applied-and-not-yet-reverted fault count (telemetry gauge).
         self.active_faults = 0
         self._app: Any = None
-        self._controller: Any = None
+        self._controller = BaseController(env)
         self._driver: Optional["Driver"] = None
-        #: Distributed nodes opted in via :meth:`register_node`.
-        self._nodes: List["Node"] = []
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def register_node(self, node: "Node") -> None:
-        """Opt a distributed node into partition/crash faults."""
-        self._nodes.append(node)
-
     def arm(
         self,
         app: Any = None,
-        controller: Any = None,
+        controller: Optional[BaseController] = None,
         driver: Optional["Driver"] = None,
     ) -> None:
-        """Bind run components and spawn one process per planned fault."""
+        """Bind run components and spawn one process per planned fault.
+
+        Without a controller, the faults meet the no-op
+        :class:`~repro.core.controller.BaseController`, which has
+        nothing to corrupt or fail."""
         self._app = app
-        self._controller = controller
+        if controller is not None:
+            self._controller = controller
         self._driver = driver
         for fault in self.plan:
             self.env.process(self._fault_process(fault))
@@ -184,7 +194,7 @@ class FaultInjector:
                 applied=applied,
                 detail=detail,
             )
-        log = getattr(self._controller, "decision_log", None)
+        log = self._controller.decision_log
         if log is not None:
             log.record(
                 now,
@@ -241,8 +251,8 @@ class FaultInjector:
     # Signal corruption
     # ------------------------------------------------------------------
     def _apply_detector_noise(self, fault: Fault):
-        detector = getattr(self._controller, "detector", None)
-        if detector is None or not hasattr(detector, "fault_tap"):
+        detector = self._controller.detector
+        if detector is None:
             return False, "controller has no detector tap", None
         tap = SignalTap(
             self.rng.fork("detector-tap"),
@@ -263,8 +273,8 @@ class FaultInjector:
         )
 
     def _apply_estimator_noise(self, fault: Fault):
-        estimator = getattr(self._controller, "estimator", None)
-        if estimator is None or not hasattr(estimator, "gain_tap"):
+        estimator = self._controller.estimator
+        if estimator is None:
             return False, "controller has no estimator tap", None
         tap = SignalTap(
             self.rng.fork("estimator-tap"),
@@ -286,11 +296,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Cancellation failures
     # ------------------------------------------------------------------
-    def _cancellation(self):
-        return getattr(self._controller, "cancellation", None)
-
     def _apply_cancel_delay(self, fault: Fault):
-        manager = self._cancellation()
+        manager = self._controller.cancellation
         if manager is None:
             return False, "controller has no cancellation manager", None
         delay = fault.param("delay")
@@ -302,7 +309,7 @@ class FaultInjector:
         return True, f"initiator delayed by {delay:g}s", revert
 
     def _apply_cancel_drop(self, fault: Fault):
-        manager = self._cancellation()
+        manager = self._controller.cancellation
         if manager is None:
             return False, "controller has no cancellation manager", None
         probability = fault.param("probability")
@@ -315,7 +322,7 @@ class FaultInjector:
         return True, f"signals dropped with p={probability:g}", revert
 
     def _apply_uncancellable(self, fault: Fault):
-        manager = self._cancellation()
+        manager = self._controller.cancellation
         if manager is None:
             return False, "controller has no cancellation manager", None
         manager.suspended = True
@@ -368,39 +375,17 @@ class FaultInjector:
         return self._node_fault(fault, crash=True)
 
     def _node_fault(self, fault: Fault, crash: bool):
-        """Partition or crash registered nodes; in runs without a task
-        tree, the initiator itself becomes unreachable instead (cancel
-        deliveries fail for the window)."""
+        """A harness run has no task tree, so the partitioned or crashed
+        peer is the cancellation initiator itself: every cancel delivery
+        fails for the window."""
         verb = "crash" if crash else "partition"
-        nodes = list(self._nodes)
-        reverts: List[Callable[[], None]] = []
-        detail_parts: List[str] = []
-        if nodes:
-            for node in nodes:
-                if crash:
-                    node.crash()
-                    reverts.append(node.restart)
-                else:
-                    node.partition()
-                    reverts.append(node.heal)
-            detail_parts.append(f"{len(nodes)} node(s) {verb}ed")
-        manager = self._cancellation()
-        if manager is not None and not nodes:
-            # Single-node harness mapping: the cancellation path crosses
-            # the failed link, so every signal is lost for the window.
-            manager.drop_probability = 1.0
-            manager.fault_rng = manager.fault_rng or self.rng.fork(verb)
-
-            def revert_manager(manager=manager):
-                manager.drop_probability = 0.0
-
-            reverts.append(revert_manager)
-            detail_parts.append("cancel deliveries fail")
-        if not reverts:
+        manager = self._controller.cancellation
+        if manager is None:
             return False, f"nothing to {verb} (no nodes, no initiator)", None
+        manager.drop_probability = 1.0
+        manager.fault_rng = manager.fault_rng or self.rng.fork(verb)
 
-        def revert(reverts=reverts):
-            for undo in reverts:
-                undo()
+        def revert(manager=manager):
+            manager.drop_probability = 0.0
 
-        return True, "; ".join(detail_parts), revert
+        return True, "cancel deliveries fail", revert

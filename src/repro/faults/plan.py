@@ -34,7 +34,9 @@ injection time ``at`` (simulated seconds), an optional ``duration``
     The initiator becomes lossy: each issued cancel signal is lost in
     flight with probability ``probability`` (the controller believes it
     cancelled; the task keeps running and may be re-targeted after the
-    cooldown).
+    cooldown).  A lost signal is counted in the cancellation manager's
+    ``dropped_signals``, not logged: its log holds only the cancels
+    that reached their task.
 ``uncancellable``
     A stretch during which no task can be cancelled at all (e.g. all
     culprits inside non-interruptible sections); ``cancel()`` returns
@@ -43,14 +45,13 @@ injection time ``at`` (simulated seconds), an optional ``duration``
     Arrival-rate spike: every open-loop source's rate is multiplied by
     ``factor`` for the window.
 ``partition``
-    Network partition: registered :class:`~repro.core.distributed.Node`
-    objects become unreachable, and -- in single-node harness runs --
-    cancel-signal delivery fails for the window (the initiator cannot
-    reach the task).  Heals at window end.
+    Network partition between the initiator and the task: every cancel
+    signal is lost for the window, as under ``cancel-drop`` with
+    probability 1.  Heals at window end.
 ``crash``
-    Node crash: registered nodes crash (``duration`` set = restart at
-    window end); harness mapping is the same lost-delivery behaviour as
-    ``partition``.
+    Crash of the task's peer, restarted at window end when ``duration``
+    is set; in a harness run it fails cancel deliveries exactly as
+    ``partition`` does.
 
 See ``docs/RESILIENCE.md`` for the schema and the mapping to the paper's
 threats to validity.
@@ -102,12 +103,12 @@ FAULT_KINDS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any], str]] = {
     "partition": (
         (),
         {},
-        "nodes partitioned; cancel deliveries fail until healed",
+        "cancellation path cut; cancel deliveries fail until healed",
     ),
     "crash": (
         (),
         {},
-        "nodes crash (restart at window end if a duration is set)",
+        "task peer crashes; cancel deliveries fail until restart",
     ),
 }
 
@@ -335,12 +336,12 @@ def burst(
 
 
 def partition(at: float = 0.0, duration: Optional[float] = None) -> Fault:
-    """Partition registered nodes; cancel deliveries fail until healed."""
+    """Cut the cancellation path; cancel deliveries fail until healed."""
     return Fault("partition", at=at, duration=duration)
 
 
 def crash(at: float = 0.0, duration: Optional[float] = None) -> Fault:
-    """Crash registered nodes (restart at window end if duration set)."""
+    """Crash the task's peer; cancel deliveries fail until restart."""
     return Fault("crash", at=at, duration=duration)
 
 

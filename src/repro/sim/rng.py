@@ -47,12 +47,6 @@ class Rng:
             raise ValueError(f"mean must be positive, got {mean}")
         return self._random.expovariate(1.0 / mean)
 
-    def lognormal(self, median: float, sigma: float = 0.5) -> float:
-        """Lognormal parameterized by its median (exp(mu))."""
-        import math
-
-        return self._random.lognormvariate(math.log(median), sigma)
-
     def pareto(self, minimum: float, alpha: float = 1.5, cap: Optional[float] = None) -> float:
         """Bounded Pareto -- heavy-tailed service times.
 

@@ -31,7 +31,7 @@ one attribute load and one branch per run.
 
 from __future__ import annotations
 
-from typing import Any, Callable, ContextManager, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, ContextManager, List, Optional, Sequence
 
 from ..obs.tracer import active
 from .export import (
@@ -45,7 +45,6 @@ from .health import (
     HealthMonitor,
     HealthRule,
     default_health_rules,
-    slo_of,
     worst_severity,
 )
 from .registry import (
@@ -59,6 +58,9 @@ from .registry import (
 from .report import render_html_report, write_html_report
 from .scrape import RunTelemetry, Scraper, ScrapeWindow, live_line
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.controller import BaseController
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -70,7 +72,6 @@ __all__ = [
     "HealthMonitor",
     "HealthRule",
     "default_health_rules",
-    "slo_of",
     "worst_severity",
     "RunTelemetry",
     "Scraper",
@@ -131,11 +132,11 @@ class TelemetrySession:
         self.runs.append(run)
         return run
 
-    def rules_for(self, controller: Any) -> List[HealthRule]:
+    def rules_for(self, controller: "BaseController") -> List[HealthRule]:
         """The rule set a run under ``controller`` is monitored with."""
         if self.health_rules is not None:
             return list(self.health_rules)
-        return default_health_rules(slo=slo_of(controller))
+        return default_health_rules(slo=controller.slo_latency)
 
 
 def telemetry_session(

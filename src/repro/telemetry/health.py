@@ -68,17 +68,6 @@ class HealthEvent:
         }
 
 
-def slo_of(controller: Any) -> Optional[float]:
-    """Best-effort SLO latency of a controller (None when unknown)."""
-    config = getattr(controller, "config", None)
-    slo = getattr(config, "slo_latency", None)
-    if slo is None:
-        slo = getattr(controller, "slo_latency", None)
-    if slo is None:
-        slo = getattr(controller, "slo", None)
-    return float(slo) if isinstance(slo, (int, float)) and slo > 0 else None
-
-
 def default_health_rules(
     slo: Optional[float] = None,
     expected_culprits: Optional[Sequence[str]] = None,

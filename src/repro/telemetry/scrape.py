@@ -167,8 +167,8 @@ class Scraper:
         values: Dict[str, float] = {}
 
         # -- sim kernel ------------------------------------------------
-        qdepth = float(getattr(env, "queue_depth", 0))
-        alive = float(getattr(env, "alive_processes", 0))
+        qdepth = float(env.queue_depth)
+        alive = float(env.alive_processes)
         values["event_queue_depth"] = qdepth
         values["processes_alive"] = alive
         reg.gauge("repro_event_queue_depth",
@@ -310,11 +310,8 @@ class Scraper:
         controller = self._controller
         if controller is None:
             return
-        snapshot = getattr(controller, "telemetry_snapshot", None)
-        if snapshot is None:
-            return
         reg = self.run.registry
-        snap = snapshot()
+        snap = controller.telemetry_snapshot()
         cancels = float(snap.get("cancels_issued", 0))
         values["cancels_total"] = cancels
         values["cancels_window"] = self._counter_delta(
@@ -379,15 +376,13 @@ class Scraper:
         if faults is None:
             return
         reg = self.run.registry
-        active = float(getattr(faults, "active_faults", 0))
+        active = float(faults.active_faults)
         values["faults_active"] = active
         reg.gauge("repro_faults_active",
                   "Faults currently applied").set(active)
-        events = getattr(faults, "events", [])
         phases: Dict[str, int] = {}
-        for event in events:
-            phase = getattr(event, "phase", "unknown")
-            phases[phase] = phases.get(phase, 0) + 1
+        for event in faults.events:
+            phases[event.phase] = phases.get(event.phase, 0) + 1
         for phase in sorted(phases):
             delta = self._counter_delta(
                 f"faults:{phase}", float(phases[phase])
@@ -402,16 +397,14 @@ class Scraper:
     # Health plumbing
     # ------------------------------------------------------------------
     def _window_cancelled_ops(self) -> List[str]:
-        """Ops of cancellations logged since the previous scrape."""
-        cancellation = getattr(self._controller, "cancellation", None)
-        log = getattr(cancellation, "log", None)
-        if not log:
+        """Ops of cancellations delivered since the previous scrape."""
+        controller = self._controller
+        if controller is None or controller.cancellation is None:
             return []
+        log = controller.cancellation.log
         new = log[self._cancel_log_idx:]
         self._cancel_log_idx = len(log)
-        return [
-            e.op_name for e in new if getattr(e, "delivered", True)
-        ]
+        return [e.op_name for e in new]
 
     # ------------------------------------------------------------------
     # Finalization
@@ -424,10 +417,10 @@ class Scraper:
             self.scrape()
         self.run.duration = now
         controller = self._controller
-        decision_log = getattr(controller, "decision_log", None)
-        audits = getattr(decision_log, "audits", None)
-        if audits:
-            self.run.audits = [audit.to_payload() for audit in audits]
+        if controller is not None and controller.decision_log is not None:
+            self.run.audits = [
+                audit.to_payload() for audit in controller.decision_log.audits
+            ]
         if self._faults is not None:
             self.run.fault_events = [
                 event.to_dict() for event in self._faults.events

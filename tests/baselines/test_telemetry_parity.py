@@ -95,3 +95,82 @@ class TestScraperConsumesBaselines:
         names = {name for name, _, _, _ in run.registry.collect()}
         assert "repro_detector_overloaded" in names
         assert "repro_detector_window_samples" in names
+
+
+#: The systems whose controller declares the SLO it was built with;
+#: Breakwater (a queueing-delay target), DARC and the uncontrolled
+#: baseline declare none.
+DECLARE_SLO = {
+    "atropos", "pbox", "protego", "parties", "seda", "dagor", "autothrottle",
+}
+
+
+class TestDeclaredObserverState:
+    """What observers read is declared on ``BaseController``: ``None``
+    unless the controller has it."""
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_declared_attributes(self, name):
+        controller = build(name)
+        assert controller.slo_latency == (
+            0.05 if name in DECLARE_SLO else None
+        )
+        for attribute in (
+            "cancellation", "decision_log", "detector", "adaptation",
+        ):
+            declared = getattr(controller, attribute)
+            assert (declared is not None) == (name == "atropos"), attribute
+        assert (controller.estimator is not None) == (
+            name in ("atropos", "pbox")
+        )
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_scraped_faulted_run_fills_every_reader(self, name):
+        """Two seconds of c1 under the perfect-storm faults, moved into
+        the run: the extras, the scrape windows and the fault log are
+        all filled in, and each fault applies exactly where the
+        controller declares its target."""
+        from dataclasses import replace
+
+        from repro.campaign.spec import load_all_families
+        from repro.experiments.harness import (
+            extract_extras,
+            resolve_sim,
+            run_simulation,
+        )
+        from repro.faults import FaultPlan, named_plans
+        from repro.telemetry import TelemetrySession, telemetry_session
+
+        plan = FaultPlan.of(*(
+            replace(fault, at=0.5, duration=1.0)
+            for fault in named_plans()["perfect-storm"]
+        ))
+        load_all_families()
+        build_case = resolve_sim("case")({"case_id": "c1", "system": name})
+        session = TelemetrySession(interval=0.25)
+        with telemetry_session(session):
+            result = run_simulation(
+                build_case.app_factory,
+                build_case.workload_factory,
+                build_case.controller_factory,
+                duration=2.0,
+                fault_plan=plan,
+            )
+        controller = result.controller
+        extras = extract_extras(result)
+        assert result.summary.completed > 0
+        assert len(extras["series"]["end"]) > 0
+        assert ("decision_mix" in extras) == (name == "atropos")
+        assert len(result.telemetry.windows) == 8
+        assert result.telemetry.fault_events == extras["fault_events"]
+        applied = {
+            event["kind"]: event["applied"]
+            for event in extras["fault_events"]
+            if event["phase"] == "inject"
+        }
+        assert applied == {
+            "burst": True,
+            "detector-noise": controller.detector is not None,
+            "cancel-drop": controller.cancellation is not None,
+        }
+        assert len(extras["fault_events"]) == 6

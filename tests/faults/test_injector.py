@@ -242,20 +242,14 @@ def test_partition_without_nodes_drops_cancel_signals():
     assert controller.cancellation.drop_probability == 0.0
 
 
-def test_crash_partitions_registered_nodes():
-    from repro.core.distributed import Node
-
+def test_crash_without_an_initiator_is_not_applied():
     env = Environment()
-    node = Node("worker-1")
-    injector = FaultInjector(
-        env, FaultPlan.of(crash(at=1.0, duration=1.0)), Rng(0)
-    )
-    injector.register_node(node)
-    injector.arm()
-    env.run(until=1.5)
-    assert node.crashed and not node.reachable
-    env.run(until=3.0)
-    assert not node.crashed and node.reachable
+    injector = arm(env, FaultPlan.of(crash(at=0.0, duration=1.0)))
+    env.run(until=2.0)
+    assert [(e.phase, e.applied) for e in injector.events] == [
+        ("inject", False), ("restore", False),
+    ]
+    assert injector.events[0].detail.startswith("nothing to crash")
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +285,20 @@ def test_faulted_run_deterministic_and_differs_from_clean():
     ]
     # The burst visibly changes the run (more offered load).
     assert faulted_a.summary != clean.summary
+
+
+def test_lost_cancels_name_no_cancelled_op():
+    """Every signal lost from t=0: nothing reached a task, so neither
+    the first cancelled op nor the list names one, while the drops are
+    counted."""
+    from repro.experiments.harness import extract_extras
+
+    faulted = run_case_c1(FaultPlan.of(cancel_drop(1.0, at=0.0)))
+    extras = extract_extras(faulted)
+    assert faulted.controller.cancellation.log == []
+    assert extras["cancel_signals_dropped"] > 0
+    assert extras["cancelled_ops"] == []
+    assert extras["first_cancelled_op"] is None
 
 
 def test_burst_raises_offered_load():

@@ -7,7 +7,6 @@ from repro.telemetry import (
     HealthMonitor,
     HealthRule,
     default_health_rules,
-    slo_of,
     worst_severity,
 )
 
@@ -150,15 +149,27 @@ class TestDefaults:
         ceiling = next(r for r in rules if r.kind == "p99-ceiling")
         assert ceiling.params["limit"] == pytest.approx(0.25)
 
-    def test_slo_of_reads_controller_config(self):
-        class Config:
-            slo_latency = 0.05
+    def test_session_rules_read_the_declared_slo(self):
+        from repro.core.config import AtroposConfig
+        from repro.core.controller import BaseController
+        from repro.core.runtime import TracingController
+        from repro.sim import Environment
+        from repro.telemetry import TelemetrySession
 
-        class Controller:
-            config = Config()
-
-        assert slo_of(Controller()) == pytest.approx(0.05)
-        assert slo_of(object()) is None
+        session = TelemetrySession()
+        traced = TracingController(
+            Environment(), AtroposConfig(slo_latency=0.05)
+        )
+        assert traced.slo_latency == 0.05
+        ceiling = next(
+            r for r in session.rules_for(traced) if r.kind == "p99-ceiling"
+        )
+        assert ceiling.params["limit"] == pytest.approx(0.25)
+        bare = BaseController(Environment())
+        assert bare.slo_latency is None
+        assert "p99-ceiling" not in {
+            r.kind for r in session.rules_for(bare)
+        }
 
     def test_worst_severity(self):
         warn = HealthEvent(0, "r", "k", "warn", 1, 1, "m")

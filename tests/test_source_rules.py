@@ -145,6 +145,32 @@ def test_src_repro_ends_every_request_in_the_driver():
     assert [e for e in errors if "RequestRecord built" in e] == []
 
 
+def test_a_probe_in_an_observer_package_is_a_violation():
+    source = (
+        '"""hasattr(controller, "x") in prose is fine."""\n'
+        "def read(controller, faults):\n"
+        "    if hasattr(controller, 'detector'):\n"
+        "        pass\n"
+        "    slo = getattr(controller, 'slo_latency', None)\n"
+        "    return slo, getattr(faults, 'events')\n"
+    )
+    for package in checker.OBSERVER_PACKAGES:
+        where = f"{package}reader.py"
+        errors = checker.check_source(source, where)
+        assert [e.split(": ")[0] for e in errors] == [
+            f"{where}:3", f"{where}:5",
+        ]
+        assert "BaseController declares" in errors[0]
+    # Outside the observers (the kernel, a controller) it is no rule's
+    # business.
+    assert checker.check_source(source, "src/repro/core/atropos.py") == []
+
+
+def test_src_repro_observers_read_what_a_controller_declares():
+    errors = checker.check([checker.DEFAULT_TARGET])
+    assert [e for e in errors if "probe" in e] == []
+
+
 def test_count_code_skips_docstrings_comments_and_blanks():
     source = (
         '"""Module docstring,\n'

@@ -115,6 +115,9 @@ RETIRED_NAMES = [
     "ClosedLoopSource",
     "submit_and_wait",
     "workloads/sessions.py",
+    "slo_of",
+    "register_node",
+    "registered_sims",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,

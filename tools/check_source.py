@@ -56,6 +56,17 @@ lifecycle that skipped admission, the in-flight count, the offered
 counts per operation and the request spans, and numbered its records
 from a process-global counter.
 
+Rule 7 -- observers read what a controller declares.  No ``hasattr()``
+and no three-argument ``getattr()`` in the packages that read a run
+(``src/repro/{campaign,cluster,experiments,faults,regress,telemetry}``).
+:class:`repro.core.controller.BaseController` declares what they read
+(``slo_latency``, ``decision_log``, ``cancellation``, ``detector``,
+``estimator``, ``adaptation``), ``None`` where a controller has none;
+a reader tests for ``None``, or for a baseline's own state uses
+``isinstance``.  These readers once made 35 probes with their own
+fallbacks; one read a ``slo`` attribute no controller has, and several
+defaulted attributes that always exist.
+
 Exit status is the number of violations found.
 
 Usage::
@@ -90,6 +101,20 @@ _IDENTITY = "key a task by task.seq, or by the task object across controllers"
 LIFECYCLE_MODULE = "src/repro/workloads/driver.py"
 
 _LIFECYCLE = f"end requests in Driver._request ({LIFECYCLE_MODULE})"
+
+#: The packages that read a run and may not probe for attributes (rule 7).
+OBSERVER_PACKAGES = tuple(
+    f"src/repro/{package}/"
+    for package in (
+        "campaign", "cluster", "experiments", "faults", "regress",
+        "telemetry",
+    )
+)
+
+_DECLARED = (
+    "read what BaseController declares (None when absent), or use "
+    "isinstance"
+)
 
 #: stdlib module -> the only modules that may import it, and why
 #: (rules 2 and 5).
@@ -149,6 +174,18 @@ def check_source(text: str, where: str) -> List[str]:
         ):
             found.append(
                 (node.lineno, f"RequestRecord built -- {_LIFECYCLE}")
+            )
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and (
+                node.func.id == "hasattr"
+                or (node.func.id == "getattr" and len(node.args) == 3)
+            )
+            and where.startswith(OBSERVER_PACKAGES)
+        ):
+            found.append(
+                (node.lineno, f"{node.func.id}() probe -- {_DECLARED}")
             )
         elif (
             isinstance(node, ast.Attribute)
