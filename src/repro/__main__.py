@@ -77,7 +77,7 @@ def _given(args, *names) -> dict:
     return {
         name: getattr(args, name)
         for name in names
-        if getattr(args, name, None) is not None
+        if getattr(args, name) is not None
     }
 
 
@@ -115,13 +115,12 @@ def _experiment(args):
 
 def _telemetry_session(args):
     """Build a TelemetrySession from CLI flags; None when not requested."""
-    live = getattr(args, "live", False)
-    if not (live or getattr(args, "telemetry", None)):
+    if not (args.live or args.telemetry):
         return None
     from .telemetry import TelemetrySession, live_line
 
     sink = None
-    if live:
+    if args.live:
         def sink(run, window):
             print(live_line(run, window), file=sys.stderr)
 
@@ -144,26 +143,38 @@ def _write_telemetry(session, out_dir) -> None:
     )
 
 
+def _store_flags(args) -> dict:
+    """The campaign settings every caching command declares."""
+    return dict(jobs=args.jobs, cache=args.cache, cache_dir=args.cache_dir)
+
+
+def _report_session(args):
+    """The session of ``run`` / ``all``: every campaign setting, the
+    ``--adaptive`` overlay, and telemetry when asked for."""
+    return _session(
+        telemetry=_telemetry_session(args),
+        export_dir=args.telemetry,
+        adaptive=args.adaptive or None,
+        **_store_flags(args),
+    )
+
+
 @contextlib.contextmanager
-def _session(args, telemetry=None):
+def _session(telemetry=None, export_dir=None, **settings):
     """The scope every simulating command runs in.
 
-    Campaign settings come from the flags (an observed run resolves to
-    one job, :func:`repro.campaign.current_settings`); ``telemetry`` is
-    the session to scrape into.  On the way out the ``--telemetry``
-    exports are written and the campaign statistics go to stderr.
+    ``settings`` are the :func:`repro.campaign.settings` the command's
+    flags give (an observed run resolves to one job,
+    :func:`repro.campaign.current_settings`); ``telemetry`` is the
+    session to scrape into.  On the way out the telemetry exports are
+    written to ``export_dir``, if given, and the campaign statistics go
+    to stderr.
     """
     campaign.reset_session_stats()
-    settings = campaign.settings(
-        jobs=getattr(args, "jobs", None),
-        cache=getattr(args, "cache", None),
-        cache_dir=getattr(args, "cache_dir", None),
-        adaptive=getattr(args, "adaptive", None) or None,
-    )
-    with settings, telemetry_session(telemetry):  # None: no session
+    with campaign.settings(**settings), telemetry_session(telemetry):
         yield
-    if telemetry is not None and getattr(args, "telemetry", None):
-        _write_telemetry(telemetry, args.telemetry)
+    if export_dir:
+        _write_telemetry(telemetry, export_dir)
     stats = campaign.session_stats()
     if stats.runs:
         print(stats.format(), file=sys.stderr)
@@ -214,7 +225,7 @@ def cmd_run(args) -> int:
     if picked is None:
         return 2
     exp_id, kwargs = picked
-    with _session(args, _telemetry_session(args)):
+    with _report_session(args):
         if args.seeds:
             sections = []
             for seed in args.seeds:
@@ -242,7 +253,7 @@ def cmd_all(args) -> int:
     print("Running all experiments "
           f"({'full' if args.full else 'quick'} mode)...",
           file=sys.stderr)
-    with _session(args, _telemetry_session(args)):
+    with _report_session(args):
         results = run_experiments(
             quick=not args.full, seed=args.seed, progress=progress
         )
@@ -302,7 +313,7 @@ def cmd_trace(args) -> int:
     exp_id, kwargs = picked
     out = args.out or f"{exp_id}-trace.json"
     tracer = Tracer(max_runs=None if args.all_runs else 1)
-    with _session(args), tracing(tracer):
+    with _session(), tracing(tracer):
         print(_run(args, exp_id, **kwargs).format())
     print()
     write_chrome_trace(tracer, out)
@@ -351,7 +362,7 @@ def cmd_faults(args) -> int:
         "faults-cli", args.case, seed=args.seed,
         system=args.system, faults=plan,
     )
-    with _session(args):
+    with _session(**_store_flags(args)):
         outcome = campaign.execute([spec])[0]
     s = outcome.summary
     print(
@@ -449,7 +460,7 @@ def cmd_regress(args) -> int:
         }
         if args.telemetry:
             meta["telemetry_interval"] = args.scrape_interval
-        with _session(args):
+        with _session(**_store_flags(args)):
             baseline = capture(
                 args.name,
                 entries,
@@ -511,7 +522,7 @@ def cmd_regress(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    with _session(args):
+    with _session(**_store_flags(args)):
         current = recapture(baseline, jobs=args.jobs, perturb=perturb)
     result = compare(baseline, current, rel_tol=args.rel_tol)
     print(result.format())

@@ -9,7 +9,7 @@ holder (the decoy ``heavy_report``) fails the breadth test; the fanned-
 out scan -- individually modest on every node -- passes it.
 
 On a positive attribution the coordinator issues a fleet-wide cancel
-directive (delivered per node through ``repro.core.distributed``); ops
+directive (each node sweeps it over its live tasks of the op); ops
 cancelled repeatedly escalate to an LB quarantine, cutting future damage
 off at the routing tier (the DAGOR lesson: overload feedback must reach
 admission, not just the replica).

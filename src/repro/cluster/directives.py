@@ -34,9 +34,9 @@ class Directive:
     """One fleet-wide coordinator action, addressed to every node.
 
     ``cancel`` asks each node to cancel its live tasks running ``op``
-    (delivered through a :class:`repro.core.distributed.TaskTree`, so
-    partitioned nodes miss it and retry later); ``quarantine``
-    additionally tells the load balancer to stop routing ``op``.
+    (one sweep per node, so partitioned nodes miss it and retry later);
+    ``quarantine`` additionally tells the load balancer to stop routing
+    ``op``.
     """
 
     epoch: int

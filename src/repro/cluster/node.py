@@ -9,12 +9,12 @@ victim latencies, the candidate/blame evidence the coordinator
 aggregates by op (alias names ``point``/``write``/``heavy_report``/
 ``fanout_scan``), and the DAGOR ``admit_priority`` feedback.
 
-Directive delivery reuses :mod:`repro.core.distributed`: each cancel
-directive builds a :class:`~repro.core.distributed.TaskTree` over the
-node's matching live tasks and propagates with per-hop delay; a
-partitioned node (spec ``partitions``) defers the directive and retries
-it on later epochs, and tasks another path already cancelled count as
-delivered (``already-cancelling``).
+A cancel directive is one sweep over the node's live, cancellable tasks
+of the directive's op, one hop of ``directive_delay`` per task.  A
+partitioned node (spec ``partitions``) queues its directives until it
+heals; a hop that lands while it is partitioned misses, and the missed
+tasks still owed a cancel get one retry pass.  A task that finished, or
+that another path is already cancelling, is skipped and not counted.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from typing import Any, Dict, List
 
 from ..core.atropos import Atropos
 from ..core.config import AtroposConfig
-from ..core.distributed import Node as DistNode
-from ..core.distributed import TaskTree
-from ..core.task import CancellableTask
+from ..core.task import CancellableTask, TaskState, default_initiator
 from ..core.types import CancelSignal
 from ..sim.metrics import percentile
 from .directives import CANCEL, Directive
@@ -84,6 +82,12 @@ class NodeStatus:
         return out
 
 
+def _owed(task: CancellableTask) -> bool:
+    """The task still needs the cancel: it has not finished, and no
+    other path is cancelling it."""
+    return task.state is TaskState.RUNNING and task.cancel_count == 0
+
+
 class ClusterNode(EpochNode):
     """One app node, advanced epoch by epoch."""
 
@@ -105,15 +109,14 @@ class ClusterNode(EpochNode):
             start=spec.mode != "none",
             measured=spec.duration - spec.warmup,
         )
-        #: Reachability handle for the coordinator's failure model.
-        self.dist_node = DistNode(self.name)
+        #: Cut off from the coordinator (spec ``partitions``).
+        self.partitioned = False
         #: Directives awaiting delivery (node was partitioned).
         self.pending_directives: List[Directive] = []
         #: Tasks cancelled through coordinator directives (total).
         self.directive_cancels = 0
         #: Ops those directive cancels targeted, in delivery order.
         self.directive_cancelled_ops: List[str] = []
-        self._directive_seq = 0
         self._cancel_log_idx = 0
         self._directive_cancels_last = 0
 
@@ -149,7 +152,7 @@ class ClusterNode(EpochNode):
         self._apply_partition_schedule(self.env.now)
         if directives:
             self.pending_directives.extend(directives)
-        if self.pending_directives and self.dist_node.reachable:
+        if self.pending_directives and not self.partitioned:
             due = self.pending_directives
             self.pending_directives = []
             for directive in due:
@@ -166,57 +169,51 @@ class ClusterNode(EpochNode):
             self.driver.run_arrivals(entries, client_id=client)
 
     def _apply_partition_schedule(self, now: float) -> None:
-        partitioned = any(
+        self.partitioned = any(
             node == self.name and start <= now < end
             for node, start, end in self.spec.partitions
         )
-        if partitioned and not self.dist_node.partitioned:
-            self.dist_node.partition()
-        elif not partitioned and self.dist_node.partitioned:
-            self.dist_node.heal()
 
     def _apply_directive(self, directive: Directive):
-        """Process generator: deliver one cancel directive via TaskTree."""
+        """Process generator: sweep one cancel directive over the live
+        tasks of its op, then retry the missed ones once."""
         if directive.kind != CANCEL:
             return
+        op = directive.op
         targets = [
             task
             for task in self.controller.live_tasks()
-            if task.op_name == directive.op and task.cancellable
+            if task.op_name == op and task.cancellable
         ]
-        if not targets:
-            return
-        self._directive_seq += 1
-        # The root is no task of this node's controller: a negative
-        # ``seq`` leaves the controller's numbering as it is.
-        root = CancellableTask(
-            self.env,
-            seq=-self._directive_seq,
-            key=f"{self.name}:directive:{self._directive_seq}",
-            op_name="cluster-directive",
-            client_id="coordinator",
-            cancellable=False,
-        )
-        tree = TaskTree(
-            self.env, root, propagation_delay=self.spec.directive_delay
-        )
-        for task in targets:
-            tree.add_child(task, self.dist_node)
         signal = CancelSignal(
-            reason=f"cluster-directive:{directive.op}",
-            decided_at=self.env.now,
+            reason=f"cluster-directive:{op}", decided_at=self.env.now
         )
-        deliveries = yield from tree.cancel_all(signal)
-        self._count_directive_deliveries(deliveries, directive.op)
-        if tree.undelivered():
+        missed = yield from self._propagate(targets, op, signal)
+        if any(_owed(task) for task in missed):
             yield self.env.timeout(self.spec.directive_delay)
-            retried = yield from tree.retry_undelivered(signal)
-            self._count_directive_deliveries(retried, directive.op)
+            # Filtered again after the wait: a task that finished
+            # meanwhile gets no hop, so the hops after it come no later.
+            owed = [task for task in missed if _owed(task)]
+            yield from self._propagate(owed, op, signal)
 
-    def _count_directive_deliveries(self, deliveries, op: str) -> None:
-        fresh = sum(1 for d in deliveries if d.delivered and not d.reason)
-        self.directive_cancels += fresh
-        self.directive_cancelled_ops.extend([op] * fresh)
+    def _propagate(
+        self, tasks: List[CancellableTask], op: str, signal: CancelSignal
+    ):
+        """Process generator: one hop per task; returns the tasks whose
+        hop landed while the node was partitioned."""
+        missed = []
+        cancelled = 0
+        for task in tasks:
+            yield self.env.timeout(self.spec.directive_delay)
+            if self.partitioned:
+                missed.append(task)
+            elif _owed(task):
+                task.begin_cancel(signal)
+                default_initiator(task, signal)
+                cancelled += 1
+        self.directive_cancels += cancelled
+        self.directive_cancelled_ops.extend([op] * cancelled)
+        return missed
 
     # ------------------------------------------------------------------
     # Status snapshot

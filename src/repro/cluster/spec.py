@@ -106,14 +106,17 @@ class FleetSpec:
     #: Cancel directives for the same op across this many epochs escalate
     #: to an LB quarantine (stop routing the op entirely).
     quarantine_offenses: int = 2
-    #: Per-hop cancel propagation delay inside a node's TaskTree.
+    #: Delay of one hop of a node's cancel-directive sweep: one per
+    #: targeted task, and one more before the retry pass.
     directive_delay: float = 0.002
     #: Ops the scenario considers true culprits (wrong-culprit metric).
     expected_culprits: Tuple[str, ...] = ("fanout_scan",)
 
-    # --- failure model (repro.core.distributed) ---
+    # --- failure model (repro.cluster.node) ---
     #: ``(node_name, start, end)`` windows during which the node is
-    #: partitioned from the coordinator: directives queue and retry.
+    #: partitioned from the coordinator: directives queue until it
+    #: heals, and sweep hops that land inside a window miss and are
+    #: retried once.
     partitions: Tuple[Tuple[str, float, float], ...] = ()
 
     def __post_init__(self) -> None:

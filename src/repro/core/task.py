@@ -39,7 +39,7 @@ class CancellableTask:
         "env", "seq", "key", "kind", "client_id", "op_name", "process",
         "progress_model", "created_at", "state", "cancel_count",
         "_cancellable", "cancel_signal", "trace_debt",
-        "requires_thread_cancel", "root_key",
+        "requires_thread_cancel",
     )
 
     def __init__(
@@ -82,8 +82,6 @@ class CancellableTask:
         #: The task has no application-level initiator: cancelling it
         #: needs the opt-in thread-level flag (§3.6).
         self.requires_thread_cancel = False
-        #: Key of the distributed root this task is a child of, if any.
-        self.root_key: Any = None
 
     # ------------------------------------------------------------------
     # Introspection

@@ -21,17 +21,17 @@ reports
     back within 1.2x the case SLO; ``inf`` if the run never recovers
     inside the horizon.
 
-The grid goes through :func:`repro.campaign.execute`, so it caches,
-parallelizes, and is byte-deterministic per seed like every other
-experiment.  Regenerate with ``repro run resilience`` (see
-``docs/RESILIENCE.md``).
+The grid is one :class:`~repro.experiments.grid.Sweep` -- rows
+``(case, system)``, columns ``(kind, tier)``, each row against its
+system's clean run -- so it caches, parallelizes, and is
+byte-deterministic per seed like every other experiment.  Regenerate
+with ``repro run resilience`` (see ``docs/RESILIENCE.md``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..campaign import execute
 from ..faults import (
     FaultPlan,
     burst,
@@ -45,7 +45,7 @@ from ..faults import (
     uncancellable,
 )
 from .case_family import case_spec
-from .harness import normalize
+from .grid import Sweep, norm_p99, norm_tput
 from .tables import ExperimentResult, ExperimentTable
 
 #: Fault window shared by the whole grid: starts after warm-up, inside
@@ -159,28 +159,21 @@ def run(
         systems = list(SYSTEMS)
     intensities = ["high"] if quick else ["low", "high"]
 
-    # Clean baselines first, then the grid, all in one campaign batch so
-    # dedupe/caching/parallelism see the whole sweep at once.
-    clean_keys = [(cid, system) for cid in case_ids for system in systems]
-    specs = [
-        case_spec("resilience", cid, seed, system=system)
-        for cid, system in clean_keys
-    ]
-    grid = []
-    for cid in case_ids:
-        for kind in kinds:
-            for tier in intensities:
-                plan = grid_plan(kind, cid, tier)
-                for system in systems:
-                    grid.append((cid, kind, tier, system, plan))
-                    specs.append(
-                        case_spec(
-                            "resilience", cid, seed, system=system,
-                            faults=plan,
-                        )
-                    )
-    outcomes = execute(specs)
-    clean = dict(zip(clean_keys, outcomes))
+    columns = [(kind, tier) for kind in kinds for tier in intensities]
+
+    def spec_for(row, column):
+        (cid, system), (kind, tier) = row, column
+        plan = grid_plan(kind, cid, tier)
+        return case_spec("resilience", cid, seed, system=system, faults=plan)
+
+    def clean(row):
+        cid, system = row
+        return case_spec("resilience", cid, seed, system=system)
+
+    sweep = Sweep(
+        "case", [(cid, system) for cid in case_ids for system in systems],
+        columns, spec_for, reference=clean,
+    )
 
     from ..cases import get_case
 
@@ -194,20 +187,22 @@ def run(
             "cancels", "wrong_rate", "recovery_s",
         ],
     )
-    for (cid, kind, tier, system, plan), outcome in zip(
-        grid, outcomes[len(clean_keys):]
-    ):
+    for cid in case_ids:
         case = get_case(cid)
-        base = clean[(cid, system)]
-        table.add_row(
-            cid, kind, tier, system,
-            normalize(outcome.throughput, base.throughput),
-            normalize(outcome.p99_latency, base.p99_latency),
-            outcome.drop_rate,
-            outcome.cancels,
-            _wrong_rate(outcome, case.culprit_ops),
-            _recovery_seconds(outcome, plan, case.slo_latency),
-        )
+        for kind, tier in columns:
+            plan = grid_plan(kind, cid, tier)
+            for system in systems:
+                outcome = sweep.cells[(cid, system), (kind, tier)]
+                base = sweep.references[cid, system]
+                table.add_row(
+                    cid, kind, tier, system,
+                    norm_tput(outcome, base),
+                    norm_p99(outcome, base),
+                    outcome.drop_rate,
+                    outcome.cancels,
+                    _wrong_rate(outcome, case.culprit_ops),
+                    _recovery_seconds(outcome, plan, case.slo_latency),
+                )
     return ExperimentResult(
         experiment_id="resilience",
         description="Chaos matrix: fault kind x intensity vs systems",

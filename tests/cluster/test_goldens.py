@@ -6,7 +6,10 @@ repo uses.  The digests were captured before the mesh planner moved to
 flat per-service state and index tables resolved once per run; a
 refactor of the planner, the epoch runtime or the node glue must leave
 them all alone.  The runs are serial (``jobs=1``): the parity tests
-already pin sharded == serial.
+already pin sharded == serial.  A coordinated fleet with ``node-1``
+partitioned over 6-16 s of a 20 s run pins the directive path (queued
+while partitioned, delivered after the heal); its digests were captured
+before a node's directive sweep replaced the task tree.
 """
 
 import pytest
@@ -50,6 +53,16 @@ FLEET_GOLDENS = {
         "b5da21ce3af92d5085b74ee4a7e6c9b0e67f602508dbc23110e06190126fdb3d",
 }
 
+#: Partitioned node and its window in :data:`PARTITIONED_FLEET_GOLDENS`.
+PARTITION = ("node-1", 6.0, 16.0)
+
+#: seed -> ``run_fleet(demo_fleet(n_nodes=3, duration=20.0,
+#: partitions=(PARTITION,))).digest()``, mode coordinated.
+PARTITIONED_FLEET_GOLDENS = {
+    0: "6d8d8534dea6d9d1f18bc37fbcaec1a9c982f9fae05a7559af2f62c85cbb08f4",
+    5: "6b24df8d107a101813a1b6ae4926adb9bb04997d4fa59a8fede6e89cb2832f10",
+}
+
 
 @pytest.mark.parametrize("seed, controller", sorted(MESH_GOLDENS))
 def test_mesh_digest(seed, controller):
@@ -64,3 +77,12 @@ def test_fleet_digest(seed, mode):
         n_nodes=3, duration=8.0, warmup=2.0, mode=mode, seed=seed
     )
     assert run_fleet(spec, jobs=1).digest() == FLEET_GOLDENS[seed, mode]
+
+
+@pytest.mark.parametrize("seed", sorted(PARTITIONED_FLEET_GOLDENS))
+def test_partitioned_fleet_digest(seed):
+    spec = demo_fleet(
+        n_nodes=3, duration=20.0, warmup=2.0, mode="coordinated",
+        seed=seed, partitions=(PARTITION,),
+    )
+    assert run_fleet(spec, jobs=1).digest() == PARTITIONED_FLEET_GOLDENS[seed]

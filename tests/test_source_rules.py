@@ -75,9 +75,9 @@ def test_only_a_repr_body_calls_id():
         "    return task.seq, id\n"
         "ranks = {id(t): i for i, t in enumerate([])}\n"
     )
-    errors = checker.check_source(source, "src/repro/core/distributed.py")
+    errors = checker.check_source(source, "src/repro/cluster/node.py")
     assert [e.split(": ")[0] for e in errors] == [
-        "src/repro/core/distributed.py:4", "src/repro/core/distributed.py:9",
+        "src/repro/cluster/node.py:4", "src/repro/cluster/node.py:9",
     ]
     assert "task.seq" in errors[0]
 
@@ -161,6 +161,14 @@ def test_a_probe_in_an_observer_package_is_a_violation():
             f"{where}:3", f"{where}:5",
         ]
         assert "BaseController declares" in errors[0]
+    # The CLI reads the flags its parsers declare.
+    for where in checker.OBSERVER_MODULES:
+        assert (checker.REPO_ROOT / where).is_file()
+        errors = checker.check_source(source, where)
+        assert [e.split(": ")[0] for e in errors] == [
+            f"{where}:3", f"{where}:5",
+        ]
+        assert "parser declares" in errors[0]
     # Outside the observers (the kernel, a controller) it is no rule's
     # business.
     assert checker.check_source(source, "src/repro/core/atropos.py") == []

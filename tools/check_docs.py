@@ -118,6 +118,12 @@ RETIRED_NAMES = [
     "slo_of",
     "register_node",
     "registered_sims",
+    "TaskTree",
+    "repro.core.distributed",
+    "core/distributed.py",
+    "root_key",
+    "dist_node",
+    "distributed_cancellation.py",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,

@@ -58,14 +58,17 @@ from a process-global counter.
 
 Rule 7 -- observers read what a controller declares.  No ``hasattr()``
 and no three-argument ``getattr()`` in the packages that read a run
-(``src/repro/{campaign,cluster,experiments,faults,regress,telemetry}``).
+(``src/repro/{campaign,cluster,experiments,faults,regress,telemetry}``)
+or in the CLI (``src/repro/__main__.py``).
 :class:`repro.core.controller.BaseController` declares what they read
 (``slo_latency``, ``decision_log``, ``cancellation``, ``detector``,
 ``estimator``, ``adaptation``), ``None`` where a controller has none;
 a reader tests for ``None``, or for a baseline's own state uses
 ``isinstance``.  These readers once made 35 probes with their own
 fallbacks; one read a ``slo`` attribute no controller has, and several
-defaulted attributes that always exist.
+defaulted attributes that always exist.  A command reads the flags its
+own parser declares and hands on only those: the CLI once probed its
+parsed arguments 8 times for flags some commands never declare.
 
 Exit status is the number of violations found.
 
@@ -115,6 +118,11 @@ _DECLARED = (
     "read what BaseController declares (None when absent), or use "
     "isinstance"
 )
+
+#: The CLI, which rule 7 covers as well: module -> why.
+OBSERVER_MODULES = {
+    "src/repro/__main__.py": "read the flags the command's parser declares",
+}
 
 #: stdlib module -> the only modules that may import it, and why
 #: (rules 2 and 5).
@@ -182,11 +190,13 @@ def check_source(text: str, where: str) -> List[str]:
                 node.func.id == "hasattr"
                 or (node.func.id == "getattr" and len(node.args) == 3)
             )
-            and where.startswith(OBSERVER_PACKAGES)
-        ):
-            found.append(
-                (node.lineno, f"{node.func.id}() probe -- {_DECLARED}")
+            and (
+                where.startswith(OBSERVER_PACKAGES)
+                or where in OBSERVER_MODULES
             )
+        ):
+            why = OBSERVER_MODULES.get(where, _DECLARED)
+            found.append((node.lineno, f"{node.func.id}() probe -- {why}"))
         elif (
             isinstance(node, ast.Attribute)
             and node.attr == "__dict__"
