@@ -70,12 +70,14 @@ SYSTEMS = {
 def controller_factory(
     name: str, slo_latency: float = 0.05, atropos_overrides: dict = None
 ):
-    """Build a controller factory by system name.
+    """Build a controller factory by system name: the one place a
+    system name becomes a controller (cases, figures, fleet and mesh).
 
     Recognized names: the keys of :data:`SYSTEMS`, plus "none" for
     "overload" (uncontrolled); anything else is a ValueError.
-    ``atropos_overrides`` are extra :class:`AtroposConfig` fields (used
-    by cases that need e.g. the thread-level cancellation flag).
+    ``atropos_overrides`` are extra :class:`AtroposConfig` fields (a
+    case's own overrides, a spec's overlay, the cancellation
+    ``policy``); other systems ignore them.
     """
     name = name.lower()
     try:

@@ -120,9 +120,10 @@ class RunSpec:
             run must never share a cache entry with its clean twin).
         overlay: :class:`~repro.core.config.AtroposConfig` field ->
             value, laid over the family's own configuration of the
-            ATROPOS controller it builds (``adaptive_thresholds``,
-            ``lever``, ``slo_slack``, the ablation knobs, ``regress
-            --perturb``).  Empty for every run that builds none.
+            ATROPOS controller it builds (``policy``,
+            ``adaptive_thresholds``, ``lever``, ``slo_slack``, the
+            ablation knobs, ``regress --perturb``).  Empty for every run
+            that builds none.
     """
 
     experiment: str

@@ -18,7 +18,9 @@ per-stage shard latencies (queueing + service time inside each node).
 The epoch-boundary RPC hop is a sync artifact of the simulation, not a
 modeled cost, so SLO accounting uses the critical path, not wall time.
 
-Controller modes (every service mounts the same controller):
+Controller modes (every service mounts the same controller, built by
+:func:`repro.baselines.controller_factory` -- except DAGOR, which reads
+the DAG's user levels; an unknown mode is a ``ValueError``):
 
 * ``none`` -- uncontrolled.
 * ``atropos`` -- per-service cancellation pipelines (targeted cancel).
@@ -37,11 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..baselines import controller_factory
 from ..baselines.autothrottle import Autothrottle, AutothrottleTower
 from ..baselines.dagor import Dagor, compound_priority
-from ..core.atropos import Atropos
-from ..core.config import AtroposConfig
-from ..core.controller import NullController
 from ..core.pipeline import WindowedController
 from ..sim.environment import Environment
 from ..sim.metrics import percentile
@@ -107,23 +107,13 @@ class ServiceNode(EpochNode):
 
     def _make_controller(self, env: Environment):
         spec = self.spec
-        if self.mode == "atropos":
-            return Atropos(
-                env,
-                AtroposConfig(
-                    slo_latency=spec.slo_latency,
-                    cancellation_enabled=True,
-                ),
-            )
-        if self.mode == "dagor":
+        if self.mode == "dagor":  # the one mode that reads the DAG spec
             return Dagor(
                 env,
                 slo_latency=spec.slo_latency,
                 user_levels=spec.dagor_user_levels,
             )
-        if self.mode == "autothrottle":
-            return Autothrottle(env, slo_latency=spec.slo_latency)
-        return NullController(env)
+        return controller_factory(self.mode, spec.slo_latency)(env)
 
     # ------------------------------------------------------------------
     # Epoch hooks

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from ..core.atropos import Atropos
-from ..core.config import AtroposConfig
+from ..baselines import controller_factory
 from ..core.task import CancellableTask, TaskState, default_initiator
 from ..core.types import CancelSignal
 from ..sim.metrics import percentile
@@ -95,17 +94,17 @@ class ClusterNode(EpochNode):
         self, spec: FleetSpec, node_spec: NodeSpec, index: int
     ) -> None:
         self.node_spec = node_spec
-        config = AtroposConfig(
-            slo_latency=spec.slo_latency,
-            cancellation_enabled=(spec.mode == "local"),
-        )
         super().__init__(
             spec,
             node_spec.name,
             node_spec.backend,
             index,
             rng_label=f"cluster:{node_spec.name}",
-            make_controller=lambda env: Atropos(env, config),
+            make_controller=controller_factory(
+                "atropos",
+                spec.slo_latency,
+                {"cancellation_enabled": spec.mode == "local"},
+            ),
             start=spec.mode != "none",
             measured=spec.duration - spec.warmup,
         )
@@ -202,7 +201,6 @@ class ClusterNode(EpochNode):
         """Process generator: one hop per task; returns the tasks whose
         hop landed while the node was partitioned."""
         missed = []
-        cancelled = 0
         for task in tasks:
             yield self.env.timeout(self.spec.directive_delay)
             if self.partitioned:
@@ -210,9 +208,8 @@ class ClusterNode(EpochNode):
             elif _owed(task):
                 task.begin_cancel(signal)
                 default_initiator(task, signal)
-                cancelled += 1
-        self.directive_cancels += cancelled
-        self.directive_cancelled_ops.extend([op] * cancelled)
+                self.directive_cancels += 1
+                self.directive_cancelled_ops.append(op)
         return missed
 
     # ------------------------------------------------------------------

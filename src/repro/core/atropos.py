@@ -35,7 +35,7 @@ from .pipeline import (
     NoAdaptation,
     SignalSource,
 )
-from .policy import CancellationPolicy, MultiObjectivePolicy
+from .policy import POLICIES
 from .runtime import TracingController
 from .task import CancellableTask, CancelInitiator
 from .types import TaskKind
@@ -91,12 +91,11 @@ class Atropos(TracingController):
         self,
         env: "Environment",
         config: Optional[AtroposConfig] = None,
-        policy: Optional[CancellationPolicy] = None,
     ) -> None:
         super().__init__(env, config or AtroposConfig())
         self.detector = OverloadDetector(env, self.config)
         self.estimator = Estimator(env, self.runtime, self.config)
-        self.policy = policy or MultiObjectivePolicy(
+        self.policy = POLICIES[self.config.policy](
             min_age=self.config.min_cancel_age
         )
         self.cancellation = CancellationManager(

@@ -103,6 +103,11 @@ class AtroposConfig:
     #: (audited per-decision choice between the two).
     lever: str = "cancel"
 
+    #: Cancellation policy id (:data:`repro.core.policy.POLICIES`):
+    #: ``"multi_objective"`` (Algorithm 1, the default), or Fig 13's
+    #: ablations ``"heuristic"`` and ``"current_usage"``.
+    policy: str = "multi_objective"
+
     #: Per-resource overrides of the contention threshold.
     contention_threshold_overrides: Dict[str, float] = field(
         default_factory=dict
@@ -219,11 +224,17 @@ class AtroposConfig:
                     f"> 0 (got {value!r})"
                 )
         from .levers import LEVER_NAMES
+        from .policy import POLICIES
 
         if self.lever not in LEVER_NAMES:
             problems.append(
                 f"lever must be one of {', '.join(LEVER_NAMES)} "
                 f"(got {self.lever!r})"
+            )
+        if self.policy not in POLICIES:
+            problems.append(
+                f"policy must be one of {', '.join(POLICIES)} "
+                f"(got {self.policy!r})"
             )
         if self.history_schedule and not self.adaptive_thresholds:
             problems.append(

@@ -149,3 +149,12 @@ class CurrentUsagePolicy(MultiObjectivePolicy):
 
     name = "current-usage"
     uses_future_gain = False
+
+
+#: The valid ``AtroposConfig.policy`` ids -> policy class (Fig 13's
+#: three settings of one ATROPOS).
+POLICIES = {
+    "multi_objective": MultiObjectivePolicy,
+    "heuristic": GreedyHeuristicPolicy,
+    "current_usage": CurrentUsagePolicy,
+}

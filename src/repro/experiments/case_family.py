@@ -15,9 +15,6 @@ Recognized params (all JSON-able):
 ``system``
     Baseline-system name for :func:`repro.baselines.controller_factory`
     (``atropos``, ``protego``, ...).  None = uncontrolled.
-``policy``
-    Cancellation-policy id (``multi_objective`` / ``heuristic`` /
-    ``current_usage``) for ATROPOS (fig13).
 ``slo_latency``
     SLO override (default: the case's own SLO).
 
@@ -36,46 +33,8 @@ from ..campaign.spec import RunSpec
 from ..faults.plan import FaultPlan
 from .harness import SimBuild, register_sim
 
-#: Stable policy ids used inside RunSpec params (JSON-friendly).
-POLICY_CLASSES = {
-    "multi_objective": "MultiObjectivePolicy",
-    "heuristic": "GreedyHeuristicPolicy",
-    "current_usage": "CurrentUsagePolicy",
-}
-
-
 #: The params :func:`build_case` reads.
-CASE_PARAMS = {"case_id", "include_culprit", "system", "policy", "slo_latency"}
-
-
-def _policy_class(policy_id: str):
-    from ..core import policy as policy_module
-
-    try:
-        return getattr(policy_module, POLICY_CLASSES[policy_id])
-    except KeyError:
-        raise KeyError(
-            f"unknown policy {policy_id!r}; known: {sorted(POLICY_CLASSES)}"
-        ) from None
-
-
-def atropos_factory(
-    slo_latency: float, fields: Dict[str, Any], policy_id: Optional[str] = None
-):
-    """Controller factory for ATROPOS configured by ``fields`` (an
-    :class:`~repro.core.config.AtroposConfig` field -> value mapping),
-    under the named cancellation policy when there is one."""
-    from ..core.atropos import Atropos
-    from ..core.config import AtroposConfig
-
-    policy_cls = _policy_class(policy_id) if policy_id else None
-
-    def factory(env):
-        config = AtroposConfig(slo_latency=slo_latency, **fields)
-        policy = policy_cls and policy_cls(min_age=config.min_cancel_age)
-        return Atropos(env, config, policy)
-
-    return factory
+CASE_PARAMS = {"case_id", "include_culprit", "system", "slo_latency"}
 
 
 @register_sim("case")
@@ -90,15 +49,9 @@ def build_case(
     system = params.get("system")
     slo_latency = params.get("slo_latency", case.slo_latency)
 
-    factory = None
-    if system == "atropos":
-        factory = atropos_factory(
-            slo_latency,
-            {**case.atropos_overrides, **(overlay or {})},
-            params.get("policy"),
-        )
-    elif system is not None:
-        factory = controller_factory(system, slo_latency)
+    factory = system and controller_factory(
+        system, slo_latency, {**case.atropos_overrides, **(overlay or {})}
+    )
 
     def workload(app, rng):
         return case.workload_factory(app, rng, include_culprit)
@@ -126,7 +79,7 @@ def case_spec(
     runs hash identically across experiments (shared cache entries).
     ``faults`` may be a :class:`repro.faults.FaultPlan` or its
     ``to_dict()`` payload; empty plans are treated as no faults.
-    A ``policy`` or an ``overlay`` with no ``system`` means ``atropos``;
+    An ``overlay`` with no ``system`` means ``atropos``;
     an overlay on any other system is an error.  Under ``--adaptive``
     (:func:`repro.campaign.settings`) every spec that builds ATROPOS
     gets ``adaptive_thresholds`` overlaid, and only those.
@@ -143,7 +96,7 @@ def case_spec(
             f"not case params: {sorted(set(clean) - CASE_PARAMS)}; "
             "ATROPOS config goes in overlay="
         )
-    if overlay or "policy" in clean:
+    if overlay:
         clean.setdefault("system", "atropos")
     if overlay and clean["system"] != "atropos":
         raise ValueError(
@@ -179,20 +132,23 @@ def overlaid(spec: RunSpec, overrides: Dict[str, Any]) -> RunSpec:
 def upgrade_spec_dict(data: Dict[str, Any]) -> Dict[str, Any]:
     """A ``RunSpec.to_dict()`` written before cache schema 8, in today's
     shape (``REGRESS_BASELINE.json`` holds such dicts).  ATROPOS config
-    then reached a run by three routes: the ``atropos_overrides`` param,
-    whose presence (like ``policy``) selected ATROPOS whatever ``system``
-    said, and the spec fields ``adaptive`` / ``lever``, which every
-    other system ignored."""
+    then reached a run by four routes: the ``atropos_overrides`` and
+    ``policy`` params, whose presence selected ATROPOS whatever
+    ``system`` said, and the spec fields ``adaptive`` / ``lever``, which
+    every other system ignored."""
     data = dict(data)
     adaptive, lever = data.pop("adaptive", False), data.pop("lever", None)
     if data["family"] != "case":
         return {**data, "overlay": {}}
     params = dict(data["params"])
     overlay = params.pop("atropos_overrides", None)
-    if overlay is not None or "policy" in params:
+    policy = params.pop("policy", None)
+    if overlay is not None or policy is not None:
         params["system"] = "atropos"
     overlay = dict(overlay or {})
     if params.get("system") == "atropos":
+        if policy is not None:
+            overlay["policy"] = policy
         if adaptive:
             overlay["adaptive_thresholds"] = True
         if lever:

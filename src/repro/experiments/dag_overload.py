@@ -40,9 +40,6 @@ from ..sim.metrics import Summary
 from .harness import SimBuild, register_sim, without_run_fields
 from .tables import ExperimentResult, ExperimentTable
 
-#: Controller contrast order (also the spec order of the campaign).
-DAG_CONTRAST = ("none", "atropos", "dagor", "autothrottle")
-
 
 def _dag_summary(result_dict: Dict[str, Any], duration: float,
                  warmup: float) -> Summary:
@@ -134,14 +131,14 @@ def run(
     n_leaves: int = 2,
 ) -> ExperimentResult:
     """Run the four-controller DAG storm contrast."""
-    from ..workloads.dag import dag_storm
+    from ..workloads.dag import DAG_CONTROLLERS, dag_storm
 
     duration = 16.0 if quick else 24.0
     warmup = 4.0
     scenario = dag_storm(n_leaves=n_leaves).to_dict()
     specs = [
         dag_spec("dag", controller, scenario, seed, duration, warmup)
-        for controller in DAG_CONTRAST
+        for controller in DAG_CONTROLLERS
     ]
     outcomes = execute(specs)
 
@@ -158,7 +155,7 @@ def run(
             "tower_moves",
         ],
     )
-    for controller, outcome in zip(DAG_CONTRAST, outcomes):
+    for controller, outcome in zip(DAG_CONTROLLERS, outcomes):
         payload = outcome.extras["dag"]
         culprits = set(scenario["expected_culprits"])
         victims = {

@@ -20,15 +20,15 @@ from typing import List, Optional
 
 from ..apps.base import Operation
 from ..apps.mysql import MySQL, MySQLConfig, light_mix
+from ..baselines import controller_factory
 from ..campaign import RunSpec, execute
 from ..cases import paper_case_ids
 from ..workloads.spec import OpenLoopSource, ScheduledOp, Workload
-from .case_family import atropos_factory
 from .grid import case_sweep, column_means, norm_p99, norm_tput
 from .harness import SimBuild, register_sim
 from .tables import ExperimentResult, ExperimentTable
 
-#: Display label -> stable policy id used in RunSpec params.
+#: Display label -> policy id (``AtroposConfig.policy``).
 POLICIES = {
     "Multi-Objective": "multi_objective",
     "Heuristic": "heuristic",
@@ -45,7 +45,7 @@ def run(
     case_ids = case_ids if case_ids is not None else paper_case_ids()
     grid = case_sweep(
         "fig13", case_ids, list(POLICIES), seed,
-        lambda name: {"policy": POLICIES[name]},
+        lambda name: {"overlay": {"policy": POLICIES[name]}},
     )
     tput = grid.table("Fig 13: normalized throughput per policy", norm_tput)
     p99 = grid.table("Fig 13 extras: normalized p99 per policy", norm_p99)
@@ -102,7 +102,9 @@ def _build_late(params):
     return SimBuild(
         lambda env, ctl, rng: MySQL(env, ctl, rng, config=config),
         _late_culprit_workload,
-        controller_factory=atropos_factory(0.02, {}, params["policy"]),
+        controller_factory=controller_factory(
+            "atropos", 0.02, {"policy": params["policy"]}
+        ),
         duration=12.0,
         warmup=2.0,
     )

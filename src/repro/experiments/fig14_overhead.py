@@ -20,8 +20,8 @@ from ..apps.elasticsearch import Elasticsearch, ElasticsearchConfig
 from ..apps.mysql import MySQL, MySQLConfig, light_mix
 from ..apps.postgres import PostgreSQL, PostgresConfig
 from ..apps.solr import Solr, SolrConfig
+from ..baselines import controller_factory
 from ..campaign import RunSpec
-from ..core.atropos import Atropos
 from ..core.config import AtroposConfig
 from ..workloads.spec import MixEntry, OpenLoopSource, ScheduledOp, Workload
 from .grid import Sweep, norm_p99, norm_tput
@@ -109,18 +109,18 @@ def _workload(spec, read_heavy: bool, overload: bool):
     return build
 
 
-def _tracing_only_atropos(env):
-    """ATROPOS with cancellation disabled: tracing + decisions only."""
-    return Atropos(env, AtroposConfig(cancellation_enabled=False))
-
-
 @register_sim("fig14.point")
 def _build_point(params):
     spec = APP_SPECS[params["app"]]
     return SimBuild(
         spec[0],
         _workload(spec, params["read_heavy"], params["overload"]),
-        controller_factory=_tracing_only_atropos
+        # Cancellation disabled: tracing + decisions only.
+        controller_factory=controller_factory(
+            "atropos",
+            AtroposConfig.slo_latency,
+            {"cancellation_enabled": False},
+        )
         if params["instrumented"]
         else None,
         warmup=2.0,

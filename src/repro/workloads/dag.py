@@ -36,7 +36,8 @@ DAG_BACKENDS = ("mysql", "postgres")
 #: Backend-neutral per-service ops a request class may ask for.
 DAG_OPS = ("point", "write", "scan")
 
-#: Controllers the mesh can mount on every service.
+#: Controllers the mesh mounts on every service: the CLI's
+#: ``--controller`` choices and the dag experiment's contrast, in order.
 DAG_CONTROLLERS = ("none", "atropos", "dagor", "autothrottle")
 
 

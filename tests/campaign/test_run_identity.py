@@ -71,7 +71,7 @@ SPELLINGS = {
     "policy+overrides": (
         _legacy({"policy": "heuristic",
                  "atropos_overrides": {"cancel_cooldown": 0.2}}),
-        dict(policy="heuristic", overlay={"cancel_cooldown": 0.2}),
+        dict(overlay={"policy": "heuristic", "cancel_cooldown": 0.2}),
     ),
     "adaptive+lever": (
         _legacy({"system": "atropos"}, adaptive=True, lever="composite"),
@@ -113,7 +113,13 @@ def test_an_overlay_on_another_system_is_an_error():
 
 
 @pytest.mark.parametrize(
-    "retired", [{"atropos_overrides": {}}, {"adaptive": True}, {"lever": "x"}]
+    "retired",
+    [
+        {"atropos_overrides": {}},
+        {"adaptive": True},
+        {"lever": "x"},
+        {"policy": "heuristic"},
+    ],
 )
 def test_a_retired_keyword_is_an_error_not_an_ignored_param(retired):
     with pytest.raises(TypeError, match="overlay="):

@@ -111,3 +111,14 @@ def _digest(hash_seed):
 def test_dag_digest_identical_across_hash_seeds():
     digests = {_digest(seed) for seed in ("0", "1", "9973")}
     assert len(digests) == 1
+
+
+def test_an_unknown_controller_fails_by_name_before_any_epoch(monkeypatch):
+    from repro.cluster import mesh
+
+    def plan(*_):
+        pytest.fail("an epoch ran")
+
+    monkeypatch.setattr(mesh._MeshDriver, "plan", plan)
+    with pytest.raises(ValueError, match="'bogus'"):
+        run_dag(small_spec(), controller="bogus", jobs=1)

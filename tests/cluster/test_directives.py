@@ -8,7 +8,8 @@ missed tasks still owed a cancel get exactly one retry pass, one more
 delay later.  Each test drives one node through its epoch protocol
 (``advance``), so partitions start and heal at epoch edges as in a run.
 
-This module pins deferral and what a sweep skips.  Hop order and spacing
+This module pins deferral, what a sweep skips and the epoch each cancel
+is booked in.  Hop order and spacing
 are in ``tests/core/test_distributed.py``; missed hops and the retry
 pass in ``tests/core/test_distributed_faults.py``.
 """
@@ -77,6 +78,20 @@ def test_a_task_that_finishes_during_the_retry_wait_gets_no_hop():
     run_epochs(node, until=4.0)
     assert times(hits)[3:] == [(4, 2.20), (5, 2.35)]
     assert node.directive_cancels == 5
+
+
+def test_each_directive_cancel_is_booked_in_the_epoch_it_happens():
+    # The first pass cancels at 1.15, 1.30 and 1.45, then misses three
+    # hops once the partition starts at 1.5; the retry pass cancels at
+    # 2.20, 2.35 and 2.50.  Each cancel counts in the window its hop
+    # lands in, not in the one where its pass ends (1.90).
+    node = make_node(partitions=(("node-0", 1.5, 2.0),))
+    spawn(node, [100.0] * 6)
+    statuses = run_epochs(node, until=3.0)
+    assert [s.directive_cancels_window for s in statuses] == [
+        0, 0, 3, 0, 3, 0,
+    ]
+    assert node.directive_cancels == 6
 
 
 def test_a_quarantine_directive_cancels_nothing():

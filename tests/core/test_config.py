@@ -42,6 +42,14 @@ class TestValidation:
         ):
             AtroposConfig(contention_threshold_overrides={"lock": -1.0})
 
+    def test_unknown_policy_names_the_known_ones(self):
+        with pytest.raises(
+            ValueError,
+            match="policy must be one of multi_objective, heuristic, "
+            "current_usage .got 'bogus'.",
+        ):
+            AtroposConfig(policy="bogus")
+
     def test_all_problems_reported_at_once(self):
         with pytest.raises(ValueError) as exc:
             AtroposConfig(

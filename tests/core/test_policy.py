@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import (
+    Atropos,
+    AtroposConfig,
     BaseController,
     CurrentUsagePolicy,
     GreedyHeuristicPolicy,
@@ -17,6 +19,7 @@ from repro.core.estimator import (
     ResourceReport,
     TaskReport,
 )
+from repro.core.policy import POLICIES
 from repro.sim import Environment
 
 A = ResourceHandle("resA", ResourceType.MEMORY)
@@ -177,3 +180,22 @@ class TestCurrentUsagePolicy:
         )
         selected, _ = CurrentUsagePolicy().select(assess)
         assert selected is t1
+
+
+class TestConfiguredPolicy:
+    @pytest.mark.parametrize(
+        "policy_id,cls",
+        [
+            ("multi_objective", MultiObjectivePolicy),
+            ("heuristic", GreedyHeuristicPolicy),
+            ("current_usage", CurrentUsagePolicy),
+        ],
+    )
+    def test_config_policy_selects_the_class(self, policy_id, cls):
+        assert POLICIES[policy_id] is cls
+        controller = Atropos(
+            Environment(),
+            AtroposConfig(policy=policy_id, min_cancel_age=0.5),
+        )
+        assert type(controller.policy) is cls
+        assert controller.policy.min_age == 0.5

@@ -5,7 +5,9 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign.spec import RunSpec
+from repro.core.policy import GreedyHeuristicPolicy
 from repro.experiments.case_family import case_spec, overlaid
+from repro.experiments.harness import resolve_sim
 from repro.experiments.regressable import (
     REGRESS_CASES,
     regress_entries,
@@ -16,6 +18,7 @@ from repro.regress.capture import (
     recapture,
 )
 from repro.regress.compare import compare
+from repro.sim.environment import Environment
 
 
 def _short_case_spec(case_id="c1", seed=1, **overrides):
@@ -79,6 +82,25 @@ class TestApplyPerturbation:
     def test_empty_overrides_pass_through(self):
         spec = _short_case_spec()
         assert overlaid(spec, {}) == spec
+
+    def test_a_policy_perturbation_rekeys_only_the_atropos_specs(self):
+        # ``regress check --perturb policy=heuristic``: every spec that
+        # builds ATROPOS runs under the heuristic policy, under a new
+        # key; every other spec keeps its own.
+        perturb = parse_perturbations(["policy=heuristic"])
+        atropos = case_spec("t", "c1", 1, system="atropos")
+        others = [
+            case_spec("t", "c1", 1, system="protego"),
+            case_spec("t", "c1", 1, include_culprit=False),
+        ]
+        for spec in others:
+            assert overlaid(spec, perturb) is spec
+        perturbed = overlaid(atropos, perturb)
+        assert perturbed.overlay == {"policy": "heuristic"}
+        assert perturbed.cache_key() != atropos.cache_key()
+        build = resolve_sim("case")(dict(perturbed.params), perturbed.overlay)
+        controller = build.controller_factory(Environment())
+        assert type(controller.policy) is GreedyHeuristicPolicy
 
 
 class TestRegressEntries:

@@ -179,6 +179,30 @@ def test_src_repro_observers_read_what_a_controller_declares():
     assert [e for e in errors if "probe" in e] == []
 
 
+def test_only_the_controller_factory_builds_atropos():
+    source = (
+        '"""Builds Atropos(env, config) -- prose is fine."""\n'
+        "from ..core import atropos\n"
+        "from ..core.atropos import Atropos\n"
+        "def make(env, config):\n"
+        "    kind = Atropos  # a reference, not a construction\n"
+        "    first = Atropos(env, config)\n"
+        "    return first, atropos.Atropos(env)\n"
+    )
+    errors = checker.check_source(source, "src/repro/cluster/mesh.py")
+    assert [e.split(": ")[0] for e in errors] == [
+        "src/repro/cluster/mesh.py:6", "src/repro/cluster/mesh.py:7",
+    ]
+    assert "controller_factory" in errors[0]
+    assert checker.check_source(source, checker.FACTORY_MODULE) == []
+    assert (checker.REPO_ROOT / checker.FACTORY_MODULE).is_file()
+
+
+def test_src_repro_builds_atropos_in_one_module():
+    errors = checker.check([checker.DEFAULT_TARGET])
+    assert [e for e in errors if "Atropos built" in e] == []
+
+
 def test_count_code_skips_docstrings_comments_and_blanks():
     source = (
         '"""Module docstring,\n'

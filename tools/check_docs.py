@@ -124,6 +124,10 @@ RETIRED_NAMES = [
     "root_key",
     "dist_node",
     "distributed_cancellation.py",
+    "atropos_factory",
+    "POLICY_CLASSES",
+    "DAG_CONTRAST",
+    "_tracing_only_atropos",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,

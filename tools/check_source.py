@@ -70,6 +70,16 @@ defaulted attributes that always exist.  A command reads the flags its
 own parser declares and hands on only those: the CLI once probed its
 parsed arguments 8 times for flags some commands never declare.
 
+Rule 8 -- one module builds ATROPOS.  An ``Atropos(...)`` call appears
+in ``src/repro/baselines/__init__.py`` and nowhere else:
+:func:`repro.baselines.controller_factory` is the one code that turns a
+system name into a controller, and whatever configures ATROPOS (a
+case's overrides, a spec's overlay, the cancellation ``policy``, the
+fleet's ``cancellation_enabled``) is an ``AtroposConfig`` field handed
+to it.  Four more modules once built ATROPOS by hand, one of them under
+a policy it looked up by class name, and the mesh kept its own table of
+system names that ran an unknown name uncontrolled.
+
 Exit status is the number of violations found.
 
 Usage::
@@ -104,6 +114,11 @@ _IDENTITY = "key a task by task.seq, or by the task object across controllers"
 LIFECYCLE_MODULE = "src/repro/workloads/driver.py"
 
 _LIFECYCLE = f"end requests in Driver._request ({LIFECYCLE_MODULE})"
+
+#: The one module that may build ATROPOS (rule 8).
+FACTORY_MODULE = "src/repro/baselines/__init__.py"
+
+_FACTORY = f"build controllers with controller_factory ({FACTORY_MODULE})"
 
 #: The packages that read a run and may not probe for attributes (rule 7).
 OBSERVER_PACKAGES = tuple(
@@ -183,6 +198,14 @@ def check_source(text: str, where: str) -> List[str]:
             found.append(
                 (node.lineno, f"RequestRecord built -- {_LIFECYCLE}")
             )
+        elif (
+            isinstance(node, ast.Call)
+            and "Atropos" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            )
+            and where != FACTORY_MODULE
+        ):
+            found.append((node.lineno, f"Atropos built -- {_FACTORY}"))
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
