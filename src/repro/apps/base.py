@@ -13,6 +13,7 @@ any checkpoint unwinds cleanly.
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional
 
 from ..core.controller import BaseController
@@ -45,8 +46,19 @@ class Operation:
         return f"<Operation {self.name} {self.params}>"
 
 
-#: Handler signature: generator executing the operation for a task.
+#: Handler signature: ``handler(task, **params)`` returns the generator
+#: executing the operation for a task.
 Handler = Callable[..., Generator]
+
+
+def _with_app(handler: Handler) -> Callable[..., Generator]:
+    """A ``(app, task, **params)`` function calling ``handler(task,
+    **params)``: the stored form of a handler that is not a method."""
+
+    def call(app: "Application", task: CancellableTask, **params: Any):
+        return handler(task, **params)
+
+    return call
 
 
 class Application:
@@ -67,7 +79,8 @@ class Application:
         #: False under a controller that records no resource events: the
         #: three tracing helpers below then return at once.
         self._traces = controller.traces_resources
-        self._handlers: Dict[str, Handler] = {}
+        #: op name -> ``function(app, task, **params)``.
+        self._handlers: Dict[str, Callable[..., Generator]] = {}
         #: handle -> the sim objects behind it, in registration order.
         self._resources: Dict[ResourceHandle, tuple] = {}
 
@@ -75,7 +88,17 @@ class Application:
     # Wiring
     # ------------------------------------------------------------------
     def register_handler(self, op_name: str, handler: Handler) -> None:
-        self._handlers[op_name] = handler
+        """Run ``op_name`` as ``handler(task, **params)``.
+
+        A method of this application is stored as its function, which
+        :meth:`execute` calls with the application: a bound method holds
+        the application, and the table holding it would make every
+        application a reference cycle that outlives its run.
+        """
+        if isinstance(handler, MethodType) and handler.__self__ is self:
+            self._handlers[op_name] = handler.__func__
+        else:
+            self._handlers[op_name] = _with_app(handler)
 
     def register_resource(
         self, name: str, rtype: ResourceType, *sims: Any
@@ -124,7 +147,7 @@ class Application:
         handler = self._handlers.get(op.name)
         if handler is None:
             raise KeyError(f"{self.name} has no operation {op.name!r}")
-        return handler(task, **op.params)
+        return handler(self, task, **op.params)
 
     # ------------------------------------------------------------------
     # Instrumentation helpers (the ATROPOS tracing call sites)

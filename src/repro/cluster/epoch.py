@@ -291,7 +291,9 @@ class ShardPool:
                 merged.update(self.workers.recv(shard))
             except WorkerFailure as failure:
                 owned = [self.node_names[i] for i in indices]
-                raise ShardError(shard, owned, epoch, str(failure)) from None
+                raise ShardError(
+                    shard, owned, epoch, str(failure)
+                ) from failure.exc
         return [merged[index] for index in sorted(merged)]
 
     def close(self):

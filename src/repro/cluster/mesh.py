@@ -20,7 +20,8 @@ modeled cost, so SLO accounting uses the critical path, not wall time.
 
 Controller modes (every service mounts the same controller, built by
 :func:`repro.baselines.controller_factory` -- except DAGOR, which reads
-the DAG's user levels; an unknown mode is a ``ValueError``):
+the DAG's user levels; a mode name is case-insensitive, as there, and
+an unknown one is a ``ValueError``):
 
 * ``none`` -- uncontrolled.
 * ``atropos`` -- per-service cancellation pipelines (targeted cancel).
@@ -269,7 +270,9 @@ class _MeshDriver:
 
     def __init__(self, spec: DagSpec, controller: str) -> None:
         self.spec = spec
-        self.controller = controller
+        #: The controller name in the one spelling every comparison
+        #: below and :func:`~repro.baselines.controller_factory` use.
+        self.controller = controller = controller.lower()
         self.node_names = [service.name for service in spec.services]
         self.index = {name: i for i, name in enumerate(self.node_names)}
         self.entry = self.index[spec.entry]
@@ -554,7 +557,7 @@ class Mesh(LocalRun):
 
     def __init__(self, spec: DagSpec, controller: str) -> None:
         super().__init__(_MeshDriver(spec, controller))
-        self.controller = controller
+        self.controller = self.planner.controller
 
 
 def run_dag(

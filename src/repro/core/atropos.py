@@ -22,6 +22,8 @@ the loop.
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from .cancellation import CancellationManager
@@ -58,7 +60,13 @@ class DetectorSignalSource(SignalSource):
     name = "detector"
 
     def __init__(self, controller: "Atropos") -> None:
-        self.controller = controller
+        # The controller owns its pipeline's sources: refer back weakly,
+        # or each would be a reference cycle that outlives the run.
+        self._controller = weakref.ref(controller)
+
+    @property
+    def controller(self) -> "Atropos":
+        return self._controller()
 
     def sample(self, now: float, signals: Dict[str, Any]) -> None:
         controller = self.controller
@@ -99,7 +107,9 @@ class Atropos(TracingController):
             min_age=self.config.min_cancel_age
         )
         self.cancellation = CancellationManager(
-            env, self.config, calm_check=self._is_calm
+            env,
+            self.config,
+            calm_check=partial(self.estimator.calm, self.resources),
         )
         #: Explainable timeline of detections/classifications/cancels.
         self.decision_log = DecisionLog()
@@ -216,9 +226,6 @@ class Atropos(TracingController):
         return 0.0
 
     def _is_calm(self) -> bool:
-        """No application resource currently over its contention threshold."""
-        for resource in self.resources.values():
-            norm = self.estimator.contention_norm(resource)
-            if norm >= self.config.threshold_for(resource.name):
-                return False
-        return True
+        """No application resource currently over its contention threshold
+        (the re-execution gate's calm check)."""
+        return self.estimator.calm(self.resources)

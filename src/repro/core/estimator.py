@@ -154,6 +154,15 @@ class Estimator:
         """Normalized contention: delay share of window execution time."""
         return self._norm(resource, *self._window(resource))
 
+    def calm(self, resources: Dict[str, ResourceHandle]) -> bool:
+        """No resource of ``resources`` (a controller's registry) is at
+        or over its contention threshold."""
+        for resource in resources.values():
+            norm = self.contention_norm(resource)
+            if norm >= self.config.threshold_for(resource.name):
+                return False
+        return True
+
     def _window(self, resource: ResourceHandle):
         """The resource's window record and the sum of its in-progress
         waits (taken once per resource: it walks every waiter)."""

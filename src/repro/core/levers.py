@@ -30,6 +30,7 @@ found nothing actionable).
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .decision_log import (
@@ -40,7 +41,7 @@ from .decision_log import (
     ResourceEvidence,
 )
 from .pipeline import ActionPolicy
-from .types import ResourceType
+from .types import ResourceHandle, ResourceType
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..apps.base import Application
@@ -64,9 +65,15 @@ class MitigationLever(ActionPolicy):
     lever_name = "lever"
 
     def __init__(self, controller: "Atropos") -> None:
-        self.controller = controller
+        # The controller owns its lever: refer back weakly, or the two
+        # would be a reference cycle that outlives the run.
+        self._controller = weakref.ref(controller)
         #: Mitigations applied by this lever (cancels or reshapes).
         self.actions_total = 0
+
+    @property
+    def controller(self) -> "Atropos":
+        return self._controller()
 
     def act(self, now: float, signals: Dict[str, Any]) -> None:
         if signals.get("potential_overload"):
@@ -308,14 +315,24 @@ class LockScheduleLever(MitigationLever):
 
     def __init__(self, controller: "Atropos") -> None:
         super().__init__(controller)
-        #: The bound application; its resource registry maps the culprit
-        #: handle to the locks behind it.
-        self._app: Optional["Application"] = None
+        #: handle -> the SyncLocks behind it, read from the bound
+        #: application's resource registry (the lever keeps the locks,
+        #: not the application, which holds the controller).
+        self._locks: Dict[ResourceHandle, List["SyncLock"]] = {}
         #: Lifetime count of waiters this lever parked.
         self.parked_total = 0
 
-    def bind(self, app) -> None:
-        self._app = app
+    def bind(self, app: "Application") -> None:
+        from ..sim.resources.lock import SyncLock
+
+        self._locks = {}
+        for handle in self.controller.resources.values():
+            locks = [
+                sim for sim in app.resources(handle)
+                if isinstance(sim, SyncLock)
+            ]
+            if locks:
+                self._locks[handle] = locks
 
     def _app_locks(self, handle=None) -> List["SyncLock"]:
         """The bound app's SyncLocks -- behind ``handle``, or all of them.
@@ -323,14 +340,9 @@ class LockScheduleLever(MitigationLever):
         A culprit handle that stands for something else (a pool, a
         queue) has none, and neither has an unbound lever.
         """
-        from ..sim.resources.lock import SyncLock
-
-        if self._app is None:
-            return []
-        return [
-            sim for sim in self._app.resources(handle)
-            if isinstance(sim, SyncLock)
-        ]
+        if handle is not None:
+            return list(self._locks.get(handle, ()))
+        return [lock for locks in self._locks.values() for lock in locks]
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
         snap = super().telemetry_snapshot()

@@ -34,6 +34,7 @@ pipeline cannot perturb simulation scheduling.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional
 
 from ..sim.metrics import SlidingWindow
@@ -112,7 +113,9 @@ class ControlPipeline:
         sources: signal sources, sampled in order each tick.
         adaptation: threshold adaptation stage (default: fixed).
         action: anything with ``act(now, signals)`` -- a lever, or the
-            controller itself (optional).
+            controller itself (optional).  A controller in this seat owns
+            the pipeline, and the pipeline refers back to it weakly: the
+            two are not a reference cycle that outlives the run.
     """
 
     def __init__(
@@ -127,8 +130,17 @@ class ControlPipeline:
         self.period = period
         self.sources = list(sources)
         self.adaptation = adaptation or NoAdaptation()
-        self.action = action
+        self._action = (
+            weakref.ref(action)
+            if isinstance(action, BaseController)
+            else lambda: action
+        )
         self._started = False
+
+    @property
+    def action(self) -> Any:
+        """The action seat (``None`` when empty)."""
+        return self._action()
 
     def start(self) -> None:
         """Launch the monitor process (idempotent)."""
@@ -149,8 +161,9 @@ class ControlPipeline:
         for source in self.sources:
             source.sample(now, signals)
         self.adaptation.adapt(now, signals)
-        if self.action is not None:
-            self.action.act(now, signals)
+        action = self._action()
+        if action is not None:
+            action.act(now, signals)
         for source in self.sources:
             source.roll(now)
         return signals

@@ -13,6 +13,7 @@ by name through this registry instead of receiving factories directly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, Optional
@@ -35,7 +36,12 @@ WorkloadFactory = Callable[[object, Rng], Workload]
 
 @dataclass
 class RunResult:
-    """Everything an experiment needs from one simulation run."""
+    """Everything an experiment needs from one simulation run.
+
+    The run lives as long as its result: while the result is held, the
+    run stays exactly as it ended; once it is dropped, the run's
+    environment is closed (see :func:`run_simulation`).
+    """
 
     summary: Summary
     collector: MetricsCollector
@@ -135,6 +141,13 @@ def run_simulation(
     (:func:`repro.telemetry.telemetry_session`): the scraper is a
     pull-based sim process that only *reads* model state, so scraped
     runs report identical results.
+
+    Run lifetime: dropping the returned result closes the run's
+    environment (:meth:`~repro.sim.environment.Environment.close`),
+    which runs the ``finally`` blocks of the requests still in flight
+    and frees the run by reference counting.  Read a run through its
+    result: a part kept alone (``run_simulation(...).controller``)
+    reads a closed run, whose in-flight work has unwound.
     """
     tracer, telemetry = ACTIVE.tracer, ACTIVE.telemetry
     # The null session accepts no runs.
@@ -196,6 +209,7 @@ def run_simulation(
     )
     # Seed the cached view so extras and timelines reuse it.
     result.trimmed_collector = trimmed
+    weakref.finalize(result, env.close).atexit = False
     return result
 
 

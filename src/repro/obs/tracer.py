@@ -247,10 +247,11 @@ class Tracer:
         """Detach a run's view (see :meth:`open_run`) from the store.
 
         A run's objects can emit after the run ends: a suspended
-        process's ``finally`` blocks run whenever the garbage collector
-        frees it, at a point no simulated event orders.  A detached view
-        writes into a private list nothing reads, so those emissions
-        never reach the trace.
+        process's ``finally`` blocks run when its environment is closed
+        (``Environment.close``, once the run's result is dropped), at a
+        point no simulated event orders.  A detached view writes into a
+        private list nothing reads, so those emissions never reach the
+        trace.
         """
         self.records = []
         self._async_ids = itertools.count(1)

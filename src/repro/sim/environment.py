@@ -20,7 +20,8 @@ format.
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Optional, Tuple, Union
+import weakref
+from typing import Any, Dict, Generator, List, Optional, Tuple, Union
 
 from ..obs.tracer import NULL_TRACER
 from .errors import EmptySchedule, StopSimulation
@@ -63,8 +64,22 @@ class Environment:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: One consolidated flag for "any per-event hook is live".
         self.hooks_enabled = bool(self.tracer.enabled)
-        #: Number of started-but-unfinished processes (telemetry gauge).
-        self.alive_processes = 0
+        #: Unfinished processes in start order, a dict used as an ordered
+        #: set (one insert and one pop per process): :meth:`close`
+        #: finalizes them.
+        self._processes: Dict[Process, None] = {}
+        #: Generators that event callbacks resume outside any process
+        #: (the driver's arrival pumps), in the order they were handed
+        #: over; held weakly, so one that has run out is freed at once.
+        self._owned: "weakref.WeakKeyDictionary[Generator, None]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._closed = False
+
+    @property
+    def alive_processes(self) -> int:
+        """Number of started-but-unfinished processes (telemetry gauge)."""
+        return len(self._processes)
 
     @property
     def queue_depth(self) -> int:
@@ -131,6 +146,13 @@ class Environment:
         process._resume(STARTED)
         return process
 
+    def own(self, generator: Generator) -> None:
+        """Have :meth:`close` close ``generator`` if it is still alive
+        then: one that event callbacks resume outside any process (an
+        arrival pump, ``Driver.run_arrivals``).  The environment does not
+        keep it alive."""
+        self._owned[generator] = None
+
     def all_of(self, events: List[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have succeeded."""
         return AllOf(self, events)
@@ -162,6 +184,8 @@ class Environment:
         Raises :class:`EmptySchedule` when no events remain, and re-raises
         the exception of a failed event that nobody handled (not defused).
         """
+        if self._closed:
+            raise RuntimeError("the environment is closed")
         try:
             self.now, _, event = heapq.heappop(self._queue)
         except IndexError:
@@ -187,7 +211,11 @@ class Environment:
             until: ``None`` runs until no events remain; a number runs until
                 that simulated time; an :class:`Event` runs until that event
                 is processed and returns its value.
+
+        Raises ``RuntimeError`` on a closed environment (:meth:`close`).
         """
+        if self._closed:
+            raise RuntimeError("the environment is closed")
         if until is None:
             stop_at = float("inf")
             stop_event: Optional[Event] = None
@@ -231,6 +259,34 @@ class Environment:
         if stop_at != float("inf"):
             self.now = stop_at
         return None
+
+    def close(self) -> None:
+        """End the simulation: finalize the work still in flight, once.
+
+        Each unfinished process, in start order, is detached from the
+        event it waits on and its generator is closed, which runs its
+        ``finally`` blocks (``GeneratorExit`` at its yield) -- the
+        cleanup an interrupt would run, at a known point.  Then every
+        owned generator (:meth:`own`) is closed and the pending events
+        are dropped.  Cleanup may start processes and schedule events,
+        so this repeats until nothing is left.
+
+        Afterwards no pending event or suspended frame of the run is
+        left: a run without static reference cycles is freed by
+        reference counting as soon as nothing outside holds it
+        (``run_simulation`` closes its environment when the result is
+        dropped).  A second call does nothing; :meth:`run` and
+        :meth:`step` raise.
+        """
+        self._closed = True
+        while self._processes or self._owned or self._queue:
+            processes, self._processes = self._processes, {}
+            for process in processes:
+                process._close()
+            for generator in list(self._owned):
+                generator.close()
+            self._owned.clear()
+            self._queue.clear()
 
 
 def _stop_simulation(event: Event) -> None:

@@ -85,12 +85,7 @@ class Interruption(Event):
             return
         # Detach the process from whatever it was waiting on so that the
         # original event does not also resume it later.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:
-                pass
+        process._detach()
         process._resume(self)
 
 
@@ -130,7 +125,7 @@ class Process(Event):
             )
         else:
             self._span = None
-        env.alive_processes += 1
+        env._processes[self] = None
 
     @property
     def is_alive(self) -> bool:
@@ -181,12 +176,31 @@ class Process(Event):
         if self._span is not None:
             self._span.end(env.now, outcome=outcome)
             self._span = None
-        env.alive_processes -= 1
+        del env._processes[self]
         if not self.callbacks and (ok or self.defused):
             self.callbacks = None
             return
         heappush(env._queue, (env.now, _NORMAL_KEY | env._eid, self))
         env._eid += 1
+
+    def _close(self) -> None:
+        """Finalize this unfinished process for
+        :meth:`Environment.close <repro.sim.environment.Environment.close>`:
+        detach it from the event it waits on, then close its generator,
+        which runs the generator's ``finally`` blocks.  The process
+        stays untriggered; its environment has ended."""
+        self._detach()
+        self._generator.close()
+
+    def _detach(self) -> None:
+        """Take this process off the callbacks of the event it waits on."""
+        target = self._target
+        self._target = None
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""

@@ -137,9 +137,7 @@ class CPU:
             return 0.0
         finally:
             if loop is not None:
-                # An interrupt leaves the current slice's grant queued or
-                # running: release it (a no-op after the last slice).
-                loop.grant.close()
+                loop.close()
             if aid is not None:
                 tracer.async_end(
                     self.env.now,
@@ -176,6 +174,16 @@ class _SliceLoop:
         self.finished = Event(cpu.env)
         self.chunk = min(cpu.slice_time, cpu_time)
         self._submit()
+
+    def close(self) -> None:
+        """Release the current slice's grant, which an interrupt leaves
+        queued or running (a no-op after the last slice), and drop the
+        grant's callback to this loop: the two would otherwise hold each
+        other, and through :attr:`owner` the task and its run."""
+        grant = self.grant
+        grant.close()
+        if grant.callbacks:
+            grant.callbacks.clear()
 
     def _submit(self) -> None:
         grant = self.grant = self.cpu._pool.submit(self.owner)

@@ -4,7 +4,8 @@
 platform has it, else spawn), each running one serve loop: build a
 handler once with ``setup(index, *args)``, then answer every message
 with ``handler(message)`` -- or, when that raises, with the exception
-and its formatted traceback -- until told to stop.  The parent sends,
+and its formatted traceback (a ``setup`` that raised answers every
+message that way) -- until told to stop.  The parent sends,
 receives from a worker it names, or waits for whichever replies first;
 a reply that is not a value raises one :class:`WorkerFailure` saying
 how the worker failed (its exit code, or what it raised).
@@ -59,19 +60,37 @@ class WorkerFailure(RuntimeError):
         )
 
 
+def _failed(exc: Exception) -> tuple:
+    """The reply for an exception being handled: the exception if it can
+    cross the pipe (else None) and its formatted traceback."""
+    text = traceback.format_exc()
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = None
+    return (None, exc, text)
+
+
 def _serve(conn, setup, index, args) -> None:  # pragma: no cover - child
-    """Worker process: answer messages until sent ``None``."""
-    handler = setup(index, *args)
+    """Worker process: answer messages until sent ``None``.
+
+    A ``setup`` that raises makes its failure the reply to every
+    message, so the parent raises it like a handler's, and the worker
+    stays up until told to stop (a parent sending to an exited worker
+    would see only a broken pipe).
+    """
+    try:
+        handler = setup(index, *args)
+    except Exception as exc:
+        failure = _failed(exc)
+        for _ in iter(conn.recv, None):
+            conn.send(failure)
+        return
     for message in iter(conn.recv, None):
         try:
             reply = (handler(message), None, "")
         except Exception as exc:
-            text = traceback.format_exc()
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = None
-            reply = (None, exc, text)
+            reply = _failed(exc)
         conn.send(reply)
 
 

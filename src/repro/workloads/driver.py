@@ -96,21 +96,19 @@ class Driver:
         pump = self._pump(arrivals, client_id)
         next(pump)  # to its first yield, which receives ...
         pump.send(pump.send)  # ... the callback that resumes it
+        self.env.own(pump)
 
     def _pump(self, arrivals: Iterable[Arrival], client_id: str):
         """One stream's pump: a generator that each of its ``At`` events
         resumes (``resume`` is its own ``send``, the event's callback).
 
-        A generator rather than an object with a callback method, for
-        the sake of memory between back-to-back runs.  When a finished
-        run is garbage collected, its in-flight requests' ``finally``
-        blocks run and schedule events, which resurrects the environment
-        -- and whatever it still reaches -- for one more full collection.
-        A pending arrival keeps its pump reachable from there, and the
-        pump holds the driver.  Finalization clears a generator's frame
-        but not an object's fields, so only a generator lets go of the
-        driver and its request records in the first collection (as an
-        object: +13 % peak RSS over eight ATROPOS case runs in a row).
+        Its frame is the stream's state (the iterator, the operation due
+        next), so an arrival costs one resume.  A live pump refers to
+        itself through ``resume`` and is referred to by its pending
+        ``At``, so :meth:`run_arrivals` hands it to the environment
+        (``Environment.own``): ``Environment.close`` closes it with the
+        run's processes, and the stream does not outlive the run.  A
+        pump that runs out lets go of ``resume`` and is freed at once.
         """
         env, request = self.env, self._request
         start = env.process_now

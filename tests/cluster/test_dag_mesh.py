@@ -122,3 +122,28 @@ def test_an_unknown_controller_fails_by_name_before_any_epoch(monkeypatch):
     monkeypatch.setattr(mesh._MeshDriver, "plan", plan)
     with pytest.raises(ValueError, match="'bogus'"):
         run_dag(small_spec(), controller="bogus", jobs=1)
+
+
+def test_a_controller_name_has_one_spelling(results):
+    """The mesh matches a controller name as ``controller_factory``
+    does: ``"DAGOR"`` sheds upstream like ``"dagor"`` and reports the
+    same bytes."""
+    shouted = run_dag(small_spec(), controller="DAGOR", jobs=1)
+    assert shouted.shed_upstream == results["dagor"].shed_upstream > 0
+    assert shouted.controller == "dagor"
+    assert shouted.digest() == results["dagor"].digest()
+
+
+@needs_fork
+def test_an_unknown_controller_fails_by_name_in_a_shard_worker():
+    """A shard worker whose setup raises replies with that error: the
+    parent raises a ``ShardError`` chained to it, not a broken pipe, and
+    no worker is left running."""
+    from repro.cluster import ShardError
+
+    with pytest.raises(ShardError, match="'bogus'") as caught:
+        run_dag(small_spec(), controller="bogus", jobs=2)
+    assert type(caught.value.__cause__) is ValueError
+    assert "'bogus'" in str(caught.value.__cause__)
+    assert caught.value.epoch == 0
+    assert not multiprocessing.active_children()

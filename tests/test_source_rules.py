@@ -119,6 +119,32 @@ def test_only_the_seeded_and_timing_modules_import_random_and_time():
         assert len(checker.check_source(rng, owner)) == 2
 
 
+def test_a_gc_import_anywhere_is_a_violation():
+    source = (
+        '"""import gc in prose is fine."""\n'
+        "import gc\n"
+        "from gc import collect\n"
+        "import os, gc as collector\n"
+        "from .gc import not_the_stdlib_one\n"
+        "def release():\n"
+        "    import gc\n"
+        "    gc.collect()\n"
+    )
+    for where in (
+        "src/repro/experiments/harness.py",
+        "src/repro/sim/environment.py",
+        "src/repro/workers.py",
+    ):
+        errors = checker.check_source(source, where)
+        assert [e.split(" -- ")[0] for e in errors] == [
+            f"{where}:2: gc imported",
+            f"{where}:3: gc imported",
+            f"{where}:4: gc imported",
+            f"{where}:7: gc imported",
+        ]
+        assert "Environment.close" in errors[0]
+
+
 def test_only_the_driver_builds_a_request_record():
     source = (
         '"""Builds a RequestRecord(...) -- prose is fine."""\n'
