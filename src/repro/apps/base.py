@@ -46,19 +46,10 @@ class Operation:
         return f"<Operation {self.name} {self.params}>"
 
 
-#: Handler signature: ``handler(task, **params)`` returns the generator
-#: executing the operation for a task.
+#: Handler signature: a method of the application, ``handler(task,
+#: **params)``, or a function ``handler(app, task, **params)``; either
+#: returns the generator executing the operation for a task.
 Handler = Callable[..., Generator]
-
-
-def _with_app(handler: Handler) -> Callable[..., Generator]:
-    """A ``(app, task, **params)`` function calling ``handler(task,
-    **params)``: the stored form of a handler that is not a method."""
-
-    def call(app: "Application", task: CancellableTask, **params: Any):
-        return handler(task, **params)
-
-    return call
 
 
 class Application:
@@ -88,17 +79,19 @@ class Application:
     # Wiring
     # ------------------------------------------------------------------
     def register_handler(self, op_name: str, handler: Handler) -> None:
-        """Run ``op_name`` as ``handler(task, **params)``.
+        """Run ``op_name`` with ``handler``: a method of this application,
+        or a function called as ``handler(app, task, **params)``.
 
-        A method of this application is stored as its function, which
-        :meth:`execute` calls with the application: a bound method holds
-        the application, and the table holding it would make every
-        application a reference cycle that outlives its run.
+        A method is stored as its function, which :meth:`execute` calls
+        with the application, like any other handler: a bound method
+        holds the application, and the table holding it would make every
+        application a reference cycle that outlives its run.  For the
+        same reason a handler function takes the application as its
+        first argument instead of closing over it.
         """
         if isinstance(handler, MethodType) and handler.__self__ is self:
-            self._handlers[op_name] = handler.__func__
-        else:
-            self._handlers[op_name] = _with_app(handler)
+            handler = handler.__func__
+        self._handlers[op_name] = handler
 
     def register_resource(
         self, name: str, rtype: ResourceType, *sims: Any

@@ -30,11 +30,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..apps.base import Operation
 from ..apps.mysql import MySQL, MySQLConfig
 from ..apps.postgres import PostgreSQL, PostgresConfig
+from ..experiments.harness import ControllerFactory, assemble
 from ..sim.environment import Environment
-from ..sim.metrics import MetricsCollector, Summary
+from ..sim.metrics import Summary
 from ..sim.rng import Rng
 from ..workers import WorkerFailure, Workers, can_fork
-from ..workloads.driver import Driver
 
 
 def p99_text(seconds: float) -> str:
@@ -69,10 +69,13 @@ class EpochResult:
 class EpochNode:
     """One app-node simulation, advanced epoch by epoch.
 
-    Exactly the stack :func:`repro.experiments.harness.run_simulation`
-    assembles.  A node never touches another node's state mid-epoch, so
-    the same ``advance`` calls produce the same bytes whether nodes
-    share a process or are sharded across workers.
+    The stack is :func:`repro.experiments.harness.assemble`'s, the one
+    every run is built by; the node's application factory picks the
+    backend and registers the tier's op aliases.  A node never touches
+    another node's state mid-epoch, so the same ``advance`` calls
+    produce the same bytes whether nodes share a process or are sharded
+    across workers.  :meth:`finish` reports and then closes the node's
+    environment, so a finished node is freed by reference counting.
 
     Subclasses supply ``_deliver(directives)``, ``_submit(inputs)``,
     ``_status(window, **common)`` and ``_report_extra()``; every
@@ -90,7 +93,7 @@ class EpochNode:
         index: int,
         *,
         rng_label: str,
-        make_controller: Callable[[Environment], Any],
+        make_controller: ControllerFactory,
         start: bool,
         measured: float,
     ) -> None:
@@ -100,53 +103,57 @@ class EpochNode:
         self.index = index
         #: Seconds the final report's throughput is taken over.
         self.measured = measured
-        self.env = Environment()
+        self.env = env = Environment()
         rng = Rng(spec.seed).fork(rng_label)
-        self.controller = make_controller(self.env)
-        if backend == "mysql":
-            app_type = MySQL
-            config = MySQLConfig(
-                tables=spec.tables,
-                pages_per_light_op=spec.mysql_pages_per_light_op,
-                miss_penalty=spec.mysql_miss_penalty,
-            )
-        else:
-            app_type = PostgreSQL
-            config = PostgresConfig(tables=spec.tables)
-        self.app = app_type(self.env, self.controller, rng, config)
-        for op, handler in self._alias_ops().items():
-            self.app.register_handler(op, handler)
-        self.controller.bind(self.app)
+        driver = assemble(env, rng, self._build_app, make_controller)
+        self.driver, self.collector = driver, driver.collector
+        self.controller, self.app = driver.controller, driver.app
         if start:
             self.controller.start()
-        self.collector = MetricsCollector()
-        self.driver = Driver(
-            self.env, self.app, self.controller, self.collector
-        )
         # Window cursors for status diffs.
         self._record_idx = 0
         self._offered_last = 0
 
+    def _build_app(self, env: Environment, controller, rng: Rng):
+        """The node's :data:`~repro.experiments.harness.AppFactory`:
+        the backend's application with the tier's op aliases."""
+        spec = self.spec
+        if self.backend == "mysql":
+            app = MySQL(env, controller, rng, MySQLConfig(
+                tables=spec.tables,
+                pages_per_light_op=spec.mysql_pages_per_light_op,
+                miss_penalty=spec.mysql_miss_penalty,
+            ))
+        else:
+            app = PostgreSQL(
+                env, controller, rng, PostgresConfig(tables=spec.tables)
+            )
+        for op, handler in self._alias_ops().items():
+            app.register_handler(op, handler)
+        return app
+
     def _alias_ops(self) -> Dict[str, Callable]:
         """Tier-level op names over the backend's native handlers, so
         request records, candidate evidence and cancel signals carry
-        the names the global loop aggregates by.  Each alias returns
-        the native generator itself (no pass-through level: see
+        the names the global loop aggregates by.  Each alias is an
+        app-first handler (see
+        :meth:`~repro.apps.base.Application.register_handler`) that
+        returns the native generator itself (no pass-through level: see
         :meth:`~repro.apps.base.Application.execute`)."""
-        app = self.app
         if self.backend == "mysql":
 
-            def scan(task, rows=0.0):
+            def scan(app, task, rows=0.0):
                 return app.scan(task, table=0, rows=rows)
 
-            return {"point": app.point_select, "write": app.row_update,
+            return {"point": MySQL.point_select, "write": MySQL.row_update,
                     "scan": scan}
         bytes_per_row = self.spec.pg_bytes_per_row
 
-        def scan(task, rows=0.0):
+        def scan(app, task, rows=0.0):
             return app.vacuum(task, total_bytes=rows * bytes_per_row)
 
-        return {"point": app.select, "write": app.update, "scan": scan}
+        return {"point": PostgreSQL.select, "write": PostgreSQL.update,
+                "scan": scan}
 
     @staticmethod
     def _make_op(op: str, params: Dict[str, Any]):
@@ -175,11 +182,13 @@ class EpochNode:
         )
 
     def finish(self) -> Dict[str, Any]:
-        """End-of-run report (picklable)."""
+        """End-of-run report (picklable); then the node's environment
+        is closed (:meth:`~repro.sim.environment.Environment.close`),
+        which finalizes its in-flight work once."""
         summary = Summary.from_collector(
             self.collector.trimmed(self.spec.warmup), self.measured
         )
-        return {
+        report = {
             self.kind: self.name,
             "backend": self.backend,
             "throughput": summary.throughput,
@@ -189,6 +198,8 @@ class EpochNode:
             "dropped": summary.dropped,
             **self._report_extra(),
         }
+        self.env.close()
+        return report
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +211,6 @@ class LocalRun:
 
     def __init__(self, planner) -> None:
         self.planner = planner
-        self.spec = planner.spec
         self.nodes = [
             planner.make_node(planner.spec, index)
             for index in range(len(planner.node_names))

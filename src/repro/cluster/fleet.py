@@ -165,8 +165,6 @@ class Fleet(LocalRun):
 
     def __init__(self, spec: FleetSpec) -> None:
         super().__init__(_FleetPlanner(spec))
-        self.balancer = self.planner.balancer
-        self.coordinator = self.planner.coordinator
 
 
 def run_fleet(spec: FleetSpec, jobs: Optional[int] = None) -> FleetResult:

@@ -557,7 +557,6 @@ class Mesh(LocalRun):
 
     def __init__(self, spec: DagSpec, controller: str) -> None:
         super().__init__(_MeshDriver(spec, controller))
-        self.controller = self.planner.controller
 
 
 def run_dag(

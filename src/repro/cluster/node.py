@@ -1,7 +1,10 @@
 """One fleet node: what a :class:`ClusterNode` adds to an epoch node.
 
-The single-node stack, the ``advance`` / ``finish`` protocol and the
-``point``/``write``/scan alias handlers are
+The single-node stack (assembled like every run's, by
+:func:`repro.experiments.harness.assemble`), the ``advance`` /
+``finish`` protocol (``finish`` closes the node's environment) and the
+``point``/``write``/scan alias handlers, app-first functions like the
+``heavy_report`` decoy added here, are
 :class:`~repro.cluster.epoch.EpochNode`'s.  A fleet node adds the
 fleet's side of the boundary: routed arrival tuples in, coordinator
 directives in, a JSON-able :class:`NodeStatus` out -- window counts,
@@ -122,14 +125,13 @@ class ClusterNode(EpochNode):
     def _alias_ops(self):
         """The shared aliases with the scan named ``fanout_scan``, plus
         the fleet-only ``heavy_report`` decoy."""
-        app = self.app
         spec = self.spec
         ops = super()._alias_ops()
         ops["fanout_scan"] = ops.pop("scan")
         if self.backend == "mysql":
 
-            def heavy_report(task):
-                yield from app.report_query(
+            def heavy_report(app, task):
+                return app.report_query(
                     task,
                     pages=spec.report_pages,
                     duration=spec.report_duration,
@@ -137,8 +139,8 @@ class ClusterNode(EpochNode):
 
         else:
 
-            def heavy_report(task):
-                yield from app.bulk_update(task, table=0, rows=spec.report_rows)
+            def heavy_report(app, task):
+                return app.bulk_update(task, table=0, rows=spec.report_rows)
 
         ops["heavy_report"] = heavy_report
         return ops

@@ -101,6 +101,28 @@ class RunResult:
         ]
 
 
+def assemble(
+    env: Environment,
+    rng: Rng,
+    app_factory: AppFactory,
+    controller_factory: Optional[ControllerFactory] = None,
+) -> Driver:
+    """Build one run's stack on ``env``: the controller (default: the
+    uncontrolled :class:`NullController`), the application bound to it,
+    the collector and the driver, which holds the other three.
+
+    Every simulated node is assembled here: :func:`run_simulation`
+    and each fleet or mesh node (:class:`repro.cluster.epoch.EpochNode`).
+    Nothing is scheduled yet; the caller starts the controller.
+    """
+    controller = (
+        controller_factory(env) if controller_factory else NullController(env)
+    )
+    app = app_factory(env, controller, rng)
+    controller.bind(app)
+    return Driver(env, app, controller)
+
+
 def run_simulation(
     app_factory: AppFactory,
     workload_factory: WorkloadFactory,
@@ -157,16 +179,10 @@ def run_simulation(
         label = f"run-{n}:seed={seed}"
     env = Environment(tracer=tracer.open_run(label) if traced else None)
     rng = Rng(seed)
-    controller = (
-        controller_factory(env) if controller_factory else NullController(env)
-    )
-    app = app_factory(env, controller, rng)
-    controller.bind(app)
+    driver = assemble(env, rng, app_factory, controller_factory)
+    app, controller = driver.app, driver.controller
     controller.start()
-    collector = MetricsCollector()
-    driver = Driver(env, app, controller, collector)
-    workload = workload_factory(app, rng)
-    driver.run_workload(workload)
+    driver.run_workload(workload_factory(app, rng))
     injector = None
     if fault_plan is not None and len(fault_plan) > 0:
         from ..faults import FaultInjector
@@ -195,10 +211,10 @@ def run_simulation(
     env.tracer.end_run()
 
     effective = duration - warmup if warmup > 0.0 else duration
-    trimmed = collector.trimmed(warmup)
+    trimmed = driver.collector.trimmed(warmup)
     result = RunResult(
         summary=Summary.from_collector(trimmed, effective),
-        collector=collector,
+        collector=driver.collector,
         controller=controller,
         app=app,
         driver=driver,

@@ -44,8 +44,8 @@ class Grant(Event):
     """
 
     #: ``_wait_aid`` / ``_hold_aid`` are the async-span ids the tracing
-    #: helpers below hang on the grant; ``_closed_hold`` freezes the hold
-    #: time at close.  All three are slots (set lazily, read defensively).
+    #: helpers below hang on the grant (``None`` while none is open);
+    #: ``_closed_hold`` freezes the hold time at close, and is set then.
     __slots__ = (
         "resource",
         "owner",
@@ -72,6 +72,7 @@ class Grant(Event):
         self.request_time = env.now
         self.grant_time: Optional[float] = None
         self.closed = False
+        self._wait_aid = self._hold_aid = None
 
     @property
     def granted(self) -> bool:
@@ -215,7 +216,7 @@ class Resource:
         tracer = self._tracer
         if tracer.enabled:
             now = self.env.now
-            aid = getattr(grant, "_wait_aid", None)
+            aid = grant._wait_aid
             if aid is not None:
                 tracer.async_end(
                     now,
@@ -236,7 +237,7 @@ class Resource:
     def _trace_released(self, grant: Grant, **args: Any) -> None:
         tracer = self._tracer
         if tracer.enabled:
-            aid = getattr(grant, "_hold_aid", None)
+            aid = grant._hold_aid
             if aid is not None:
                 tracer.async_end(
                     self.env.now,
@@ -251,7 +252,7 @@ class Resource:
     def _trace_abandoned(self, grant: Grant) -> None:
         tracer = self._tracer
         if tracer.enabled:
-            aid = getattr(grant, "_wait_aid", None)
+            aid = grant._wait_aid
             if aid is not None:
                 tracer.async_end(
                     self.env.now,

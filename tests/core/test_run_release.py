@@ -68,25 +68,24 @@ def _run(system, case_id):
     )
 
 
-def _left_behind(system, case_id):
+def left_behind(run):
     """By type name: the run parts still alive right after the run's
-    result is dropped, then those one collection finds unreachable."""
-    gc.collect()  # what earlier tests left is not this run's
+    result is dropped, then those one collection finds unreachable.
+    ``run()`` returns ``(result, parts)``: the result, and the parts of
+    the run that must go with it."""
+    # What earlier tests left is not this run's.  Finalizing it runs
+    # cleanup that can leave new garbage (an unclosed simulation's
+    # generators), so collect until nothing is found.
+    while gc.collect():
+        pass
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        result = _run(system, case_id)
-        extract_extras(result)
-        driver = result.driver
-        parts = [
-            weakref.ref(part) for part in (
-                driver.env, driver, result.controller, result.app,
-                result.collector,
-            )
-        ]
-        del result, driver
+        result, parts = run()
+        refs = [weakref.ref(part) for part in parts]
+        del result, parts
         alive = [
-            f"alive:{type(part()).__name__}" for part in parts
+            f"alive:{type(part()).__name__}" for part in refs
             if part() is not None
         ]
         gc.collect()
@@ -101,11 +100,20 @@ def _left_behind(system, case_id):
     return found
 
 
+def _run_with_parts(system, case_id):
+    result = _run(system, case_id)
+    extract_extras(result)
+    driver = result.driver
+    return result, [
+        driver.env, driver, result.controller, result.app, result.collector,
+    ]
+
+
 @pytest.mark.parametrize(
     "system,case_id", RUNS, ids=[f"{s}-{c}" for s, c in RUNS]
 )
 def test_a_dropped_run_leaves_no_cyclic_garbage(system, case_id):
-    assert _left_behind(system, case_id) == []
+    assert left_behind(lambda: _run_with_parts(system, case_id)) == []
 
 
 def test_a_held_result_is_untouched_and_dropping_it_finalizes_once(

@@ -229,6 +229,32 @@ def test_src_repro_builds_atropos_in_one_module():
     assert [e for e in errors if "Atropos built" in e] == []
 
 
+def test_only_the_harness_builds_a_driver():
+    source = (
+        '"""Builds Driver(env, app, controller) -- prose is fine."""\n'
+        "from ..workloads import driver\n"
+        "from ..workloads.driver import Driver\n"
+        "def build(env, app, controller):\n"
+        "    kind = Driver  # a reference, not a construction\n"
+        "    first = Driver(env, app, controller)\n"
+        "    return first, driver.Driver(env, app, controller)\n"
+    )
+    errors = checker.check_source(source, "src/repro/cluster/epoch.py")
+    assert [e.split(": ")[0] for e in errors] == [
+        "src/repro/cluster/epoch.py:6", "src/repro/cluster/epoch.py:7",
+    ]
+    assert "assemble" in errors[0]
+    assert checker.check_source(source, checker.ASSEMBLY_MODULE) == []
+    assert (checker.REPO_ROOT / checker.ASSEMBLY_MODULE).is_file()
+
+
+def test_src_repro_assembles_every_stack_in_one_place():
+    assembly = checker.REPO_ROOT / checker.ASSEMBLY_MODULE
+    assert "Driver(" in assembly.read_text(encoding="utf-8")
+    errors = checker.check([checker.DEFAULT_TARGET])
+    assert [e for e in errors if "Driver built" in e] == []
+
+
 def test_count_code_skips_docstrings_comments_and_blanks():
     source = (
         '"""Module docstring,\n'

@@ -28,10 +28,11 @@ class EchoApp(Application):
         self.register_handler("a", self._handler("a"))
         self.register_handler("b", self._handler("b"))
 
-    def _handler(self, name):
-        def handle(task, **params):
-            self.calls.append((name, self.env.now, params))
-            yield self.env.timeout(self.service)
+    @staticmethod
+    def _handler(name):
+        def handle(app, task, **params):
+            app.calls.append((name, app.env.now, params))
+            yield app.env.timeout(app.service)
 
         return handle
 

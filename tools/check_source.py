@@ -89,6 +89,16 @@ milliseconds per run and tuning the collector hides the cycle that made
 it necessary; both once looked like the fix for a finished run that
 stayed alive, as cyclic garbage, until the next full collection.
 
+Rule 10 -- one stack assembly.  A ``Driver(...)`` call appears in
+``src/repro/experiments/harness.py`` and nowhere else:
+:func:`repro.experiments.harness.assemble` builds every run's stack
+(controller, application, ``bind``, collector, driver), for
+``run_simulation`` and for each fleet or mesh node alike.  The epoch
+runtime once hand-assembled a second copy of that stack, whose op
+aliases closed over the application, and nothing closed its nodes: a
+finished fleet or mesh run stayed alive as cyclic garbage until the
+next full collection.
+
 Exit status is the number of violations found.
 
 Usage::
@@ -128,6 +138,11 @@ _LIFECYCLE = f"end requests in Driver._request ({LIFECYCLE_MODULE})"
 FACTORY_MODULE = "src/repro/baselines/__init__.py"
 
 _FACTORY = f"build controllers with controller_factory ({FACTORY_MODULE})"
+
+#: The one module that may build a ``Driver`` (rule 10).
+ASSEMBLY_MODULE = "src/repro/experiments/harness.py"
+
+_ASSEMBLY = f"build a run's stack with assemble ({ASSEMBLY_MODULE})"
 
 #: The packages that read a run and may not probe for attributes (rule 7).
 OBSERVER_PACKAGES = tuple(
@@ -220,6 +235,14 @@ def check_source(text: str, where: str) -> List[str]:
             and where != FACTORY_MODULE
         ):
             found.append((node.lineno, f"Atropos built -- {_FACTORY}"))
+        elif (
+            isinstance(node, ast.Call)
+            and "Driver" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            )
+            and where != ASSEMBLY_MODULE
+        ):
+            found.append((node.lineno, f"Driver built -- {_ASSEMBLY}"))
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
