@@ -1,21 +1,25 @@
 """The load-balancer tier: arrival generation and per-epoch routing.
 
-The balancer pre-generates the whole fleet arrival stream at build time
-(every param draw included, from forks of the fleet seed), then assigns
-each epoch's slice to nodes using the configured routing policy and its
-*estimates* of node state -- LB-local outstanding counters corrected by
-the per-epoch status feedback.  ``fanout_scan`` arrivals fan one shard
+The balancer pulls the fleet arrival stream lazily, an epoch's slice at
+a time (every param draw included, from forks of the fleet seed, each
+fork drawing in the order a fully built stream would), and assigns each
+slice to nodes using the configured routing policy and its *estimates*
+of node state -- LB-local outstanding counters corrected by the
+per-epoch status feedback.  ``fanout_scan`` arrivals fan one shard
 to every node (the cross-node culprit); quarantined ops are dropped at
 the balancer.
 
-Because arrivals are fully materialized up front and routing state only
-changes at epoch boundaries, assignment is a pure function of (spec,
-seed, status history) -- identical under serial and sharded execution.
+Because the arrival stream is a pure function of the spec and routing
+state only changes at epoch boundaries, assignment is a pure function of
+(spec, seed, status history) -- identical under serial and sharded
+execution.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import heapq
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..sim.rng import Rng
 from ..workloads.spec import periodic_times, poisson_times
@@ -25,41 +29,67 @@ from .routing import NodeView, RoutingPolicy, make_policy
 from .spec import FleetSpec
 
 
-def build_arrivals(spec: FleetSpec) -> List[Tuple[float, str, dict, str]]:
-    """Materialize the fleet-wide arrival stream (sorted by time).
+#: One fleet arrival: ``(time, op, params, client)``.
+FleetArrival = Tuple[float, str, dict, str]
+
+
+def arrival_stream(spec: FleetSpec) -> Iterator[FleetArrival]:
+    """The fleet-wide arrival stream, ascending by time, drawn lazily.
 
     Three components: the Poisson lightweight mix (the victims), the
     periodic single-node ``heavy_report`` decoy, and the recurring
-    ``fanout_scan`` culprit the balancer fans out to every node.
+    ``fanout_scan`` culprit the balancer fans out to every node.  They
+    are merged by time; arrivals at one time keep that component order.
+    Each component draws from its own forks of the fleet seed, in the
+    order a fully built stream draws them.
     """
+    return heapq.merge(
+        _victims(spec),
+        (
+            (at, "heavy_report", {}, "report")
+            for at in periodic_times(
+                spec.report_start, spec.report_period, spec.duration
+            )
+        ),
+        (
+            (at, "fanout_scan", {"rows": spec.scan_rows}, "scan")
+            for at in periodic_times(
+                spec.scan_start, spec.scan_period, spec.duration
+            )
+        ),
+        key=itemgetter(0),
+    )
+
+
+def _victims(spec: FleetSpec) -> Iterator[FleetArrival]:
+    """The Poisson lightweight mix: one time, op and table draw each."""
     rng = Rng(spec.seed).fork("cluster:arrivals")
     table_rng = Rng(spec.seed).fork("cluster:tables")
-    out: List[Tuple[float, str, dict, str]] = []
     for t in poisson_times(
         rng, lambda: spec.arrival_rate, 0.0, spec.duration
     ):
         op = "point" if rng.random() < spec.point_weight else "write"
-        params = {"table": table_rng.randint(0, spec.tables - 1)}
-        out.append((t, op, params, "lb"))
-    for at in periodic_times(
-        spec.report_start, spec.report_period, spec.duration
-    ):
-        out.append((at, "heavy_report", {}, "report"))
-    for at in periodic_times(spec.scan_start, spec.scan_period, spec.duration):
-        out.append((at, "fanout_scan", {"rows": spec.scan_rows}, "scan"))
-    out.sort(key=lambda a: a[0])
-    return out
+        yield t, op, {"table": table_rng.randint(0, spec.tables - 1)}, "lb"
+
+
+def build_arrivals(spec: FleetSpec) -> List[FleetArrival]:
+    """The whole :func:`arrival_stream`, as a list."""
+    return list(arrival_stream(spec))
 
 
 class LoadBalancer:
-    """Routes the pre-generated stream epoch by epoch."""
+    """Routes the arrival stream epoch by epoch, pulling each arrival
+    when its epoch is assigned."""
 
     def __init__(self, spec: FleetSpec, policy: RoutingPolicy = None) -> None:
         self.spec = spec
         self.policy = policy or make_policy(spec.policy)
         self.rng = Rng(spec.seed).fork("cluster:lb")
-        self.arrivals = build_arrivals(spec)
-        self._cursor = 0
+        #: The arrival stream, started by the first ``assign`` (a
+        #: balancer handed to a spawn-started shard worker must pickle),
+        #: and the first arrival pulled from it but not yet due.
+        self._arrivals: Optional[Iterator[FleetArrival]] = None
+        self._pending: Optional[FleetArrival] = None
         n = len(spec.nodes)
         self.views = [
             NodeView(index=i, name=spec.nodes[i].name) for i in range(n)
@@ -82,11 +112,14 @@ class LoadBalancer:
         plan: Dict[int, List[Arrival]] = {
             view.index: [] for view in self.views
         }
-        arrivals = self.arrivals
-        cursor = self._cursor
-        while cursor < len(arrivals) and arrivals[cursor][0] < t_end:
-            t, op, params, client = arrivals[cursor]
-            cursor += 1
+        arrivals = self._arrivals
+        if arrivals is None:
+            arrivals = self._arrivals = arrival_stream(self.spec)
+            self._pending = next(arrivals, None)
+        pending = self._pending
+        while pending is not None and pending[0] < t_end:
+            t, op, params, client = pending
+            pending = next(arrivals, None)
             if op in self.quarantined:
                 self.quarantine_dropped[op] = (
                     self.quarantine_dropped.get(op, 0) + 1
@@ -111,7 +144,7 @@ class LoadBalancer:
             self._assigned[chosen] += 1
             self.views[chosen].outstanding += 1
             self.routed += 1
-        self._cursor = cursor
+        self._pending = pending
         return plan
 
     # ------------------------------------------------------------------

@@ -38,7 +38,7 @@ an unknown one is a ``ValueError``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..baselines import controller_factory
 from ..baselines.autothrottle import Autothrottle, AutothrottleTower
@@ -47,7 +47,7 @@ from ..core.pipeline import WindowedController
 from ..sim.environment import Environment
 from ..sim.metrics import percentile
 from ..telemetry.health import HealthMonitor, default_health_rules
-from ..workloads.dag import DagSpec, ServiceSpec, build_arrivals
+from ..workloads.dag import DagArrival, DagSpec, ServiceSpec, arrival_stream
 from .epoch import EpochNode, EpochResult, LocalRun, p99_text, run_epochs
 
 #: Shard tuple crossing the mesh -> node boundary (picklable):
@@ -266,7 +266,9 @@ class _MeshDriver:
 
     The DAG is resolved once, here, into index tables (services by
     their ``spec.services`` index, edges by their ``spec.edges`` index)
-    that ``plan`` and ``fold`` read per shard."""
+    that ``plan`` and ``fold`` read per shard.  Requests are pulled from
+    the lazy :func:`~repro.workloads.dag.arrival_stream` as their epoch
+    is planned, never built up front."""
 
     def __init__(self, spec: DagSpec, controller: str) -> None:
         self.spec = spec
@@ -292,7 +294,11 @@ class _MeshDriver:
             sum(spec.edges[e].fanout for e in edges) for edges in self.in_edges
         ]
         self.shards_init[self.entry] = 1
-        self.arrivals = build_arrivals(spec)
+        #: The arrival stream, started by the first ``plan`` (a planner
+        #: handed to a spawn-started shard worker must pickle), and the
+        #: next request pulled from it but not yet due.
+        self._arrivals: Optional[Iterator[DagArrival]] = None
+        self._pending: Optional[DagArrival] = None
         #: Requests in flight, by rid.
         self.requests: Dict[int, _RequestState] = {}
         self.classes = {c.name: c for c in spec.classes}
@@ -344,7 +350,6 @@ class _MeshDriver:
         self._window_victim_cp: List[float] = []
         #: Tower targets decided by the last ``fold``, by service index.
         self._directives: Dict[int, List[Tuple[str, float]]] = {}
-        self._arrival_idx = 0
 
     def make_node(self, spec: DagSpec, index: int) -> ServiceNode:
         return ServiceNode(
@@ -391,11 +396,14 @@ class _MeshDriver:
                 taken += 1
             del queue[:taken]
         entry = self.entry
-        while self._arrival_idx < len(self.arrivals):
-            t, rid, cls_name, client = self.arrivals[self._arrival_idx]
-            if t >= t_end:
-                break
-            self._arrival_idx += 1
+        arrivals = self._arrivals
+        if arrivals is None:
+            arrivals = self._arrivals = arrival_stream(spec)
+            self._pending = next(arrivals, None)
+        pending = self._pending
+        while pending is not None and pending[0] < t_end:
+            t, rid, cls_name, client = pending
+            pending = next(arrivals, None)
             self.requests[rid] = _RequestState(
                 rid, cls_name, t, client, cls_name in self.victim_classes,
                 self.parents_init.copy(), self.shards_init.copy(),
@@ -409,6 +417,7 @@ class _MeshDriver:
                 self._params(op, cls_name, rid, 0),
                 client,
             ))
+        self._pending = pending
         return {
             index: (shards, self._directives.get(index, []))
             for index, shards in enumerate(submissions)

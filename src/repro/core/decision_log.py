@@ -21,8 +21,8 @@ what ``repro trace --audit`` exports and what the acceptance invariant
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 class DecisionKind(enum.Enum):
@@ -96,7 +96,11 @@ class ResourceEvidence:
 
 @dataclass(slots=True)
 class CandidateEvidence:
-    """One ranked cancellation candidate with its estimator inputs."""
+    """One ranked cancellation candidate with its estimator inputs.
+
+    Rendered on read from an audit's :class:`CandidateColumns`
+    (:attr:`DecisionAudit.candidates`); nothing else builds one.
+    """
 
     task_key: Any
     op_name: str
@@ -113,6 +117,58 @@ class CandidateEvidence:
     selected: bool = False
 
 
+#: :class:`CandidateEvidence` field names, in payload order.
+_CANDIDATE_FIELDS = tuple(f.name for f in fields(CandidateEvidence))
+
+
+@dataclass(slots=True, eq=False, repr=False)
+class CandidateColumns:
+    """An audit's candidates as flat columns, one entry per live task in
+    the estimator's task order: no object per candidate.
+
+    ``ages``, ``progress`` and ``scores`` hold the raw floats (the
+    audit rounds them when read); ``gains`` is a row-major candidates x
+    ``gain_names`` matrix, resources in name order, NaN where the task
+    has no positive gain (a stored gain is always ``> 0.0``).
+    """
+
+    keys: Sequence[Any] = ()
+    op_names: Sequence[str] = ()
+    client_ids: Sequence[str] = ()
+    kinds: Sequence[str] = ()
+    cancellable: Sequence[bool] = ()
+    ages: Sequence[float] = ()
+    progress: Sequence[float] = ()
+    scores: Sequence[float] = ()
+    gain_names: Tuple[str, ...] = ()
+    gains: Sequence[float] = ()
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __repr__(self) -> str:
+        return f"CandidateColumns({len(self)} x {self.gain_names})"
+
+    def _compared(self) -> Tuple[Any, ...]:
+        # Floats by their bytes: NaN marks a missing gain and must
+        # equal itself.
+        return (
+            tuple(self.keys), tuple(self.op_names), tuple(self.client_ids),
+            tuple(self.kinds), tuple(self.cancellable), bytes(self.ages),
+            bytes(self.progress), bytes(self.scores), self.gain_names,
+            bytes(self.gains),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CandidateColumns):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+
+#: The columns of an audit with no live task (shared: never written).
+NO_CANDIDATES = CandidateColumns()
+
+
 @dataclass(slots=True)
 class DecisionAudit:
     """Full evidence chain for one detector trigger -> verdict cycle.
@@ -121,12 +177,17 @@ class DecisionAudit:
     ``"no-candidate"``, ``"regular-overload"``, or -- under a
     non-default mitigation lever (:mod:`repro.core.levers`) --
     ``"lock-reshaped"`` / ``"lever-noop"``.
+
+    The candidates are kept as :class:`CandidateColumns` and rendered
+    when something reads them (:attr:`candidates`, :meth:`to_payload`):
+    rounded, ranked by score, then marked with the lever's picks
+    (:meth:`select`).
     """
 
     time: float
     detector: DetectorSignal
     resources: List[ResourceEvidence]
-    candidates: List[CandidateEvidence]
+    columns: CandidateColumns
     verdict: str
     #: Mitigation lever that produced the verdict (None on the default
     #: cancel path, keeping historical payloads' ``lever`` absent-as-None).
@@ -139,10 +200,80 @@ class DecisionAudit:
     cancelled_op_name: Optional[str] = None
     #: Why a cancel was blocked (cooldown, thread-level flag, ...).
     blocked_reason: Optional[str] = None
+    #: ``(task key, policy score)`` of each pick, in the order made.
+    selections: Tuple[Tuple[Any, float], ...] = ()
+
+    def select(self, task_key: Any, score: float) -> None:
+        """Mark the candidate(s) keyed ``task_key`` as the policy's pick,
+        carrying the policy's own (unrounded) score."""
+        self.selections += ((task_key, score),)
+
+    def _ranking(self) -> List[int]:
+        """Candidate rows by rounded score, high first, then key."""
+        scores = self.columns.scores
+        keys = self.columns.keys
+        return sorted(
+            range(len(keys)),
+            key=lambda i: (-round(scores[i], 9), str(keys[i])),
+        )
+
+    def top_op_name(self) -> Optional[str]:
+        """The op of the top-ranked candidate (``candidates[0]`` before
+        any pick), or None without candidates."""
+        ranking = self._ranking()
+        return self.columns.op_names[ranking[0]] if ranking else None
+
+    def _rows(self) -> List[list]:
+        """The ranked candidates as :class:`CandidateEvidence` field
+        lists, picks applied."""
+        c = self.columns
+        names = c.gain_names
+        width = len(names)
+        gains = c.gains
+        rows = []
+        for i in self._ranking():
+            start = i * width
+            row_gains = {
+                name: round(gain, 9)
+                for name, gain in zip(names, gains[start:start + width])
+                if gain == gain
+            }
+            rows.append([
+                c.keys[i], c.op_names[i], c.client_ids[i], c.kinds[i],
+                round(c.ages[i], 6), round(c.progress[i], 6),
+                c.cancellable[i], row_gains,
+                # No positive gain: the score is an empty sum, int 0.
+                round(c.scores[i], 9) if row_gains else 0,
+                False,
+            ])
+        for key, score in self.selections:
+            for row in rows:
+                if row[0] == key:
+                    row[-1] = True
+                    row[-2] = score
+        return rows
+
+    @property
+    def candidates(self) -> List[CandidateEvidence]:
+        """The ranked candidate evidence, rendered from the columns."""
+        return [CandidateEvidence(*row) for row in self._rows()]
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-serializable dict (for exporters and the tracer)."""
-        return asdict(self)
+        return {
+            "time": self.time,
+            "detector": asdict(self.detector),
+            "resources": [asdict(r) for r in self.resources],
+            "candidates": [
+                dict(zip(_CANDIDATE_FIELDS, row)) for row in self._rows()
+            ],
+            "verdict": self.verdict,
+            "lever": self.lever,
+            "culprit_resource": self.culprit_resource,
+            "cancelled_task_key": self.cancelled_task_key,
+            "cancelled_op_name": self.cancelled_op_name,
+            "blocked_reason": self.blocked_reason,
+        }
 
 
 class DecisionLog:

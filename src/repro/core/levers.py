@@ -31,10 +31,12 @@ found nothing actionable).
 from __future__ import annotations
 
 import weakref
+from array import array
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .decision_log import (
-    CandidateEvidence,
+    NO_CANDIDATES,
+    CandidateColumns,
     DecisionAudit,
     DecisionKind,
     DetectorSignal,
@@ -42,6 +44,9 @@ from .decision_log import (
 )
 from .pipeline import ActionPolicy
 from .types import ResourceHandle, ResourceType
+
+#: An audit's gain-matrix entry for "no positive gain".
+_NO_GAIN = float("nan")
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..apps.base import Application
@@ -70,6 +75,8 @@ class MitigationLever(ActionPolicy):
         self._controller = weakref.ref(controller)
         #: Mitigations applied by this lever (cancels or reshapes).
         self.actions_total = 0
+        #: Interned audit gain-column names (resource names, sorted).
+        self._gain_names: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     @property
     def controller(self) -> "Atropos":
@@ -162,10 +169,7 @@ class MitigationLever(ActionPolicy):
             self._finish_audit(audit)
             return
         task, score = selection
-        for candidate in audit.candidates:
-            if candidate.task_key == task.key:
-                candidate.selected = True
-                candidate.score = score
+        audit.select(task.key, score)
         cancelled = c.cancellation.cancel(
             task,
             resource=hottest.resource if hottest else None,
@@ -204,35 +208,44 @@ class MitigationLever(ActionPolicy):
     def _start_audit(
         self, now: float, sample, oldest_age: float, assessment
     ) -> DecisionAudit:
-        """Snapshot the evidence behind this detection cycle."""
+        """Snapshot the evidence behind this detection cycle.
+
+        The candidates go into flat columns (:class:`CandidateColumns`);
+        the audit rounds and ranks them only when read."""
         c = self.controller
-        candidates = []
-        for report in assessment.tasks:
-            task = report.task
-            gains = {
-                resource.name: gain
-                for resource, gain in sorted(
-                    report.gains.items(), key=lambda item: item[0].name
-                )
-            }
-            # The contention-weighted scalarization every policy's ranking
-            # evidence is reported in (§3.5), whether or not the active
-            # policy ultimately used it.
-            score = assessment.score(report)
-            candidates.append(
-                CandidateEvidence(
-                    task_key=task.key,
-                    op_name=task.op_name,
-                    client_id=task.client_id,
-                    kind=task.kind.value,
-                    age=round(task.age, 6),
-                    progress=round(report.progress, 6),
-                    cancellable=task.cancellable,
-                    gains={k: round(v, 9) for k, v in gains.items()},
-                    score=round(score, 9),
-                )
+        reports = assessment.tasks
+        columns = NO_CANDIDATES
+        if reports:
+            tasks = [report.task for report in reports]
+            names = tuple(
+                sorted({r.resource.name for r in assessment.resources})
             )
-        candidates.sort(key=lambda c: (-(c.score or 0.0), str(c.task_key)))
+            # One shared name tuple per resource set, not one per audit.
+            names = self._gain_names.setdefault(names, names)
+            column = {name: i for i, name in enumerate(names)}
+            width = len(names)
+            gains = array("d", [_NO_GAIN]) * (width * len(reports))
+            for row, report in enumerate(reports):
+                start = row * width
+                for resource, gain in report.gains.items():
+                    gains[start + column[resource.name]] = gain
+            columns = CandidateColumns(
+                keys=[task.key for task in tasks],
+                op_names=[task.op_name for task in tasks],
+                client_ids=[task.client_id for task in tasks],
+                kinds=[task.kind.value for task in tasks],
+                cancellable=[task.cancellable for task in tasks],
+                ages=array("d", [task.age for task in tasks]),
+                progress=array("d", [report.progress for report in reports]),
+                # The contention-weighted scalarization every policy's
+                # ranking evidence is reported in (§3.5), whether or not
+                # the active policy ultimately used it.
+                scores=array(
+                    "d", [assessment.score(report) for report in reports]
+                ),
+                gain_names=names,
+                gains=gains,
+            )
         return DecisionAudit(
             time=now,
             detector=DetectorSignal(
@@ -256,7 +269,7 @@ class MitigationLever(ActionPolicy):
                 )
                 for r in assessment.resources
             ],
-            candidates=candidates,
+            columns=columns,
             verdict="pending",
         )
 
@@ -363,14 +376,9 @@ class LockScheduleLever(MitigationLever):
         selection = self.controller.policy.select(assessment)
         if selection is not None:
             task, score = selection
-            for candidate in audit.candidates:
-                if candidate.task_key == task.key:
-                    candidate.selected = True
-                    candidate.score = score
+            audit.select(task.key, score)
             return task.op_name, selection
-        if audit.candidates:
-            return audit.candidates[0].op_name, None
-        return None, None
+        return audit.top_op_name(), None
 
     def _parkable(self, culprit_resource, op_name: str) -> int:
         """How many culprit-class waiters a reshape would park right now."""

@@ -8,8 +8,8 @@ overload detectors (which watch recent windows), and the experiment harness
 from __future__ import annotations
 
 import enum
-import heapq
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -57,11 +57,16 @@ def percentile(values: Sequence[float], pct: float) -> float:
     raises even then -- a bad percentile is a caller bug regardless of
     how many samples happen to be in the window.
     """
+    return _sorted_percentile(sorted(values), pct)
+
+
+def _sorted_percentile(ordered: Sequence[float], pct: float) -> float:
+    """:func:`percentile` of an ascending sequence."""
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {pct}")
-    if not values:
+    if not ordered:
         return float("nan")
-    return _percentile_of_sorted(sorted(values), pct)
+    return _percentile_of_sorted(ordered, pct)
 
 
 def _percentile_of_sorted(ordered: Sequence[float], pct: float) -> float:
@@ -82,29 +87,6 @@ def _interpolate(below: float, above: float, frac: float) -> float:
     # Interpolate as base + delta*frac: exact when both points are equal
     # (a*(1-f) + b*f can drift by one ulp for tiny magnitudes).
     return below + (above - below) * frac
-
-
-def _selected_percentile(values: List[float], pct: float) -> float:
-    """:func:`percentile` without sorting all of ``values``.
-
-    The interpolation reads at most two order statistics; they are
-    taken by heap selection from whichever end is nearer (a p99 of n
-    values keeps ~n/100 of them), then interpolated exactly as
-    :func:`percentile` does, so the result is bit-identical for any
-    list of non-NaN values without negative zeros.
-    """
-    n = len(values)
-    if n < 2 or not 0.0 <= pct <= 100.0:
-        return percentile(values, pct)
-    rank = (pct / 100.0) * (n - 1)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if n - low <= high + 1:
-        # Descending: top[i] is the (n-1-i)-th order statistic.
-        top = heapq.nlargest(n - low, values)
-        return _interpolate(top[-1], top[n - 1 - high], rank - low)
-    bottom = heapq.nsmallest(high + 1, values)
-    return _interpolate(bottom[low], bottom[-1], rank - low)
 
 
 def window_count(end_time: float, window: float) -> int:
@@ -274,7 +256,9 @@ class SlidingWindow:
     """Recent-completions window used by online overload detectors.
 
     Keeps (finish_time, latency) pairs within a trailing horizon; supports
-    cheap throughput and tail-latency queries over that horizon.
+    cheap throughput and tail-latency queries over that horizon.  The
+    window's latencies are also kept sorted, so a percentile reads two
+    order statistics instead of selecting them on every query.
 
     Boundary convention: the window is *closed* on both ends -- an entry
     whose finish time is exactly ``now - horizon`` is still counted, and
@@ -287,21 +271,27 @@ class SlidingWindow:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         self.horizon = horizon
+        #: Arrival order: the sums below depend on it.
         self._entries: Deque[Tuple[float, float]] = deque()
+        #: The same latencies, ascending.
+        self._sorted: List[float] = []
 
     def observe(self, finish_time: float, latency: float) -> None:
         entries = self._entries
+        ordered = self._sorted
         entries.append((finish_time, latency))
+        insort(ordered, latency)
         # _evict, inlined: this runs once per completion.
         cutoff = finish_time - self.horizon
         while entries[0][0] < cutoff:
-            entries.popleft()
+            del ordered[bisect_left(ordered, entries.popleft()[1])]
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.horizon
         entries = self._entries
+        ordered = self._sorted
         while entries and entries[0][0] < cutoff:
-            entries.popleft()
+            del ordered[bisect_left(ordered, entries.popleft()[1])]
 
     def count(self, now: float) -> int:
         self._evict(now)
@@ -312,10 +302,10 @@ class SlidingWindow:
         return len(self._entries) / self.horizon
 
     def latency_percentile(self, now: float, pct: float) -> float:
-        """:func:`percentile` of the window's latencies, without sorting
-        the window (one call per detector tick)."""
+        """:func:`percentile` of the window's latencies, read from the
+        sorted copy (one call per detector tick)."""
         self._evict(now)
-        return _selected_percentile([lat for _, lat in self._entries], pct)
+        return _sorted_percentile(self._sorted, pct)
 
     def mean_latency(self, now: float) -> float:
         self._evict(now)

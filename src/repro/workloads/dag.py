@@ -24,8 +24,9 @@ mesh runs byte-identical.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from ..sim.rng import Rng
 from .spec import periodic_times, poisson_times
@@ -331,33 +332,50 @@ class DagSpec:
         return replace(self, **overrides)
 
 
-def build_arrivals(spec: DagSpec) -> List[Tuple[float, int, str, str]]:
-    """Pre-materialize every request arrival at the entry service.
+#: One mesh request arrival: ``(time, rid, class_name, client_id)``.
+DagArrival = Tuple[float, int, str, str]
 
-    Returns ascending ``(time, rid, class_name, client_id)`` tuples.
+
+def arrival_stream(spec: DagSpec) -> Iterator[DagArrival]:
+    """Every request arrival at the entry service, drawn lazily.
+
+    Yields ascending ``(time, rid, class_name, client_id)`` tuples.
     Each class draws from its own forked rng stream
     (``dag:arrivals:<class>``), so adding a class never perturbs the
-    others; request ids are assigned after the deterministic merge.
+    others; the class streams, each ascending in ``(time, class,
+    client)``, are merged on that key and request ids are assigned in
+    merge order.
     """
-    raw: List[Tuple[float, str, str]] = []
-    for cls in spec.classes:
-        rng = Rng(spec.seed).fork(f"dag:arrivals:{cls.name}")
-        if cls.rate > 0:
-            for t in poisson_times(
-                rng, lambda: cls.rate, cls.start, spec.duration
-            ):
-                user = rng.randint(0, cls.users - 1)
-                raw.append((t, cls.name, f"{cls.name}-{user}"))
-        else:
-            for k, t in enumerate(
-                periodic_times(cls.start, cls.period, spec.duration)
-            ):
-                raw.append((t, cls.name, f"{cls.name}-{k % cls.users}"))
-    raw.sort(key=lambda item: (item[0], item[1], item[2]))
-    return [
+    merged = heapq.merge(
+        *(_class_arrivals(spec, cls) for cls in spec.classes)
+    )
+    return (
         (t, rid, name, client)
-        for rid, (t, name, client) in enumerate(raw)
-    ]
+        for rid, (t, name, client) in enumerate(merged)
+    )
+
+
+def _class_arrivals(
+    spec: DagSpec, cls: RequestClass
+) -> Iterator[Tuple[float, str, str]]:
+    """One class's ``(time, class_name, client_id)`` arrivals."""
+    if cls.rate > 0:
+        rng = Rng(spec.seed).fork(f"dag:arrivals:{cls.name}")
+        for t in poisson_times(
+            rng, lambda: cls.rate, cls.start, spec.duration
+        ):
+            user = rng.randint(0, cls.users - 1)
+            yield t, cls.name, f"{cls.name}-{user}"
+    else:
+        for k, t in enumerate(
+            periodic_times(cls.start, cls.period, spec.duration)
+        ):
+            yield t, cls.name, f"{cls.name}-{k % cls.users}"
+
+
+def build_arrivals(spec: DagSpec) -> List[DagArrival]:
+    """The whole :func:`arrival_stream`, as a list."""
+    return list(arrival_stream(spec))
 
 
 def dag_storm(

@@ -22,7 +22,7 @@ deterministic counts at a fixed seed, never a clock.
 import pytest
 
 from repro.cluster import Mesh, run_dag
-from repro.workloads.dag import DAG_CONTROLLERS, dag_storm
+from repro.workloads.dag import DAG_CONTROLLERS, build_arrivals, dag_storm
 
 from ..core.callcount import counted
 
@@ -60,11 +60,10 @@ def test_table_holds_only_unresolved_requests(controller):
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_live_table_peaks_below_a_tenth_of_arrivals(seed):
-    result, planner, peak = _run_watched(
-        dag_storm(duration=40.0, seed=seed), "atropos"
-    )
+    spec = dag_storm(duration=40.0, seed=seed)
+    result, planner, peak = _run_watched(spec, "atropos")
     offered = sum(c["offered"] for c in result.classes.values())
-    assert offered == len(planner.arrivals) > 8000
+    assert offered == len(build_arrivals(spec)) > 8000
     assert peak * 10 < offered, (peak, offered)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.decision_log import (
+    NO_CANDIDATES,
     DecisionAudit,
     DecisionEvent,
     DecisionKind,
@@ -30,7 +31,9 @@ class TestDecisionLog:
         signal = DetectorSignal(None, None, None, 0.0)
         for i in range(12_000):
             log.record(float(i), DecisionKind.DETECTION, f"e{i}")
-            log.record_audit(DecisionAudit(float(i), signal, [], [], "v"))
+            log.record_audit(
+                DecisionAudit(float(i), signal, [], NO_CANDIDATES, "v")
+            )
         assert len(log) == 12_000
         assert [e.summary for e in log.events] == [
             f"e{i}" for i in range(12_000)

@@ -122,8 +122,8 @@ class TestSlidingWindowProperties:
     def test_latency_percentile_is_bit_identical_to_percentile(
         self, window_latencies, pct
     ):
-        """The window selects the two order statistics it needs instead
-        of sorting; the float must be the one a full sort gives."""
+        """The window reads the two order statistics it needs from its
+        sorted copy; the float must be the one a full sort gives."""
         window = SlidingWindow(horizon=10.0)
         for i, latency in enumerate(window_latencies):
             window.observe(i * 0.01, latency)
@@ -134,8 +134,8 @@ class TestSlidingWindowProperties:
 
     @pytest.mark.parametrize("size", [2, 3, 101, 1000, 3000])
     def test_large_windows_are_bit_identical_too(self, size):
-        """Detector-sized windows (hypothesis rarely draws them): heap
-        selection from either end, ties from rounding."""
+        """Detector-sized windows (hypothesis rarely draws them), with
+        ties from rounding."""
         rng = Rng(size)
         latencies = [round(rng.exponential(0.05), 3) for _ in range(size)]
         window = SlidingWindow(horizon=1e9)
@@ -152,6 +152,68 @@ class TestSlidingWindowProperties:
             window.observe(0.1 * i, 0.01 * i)
         with pytest.raises(ValueError):
             window.latency_percentile(0.5, pct)
+
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("observe"),
+                    st.sampled_from([0.0, 0.001, 0.05, 0.3]),
+                    st.one_of(
+                        st.sampled_from([0.0, 0.001, 0.05, 0.05, 1.0]),
+                        st.floats(min_value=0.0, max_value=10.0).map(abs),
+                    ),
+                ),
+                st.tuples(
+                    st.just("query"),
+                    st.sampled_from([0.0, 0.01, 0.5]),
+                    st.one_of(
+                        st.sampled_from([0.0, 50.0, 99.0, 100.0]),
+                        st.floats(min_value=0.0, max_value=100.0),
+                    ),
+                ),
+                st.tuples(
+                    st.just("resize"),
+                    st.just(0.0),
+                    st.sampled_from([0.05, 0.2, 1.0, 3.0]),
+                ),
+            ),
+            max_size=200,
+        )
+    )
+    @settings(max_examples=300)
+    def test_sorted_window_tracks_the_live_latencies(self, steps):
+        """The detector's window keeps its latencies sorted across
+        observe, query and ``set_detection_window`` (shrinking evicts at
+        the next read, widening lets the window fill further); every
+        percentile is the float :func:`percentile` gives for the live
+        latencies."""
+        from repro.core import AtroposConfig
+        from repro.core.detector import OverloadDetector
+        from repro.sim import Environment
+
+        detector = OverloadDetector(
+            Environment(), AtroposConfig(detection_window=1.0)
+        )
+        window = detector.window
+        live = []  # (finish_time, latency), oldest first
+        now = 0.0
+        for op, dt, value in steps:
+            now += dt
+            if op == "resize":
+                detector.set_detection_window(value)
+                continue
+            if op == "observe":
+                window.observe(now, value)
+                live.append((now, value))
+            cutoff = now - window.horizon
+            while live and live[0][0] < cutoff:
+                live.pop(0)
+            if op == "query":
+                got = window.latency_percentile(now, value)
+                want = percentile([lat for _, lat in live], value)
+                assert got.hex() == want.hex()
+                assert window.count(now) == len(live)
 
 
 def make_records(finish_times):

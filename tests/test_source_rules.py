@@ -255,6 +255,32 @@ def test_src_repro_assembles_every_stack_in_one_place():
     assert [e for e in errors if "Driver built" in e] == []
 
 
+def test_only_the_decision_log_builds_candidate_evidence():
+    source = (
+        '"""Builds CandidateEvidence(...) -- prose is fine."""\n'
+        "from ..core import decision_log\n"
+        "from ..core.decision_log import CandidateEvidence\n"
+        "def audit(task):\n"
+        "    kind = CandidateEvidence  # a reference, not a construction\n"
+        "    first = CandidateEvidence(task.key, task.op_name)\n"
+        "    return first, decision_log.CandidateEvidence(task.key)\n"
+    )
+    errors = checker.check_source(source, "src/repro/core/levers.py")
+    assert [e.split(": ")[0] for e in errors] == [
+        "src/repro/core/levers.py:6", "src/repro/core/levers.py:7",
+    ]
+    assert "rendered on read" in errors[0]
+    assert checker.check_source(source, checker.AUDIT_MODULE) == []
+    assert (checker.REPO_ROOT / checker.AUDIT_MODULE).is_file()
+
+
+def test_src_repro_renders_audit_evidence_in_one_place():
+    audit = checker.REPO_ROOT / checker.AUDIT_MODULE
+    assert "CandidateEvidence(" in audit.read_text(encoding="utf-8")
+    errors = checker.check([checker.DEFAULT_TARGET])
+    assert [e for e in errors if "CandidateEvidence built" in e] == []
+
+
 def test_count_code_skips_docstrings_comments_and_blanks():
     source = (
         '"""Module docstring,\n'

@@ -99,6 +99,16 @@ aliases closed over the application, and nothing closed its nodes: a
 finished fleet or mesh run stayed alive as cyclic garbage until the
 next full collection.
 
+Rule 11 -- a decision audit is a record, rendered on read.  A
+``CandidateEvidence(...)`` call appears in
+``src/repro/core/decision_log.py`` and nowhere else: an audit keeps its
+candidates as flat columns (``CandidateColumns``) and builds the ranked
+evidence objects only when something reads them (``audit.candidates``,
+``to_payload()``).  The levers once built one evidence object and one
+rounded gains dict per live task on every potential-overload tick --
+several megabytes per run that only a tracer, a scraper or a report
+ever read.
+
 Exit status is the number of violations found.
 
 Usage::
@@ -143,6 +153,14 @@ _FACTORY = f"build controllers with controller_factory ({FACTORY_MODULE})"
 ASSEMBLY_MODULE = "src/repro/experiments/harness.py"
 
 _ASSEMBLY = f"build a run's stack with assemble ({ASSEMBLY_MODULE})"
+
+#: The one module that may build a ``CandidateEvidence`` (rule 11).
+AUDIT_MODULE = "src/repro/core/decision_log.py"
+
+_AUDIT = (
+    "keep audit candidates as columns; evidence is rendered on read "
+    f"in {AUDIT_MODULE}"
+)
 
 #: The packages that read a run and may not probe for attributes (rule 7).
 OBSERVER_PACKAGES = tuple(
@@ -243,6 +261,14 @@ def check_source(text: str, where: str) -> List[str]:
             and where != ASSEMBLY_MODULE
         ):
             found.append((node.lineno, f"Driver built -- {_ASSEMBLY}"))
+        elif (
+            isinstance(node, ast.Call)
+            and "CandidateEvidence" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            )
+            and where != AUDIT_MODULE
+        ):
+            found.append((node.lineno, f"CandidateEvidence built -- {_AUDIT}"))
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
