@@ -119,18 +119,6 @@ class Autothrottle(WindowedController):
     def throttle_delay(self, task: "CancellableTask") -> float:
         return self.squeeze_delay
 
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        snap = super().telemetry_snapshot()
-        snap["throttle"] = {
-            "target": self.target,
-            "limit": self.limit,
-            "nominal_workers": self.nominal_workers,
-            "squeeze_delay": self.squeeze_delay,
-            "resize_moves": self.resize_moves,
-            "target_moves": self.target_moves,
-        }
-        return snap
-
 
 class AutothrottleTower:
     """The global slow loop: redistribute per-service latency targets.

@@ -104,12 +104,3 @@ class Breakwater(WindowedController):
         if task.seq in self.tasks:
             self.inflight = max(0, self.inflight - 1)
         super().free_cancel(task)
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        snap = super().telemetry_snapshot()
-        snap["admission"] = {
-            "credits": self.credits,
-            "inflight": self.inflight,
-            "rejections": self.rejections,
-        }
-        return snap

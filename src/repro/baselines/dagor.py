@@ -151,15 +151,3 @@ class Dagor(WindowedController):
             return True
         self.rejections += 1
         return False
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        snap = super().telemetry_snapshot()
-        snap["admission"] = {
-            "level": self.level,
-            "admit_level": self.admit_level,
-            "max_level": self.max_level,
-            "min_level": self.min_level,
-            "rejections": self.rejections,
-            "user_levels": self.user_levels,
-        }
-        return snap

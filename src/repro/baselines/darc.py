@@ -14,7 +14,7 @@ no monitor process.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from ..core.controller import BaseController
 from ..sim.resources import ThreadPool
@@ -64,11 +64,3 @@ class DARC(BaseController):
                 # One shared reservation for all profiled-short classes.
                 pool.reserve(self.light_classes, reserve)
                 self.reserved_pools.append(pool)
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        snap = super().telemetry_snapshot()
-        snap["reservations"] = {
-            "pools": len(self.reserved_pools),
-            "reserved_fraction": self.reserved_fraction,
-        }
-        return snap

@@ -113,12 +113,3 @@ class Parties(WindowedController):
             if task.alive and task.client_id == client_id:
                 score += task.age
         return score
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        snap = super().telemetry_snapshot()
-        snap["admission"] = {
-            "clients": len(self.limits),
-            "min_limit": min(self.limits.values()) if self.limits else None,
-            "rejections": self.rejections,
-        }
-        return snap

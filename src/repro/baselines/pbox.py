@@ -64,7 +64,6 @@ class PBox(TracingController):
         self.penalty_duration = penalty_duration
         #: task seq -> penalty expiry time.
         self._penalized: Dict[int, float] = {}
-        self.penalties_issued = 0
         self.pipeline = ControlPipeline(env, detection_period, action=self)
 
     def free_cancel(self, task: CancellableTask) -> None:
@@ -110,8 +109,6 @@ class PBox(TracingController):
             ]
         for best in offenders:
             if best is not None:
-                if best.seq not in self._penalized:
-                    self.penalties_issued += 1
                 self._penalized[best.seq] = (
                     self.env.now + self.penalty_duration
                 )
@@ -133,11 +130,3 @@ class PBox(TracingController):
                     best_usage = usage
             offenders.append(best)
         return offenders
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        snap = super().telemetry_snapshot()
-        snap["penalties"] = {
-            "issued": self.penalties_issued,
-            "active": len(self._penalized),
-        }
-        return snap

@@ -50,14 +50,12 @@ class Protego(BaseController):
         super().__init__(env)
         self.slo_latency = slo_latency
         self.drop_fraction = drop_fraction
-        self.monitor_period = monitor_period
         #: task seq -> accumulated closed blocking delay.
         self._closed_wait: Dict[int, float] = {}
         #: task seq -> {resource: open wait start time}.  Only tasks that
         #: are waiting right now have an entry, so the outer order is
         #: wait-start order; the inner order is the task's own.
         self._open_waits: Dict[int, Dict[ResourceHandle, float]] = {}
-        self.drops_issued = 0
         self.pipeline = ControlPipeline(env, monitor_period, action=self)
 
     # ------------------------------------------------------------------
@@ -114,9 +112,6 @@ class Protego(BaseController):
                 total += now - start
         return total
 
-    def open_wait_count(self) -> int:
-        return sum(len(waits) for waits in self._open_waits.values())
-
     def free_cancel(self, task: CancellableTask) -> None:
         self._closed_wait.pop(task.seq, None)
         self._open_waits.pop(task.seq, None)
@@ -153,7 +148,6 @@ class Protego(BaseController):
             if process is None or not process.is_alive:
                 continue
             for resource in waits:
-                self.drops_issued += 1
                 process.interrupt(
                     DropSignal(
                         reason="lock-wait-over-budget",
@@ -164,11 +158,3 @@ class Protego(BaseController):
 
     def start(self) -> None:
         self.pipeline.start()
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        snap = super().telemetry_snapshot()
-        snap["drops"] = {
-            "issued": self.drops_issued,
-            "open_waits": self.open_wait_count(),
-        }
-        return snap

@@ -72,12 +72,3 @@ class Seda(WindowedController):
             return True
         self.rejections += 1
         return False
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        snap = super().telemetry_snapshot()
-        snap["admission"] = {
-            "rate": self.rate,
-            "tokens": self._tokens,
-            "rejections": self.rejections,
-        }
-        return snap

@@ -177,7 +177,6 @@ class EpochNode:
             backend=self.backend,
             epoch=epoch,
             t=t_end,
-            outstanding=self.driver.inflight,
             offered_window=offered_window,
         )
 

@@ -89,7 +89,10 @@ class _FleetPlanner:
         self.node_names = [node.name for node in spec.nodes]
         self.balancer = LoadBalancer(spec)
         self.coordinator = GlobalCoordinator(spec)
-        self.statuses_by_epoch: List[List[NodeStatus]] = []
+        #: Post-warmup victim latencies and goodput, folded as the
+        #: statuses arrive (epoch order, node order).
+        self._victim_latencies: List[float] = []
+        self._good = 0.0
         #: Cancel directives issued last epoch, delivered this one.
         self.pending: List[Directive] = []
 
@@ -107,11 +110,15 @@ class _FleetPlanner:
     def fold(
         self, epoch: int, t_end: float, statuses: List[NodeStatus]
     ) -> None:
-        self.statuses_by_epoch.append(statuses)
+        spec = self.spec
+        for status in statuses:
+            if status.t > spec.warmup:
+                self._victim_latencies.extend(status.victim_latencies)
+                self._good += status.goodput_window * spec.epoch
         self.balancer.update(statuses)
         issued = self.coordinator.observe(epoch, t_end, statuses)
         self.pending = []
-        if self.spec.mode == "coordinated":
+        if spec.mode == "coordinated":
             for directive in issued:
                 if directive.kind == QUARANTINE:
                     self.balancer.quarantine(directive.op)
@@ -125,24 +132,16 @@ class _FleetPlanner:
             policy=spec.policy,
             n_nodes=len(spec.nodes),
             duration=spec.duration,
-            epochs=len(self.statuses_by_epoch),
+            epochs=spec.epoch_count(),
             lb=self.balancer.stats(),
             node_reports=reports,
             # directives, quarantined, decisions, health_events
             **self.coordinator.stats(),
         )
-        latencies: List[float] = []
-        good = 0.0
-        for statuses in self.statuses_by_epoch:
-            for status in statuses:
-                if status.t <= spec.warmup:
-                    continue
-                latencies.extend(status.victim_latencies)
-                good += status.goodput_window * spec.epoch
         effective = max(spec.duration - spec.warmup, 1e-9)
-        if latencies:
-            result.victim_p99 = percentile(latencies, 99)
-        result.goodput = good / effective
+        if self._victim_latencies:
+            result.victim_p99 = percentile(self._victim_latencies, 99)
+        result.goodput = self._good / effective
         expected = set(spec.expected_culprits)
         cancelled_ops: List[str] = []
         for report in reports:

@@ -66,7 +66,6 @@ class ServiceStatus:
     backend: str
     epoch: int
     t: float
-    outstanding: int = 0
     offered_window: int = 0
     #: Terminal shards this window: ``(key, status, latency)``.
     shard_results: List[Tuple[str, str, float]] = field(
@@ -76,9 +75,6 @@ class ServiceStatus:
     p99_window: float = float("nan")
     #: DAGOR upstream feedback (:data:`OPEN_LEVEL` for other modes).
     admit_level: int = OPEN_LEVEL
-    #: Autothrottle fast-loop state (nominal workers for other modes).
-    throttle_limit: int = 0
-    target: float = 0.0
 
 
 class ServiceNode(EpochNode):
@@ -150,9 +146,6 @@ class ServiceNode(EpochNode):
         controller = self.controller
         if isinstance(controller, Dagor):
             status.admit_level = controller.admit_level
-        if isinstance(controller, Autothrottle):
-            status.throttle_limit = controller.limit
-            status.target = controller.target
         return status
 
     def _report_extra(self) -> Dict[str, Any]:

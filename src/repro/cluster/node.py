@@ -8,8 +8,8 @@ The single-node stack (assembled like every run's, by
 :class:`~repro.cluster.epoch.EpochNode`'s.  A fleet node adds the
 fleet's side of the boundary: routed arrival tuples in, coordinator
 directives in, a JSON-able :class:`NodeStatus` out -- window counts,
-victim latencies, the candidate/blame evidence the coordinator
-aggregates by op (alias names ``point``/``write``/``heavy_report``/
+victim latencies, the candidate evidence the coordinator aggregates
+by op (alias names ``point``/``write``/``heavy_report``/
 ``fanout_scan``), and the DAGOR ``admit_priority`` feedback.
 
 A cancel directive is one sweep over the node's live, cancellable tasks
@@ -46,12 +46,10 @@ class NodeStatus:
     backend: str
     epoch: int
     t: float
-    outstanding: int = 0
     offered_window: int = 0
     completed_window: int = 0
     cancelled_window: int = 0
     dropped_window: int = 0
-    completions_by_op: Dict[str, int] = field(default_factory=dict)
     #: Latencies of completed victim ("point") requests this window.
     victim_latencies: List[float] = field(default_factory=list)
     p99_window: float = float("nan")
@@ -60,8 +58,6 @@ class NodeStatus:
     #: scalarization of §3.5, summed over live tasks), from the node's
     #: most recent overload assessment.
     candidates: Dict[str, float] = field(default_factory=dict)
-    #: Normalized contention per resource from the same assessment.
-    blame: Dict[str, float] = field(default_factory=dict)
     #: Ops cancelled by the node's *local* pipeline this window.
     local_cancelled_ops: List[str] = field(default_factory=list)
     #: Tasks cancelled by coordinator directives this window.
@@ -70,18 +66,6 @@ class NodeStatus:
     directives_deferred: int = 0
     #: DAGOR feedback: highest op priority value the node admits.
     admit_priority: int = 99
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = dict(self.__dict__)
-        out["victim_latencies"] = list(self.victim_latencies)
-        out["completions_by_op"] = dict(self.completions_by_op)
-        out["candidates"] = {
-            k: round(v, 9) for k, v in sorted(self.candidates.items())
-        }
-        out["blame"] = {
-            k: round(v, 9) for k, v in sorted(self.blame.items())
-        }
-        return out
 
 
 def _owed(task: CancellableTask) -> bool:
@@ -96,7 +80,6 @@ class ClusterNode(EpochNode):
     def __init__(
         self, spec: FleetSpec, node_spec: NodeSpec, index: int
     ) -> None:
-        self.node_spec = node_spec
         super().__init__(
             spec,
             node_spec.name,
@@ -225,9 +208,6 @@ class ClusterNode(EpochNode):
         for record in window:
             if record.completed:
                 status.completed_window += 1
-                status.completions_by_op[record.op_name] = (
-                    status.completions_by_op.get(record.op_name, 0) + 1
-                )
                 if record.op_name == "point":
                     status.victim_latencies.append(record.latency)
                 if record.latency <= spec.slo_latency:
@@ -267,7 +247,6 @@ class ClusterNode(EpochNode):
         blame = assessment.blame_scores()
         if max(blame.values(), default=0.0) < 0.5 * threshold:
             return
-        status.blame = dict(blame)
         for report in assessment.tasks:
             task = report.task
             if not task.alive:

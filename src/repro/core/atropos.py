@@ -76,11 +76,7 @@ class DetectorSignalSource(SignalSource):
         controller.runtime.set_fine_mode(potential)
         signals["oldest_inflight_age"] = oldest_age
         signals["potential_overload"] = potential
-        sample = (
-            controller.detector.history[-1]
-            if controller.detector.history
-            else None
-        )
+        sample = controller.detector.last
         if sample is not None:
             signals["detector_tail_latency"] = sample.tail_latency
             signals["detector_throughput"] = sample.throughput
@@ -174,7 +170,6 @@ class Atropos(TracingController):
         snap = super().telemetry_snapshot()
         snap["detector"] = self.detector.telemetry_snapshot()
         snap["signals"] = self.cancellation.telemetry_snapshot()
-        snap["lever"] = self.lever.telemetry_snapshot()
         if self.last_assessment is not None:
             snap["blame"] = self.last_assessment.blame_scores()
         return snap

@@ -108,11 +108,6 @@ class AtroposConfig:
     #: ablations ``"heuristic"`` and ``"current_usage"``.
     policy: str = "multi_objective"
 
-    #: Per-resource overrides of the contention threshold.
-    contention_threshold_overrides: Dict[str, float] = field(
-        default_factory=dict
-    )
-
     #: Opt-in health-driven adaptive thresholds: the controller consumes
     #: its own health-event stream (detector-flapping, p99-ceiling) and
     #: moves the *live* detection window / tail trigger between windows.
@@ -215,14 +210,6 @@ class AtroposConfig:
                 problems.append(
                     f"{name} must be >= 1 (got {getattr(self, name)!r})"
                 )
-        for resource, value in sorted(
-            self.contention_threshold_overrides.items()
-        ):
-            if value <= 0:
-                problems.append(
-                    f"contention_threshold_overrides[{resource!r}] must be "
-                    f"> 0 (got {value!r})"
-                )
         from .levers import LEVER_NAMES
         from .policy import POLICIES
 
@@ -271,8 +258,3 @@ class AtroposConfig:
             raise ValueError(
                 "invalid AtroposConfig: " + "; ".join(problems)
             )
-
-    def threshold_for(self, resource_name: str) -> float:
-        return self.contention_threshold_overrides.get(
-            resource_name, self.contention_threshold
-        )

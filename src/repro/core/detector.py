@@ -10,8 +10,9 @@ Fault injection: :attr:`OverloadDetector.fault_tap` (default ``None``)
 is a callable ``(now, tail_latency) -> tail_latency`` installed by
 :mod:`repro.faults` to corrupt the tail-latency signal -- noise, lag,
 bias -- before the overload condition is evaluated.  The recorded
-:class:`DetectionSample` history carries the *corrupted* value, exactly
-as a production detector would log what it believed it saw.
+:class:`DetectionSample` (:attr:`OverloadDetector.last`) carries the
+*corrupted* value, exactly as a production detector would log what it
+believed it saw.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ class OverloadDetector:
         #: detection window -- adjacent-period comparison is too noisy and
         #: reads a flushing backlog as "growing" traffic.
         self._throughput_history: Deque[Tuple[float, float]] = deque()
-        self.history: list[DetectionSample] = []
+        #: The latest :meth:`check`'s sample (None before the first).
+        self.last: Optional[DetectionSample] = None
 
     # ------------------------------------------------------------------
     # Feeding
@@ -90,14 +92,14 @@ class OverloadDetector:
 
     def telemetry_snapshot(self) -> dict:
         """Latest detector observation for the telemetry scraper."""
-        if not self.history:
+        last = self.last
+        if last is None:
             return {
                 "overloaded": 0.0,
                 "tail_latency": float("nan"),
                 "throughput": 0.0,
                 "samples": 0,
             }
-        last = self.history[-1]
         return {
             "overloaded": 1.0 if last.overloaded else 0.0,
             "tail_latency": last.tail_latency,
@@ -171,13 +173,11 @@ class OverloadDetector:
             and self._throughput_history[0][0] < cutoff
         ):
             self._throughput_history.popleft()
-        self.history.append(
-            DetectionSample(
-                time=now,
-                throughput=throughput,
-                tail_latency=tail,
-                samples=samples,
-                overloaded=overloaded,
-            )
+        self.last = DetectionSample(
+            time=now,
+            throughput=throughput,
+            tail_latency=tail,
+            samples=samples,
+            overloaded=overloaded,
         )
         return overloaded

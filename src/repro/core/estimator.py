@@ -159,7 +159,7 @@ class Estimator:
         or over its contention threshold."""
         for resource in resources.values():
             norm = self.contention_norm(resource)
-            if norm >= self.config.threshold_for(resource.name):
+            if norm >= self.config.contention_threshold:
                 return False
         return True
 
@@ -258,7 +258,7 @@ class Estimator:
                     resource=resource,
                     contention_raw=raw,
                     contention_norm=norm,
-                    overloaded=norm >= self.config.threshold_for(resource.name),
+                    overloaded=norm >= self.config.contention_threshold,
                 )
             )
         return reports

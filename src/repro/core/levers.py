@@ -73,8 +73,6 @@ class MitigationLever(ActionPolicy):
         # The controller owns its lever: refer back weakly, or the two
         # would be a reference cycle that outlives the run.
         self._controller = weakref.ref(controller)
-        #: Mitigations applied by this lever (cancels or reshapes).
-        self.actions_total = 0
         #: Interned audit gain-column names (resource names, sorted).
         self._gain_names: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
@@ -93,13 +91,10 @@ class MitigationLever(ActionPolicy):
     def _on_calm(self, now: float) -> None:
         """Hook for levers with state to unwind when overload subsides."""
 
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        return {"name": self.lever_name, "actions_total": self.actions_total}
-
     def _handle_potential_overload(self, oldest_age: float = 0.0) -> None:
         c = self.controller
         now = c.env.now
-        sample = c.detector.history[-1] if c.detector.history else None
+        sample = c.detector.last
         c.decision_log.record(
             now,
             DecisionKind.DETECTION,
@@ -177,7 +172,6 @@ class MitigationLever(ActionPolicy):
         )
         if cancelled:
             c.cancels_issued += 1
-            self.actions_total += 1
             c.decision_log.record(
                 now,
                 DecisionKind.CANCELLATION,
@@ -260,7 +254,7 @@ class MitigationLever(ActionPolicy):
                     rtype=r.resource.rtype.value,
                     contention_raw=round(r.contention_raw, 9),
                     contention_norm=round(r.contention_norm, 9),
-                    threshold=c.config.threshold_for(r.resource.name),
+                    threshold=c.config.contention_threshold,
                     overloaded=r.overloaded,
                     concentrated=r.concentrated,
                     gain_skew=r.gain_skew
@@ -274,8 +268,9 @@ class MitigationLever(ActionPolicy):
         )
 
     def _finish_audit(self, audit: DecisionAudit) -> None:
-        """Record the audit; a traced run also carries its payload on
-        the ``decision`` instant (what ``tracer.audits`` reads)."""
+        """Record the audit; a traced run's ``decision`` instant refers
+        to it, and the trace renders its payload when read (what
+        ``tracer.audits`` returns)."""
         c = self.controller
         c.decision_log.record_audit(audit)
         tracer = c.env.tracer
@@ -290,7 +285,7 @@ class MitigationLever(ActionPolicy):
                     else ""
                 ),
                 "atropos:decisions",
-                audit=audit.to_payload(),
+                audit=audit,
             )
 
 
@@ -332,8 +327,6 @@ class LockScheduleLever(MitigationLever):
         #: application's resource registry (the lever keeps the locks,
         #: not the application, which holds the controller).
         self._locks: Dict[ResourceHandle, List["SyncLock"]] = {}
-        #: Lifetime count of waiters this lever parked.
-        self.parked_total = 0
 
     def bind(self, app: "Application") -> None:
         from ..sim.resources.lock import SyncLock
@@ -347,24 +340,13 @@ class LockScheduleLever(MitigationLever):
             if locks:
                 self._locks[handle] = locks
 
-    def _app_locks(self, handle=None) -> List["SyncLock"]:
-        """The bound app's SyncLocks -- behind ``handle``, or all of them.
+    def _app_locks(self, handle: ResourceHandle) -> List["SyncLock"]:
+        """The bound app's SyncLocks behind ``handle``.
 
         A culprit handle that stands for something else (a pool, a
         queue) has none, and neither has an unbound lever.
         """
-        if handle is not None:
-            return list(self._locks.get(handle, ()))
-        return [lock for locks in self._locks.values() for lock in locks]
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        snap = super().telemetry_snapshot()
-        snap["parked_total"] = self.parked_total
-        # Readmission happens in the locks (idle trickle), not here.
-        snap["reactivated_total"] = sum(
-            lock.waiters_reactivated_total for lock in self._app_locks()
-        )
-        return snap
+        return list(self._locks.get(handle, ()))
 
     # -- culprit identification ---------------------------------------
     def _culprit_op(
@@ -412,8 +394,6 @@ class LockScheduleLever(MitigationLever):
                 == op_name
             )
         if parked:
-            self.actions_total += 1
-            self.parked_total += parked
             c.decision_log.record(
                 now,
                 DecisionKind.LEVER,

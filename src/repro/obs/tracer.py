@@ -116,7 +116,9 @@ class Span:
 #: track, args, extra)``, ``ts`` in simulated seconds; ``extra`` is a
 #: complete span's end time and an async span's pairing id.  A run's
 #: ``process_name`` metadata is ``("M", pid, 0.0, None, label, None,
-#: None, None)``.
+#: None, None)``.  A ``decision`` instant's ``args`` are ``{"audit":
+#: audit}``, the decision audit the controller's log keeps; the trace
+#: shows its ``to_payload()`` dict, rendered when read.
 Record = Tuple[str, int, float, Optional[str], str, Optional[str], Any, Any]
 
 
@@ -147,6 +149,8 @@ def render(records: List[Record]) -> List[Dict[str, Any]]:
             event["dur"] = round((extra - ts) * 1e6, 3)
         elif ph == "i":
             event["s"] = "t"
+            if cat == "decision":
+                args = {"audit": args["audit"].to_payload()}
         elif ph != "C":
             event["id"] = extra
         if args or ph == "C":
@@ -208,11 +212,12 @@ class Tracer:
 
     @property
     def audits(self) -> List[Dict[str, Any]]:
-        """The decision-audit payloads, read back from the ``decision``
-        instants the mitigation levers emit (the controller's decision
-        log is the record of truth; this is the trace's view of it)."""
+        """The decision-audit payloads, rendered from the audits the
+        ``decision`` instants of the mitigation levers refer to (the
+        controller's decision log is the record of truth; this is the
+        trace's view of it)."""
         return [
-            record[6]["audit"]
+            record[6]["audit"].to_payload()
             for record in self.records
             if record[3] == "decision"
         ]

@@ -266,12 +266,11 @@ class TestPBoxVictimChoice:
             ) is _assessment_top_consumer(p, resource)
         # The whole window step, fast against tapped.
         p._maybe_penalize()
-        fast = (dict(p._penalized), p.penalties_issued)
+        fast = dict(p._penalized)
         p._penalized.clear()
-        p.penalties_issued = 0
         p.estimator.gain_tap = lambda now, gain: gain
         p._maybe_penalize()
-        assert (dict(p._penalized), p.penalties_issued) == fast
+        assert dict(p._penalized) == fast
 
     def test_equal_usage_goes_to_the_task_created_first(self, env):
         p = PBox(env)

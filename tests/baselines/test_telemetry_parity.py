@@ -1,11 +1,14 @@
-"""Baseline controllers expose scrape-complete telemetry_snapshot()s.
+"""Controllers expose scrape-complete telemetry_snapshot()s.
 
-PR 4 instrumented the ATROPOS core; the baselines used to scrape as
-blanks.  The telemetry scraper reads ``snapshot["detector"]`` with the
-keys ``overloaded`` / ``tail_latency`` / ``throughput`` / ``samples``,
-so the window-driven baselines must provide that dict, and every
-controller must report its own action counters.
+The telemetry scraper reads ``snapshot["detector"]`` with the keys
+``overloaded`` / ``tail_latency`` / ``throughput`` / ``samples``, so the
+window-driven baselines must provide that dict.  A snapshot holds
+exactly the sections the scraper reads -- ``cancels_issued``,
+``detector``, ``signals``, ``blame`` -- and nothing it would drop, and
+the scraped exports of every system are pinned by digest.
 """
+
+import hashlib
 
 import pytest
 
@@ -44,32 +47,42 @@ class TestSnapshotParity:
 
     @pytest.mark.parametrize("name", WINDOWED)
     def test_windowed_baselines_report_detector_signals(self, name):
-        snap = build(name).telemetry_snapshot()
-        assert DETECTOR_KEYS <= set(snap["detector"])
-        assert snap["detector"]["overloaded"] in (0.0, 1.0)
-
-    @pytest.mark.parametrize("name", WINDOWED)
-    def test_windowed_baselines_report_admission_state(self, name):
         controller = build(name)
         snap = controller.telemetry_snapshot()
+        assert DETECTOR_KEYS <= set(snap["detector"])
+        assert snap["detector"]["overloaded"] in (0.0, 1.0)
         assert controller.rejections == 0
-        if name == "autothrottle":  # throttles, never refuses
-            assert "limit" in snap["throttle"]
-        else:
-            assert "rejections" in snap["admission"]
 
-    def test_pbox_reports_penalties(self):
-        snap = build("pbox").telemetry_snapshot()
-        assert snap["penalties"] == {"issued": 0, "active": 0}
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_snapshot_holds_only_what_the_scraper_reads(self, name):
+        """Every top-level section of a snapshot is one
+        ``Scraper._scrape_controller`` reads: a section it never reads
+        is state built each scrape for nobody."""
+        from repro.telemetry.scrape import RunTelemetry, Scraper
 
-    def test_protego_reports_drops(self):
-        snap = build("protego").telemetry_snapshot()
-        assert snap["drops"] == {"issued": 0, "open_waits": 0}
+        controller = build(name)
+        snap = _ReadKeys(controller.telemetry_snapshot())
+        controller.telemetry_snapshot = lambda: snap
+        scraper = Scraper(controller.env, RunTelemetry("guard", 0.25), [])
+        scraper._controller = controller
+        scraper._scrape_controller({})
+        assert set(snap) <= snap.read
 
-    def test_darc_reports_reservations(self):
-        snap = build("darc").telemetry_snapshot()
-        assert snap["reservations"]["pools"] == 0
-        assert "reserved_fraction" in snap["reservations"]
+
+class _ReadKeys(dict):
+    """A snapshot that remembers which of its top-level keys were read."""
+
+    def __init__(self, snap):
+        super().__init__(snap)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
 class TestScraperConsumesBaselines:
@@ -174,3 +187,83 @@ class TestDeclaredObserverState:
             "cancel-drop": controller.cancellation is not None,
         }
         assert len(extras["fault_events"]) == 6
+
+
+#: sha256 of ``(prometheus_text, jsonl_series)`` of a scraped c1 run
+#: (6 s, seed 0, one scrape every 0.25 s) under each system.  The run
+#: covers the three scans (2, 3 and 4 s) and the backup (5 s), so each
+#: controller has something to act on.  DARC's reservation of the InnoDB
+#: queue changes no request of these 6 s, so DARC's run scrapes like the
+#: uncontrolled one.
+TELEMETRY_GOLDENS = {
+    "overload": (
+        "ed316fed2ffb544aa3de9d82f5703a9f603ee7ef8bf7d61c1d4549837dea7c4a",
+        "9960a2e65a31a51836c725365c630128a3dc81afde154340a3a65212ea3330b9",
+    ),
+    "atropos": (
+        "21732d739ca794a8564df63bfc05362a7a247e2ed722f37bb857cdc44d8dde5b",
+        "0a22125d36b8716c55494d78a4a8adba0f29a5be56105d078316599166ac8fd8",
+    ),
+    "protego": (
+        "54f32284796a5412fb3a977436973c293f251a823c4a136a8b7a1228f91d3fbc",
+        "fdf7d78e3f2411adb21fc8be7f97307d94424518e6818806433547460d8166a2",
+    ),
+    "pbox": (
+        "5e945d9fb3a3d4fd0980d51753134dc7472de1daeb261216be631e6f311fc0db",
+        "e408e9545d8a0c10610e975411160d0cbb0679d0a714b83f559d7c83c07efad1",
+    ),
+    "darc": (
+        "ed316fed2ffb544aa3de9d82f5703a9f603ee7ef8bf7d61c1d4549837dea7c4a",
+        "9960a2e65a31a51836c725365c630128a3dc81afde154340a3a65212ea3330b9",
+    ),
+    "parties": (
+        "7c6b1c08656a2ba6363442d3495301d69965da9f7df1317d045959f33433aa0c",
+        "6d8926d8cee6dd868f230d5a8c1c2d0d84f032d2bf57b3266bab27eb9f7a19db",
+    ),
+    "seda": (
+        "358ee3d07836143af1b223d868aff2557d896480927c0f8fd0ddf2e2b0117c54",
+        "1698468dad0709f47ae6b3ac2a12eb9997dd1d3050c8682e14693a397628cabc",
+    ),
+    "breakwater": (
+        "75d52873eea23de74b7815d7a9d3cd6f6e401ced62e0d0d5ff735ecf01f75dae",
+        "f8b14cd556ea70a3c6933d659fc089eef2003494c57e22785635e5ed3367833f",
+    ),
+    "dagor": (
+        "43b0b7724bf9e0b7d81e241bde7f9d37633577bdc562accd7a752888fbed85bc",
+        "32f914c80b394e9784128285305d47070f60ee017773b5701c5ac2ef1e2fac7e",
+    ),
+    "autothrottle": (
+        "775c096a939130a36413615b51163bdebb159910cae5dd936f627ef9dcb60b9d",
+        "9392275e7585c88f50e7a9eaef226e1872abff853f82dad2886ea205f0e22dbe",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_scraped_exports_match_golden(name):
+    from repro.campaign.spec import load_all_families
+    from repro.experiments.harness import resolve_sim, run_simulation
+    from repro.telemetry import (
+        TelemetrySession,
+        jsonl_series,
+        prometheus_text,
+        telemetry_session,
+    )
+
+    load_all_families()
+    build_case = resolve_sim("case")({"case_id": "c1", "system": name})
+    session = TelemetrySession(interval=0.25)
+    with telemetry_session(session):
+        run_simulation(
+            build_case.app_factory,
+            build_case.workload_factory,
+            build_case.controller_factory,
+            duration=6.0,
+        )
+    digests = tuple(
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for text in (
+            prometheus_text(session.runs), jsonl_series(session.runs),
+        )
+    )
+    assert digests == TELEMETRY_GOLDENS[name]

@@ -36,12 +36,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="adapt_min_slack"):
             AtroposConfig(adapt_min_slack=0.0)
 
-    def test_override_thresholds_validated(self):
-        with pytest.raises(
-            ValueError, match=r"contention_threshold_overrides\['lock'\]"
-        ):
-            AtroposConfig(contention_threshold_overrides={"lock": -1.0})
-
     def test_unknown_policy_names_the_known_ones(self):
         with pytest.raises(
             ValueError,

@@ -93,10 +93,10 @@ def test_latency_limit_includes_slack(env):
 
 def test_history_records_samples(env):
     det = make_detector(env)
+    assert det.last is None
     feed(det, 50, latency=0.5)
     det.check()
-    assert len(det.history) == 1
-    sample = det.history[0]
+    sample = det.last
     assert sample.samples == 50
     assert sample.overloaded is True
 

@@ -47,22 +47,13 @@ class TestAtroposWiring:
         controller = Atropos(Environment(), AtroposConfig(lever=name))
         assert type(controller.lever) is cls
 
-    def test_lever_snapshot_in_controller_telemetry(self):
-        controller = Atropos(
-            Environment(), AtroposConfig(lever="lock_reshape")
-        )
-        snap = controller.telemetry_snapshot()
-        assert snap["lever"]["name"] == "lock_reshape"
-        assert snap["lever"]["actions_total"] == 0
-        assert snap["lever"]["parked_total"] == 0
-
 
 class TestLockDiscovery:
     def test_bind_discovers_locks_including_lists(self):
         env = Environment()
         controller = Atropos(env, AtroposConfig(lever="lock_reshape"))
         lever = controller.lever
-        assert lever._app_locks() == []  # unbound: nothing to park on
+        assert lever._locks == {}  # unbound: nothing to park on
 
         app = StubApp(
             env,
@@ -78,10 +69,12 @@ class TestLockDiscovery:
         )
         controller.bind(app)
 
-        def names(handle=None):
+        def names(handle):
             return [lock.name for lock in lever._app_locks(handle)]
 
-        assert names() == ["app.latch", "app.table_lock.0", "app.table_lock.1"]
+        assert list(lever._locks) == [
+            app.handles["undo_log"], app.handles["table_lock"],
+        ]
         assert names(app.handles["table_lock"]) == [
             "app.table_lock.0", "app.table_lock.1",
         ]

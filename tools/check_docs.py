@@ -128,6 +128,11 @@ RETIRED_NAMES = [
     "POLICY_CLASSES",
     "DAG_CONTRAST",
     "_tracing_only_atropos",
+    "open_wait_count",
+    "completions_by_op",
+    "statuses_by_epoch",
+    "threshold_for",
+    "contention_threshold_overrides",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,
