@@ -42,7 +42,6 @@ class DARC(BaseController):
         super().__init__(env)
         self.reserved_fraction = reserved_fraction
         self.light_classes = light_classes
-        self.reserved_pools = []
 
     def bind(self, app) -> None:
         """Reserve a share of every worker pool for short classes.
@@ -63,4 +62,3 @@ class DARC(BaseController):
                     continue
                 # One shared reservation for all profiled-short classes.
                 pool.reserve(self.light_classes, reserve)
-                self.reserved_pools.append(pool)

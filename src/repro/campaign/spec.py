@@ -187,9 +187,42 @@ class RunSpec:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def label(self) -> str:
-        """Deterministic display label (trace runs, progress lines)."""
-        prefix = self.experiment or self.family
-        return f"{prefix}:{self.family}:seed={self.seed}"
+        """Deterministic display label (trace and telemetry runs,
+        progress lines), one per spec: ``{experiment}:{family}``, each
+        param, each overlay key (as ``overlay.{key}``) and each set
+        fault plan / duration / warm-up as ``key=value``, then the
+        seed -- ``fig9:case:case_id=c1:system=darc:seed=0``.  A nested
+        value (a fault plan, a fleet spec) shows as ``#`` and a short
+        hash of its content."""
+        parts = [self.experiment or self.family, self.family]
+        parts += [
+            f"{k}={_label_value(v)}" for k, v in sorted(self.params.items())
+        ]
+        parts += [
+            f"overlay.{k}={_label_value(v)}"
+            for k, v in sorted(self.overlay.items())
+        ]
+        run = {
+            "faults": self.faults,
+            "duration": self.duration,
+            "warmup": self.warmup,
+        }
+        parts += [
+            f"{k}={_label_value(v)}" for k, v in run.items() if v is not None
+        ]
+        parts.append(f"seed={self.seed}")
+        return ":".join(parts)
+
+
+def _label_value(value: Any) -> str:
+    """A :meth:`RunSpec.label` value: a string as is, a nested one as
+    ``#`` plus 8 hex digits of its content hash, else its JSON."""
+    if isinstance(value, str):
+        return value
+    text = json.dumps(value, sort_keys=True)
+    if isinstance(value, (dict, list)):
+        return "#" + hashlib.sha256(text.encode()).hexdigest()[:8]
+    return text
 
 
 @dataclass

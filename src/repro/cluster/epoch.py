@@ -32,7 +32,7 @@ from ..apps.mysql import MySQL, MySQLConfig
 from ..apps.postgres import PostgreSQL, PostgresConfig
 from ..experiments.harness import ControllerFactory, assemble
 from ..sim.environment import Environment
-from ..sim.metrics import Summary
+from ..sim.metrics import SummaryFold
 from ..sim.rng import Rng
 from ..workers import WorkerFailure, Workers, can_fork
 
@@ -77,6 +77,13 @@ class EpochNode:
     across workers.  :meth:`finish` reports and then closes the node's
     environment, so a finished node is freed by reference counting.
 
+    A node keeps one epoch of request records, not the whole run: each
+    ``advance`` takes its epoch's records out of the collector
+    (:meth:`~repro.sim.metrics.MetricsCollector.take`), hands them to
+    the status hook and folds them into the end-of-run summary
+    (:class:`~repro.sim.metrics.SummaryFold`, warm-up cutoff applied as
+    they arrive), so its memory does not grow with the run's length.
+
     Subclasses supply ``_deliver(directives)``, ``_submit(inputs)``,
     ``_status(window, **common)`` and ``_report_extra()``; every
     byte-sensitive ordering lives in those hooks.
@@ -110,8 +117,9 @@ class EpochNode:
         self.controller, self.app = driver.controller, driver.app
         if start:
             self.controller.start()
-        # Window cursors for status diffs.
-        self._record_idx = 0
+        #: The end-of-run summary's inputs, one epoch folded at a time.
+        self._fold = SummaryFold(spec.warmup)
+        # Window cursor for the offered-count diff.
         self._offered_last = 0
 
     def _build_app(self, env: Environment, controller, rng: Rng):
@@ -162,13 +170,17 @@ class EpochNode:
     def advance(
         self, epoch: int, t_end: float, inputs: List, directives: List
     ):
-        """Run this node's environment to ``t_end`` and snapshot it."""
+        """Run this node's environment to ``t_end`` and snapshot it.
+
+        The epoch's records leave the collector here: the status hook
+        reads them and the summary fold keeps what the final report
+        needs, so no record outlives its epoch.
+        """
         self._deliver(directives)
         self._submit(inputs)
         self.env.run(until=t_end)
-        records = self.collector.records
-        window = records[self._record_idx:]
-        self._record_idx = len(records)
+        window = self.collector.take()
+        self._fold.add(window)
         offered_total = self.collector.offered
         offered_window = offered_total - self._offered_last
         self._offered_last = offered_total
@@ -181,12 +193,13 @@ class EpochNode:
         )
 
     def finish(self) -> Dict[str, Any]:
-        """End-of-run report (picklable); then the node's environment
-        is closed (:meth:`~repro.sim.environment.Environment.close`),
-        which finalizes its in-flight work once."""
-        summary = Summary.from_collector(
-            self.collector.trimmed(self.spec.warmup), self.measured
-        )
+        """End-of-run report (picklable), read from the summary fold
+        -- the same arithmetic as
+        :meth:`~repro.sim.metrics.Summary.from_collector` over the
+        warm-up-trimmed records; then the node's environment is closed
+        (:meth:`~repro.sim.environment.Environment.close`), which
+        finalizes its in-flight work once."""
+        summary = self._fold.summary(self.measured)
         report = {
             self.kind: self.name,
             "backend": self.backend,

@@ -62,8 +62,6 @@ class NodeStatus:
     local_cancelled_ops: List[str] = field(default_factory=list)
     #: Tasks cancelled by coordinator directives this window.
     directive_cancels_window: int = 0
-    #: Directives still pending delivery (node partitioned).
-    directives_deferred: int = 0
     #: DAGOR feedback: highest op priority value the node admits.
     admit_priority: int = 99
 
@@ -229,7 +227,6 @@ class ClusterNode(EpochNode):
             self.directive_cancels - self._directive_cancels_last
         )
         self._directive_cancels_last = self.directive_cancels
-        status.directives_deferred = len(self.pending_directives)
         status.admit_priority = self._admit_priority(status)
         return status
 

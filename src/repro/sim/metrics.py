@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class RequestStatus(enum.Enum):
@@ -159,6 +160,18 @@ class MetricsCollector:
 
     def record(self, record: RequestRecord) -> None:
         self.records.append(record)
+
+    def take(self) -> List[RequestRecord]:
+        """Hand over the records collected since the last ``take`` (or
+        since the start) and forget them.
+
+        The offered counts stay: they keep counting the whole run.  An
+        epoch node takes one epoch's records at a time and folds them
+        (:class:`SummaryFold`), so its memory does not grow with the
+        run's length.
+        """
+        records, self.records = self.records, []
+        return records
 
     def trimmed(self, cutoff: float) -> "MetricsCollector":
         """A collector view excluding records finishing before ``cutoff``.
@@ -341,28 +354,63 @@ class Summary:
         ``status_counts``) -- those stay the public API and the
         reference the tests compare this against.
         """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        counts: Dict[RequestStatus, int] = {s: 0 for s in RequestStatus}
+        fold = SummaryFold()
+        fold.add(collector.records)
+        return fold.summary(duration)
+
+
+class SummaryFold:
+    """The inputs of a :class:`Summary`, folded as records arrive.
+
+    Status counts plus the completed latencies in record order: records
+    fed in any number of windows give the summary the concatenated
+    records would (:meth:`Summary.from_collector` is one ``add`` of
+    them all).  A positive ``cutoff`` drops each record finishing before
+    it as it arrives, as :meth:`MetricsCollector.trimmed` does, so
+    ``SummaryFold(cutoff)`` over a run's windows summarises its
+    warm-up-trimmed view without keeping any record.
+    """
+
+    __slots__ = ("cutoff", "counts", "latencies")
+
+    def __init__(self, cutoff: float = 0.0) -> None:
+        self.cutoff = cutoff
+        self.counts: Dict[RequestStatus, int] = {s: 0 for s in RequestStatus}
+        #: Completed latencies, in record order.
+        self.latencies = array("d")
+
+    def add(self, records: Iterable[RequestRecord]) -> None:
+        """Fold one window of records."""
+        cutoff = self.cutoff
+        if cutoff > 0:
+            records = [r for r in records if r.finish_time >= cutoff]
+        counts = self.counts
         completed = RequestStatus.COMPLETED
-        latencies: List[float] = []
-        for record in collector.records:
+        append = self.latencies.append
+        for record in records:
             status = record.status
             counts[status] += 1
             if status is completed:
-                latencies.append(record.finish_time - record.arrival_time)
+                append(record.finish_time - record.arrival_time)
+
+    def summary(self, duration: float) -> Summary:
+        """The :class:`Summary` of everything folded so far."""
+        if duration <= 0:
+            raise ValueError("duration must be positive")
+        latencies = self.latencies
         n = len(latencies)
-        terminal = len(collector.records)
+        counts = self.counts
+        terminal = sum(counts.values())
         nan = float("nan")
         # Sum in record order, before sorting: float addition is not
         # associative and mean_latency() adds in this order.
         mean = sum(latencies) / n if n else nan
-        latencies.sort()
-        return cls(
+        ordered = sorted(latencies)
+        return Summary(
             duration=duration,
             throughput=n / duration,
-            p50_latency=_percentile_of_sorted(latencies, 50) if n else nan,
-            p99_latency=_percentile_of_sorted(latencies, 99) if n else nan,
+            p50_latency=_percentile_of_sorted(ordered, 50) if n else nan,
+            p99_latency=_percentile_of_sorted(ordered, 99) if n else nan,
             mean_latency=mean,
             drop_rate=(terminal - n) / terminal if terminal else 0.0,
             completed=n,

@@ -76,6 +76,38 @@ class TestRunSpec:
         assert "fig2" in spec.label()
         assert "seed=4" in spec.label()
 
+    def test_fig9_case_labels_are_one_per_run(self):
+        # A fig9 case is its reference run plus one run per system:
+        # telemetry exports every run under its label, so they differ.
+        specs = [case_spec("fig9", "c1", include_culprit=False)] + [
+            case_spec("fig9", "c1", system=system)
+            for system in ("atropos", "protego", "pbox", "darc", "parties")
+        ]
+        labels = [spec.label() for spec in specs]
+        assert len(set(labels)) == 6
+        assert labels[4] == "fig9:case:case_id=c1:system=darc:seed=0"
+
+    def test_label_tells_every_identity_field_apart(self):
+        base = RunSpec("e", "f", {"x": 1, "nested": {"a": [1]}})
+        variants = [
+            base,
+            RunSpec("e", "f", {"x": 2, "nested": {"a": [1]}}),
+            RunSpec("e", "f", {"x": 1, "nested": {"a": [2]}}),
+            RunSpec("e", "f", {"x": 1}),
+            RunSpec("e", "f", base.params, overlay={"policy": "fifo"}),
+            RunSpec("e", "f", base.params, faults={"faults": [1]}),
+            RunSpec("e", "f", base.params, duration=5.0),
+            RunSpec("e", "f", base.params, warmup=1.0),
+            RunSpec("e", "f", base.params, seed=1),
+            RunSpec("other", "f", base.params),
+        ]
+        assert len({spec.label() for spec in variants}) == len(variants)
+        # Deterministic, and blind to param order like the cache key.
+        assert base.label() == RunSpec(
+            "e", "f", {"nested": {"a": [1]}, "x": 1}
+        ).label()
+        assert "overlay.policy=fifo" in variants[4].label()
+
     def test_unknown_family_raises_with_known_names(self):
         load_all_families()
         with pytest.raises(KeyError, match="fig2.point"):

@@ -79,10 +79,11 @@ def cancel_elsewhere(node, at, tasks, index):
     env.process(other_path(env))
 
 
-def run_epochs(node, until, kind=CANCEL):
+def run_epochs(node, until, kind=CANCEL, queued=None):
     """Advance epoch by epoch to ``until``; one ``kind`` directive for
     :data:`OP` arrives with epoch :data:`DIRECTIVE_EPOCH`.  Returns the
-    epoch statuses."""
+    epoch statuses; ``queued``, when given, gets the length of the
+    node's directive queue after each epoch."""
     statuses = []
     for epoch in range(round(until / EPOCH)):
         directives = (
@@ -92,6 +93,8 @@ def run_epochs(node, until, kind=CANCEL):
         statuses.append(
             node.advance(epoch, (epoch + 1) * EPOCH, [], directives)
         )
+        if queued is not None:
+            queued.append(len(node.pending_directives))
     return statuses
 
 

@@ -5,15 +5,19 @@ eviction convention, and the ceil-based windowing helper that the
 harness timeline, throughput series, and telemetry scraper all share.
 """
 
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import RequestRecord, RequestStatus, Rng
 from repro.sim.metrics import (
+    MetricsCollector,
     SlidingWindow,
+    Summary,
+    SummaryFold,
     completion_windows,
     percentile,
     window_count,
@@ -273,3 +277,79 @@ class TestWindowingProperties:
         buckets = completion_windows(records, 1.0, 2.0)
         assert [len(latencies) for _, latencies in buckets] == [1, 2]
         assert [end for end, _ in buckets] == [1.0, 2.0]
+
+
+#: ``(arrival, latency, status)`` of one terminal request.
+terminal_requests = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+        st.sampled_from(list(RequestStatus)),
+    ),
+    max_size=60,
+)
+
+
+def same_summary(a, b):
+    """Field for field, bit for bit (NaN equals NaN)."""
+    for field in dataclasses.fields(Summary):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, float):
+            assert x.hex() == y.hex(), field.name
+        else:
+            assert x == y, field.name
+
+
+class TestSummaryFoldProperties:
+    """An epoch node folds its records one window at a time, warm-up
+    cutoff applied as they arrive; its report must be what
+    ``Summary.from_collector`` makes of the whole trimmed run."""
+
+    @given(
+        requests=terminal_requests,
+        cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=8),
+        cutoff=st.floats(min_value=0.0, max_value=25.0, allow_nan=False),
+        duration=st.floats(min_value=0.1, max_value=100.0,
+                           allow_nan=False),
+    )
+    @example(requests=[], cuts=[0, 0], cutoff=1.0, duration=1.0)
+    @example(  # all dropped: no completion, p99 is NaN
+        requests=[(0.5, 0.1, RequestStatus.DROPPED)] * 3,
+        cuts=[1], cutoff=0.0, duration=2.0,
+    )
+    @example(  # completions all before the cutoff: NaN p99 again
+        requests=[(0.1, 0.1, RequestStatus.COMPLETED),
+                  (2.0, 0.5, RequestStatus.CANCELLED)],
+        cuts=[1], cutoff=1.0, duration=2.0,
+    )
+    @settings(max_examples=300)
+    def test_windowed_fold_equals_summary_of_trimmed_run(
+        self, requests, cuts, cutoff, duration
+    ):
+        records = [
+            RequestRecord(
+                request_id=i, op_name="op", client_id="c",
+                arrival_time=arrival, finish_time=arrival + latency,
+                status=status,
+            )
+            for i, (arrival, latency, status) in enumerate(requests)
+        ]
+        collector = MetricsCollector()
+        fold = SummaryFold(cutoff)
+        bounds = sorted(min(cut, len(records)) for cut in cuts)
+        for start, end in zip([0] + bounds, bounds + [len(records)]):
+            for record in records[start:end]:
+                collector.record(record)
+            fold.add(collector.take())
+        assert collector.records == []
+        expected = Summary.from_collector(
+            _holding(records).trimmed(cutoff), duration
+        )
+        same_summary(fold.summary(duration), expected)
+
+
+def _holding(records):
+    collector = MetricsCollector()
+    for record in records:
+        collector.record(record)
+    return collector

@@ -133,6 +133,8 @@ RETIRED_NAMES = [
     "statuses_by_epoch",
     "threshold_for",
     "contention_threshold_overrides",
+    "directives_deferred",
+    "reserved_pools",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,
