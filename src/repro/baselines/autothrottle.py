@@ -38,28 +38,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
 
 
+#: Every service's initial local latency target, as a share of the SLO
+#: (the fast loop starts there; the tower moves it).
+INITIAL_TARGET_FRACTION = 0.8
+
+
 class Autothrottle(WindowedController):
     """Per-service fast-loop throttle with a settable latency target."""
 
     name = "autothrottle"
+    adjust_period = 0.2
+    min_workers = 1
+    #: Multiplicative shrink of the concurrency limit on a breach.
+    shrink = 0.6
+    #: Grow back only while the tail is below this share of the target.
+    relax_fraction = 0.7
 
-    def __init__(
-        self,
-        env: "Environment",
-        slo_latency: float = 0.05,
-        adjust_period: float = 0.2,
-        target: Optional[float] = None,
-        min_workers: int = 1,
-        shrink: float = 0.6,
-        relax_fraction: float = 0.7,
-    ) -> None:
-        super().__init__(env, adjust_period)
+    def __init__(self, env: "Environment", slo_latency: float = 0.05) -> None:
+        super().__init__(env)
         self.slo_latency = slo_latency
         #: The local latency target the tower redistributes.
-        self.target = 0.8 * slo_latency if target is None else target
-        self.min_workers = min_workers
-        self.shrink = shrink
-        self.relax_fraction = relax_fraction
+        self.target = INITIAL_TARGET_FRACTION * slo_latency
         #: Bound worker pool (None for pool-less backends).
         self.pool: Optional[ThreadPool] = None
         self.nominal_workers = 16
@@ -123,31 +122,28 @@ class Autothrottle(WindowedController):
 class AutothrottleTower:
     """The global slow loop: redistribute per-service latency targets.
 
-    Runs in the mesh coordinator's slow-loop seat, once per
-    ``tower_period``: when end-to-end victim p99 violates the SLO it
-    tightens the target of the service currently showing the worst
-    window tail (squeeze the latency where it lives); otherwise it
-    relaxes every target back toward the SLO.
+    Runs in the mesh coordinator's slow-loop seat, once per tower
+    period (:attr:`repro.cluster.mesh._MeshDriver.tower_period`): when
+    end-to-end victim p99 violates the SLO it tightens the target of
+    the service currently showing the worst window tail (squeeze the
+    latency where it lives); otherwise it relaxes every target back
+    toward the SLO.
     """
 
     name = "autothrottle-tower"
+    #: The end-to-end p99 violates the SLO above ``slo_latency * slack``.
+    slack = 1.5
+    #: Multiplicative tightening of the worst service's target.
+    shrink = 0.7
+    #: Multiplicative relaxing of every target while healthy.
+    grow = 1.1
 
-    def __init__(
-        self,
-        services: List[str],
-        slo_latency: float,
-        slack: float = 1.5,
-        shrink: float = 0.7,
-        grow: float = 1.1,
-    ) -> None:
+    def __init__(self, services: List[str], slo_latency: float) -> None:
         self.slo_latency = slo_latency
-        self.slack = slack
-        self.shrink = shrink
-        self.grow = grow
         self.floor = 0.05 * slo_latency
         self.cap = slo_latency
         self.targets: Dict[str, float] = {
-            name: 0.8 * slo_latency for name in services
+            name: INITIAL_TARGET_FRACTION * slo_latency for name in services
         }
         self.moves: List[Dict[str, Any]] = []
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict
 
 from ..core.pipeline import WindowedController
-from ..core.task import CancellableTask
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
@@ -32,37 +31,22 @@ class Breakwater(WindowedController):
     """Credit-based admission keyed on queueing delay."""
 
     name = "breakwater"
+    adjust_period = 0.1
+    initial_credits = 64
+    min_credits = 4
+    max_credits = 4096
+    additive_increase = 4
+    multiplicative_decrease = 0.8
+    #: Credits are slightly overcommitted relative to inflight demand
+    #: so idle capacity is never stranded.
+    overcommit = 1.1
 
-    def __init__(
-        self,
-        env: "Environment",
-        target_delay: float = 0.02,
-        adjust_period: float = 0.1,
-        initial_credits: int = 64,
-        min_credits: int = 4,
-        max_credits: int = 4096,
-        additive_increase: int = 4,
-        multiplicative_decrease: float = 0.8,
-        overcommit: float = 1.1,
-    ) -> None:
-        """
-        Args:
-            target_delay: queueing-delay target d_t; credits shrink when
-                the observed delay exceeds it.
-            overcommit: credits are slightly overcommitted relative to
-                inflight demand so idle capacity is never stranded.
-        """
-        super().__init__(env, adjust_period)
+    def __init__(self, env: "Environment", target_delay: float = 0.02) -> None:
+        super().__init__(env)
+        #: Queueing-delay target d_t; credits shrink when the observed
+        #: delay exceeds it.
         self.target_delay = target_delay
-        self.adjust_period = adjust_period
-        self.credits = float(initial_credits)
-        self.min_credits = min_credits
-        self.max_credits = max_credits
-        self.additive_increase = additive_increase
-        self.multiplicative_decrease = multiplicative_decrease
-        self.overcommit = overcommit
-        #: Requests currently holding a credit (executing).
-        self.inflight = 0
+        self.credits = float(self.initial_credits)
         #: Sum of service-time estimates, for delay decomposition.
         self._service_estimate = 0.005
 
@@ -89,18 +73,10 @@ class Breakwater(WindowedController):
     # Admission
     # ------------------------------------------------------------------
     def admit(self, op_name: str, client_id: str) -> bool:
+        """Admit while the requests holding a credit (the listed
+        tasks) are below the overcommitted credit pool."""
         limit = self.credits * self.overcommit
-        if self.inflight < limit:
+        if len(self.tasks) < limit:
             return True
         self.rejections += 1
         return False
-
-    def create_cancel(self, *args, **kwargs) -> CancellableTask:
-        task = super().create_cancel(*args, **kwargs)
-        self.inflight += 1
-        return task
-
-    def free_cancel(self, task: CancellableTask) -> None:
-        if task.seq in self.tasks:
-            self.inflight = max(0, self.inflight - 1)
-        super().free_cancel(task)

@@ -24,7 +24,7 @@ feedback snapshot.
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..core.pipeline import WindowedController
 
@@ -69,15 +69,10 @@ def user_level(client_id: str, user_levels: int) -> int:
     return zlib.crc32(base.encode()) % user_levels
 
 
-def compound_priority(
-    op_name: str,
-    client_id: str,
-    user_levels: int,
-    priorities: Optional[Dict[str, int]] = None,
-) -> int:
+def compound_priority(op_name: str, client_id: str) -> int:
     """DAGOR's compound priority: ``business * user_levels + user``."""
-    table = DEFAULT_OP_PRIORITIES if priorities is None else priorities
-    business = table.get(op_name, DEFAULT_BUSINESS_PRIORITY)
+    user_levels = Dagor.user_levels
+    business = DEFAULT_OP_PRIORITIES.get(op_name, DEFAULT_BUSINESS_PRIORITY)
     return business * user_levels + user_level(client_id, user_levels)
 
 
@@ -85,36 +80,20 @@ class Dagor(WindowedController):
     """Compound-priority admission with exported upstream feedback."""
 
     name = "dagor"
+    adjust_period = 0.2
+    #: User levels per business-priority class.
+    user_levels = 8
+    #: Never shed the most-critical business class entirely.
+    min_level = user_levels - 1
+    #: Half a business class per overloaded window.
+    shrink_step = max(1, user_levels // 2)
+    grow_step = 1
+    #: Full admission: the largest compound priority in use.
+    max_level = BUSINESS_LEVELS * user_levels - 1
 
-    def __init__(
-        self,
-        env: "Environment",
-        slo_latency: float = 0.05,
-        adjust_period: float = 0.2,
-        user_levels: int = 8,
-        shrink_step: Optional[int] = None,
-        grow_step: int = 1,
-        min_level: Optional[int] = None,
-        priorities: Optional[Dict[str, int]] = None,
-    ) -> None:
-        super().__init__(env, adjust_period)
+    def __init__(self, env: "Environment", slo_latency: float = 0.05) -> None:
+        super().__init__(env)
         self.slo_latency = slo_latency
-        self.user_levels = user_levels
-        self.priorities = (
-            dict(DEFAULT_OP_PRIORITIES) if priorities is None
-            else dict(priorities)
-        )
-        #: Full admission: the largest compound priority in use.
-        self.max_level = BUSINESS_LEVELS * user_levels - 1
-        #: Never shed the most-critical business class entirely.
-        self.min_level = (
-            user_levels - 1 if min_level is None else min_level
-        )
-        #: Half a business class per overloaded window by default.
-        self.shrink_step = (
-            max(1, user_levels // 2) if shrink_step is None else shrink_step
-        )
-        self.grow_step = grow_step
         #: Live admission level (moved at each window edge).
         self.level = self.max_level
         #: Window-edge feedback snapshot exported upstream.
@@ -141,13 +120,8 @@ class Dagor(WindowedController):
         self.admit_level = self.level
         self.feedback_history.append((now, self.level))
 
-    def priority_of(self, op_name: str, client_id: str) -> int:
-        return compound_priority(
-            op_name, client_id, self.user_levels, self.priorities
-        )
-
     def admit(self, op_name: str, client_id: str) -> bool:
-        if self.priority_of(op_name, client_id) <= self.level:
+        if compound_priority(op_name, client_id) <= self.level:
             return True
         self.rejections += 1
         return False

@@ -14,34 +14,20 @@ no monitor process.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Tuple
+from typing import Tuple
 
 from ..core.controller import BaseController
 from ..sim.resources import ThreadPool
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.environment import Environment
-
-#: Request classes DARC's profiler classifies as short.
-LIGHT_CLASSES: Tuple[str, ...] = ("light", "static", "io")
 
 
 class DARC(BaseController):
     """Request-type-aware worker reservation."""
 
     name = "darc"
-
-    def __init__(
-        self,
-        env: "Environment",
-        reserved_fraction: float = 0.5,
-        light_classes: Tuple[str, ...] = LIGHT_CLASSES,
-    ) -> None:
-        if not 0.0 < reserved_fraction < 1.0:
-            raise ValueError("reserved_fraction must be in (0, 1)")
-        super().__init__(env)
-        self.reserved_fraction = reserved_fraction
-        self.light_classes = light_classes
+    #: Share of every worker pool reserved for the short classes.
+    reserved_fraction = 0.5
+    #: Request classes DARC's profiler classifies as short.
+    light_classes: Tuple[str, ...] = ("light", "static", "io")
 
     def bind(self, app) -> None:
         """Reserve a share of every worker pool for short classes.

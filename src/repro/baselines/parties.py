@@ -30,20 +30,15 @@ class Parties(WindowedController):
     """Per-client incremental resource partitioning."""
 
     name = "parties"
+    adjust_period = 0.5
+    #: Every client's starting (and restored-to) concurrency allocation.
+    initial_limit = 64
+    #: The smallest allocation a shrink leaves a client.
+    min_limit = 1
 
-    def __init__(
-        self,
-        env: "Environment",
-        slo_latency: float = 0.05,
-        adjust_period: float = 0.5,
-        initial_limit: int = 64,
-        min_limit: int = 1,
-    ) -> None:
-        super().__init__(env, adjust_period)
+    def __init__(self, env: "Environment", slo_latency: float = 0.05) -> None:
+        super().__init__(env)
         self.slo_latency = slo_latency
-        self.adjust_period = adjust_period
-        self.initial_limit = initial_limit
-        self.min_limit = min_limit
         #: client -> concurrency allocation.
         self.limits: Dict[str, int] = {}
         #: client -> currently executing requests.

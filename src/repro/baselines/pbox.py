@@ -30,22 +30,16 @@ class PBox(TracingController):
     """Interference detection + penalty throttling (no drops)."""
 
     name = "pbox"
+    #: Seconds between interference checks (one usage window).
+    detection_period = 0.1
+    #: Delay injected at each checkpoint of a penalized task.
+    penalty_delay = 0.05
+    #: How long a penalty sticks before expiring.
+    penalty_duration = 1.0
+    #: Contention level above which a resource counts as overloaded.
+    contention_threshold = 0.25
 
-    def __init__(
-        self,
-        env: "Environment",
-        slo_latency: float = 0.05,
-        detection_period: float = 0.1,
-        penalty_delay: float = 0.05,
-        penalty_duration: float = 1.0,
-        contention_threshold: float = 0.25,
-    ) -> None:
-        """
-        Args:
-            penalty_delay: delay injected at each checkpoint of a
-                penalized task.
-            penalty_duration: how long a penalty sticks before expiring.
-        """
+    def __init__(self, env: "Environment", slo_latency: float = 0.05) -> None:
         # pBox traces the same per-task usage signals (its "observation
         # points"); we reuse the runtime/estimator machinery.  Its
         # tracing is modelled as free: no checkpoint debt.
@@ -53,18 +47,18 @@ class PBox(TracingController):
             env,
             AtroposConfig(
                 slo_latency=slo_latency,
-                detection_period=detection_period,
-                contention_threshold=contention_threshold,
+                detection_period=self.detection_period,
+                contention_threshold=self.contention_threshold,
                 coarse_trace_cost=0.0,
                 fine_trace_cost=0.0,
             ),
         )
         self.estimator = Estimator(env, self.runtime, self.config)
-        self.penalty_delay = penalty_delay
-        self.penalty_duration = penalty_duration
         #: task seq -> penalty expiry time.
         self._penalized: Dict[int, float] = {}
-        self.pipeline = ControlPipeline(env, detection_period, action=self)
+        self.pipeline = ControlPipeline(
+            env, self.detection_period, action=self
+        )
 
     def free_cancel(self, task: CancellableTask) -> None:
         self._penalized.pop(task.seq, None)

@@ -32,31 +32,23 @@ class Protego(BaseController):
     name = "protego"
     #: ``slow_by_resource`` feeds the blocking-delay budget.
     traces_resources = True
+    #: Drop a request once its accumulated blocking delay exceeds
+    #: ``drop_fraction * slo_latency``.
+    drop_fraction = 0.8
+    #: How often waiting requests are scanned, seconds.
+    monitor_period = 0.02
 
-    def __init__(
-        self,
-        env: "Environment",
-        slo_latency: float = 0.05,
-        drop_fraction: float = 0.8,
-        monitor_period: float = 0.02,
-    ) -> None:
-        """
-        Args:
-            slo_latency: the request latency SLO.
-            drop_fraction: drop a request once its accumulated blocking
-                delay exceeds ``drop_fraction * slo_latency``.
-            monitor_period: how often waiting requests are scanned.
-        """
+    def __init__(self, env: "Environment", slo_latency: float = 0.05) -> None:
         super().__init__(env)
+        #: The request latency SLO.
         self.slo_latency = slo_latency
-        self.drop_fraction = drop_fraction
         #: task seq -> accumulated closed blocking delay.
         self._closed_wait: Dict[int, float] = {}
         #: task seq -> {resource: open wait start time}.  Only tasks that
         #: are waiting right now have an entry, so the outer order is
         #: wait-start order; the inner order is the task's own.
         self._open_waits: Dict[int, Dict[ResourceHandle, float]] = {}
-        self.pipeline = ControlPipeline(env, monitor_period, action=self)
+        self.pipeline = ControlPipeline(env, self.monitor_period, action=self)
 
     # ------------------------------------------------------------------
     # Wait tracking

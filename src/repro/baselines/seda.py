@@ -25,25 +25,18 @@ class Seda(WindowedController):
     """AIMD token-bucket admission keyed on tail latency."""
 
     name = "seda"
+    adjust_period = 0.2
+    #: Admission rate at start, requests per second.
+    initial_rate = 1000.0
+    min_rate = 10.0
+    additive_increase = 25.0
+    multiplicative_decrease = 0.7
 
-    def __init__(
-        self,
-        env: "Environment",
-        slo_latency: float = 0.05,
-        adjust_period: float = 0.2,
-        initial_rate: float = 1000.0,
-        min_rate: float = 10.0,
-        additive_increase: float = 25.0,
-        multiplicative_decrease: float = 0.7,
-    ) -> None:
-        super().__init__(env, adjust_period)
+    def __init__(self, env: "Environment", slo_latency: float = 0.05) -> None:
+        super().__init__(env)
         self.slo_latency = slo_latency
-        self.adjust_period = adjust_period
-        self.rate = initial_rate
-        self.min_rate = min_rate
-        self.additive_increase = additive_increase
-        self.multiplicative_decrease = multiplicative_decrease
-        self._tokens = initial_rate * adjust_period
+        self.rate = self.initial_rate
+        self._tokens = self.initial_rate * self.adjust_period
         self._last_refill = env.now
 
     def act(self, now: float, signals: Dict[str, Any]) -> None:

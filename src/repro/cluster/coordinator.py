@@ -3,16 +3,22 @@
 Once per epoch the coordinator receives every node's
 :class:`~repro.cluster.node.NodeStatus` and runs the cross-node test no
 local pipeline can: sum the contention-weighted candidate scores *by op
-across nodes* and require the culprit to show positive evidence on at
-least ``min_culprit_nodes`` nodes in the same epoch.  A big single-node
-holder (the decoy ``heavy_report``) fails the breadth test; the fanned-
-out scan -- individually modest on every node -- passes it.
+across nodes* over the last :attr:`GlobalCoordinator.evidence_window`
+epochs and require the culprit to show positive evidence on at least
+:attr:`GlobalCoordinator.min_culprit_nodes` nodes in the same epoch,
+with a windowed score of at least
+:attr:`GlobalCoordinator.min_culprit_score`.  A big single-node holder
+(the decoy ``heavy_report``) fails the breadth test; the fanned-out
+scan -- individually modest on every node -- passes it.  These are
+constants of the design, not per-run settings; the spec gives the SLO
+and its slack.
 
 On a positive attribution the coordinator issues a fleet-wide cancel
-directive (each node sweeps it over its live tasks of the op); ops
-cancelled repeatedly escalate to an LB quarantine, cutting future damage
-off at the routing tier (the DAGOR lesson: overload feedback must reach
-admission, not just the replica).
+directive (each node sweeps it over its live tasks of the op); an op
+cancelled in :attr:`GlobalCoordinator.quarantine_offenses` epochs
+escalates to an LB quarantine, cutting future damage off at the routing
+tier (the DAGOR lesson: overload feedback must reach admission, not
+just the replica).
 
 The coordinator also feeds a :class:`~repro.telemetry.health.HealthMonitor`
 with fleet-level windows, so standard health rules (p99-ceiling,
@@ -69,13 +75,31 @@ class CoordinatorDecision:
 class GlobalCoordinator:
     """Aggregates node statuses; issues fleet-wide directives."""
 
+    #: A culprit must show positive evidence on at least this many nodes
+    #: in the same epoch (the cross-node test no local view can run).
+    min_culprit_nodes = 2
+    #: Epochs of candidate evidence the coordinator attributes over.  A
+    #: hit-and-run culprit (short fanned-out burst) finishes before its
+    #: damage peaks in the victim tail; the window lets attribution look
+    #: back at evidence scraped while the culprit was live.
+    evidence_window = 4
+    #: Minimum windowed evidence score to be attributable.  Victims show
+    #: up as candidates too (every op holds *some* resource while the
+    #: fleet is slow); their scores are orders of magnitude below a real
+    #: holder's, and the floor keeps post-quarantine residual overload
+    #: from walking down the candidate list onto them.
+    min_culprit_score = 10.0
+    #: Cancel directives for the same op across this many epochs escalate
+    #: to an LB quarantine (stop routing the op entirely).
+    quarantine_offenses = 2
+
     def __init__(self, spec: FleetSpec) -> None:
         self.spec = spec
         self.decisions: List[CoordinatorDecision] = []
         self.directives: List[Directive] = []
         self.quarantined: List[str] = []
         self._offenses: Dict[str, int] = {}
-        #: Last ``spec.evidence_window`` epochs of per-op evidence.
+        #: Last :attr:`evidence_window` epochs of per-op evidence.
         self._evidence_history: List[Dict[str, Tuple[float, int]]] = []
         self.monitor = HealthMonitor(
             default_health_rules(
@@ -125,9 +149,7 @@ class GlobalCoordinator:
         )
         epoch_evidence = self._aggregate(statuses)
         self._evidence_history.append(epoch_evidence)
-        window = max(1, self.spec.evidence_window)
-        if len(self._evidence_history) > window:
-            del self._evidence_history[:-window]
+        del self._evidence_history[:-self.evidence_window]
         evidence = self._windowed_evidence()
         overloaded = (
             fleet_p99 == fleet_p99
@@ -165,7 +187,7 @@ class GlobalCoordinator:
                 )
                 decision.verdict = "cancel"
                 if (
-                    offenses >= self.spec.quarantine_offenses
+                    offenses >= self.quarantine_offenses
                     and op not in self.quarantined
                 ):
                     self.quarantined.append(op)
@@ -217,8 +239,8 @@ class GlobalCoordinator:
         eligible = [
             (op, entry)
             for op, entry in evidence.items()
-            if entry[1] >= self.spec.min_culprit_nodes
-            and entry[0] >= self.spec.min_culprit_score
+            if entry[1] >= self.min_culprit_nodes
+            and entry[0] >= self.min_culprit_score
             and op not in self.quarantined
         ]
         if not eligible:

@@ -19,16 +19,17 @@ The epoch-boundary RPC hop is a sync artifact of the simulation, not a
 modeled cost, so SLO accounting uses the critical path, not wall time.
 
 Controller modes (every service mounts the same controller, built by
-:func:`repro.baselines.controller_factory` -- except DAGOR, which reads
-the DAG's user levels; a mode name is case-insensitive, as there, and
-an unknown one is a ``ValueError``):
+:func:`repro.baselines.controller_factory`; a mode name is
+case-insensitive, as there, and an unknown one is a ``ValueError``):
 
 * ``none`` -- uncontrolled.
 * ``atropos`` -- per-service cancellation pipelines (targeted cancel).
 * ``dagor`` -- per-service admission levels; the mesh additionally
-  sheds doomed RPCs *upstream* using each service's last exported
-  :attr:`~repro.baselines.dagor.Dagor.admit_level` (epoch-old, as
-  piggy-backed feedback would be).
+  sheds doomed RPCs *upstream*: an RPC whose
+  :func:`~repro.baselines.dagor.compound_priority` (the same one every
+  service's admission computes) is above the target service's last
+  exported :attr:`~repro.baselines.dagor.Dagor.admit_level` (epoch-old,
+  as piggy-backed feedback would be) is never sent.
 * ``autothrottle`` -- per-service fast-loop throttles plus the global
   :class:`~repro.baselines.autothrottle.AutothrottleTower` running in
   the mesh's slow-loop seat; retuned targets are delivered to services
@@ -44,7 +45,6 @@ from ..baselines import controller_factory
 from ..baselines.autothrottle import Autothrottle, AutothrottleTower
 from ..baselines.dagor import Dagor, compound_priority
 from ..core.pipeline import WindowedController
-from ..sim.environment import Environment
 from ..sim.metrics import percentile
 from ..telemetry.health import HealthMonitor, default_health_rules
 from ..workloads.dag import DagArrival, DagSpec, ServiceSpec, arrival_stream
@@ -90,27 +90,16 @@ class ServiceNode(EpochNode):
         controller: str,
     ) -> None:
         self.service = service
-        self.mode = controller
         super().__init__(
             spec,
             service.name,
             service.backend,
             index,
             rng_label=f"dag:{service.name}",
-            make_controller=self._make_controller,
+            make_controller=controller_factory(controller, spec.slo_latency),
             start=controller != "none",
             measured=spec.duration + spec.drain - spec.warmup,
         )
-
-    def _make_controller(self, env: Environment):
-        spec = self.spec
-        if self.mode == "dagor":  # the one mode that reads the DAG spec
-            return Dagor(
-                env,
-                slo_latency=spec.slo_latency,
-                user_levels=spec.dagor_user_levels,
-            )
-        return controller_factory(self.mode, spec.slo_latency)(env)
 
     # ------------------------------------------------------------------
     # Epoch hooks
@@ -263,6 +252,9 @@ class _MeshDriver:
     the lazy :func:`~repro.workloads.dag.arrival_stream` as their epoch
     is planned, never built up front."""
 
+    #: Seconds between Autothrottle tower (slow-loop) adjustments.
+    tower_period = 2.0
+
     def __init__(self, spec: DagSpec, controller: str) -> None:
         self.spec = spec
         #: The controller name in the one spelling every comparison
@@ -323,7 +315,7 @@ class _MeshDriver:
             AutothrottleTower(self.node_names, spec.slo_latency)
             if controller == "autothrottle" else None
         )
-        self.tower_epochs = max(1, round(spec.tower_period / spec.epoch))
+        self.tower_epochs = max(1, round(self.tower_period / spec.epoch))
         self.edge_queues: List[List[Tuple[_RequestState, int]]] = [
             [] for _ in spec.edges
         ]
@@ -367,9 +359,8 @@ class _MeshDriver:
                     op = self.ops[req.cls_name][target]
                     if (
                         self.controller == "dagor"
-                        and compound_priority(
-                            op, req.client, spec.dagor_user_levels
-                        ) > self.admit_levels[target]
+                        and compound_priority(op, req.client)
+                        > self.admit_levels[target]
                     ):
                         req.failed = "shed-upstream"
                         self.counts[req.cls_name]["shed_upstream"] += 1

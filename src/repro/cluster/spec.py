@@ -89,23 +89,6 @@ class FleetSpec:
     # --- coordinator slow loop ---
     #: Fleet p99 trigger: victim p99 above ``slo_latency * slo_slack``.
     slo_slack: float = 1.5
-    #: A culprit must show positive evidence on at least this many nodes
-    #: in the same epoch (the cross-node test no local view can run).
-    min_culprit_nodes: int = 2
-    #: Epochs of candidate evidence the coordinator attributes over.  A
-    #: hit-and-run culprit (short fanned-out burst) finishes before its
-    #: damage peaks in the victim tail; the window lets attribution look
-    #: back at evidence scraped while the culprit was live.
-    evidence_window: int = 4
-    #: Minimum windowed evidence score to be attributable.  Victims show
-    #: up as candidates too (every op holds *some* resource while the
-    #: fleet is slow); their scores are orders of magnitude below a real
-    #: holder's, and the floor keeps post-quarantine residual overload
-    #: from walking down the candidate list onto them.
-    min_culprit_score: float = 10.0
-    #: Cancel directives for the same op across this many epochs escalate
-    #: to an LB quarantine (stop routing the op entirely).
-    quarantine_offenses: int = 2
     #: Delay of one hop of a node's cancel-directive sweep: one per
     #: targeted task, and one more before the retry pass.
     directive_delay: float = 0.002
@@ -146,8 +129,6 @@ class FleetSpec:
             problems.append("epoch must not exceed duration")
         if not 0 < self.point_weight <= 1:
             problems.append("point_weight must be in (0, 1]")
-        if self.min_culprit_nodes < 1:
-            problems.append("min_culprit_nodes must be >= 1")
         known = set(names)
         for node, start, end in self.partitions:
             if node not in known:

@@ -219,20 +219,25 @@ class WindowedController(BaseController):
     Sibling of :class:`~repro.core.runtime.TracingController`: the base
     of SEDA, Breakwater, PARTIES, DAGOR and Autothrottle.  It owns the
     completion window (1 s horizon, p99), the pipeline that ticks every
-    ``period`` seconds with the controller itself in the action seat,
-    and the detector-style telemetry the scraper reads.  A subclass
-    implements :meth:`act`, sets :attr:`last_violation` there, and counts
-    what its ``admit`` turns away in :attr:`rejections`.
+    :attr:`adjust_period` seconds with the controller itself in the
+    action seat, and the detector-style telemetry the scraper reads.  A
+    subclass sets :attr:`adjust_period`, implements :meth:`act`, sets
+    :attr:`last_violation` there, and counts what its ``admit`` turns
+    away in :attr:`rejections`.
     """
 
-    def __init__(self, env: "Environment", period: float) -> None:
+    #: Seconds between windows: a class constant of each subclass.
+    adjust_period: float
+
+    def __init__(self, env: "Environment") -> None:
         super().__init__(env)
         self.rejections = 0
         #: Whether the last window violated the controller's target.
         self.last_violation = False
         self._window_source = LatencyWindowSource(env)
         self.pipeline = ControlPipeline(
-            env, period, sources=[self._window_source], action=self
+            env, self.adjust_period, sources=[self._window_source],
+            action=self,
         )
 
     @property

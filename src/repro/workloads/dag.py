@@ -135,12 +135,6 @@ class DagSpec:
     mysql_miss_penalty: float = 0.02
     pg_bytes_per_row: float = 400.0
 
-    # --- controller knobs carried by the spec (cache identity) ---
-    #: DAGOR user levels per business-priority class.
-    dagor_user_levels: int = 8
-    #: Seconds between Autothrottle tower (slow-loop) adjustments.
-    tower_period: float = 2.0
-
     #: Request classes the scenario considers true culprits; every
     #: other class is a victim for the p99/goodput accounting.
     expected_culprits: Tuple[str, ...] = ()
@@ -249,10 +243,6 @@ class DagSpec:
             problems.append("epoch must not exceed duration")
         if self.drain < 0:
             problems.append("drain must be >= 0")
-        if self.dagor_user_levels < 1:
-            problems.append("dagor_user_levels must be >= 1")
-        if self.tower_period <= 0:
-            problems.append("tower_period must be > 0")
         for culprit in self.expected_culprits:
             if culprit not in class_names:
                 problems.append(

@@ -9,6 +9,8 @@ from repro.experiments import run_simulation
 from repro.sim import Environment, RequestRecord, RequestStatus
 from repro.workloads import OpenLoopSource, ScheduledOp, Workload
 
+from .tuned import tuned
+
 
 @pytest.fixture
 def env():
@@ -28,31 +30,34 @@ def feed(bw, n, latency):
 
 class TestCreditPool:
     def test_credits_shrink_on_delay_violation(self, env):
-        bw = Breakwater(env, target_delay=0.01, adjust_period=0.1,
-                        initial_credits=100)
+        bw = tuned(Breakwater, adjust_period=0.1, initial_credits=100)(
+            env, target_delay=0.01
+        )
         bw.start()
         feed(bw, 30, latency=0.5)
         env.run(until=0.35)
         assert bw.credits < 100
 
     def test_credits_grow_when_healthy(self, env):
-        bw = Breakwater(env, target_delay=0.5, adjust_period=0.1,
-                        initial_credits=10)
+        bw = tuned(Breakwater, adjust_period=0.1, initial_credits=10)(
+            env, target_delay=0.5
+        )
         bw.start()
         feed(bw, 30, latency=0.001)
         env.run(until=0.55)
         assert bw.credits > 10
 
     def test_credits_bounded(self, env):
-        bw = Breakwater(env, target_delay=0.01, adjust_period=0.05,
-                        initial_credits=8, min_credits=4)
+        bw = tuned(
+            Breakwater, adjust_period=0.05, initial_credits=8, min_credits=4
+        )(env, target_delay=0.01)
         bw.start()
         feed(bw, 50, latency=1.0)
         env.run(until=5.0)
         assert bw.credits >= 4
 
     def test_admission_limited_by_inflight_vs_credits(self, env):
-        bw = Breakwater(env, initial_credits=2, overcommit=1.0)
+        bw = tuned(Breakwater, initial_credits=2, overcommit=1.0)(env)
         assert bw.admit("op", "c")
         bw.create_cancel()
         bw.create_cancel()
@@ -60,7 +65,7 @@ class TestCreditPool:
         assert bw.rejections == 1
 
     def test_free_cancel_returns_credit(self, env):
-        bw = Breakwater(env, initial_credits=1, overcommit=1.0)
+        bw = tuned(Breakwater, initial_credits=1, overcommit=1.0)(env)
         task = bw.create_cancel()
         assert not bw.admit("op", "c")
         bw.free_cancel(task)

@@ -15,6 +15,7 @@ from repro.sim import Environment, RequestRecord, RequestStatus
 from repro.sim.resources import ThreadPool
 
 from ..apps.stub import StubApp
+from .tuned import tuned
 
 
 @pytest.fixture
@@ -43,18 +44,18 @@ class TestCompoundPriority:
         assert user_level("alice|42:1:0", 8) == user_level("alice", 8)
 
     def test_business_class_dominates_user_level(self):
-        light = compound_priority("point", "anyone", 8)
-        heavy = compound_priority("scan", "anyone", 8)
+        light = compound_priority("point", "anyone")
+        heavy = compound_priority("scan", "anyone")
         assert light < 8
         assert heavy >= 3 * 8
 
     def test_unknown_op_gets_default_priority(self):
-        assert compound_priority("mystery_op", "c", 8) // 8 == 2
+        assert compound_priority("mystery_op", "c") // 8 == 2
 
 
 class TestDagorConvergence:
     def test_level_settles_at_min_under_steady_overload(self, env):
-        d = Dagor(env, slo_latency=0.01, adjust_period=0.1)
+        d = tuned(Dagor, adjust_period=0.1)(env, slo_latency=0.01)
         d.start()
         assert d.level == d.max_level
         # Steady overload: every window's tail breaches the SLO.
@@ -66,7 +67,7 @@ class TestDagorConvergence:
         assert d.admit("point", "any-client")
 
     def test_level_recovers_one_step_per_healthy_window(self, env):
-        d = Dagor(env, slo_latency=0.01, adjust_period=0.1)
+        d = tuned(Dagor, adjust_period=0.1)(env, slo_latency=0.01)
         d.start()
         feed(d, 20, latency=0.5)
         env.run(until=0.15)
@@ -83,14 +84,14 @@ class TestDagorConvergence:
         assert d.level == floored + 5 * d.grow_step
 
     def test_admission_sheds_heavy_before_light(self, env):
-        d = Dagor(env, slo_latency=0.01, adjust_period=0.1)
+        d = tuned(Dagor, adjust_period=0.1)(env, slo_latency=0.01)
         d.level = d.user_levels - 1  # floor: only business class 0
         assert d.admit("point", "client-1")
         assert not d.admit("scan", "client-1")
         assert d.rejections == 1
 
     def test_feedback_snapshot_updates_at_window_edge(self, env):
-        d = Dagor(env, slo_latency=0.01, adjust_period=0.1)
+        d = tuned(Dagor, adjust_period=0.1)(env, slo_latency=0.01)
         d.start()
         feed(d, 20, latency=0.5)
         env.run(until=0.15)
@@ -118,7 +119,7 @@ class TestAutothrottle:
         assert at.nominal_workers == 32
 
     def test_pool_shrinks_under_overload_and_recovers(self, env):
-        at = Autothrottle(env, slo_latency=0.01, adjust_period=0.1)
+        at = tuned(Autothrottle, adjust_period=0.1)(env, slo_latency=0.01)
         app = _PoolApp(env, workers=32)
         at.bind(app)
         at.start()
@@ -136,7 +137,7 @@ class TestAutothrottle:
         assert app.workers.workers > floored
 
     def test_poolless_backend_uses_checkpoint_squeeze(self, env):
-        at = Autothrottle(env, slo_latency=0.01, adjust_period=0.1)
+        at = tuned(Autothrottle, adjust_period=0.1)(env, slo_latency=0.01)
         at.start()  # never bound: no pool to resize
         assert at.throttle_delay(None) == 0.0
         feed(at, 20, latency=0.5)

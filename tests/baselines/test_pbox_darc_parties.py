@@ -9,6 +9,8 @@ from repro.cases import get_case
 from repro.core import ResourceType
 from repro.sim import Environment, RequestRecord, RequestStatus
 
+from .tuned import tuned
+
 
 @pytest.fixture
 def env():
@@ -17,7 +19,7 @@ def env():
 
 class TestPBox:
     def test_penalty_applied_and_expires(self, env):
-        p = PBox(env, penalty_delay=0.05, penalty_duration=0.5)
+        p = tuned(PBox, penalty_delay=0.05, penalty_duration=0.5)(env)
         task = p.create_cancel()
         p._penalized[task.seq] = env.now + 0.5
         assert p.throttle_delay(task) == 0.05
@@ -26,7 +28,7 @@ class TestPBox:
         assert task.seq not in p._penalized
 
     def test_penalizes_top_consumer_of_overloaded_resource(self, env):
-        p = PBox(env, contention_threshold=0.1)
+        p = tuned(PBox, contention_threshold=0.1)(env)
         mem = p.register_resource("pool", ResourceType.MEMORY)
         hog = p.create_cancel()
         small = p.create_cancel()
@@ -66,7 +68,7 @@ class TestDARC:
         from repro.apps.mysql import MySQL
         from repro.sim import Rng
 
-        darc = DARC(env, reserved_fraction=0.5)
+        darc = tuned(DARC, reserved_fraction=0.5)(env)
         app = MySQL(env, darc, Rng(0))
         darc.bind(app)
         reserved = sum(
@@ -83,7 +85,7 @@ class TestDARC:
 
         single = ThreadPool(env, "stub.single", workers=1)
         pair = ThreadPool(env, "stub.pair", workers=2)
-        darc = DARC(env, reserved_fraction=0.9)
+        darc = tuned(DARC, reserved_fraction=0.9)(env)
         darc.bind(
             StubApp(
                 env, darc, single=single, pair=pair,
@@ -94,10 +96,6 @@ class TestDARC:
         # of one, one of two reserved on the pair, locks left alone.
         assert single._reservations == {}
         assert sum(pair._reservations.values()) == 1
-
-    def test_invalid_fraction_rejected(self, env):
-        with pytest.raises(ValueError):
-            DARC(env, reserved_fraction=1.5)
 
     def test_keeps_lights_flowing_in_c2(self):
         """Reserved workers shield light queries from slow-query floods."""
@@ -126,7 +124,7 @@ class TestDARC:
 
 class TestParties:
     def test_admission_respects_limits(self, env):
-        p = Parties(env, initial_limit=2)
+        p = tuned(Parties, initial_limit=2)(env)
         assert p.admit("op", "c1")
         p.create_cancel(client_id="c1")
         p.create_cancel(client_id="c1")
@@ -134,7 +132,9 @@ class TestParties:
         assert p.admit("op", "c2")
 
     def test_violation_shrinks_heaviest_client(self, env):
-        p = Parties(env, slo_latency=0.01, adjust_period=0.1, initial_limit=8)
+        p = tuned(Parties, adjust_period=0.1, initial_limit=8)(
+            env, slo_latency=0.01
+        )
         p.start()
         task = p.create_cancel(client_id="greedy")
         p.observe_completion(
@@ -151,7 +151,9 @@ class TestParties:
         assert p.limits["greedy"] < 8
 
     def test_healthy_restores_limits(self, env):
-        p = Parties(env, slo_latency=10.0, adjust_period=0.1, initial_limit=8)
+        p = tuned(Parties, adjust_period=0.1, initial_limit=8)(
+            env, slo_latency=10.0
+        )
         p.limits["c"] = 2
         p.start()
         env.run(until=0.55)
@@ -168,7 +170,9 @@ class TestParties:
 
 class TestSeda:
     def test_rate_decreases_on_violation(self, env):
-        s = Seda(env, slo_latency=0.01, adjust_period=0.1, initial_rate=100.0)
+        s = tuned(Seda, adjust_period=0.1, initial_rate=100.0)(
+            env, slo_latency=0.01
+        )
         s.start()
         for i in range(20):
             s.observe_completion(
@@ -180,13 +184,15 @@ class TestSeda:
         assert s.rate < 100.0
 
     def test_rate_recovers_when_healthy(self, env):
-        s = Seda(env, slo_latency=10.0, adjust_period=0.1, initial_rate=100.0)
+        s = tuned(Seda, adjust_period=0.1, initial_rate=100.0)(
+            env, slo_latency=10.0
+        )
         s.start()
         env.run(until=0.55)
         assert s.rate > 100.0
 
     def test_tokens_limit_admission(self, env):
-        s = Seda(env, initial_rate=10.0, adjust_period=0.1)
+        s = tuned(Seda, initial_rate=10.0, adjust_period=0.1)(env)
         admitted = sum(1 for _ in range(100) if s.admit("op", "c"))
         assert admitted < 100
         assert s.rejections > 0
@@ -230,7 +236,7 @@ class TestPBoxVictimChoice:
     @settings(max_examples=300, deadline=None)
     def test_touched_records_pick_the_assessments_top_consumer(self, ops):
         env = Environment()
-        p = PBox(env, contention_threshold=0.01)
+        p = tuned(PBox, contention_threshold=0.01)(env)
         resources = [
             p.register_resource(rtype.value, rtype) for rtype in ResourceType
         ]

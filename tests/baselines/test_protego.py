@@ -7,6 +7,8 @@ from repro.cases import get_case
 from repro.core import ResourceHandle, ResourceType
 from repro.sim import Environment, RequestStatus
 
+from .tuned import tuned
+
 
 @pytest.fixture
 def env():
@@ -52,7 +54,7 @@ class TestWaitTracking:
         assert p.blocking_delay(task) == pytest.approx(0.02)
 
     def test_should_drop_over_budget(self, env):
-        p = Protego(env, slo_latency=0.05, drop_fraction=0.8)
+        p = tuned(Protego, drop_fraction=0.8)(env, slo_latency=0.05)
         lock = p.register_resource("l", ResourceType.LOCK)
         task = p.create_cancel()
         p.slow_by_resource(task, lock, 0.05)

@@ -148,8 +148,10 @@ class TestLifecycle:
 class TickingController(WindowedController):
     """The smallest windowed baseline: records what it is handed."""
 
-    def __init__(self, env, period):
-        super().__init__(env, period)
+    adjust_period = 0.5
+
+    def __init__(self, env):
+        super().__init__(env)
         self.ticks = []
 
     def act(self, now, signals):
@@ -158,7 +160,7 @@ class TickingController(WindowedController):
 
 class TestActionSeat:
     def test_controller_passed_as_action_is_ticked(self, env):
-        controller = TickingController(env, period=0.5)
+        controller = TickingController(env)
         assert controller.pipeline.action is controller
         controller.observe_completion(record(0.1, 0.05))
         controller.start()
@@ -166,7 +168,10 @@ class TestActionSeat:
         assert controller.ticks == [(0.5, 1), (1.0, 1)]
 
     def test_windowed_controller_without_act_raises(self, env):
-        controller = WindowedController(env, period=1.0)
+        class NoAct(WindowedController):
+            adjust_period = 1.0
+
+        controller = NoAct(env)
         with pytest.raises(NotImplementedError):
             controller.pipeline.tick()
 

@@ -135,6 +135,20 @@ RETIRED_NAMES = [
     "contention_threshold_overrides",
     "directives_deferred",
     "reserved_pools",
+    "dagor_user_levels",
+    "DagSpec.tower_period",
+    "spec.tower_period",
+    "FleetSpec.min_culprit_nodes",
+    "FleetSpec.evidence_window",
+    "FleetSpec.min_culprit_score",
+    "FleetSpec.quarantine_offenses",
+    "spec.min_culprit_nodes",
+    "spec.evidence_window",
+    "spec.min_culprit_score",
+    "spec.quarantine_offenses",
+    "LIGHT_CLASSES",
+    "_make_controller",
+    "Breakwater.inflight",
 ]
 
 #: Where retired names are looked for: the default set minus CHANGES.md,
